@@ -289,6 +289,18 @@ func RunScenario(ctx context.Context, cfg SwarmConfig, sc Scenario) (*Result, er
 		lagHist.Observe(int64(lag))
 	}
 
+	// When the scenario spawns full viewers (a leech farm, a flash crowd),
+	// a core viewer that finishes first keeps its tab open and serves
+	// until the band has played out. Left to tear down at its own last
+	// segment, the honest swarm races the band's connection setup, and
+	// "how many free-riders leeched" measures who won that race.
+	servesBand := false
+	for _, st := range sc.Steps {
+		if st.Fault == FaultSpawn && (st.Behavior == string(population.BehaviorFreeRider) || st.Behavior == string(population.BehaviorHonest)) {
+			servesBand = true
+		}
+	}
+
 	viewers := make([]*ViewerResult, cfg.Viewers)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Viewers; i++ {
@@ -307,6 +319,9 @@ func RunScenario(ctx context.Context, cfg SwarmConfig, sc Scenario) (*Result, er
 		if cfg.Live {
 			vcfg.LiveEdgeSegments = 3
 			vcfg.OnSegment = sampleLag
+		}
+		if servesBand {
+			vcfg.Linger = 5 * time.Minute // ended below, once the band has played out
 		}
 		peer, err := pdnclient.New(vcfg)
 		if err != nil {
@@ -343,19 +358,22 @@ func RunScenario(ctx context.Context, cfg SwarmConfig, sc Scenario) (*Result, er
 		cancel()
 		wg.Wait()
 		spawnCancel()
-		sp.wgHonest.Wait()
+		sp.wgFull.Wait()
 		sp.wg.Wait()
 		return nil, fmt.Errorf("chaos: scenario %s: %w", sc.Name, err)
 	}
+	// Spawned full viewers (flash-crowd joiners, leech-farm members) get
+	// to finish their own playback, with the core swarm still online to
+	// serve them; only then are lingering colluders and Sybil identities
+	// torn down. A fast honest swarm can finish while the mill's later
+	// identities are still mid-join, so give lingerers a bounded window
+	// to reach the signaling plane first — the host ledger's identity
+	// peak must reflect the whole mill, not a teardown race.
+	sp.wgFull.Wait()
+	for _, v := range viewers {
+		v.Peer.StopLinger()
+	}
 	wg.Wait()
-	// Spawned honest members (flash-crowd joiners) get to finish their
-	// own playback; only then are lingering colluders and Sybil
-	// identities torn down. A fast honest swarm can finish while the
-	// mill's later identities are still mid-join, so give lingerers a
-	// bounded window to reach the signaling plane first — the host
-	// ledger's identity peak must reflect the whole mill, not a
-	// teardown race.
-	sp.wgHonest.Wait()
 	sp.waitForLingerJoins(5 * time.Second)
 	spawnCancel()
 	sp.wg.Wait()
@@ -419,10 +437,11 @@ type spawner struct {
 	// leakedKey returns the static key a key-compromise band registers
 	// as its own (the first core viewer's — the "victim" of the leak).
 	leakedKey func() string
-	// wgHonest tracks spawned honest viewers (waited to completion);
-	// wg tracks everyone else (ended by cancelling the spawn context).
-	wgHonest sync.WaitGroup
-	wg       sync.WaitGroup
+	// wgFull tracks spawned full viewers — honest joiners and
+	// free-riders, waited to completion; wg tracks everyone else (ended
+	// by cancelling the spawn context).
+	wgFull sync.WaitGroup
+	wg     sync.WaitGroup
 
 	mu      sync.Mutex
 	extra   []*ViewerResult
@@ -575,8 +594,8 @@ func (sp *spawner) spawnViewers(b population.Behavior, count int) error {
 		sp.extra = append(sp.extra, vr)
 		sp.mu.Unlock()
 		wg := &sp.wg
-		if b == population.BehaviorHonest {
-			wg = &sp.wgHonest
+		if b == population.BehaviorHonest || b == population.BehaviorFreeRider {
+			wg = &sp.wgFull
 		}
 		wg.Add(1)
 		go func() {

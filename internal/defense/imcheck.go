@@ -3,7 +3,6 @@ package defense
 import (
 	"crypto/ed25519"
 	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -30,12 +29,6 @@ type IMConfig struct {
 	FetchCDN FetchFunc
 }
 
-// simEntry is an established, signed IM.
-type simEntry struct {
-	hash string
-	sig  string
-}
-
 // IMChecker implements signal.IMService: the server side of the §V-B
 // peer-assisted integrity-checking defense.
 type IMChecker struct {
@@ -45,7 +38,7 @@ type IMChecker struct {
 
 	mu          sync.Mutex
 	pending     map[media.SegmentKey]map[string]string // key -> peerID -> hash
-	established map[media.SegmentKey]simEntry
+	established map[media.SegmentKey]media.SIM
 	blacklist   map[string]bool
 
 	conflicts  int
@@ -71,7 +64,7 @@ func NewIMChecker(cfg IMConfig) (*IMChecker, error) {
 		signPub:     pub,
 		signKey:     priv,
 		pending:     make(map[media.SegmentKey]map[string]string),
-		established: make(map[media.SegmentKey]simEntry),
+		established: make(map[media.SegmentKey]media.SIM),
 		blacklist:   make(map[string]bool),
 	}, nil
 }
@@ -82,15 +75,7 @@ func (c *IMChecker) PublicKey() ed25519.PublicKey { return c.signPub }
 
 // VerifySIM checks a SIM signature against the checker's public key.
 func VerifySIM(pub ed25519.PublicKey, key media.SegmentKey, hash, sig string) bool {
-	raw, err := hex.DecodeString(sig)
-	if err != nil {
-		return false
-	}
-	return ed25519.Verify(pub, simMessage(key, hash), raw)
-}
-
-func simMessage(key media.SegmentKey, hash string) []byte {
-	return []byte(key.String() + "|" + hash)
+	return media.VerifySIM(pub, key, hash, sig)
 }
 
 // Report records a peer's IM for a CDN-fetched segment (§V-B): the
@@ -106,7 +91,7 @@ func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) err
 	if est, ok := c.established[key]; ok {
 		// Late report against an established SIM: liars are caught here
 		// too.
-		if est.hash != hash {
+		if est.Hash != hash {
 			c.blacklist[peerID] = true
 			c.mu.Unlock()
 			return ErrPeerBlacklisted
@@ -172,8 +157,7 @@ func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) err
 }
 
 func (c *IMChecker) establishLocked(key media.SegmentKey, hash string) {
-	sig := ed25519.Sign(c.signKey, simMessage(key, hash))
-	c.established[key] = simEntry{hash: hash, sig: hex.EncodeToString(sig)}
+	c.established[key] = media.SignSIM(c.signKey, key, hash)
 }
 
 // SIM returns the signed integrity metadata for a segment.
@@ -184,7 +168,7 @@ func (c *IMChecker) SIM(key media.SegmentKey) (hash, sig string, ok bool) {
 	if !found {
 		return "", "", false
 	}
-	return e.hash, e.sig, true
+	return e.Hash, e.Sig, true
 }
 
 // Blacklisted reports whether a peer has been banned.

@@ -1,8 +1,8 @@
-// Package dtls implements the DTLS-like secure transport that carries
-// peer-to-peer video data in the pdnsec testbed: an authenticated
-// Diffie-Hellman handshake bound to certificate fingerprints (as WebRTC
-// binds DTLS certificates to SDP fingerprints), followed by an AES-GCM
-// record layer.
+// Package dtls implements the DTLS-like handshake of the deployed
+// profiles' peer-to-peer transport: an authenticated Diffie-Hellman
+// exchange bound to certificate fingerprints (as WebRTC binds DTLS
+// certificates to SDP fingerprints). The AES-GCM record layer that
+// follows it is internal/record, shared with internal/secure.
 //
 // Fidelity notes relative to the paper. (1) Peer traffic really is
 // encrypted and integrity-protected in transit — the paper stresses that
@@ -12,25 +12,21 @@
 // distinguishes handshake (0x16) from application data (0x17) records,
 // which is exactly the signal the paper's dynamic detector uses to
 // confirm "a DTLS connection between known candidate peer pairs".
-// (3) Encryption work is metered via an optional hook so the resource
+// (3) Encryption work is metered via optional hooks so the resource
 // monitor can attribute CPU cost to crypto, which the paper identifies
 // as the main source of PDN's +15% CPU overhead.
 package dtls
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"sync"
+
+	"github.com/stealthy-peers/pdnsec/internal/record"
 )
 
 // Record content types, matching real (D)TLS code points.
@@ -39,43 +35,25 @@ const (
 	ContentAppData   byte = 0x17
 )
 
-// recordVersion is the DTLS 1.2 wire version.
-const recordVersion uint16 = 0xfefd
+// framing puts the content type and the DTLS 1.2 wire version (0xfefd)
+// in front of every record header.
+var framing = record.Framing{
+	Handshake: string([]byte{ContentHandshake, 0xfe, 0xfd}),
+	Data:      string([]byte{ContentAppData, 0xfe, 0xfd}),
+}
 
-// maxRecord bounds a single record's plaintext size. Segments larger
-// than this are sent as multiple records by Conn.Send.
-const maxRecord = 1 << 20
-
-// Errors returned by the handshake and record layer.
+// Errors returned by the handshake.
 var (
 	ErrFingerprintMismatch = errors.New("dtls: peer certificate fingerprint mismatch")
 	ErrBadSignature        = errors.New("dtls: invalid handshake signature")
-	ErrRecordTooLarge      = errors.New("dtls: record exceeds size limit")
-	ErrDecrypt             = errors.New("dtls: record authentication failed")
 )
 
 // Identity is a peer's long-lived "certificate": an Ed25519 keypair whose
 // public-key hash is the fingerprint advertised through signaling.
-type Identity struct {
-	pub  ed25519.PublicKey
-	priv ed25519.PrivateKey
-}
+type Identity = record.Identity
 
 // NewIdentity generates a fresh identity.
-func NewIdentity() (*Identity, error) {
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("dtls: generate identity: %w", err)
-	}
-	return &Identity{pub: pub, priv: priv}, nil
-}
-
-// Fingerprint returns the hex SHA-256 of the identity's public key, the
-// value a peer publishes in its (simulated) SDP.
-func (id *Identity) Fingerprint() string {
-	sum := sha256.Sum256(id.pub)
-	return hex.EncodeToString(sum[:])
-}
+func NewIdentity() (*Identity, error) { return record.NewIdentity() }
 
 // Config parameterizes a handshake.
 type Config struct {
@@ -86,13 +64,9 @@ type Config struct {
 	// empty value skips verification (the weaker deployments the paper
 	// describes).
 	ExpectedPeerFingerprint string
-	// OnCrypto, when set, is called with the number of plaintext bytes
-	// encrypted or decrypted; the resource monitor uses it to attribute
-	// CPU cost.
-	OnCrypto func(n int)
-	// OnEncrypt and OnDecrypt, when set, are called per direction in
-	// addition to OnCrypto; the cost model prices encryption and
-	// decryption differently.
+	// OnEncrypt and OnDecrypt, when set, are called with the number of
+	// plaintext bytes encrypted or decrypted; the cost model prices the
+	// two directions differently.
 	OnEncrypt func(n int)
 	OnDecrypt func(n int)
 }
@@ -101,26 +75,16 @@ type Config struct {
 // Layout: random(32) | dhPub(32) | certPub(32) | sig(64).
 const handshakeLen = 32 + 32 + 32 + 64
 
-// Conn is an established secure channel. It is message-oriented: one
-// Send corresponds to one Recv on the peer (possibly split into several
-// records internally). Conn is safe for one concurrent sender and one
-// concurrent receiver.
+// Conn is an established channel: the shared record layer plus what the
+// handshake learned about the peer.
 type Conn struct {
-	raw       net.Conn
-	sendAEAD  cipher.AEAD
-	recvAEAD  cipher.AEAD
-	onCrypto  func(int)
-	onEncrypt func(int)
-	onDecrypt func(int)
-
+	*record.Conn
 	peerFingerprint string
-
-	sendMu  sync.Mutex
-	sendSeq uint64
-	recvMu  sync.Mutex
-	recvSeq uint64
-	pending []byte // reassembly buffer for multi-record messages
 }
+
+// PeerFingerprint returns the hex SHA-256 fingerprint of the peer's
+// certificate observed during the handshake.
+func (c *Conn) PeerFingerprint() string { return c.peerFingerprint }
 
 // Client performs the initiating side of the handshake over raw.
 func Client(raw net.Conn, cfg Config) (*Conn, error) { return handshake(raw, cfg, true) }
@@ -128,7 +92,19 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) { return handshake(raw, cfg
 // Server performs the responding side of the handshake over raw.
 func Server(raw net.Conn, cfg Config) (*Conn, error) { return handshake(raw, cfg, false) }
 
+// handshake runs one side and closes raw on failure: a rejected
+// handshake leaves the conn unusable, and closing it is what unblocks a
+// peer still waiting for a message this side will never send.
 func handshake(raw net.Conn, cfg Config, isClient bool) (*Conn, error) {
+	c, err := runHandshake(raw, cfg, isClient)
+	if err != nil {
+		raw.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+func runHandshake(raw net.Conn, cfg Config, isClient bool) (*Conn, error) {
 	if cfg.Identity == nil {
 		return nil, errors.New("dtls: config requires an Identity")
 	}
@@ -145,14 +121,14 @@ func handshake(raw net.Conn, cfg Config, isClient bool) (*Conn, error) {
 
 	var remote []byte
 	if isClient {
-		if err := writeRecord(raw, ContentHandshake, 0, local); err != nil {
+		if err := record.WriteRecord(raw, framing.Handshake, 0, 0, local); err != nil {
 			return nil, fmt.Errorf("dtls: send hello: %w", err)
 		}
-		_, remote, err = readRecord(raw)
+		_, _, remote, err = record.ReadRecord(raw, framing.Handshake)
 	} else {
-		_, remote, err = readRecord(raw)
+		_, _, remote, err = record.ReadRecord(raw, framing.Handshake)
 		if err == nil {
-			err = writeRecord(raw, ContentHandshake, 0, local)
+			err = record.WriteRecord(raw, framing.Handshake, 0, 0, local)
 		}
 	}
 	if err != nil {
@@ -163,11 +139,9 @@ func handshake(raw net.Conn, cfg Config, isClient bool) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.ExpectedPeerFingerprint != "" {
-		sum := sha256.Sum256(peerCert)
-		if hex.EncodeToString(sum[:]) != cfg.ExpectedPeerFingerprint {
-			return nil, ErrFingerprintMismatch
-		}
+	peerFP := record.Fingerprint(peerCert)
+	if cfg.ExpectedPeerFingerprint != "" && peerFP != cfg.ExpectedPeerFingerprint {
+		return nil, ErrFingerprintMismatch
 	}
 
 	peerPub, err := ecdh.X25519().NewPublicKey(peerDH)
@@ -179,49 +153,31 @@ func handshake(raw net.Conn, cfg Config, isClient bool) (*Conn, error) {
 		return nil, fmt.Errorf("dtls: ECDH: %w", err)
 	}
 
-	// Key schedule: bind both randoms; derive one key per direction.
+	// The session secret binds both randoms to the DH result.
 	clientRandom, serverRandom := random, peerRandom
 	if !isClient {
 		clientRandom, serverRandom = peerRandom, random
 	}
-	c2s := deriveKey(shared, clientRandom[:], serverRandom[:], "c2s")
-	s2c := deriveKey(shared, clientRandom[:], serverRandom[:], "s2c")
-
-	sendKey, recvKey := c2s, s2c
-	if !isClient {
-		sendKey, recvKey = s2c, c2s
-	}
-	sendAEAD, err := newAEAD(sendKey)
+	h := sha256.New()
+	h.Write(shared)
+	h.Write(clientRandom[:])
+	h.Write(serverRandom[:])
+	rc, err := record.New(raw, framing, h.Sum(nil), isClient, cfg.OnEncrypt, cfg.OnDecrypt)
 	if err != nil {
 		return nil, err
 	}
-	recvAEAD, err := newAEAD(recvKey)
-	if err != nil {
-		return nil, err
-	}
-
-	fp := sha256.Sum256(peerCert)
-	return &Conn{
-		raw:             raw,
-		sendAEAD:        sendAEAD,
-		recvAEAD:        recvAEAD,
-		onCrypto:        cfg.OnCrypto,
-		onEncrypt:       cfg.OnEncrypt,
-		onDecrypt:       cfg.OnDecrypt,
-		peerFingerprint: hex.EncodeToString(fp[:]),
-	}, nil
+	return &Conn{Conn: rc, peerFingerprint: peerFP}, nil
 }
 
 func buildHello(random [32]byte, dhPub []byte, id *Identity) []byte {
 	msg := make([]byte, 0, handshakeLen)
 	msg = append(msg, random[:]...)
 	msg = append(msg, dhPub...)
-	msg = append(msg, id.pub...)
-	sig := ed25519.Sign(id.priv, msg) // binds cert to DH share and random
-	return append(msg, sig...)
+	msg = append(msg, id.Public()...)
+	return append(msg, id.Sign(msg)...) // binds cert to DH share and random
 }
 
-func parseHello(msg []byte) (random [32]byte, dhPub, certPub []byte, err error) {
+func parseHello(msg []byte) (random [32]byte, dhPub []byte, certPub ed25519.PublicKey, err error) {
 	if len(msg) != handshakeLen {
 		return random, nil, nil, fmt.Errorf("dtls: hello length %d, want %d", len(msg), handshakeLen)
 	}
@@ -229,151 +185,8 @@ func parseHello(msg []byte) (random [32]byte, dhPub, certPub []byte, err error) 
 	dhPub = msg[32:64]
 	certPub = msg[64:96]
 	sig := msg[96:160]
-	if !ed25519.Verify(ed25519.PublicKey(certPub), msg[:96], sig) {
+	if !ed25519.Verify(certPub, msg[:96], sig) {
 		return random, nil, nil, ErrBadSignature
 	}
 	return random, dhPub, certPub, nil
 }
-
-func deriveKey(shared, clientRandom, serverRandom []byte, label string) []byte {
-	h := sha256.New()
-	h.Write(shared)
-	h.Write(clientRandom)
-	h.Write(serverRandom)
-	h.Write([]byte(label))
-	return h.Sum(nil)[:16] // AES-128
-}
-
-func newAEAD(key []byte) (cipher.AEAD, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("dtls: aes: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("dtls: gcm: %w", err)
-	}
-	return aead, nil
-}
-
-// PeerFingerprint returns the hex SHA-256 fingerprint of the peer's
-// certificate observed during the handshake.
-func (c *Conn) PeerFingerprint() string { return c.peerFingerprint }
-
-// record header: type(1) | version(2) | seq(8) | flags(1) | len(4).
-// flags bit0 marks the final record of a message.
-const recordHeaderLen = 16
-
-func writeRecord(w io.Writer, typ byte, flags byte, payload []byte) error {
-	return writeRecordSeq(w, typ, flags, 0, payload)
-}
-
-func writeRecordSeq(w io.Writer, typ byte, flags byte, seq uint64, payload []byte) error {
-	if len(payload) > maxRecord+64 {
-		return ErrRecordTooLarge
-	}
-	hdr := make([]byte, recordHeaderLen)
-	hdr[0] = typ
-	binary.BigEndian.PutUint16(hdr[1:3], recordVersion)
-	binary.BigEndian.PutUint64(hdr[3:11], seq)
-	hdr[11] = flags
-	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func readRecord(r io.Reader) (hdr [recordHeaderLen]byte, payload []byte, err error) {
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return hdr, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[12:16])
-	if n > maxRecord+64 {
-		return hdr, nil, ErrRecordTooLarge
-	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return hdr, nil, err
-	}
-	return hdr, payload, nil
-}
-
-// Send encrypts and transmits one message. Large messages are split into
-// maxRecord-sized records and reassembled by the peer's Recv.
-func (c *Conn) Send(msg []byte) error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	rest := msg
-	for {
-		chunk := rest
-		final := byte(1)
-		if len(chunk) > maxRecord {
-			chunk, rest = chunk[:maxRecord], rest[maxRecord:]
-			final = 0
-		} else {
-			rest = nil
-		}
-		var nonce [12]byte
-		binary.BigEndian.PutUint64(nonce[4:], c.sendSeq)
-		sealed := c.sendAEAD.Seal(nil, nonce[:], chunk, nil)
-		if c.onCrypto != nil {
-			c.onCrypto(len(chunk))
-		}
-		if c.onEncrypt != nil {
-			c.onEncrypt(len(chunk))
-		}
-		if err := writeRecordSeq(c.raw, ContentAppData, final, c.sendSeq, sealed); err != nil {
-			return fmt.Errorf("dtls: send: %w", err)
-		}
-		c.sendSeq++
-		if final == 1 {
-			return nil
-		}
-	}
-}
-
-// Recv reads and decrypts the next message.
-func (c *Conn) Recv() ([]byte, error) {
-	c.recvMu.Lock()
-	defer c.recvMu.Unlock()
-	var out []byte
-	if len(c.pending) > 0 {
-		out = c.pending
-		c.pending = nil
-	}
-	for {
-		hdr, sealed, err := readRecord(c.raw)
-		if err != nil {
-			return nil, err
-		}
-		if hdr[0] != ContentAppData {
-			return nil, fmt.Errorf("dtls: unexpected record type 0x%02x", hdr[0])
-		}
-		seq := binary.BigEndian.Uint64(hdr[3:11])
-		if seq != c.recvSeq {
-			return nil, fmt.Errorf("dtls: record sequence %d, want %d", seq, c.recvSeq)
-		}
-		var nonce [12]byte
-		binary.BigEndian.PutUint64(nonce[4:], seq)
-		plain, err := c.recvAEAD.Open(nil, nonce[:], sealed, nil)
-		if err != nil {
-			return nil, ErrDecrypt
-		}
-		if c.onCrypto != nil {
-			c.onCrypto(len(plain))
-		}
-		if c.onDecrypt != nil {
-			c.onDecrypt(len(plain))
-		}
-		c.recvSeq++
-		out = append(out, plain...)
-		if hdr[11]&1 == 1 {
-			return out, nil
-		}
-	}
-}
-
-// Close closes the underlying transport.
-func (c *Conn) Close() error { return c.raw.Close() }

@@ -2,6 +2,8 @@ package dtls
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -107,83 +109,24 @@ func TestLargeMessageFragmentation(t *testing.T) {
 	}
 }
 
+// TestCryptoHookCountsBytes: the Config hooks reach the record layer,
+// encryption metered on the sender and decryption on the receiver (the
+// cost model prices them differently).
 func TestCryptoHookCountsBytes(t *testing.T) {
 	ci, si := mustIdentity(t), mustIdentity(t)
-	var clientBytes, serverBytes atomic.Int64
+	var encrypted, decrypted atomic.Int64
+	count := func(c *atomic.Int64) func(int) { return func(n int) { c.Add(int64(n)) } }
 	client, server := connect(t,
-		Config{Identity: ci, OnCrypto: func(n int) { clientBytes.Add(int64(n)) }},
-		Config{Identity: si, OnCrypto: func(n int) { serverBytes.Add(int64(n)) }},
+		Config{Identity: ci, OnEncrypt: count(&encrypted)},
+		Config{Identity: si, OnDecrypt: count(&decrypted)},
 	)
 	msg := make([]byte, 10_000)
 	go client.Send(msg)
 	if _, err := server.Recv(); err != nil {
 		t.Fatal(err)
 	}
-	if clientBytes.Load() != 10_000 {
-		t.Fatalf("client crypto bytes = %d", clientBytes.Load())
-	}
-	if serverBytes.Load() != 10_000 {
-		t.Fatalf("server crypto bytes = %d", serverBytes.Load())
-	}
-}
-
-func TestTamperedRecordRejected(t *testing.T) {
-	ci, si := mustIdentity(t), mustIdentity(t)
-	a, b := pipePair()
-	// Interpose a tampering relay on the client side.
-	ta, tb := pipePair()
-	go func() {
-		// Pass handshake record through untouched, then flip a byte in
-		// everything after.
-		var hdr [recordHeaderLen]byte
-		h, payload, err := readRecord(ta)
-		if err != nil {
-			return
-		}
-		hdr = h
-		writeRecordSeq(a, hdr[0], hdr[11], 0, payload)
-		for {
-			h, payload, err := readRecord(ta)
-			if err != nil {
-				return
-			}
-			if len(payload) > 0 {
-				payload[0] ^= 0xff
-			}
-			seq := uint64(0)
-			writeRecordSeq(a, h[0], h[11], seq, payload)
-		}
-	}()
-	go func() { // relay server->client honestly
-		for {
-			h, payload, err := readRecord(a)
-			if err != nil {
-				return
-			}
-			writeRecordSeq(ta, h[0], h[11], 0, payload)
-		}
-	}()
-
-	type res struct {
-		c   *Conn
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		c, err := Server(b, Config{Identity: si})
-		ch <- res{c, err}
-	}()
-	client, err := Client(tb, Config{Identity: ci})
-	if err != nil {
-		t.Fatalf("client handshake through relay: %v", err)
-	}
-	r := <-ch
-	if r.err != nil {
-		t.Fatalf("server handshake: %v", r.err)
-	}
-	go client.Send([]byte("hello"))
-	if _, err := r.c.Recv(); err != ErrDecrypt {
-		t.Fatalf("tampered record: err = %v, want ErrDecrypt", err)
+	if encrypted.Load() != 10_000 || decrypted.Load() != 10_000 {
+		t.Fatalf("hooks saw %d encrypted / %d decrypted bytes, want 10000 each", encrypted.Load(), decrypted.Load())
 	}
 }
 
@@ -207,15 +150,7 @@ func TestConfigRequiresIdentity(t *testing.T) {
 	}
 }
 
-func TestDirectionKeysDiffer(t *testing.T) {
-	shared := []byte("shared-secret-bytes")
-	cr, sr := []byte("client-random"), []byte("server-random")
-	if bytes.Equal(deriveKey(shared, cr, sr, "c2s"), deriveKey(shared, cr, sr, "s2c")) {
-		t.Fatal("directional keys must differ")
-	}
-}
-
-// Property: any payload round-trips the record layer byte-exactly.
+// Property: any payload round-trips an established channel byte-exactly.
 func TestQuickSendRecv(t *testing.T) {
 	ci, si := mustIdentity(t), mustIdentity(t)
 	client, server := connect(t, Config{Identity: ci}, Config{Identity: si})
@@ -233,70 +168,24 @@ func TestQuickSendRecv(t *testing.T) {
 	}
 }
 
-func TestReplayedRecordRejected(t *testing.T) {
-	// A replayed (duplicated) record must fail the strict sequence
-	// check — the record layer's replay protection.
-	ci, si := mustIdentity(t), mustIdentity(t)
+// TestWireLooksLikeDTLS: every record this transport writes starts with
+// a (D)TLS content type and the DTLS 1.2 version — the plaintext
+// fingerprint the paper's dynamic detector keys on — in a 16-byte header.
+func TestWireLooksLikeDTLS(t *testing.T) {
 	a, b := pipePair()
-	// Relay that duplicates the first appdata record.
-	ra, rb := pipePair()
-	go func() {
-		h, payload, err := readRecord(ra)
-		if err != nil {
-			return
-		}
-		writeRecordSeq(a, h[0], h[11], 0, payload) // handshake passthrough
-		h2, payload2, err := readRecord(ra)
-		if err != nil {
-			return
-		}
-		writeRecordSeq(a, h2[0], h2[11], 0, payload2) // original
-		writeRecordSeq(a, h2[0], h2[11], 0, payload2) // replay
-	}()
-	go func() { // server->client passthrough
-		for {
-			h, payload, err := readRecord(a)
-			if err != nil {
-				return
-			}
-			writeRecordSeq(ra, h[0], h[11], 0, payload)
-		}
-	}()
-	type res struct {
-		c   *Conn
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		c, err := Server(b, Config{Identity: si})
-		ch <- res{c, err}
-	}()
-	client, err := Client(rb, Config{Identity: ci})
-	if err != nil {
+	defer b.Close()
+	go Client(a, Config{Identity: mustIdentity(t)})
+	hdr := make([]byte, 16)
+	if _, err := io.ReadFull(b, hdr); err != nil {
 		t.Fatal(err)
 	}
-	r := <-ch
-	if r.err != nil {
-		t.Fatal(r.err)
+	if !bytes.Equal(hdr[:3], []byte{ContentHandshake, 0xfe, 0xfd}) {
+		t.Fatalf("hello header starts % x, want 16 fe fd", hdr[:3])
 	}
-	go client.Send([]byte("once"))
-	if _, err := r.c.Recv(); err != nil {
-		t.Fatalf("original record should decrypt: %v", err)
+	if n := binary.BigEndian.Uint32(hdr[12:]); n != handshakeLen {
+		t.Fatalf("hello header declares %d payload bytes, want %d", n, handshakeLen)
 	}
-	if _, err := r.c.Recv(); err == nil {
-		t.Fatal("replayed record must be rejected")
-	}
-}
-
-func TestOversizeRecordRejected(t *testing.T) {
-	a, b := pipePair()
-	go func() {
-		hdr := make([]byte, recordHeaderLen)
-		hdr[0] = ContentAppData
-		hdr[12], hdr[13], hdr[14], hdr[15] = 0xff, 0xff, 0xff, 0xff
-		a.Write(hdr)
-	}()
-	if _, _, err := readRecord(b); err != ErrRecordTooLarge {
-		t.Fatalf("err = %v, want ErrRecordTooLarge", err)
+	if framing.Data != string([]byte{ContentAppData, 0xfe, 0xfd}) {
+		t.Fatalf("data records start % x, want 17 fe fd", framing.Data)
 	}
 }

@@ -25,8 +25,9 @@ import (
 // and federation.Peerstore entries (Candidates).
 //
 // Sinks: log/fmt printing, obs.A trace-attribute values, obs
-// CounterVec/GaugeVec label values, wire Codec.Send/Write and dtls
-// Conn.Send payloads, and chaos.Event field values.
+// CounterVec/GaugeVec label values, wire Codec.Send/Write and record
+// Conn.Send payloads (the dtls and secure transports' one record
+// layer), and chaos.Event field values.
 //
 // Sanitizers: internal/privacy Redact/RedactAddr/HashAddr/Truncate.
 //
@@ -744,7 +745,7 @@ func (st *ptState) checkSinkCall(node *FuncNode, info *types.Info, call *ast.Cal
 		}
 	case pkg == "wire" && recv == "Codec" && name == "Write":
 		check("wire frame payload", call.Args)
-	case pkg == "dtls" && recv == "Conn" && name == "Send":
+	case pkg == "record" && recv == "Conn" && name == "Send": // both transports' Conn embed it
 		check("peer data-channel payload", call.Args)
 	}
 }

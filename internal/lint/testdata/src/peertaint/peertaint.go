@@ -1,9 +1,9 @@
 // Package peertaint exercises the interprocedural peer-identity taint
 // analyzer: sources (RemoteAddr, JoinRequest.FwdAddr, geoip lookups,
 // peerstore entries), sinks (logs, trace attributes, metric labels,
-// wire payloads, chaos events), sanitizers (internal/privacy), and the
-// field-granular struct taint that keeps intentional protocol flows
-// quiet.
+// wire and data-channel payloads, chaos events), sanitizers
+// (internal/privacy), and the field-granular struct taint that keeps
+// intentional protocol flows quiet.
 package peertaint
 
 import (
@@ -13,9 +13,11 @@ import (
 	"net/netip"
 
 	"github.com/stealthy-peers/pdnsec/internal/chaos"
+	"github.com/stealthy-peers/pdnsec/internal/dtls"
 	"github.com/stealthy-peers/pdnsec/internal/geoip"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/privacy"
+	"github.com/stealthy-peers/pdnsec/internal/secure"
 	"github.com/stealthy-peers/pdnsec/internal/wire"
 )
 
@@ -61,6 +63,13 @@ func metricLabel(vec *obs.CounterVec, conn net.Conn) {
 
 func wirePayload(codec *wire.Codec, conn net.Conn) {
 	codec.Send("gossip", clientAddr(conn)) // want `peer-identifying value from RemoteAddr\(\) .* reaches wire frame payload`
+}
+
+// Both P2P transports send through the one record layer, so one sink
+// covers the anonymous and the authenticated channel.
+func dataChannelPayload(d *dtls.Conn, s *secure.Conn, conn net.Conn) {
+	d.Send([]byte(clientAddr(conn))) // want `peer-identifying value from RemoteAddr\(\) .* reaches peer data-channel payload`
+	s.Send([]byte(clientAddr(conn))) // want `peer-identifying value from RemoteAddr\(\) .* reaches peer data-channel payload`
 }
 
 func chaosEvent(conn net.Conn) chaos.Event {

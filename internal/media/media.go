@@ -11,6 +11,7 @@
 package media
 
 import (
+	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -207,6 +208,34 @@ func IMHash(key SegmentKey, data []byte) string {
 	h.Write([]byte{0})
 	h.Write([]byte(key.String()))
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// SIM is signed integrity metadata: a segment's IM hash and the hex
+// ed25519 signature over "video/rendition/index|hash". The paper's
+// peer-established SIMs (defense.IMChecker) and the provider-signed
+// manifests (secure.ManifestService) are this one format, so a client
+// verifies either with VerifySIM.
+type SIM struct {
+	Hash string
+	Sig  string
+}
+
+func simMessage(key SegmentKey, hash string) []byte {
+	return []byte(key.String() + "|" + hash)
+}
+
+// SignSIM signs a segment's IM hash.
+func SignSIM(priv ed25519.PrivateKey, key SegmentKey, hash string) SIM {
+	return SIM{Hash: hash, Sig: hex.EncodeToString(ed25519.Sign(priv, simMessage(key, hash)))}
+}
+
+// VerifySIM checks a hex SIM signature against a verification key.
+func VerifySIM(pub ed25519.PublicKey, key SegmentKey, hash, sig string) bool {
+	raw, err := hex.DecodeString(sig)
+	if err != nil {
+		return false
+	}
+	return ed25519.Verify(pub, simMessage(key, hash), raw)
 }
 
 // SegmentKey names a segment uniquely across videos and renditions.

@@ -2,6 +2,8 @@ package media
 
 import (
 	"bytes"
+	"crypto/ed25519"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -139,6 +141,42 @@ func TestSegmentKeyString(t *testing.T) {
 	k := SegmentKey{Video: "v", Rendition: "720p", Index: 7}
 	if k.String() != "v/720p/7" {
 		t.Fatalf("got %q", k.String())
+	}
+}
+
+// TestSIMSignVerify pins the one signed-integrity-metadata format both
+// IM services emit: ed25519 over "video/rendition/index|hash", hex.
+func TestSIMSignVerify(t *testing.T) {
+	pub, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := SegmentKey{Video: "v", Rendition: "720p", Index: 7}
+	sim := SignSIM(priv, key, "abc123")
+	if sim.Hash != "abc123" {
+		t.Fatalf("SIM hash = %q", sim.Hash)
+	}
+	raw, err := hex.DecodeString(sim.Sig)
+	if err != nil || !ed25519.Verify(pub, []byte("v/720p/7|abc123"), raw) {
+		t.Fatalf("signature is not ed25519 over the documented message (%v)", err)
+	}
+	next := SegmentKey{Video: "v", Rendition: "720p", Index: 8}
+	for name, ok := range map[string]bool{
+		"genuine":       VerifySIM(pub, key, sim.Hash, sim.Sig),
+		"other key":     !VerifySIM(other, key, sim.Hash, sim.Sig),
+		"other hash":    !VerifySIM(pub, key, "abc124", sim.Sig),
+		"other segment": !VerifySIM(pub, next, sim.Hash, sim.Sig),
+		"truncated sig": !VerifySIM(pub, key, sim.Hash, sim.Sig[:len(sim.Sig)-2]),
+		"non-hex sig":   !VerifySIM(pub, key, sim.Hash, "zz"),
+		"empty sig":     !VerifySIM(pub, key, sim.Hash, ""),
+	} {
+		if !ok {
+			t.Errorf("%s: wrong verdict", name)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/attack"
+	"github.com/stealthy-peers/pdnsec/internal/dtls"
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
@@ -60,35 +61,55 @@ func securePair(t *testing.T) (cfgA, cfgB secure.ChannelConfig) {
 }
 
 // TestTamperedHandshakeFails: an on-path attacker flipping bytes in the
-// handshake flight makes both sides hard-fail — tampering can deny the
-// channel but never yield an authenticated one.
+// handshake flight makes both sides hard-fail on either transport —
+// tampering can deny the channel but never yield an established one.
+// The rejecting side closes the conn, so the peer still blocked on the
+// reply it will never get unblocks instead of wedging.
 func TestTamperedHandshakeFails(t *testing.T) {
 	cfgA, cfgB := securePair(t)
-	rawA, rawB := net.Pipe()
-	defer rawA.Close()
-	defer rawB.Close()
-	tampered := mitm.NewTamperConn(rawB, nil)
-	tampered.Arm(true)
+	idA, err := dtls.NewIdentity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	idB, err := dtls.NewIdentity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		client, server func(net.Conn) error
+	}{
+		{"secure",
+			func(c net.Conn) error { _, err := secure.Client(c, cfgA); return err },
+			func(c net.Conn) error { _, err := secure.Server(c, cfgB); return err }},
+		{"dtls",
+			func(c net.Conn) error { _, err := dtls.Client(c, dtls.Config{Identity: idA}); return err },
+			func(c net.Conn) error { _, err := dtls.Server(c, dtls.Config{Identity: idB}); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rawA, rawB := net.Pipe()
+			defer rawA.Close()
+			defer rawB.Close()
+			tampered := mitm.NewTamperConn(rawB, nil)
+			tampered.Arm(true)
 
-	errc := make(chan error, 1)
-	go func() {
-		_, err := secure.Client(rawA, cfgA)
-		errc <- err
-	}()
-	_, errB := secure.Server(tampered, cfgB)
-	if errB == nil {
-		t.Fatal("server accepted a tampered handshake")
-	}
-	select {
-	case errA := <-errc:
-		if errA == nil {
-			t.Fatal("client completed a handshake the server rejected")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("client did not unblock after the server rejected the handshake")
-	}
-	if tampered.Tampered() == 0 {
-		t.Fatal("tamper hook never fired; the test exercised nothing")
+			errc := make(chan error, 1)
+			go func() { errc <- tc.client(rawA) }()
+			if tc.server(tampered) == nil {
+				t.Fatal("server accepted a tampered handshake")
+			}
+			select {
+			case errA := <-errc:
+				if errA == nil {
+					t.Fatal("client completed a handshake the server rejected")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("client did not unblock after the server rejected the handshake")
+			}
+			if tampered.Tampered() == 0 {
+				t.Fatal("tamper hook never fired; the test exercised nothing")
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 
 	"github.com/stealthy-peers/pdnsec/internal/media"
-	"github.com/stealthy-peers/pdnsec/internal/secure"
 	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
@@ -58,7 +57,7 @@ func (p *Peer) verifySIM(ctx context.Context, key media.SegmentKey, data []byte)
 	if err != nil || !resp.Found {
 		return false
 	}
-	if pub := p.manifestKey(); pub != nil && !secure.VerifyManifest(pub, key, resp.Hash, resp.Sig) {
+	if pub := p.manifestKey(); pub != nil && !media.VerifySIM(pub, key, resp.Hash, resp.Sig) {
 		return false
 	}
 	if p.cfg.Meter != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -84,10 +85,11 @@ type neighbor struct {
 	conn p2pConn
 	peer *Peer
 
-	reqMu    chan struct{} // capacity-1 semaphore: one outstanding want
-	respCh   chan p2pFrame // segment responses
-	closedC  chan struct{}
-	evicting atomic.Bool // latches the first eviction so it counts once
+	reqMu     chan struct{} // capacity-1 semaphore: one outstanding want
+	respCh    chan p2pFrame // segment responses
+	closedC   chan struct{}
+	closeOnce sync.Once   // evict (read loop) and teardown both call close
+	evicting  atomic.Bool // latches the first eviction so it counts once
 }
 
 type p2pFrame struct {
@@ -110,14 +112,11 @@ func newNeighbor(id string, conn p2pConn, p *Peer) *neighbor {
 
 // close tears the connection down and removes it from the peer.
 func (nb *neighbor) close() {
-	select {
-	case <-nb.closedC:
-		return
-	default:
+	nb.closeOnce.Do(func() {
 		close(nb.closedC)
-	}
-	nb.conn.Close()
-	nb.peer.removeNeighbor(nb.id)
+		nb.conn.Close()
+		nb.peer.removeNeighbor(nb.id)
+	})
 }
 
 // evict closes a neighbor presumed dead — failed send, request
@@ -376,7 +375,6 @@ func (p *Peer) connectTo(ctx context.Context, info signal.PeerInfo) {
 	}
 	dconn, err := p.transportHandshake(cctx, raw, answer.Fingerprint, theirKey, true)
 	if err != nil {
-		raw.Close()
 		return
 	}
 	p.addNeighbor(info.ID, dconn)
@@ -385,114 +383,68 @@ func (p *Peer) connectTo(ctx context.Context, info signal.PeerInfo) {
 // transportHandshake establishes the P2P message transport over a raw
 // connection: the authenticated secure channel when the policy demands
 // it (reject-unsigned: a plain-DTLS peer simply fails the handshake),
-// anonymous DTLS otherwise.
+// anonymous DTLS otherwise. It runs under a dtls_handshake or
+// secure_handshake span, so stitched traces break out crypto setup cost
+// from the transfer itself, and closes raw on any failure.
 func (p *Peer) transportHandshake(ctx context.Context, raw net.Conn, theirFP, theirKey string, client bool) (p2pConn, error) {
-	if p.Policy().SecureTransport {
-		return p.secureHandshake(ctx, raw, theirKey, client)
-	}
-	return p.dtlsHandshake(ctx, raw, theirFP, client)
-}
-
-// secureHandshake runs the authenticated channel handshake
-// (internal/secure) with the same deadline watchdog as dtlsHandshake.
-// A possession-proof or voucher failure names the claimed static key;
-// the peer forwards it to the matcher, whose distinct-reporter count
-// quarantines leaked keys.
-func (p *Peer) secureHandshake(ctx context.Context, raw net.Conn, theirKey string, client bool) (*secure.Conn, error) {
 	role := "server"
 	if client {
 		role = "client"
 	}
-	pol := p.Policy()
-	p.mu.Lock()
-	myID := p.peerID
-	voucher := p.voucher
-	sig := p.sig
-	p.mu.Unlock()
-	cfg := secure.ChannelConfig{
-		Identity:        p.secID,
-		PeerID:          myID,
-		SwarmID:         p.cfg.Video + "/" + p.cfg.Rendition,
-		Voucher:         voucher,
-		AuthorityKey:    pol.TransportPubKey,
-		ExpectedPeerKey: theirKey,
-		ClaimKey:        p.cfg.SecureImpersonate,
-	}
-	if m := p.cfg.Meter; m != nil {
-		cfg.OnEncrypt = m.OnEncrypt
-		cfg.OnDecrypt = m.OnDecrypt
-	}
-	_, span := p.cfg.Tracer.StartSpan(ctx, "secure_handshake", obs.A("role", role))
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			raw.SetDeadline(time.Unix(1, 0))
-		case <-watchDone:
-		}
-	}()
-	var conn *secure.Conn
-	var err error
-	if client {
-		conn, err = secure.Client(raw, cfg)
+	secured := p.Policy().SecureTransport
+	var span obs.Span
+	if secured {
+		_, span = p.cfg.Tracer.StartSpan(ctx, "secure_handshake", obs.A("role", role))
 	} else {
-		conn, err = secure.Server(raw, cfg)
+		_, span = p.cfg.Tracer.StartSpan(ctx, "dtls_handshake", obs.A("role", role))
 	}
-	close(watchDone)
-	if err == nil && ctx.Err() != nil {
-		conn.Close()
-		conn, err = nil, ctx.Err()
-	}
-	span.End(obs.A("ok", err == nil))
-	if err != nil {
-		p.metrics.secureFails.Inc()
-		var bke *secure.BadKeyError
-		if errors.As(err, &bke) && sig != nil {
-			sig.ReportBadKey(bke.ClaimedKey)
-		}
-	}
-	return conn, err
-}
-
-// dtlsHandshake runs the DTLS client or server handshake under a
-// dtls_handshake span, so stitched traces break out crypto setup cost
-// from the transfer itself (pdntrace's dtls-handshake hop type).
-func (p *Peer) dtlsHandshake(ctx context.Context, raw net.Conn, theirFP string, client bool) (*dtls.Conn, error) {
-	role := "server"
-	if client {
-		role = "client"
-	}
-	_, span := p.cfg.Tracer.StartSpan(ctx, "dtls_handshake", obs.A("role", role))
 	// The handshake's record reads block with no deadline of their own,
 	// and a corrupted wire can eat the bytes they wait for (the
 	// polluted-wire chaos scenario does exactly this) — honor the
 	// caller's connectTimeout context by burning the conn's deadline
-	// when it ends, or the stuck read outlives Run and wedges
-	// teardown's WaitGroup.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			raw.SetDeadline(time.Unix(1, 0))
-		case <-watchDone:
-		}
-	}()
-	var dconn *dtls.Conn
+	// when it ends, or the stuck read outlives Run and wedges teardown's
+	// WaitGroup.
+	stopWatchdog := context.AfterFunc(ctx, func() { raw.SetDeadline(time.Unix(1, 0)) })
+	var conn p2pConn
 	var err error
-	if client {
-		dconn, err = dtls.Client(raw, p.dtlsConfig(theirFP))
-	} else {
-		dconn, err = dtls.Server(raw, p.dtlsConfig(theirFP))
+	switch {
+	case secured && client:
+		conn, err = secure.Client(raw, p.secureConfig(theirKey))
+	case secured:
+		conn, err = secure.Server(raw, p.secureConfig(theirKey))
+	case client:
+		conn, err = dtls.Client(raw, p.dtlsConfig(theirFP))
+	default:
+		conn, err = dtls.Server(raw, p.dtlsConfig(theirFP))
 	}
-	close(watchDone)
-	if err == nil && ctx.Err() != nil {
-		// The watchdog can fire between the final record and here; don't
-		// hand back a conn whose deadline is already burned.
-		dconn.Close()
-		dconn, err = nil, ctx.Err()
+	// stopWatchdog reports false only when the watchdog has started:
+	// the context ended mid-handshake and the deadline is (or is about
+	// to be) burned, so the conn cannot be handed back. A cancel that
+	// lands after this line finds the watchdog gone and touches nothing.
+	if !stopWatchdog() && err == nil {
+		conn.Close()
+		err = ctx.Err()
 	}
 	span.End(obs.A("ok", err == nil))
-	return dconn, err
+	if err == nil {
+		return conn, nil
+	}
+	if secured {
+		p.metrics.secureFails.Inc()
+		// A possession-proof or voucher failure names the claimed static
+		// key; the matcher's distinct-reporter count quarantines leaked
+		// keys.
+		var bke *secure.BadKeyError
+		if errors.As(err, &bke) {
+			p.mu.Lock()
+			sig := p.sig
+			p.mu.Unlock()
+			if sig != nil {
+				sig.ReportBadKey(bke.ClaimedKey)
+			}
+		}
+	}
+	return nil, err
 }
 
 // handleRelay processes offers and answers arriving via signaling.
@@ -618,7 +570,6 @@ func (p *Peer) connectViaTURN(ctx context.Context, peerID, theirFP, theirKey str
 	}
 	dconn, err := p.transportHandshake(ctx, raw, theirFP, theirKey, initiator)
 	if err != nil {
-		raw.Close()
 		return
 	}
 	p.addNeighbor(peerID, dconn)
@@ -680,19 +631,39 @@ func (p *Peer) answerOffer(from string, offer signal.ConnectOffer, trace string)
 	}
 	dconn, err := p.transportHandshake(cctx, raw, offer.Fingerprint, offer.StaticKey, false)
 	if err != nil {
-		raw.Close()
 		return
 	}
 	p.addNeighbor(from, dconn)
 }
 
-// dtlsConfig builds the transport config with metering hooks.
+// meterHooks returns the resource monitor's per-direction crypto
+// hooks, nil when the peer runs unmetered.
+func (p *Peer) meterHooks() (onEncrypt, onDecrypt func(int)) {
+	if m := p.cfg.Meter; m != nil {
+		return m.OnEncrypt, m.OnDecrypt
+	}
+	return nil, nil
+}
+
+// dtlsConfig builds the anonymous transport's config.
 func (p *Peer) dtlsConfig(expectedFP string) dtls.Config {
 	cfg := dtls.Config{Identity: p.identity, ExpectedPeerFingerprint: expectedFP}
-	if m := p.cfg.Meter; m != nil {
-		cfg.OnEncrypt = m.OnEncrypt
-		cfg.OnDecrypt = m.OnDecrypt
+	cfg.OnEncrypt, cfg.OnDecrypt = p.meterHooks()
+	return cfg
+}
+
+// secureConfig builds the authenticated transport's config.
+func (p *Peer) secureConfig(expectedKey string) secure.ChannelConfig {
+	cfg := secure.ChannelConfig{
+		Identity:        p.identity,
+		SwarmID:         p.cfg.Video + "/" + p.cfg.Rendition,
+		ExpectedPeerKey: expectedKey,
+		ClaimKey:        p.cfg.SecureImpersonate,
 	}
+	p.mu.Lock()
+	cfg.PeerID, cfg.Voucher, cfg.AuthorityKey = p.peerID, p.voucher, p.policy.TransportPubKey
+	p.mu.Unlock()
+	cfg.OnEncrypt, cfg.OnDecrypt = p.meterHooks()
 	return cfg
 }
 
@@ -700,7 +671,11 @@ func (p *Peer) dtlsConfig(expectedFP string) dtls.Config {
 func (p *Peer) addNeighbor(id string, conn p2pConn) {
 	nb := newNeighbor(id, conn, p)
 	p.mu.Lock()
-	if _, exists := p.neighbors[id]; exists {
+	// A connect or answer still in flight when teardown snapshots the
+	// neighbor set must not register behind it: nothing would close the
+	// connection, and teardown's Wait would sit on its read loop until
+	// the far side happened to hang up.
+	if _, exists := p.neighbors[id]; exists || p.draining {
 		p.mu.Unlock()
 		conn.Close()
 		return
@@ -708,11 +683,11 @@ func (p *Peer) addNeighbor(id string, conn p2pConn) {
 	p.neighbors[id] = nb
 	p.allNeighbors[id] = true
 	n := len(p.neighbors)
+	p.wg.Add(1)
 	p.mu.Unlock()
 	if p.cfg.Meter != nil {
 		p.cfg.Meter.SetNeighbors(n)
 	}
-	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
 		nb.readLoop()

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/cdn"
-	"github.com/stealthy-peers/pdnsec/internal/dtls"
 	"github.com/stealthy-peers/pdnsec/internal/federation"
 	"github.com/stealthy-peers/pdnsec/internal/hls"
 	"github.com/stealthy-peers/pdnsec/internal/media"
@@ -41,7 +40,7 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/privacy"
-	"github.com/stealthy-peers/pdnsec/internal/secure"
+	"github.com/stealthy-peers/pdnsec/internal/record"
 	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
@@ -210,8 +209,7 @@ type peerMetrics struct {
 // Peer is a running PDN SDK instance.
 type Peer struct {
 	cfg      Config
-	identity *dtls.Identity
-	secID    *secure.Identity
+	identity *record.Identity
 	http     *http.Client
 	rng      *rand.Rand
 	metrics  peerMetrics
@@ -262,6 +260,11 @@ type Peer struct {
 	lastStallTrace string
 
 	closed chan struct{}
+	// lingerStop ends the linger phase; its own channel rather than
+	// closed, so StopLinger before playback finishes only skips the
+	// linger instead of shutting the reconnect loop down mid-stream.
+	lingerStop     chan struct{}
+	lingerStopOnce sync.Once
 	// draining (guarded by mu) is set when teardown begins: dispatcher
 	// callbacks must not take new WaitGroup slots once the final Wait
 	// may have started, so handleRelay checks it before wg.Add.
@@ -280,18 +283,13 @@ func New(cfg Config) (*Peer, error) {
 	if cfg.CacheSegments <= 0 {
 		cfg.CacheSegments = 8
 	}
-	id, err := dtls.NewIdentity()
-	if err != nil {
-		return nil, err
-	}
-	secID, err := secure.NewIdentity()
+	id, err := record.NewIdentity()
 	if err != nil {
 		return nil, err
 	}
 	p := &Peer{
 		cfg:      cfg,
 		identity: id,
-		secID:    secID,
 		http: &http.Client{
 			Transport: &http.Transport{DialContext: cfg.Host.Dialer()},
 			Timeout:   10 * time.Second,
@@ -302,6 +300,7 @@ func New(cfg Config) (*Peer, error) {
 		played:       make(map[int]bool),
 		allNeighbors: make(map[string]bool),
 		closed:       make(chan struct{}),
+		lingerStop:   make(chan struct{}),
 	}
 	seeds := cfg.SignalAddrs
 	if len(seeds) == 0 && cfg.SignalAddr.IsValid() {
@@ -368,7 +367,7 @@ func (p *Peer) StaticKeyHex() string {
 	if p.cfg.SecureImpersonate != "" {
 		return p.cfg.SecureImpersonate
 	}
-	return p.secID.PublicKeyHex()
+	return p.identity.PublicKeyHex()
 }
 
 // LastStallTrace returns the trace ID (16 hex digits) of the most
@@ -446,20 +445,17 @@ func (p *Peer) Run(ctx context.Context) (Stats, error) {
 		select {
 		case <-time.After(p.cfg.Linger):
 		case <-ctx.Done():
-		case <-p.closed:
+		case <-p.lingerStop:
 		}
 	}
 	p.reportStats()
 	return p.Stats(), nil
 }
 
-// StopLinger ends an active linger phase early.
+// StopLinger ends the linger phase early; called before playback
+// finishes, it makes Run return as soon as playback does.
 func (p *Peer) StopLinger() {
-	select {
-	case <-p.closed:
-	default:
-		close(p.closed)
-	}
+	p.lingerStopOnce.Do(func() { close(p.lingerStop) })
 }
 
 // join performs ICE gathering and the signaling join. The bootstrap

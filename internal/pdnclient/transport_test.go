@@ -1,0 +1,216 @@
+package pdnclient
+
+import (
+	"context"
+	"errors"
+	"net"
+	"net/netip"
+	"sync"
+	"testing"
+
+	"github.com/stealthy-peers/pdnsec/internal/netsim"
+	"github.com/stealthy-peers/pdnsec/internal/secure"
+)
+
+// barePeers builds two peers on one simulated network without running
+// them: enough to drive transportHandshake and the neighbor plumbing
+// directly.
+func barePeers(t *testing.T) (a, b *Peer) {
+	t.Helper()
+	n := netsim.New(netsim.Config{})
+	mk := func(ip string) *Peer {
+		p, err := New(Config{Host: n.MustHost(netip.MustParseAddr(ip)), Network: n, Video: "bbb", Rendition: "360p"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	return mk("66.24.9.1"), mk("66.24.9.2")
+}
+
+// admitSecure gives a bare peer what a secure-profile join would have:
+// the policy, a session ID and the matcher's voucher for its key.
+func admitSecure(t *testing.T, ta *secure.TransportAuthority, p *Peer, id string) {
+	t.Helper()
+	v, err := ta.Vouch(id, "bbb/360p", p.StaticKeyHex())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.policy.SecureTransport = true
+	p.policy.TransportPubKey = ta.PublicKeyHex()
+	p.peerID, p.voucher = id, v
+}
+
+// TestHandshakeWatchdogSparesLiveConn: callers cancel the connect
+// context the moment the handshake returns (connectTo's deferred
+// cancel). The deadline watchdog must not fire on that cancel — a conn
+// with a burned deadline fails its first request, which costs the
+// viewer a CDN fallback and a second connect.
+func TestHandshakeWatchdogSparesLiveConn(t *testing.T) {
+	for _, profile := range []string{"dtls", "secure"} {
+		t.Run(profile, func(t *testing.T) {
+			pa, pb := barePeers(t)
+			if profile == "secure" {
+				ta, err := secure.NewTransportAuthority()
+				if err != nil {
+					t.Fatal(err)
+				}
+				admitSecure(t, ta, pa, "a")
+				admitSecure(t, ta, pb, "b")
+			}
+			ln, err := pb.cfg.Host.Listen(9000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+
+			handshake := func(p *Peer, raw net.Conn, theirKey string, client bool) (p2pConn, error) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				return p.transportHandshake(ctx, raw, "", theirKey, client)
+			}
+			for i := 0; i < 200; i++ {
+				type res struct {
+					c   p2pConn
+					err error
+				}
+				srv := make(chan res, 1)
+				go func() {
+					raw, err := ln.Accept()
+					if err != nil {
+						srv <- res{nil, err}
+						return
+					}
+					c, err := handshake(pb, raw, "", false)
+					srv <- res{c, err}
+				}()
+				raw, err := pa.cfg.Host.Dial(context.Background(), ln.AddrPort())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ca, err := handshake(pa, raw, pb.StaticKeyHex(), true)
+				if err != nil {
+					t.Fatalf("handshake %d: client: %v", i, err)
+				}
+				r := <-srv
+				if r.err != nil {
+					t.Fatalf("handshake %d: server: %v", i, r.err)
+				}
+				cb := r.c
+				echo := make(chan error, 1)
+				go func() {
+					msg, err := cb.Recv()
+					if err == nil {
+						err = cb.Send(msg)
+					}
+					if err != nil {
+						cb.Close() // unblock the requester's Recv
+					}
+					echo <- err
+				}()
+				if err := ca.Send([]byte("want")); err != nil {
+					t.Fatalf("handshake %d: first send: %v", i, err)
+				}
+				if got, err := ca.Recv(); err != nil || string(got) != "want" {
+					t.Fatalf("handshake %d: first round trip: %q, %v (echo side: %v)", i, got, err, <-echo)
+				}
+				if err := <-echo; err != nil {
+					t.Fatalf("handshake %d: echo side: %v", i, err)
+				}
+				ca.Close()
+				cb.Close()
+			}
+		})
+	}
+}
+
+// breakableConn is a p2pConn whose read side can be broken from outside
+// without going through Close — a neighbor dying on the wire.
+type breakableConn struct {
+	broken chan struct{}
+	once   sync.Once
+}
+
+func (c *breakableConn) Send([]byte) error { return nil }
+func (c *breakableConn) Recv() ([]byte, error) {
+	<-c.broken
+	return nil, errors.New("conn broken")
+}
+func (c *breakableConn) Close() error { c.breakNow(); return nil }
+func (c *breakableConn) breakNow()    { c.once.Do(func() { close(c.broken) }) }
+
+// TestTeardownWhileNeighborsBreak: the read loop's evict and teardown
+// both close a neighbor; tearing a peer down while its connections are
+// dying must close each exactly once ("close of closed channel" panic).
+func TestTeardownWhileNeighborsBreak(t *testing.T) {
+	const rounds, fanout = 2000, 8
+	for r := 0; r < rounds; r++ {
+		p, _ := barePeers(t)
+		conns := make([]*breakableConn, fanout)
+		for i := range conns {
+			conns[i] = &breakableConn{broken: make(chan struct{})}
+			p.addNeighbor(string(rune('a'+i)), conns[i])
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for _, c := range conns {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				c.breakNow()
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			p.teardown()
+		}()
+		close(start)
+		wg.Wait()
+		if n := p.NeighborCount(); n != 0 {
+			t.Fatalf("round %d: %d neighbors left after teardown", r, n)
+		}
+	}
+}
+
+// TestAddNeighborAfterTeardownIsRefused: a connect or answer that was in
+// flight when teardown snapshotted the neighbor set finishes behind it.
+// Registering that connection would leave it open with nobody to close
+// it — teardown (and so Run) then hangs on its read loop until the far
+// side hangs up, which a lingering far side never does.
+func TestAddNeighborAfterTeardownIsRefused(t *testing.T) {
+	p, _ := barePeers(t)
+	p.teardown()
+	late := &breakableConn{broken: make(chan struct{})}
+	p.addNeighbor("late", late)
+	select {
+	case <-late.broken:
+	default:
+		t.Fatal("connection registered after teardown was left open")
+	}
+	if n := p.NeighborCount(); n != 0 {
+		t.Fatalf("%d neighbors registered after teardown", n)
+	}
+	p.wg.Wait() // no read loop may have been started for it
+}
+
+// TestStopLingerEarlyOnlySkipsLinger: StopLinger before playback ends
+// must not look like shutdown to the rest of the peer (the reconnect
+// loop and rejoin watch p.closed).
+func TestStopLingerEarlyOnlySkipsLinger(t *testing.T) {
+	p, _ := barePeers(t)
+	p.StopLinger()
+	p.StopLinger() // idempotent
+	select {
+	case <-p.closed:
+		t.Fatal("StopLinger closed the peer")
+	default:
+	}
+	select {
+	case <-p.lingerStop:
+	default:
+		t.Fatal("StopLinger did not end the linger phase")
+	}
+}

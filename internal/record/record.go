@@ -1,0 +1,213 @@
+// Package record is the one AES-GCM record layer under both P2P
+// transports. internal/dtls (the deployed profiles' anonymous channel)
+// and internal/secure (the authenticated swarm transport) run their own
+// handshakes and then hand a shared secret to New; everything after the
+// handshake — per-direction keys, 1 MiB record splitting and
+// reassembly, sequence-as-nonce sealing, the strict sequence check — is
+// this package.
+//
+// A record is a plaintext header followed by a payload:
+//
+//	prefix | seq(8) | flags(1) | len(4) | payload
+//
+// The prefix is all that differs between the transports on the wire.
+// The deployed framing uses the real (D)TLS code points
+// {0x16|0x17, 0xfe, 0xfd} — the fingerprint the paper's dynamic
+// detector (capture.IsDTLSRecord) looks for; the secure framing is a
+// bare type byte, a deliberately distinct protocol.
+package record
+
+import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+)
+
+// Errors returned by the record layer.
+var (
+	ErrRecordTooLarge = errors.New("record: record exceeds size limit")
+	ErrDecrypt        = errors.New("record: record authentication failed")
+	ErrReplay         = errors.New("record: record sequence replayed or reordered")
+	ErrBadPrefix      = errors.New("record: unexpected record type")
+)
+
+// Framing is a transport's pair of record-header prefixes. Both have
+// the same length.
+type Framing struct {
+	Handshake string // precedes the handshake messages' headers
+	Data      string // precedes every sealed record's header
+}
+
+// FlagFinal marks the last record of a message.
+const FlagFinal byte = 1
+
+// maxRecord bounds one record's plaintext; Send splits larger messages
+// and the peer's Recv reassembles them.
+const maxRecord = 1 << 20
+
+// tailLen is the header after the prefix: seq(8) | flags(1) | len(4).
+const tailLen = 8 + 1 + 4
+
+// WriteRecord writes one record: the header, then the payload, as two
+// writes (on netsim each write is one captured packet, so every record
+// starts a packet with its prefix).
+func WriteRecord(w io.Writer, prefix string, flags byte, seq uint64, payload []byte) error {
+	if len(payload) > maxRecord+64 {
+		return ErrRecordTooLarge
+	}
+	hdr := make([]byte, len(prefix)+tailLen)
+	tail := hdr[copy(hdr, prefix):]
+	binary.BigEndian.PutUint64(tail[0:8], seq)
+	tail[8] = flags
+	binary.BigEndian.PutUint32(tail[9:13], uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// ReadRecord reads one record and requires its header to start with
+// prefix. The length field is checked before the payload is allocated.
+func ReadRecord(r io.Reader, prefix string) (flags byte, seq uint64, payload []byte, err error) {
+	hdr := make([]byte, len(prefix)+tailLen)
+	if _, err = io.ReadFull(r, hdr); err != nil {
+		return 0, 0, nil, err
+	}
+	if string(hdr[:len(prefix)]) != prefix {
+		return 0, 0, nil, fmt.Errorf("%w 0x%02x", ErrBadPrefix, hdr[0])
+	}
+	tail := hdr[len(prefix):]
+	n := binary.BigEndian.Uint32(tail[9:13])
+	if n > maxRecord+64 {
+		return 0, 0, nil, ErrRecordTooLarge
+	}
+	payload = make([]byte, n)
+	if _, err = io.ReadFull(r, payload); err != nil {
+		return 0, 0, nil, err
+	}
+	return tail[8], binary.BigEndian.Uint64(tail[0:8]), payload, nil
+}
+
+// Conn is an established channel. It is message-oriented: one Send is
+// one Recv on the peer (possibly several records on the wire). Conn is
+// safe for one concurrent sender and one concurrent receiver.
+type Conn struct {
+	raw       net.Conn
+	prefix    string
+	sendAEAD  cipher.AEAD
+	recvAEAD  cipher.AEAD
+	onEncrypt func(int)
+	onDecrypt func(int)
+
+	sendMu  sync.Mutex
+	sendSeq uint64
+	recvMu  sync.Mutex
+	recvSeq uint64
+}
+
+// New builds the channel over raw from the handshake's shared secret,
+// deriving one AES-128 key per direction. onEncrypt and onDecrypt, when
+// non-nil, are called with each record's plaintext byte count — the
+// resource monitor prices the two directions differently.
+func New(raw net.Conn, f Framing, secret []byte, initiator bool, onEncrypt, onDecrypt func(int)) (*Conn, error) {
+	i2r, err := newAEAD(secret, "i2r")
+	if err != nil {
+		return nil, err
+	}
+	r2i, err := newAEAD(secret, "r2i")
+	if err != nil {
+		return nil, err
+	}
+	c := &Conn{raw: raw, prefix: f.Data, sendAEAD: i2r, recvAEAD: r2i, onEncrypt: onEncrypt, onDecrypt: onDecrypt}
+	if !initiator {
+		c.sendAEAD, c.recvAEAD = r2i, i2r
+	}
+	return c, nil
+}
+
+func newAEAD(secret []byte, dir string) (cipher.AEAD, error) {
+	h := sha256.New()
+	h.Write(secret)
+	h.Write([]byte(dir))
+	block, err := aes.NewCipher(h.Sum(nil)[:16])
+	if err != nil {
+		return nil, fmt.Errorf("record: aes: %w", err)
+	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("record: gcm: %w", err)
+	}
+	return aead, nil
+}
+
+// Send encrypts and transmits one message.
+func (c *Conn) Send(msg []byte) error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	rest := msg
+	for {
+		chunk := rest
+		flags := FlagFinal
+		if len(chunk) > maxRecord {
+			chunk, rest = chunk[:maxRecord], rest[maxRecord:]
+			flags = 0
+		}
+		var nonce [12]byte
+		binary.BigEndian.PutUint64(nonce[4:], c.sendSeq)
+		sealed := c.sendAEAD.Seal(nil, nonce[:], chunk, nil)
+		if c.onEncrypt != nil {
+			c.onEncrypt(len(chunk))
+		}
+		if err := WriteRecord(c.raw, c.prefix, flags, c.sendSeq, sealed); err != nil {
+			return fmt.Errorf("record: send: %w", err)
+		}
+		c.sendSeq++
+		if flags == FlagFinal {
+			return nil
+		}
+	}
+}
+
+// Recv reads and decrypts the next message. The sequence check is
+// strict: a replayed, reordered, or dropped record is a hard error,
+// never silently skipped — the nonce doubles as the sequence number,
+// so accepting a replay would both break the anti-replay property and
+// reuse a nonce.
+func (c *Conn) Recv() ([]byte, error) {
+	c.recvMu.Lock()
+	defer c.recvMu.Unlock()
+	var out []byte
+	for {
+		flags, seq, sealed, err := ReadRecord(c.raw, c.prefix)
+		if err != nil {
+			return nil, err
+		}
+		if seq != c.recvSeq {
+			return nil, fmt.Errorf("%w: got %d, want %d", ErrReplay, seq, c.recvSeq)
+		}
+		var nonce [12]byte
+		binary.BigEndian.PutUint64(nonce[4:], seq)
+		plain, err := c.recvAEAD.Open(nil, nonce[:], sealed, nil)
+		if err != nil {
+			return nil, ErrDecrypt
+		}
+		if c.onDecrypt != nil {
+			c.onDecrypt(len(plain))
+		}
+		c.recvSeq++
+		out = append(out, plain...)
+		if flags&FlagFinal != 0 {
+			return out, nil
+		}
+	}
+}
+
+// Close closes the underlying transport.
+func (c *Conn) Close() error { return c.raw.Close() }

@@ -10,7 +10,31 @@ import (
 	"errors"
 	"fmt"
 	"net"
+
+	"github.com/stealthy-peers/pdnsec/internal/record"
 )
+
+// framing is a bare record-type byte. Unlike dtls, the secure transport
+// does not mimic (D)TLS code points: the paper's detector fingerprints
+// the 0x16/0x17 plaintext bytes, and part of the defense's privacy
+// story is that the authenticated transport is a distinct protocol.
+var framing = record.Framing{Handshake: "\x01", Data: "\x02"}
+
+// Conn is an established secure channel: the shared record layer plus
+// what the handshake proved about the peer.
+type Conn struct {
+	*record.Conn
+	peerID     string
+	peerKeyHex string
+}
+
+// PeerID returns the peer's signaling session ID as proven by its
+// handshake voucher.
+func (c *Conn) PeerID() string { return c.peerID }
+
+// PeerStaticKey returns the peer's hex static public key observed (and
+// verified) during the handshake.
+func (c *Conn) PeerStaticKey() string { return c.peerKeyHex }
 
 // Handshake wire format (both messages):
 //
@@ -88,7 +112,7 @@ type ChannelConfig struct {
 // claimedPub returns the static public key this side presents.
 func (cfg *ChannelConfig) claimedPub() (ed25519.PublicKey, error) {
 	if cfg.ClaimKey == "" {
-		return cfg.Identity.pub, nil
+		return cfg.Identity.Public(), nil
 	}
 	raw, err := hex.DecodeString(cfg.ClaimKey)
 	if err != nil || len(raw) != ed25519.PublicKeySize {
@@ -136,8 +160,7 @@ func buildHandshake(cfg *ChannelConfig, role byte, ephPub []byte, transcript [32
 	binary.BigEndian.PutUint16(vlen[:], uint16(len(voucher)))
 	body = append(body, vlen[:]...)
 	body = append(body, voucher...)
-	sig := ed25519.Sign(cfg.Identity.priv, signMessage(body, transcript))
-	return append(body, sig...), nil
+	return append(body, cfg.Identity.Sign(signMessage(body, transcript))...), nil
 }
 
 // signMessage is the byte string a handshake signature covers.
@@ -255,7 +278,7 @@ func runHandshake(raw net.Conn, cfg ChannelConfig, isInitiator bool) (*Conn, err
 		if err != nil {
 			return nil, err
 		}
-		if err := writeRecord(raw, recHandshake, 1, 0, msg1); err != nil {
+		if err := record.WriteRecord(raw, framing.Handshake, record.FlagFinal, 0, msg1); err != nil {
 			return nil, fmt.Errorf("secure: send handshake: %w", err)
 		}
 		msg2, err = readHandshakeRecord(raw)
@@ -291,7 +314,7 @@ func runHandshake(raw net.Conn, cfg ChannelConfig, isInitiator bool) (*Conn, err
 		if err != nil {
 			return nil, err
 		}
-		if err := writeRecord(raw, recHandshake, 1, 0, msg2); err != nil {
+		if err := record.WriteRecord(raw, framing.Handshake, record.FlagFinal, 0, msg2); err != nil {
 			return nil, fmt.Errorf("secure: send handshake: %w", err)
 		}
 	}
@@ -305,57 +328,33 @@ func runHandshake(raw net.Conn, cfg ChannelConfig, isInitiator bool) (*Conn, err
 		return nil, fmt.Errorf("%w: ECDH: %w", ErrBadHandshake, err)
 	}
 
-	// Session keys bind the shared secret to both full message
-	// transcripts, one key per direction.
+	// The session secret binds the DH result to both full message
+	// transcripts.
 	h1, h2 := sha256.Sum256(msg1), sha256.Sum256(msg2)
 	master := sha256.New()
 	master.Write([]byte(keyLabel))
 	master.Write(shared)
 	master.Write(h1[:])
 	master.Write(h2[:])
-	secret := master.Sum(nil)
-	i2r, err := newAEAD(deriveDirKey(secret, "i2r"))
+	rc, err := record.New(raw, framing, master.Sum(nil), isInitiator, cfg.OnEncrypt, cfg.OnDecrypt)
 	if err != nil {
 		return nil, err
 	}
-	r2i, err := newAEAD(deriveDirKey(secret, "r2i"))
-	if err != nil {
-		return nil, err
-	}
-
-	c := &Conn{
-		raw:        raw,
-		onEncrypt:  cfg.OnEncrypt,
-		onDecrypt:  cfg.OnDecrypt,
-		peerID:     peer.peerID,
-		peerKeyHex: hex.EncodeToString(peer.staticPub),
-	}
-	if isInitiator {
-		c.sendAEAD, c.recvAEAD = i2r, r2i
-	} else {
-		c.sendAEAD, c.recvAEAD = r2i, i2r
-	}
-	return c, nil
-}
-
-// deriveDirKey derives one direction's AES-128 key from the session
-// secret.
-func deriveDirKey(secret []byte, dir string) []byte {
-	h := sha256.New()
-	h.Write(secret)
-	h.Write([]byte(dir))
-	return h.Sum(nil)[:16]
+	return &Conn{Conn: rc, peerID: peer.peerID, peerKeyHex: hex.EncodeToString(peer.staticPub)}, nil
 }
 
 // readHandshakeRecord reads one record and requires it to be a
 // single-record handshake message.
 func readHandshakeRecord(raw net.Conn) ([]byte, error) {
-	hdr, payload, err := readRecord(raw)
+	flags, _, payload, err := record.ReadRecord(raw, framing.Handshake)
+	if errors.Is(err, record.ErrBadPrefix) {
+		return nil, fmt.Errorf("%w: %w", ErrBadHandshake, err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("secure: read handshake: %w", err)
 	}
-	if hdr[0] != recHandshake || hdr[9]&1 != 1 {
-		return nil, fmt.Errorf("%w: expected a final handshake record, got type 0x%02x", ErrBadHandshake, hdr[0])
+	if flags&record.FlagFinal == 0 {
+		return nil, fmt.Errorf("%w: handshake record is not final", ErrBadHandshake)
 	}
 	if len(payload) > maxHandshake {
 		return nil, fmt.Errorf("%w: handshake record of %d bytes", ErrBadHandshake, len(payload))

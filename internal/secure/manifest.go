@@ -16,11 +16,10 @@ import (
 // reporter identifies itself.
 var ErrBadReport = errors.New("secure: integrity report contradicts the signed manifest")
 
-// ManifestAuthority signs per-segment integrity manifests. Its
-// signature format is byte-compatible with defense.VerifySIM's SIM
-// signatures (ed25519 over "video/rendition/index|imhash"), so the
-// client-side verifier is one code path for both the paper's
-// peer-established SIMs and the provider-signed manifests.
+// ManifestAuthority signs per-segment integrity manifests in the
+// media.SIM format, so the client-side verifier is one code path for
+// both the paper's peer-established SIMs and the provider-signed
+// manifests.
 type ManifestAuthority struct {
 	pub  ed25519.PublicKey
 	priv ed25519.PrivateKey
@@ -39,23 +38,15 @@ func NewManifestAuthority() (*ManifestAuthority, error) {
 // delivers it to peers.
 func (a *ManifestAuthority) PublicKeyHex() string { return hex.EncodeToString(a.pub) }
 
-// Sign produces the hex manifest signature for a segment's IM hash.
-func (a *ManifestAuthority) Sign(key media.SegmentKey, hash string) string {
-	return hex.EncodeToString(ed25519.Sign(a.priv, manifestMessage(key, hash)))
+// Sign produces the signed manifest for a segment's IM hash.
+func (a *ManifestAuthority) Sign(key media.SegmentKey, hash string) media.SIM {
+	return media.SignSIM(a.priv, key, hash)
 }
 
-func manifestMessage(key media.SegmentKey, hash string) []byte {
-	return []byte(key.String() + "|" + hash)
-}
-
-// VerifyManifest checks a hex manifest (or SIM) signature against a
-// verification key.
+// VerifyManifest checks a hex manifest signature against a verification
+// key.
 func VerifyManifest(pub ed25519.PublicKey, key media.SegmentKey, hash, sig string) bool {
-	raw, err := hex.DecodeString(sig)
-	if err != nil {
-		return false
-	}
-	return ed25519.Verify(pub, manifestMessage(key, hash), raw)
+	return media.VerifySIM(pub, key, hash, sig)
 }
 
 // ManifestService implements signal.IMService with provider-signed
@@ -72,13 +63,8 @@ type ManifestService struct {
 	auth  *ManifestAuthority
 
 	mu        sync.Mutex
-	signed    map[media.SegmentKey]simEntry
+	signed    map[media.SegmentKey]media.SIM
 	blacklist map[string]bool
-}
-
-type simEntry struct {
-	hash string
-	sig  string
 }
 
 // NewManifestService builds the service for one video, generating a
@@ -94,7 +80,7 @@ func NewManifestService(video *media.Video) (*ManifestService, error) {
 	return &ManifestService{
 		video:     video,
 		auth:      auth,
-		signed:    make(map[media.SegmentKey]simEntry),
+		signed:    make(map[media.SegmentKey]media.SIM),
 		blacklist: make(map[string]bool),
 	}, nil
 }
@@ -110,7 +96,7 @@ func (m *ManifestService) SIM(key media.SegmentKey) (hash, sig string, ok bool) 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e, found := m.signed[key]; found {
-		return e.hash, e.sig, true
+		return e.Hash, e.Sig, true
 	}
 	if key.Video != m.video.ID {
 		return "", "", false
@@ -119,10 +105,9 @@ func (m *ManifestService) SIM(key media.SegmentKey) (hash, sig string, ok bool) 
 	if err != nil {
 		return "", "", false
 	}
-	h := media.IMHash(key, data)
-	e := simEntry{hash: h, sig: m.auth.Sign(key, h)}
+	e := m.auth.Sign(key, media.IMHash(key, data))
 	m.signed[key] = e
-	return e.hash, e.sig, true
+	return e.Hash, e.Sig, true
 }
 
 // Report checks a peer's integrity report against the signed ground

@@ -2,10 +2,10 @@
 // paper's defenses stop short of: public-key peer identity, a
 // Noise-IK-style two-message handshake whose static keys the matcher
 // vouches for (binding the channel to the signaling JWT that admitted
-// the peer), an AEAD record layer that carries the same
-// message-oriented traffic as internal/dtls, and per-segment signed
-// integrity manifests that are verified before any byte enters the
-// segment cache or the playback buffer.
+// the peer), the AEAD record layer it shares with internal/dtls
+// (internal/record), and per-segment signed integrity manifests that
+// are verified before any byte enters the segment cache or the playback
+// buffer.
 //
 // The paper (§V) evaluates application-layer patches — disposable
 // video-binding JWTs and peer-assisted integrity checking — and leaves
@@ -35,17 +35,16 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"github.com/stealthy-peers/pdnsec/internal/record"
 )
 
-// Errors returned by the handshake and record layer.
+// Errors returned by the handshake.
 var (
-	ErrBadHandshake   = errors.New("secure: malformed handshake message")
-	ErrBadSignature   = errors.New("secure: handshake signature does not verify")
-	ErrBadVoucher     = errors.New("secure: handshake voucher does not verify")
-	ErrKeyMismatch    = errors.New("secure: peer static key differs from the matcher-delivered key")
-	ErrRecordTooLarge = errors.New("secure: record exceeds size limit")
-	ErrDecrypt        = errors.New("secure: record authentication failed")
-	ErrReplay         = errors.New("secure: record sequence replayed or reordered")
+	ErrBadHandshake = errors.New("secure: malformed handshake message")
+	ErrBadSignature = errors.New("secure: handshake signature does not verify")
+	ErrBadVoucher   = errors.New("secure: handshake voucher does not verify")
+	ErrKeyMismatch  = errors.New("secure: peer static key differs from the matcher-delivered key")
 )
 
 // BadKeyError reports a handshake whose peer claimed a static key it
@@ -68,24 +67,10 @@ func (e *BadKeyError) Unwrap() error { return e.Err }
 
 // Identity is a peer's long-lived transport identity: an ed25519
 // keypair whose public key the peer registers with the matcher at join.
-type Identity struct {
-	pub  ed25519.PublicKey
-	priv ed25519.PrivateKey
-}
+type Identity = record.Identity
 
 // NewIdentity generates a fresh identity.
-func NewIdentity() (*Identity, error) {
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("secure: generate identity: %w", err)
-	}
-	return &Identity{pub: pub, priv: priv}, nil
-}
-
-// PublicKeyHex returns the hex encoding of the static public key — the
-// form it travels in through signaling (join registration, match
-// responses) and the form quarantine reports cite.
-func (id *Identity) PublicKeyHex() string { return hex.EncodeToString(id.pub) }
+func NewIdentity() (*Identity, error) { return record.NewIdentity() }
 
 // voucherVersion prefixes the authority's signing message so vouchers
 // can never collide with handshake or manifest signatures.
