@@ -226,46 +226,84 @@ var _ net.Conn = (*Conn)(nil)
 
 // Read reads data from the connection.
 func (c *Conn) Read(b []byte) (int, error) {
-	if len(c.residual) > 0 {
-		n := copy(b, c.residual)
-		c.residual = c.residual[n:]
-		return n, nil
+	if len(c.residual) == 0 {
+		chunk, err := c.nextChunk()
+		if err != nil {
+			return 0, err
+		}
+		c.residual = chunk
 	}
+	n := copy(b, c.residual)
+	c.residual = c.residual[n:]
+	return n, nil
+}
+
+// ReadExact reads exactly n bytes, as io.ReadFull into a fresh buffer
+// does, with one difference: when the next delivered chunk is exactly n
+// bytes long it is returned as is. The stream never touches a delivered
+// chunk again, so either way the caller owns the result. A chunk of any
+// other length (a truncating impairment, a relay's re-chunking, bytes
+// left over from an earlier Read) takes the gathering path.
+func (c *Conn) ReadExact(n int) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	if len(c.residual) == 0 {
+		chunk, err := c.nextChunk()
+		if err != nil {
+			return nil, err
+		}
+		if len(chunk) == n {
+			return chunk, nil
+		}
+		c.residual = chunk
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(c, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// nextChunk waits for the next chunk the peer delivered.
+func (c *Conn) nextChunk() ([]byte, error) {
 	if isClosedChan(c.readDL.wait()) {
-		return 0, os.ErrDeadlineExceeded
+		return nil, os.ErrDeadlineExceeded
 	}
 	select {
 	case chunk, ok := <-c.inbox:
 		if !ok {
-			return 0, io.EOF
+			return nil, io.EOF
 		}
-		n := copy(b, chunk)
-		if n < len(chunk) {
-			c.residual = chunk[n:]
-		}
-		return n, nil
+		return chunk, nil
 	case <-c.closed:
 		// Drain anything already delivered before reporting EOF.
 		select {
 		case chunk, ok := <-c.inbox:
 			if ok {
-				n := copy(b, chunk)
-				if n < len(chunk) {
-					c.residual = chunk[n:]
-				}
-				return n, nil
+				return chunk, nil
 			}
 		default:
 		}
-		return 0, io.EOF
+		return nil, io.EOF
 	case <-c.readDL.wait():
-		return 0, os.ErrDeadlineExceeded
+		return nil, os.ErrDeadlineExceeded
 	}
 }
 
 // Write sends data to the peer, applying the sender's upload shaping and
 // the receiver's download shaping, and feeding both hosts' capture taps.
-func (c *Conn) Write(b []byte) (int, error) {
+// It copies b, as the net.Conn contract requires: net/http and every
+// other caller reuse their buffers.
+func (c *Conn) Write(b []byte) (int, error) { return c.write(b, false) }
+
+// WriteOwned is Write without the copy: b itself becomes the delivered
+// chunk, so the caller must not read or write it afterwards. The stream
+// may mangle it in place (CorruptStreams) and the peer's reader ends up
+// owning it (ReadExact).
+func (c *Conn) WriteOwned(b []byte) (int, error) { return c.write(b, true) }
+
+func (c *Conn) write(b []byte, owned bool) (int, error) {
 	select {
 	case <-c.closed:
 		return 0, ErrClosed
@@ -280,7 +318,10 @@ func (c *Conn) Write(b []byte) (int, error) {
 		return 0, ErrUnreachable
 	}
 
-	chunk := append([]byte(nil), b...)
+	chunk := b
+	if !owned {
+		chunk = append([]byte(nil), b...)
+	}
 	chunk = c.host.net.mangleStream(c.host.ip, chunk)
 	c.host.shapeUp(len(chunk))
 	if lat := c.host.pathLatency(c.peerHost); lat > 0 {
@@ -296,6 +337,11 @@ func (c *Conn) Write(b []byte) (int, error) {
 	}
 	pkt.Dir = DirOut
 	c.host.tap(pkt)
+	// The receiver's tap copies the chunk before the reader can get it:
+	// once delivered the chunk is the reader's, to decrypt in place.
+	pkt.Dir = DirIn
+	pkt.Dst = netip.AddrPortFrom(c.peerHost.ip, c.peer.localAddr.Port())
+	c.peerHost.tap(pkt)
 
 	select {
 	case c.peer.inbox <- chunk:
@@ -307,9 +353,6 @@ func (c *Conn) Write(b []byte) (int, error) {
 		return 0, os.ErrDeadlineExceeded
 	}
 	c.peerHost.shapeDown(len(chunk))
-	pkt.Dir = DirIn
-	pkt.Dst = netip.AddrPortFrom(c.peerHost.ip, c.peer.localAddr.Port())
-	c.peerHost.tap(pkt)
 	return len(b), nil
 }
 

@@ -38,6 +38,9 @@ type p2pMsg struct {
 	Trace string `json:"trace,omitempty"`
 }
 
+// nul separates a frame's JSON header from its payload.
+var nul = []byte{0}
+
 // encodeMsg frames a header and optional payload.
 func encodeMsg(h p2pMsg, payload []byte) ([]byte, error) {
 	hdr, err := json.Marshal(h)
@@ -46,7 +49,7 @@ func encodeMsg(h p2pMsg, payload []byte) ([]byte, error) {
 	}
 	out := make([]byte, 0, len(hdr)+1+len(payload))
 	out = append(out, hdr...)
-	out = append(out, 0)
+	out = append(out, nul...)
 	out = append(out, payload...)
 	return out, nil
 }
@@ -75,6 +78,7 @@ func decodeMsg(frame []byte) (p2pMsg, []byte, error) {
 // when the policy demands it. Both satisfy it.
 type p2pConn interface {
 	Send(msg []byte) error
+	SendParts(parts ...[]byte) error
 	Recv() ([]byte, error)
 	Close() error
 }
@@ -198,12 +202,15 @@ func (nb *neighbor) serve(key media.SegmentKey, trace string) {
 			p.metrics.cacheMiss.Inc()
 		}
 	}
-	frame, err := encodeMsg(resp, payload)
+	hdr, err := json.Marshal(resp)
 	if err != nil {
 		span.End(obs.A("found", false))
 		return
 	}
-	err = nb.conn.Send(frame)
+	// encodeMsg's frame, sent as its parts: the record layer's copy of
+	// the cached segment into its own buffer is the only one, so neither
+	// the wire nor an in-flight corruption ever aliases the cache.
+	err = nb.conn.SendParts(hdr, nul, payload)
 	span.End(obs.A("found", resp.Found), obs.A("bytes", len(payload)))
 	if err != nil {
 		return

@@ -131,7 +131,8 @@ type breakableConn struct {
 	once   sync.Once
 }
 
-func (c *breakableConn) Send([]byte) error { return nil }
+func (c *breakableConn) Send([]byte) error         { return nil }
+func (c *breakableConn) SendParts(...[]byte) error { return nil }
 func (c *breakableConn) Recv() ([]byte, error) {
 	<-c.broken
 	return nil, errors.New("conn broken")

@@ -54,6 +54,14 @@ const maxRecord = 1 << 20
 // tailLen is the header after the prefix: seq(8) | flags(1) | len(4).
 const tailLen = 8 + 1 + 4
 
+// putHeader fills hdr, len(prefix)+tailLen bytes, for a payload of n bytes.
+func putHeader(hdr []byte, prefix string, flags byte, seq uint64, n int) {
+	tail := hdr[copy(hdr, prefix):]
+	binary.BigEndian.PutUint64(tail[0:8], seq)
+	tail[8] = flags
+	binary.BigEndian.PutUint32(tail[9:13], uint32(n))
+}
+
 // WriteRecord writes one record: the header, then the payload, as two
 // writes (on netsim each write is one captured packet, so every record
 // starts a packet with its prefix).
@@ -62,10 +70,7 @@ func WriteRecord(w io.Writer, prefix string, flags byte, seq uint64, payload []b
 		return ErrRecordTooLarge
 	}
 	hdr := make([]byte, len(prefix)+tailLen)
-	tail := hdr[copy(hdr, prefix):]
-	binary.BigEndian.PutUint64(tail[0:8], seq)
-	tail[8] = flags
-	binary.BigEndian.PutUint32(tail[9:13], uint32(len(payload)))
+	putHeader(hdr, prefix, flags, seq, len(payload))
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
@@ -73,26 +78,48 @@ func WriteRecord(w io.Writer, prefix string, flags byte, seq uint64, payload []b
 	return err
 }
 
+// readHeader reads one record header, requires it to start with prefix,
+// and checks the length field, so that a caller allocates the payload
+// only after both hold.
+func readHeader(r io.Reader, prefix string) (flags byte, seq uint64, n int, err error) {
+	hdr := make([]byte, len(prefix)+tailLen)
+	if _, err = io.ReadFull(r, hdr); err != nil {
+		return 0, 0, 0, err
+	}
+	if string(hdr[:len(prefix)]) != prefix {
+		return 0, 0, 0, fmt.Errorf("%w 0x%02x", ErrBadPrefix, hdr[0])
+	}
+	tail := hdr[len(prefix):]
+	size := binary.BigEndian.Uint32(tail[9:13])
+	if size > maxRecord+64 {
+		return 0, 0, 0, ErrRecordTooLarge
+	}
+	return tail[8], binary.BigEndian.Uint64(tail[0:8]), int(size), nil
+}
+
 // ReadRecord reads one record and requires its header to start with
 // prefix. The length field is checked before the payload is allocated.
 func ReadRecord(r io.Reader, prefix string) (flags byte, seq uint64, payload []byte, err error) {
-	hdr := make([]byte, len(prefix)+tailLen)
-	if _, err = io.ReadFull(r, hdr); err != nil {
+	flags, seq, n, err := readHeader(r, prefix)
+	if err != nil {
 		return 0, 0, nil, err
-	}
-	if string(hdr[:len(prefix)]) != prefix {
-		return 0, 0, nil, fmt.Errorf("%w 0x%02x", ErrBadPrefix, hdr[0])
-	}
-	tail := hdr[len(prefix):]
-	n := binary.BigEndian.Uint32(tail[9:13])
-	if n > maxRecord+64 {
-		return 0, 0, nil, ErrRecordTooLarge
 	}
 	payload = make([]byte, n)
 	if _, err = io.ReadFull(r, payload); err != nil {
 		return 0, 0, nil, err
 	}
-	return tail[8], binary.BigEndian.Uint64(tail[0:8]), payload, nil
+	return flags, seq, payload, nil
+}
+
+// ownedIO is the ownership-transfer pair a *netsim.Conn offers beside
+// Write and Read: WriteOwned delivers the caller's slice itself, and
+// ReadExact hands a delivered chunk of exactly n bytes to the reader as
+// is. Over it a sealed record crosses the stream without being copied;
+// over any other conn (a wrapper such as mitm.TamperConn) the same
+// bytes go through Write and io.ReadFull.
+type ownedIO interface {
+	WriteOwned(b []byte) (int, error)
+	ReadExact(n int) ([]byte, error)
 }
 
 // Conn is an established channel. It is message-oriented: one Send is
@@ -100,6 +127,7 @@ func ReadRecord(r io.Reader, prefix string) (flags byte, seq uint64, payload []b
 // safe for one concurrent sender and one concurrent receiver.
 type Conn struct {
 	raw       net.Conn
+	owned     ownedIO // raw's ownership-transfer I/O; nil when raw has none
 	prefix    string
 	sendAEAD  cipher.AEAD
 	recvAEAD  cipher.AEAD
@@ -129,6 +157,7 @@ func New(raw net.Conn, f Framing, secret []byte, initiator bool, onEncrypt, onDe
 	if !initiator {
 		c.sendAEAD, c.recvAEAD = r2i, i2r
 	}
+	c.owned, _ = raw.(ownedIO)
 	return c, nil
 }
 
@@ -147,25 +176,49 @@ func newAEAD(secret []byte, dir string) (cipher.AEAD, error) {
 	return aead, nil
 }
 
-// Send encrypts and transmits one message.
-func (c *Conn) Send(msg []byte) error {
+// Send encrypts and transmits one message. It does not retain msg.
+func (c *Conn) Send(msg []byte) error { return c.SendParts(msg) }
+
+// SendParts is Send for a message that is the concatenation of parts,
+// which it gathers straight into the record buffer — a caller framing a
+// header in front of a large payload need not join them first. It does
+// not retain the parts.
+//
+// Each record is built in one buffer, header | plaintext | tag, and
+// sealed in place; that buffer is the only copy of the payload the send
+// side makes, and over an ownedIO conn it is the buffer the peer's Recv
+// returns.
+func (c *Conn) SendParts(parts ...[]byte) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	rest := msg
+	rest := 0
+	for _, p := range parts {
+		rest += len(p)
+	}
+	hl := len(c.prefix) + tailLen
+	var part []byte // the part being gathered; parts holds those after it
 	for {
-		chunk := rest
-		flags := FlagFinal
-		if len(chunk) > maxRecord {
-			chunk, rest = chunk[:maxRecord], rest[maxRecord:]
-			flags = 0
+		n, flags := rest, FlagFinal
+		if n > maxRecord {
+			n, flags = maxRecord, 0
+		}
+		rest -= n
+		buf := make([]byte, hl+n, hl+n+c.sendAEAD.Overhead())
+		for fill := buf[hl:]; len(fill) > 0; {
+			if len(part) == 0 {
+				part, parts = parts[0], parts[1:]
+			}
+			k := copy(fill, part)
+			fill, part = fill[k:], part[k:]
 		}
 		var nonce [12]byte
 		binary.BigEndian.PutUint64(nonce[4:], c.sendSeq)
-		sealed := c.sendAEAD.Seal(nil, nonce[:], chunk, nil)
+		sealed := c.sendAEAD.Seal(buf[hl:hl], nonce[:], buf[hl:], nil)
 		if c.onEncrypt != nil {
-			c.onEncrypt(len(chunk))
+			c.onEncrypt(n)
 		}
-		if err := WriteRecord(c.raw, c.prefix, flags, c.sendSeq, sealed); err != nil {
+		putHeader(buf[:hl], c.prefix, flags, c.sendSeq, len(sealed))
+		if err := c.writeRecord(buf[:hl], sealed); err != nil {
 			return fmt.Errorf("record: send: %w", err)
 		}
 		c.sendSeq++
@@ -175,17 +228,39 @@ func (c *Conn) Send(msg []byte) error {
 	}
 }
 
-// Recv reads and decrypts the next message. The sequence check is
-// strict: a replayed, reordered, or dropped record is a hard error,
-// never silently skipped — the nonce doubles as the sequence number,
-// so accepting a replay would both break the anti-replay property and
-// reuse a nonce.
+// writeRecord writes a record Send built, as WriteRecord's two writes.
+// The header is copied by Write; the sealed payload is handed over.
+func (c *Conn) writeRecord(hdr, sealed []byte) error {
+	if _, err := c.raw.Write(hdr); err != nil {
+		return err
+	}
+	if c.owned != nil {
+		_, err := c.owned.WriteOwned(sealed)
+		return err
+	}
+	_, err := c.raw.Write(sealed)
+	return err
+}
+
+// Recv reads and decrypts the next message; the caller owns the result.
+// The sequence check is strict: a replayed, reordered, or dropped
+// record is a hard error, never silently skipped — the nonce doubles as
+// the sequence number, so accepting a replay would both break the
+// anti-replay property and reuse a nonce.
+//
+// Each record is opened in place, and a message of one record is
+// returned as that buffer; only a message Send had to split is
+// reassembled.
 func (c *Conn) Recv() ([]byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
 	var out []byte
 	for {
-		flags, seq, sealed, err := ReadRecord(c.raw, c.prefix)
+		flags, seq, n, err := readHeader(c.raw, c.prefix)
+		if err != nil {
+			return nil, err
+		}
+		sealed, err := c.readSealed(n)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +269,7 @@ func (c *Conn) Recv() ([]byte, error) {
 		}
 		var nonce [12]byte
 		binary.BigEndian.PutUint64(nonce[4:], seq)
-		plain, err := c.recvAEAD.Open(nil, nonce[:], sealed, nil)
+		plain, err := c.recvAEAD.Open(sealed[:0], nonce[:], sealed, nil)
 		if err != nil {
 			return nil, ErrDecrypt
 		}
@@ -202,11 +277,27 @@ func (c *Conn) Recv() ([]byte, error) {
 			c.onDecrypt(len(plain))
 		}
 		c.recvSeq++
-		out = append(out, plain...)
 		if flags&FlagFinal != 0 {
-			return out, nil
+			if out == nil {
+				return plain, nil
+			}
+			return append(out, plain...), nil
 		}
+		out = append(out, plain...)
 	}
+}
+
+// readSealed reads a record's n payload bytes into a buffer nothing
+// else references.
+func (c *Conn) readSealed(n int) ([]byte, error) {
+	if c.owned != nil {
+		return c.owned.ReadExact(n)
+	}
+	sealed := make([]byte, n)
+	if _, err := io.ReadFull(c.raw, sealed); err != nil {
+		return nil, err
+	}
+	return sealed, nil
 }
 
 // Close closes the underlying transport.
