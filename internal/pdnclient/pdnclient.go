@@ -970,6 +970,9 @@ func (p *Peer) fetchPlaylist(ctx context.Context) (*hls.MediaPlaylist, error) {
 	return hls.ParseMediaPlaylist(body)
 }
 
+// maxHTTPBody bounds one CDN response body.
+const maxHTTPBody = 64 << 20
+
 func (p *Peer) httpGet(ctx context.Context, url string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -988,7 +991,17 @@ func (p *Peer) httpGet(ctx context.Context, url string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("pdnclient: GET %s: status %d", url, resp.StatusCode)
 	}
-	return io.ReadAll(resp.Body)
+	// The CDN may be the pollution attacker's: the body is bounded either
+	// way, and a declared length is read into a buffer of that size
+	// (io.ReadAll regrows to several times the body).
+	if n := resp.ContentLength; n >= 0 && n <= maxHTTPBody {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, body); err != nil {
+			return nil, fmt.Errorf("pdnclient: GET %s: %w", url, err)
+		}
+		return body, nil
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxHTTPBody))
 }
 
 // reportStats pushes usage deltas (since the previous report) to the

@@ -1,10 +1,13 @@
 package pdnclient
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
+	"net/http"
 	"net/netip"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -213,5 +216,54 @@ func TestStopLingerEarlyOnlySkipsLinger(t *testing.T) {
 	case <-p.lingerStop:
 	default:
 		t.Fatal("StopLinger did not end the linger phase")
+	}
+}
+
+// TestHTTPGetIsBounded: the CDN is not trusted (the pollution attacker
+// may run it), so a body is read to its declared length or to
+// maxHTTPBody, whichever the response allows, and a response that ends
+// short of its declared length is an error, never a short body.
+func TestHTTPGetIsBounded(t *testing.T) {
+	pa, pb := barePeers(t)
+	ln, err := pb.cfg.Host.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte("segment!"), 8<<10)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/declared", func(w http.ResponseWriter, r *http.Request) { w.Write(body) })
+	mux.HandleFunc("/chunked", func(w http.ResponseWriter, r *http.Request) {
+		w.(http.Flusher).Flush() // headers leave before the length is known
+		w.Write(body)
+	})
+	mux.HandleFunc("/short", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body[:100])
+	})
+	mux.HandleFunc("/endless", func(w http.ResponseWriter, r *http.Request) {
+		w.(http.Flusher).Flush()
+		for r.Context().Err() == nil {
+			if _, err := w.Write(make([]byte, 1<<20)); err != nil {
+				return
+			}
+		}
+	})
+	srv := &http.Server{Handler: mux}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	base := "http://" + ln.AddrPort().String()
+	for _, path := range []string{"/declared", "/chunked"} {
+		got, err := pa.httpGet(context.Background(), base+path)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Errorf("%s: %d bytes, %v; want the %d-byte body", path, len(got), err, len(body))
+		}
+	}
+	if got, err := pa.httpGet(context.Background(), base+"/short"); err == nil {
+		t.Errorf("/short: %d bytes and no error; want an error", len(got))
+	}
+	got, err := pa.httpGet(context.Background(), base+"/endless")
+	if err != nil || len(got) != maxHTTPBody {
+		t.Errorf("/endless: %d bytes, %v; want exactly maxHTTPBody", len(got), err)
 	}
 }
