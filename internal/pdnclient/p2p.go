@@ -162,10 +162,24 @@ func (nb *neighbor) readLoop() {
 		case "want":
 			nb.serve(hdr.Key, hdr.Trace)
 		case "segment":
-			select {
-			case nb.respCh <- p2pFrame{hdr: hdr, payload: payload}:
-			default: // no request outstanding: drop
-			}
+			nb.park(p2pFrame{hdr: hdr, payload: payload})
+		}
+	}
+}
+
+// park leaves a segment frame where request looks for it, displacing
+// one still unread: whatever want is outstanding, its answer is the
+// newest frame, and request skips the ones that are not.
+func (nb *neighbor) park(f p2pFrame) {
+	for {
+		select {
+		case nb.respCh <- f:
+			return
+		default:
+		}
+		select {
+		case <-nb.respCh:
+		default:
 		}
 	}
 }
@@ -239,6 +253,12 @@ func (nb *neighbor) request(ctx context.Context, key media.SegmentKey) (data []b
 		return nil, false
 	}
 	defer func() { nb.reqMu <- struct{}{} }()
+	// A frame parked while no want was outstanding — sent unprompted, or
+	// answering a wait that was cancelled — is not this request's answer.
+	select {
+	case <-nb.respCh:
+	default:
+	}
 
 	frame, err := encodeMsg(p2pMsg{Op: "want", Key: key, Trace: obs.ContextString(ctx)}, nil)
 	if err != nil {
@@ -250,19 +270,24 @@ func (nb *neighbor) request(ctx context.Context, key media.SegmentKey) (data []b
 	}
 	timer := time.NewTimer(requestTimeout)
 	defer timer.Stop()
-	select {
-	case resp := <-nb.respCh:
-		if !resp.hdr.Found || resp.hdr.Key != key {
+	for {
+		select {
+		case resp := <-nb.respCh:
+			if resp.hdr.Key != key {
+				continue // a stale answer that slipped in behind the drain
+			}
+			if !resp.hdr.Found {
+				return nil, false
+			}
+			return resp.payload, true
+		case <-timer.C:
+			nb.evict("request_timeout")
+			return nil, false
+		case <-ctx.Done():
+			return nil, false
+		case <-nb.closedC:
 			return nil, false
 		}
-		return resp.payload, true
-	case <-timer.C:
-		nb.evict("request_timeout")
-		return nil, false
-	case <-ctx.Done():
-		return nil, false
-	case <-nb.closedC:
-		return nil, false
 	}
 }
 

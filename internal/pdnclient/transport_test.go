@@ -10,7 +10,9 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/secure"
 )
@@ -265,5 +267,105 @@ func TestHTTPGetIsBounded(t *testing.T) {
 	got, err := pa.httpGet(context.Background(), base+"/endless")
 	if err != nil || len(got) != maxHTTPBody {
 		t.Errorf("/endless: %d bytes, %v; want exactly maxHTTPBody", len(got), err)
+	}
+}
+
+// answeringConn is a p2pConn whose far side answers every want from
+// segment; a test pushes extra frames through inject. onWant, when set,
+// runs before an answer is queued.
+type answeringConn struct {
+	breakableConn
+	in      chan []byte
+	segment func(media.SegmentKey) []byte
+	onWant  func()
+}
+
+func newAnsweringConn(segment func(media.SegmentKey) []byte) *answeringConn {
+	return &answeringConn{
+		breakableConn: breakableConn{broken: make(chan struct{})},
+		in:            make(chan []byte, 4), // a want's answer plus the frames a test injects around it
+		segment:       segment,
+	}
+}
+
+func (c *answeringConn) inject(t *testing.T, key media.SegmentKey) {
+	t.Helper()
+	frame, err := encodeMsg(p2pMsg{Op: "segment", Key: key, Found: true}, c.segment(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.in <- frame
+}
+
+func (c *answeringConn) Send(msg []byte) error {
+	hdr, _, err := decodeMsg(msg)
+	if err != nil || hdr.Op != "want" {
+		return err
+	}
+	if c.onWant != nil {
+		c.onWant()
+	}
+	frame, err := encodeMsg(p2pMsg{Op: "segment", Key: hdr.Key, Found: true}, c.segment(hdr.Key))
+	if err != nil {
+		return err
+	}
+	c.in <- frame
+	return nil
+}
+
+func (c *answeringConn) Recv() ([]byte, error) {
+	select {
+	case f := <-c.in:
+		return f, nil
+	case <-c.broken:
+		return nil, errors.New("conn broken")
+	}
+}
+
+// TestStaleSegmentFrameDoesNotShiftResponses: a segment frame nobody
+// asked for — sent unprompted, or answering a wait that was given up —
+// used to sit in the neighbor's response slot, so every later request
+// read the previous request's answer, mismatched, and fell back to the
+// CDN for the rest of the session: a one-packet offload kill any swarm
+// member could send.
+func TestStaleSegmentFrameDoesNotShiftResponses(t *testing.T) {
+	segment := func(k media.SegmentKey) []byte { return []byte{byte(k.Index), 1, 2, 3} }
+	stale := media.SegmentKey{Video: "bbb", Rendition: "360p", Index: 200}
+
+	for _, tc := range []struct {
+		name string
+		arm  func(t *testing.T, c *answeringConn, nb *neighbor)
+	}{
+		{"unsolicited_before_the_request", func(t *testing.T, c *answeringConn, nb *neighbor) {
+			c.inject(t, stale)
+			waitFor(t, 5*time.Second, func() bool { return len(nb.respCh) == 1 })
+		}},
+		{"late_between_want_and_answer", func(t *testing.T, c *answeringConn, nb *neighbor) {
+			var once sync.Once
+			c.onWant = func() { once.Do(func() { c.inject(t, stale) }) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, _ := barePeers(t)
+			p.policy.P2PEnabled = true
+			conn := newAnsweringConn(segment)
+			p.addNeighbor("seeder", conn)
+			defer p.teardown()
+			p.mu.Lock()
+			nb := p.neighbors["seeder"]
+			p.mu.Unlock()
+			tc.arm(t, conn, nb)
+
+			for i := 0; i < 10; i++ {
+				key := media.SegmentKey{Video: "bbb", Rendition: "360p", Index: i}
+				data, source, err := p.fetchSegment(context.Background(), key)
+				if err != nil || source != SourceP2P || !bytes.Equal(data, segment(key)) {
+					t.Fatalf("segment %d: %v from %q, %v; want its own bytes over P2P", i, data, source, err)
+				}
+			}
+			if n := p.metrics.cdnFallbacks.Value(); n != 0 {
+				t.Errorf("pdn_cdn_fallbacks_total = %d, want 0", n)
+			}
+		})
 	}
 }
