@@ -1,6 +1,7 @@
 package pdnclient
 
 import (
+	"bytes"
 	"context"
 	"net/netip"
 	"testing"
@@ -390,4 +391,73 @@ func TestPeriodicStatsReportDeltas(t *testing.T) {
 		want := stA.P2PUpBytes + stA.P2PDownBytes + stB.P2PUpBytes + stB.P2PDownBytes
 		return u.P2PBytes == want
 	})
+}
+
+// TestSeederCacheSurvivesWireCorruption: the record layer hands its
+// buffer to the stream, and a corrupting wire flips bytes in whatever
+// buffer it is handed — so what a seeder sends must be a copy of its
+// cache, never the cache. A seeder serves three viewers, its host's
+// streams start flipping bytes mid-session, and afterwards every cached
+// segment is still the CDN's bytes (run under -race: an aliased cache
+// is also a data race between the wire and the next serve).
+func TestSeederCacheSurvivesWireCorruption(t *testing.T) {
+	const segments = 8
+	video := smallVideo("bbb", segments)
+	tb := newTestbed(t, provider.Peer5(), video)
+
+	cfg := tb.peerConfig(t)
+	cfg.MaxSegments = segments
+	cfg.Linger = time.Minute
+	seeder, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	seederDone := make(chan struct{})
+	go func() {
+		defer close(seederDone)
+		seeder.Run(ctx)
+	}()
+	waitFor(t, 30*time.Second, func() bool { return seeder.Stats().SegmentsPlayed >= segments })
+
+	results := make(chan Stats, 3)
+	for i := 0; i < 3; i++ {
+		vcfg := tb.peerConfig(t)
+		vcfg.Pace = 20 * time.Millisecond // leaves wants to serve after the wire turns
+		viewer, err := New(vcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			st, _ := viewer.Run(ctx)
+			results <- st
+		}()
+	}
+	// Handshakes do not survive a corrupting wire, so it turns only once
+	// a connection is up and serving.
+	waitFor(t, 30*time.Second, func() bool { return seeder.Stats().P2PUpBytes > 0 })
+	tb.net.CorruptStreams(cfg.Host.Addr(), 1, false)
+	clean := seeder.Stats().P2PUpBytes
+	// Until a segment has been served through the corruption; then the
+	// wire heals, so the viewers' reconnects do not sit out their timeouts.
+	waitFor(t, 30*time.Second, func() bool { return seeder.Stats().P2PUpBytes > clean })
+	tb.net.ClearCorrupt(cfg.Host.Addr())
+
+	for i := 0; i < 3; i++ {
+		if st := <-results; st.SegmentsPlayed != segments {
+			t.Fatalf("viewer played %d/%d: %+v", st.SegmentsPlayed, segments, st)
+		}
+	}
+	for i := 0; i < segments; i++ {
+		want, err := video.SegmentData("360p", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := seeder.CachedSegment(i); !ok || !bytes.Equal(got, want) {
+			t.Errorf("seeder's cached segment %d is not the CDN's bytes (held=%v)", i, ok)
+		}
+	}
+	seeder.StopLinger()
+	<-seederDone
 }

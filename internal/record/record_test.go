@@ -303,6 +303,18 @@ func FuzzRecordRecv(f *testing.F) {
 		f.Add(deployed, hdr) // lying length field
 		f.Add(deployed, seal(f, fr, nil, []byte("segment"), []byte("next")))
 	}
+	// Multi-record messages, after the single-record seeds so those keep
+	// their numbers.
+	for _, deployed := range []bool{false, true} {
+		fr := framing(deployed)
+		split := sealSplit(f, fr, []byte("seg"), []byte("ment"), []byte("!"))
+		f.Add(deployed, split)
+		_, payloads := records(f, fr.Data, split)
+		f.Add(deployed, split[:len(split)-len(payloads[2])-len(fr.Data)-tailLen]) // no final record
+		tampered := append([]byte(nil), split...)
+		tampered[len(tampered)-1] ^= 0xff
+		f.Add(deployed, tampered) // reassembly must not leak the records before it
+	}
 
 	f.Fuzz(func(t *testing.T, deployed bool, data []byte) {
 		c := receiver(t, framing(deployed), false, nil, data)
