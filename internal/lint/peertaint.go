@@ -745,7 +745,7 @@ func (st *ptState) checkSinkCall(node *FuncNode, info *types.Info, call *ast.Cal
 		}
 	case pkg == "wire" && recv == "Codec" && name == "Write":
 		check("wire frame payload", call.Args)
-	case pkg == "record" && recv == "Conn" && name == "Send": // both transports' Conn embed it
+	case pkg == "record" && recv == "Conn" && (name == "Send" || name == "SendParts"): // both transports' Conn embed it
 		check("peer data-channel payload", call.Args)
 	}
 }

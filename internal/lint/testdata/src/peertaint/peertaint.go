@@ -70,6 +70,8 @@ func wirePayload(codec *wire.Codec, conn net.Conn) {
 func dataChannelPayload(d *dtls.Conn, s *secure.Conn, conn net.Conn) {
 	d.Send([]byte(clientAddr(conn))) // want `peer-identifying value from RemoteAddr\(\) .* reaches peer data-channel payload`
 	s.Send([]byte(clientAddr(conn))) // want `peer-identifying value from RemoteAddr\(\) .* reaches peer data-channel payload`
+	// Every part of a gathered send is payload.
+	d.SendParts([]byte("hdr"), []byte(clientAddr(conn))) // want `peer-identifying value from RemoteAddr\(\) .* reaches peer data-channel payload`
 }
 
 func chaosEvent(conn net.Conn) chaos.Event {
