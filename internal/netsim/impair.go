@@ -222,7 +222,7 @@ func (n *Network) extraLatency(from, to netip.Addr) time.Duration {
 }
 
 // mangleStream applies the sender's corruption rule to a chunk the
-// caller owns (chunks are already copied before transmission). It
+// stream owns (Write's copy, or the buffer WriteOwned was given). It
 // returns the possibly-mutated chunk.
 func (n *Network) mangleStream(from netip.Addr, chunk []byte) []byte {
 	imp := &n.imp

@@ -295,15 +295,13 @@ func (c *Conn) nextChunk() ([]byte, error) {
 // the receiver's download shaping, and feeding both hosts' capture taps.
 // It copies b, as the net.Conn contract requires: net/http and every
 // other caller reuse their buffers.
-func (c *Conn) Write(b []byte) (int, error) { return c.write(b, false) }
+func (c *Conn) Write(b []byte) (int, error) { return c.WriteOwned(append([]byte(nil), b...)) }
 
 // WriteOwned is Write without the copy: b itself becomes the delivered
 // chunk, so the caller must not read or write it afterwards. The stream
 // may mangle it in place (CorruptStreams) and the peer's reader ends up
 // owning it (ReadExact).
-func (c *Conn) WriteOwned(b []byte) (int, error) { return c.write(b, true) }
-
-func (c *Conn) write(b []byte, owned bool) (int, error) {
+func (c *Conn) WriteOwned(b []byte) (int, error) {
 	select {
 	case <-c.closed:
 		return 0, ErrClosed
@@ -318,11 +316,7 @@ func (c *Conn) write(b []byte, owned bool) (int, error) {
 		return 0, ErrUnreachable
 	}
 
-	chunk := b
-	if !owned {
-		chunk = append([]byte(nil), b...)
-	}
-	chunk = c.host.net.mangleStream(c.host.ip, chunk)
+	chunk := c.host.net.mangleStream(c.host.ip, b)
 	c.host.shapeUp(len(chunk))
 	if lat := c.host.pathLatency(c.peerHost); lat > 0 {
 		time.Sleep(lat)

@@ -104,11 +104,19 @@ func ReadRecord(r io.Reader, prefix string) (flags byte, seq uint64, payload []b
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
+	if payload, err = readN(r, n); err != nil {
 		return 0, 0, nil, err
 	}
 	return flags, seq, payload, nil
+}
+
+// readN reads exactly n bytes into a new buffer.
+func readN(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // ownedIO is the ownership-transfer pair a *netsim.Conn offers beside
@@ -293,11 +301,7 @@ func (c *Conn) readSealed(n int) ([]byte, error) {
 	if c.owned != nil {
 		return c.owned.ReadExact(n)
 	}
-	sealed := make([]byte, n)
-	if _, err := io.ReadFull(c.raw, sealed); err != nil {
-		return nil, err
-	}
-	return sealed, nil
+	return readN(c.raw, n)
 }
 
 // Close closes the underlying transport.
