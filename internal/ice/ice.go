@@ -47,6 +47,14 @@ type Candidate struct {
 	Priority uint32         `json:"priority"`
 }
 
+// Retransmission intervals. A request or its answer can be lost, and a
+// request to an address-restricted NAT is dropped until the far side has
+// sent its own, so both are repeated until answered.
+const (
+	queryInterval = 100 * time.Millisecond // srflx query to the STUN server
+	checkInterval = 50 * time.Millisecond  // connectivity checks; also the nomination tick
+)
+
 // Errors returned by the agent.
 var (
 	ErrNoCandidates = errors.New("ice: no remote candidates")
@@ -62,12 +70,14 @@ type Agent struct {
 
 	mu        sync.Mutex
 	locals    []Candidate
-	pending   map[stun.TxID]netip.AddrPort // in-flight checks by tx
-	succeeded map[netip.AddrPort]bool      // remote candidates that answered
+	queries   map[stun.TxID]chan netip.AddrPort // srflx queries awaiting a mapped address
+	pending   map[stun.TxID]netip.AddrPort      // in-flight checks by tx
+	succeeded map[netip.AddrPort]bool           // remote candidates that answered
 
-	waiters  waiterMap // srflx queries awaiting a mapped address
+	// answered holds one token while a success the running Check has not
+	// looked at yet is recorded in succeeded.
+	answered chan struct{}
 	loopOnce sync.Once
-	done     chan struct{}
 }
 
 // NewAgent binds an ICE socket on the host.
@@ -80,21 +90,16 @@ func NewAgent(host *netsim.Host, ufrag string) (*Agent, error) {
 		host:      host,
 		pc:        pc,
 		ufrag:     ufrag,
+		queries:   make(map[stun.TxID]chan netip.AddrPort),
 		pending:   make(map[stun.TxID]netip.AddrPort),
 		succeeded: make(map[netip.AddrPort]bool),
-		done:      make(chan struct{}),
+		answered:  make(chan struct{}, 1),
 	}, nil
 }
 
-// Close releases the agent's socket and stops its read loop.
-func (a *Agent) Close() error {
-	select {
-	case <-a.done:
-	default:
-		close(a.done)
-	}
-	return a.pc.Close()
-}
+// Close releases the agent's socket, which ends its read loop (blocked
+// in a read) and fails a running Check at its next retransmission.
+func (a *Agent) Close() error { return a.pc.Close() }
 
 // Gather collects this agent's candidates: the host candidate (the
 // socket's own, possibly private, address) and — when a STUN server is
@@ -131,23 +136,29 @@ func (a *Agent) querySTUN(ctx context.Context, server netip.AddrPort) (netip.Add
 	req := stun.BindingRequest("", 0)
 	respCh := make(chan netip.AddrPort, 1)
 	a.mu.Lock()
-	a.pending[req.Tx] = server
+	a.queries[req.Tx] = respCh
 	a.mu.Unlock()
-	a.registerWaiter(req.Tx, respCh)
-	defer a.unregisterWaiter(req.Tx)
+	defer func() {
+		a.mu.Lock()
+		delete(a.queries, req.Tx)
+		a.mu.Unlock()
+	}()
 
 	deadline := time.Now().Add(5 * time.Second)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
+	wire := req.Encode()
+	retry := time.NewTicker(queryInterval)
+	defer retry.Stop()
 	for attempt := 0; attempt < 5; attempt++ {
-		if _, err := a.pc.WriteToAddrPort(req.Encode(), server); err != nil {
+		if _, err := a.pc.WriteToAddrPort(wire, server); err != nil {
 			return netip.AddrPort{}, err
 		}
 		select {
 		case ap := <-respCh:
 			return ap, nil
-		case <-time.After(100 * time.Millisecond):
+		case <-retry.C:
 		case <-ctx.Done():
 			return netip.AddrPort{}, ctx.Err()
 		}
@@ -158,34 +169,6 @@ func (a *Agent) querySTUN(ctx context.Context, server netip.AddrPort) (netip.Add
 	return netip.AddrPort{}, errors.New("ice: STUN server timeout")
 }
 
-// waiterMap maps transaction IDs to response channels for srflx queries.
-type waiterMap struct {
-	mu sync.Mutex
-	m  map[stun.TxID]chan netip.AddrPort
-}
-
-func (a *Agent) registerWaiter(tx stun.TxID, ch chan netip.AddrPort) {
-	a.waiters.mu.Lock()
-	defer a.waiters.mu.Unlock()
-	if a.waiters.m == nil {
-		a.waiters.m = make(map[stun.TxID]chan netip.AddrPort)
-	}
-	a.waiters.m[tx] = ch
-}
-
-func (a *Agent) unregisterWaiter(tx stun.TxID) {
-	a.waiters.mu.Lock()
-	defer a.waiters.mu.Unlock()
-	delete(a.waiters.m, tx)
-}
-
-func (a *Agent) waiterFor(tx stun.TxID) (chan netip.AddrPort, bool) {
-	a.waiters.mu.Lock()
-	defer a.waiters.mu.Unlock()
-	ch, ok := a.waiters.m[tx]
-	return ch, ok
-}
-
 // startLoop launches the agent's receive loop once.
 func (a *Agent) startLoop() {
 	a.loopOnce.Do(func() {
@@ -194,22 +177,15 @@ func (a *Agent) startLoop() {
 }
 
 // readLoop answers inbound binding requests (reflecting the sender's
-// visible address — the leak) and dispatches binding responses.
+// visible address — the leak) and dispatches binding responses. It
+// blocks in the read until Close; a datagram longer than the buffer is
+// cut short and fails to decode.
 func (a *Agent) readLoop() {
-	buf := make([]byte, 64<<10)
+	buf := make([]byte, stun.MaxMessageSize)
 	for {
-		select {
-		case <-a.done:
-			return
-		default:
-		}
-		a.pc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 		n, from, err := a.pc.ReadFromAddrPort(buf)
 		if err != nil {
-			if errors.Is(err, netsim.ErrClosed) {
-				return
-			}
-			continue // deadline tick
+			return // closed: the agent arms no read deadline
 		}
 		msg, err := stun.Decode(buf[:n])
 		if err != nil {
@@ -220,19 +196,28 @@ func (a *Agent) readLoop() {
 			resp := stun.BindingSuccess(msg.Tx, from)
 			a.pc.WriteToAddrPort(resp.Encode(), from)
 		case stun.TypeBindingSuccess:
-			if ch, ok := a.waiterFor(msg.Tx); ok {
-				select {
-				case ch <- msg.XORMappedAddress:
-				default:
-				}
-				continue
-			}
 			a.mu.Lock()
-			if remote, ok := a.pending[msg.Tx]; ok {
+			query := a.queries[msg.Tx]
+			remote, checked := a.pending[msg.Tx]
+			if checked {
 				delete(a.pending, msg.Tx)
 				a.succeeded[remote] = true
 			}
 			a.mu.Unlock()
+			switch {
+			case query != nil:
+				select {
+				case query <- msg.XORMappedAddress:
+				default:
+				}
+			case checked:
+				// Recorded before signalled, so the Check that takes the
+				// token always finds the answer it stands for.
+				select {
+				case a.answered <- struct{}{}:
+				default:
+				}
+			}
 		}
 	}
 }
@@ -240,7 +225,16 @@ func (a *Agent) readLoop() {
 // Check runs connectivity checks against the remote candidates and
 // returns the highest-priority remote candidate that answered. Both
 // peers must run Check concurrently (as real agents do) so that their
-// outbound packets open the NAT mappings the other side's checks need.
+// outbound packets open the NAT mappings the other side's checks need;
+// one agent runs one Check at a time.
+//
+// Every checkInterval the requests go out again — that is what punches
+// an address-restricted NAT, whose mapping opens only once the far side
+// has sent — and the end of each interval nominates the best candidate
+// that has answered by then. A candidate nothing outranks cannot lose
+// that comparison, so its answer ends the check at once instead of at
+// the interval's end; any other answer waits, because a better
+// candidate may still answer within the interval.
 func (a *Agent) Check(ctx context.Context, remotes []Candidate) (Candidate, error) {
 	if len(remotes) == 0 {
 		return Candidate{}, ErrNoCandidates
@@ -254,33 +248,55 @@ func (a *Agent) Check(ctx context.Context, remotes []Candidate) (Candidate, erro
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
+	var sent []stun.TxID
+	defer func() {
+		a.mu.Lock()
+		for _, tx := range sent {
+			delete(a.pending, tx)
+		}
+		a.mu.Unlock()
+	}()
+	retransmit := time.NewTicker(checkInterval)
+	defer retransmit.Stop()
 	for time.Now().Before(deadline) {
 		for _, rc := range ordered {
 			req := stun.BindingRequest(a.ufrag, rc.Priority)
 			a.mu.Lock()
 			a.pending[req.Tx] = rc.Addr
 			a.mu.Unlock()
-			a.pc.WriteToAddrPort(req.Encode(), rc.Addr)
-		}
-		select {
-		case <-time.After(50 * time.Millisecond):
-		case <-ctx.Done():
-			return Candidate{}, ctx.Err()
-		}
-		a.mu.Lock()
-		var best *Candidate
-		for i := range ordered {
-			if a.succeeded[ordered[i].Addr] {
-				best = &ordered[i]
-				break
+			sent = append(sent, req.Tx)
+			if _, err := a.pc.WriteToAddrPort(req.Encode(), rc.Addr); errors.Is(err, netsim.ErrClosed) {
+				return Candidate{}, ErrCheckFailed
 			}
 		}
-		a.mu.Unlock()
-		if best != nil {
-			return *best, nil
+		for ticked := false; !ticked; {
+			among := ordered[:1] // within the interval only the top candidate settles it
+			select {
+			case <-a.answered:
+			case <-retransmit.C:
+				ticked, among = true, ordered
+			case <-ctx.Done():
+				return Candidate{}, ctx.Err()
+			}
+			if best, ok := a.bestAnswered(among); ok {
+				return best, nil
+			}
 		}
 	}
 	return Candidate{}, ErrCheckFailed
+}
+
+// bestAnswered returns the first of the priority-ordered candidates
+// that has answered a check.
+func (a *Agent) bestAnswered(ordered []Candidate) (Candidate, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, c := range ordered {
+		if a.succeeded[c.Addr] {
+			return c, true
+		}
+	}
+	return Candidate{}, false
 }
 
 // LocalAddr returns the agent's bound socket address.
@@ -316,22 +332,17 @@ func priority(typePref, componentID uint32) uint32 {
 }
 
 // ServeSTUN runs a minimal STUN binding server on pc until the context
-// is cancelled; it reflects each request's observed source address.
+// is cancelled or pc is closed; it reflects each request's observed
+// source address. It blocks in the read: cancellation burns pc's read
+// deadline to wake it, so pc is of no further use to the caller.
 func ServeSTUN(ctx context.Context, pc *netsim.PacketConn) {
-	buf := make([]byte, 64<<10)
+	stop := context.AfterFunc(ctx, func() { pc.SetReadDeadline(time.Unix(1, 0)) })
+	defer stop()
+	buf := make([]byte, stun.MaxMessageSize)
 	for {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		pc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 		n, from, err := pc.ReadFromAddrPort(buf)
 		if err != nil {
-			if errors.Is(err, netsim.ErrClosed) {
-				return
-			}
-			continue
+			return
 		}
 		msg, err := stun.Decode(buf[:n])
 		if err != nil || msg.Type != stun.TypeBindingRequest {

@@ -26,6 +26,13 @@ const MagicCookie uint32 = 0x2112A442
 // headerLen is the fixed STUN header size.
 const headerLen = 20
 
+// MaxMessageSize is the read-buffer size for a STUN socket. RFC 8489 §6.1
+// keeps a message under the path MTU so that it is never fragmented, and
+// 1500 bytes is the largest MTU the testbed models. A longer datagram
+// read into a buffer this size is cut short, and Decode rejects it as
+// truncated.
+const MaxMessageSize = 1500
+
 // cookieBytes is MagicCookie in network byte order, used for XOR coding.
 var cookieBytes = [4]byte{0x21, 0x12, 0xA4, 0x42}
 
