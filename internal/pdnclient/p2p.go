@@ -324,34 +324,78 @@ func (p *Peer) maintainNeighbors(ctx context.Context) {
 		return
 	}
 	for _, info := range peers {
-		p.mu.Lock()
-		_, connected := p.neighbors[info.ID]
-		offering := p.offering[info.ID]
-		n := len(p.neighbors)
-		if !connected && !offering && n < pol.MaxNeighbors {
-			p.offering[info.ID] = true
+		if p.NeighborCount() < pol.MaxNeighbors {
+			p.connectTo(ctx, info) // a no-op for a peer that is already a neighbor
 		}
-		p.mu.Unlock()
-		if connected || offering || n >= pol.MaxNeighbors {
-			continue
+	}
+}
+
+// attempt is one connection attempt in flight with a peer, in either
+// role. Peer.attempts holds it from beginAttempt to endAttempt, which is
+// what lets an event elsewhere — the peer became a neighbor, the server
+// reported it gone, this peer is tearing down — end it at once instead
+// of leaving it to run out connectTimeout.
+type attempt struct {
+	peerID string
+	cancel context.CancelFunc
+	// answer receives the peer's answer to our offer; nil on the
+	// responder side.
+	answer chan signal.ConnectOffer
+}
+
+// beginAttempt opens a connection attempt with the peer: it derives the
+// attempt's context, bounded by connectTimeout, and registers it. It
+// returns nil when the attempt is moot — the peer is already a
+// neighbor, or this peer is tearing down. The neighbor check and the
+// registration share one critical section with addNeighbor's settling,
+// so a connection registered at any point either stops the attempt here
+// or cancels it.
+func (p *Peer) beginAttempt(parent context.Context, peerID string, initiator bool) (context.Context, *attempt) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, connected := p.neighbors[peerID]; connected || p.draining {
+		return nil, nil
+	}
+	ctx, cancel := context.WithTimeout(parent, connectTimeout)
+	a := &attempt{peerID: peerID, cancel: cancel}
+	if initiator {
+		a.answer = make(chan signal.ConnectOffer, 1)
+	}
+	p.attempts[a] = struct{}{}
+	return ctx, a
+}
+
+// endAttempt closes an attempt beginAttempt opened.
+func (p *Peer) endAttempt(a *attempt) {
+	a.cancel()
+	p.mu.Lock()
+	delete(p.attempts, a)
+	p.mu.Unlock()
+}
+
+// settleAttemptsLocked cancels every attempt in flight with the peer;
+// each is unregistered by its own endAttempt as it returns. Caller
+// holds p.mu — cancelling runs no code of ours, whoever watches the
+// context wakes on its own goroutine.
+func (p *Peer) settleAttemptsLocked(peerID string) {
+	for a := range p.attempts {
+		if a.peerID == peerID {
+			a.cancel()
 		}
-		p.connectTo(ctx, info)
 	}
 }
 
 // connectTo runs the initiator side: offer → answer → ICE → punch →
 // DTLS client (or a TURN-relayed flow when configured).
 func (p *Peer) connectTo(ctx context.Context, info signal.PeerInfo) {
-	defer func() {
-		p.mu.Lock()
-		delete(p.offering, info.ID)
-		p.mu.Unlock()
-	}()
-	cctx, cancel := context.WithTimeout(ctx, connectTimeout)
-	defer cancel()
+	cctx, att := p.beginAttempt(ctx, info.ID, true)
+	if att == nil {
+		return
+	}
+	defer p.endAttempt(att)
 
 	if p.cfg.TURNAddr.IsValid() {
-		p.connectViaTURN(cctx, info.ID, info.Fingerprint, info.StaticKey, true)
+		p.connectViaTURN(cctx, info.ID, info.Fingerprint, info.StaticKey, att.answer)
 		return
 	}
 
@@ -365,7 +409,6 @@ func (p *Peer) connectTo(ctx context.Context, info signal.PeerInfo) {
 		return
 	}
 
-	answerCh := p.expectAnswer(info.ID)
 	p.mu.Lock()
 	sig := p.sig
 	p.mu.Unlock()
@@ -382,12 +425,9 @@ func (p *Peer) connectTo(ctx context.Context, info signal.PeerInfo) {
 
 	var answer signal.ConnectOffer
 	select {
-	case answer = <-answerCh:
-		if answer.Fingerprint == "" {
-			return // target vanished before answering
-		}
+	case answer = <-att.answer:
 	case <-cctx.Done():
-		return
+		return // timed out, or settled: no answer is coming
 	}
 
 	nom, err := agent.Check(cctx, answer.Candidates)
@@ -506,9 +546,13 @@ func (p *Peer) handleRelay(rel signal.Relay) {
 		if err := json.Unmarshal(rel.Payload, &answer); err != nil {
 			return
 		}
+		var ch chan signal.ConnectOffer
 		p.mu.Lock()
-		ch := p.answerWaiters[rel.From]
-		delete(p.answerWaiters, rel.From)
+		for a := range p.attempts {
+			if a.peerID == rel.From && a.answer != nil {
+				ch = a.answer
+			}
+		}
 		p.mu.Unlock()
 		if ch != nil {
 			select {
@@ -519,13 +563,14 @@ func (p *Peer) handleRelay(rel signal.Relay) {
 	}
 }
 
-// onPeerGone handles a server departure notice: abort any pending
-// connect attempt at the vanished peer, and evict it from the neighbor
-// set so segment requests stop routing to a dead connection before the
+// onPeerGone handles a server departure notice: end any connection
+// attempt with the vanished peer — no burning the full connect timeout
+// on churned-out candidates — and evict it from the neighbor set so
+// segment requests stop routing to a dead connection before the
 // transport notices on its own.
 func (p *Peer) onPeerGone(peerID string) {
-	p.abortAnswerWait(peerID)
 	p.mu.Lock()
+	p.settleAttemptsLocked(peerID)
 	nb := p.neighbors[peerID]
 	p.mu.Unlock()
 	if nb != nil {
@@ -533,37 +578,12 @@ func (p *Peer) onPeerGone(peerID string) {
 	}
 }
 
-// abortAnswerWait wakes a pending connect attempt whose target the
-// server reported gone. Closing the waiter delivers a zero
-// ConnectOffer, which the initiator treats as "peer vanished" — no
-// more burning the full connect timeout on churned-out candidates.
-func (p *Peer) abortAnswerWait(peerID string) {
-	p.mu.Lock()
-	ch := p.answerWaiters[peerID]
-	delete(p.answerWaiters, peerID)
-	p.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
-}
-
-// expectAnswer registers a waiter for the peer's answer.
-func (p *Peer) expectAnswer(from string) chan signal.ConnectOffer {
-	ch := make(chan signal.ConnectOffer, 1)
-	p.mu.Lock()
-	if p.answerWaiters == nil {
-		p.answerWaiters = make(map[string]chan signal.ConnectOffer)
-	}
-	p.answerWaiters[from] = ch
-	p.mu.Unlock()
-	return ch
-}
-
 // connectViaTURN establishes the P2P transport through the TURN relay:
 // both peers dial the relay with a room derived from their IDs, then
 // run the transport handshake over the bridged stream. No addresses
-// are exchanged.
-func (p *Peer) connectViaTURN(ctx context.Context, peerID, theirFP, theirKey string, initiator bool) {
+// are exchanged. The initiator passes the channel its attempt receives
+// the answer on; the responder passes nil.
+func (p *Peer) connectViaTURN(ctx context.Context, peerID, theirFP, theirKey string, answerCh chan signal.ConnectOffer) {
 	p.mu.Lock()
 	sig := p.sig
 	myID := p.peerID
@@ -571,8 +591,8 @@ func (p *Peer) connectViaTURN(ctx context.Context, peerID, theirFP, theirKey str
 	if sig == nil {
 		return
 	}
+	initiator := answerCh != nil
 	if initiator {
-		answerCh := p.expectAnswer(peerID)
 		if err := sig.RelayCtx(ctx, peerID, signal.RelayOffer, signal.ConnectOffer{
 			Fingerprint: p.identity.Fingerprint(),
 			StaticKey:   p.StaticKeyHex(),
@@ -581,9 +601,6 @@ func (p *Peer) connectViaTURN(ctx context.Context, peerID, theirFP, theirKey str
 		}
 		select {
 		case answer := <-answerCh:
-			if answer.Fingerprint == "" {
-				return // target vanished before answering
-			}
 			theirFP = answer.Fingerprint
 			if theirKey == "" {
 				theirKey = answer.StaticKey
@@ -613,18 +630,28 @@ func (p *Peer) connectViaTURN(ctx context.Context, peerID, theirFP, theirKey str
 // continues it, landing this peer's handshake work in the initiator's
 // connection-setup trace.
 func (p *Peer) answerOffer(from string, offer signal.ConnectOffer, trace string) {
+	// An offer that beats the end of our own join must wait for it, not
+	// be dropped: the initiator would sit out connectTimeout.
+	select {
+	case <-p.admitted:
+	case <-p.closed:
+		return
+	}
 	p.mu.Lock()
-	_, connected := p.neighbors[from]
 	sig := p.sig
 	runCtx := p.runCtx
 	p.mu.Unlock()
-	if connected || sig == nil || runCtx == nil {
+	if sig == nil || runCtx == nil {
 		return
 	}
+	cctx, att := p.beginAttempt(runCtx, from, false)
+	if att == nil {
+		return // already connected: the offer goes unanswered
+	}
+	defer p.endAttempt(att)
 	aspan := p.cfg.Tracer.StartSpanRemote(trace, "p2p_answer", obs.A("from", from))
 	defer aspan.End()
-	cctx, cancel := context.WithTimeout(obs.ContextWithSpan(runCtx, aspan), connectTimeout)
-	defer cancel()
+	cctx = obs.ContextWithSpan(cctx, aspan)
 
 	if p.cfg.TURNAddr.IsValid() {
 		if err := sig.RelayCtx(cctx, from, signal.RelayAnswer, signal.ConnectOffer{
@@ -633,7 +660,7 @@ func (p *Peer) answerOffer(from string, offer signal.ConnectOffer, trace string)
 		}); err != nil {
 			return
 		}
-		p.connectViaTURN(cctx, from, offer.Fingerprint, offer.StaticKey, false)
+		p.connectViaTURN(cctx, from, offer.Fingerprint, offer.StaticKey, nil)
 		return
 	}
 
@@ -700,6 +727,13 @@ func (p *Peer) secureConfig(expectedKey string) secure.ChannelConfig {
 }
 
 // addNeighbor registers an established connection and starts its loop.
+//
+// Two peers can offer to each other at once, and each then runs an
+// initiator and a responder attempt with the other. The first
+// connection to register wins, and registering it settles every other
+// attempt with that peer: an initiator still waiting for its answer
+// will not get one (the far side, connected, drops the offer), and a
+// responder waiting in Punch has lost its initiator the same way.
 func (p *Peer) addNeighbor(id string, conn p2pConn) {
 	nb := newNeighbor(id, conn, p)
 	p.mu.Lock()
@@ -715,6 +749,7 @@ func (p *Peer) addNeighbor(id string, conn p2pConn) {
 	p.neighbors[id] = nb
 	p.allNeighbors[id] = true
 	n := len(p.neighbors)
+	p.settleAttemptsLocked(id)
 	p.wg.Add(1)
 	p.mu.Unlock()
 	if p.cfg.Meter != nil {

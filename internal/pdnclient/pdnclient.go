@@ -226,15 +226,14 @@ type Peer struct {
 	// handshake it runs.
 	voucher string
 
-	mu            sync.Mutex
-	runCtx        context.Context // the active Run's context; answers derive from it
-	neighbors     map[string]*neighbor
-	offering      map[string]bool
-	answerWaiters map[string]chan signal.ConnectOffer
-	cache         *segmentCache
-	stats         Stats
-	reported      signal.Stats // last usage values already sent upstream
-	played        map[int]bool
+	mu        sync.Mutex
+	runCtx    context.Context // the active Run's context; answers derive from it
+	neighbors map[string]*neighbor
+	attempts  map[*attempt]struct{} // connection attempts in flight
+	cache     *segmentCache
+	stats     Stats
+	reported  signal.Stats // last usage values already sent upstream
+	played    map[int]bool
 	// expectedSegBytes is derived from the master playlist's declared
 	// bandwidth × the media playlist's target duration. P2P segments
 	// deviating wildly from it are rejected as inconsistent — the
@@ -260,6 +259,12 @@ type Peer struct {
 	lastStallTrace string
 
 	closed chan struct{}
+	// admitted is closed once the first join has stored its session
+	// (sig, peerID, policy, voucher). The matcher advertises a peer from
+	// the moment it welcomes it, so an offer can arrive while the welcome
+	// is still on its way into these fields; answerOffer waits for it.
+	admitted  chan struct{}
+	admitOnce sync.Once
 	// lingerStop ends the linger phase; its own channel rather than
 	// closed, so StopLinger before playback finishes only skips the
 	// linger instead of shutting the reconnect loop down mid-stream.
@@ -296,10 +301,11 @@ func New(cfg Config) (*Peer, error) {
 		},
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		neighbors:    make(map[string]*neighbor),
-		offering:     make(map[string]bool),
+		attempts:     make(map[*attempt]struct{}),
 		played:       make(map[int]bool),
 		allNeighbors: make(map[string]bool),
 		closed:       make(chan struct{}),
+		admitted:     make(chan struct{}),
 		lingerStop:   make(chan struct{}),
 	}
 	seeds := cfg.SignalAddrs
@@ -526,6 +532,7 @@ func (p *Peer) join(ctx context.Context) error {
 	p.policy = w.Policy
 	p.voucher = w.Voucher
 	p.mu.Unlock()
+	p.admitOnce.Do(func() { close(p.admitted) })
 	if old != nil {
 		old.Close()
 	}
@@ -1040,6 +1047,12 @@ func (p *Peer) teardown() {
 	nbs := make([]*neighbor, 0, len(p.neighbors))
 	for _, nb := range p.neighbors {
 		nbs = append(nbs, nb)
+	}
+	// An answer in flight runs under the Run context, which teardown does
+	// not end: cancelled here, it cannot hold Wait below for what is left
+	// of connectTimeout.
+	for a := range p.attempts {
+		a.cancel()
 	}
 	p.mu.Unlock()
 	for _, nb := range nbs {
