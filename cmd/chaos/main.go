@@ -96,7 +96,10 @@ var specs = map[string]spec{
 	"polluted_wire": {
 		about: "corrupt one viewer's entire uplink; no polluted bytes may be cached",
 		cfg: func(seed int64, viewers, segments int) chaos.SwarmConfig {
-			return chaos.SwarmConfig{Viewers: viewers, Segments: segments, Seed: seed, HashManifest: true}
+			// Left at the harness's 2ms pace: stretched across the window,
+			// the sick viewer's own CDN fetches corrupt mid-response and
+			// each sits out the 10s HTTP timeout.
+			return chaos.SwarmConfig{Viewers: viewers, Segments: segments, Seed: seed, Pace: 2 * time.Millisecond, HashManifest: true}
 		},
 		sc: func() chaos.Scenario {
 			return chaos.PollutedWire(20*time.Millisecond, 120*time.Millisecond, "viewer-00")
@@ -168,9 +171,7 @@ var specs = map[string]spec{
 	},
 	"free_rider_wave": {
 		about: "a leech-farm wave drains the swarm and honest members churn; upload fairness keeps a floor",
-		cfg: func(seed int64, viewers, segments int) chaos.SwarmConfig {
-			return chaos.SwarmConfig{Viewers: viewers, Segments: segments, Seed: seed}
-		},
+		cfg:   plainConfig,
 		sc: func() chaos.Scenario {
 			return chaos.FreeRiderWave(10*time.Millisecond, 8, 60*time.Millisecond, 0.25)
 		},
@@ -299,7 +300,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "chaos: scenario=%s seed=%d viewers=%d segments=%d servers=%d\n",
 		*scenario, *seed, *viewers, *segments, *servers)
 
+	sc := sp.sc()
 	cfg := sp.cfg(*seed, *viewers, *segments)
+	if cfg.Pace == 0 {
+		// A fault that lands after playback has finished tests nothing, and
+		// how long unpaced playback takes is whatever connects and fetches
+		// happen to cost: size the session by the schedule instead.
+		cfg.Pace = sc.PaceToOutlast(*segments)
+	}
 	cfg.Shards = *shards
 	cfg.Servers = *servers
 	var traces *obs.TraceSet
@@ -307,7 +315,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		traces = obs.NewTraceSet(nil, *seed)
 		cfg.Traces = traces
 	}
-	res, err := chaos.RunScenario(ctx, cfg, sp.sc())
+	res, err := chaos.RunScenario(ctx, cfg, sc)
 	// The trace capture is written even for failed runs — a violation's
 	// trace ID is only useful if the JSONL it points into survives.
 	if traces != nil {

@@ -95,12 +95,14 @@ func TestSpawnWithoutDriverFails(t *testing.T) {
 // honest playback completes. Ten viewers give the geo-matching profile
 // enough country overlap for an honest grant baseline.
 func TestScenarioSybilFlood(t *testing.T) {
+	sc := SybilFlood(10*time.Millisecond, 24)
 	res, err := RunScenario(context.Background(), SwarmConfig{
 		Viewers:  10,
 		Segments: 4,
 		Seed:     *chaosSeed,
+		Pace:     sc.PaceToOutlast(4),
 		Profile:  "hardened",
-	}, SybilFlood(10*time.Millisecond, 24))
+	}, sc)
 	if err != nil {
 		t.Fatalf("seed=%d: %v", *chaosSeed, err)
 	}
@@ -120,12 +122,13 @@ func TestScenarioSybilFlood(t *testing.T) {
 // accept every connection and serve nothing. Matcher integrity must
 // hold: every honest survivor keeps at least one non-colluder neighbor.
 func TestScenarioEclipseMatcher(t *testing.T) {
+	sc := EclipseMatcher(15*time.Millisecond, 6)
 	res, err := RunScenario(context.Background(), SwarmConfig{
 		Viewers:  4,
 		Segments: 4,
 		Seed:     *chaosSeed,
-		Pace:     20 * time.Millisecond,
-	}, EclipseMatcher(15*time.Millisecond, 6))
+		Pace:     sc.PaceToOutlast(4),
+	}, sc)
 	if err != nil {
 		t.Fatalf("seed=%d: %v", *chaosSeed, err)
 	}
@@ -146,11 +149,13 @@ func TestScenarioEclipseMatcher(t *testing.T) {
 // must hold — the farm downloads without uploading, but honest peers
 // still share load sanely.
 func TestScenarioFreeRiderWave(t *testing.T) {
+	sc := FreeRiderWave(10*time.Millisecond, 6, 60*time.Millisecond, 0.25)
 	res, err := RunScenario(context.Background(), SwarmConfig{
 		Viewers:  5,
 		Segments: 4,
 		Seed:     *chaosSeed,
-	}, FreeRiderWave(10*time.Millisecond, 6, 60*time.Millisecond, 0.25))
+		Pace:     sc.PaceToOutlast(4), // the churn must find the swarm still playing
+	}, sc)
 	if err != nil {
 		t.Fatalf("seed=%d: %v", *chaosSeed, err)
 	}
@@ -164,16 +169,22 @@ func TestScenarioFreeRiderWave(t *testing.T) {
 // TestScenarioFlashCrowdLive points a join storm at a live stream: two
 // waves of honest joiners tune in at the live edge while the original
 // viewers chase the sliding window. The p99 live-edge lag must stay
-// bounded.
+// bounded. A live session is sized by the window, not the pace: six
+// segments take six slides of liveSegDur, which must outlast the waves.
 func TestScenarioFlashCrowdLive(t *testing.T) {
+	const segments = 6
+	sc := FlashCrowdLive(10*time.Millisecond, 30*time.Millisecond, 2, 6)
+	if session := time.Duration(segments * liveSegDur * float64(time.Second)); session < outlastFactor*sc.Span() {
+		t.Fatalf("a %v live session does not outlast the %v schedule", session, sc.Span())
+	}
 	res, err := RunScenario(context.Background(), SwarmConfig{
 		Viewers:  4,
-		Segments: 6,
+		Segments: segments,
 		Seed:     *chaosSeed,
 		Pace:     5 * time.Millisecond,
 		Live:     true,
 		VideoID:  "chaos-live",
-	}, FlashCrowdLive(10*time.Millisecond, 30*time.Millisecond, 2, 6))
+	}, sc)
 	if err != nil {
 		t.Fatalf("seed=%d: %v", *chaosSeed, err)
 	}
@@ -300,13 +311,15 @@ const profileSeed = 20260805
 // load-independent and must see the whole mill everywhere.
 func TestHardenedContainsSybilMill(t *testing.T) {
 	shares := make(map[string]float64)
+	sc := SybilFlood(10*time.Millisecond, 24)
 	for _, profile := range []string{"peer5", "streamroot", "hardened"} {
 		res, err := RunScenario(context.Background(), SwarmConfig{
 			Viewers:  10,
 			Segments: 4,
 			Seed:     profileSeed,
+			Pace:     sc.PaceToOutlast(4),
 			Profile:  profile,
-		}, SybilFlood(10*time.Millisecond, 24))
+		}, sc)
 		if err != nil {
 			t.Fatalf("%s seed=%d: %v", profile, int64(profileSeed), err)
 		}
@@ -340,14 +353,15 @@ func TestHardenedContainsSybilMill(t *testing.T) {
 func TestHardenedKeepsLeechFarmFairness(t *testing.T) {
 	const fairnessBound = 0.25
 	jains := make(map[string]float64)
+	sc := FreeRiderWave(10*time.Millisecond, 32, 0, 0)
 	for _, profile := range []string{"peer5", "streamroot", "hardened"} {
 		res, err := RunScenario(context.Background(), SwarmConfig{
 			Viewers:  10,
 			Segments: 8,
 			Seed:     profileSeed,
-			Pace:     5 * time.Millisecond,
+			Pace:     sc.PaceToOutlast(8),
 			Profile:  profile,
-		}, FreeRiderWave(10*time.Millisecond, 32, 0, 0))
+		}, sc)
 		if err != nil {
 			t.Fatalf("%s seed=%d: %v", profile, int64(profileSeed), err)
 		}

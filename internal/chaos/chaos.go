@@ -260,6 +260,31 @@ func FlashCrowdLive(start, interval time.Duration, waves, perWave int) Scenario 
 	return Scenario{Name: "flash_crowd_live", Steps: steps}
 }
 
+// Span is the offset of the scenario's last step: how long the schedule
+// takes to unfold on the scenario clock.
+func (sc Scenario) Span() time.Duration {
+	var last time.Duration
+	for _, st := range sc.Steps {
+		last = max(last, st.At)
+	}
+	return last
+}
+
+// PaceToOutlast returns the inter-segment delay at which a viewer
+// playing the given number of segments outlasts the schedule with room
+// to react: its paced time alone is outlastFactor spans, however little
+// the fetches and connects between the delays cost. A behavioral band
+// (a mill, a colluder pool, a leech farm) is only measured by what the
+// honest swarm does after it arrives, so a session must not be sized by
+// what a connect happens to cost.
+func (sc Scenario) PaceToOutlast(segments int) time.Duration {
+	return (outlastFactor*sc.Span() + time.Duration(segments) - 1) / time.Duration(segments)
+}
+
+// outlastFactor is how many schedule spans a PaceToOutlast session
+// lasts: the last step lands in its first quarter.
+const outlastFactor = 4
+
 // Validate rejects malformed steps before a run starts (probabilities
 // out of range, missing targets, negative offsets).
 func (sc Scenario) Validate() error {

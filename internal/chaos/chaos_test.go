@@ -175,11 +175,13 @@ func requireInvariants(t *testing.T, inv Invariants, res *Result) {
 // TestScenarioPeerChurn kills 40%% of the swarm mid-playback. The
 // survivors must evict dead neighbors and finish clean off the CDN.
 func TestScenarioPeerChurn(t *testing.T) {
+	sc := PeerChurn(25*time.Millisecond, 0.4)
 	res, err := RunScenario(context.Background(), SwarmConfig{
 		Viewers:  5,
 		Segments: 5,
 		Seed:     *chaosSeed,
-	}, PeerChurn(25*time.Millisecond, 0.4))
+		Pace:     sc.PaceToOutlast(5),
+	}, sc)
 	if err != nil {
 		t.Fatalf("seed=%d: %v", *chaosSeed, err)
 	}
@@ -199,11 +201,13 @@ func TestScenarioPeerChurn(t *testing.T) {
 // re-join after the heal); late joiners degrade to plain CDN viewers.
 // Playback must complete either way.
 func TestScenarioSignalPartition(t *testing.T) {
+	sc := SignalPartition(20*time.Millisecond, 150*time.Millisecond)
 	res, err := RunScenario(context.Background(), SwarmConfig{
 		Viewers:  4,
 		Segments: 5,
 		Seed:     *chaosSeed,
-	}, SignalPartition(20*time.Millisecond, 150*time.Millisecond))
+		Pace:     sc.PaceToOutlast(5),
+	}, sc)
 	if err != nil {
 		t.Fatalf("seed=%d: %v", *chaosSeed, err)
 	}
@@ -222,11 +226,13 @@ func TestScenarioSignalPartition(t *testing.T) {
 // playback leans on swarm caches and the slow origin and must still
 // complete without hard stalls.
 func TestScenarioCDNBrownout(t *testing.T) {
+	sc := CDNBrownout(15*time.Millisecond, 100*time.Millisecond, 10*time.Millisecond, 512<<10)
 	res, err := RunScenario(context.Background(), SwarmConfig{
 		Viewers:  4,
 		Segments: 5,
 		Seed:     *chaosSeed,
-	}, CDNBrownout(15*time.Millisecond, 100*time.Millisecond, 10*time.Millisecond, 512<<10))
+		Pace:     sc.PaceToOutlast(5),
+	}, sc)
 	if err != nil {
 		t.Fatalf("seed=%d: %v", *chaosSeed, err)
 	}
@@ -241,7 +247,8 @@ func TestScenarioCDNBrownout(t *testing.T) {
 // TestScenarioPollutedWire corrupts everything one viewer sends. DTLS
 // authentication turns the corruption into dead connections, so the
 // swarm must evict and fall back — and no corrupt bytes may ever
-// surface in a cache.
+// surface in a cache. (Left at the harness's 2ms pace rather than
+// PaceToOutlast: see docs/chaos.md, "Sizing the session".)
 func TestScenarioPollutedWire(t *testing.T) {
 	res, err := RunScenario(context.Background(), SwarmConfig{
 		Viewers:      4,
