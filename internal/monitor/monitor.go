@@ -65,7 +65,8 @@ func DefaultCostModel() CostModel {
 
 // Meter accumulates one peer's work. All methods are safe for
 // concurrent use; the On* methods are designed to be plugged into
-// dtls.Config and the SDK's fetch paths.
+// dtls.Config and the SDK's fetch paths. The recording methods (On*,
+// Set*) are nil-safe, so an unmetered peer calls them unguarded.
 type Meter struct {
 	model CostModel
 	host  *netsim.Host // optional: real NIC counters
@@ -88,28 +89,60 @@ func NewMeter(model CostModel, host *netsim.Host) *Meter {
 }
 
 // OnPlayback records video bytes decoded for playback.
-func (m *Meter) OnPlayback(n int) { m.playBytes.Add(int64(n)) }
+func (m *Meter) OnPlayback(n int) {
+	if m != nil {
+		m.playBytes.Add(int64(n))
+	}
+}
 
 // OnEncrypt records plaintext bytes encrypted (DTLS send path).
-func (m *Meter) OnEncrypt(n int) { m.encryptBytes.Add(int64(n)) }
+func (m *Meter) OnEncrypt(n int) {
+	if m != nil {
+		m.encryptBytes.Add(int64(n))
+	}
+}
 
 // OnDecrypt records plaintext bytes decrypted (DTLS receive path).
-func (m *Meter) OnDecrypt(n int) { m.decryptBytes.Add(int64(n)) }
+func (m *Meter) OnDecrypt(n int) {
+	if m != nil {
+		m.decryptBytes.Add(int64(n))
+	}
+}
 
 // OnHash records bytes hashed for integrity metadata.
-func (m *Meter) OnHash(n int) { m.hashBytes.Add(int64(n)) }
+func (m *Meter) OnHash(n int) {
+	if m != nil {
+		m.hashBytes.Add(int64(n))
+	}
+}
 
 // OnHTTP records bytes moved over plain HTTP (CDN path).
-func (m *Meter) OnHTTP(n int) { m.httpBytes.Add(int64(n)) }
+func (m *Meter) OnHTTP(n int) {
+	if m != nil {
+		m.httpBytes.Add(int64(n))
+	}
+}
 
 // SetCacheBytes sets the current segment-cache footprint.
-func (m *Meter) SetCacheBytes(n int64) { m.cacheBytes.Store(n) }
+func (m *Meter) SetCacheBytes(n int64) {
+	if m != nil {
+		m.cacheBytes.Store(n)
+	}
+}
 
 // SetNeighbors sets the current P2P connection count.
-func (m *Meter) SetNeighbors(n int) { m.neighbors.Store(int64(n)) }
+func (m *Meter) SetNeighbors(n int) {
+	if m != nil {
+		m.neighbors.Store(int64(n))
+	}
+}
 
 // SetPDNLoaded marks the PDN SDK as active (adds its fixed footprint).
-func (m *Meter) SetPDNLoaded(v bool) { m.pdnLoaded.Store(v) }
+func (m *Meter) SetPDNLoaded(v bool) {
+	if m != nil {
+		m.pdnLoaded.Store(v)
+	}
+}
 
 // Usage is a snapshot of cumulative work and current footprint.
 type Usage struct {

@@ -9,21 +9,40 @@ import (
 )
 
 func TestMeterAccumulates(t *testing.T) {
-	m := NewMeter(DefaultCostModel(), nil)
-	m.OnPlayback(1000)
-	m.OnEncrypt(100)
-	m.OnDecrypt(200)
-	m.OnHash(300)
-	m.OnHTTP(400)
-	u := m.Snapshot()
-	if u.PlayBytes != 1000 || u.EncryptBytes != 100 || u.DecryptBytes != 200 || u.HashBytes != 300 || u.HTTPBytes != 400 {
-		t.Fatalf("counters %+v", u)
-	}
 	model := DefaultCostModel()
-	want := 1000*model.PlayPerByte + 100*model.EncryptPerByte + 200*model.DecryptPerByte +
-		300*model.HashPerByte + 400*model.HTTPPerByte
-	if u.CPUUnits != want {
-		t.Fatalf("CPUUnits = %v, want %v", u.CPUUnits, want)
+	for _, tc := range []struct {
+		name  string
+		meter *Meter // nil: an unmetered peer's recording calls are no-ops
+	}{
+		{"metered", NewMeter(model, nil)},
+		{"nil_receiver", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.meter
+			m.OnPlayback(1000)
+			m.OnEncrypt(100)
+			m.OnDecrypt(200)
+			m.OnHash(300)
+			m.OnHTTP(400)
+			m.SetCacheBytes(1 << 20)
+			m.SetNeighbors(2)
+			m.SetPDNLoaded(true)
+			if m == nil {
+				return // nothing to read back: not panicking is the property
+			}
+			u := m.Snapshot()
+			if u.PlayBytes != 1000 || u.EncryptBytes != 100 || u.DecryptBytes != 200 || u.HashBytes != 300 || u.HTTPBytes != 400 {
+				t.Fatalf("counters %+v", u)
+			}
+			want := 1000*model.PlayPerByte + 100*model.EncryptPerByte + 200*model.DecryptPerByte +
+				300*model.HashPerByte + 400*model.HTTPPerByte
+			if u.CPUUnits != want {
+				t.Fatalf("CPUUnits = %v, want %v", u.CPUUnits, want)
+			}
+			if wantMem := model.BaseMemBytes + model.PDNMemBytes + 1<<20 + 2*model.PerNeighborMemBytes; u.MemBytes != wantMem {
+				t.Fatalf("MemBytes = %d, want %d", u.MemBytes, wantMem)
+			}
+		})
 	}
 }
 

@@ -82,11 +82,7 @@ func TestReconnectReResolvesBootstrapList(t *testing.T) {
 		<-done
 	})
 
-	peerID := func() string {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.peerID
-	}
+	peerID := p.ID
 	deadline := time.Now().Add(30 * time.Second)
 	for peerID() == "" {
 		if time.Now().After(deadline) {

@@ -2,66 +2,57 @@ package pdnclient
 
 import (
 	"context"
-	"crypto/ed25519"
-	"encoding/hex"
 
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
-// reportIM submits integrity metadata for a CDN-fetched segment — the
-// client half of the §V-B peer-assisted integrity-checking defense. A
-// peer only ever reports IMs for segments it downloaded directly from
-// the CDN; P2P-delivered segments are verified instead.
-func (p *Peer) reportIM(key media.SegmentKey, data []byte) {
-	p.mu.Lock()
-	sig := p.sig
-	p.mu.Unlock()
-	if sig == nil {
-		return
-	}
-	if p.cfg.Meter != nil {
-		p.cfg.Meter.OnHash(len(data))
-	}
-	sig.ReportIM(signal.IMReport{Key: key, Hash: media.IMHash(key, data)})
+// imHash computes a segment's integrity-metadata hash. Every hash the
+// peer computes goes through here, so the meter is charged once each.
+func (p *Peer) imHash(key media.SegmentKey, data []byte) string {
+	p.cfg.Meter.OnHash(len(data))
+	return media.IMHash(key, data)
 }
 
-// manifestKey parses the policy's hex ed25519 manifest verification
-// key, or nil when the provider signs no manifests.
-func (p *Peer) manifestKey() ed25519.PublicKey {
-	hexKey := p.Policy().ManifestPubKey
-	if hexKey == "" {
-		return nil
+// verifySegment runs the integrity checks the segment's source and the
+// session's policy call for. It returns "" when the segment passes them
+// (or none applies), otherwise why it was rejected.
+//
+// A P2P segment is checked against the server-signed integrity metadata
+// when the policy requires IM checking, then against the CDN-served hash
+// list when VerifyHashManifest loaded one; a CDN segment against the SIM
+// when the provider signs manifests. A segment with no SIM established
+// yet is rejected, forcing the CDN fallback whose IM report establishes
+// it; and when the session carries a manifest verification key the SIM's
+// signature must check out too — a compromised or impersonated server
+// cannot then forge hashes.
+func (p *Peer) verifySegment(ctx context.Context, s *session, key media.SegmentKey, data []byte, source string) string {
+	checkSIM := s.policy.RequireIMChecking
+	if source == SourceCDN {
+		checkSIM = s.policy.ManifestPubKey != ""
 	}
-	raw, err := hex.DecodeString(hexKey)
-	if err != nil || len(raw) != ed25519.PublicKeySize {
-		return nil
+	if checkSIM && !p.cfg.InsecureNoVerify {
+		if s.sig == nil {
+			return "no_sim"
+		}
+		resp, err := s.sig.GetSIM(ctx, signal.GetSIM{Key: key})
+		switch {
+		case err != nil || !resp.Found:
+			return "no_sim"
+		case s.manifestKey != nil && !media.VerifySIM(s.manifestKey, key, resp.Hash, resp.Sig):
+			return "bad_sim_signature"
+		case p.imHash(key, data) != resp.Hash:
+			return "sim_mismatch"
+		}
 	}
-	return ed25519.PublicKey(raw)
-}
-
-// verifySIM checks a segment against the server-signed integrity
-// metadata. Unverifiable segments (no SIM established yet) are
-// rejected, forcing CDN fallback — which in turn produces the IM
-// report that establishes the SIM. When the policy carries a manifest
-// verification key, the SIM's ed25519 signature must also check out —
-// a compromised or impersonated server cannot then forge hashes.
-func (p *Peer) verifySIM(ctx context.Context, key media.SegmentKey, data []byte) bool {
-	p.mu.Lock()
-	sig := p.sig
-	p.mu.Unlock()
-	if sig == nil {
-		return false
+	if source == SourceP2P && p.cfg.VerifyHashManifest {
+		p.mu.Lock()
+		hashes := p.hashManifest
+		p.mu.Unlock()
+		// No list: the CDN serves none (a live asset, an older CDN).
+		if want, listed := hashes[key.String()]; hashes != nil && (!listed || p.imHash(key, data) != want) {
+			return "hash_list_mismatch"
+		}
 	}
-	resp, err := sig.GetSIM(ctx, signal.GetSIM{Key: key})
-	if err != nil || !resp.Found {
-		return false
-	}
-	if pub := p.manifestKey(); pub != nil && !media.VerifySIM(pub, key, resp.Hash, resp.Sig) {
-		return false
-	}
-	if p.cfg.Meter != nil {
-		p.cfg.Meter.OnHash(len(data))
-	}
-	return media.IMHash(key, data) == resp.Hash
+	return ""
 }

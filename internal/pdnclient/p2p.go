@@ -193,7 +193,7 @@ func (nb *neighbor) serve(key media.SegmentKey, trace string) {
 	p := nb.peer
 	span := p.cfg.Tracer.StartSpanRemote(trace, "p2p_serve",
 		obs.A("neighbor", nb.id), obs.A("idx", key.Index))
-	pol := p.Policy()
+	pol := &p.session().policy
 	resp := p2pMsg{Op: "segment", Key: key}
 	var payload []byte
 	uploadAllowed := !p.cfg.Cellular || pol.CellularUpload
@@ -310,22 +310,19 @@ func (p *Peer) gatherCandidates(ctx context.Context) ([]ice.Candidate, error) {
 }
 
 // maintainNeighbors tops up P2P connections from the server's matches.
-func (p *Peer) maintainNeighbors(ctx context.Context) {
-	pol := p.Policy()
-	p.mu.Lock()
-	sig := p.sig
-	have := len(p.neighbors)
-	p.mu.Unlock()
-	if sig == nil || have >= pol.MaxNeighbors {
+func (p *Peer) maintainNeighbors(ctx context.Context, s *session) {
+	limit := s.policy.MaxNeighbors
+	if s.sig == nil || p.NeighborCount() >= limit {
 		return
 	}
-	peers, err := sig.GetPeers(ctx, pol.MaxNeighbors)
+	peers, err := s.sig.GetPeers(ctx, limit)
 	if err != nil {
 		return
 	}
 	for _, info := range peers {
-		if p.NeighborCount() < pol.MaxNeighbors {
-			p.connectTo(ctx, info) // a no-op for a peer that is already a neighbor
+		if p.NeighborCount() < limit {
+			// A no-op for a peer that is already a neighbor.
+			p.connect(ctx, info.ID, signal.ConnectOffer{Fingerprint: info.Fingerprint, StaticKey: info.StaticKey}, true, "")
 		}
 	}
 }
@@ -337,6 +334,10 @@ func (p *Peer) maintainNeighbors(ctx context.Context) {
 // of leaving it to run out connectTimeout.
 type attempt struct {
 	peerID string
+	// sess is the session the attempt began under: what it relays
+	// through, names itself and presents in the handshake belongs to one
+	// join even when a rejoin lands mid-attempt.
+	sess   *session
 	cancel context.CancelFunc
 	// answer receives the peer's answer to our offer; nil on the
 	// responder side.
@@ -346,18 +347,19 @@ type attempt struct {
 // beginAttempt opens a connection attempt with the peer: it derives the
 // attempt's context, bounded by connectTimeout, and registers it. It
 // returns nil when the attempt is moot — the peer is already a
-// neighbor, or this peer is tearing down. The neighbor check and the
-// registration share one critical section with addNeighbor's settling,
-// so a connection registered at any point either stops the attempt here
-// or cancels it.
+// neighbor, there is no signaling session to exchange offers over, or
+// this peer is tearing down. The neighbor check and the registration
+// share one critical section with addNeighbor's settling, so a
+// connection registered at any point either stops the attempt here or
+// cancels it.
 func (p *Peer) beginAttempt(parent context.Context, peerID string, initiator bool) (context.Context, *attempt) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, connected := p.neighbors[peerID]; connected || p.draining {
+	if _, connected := p.neighbors[peerID]; connected || p.draining || p.sess.sig == nil {
 		return nil, nil
 	}
 	ctx, cancel := context.WithTimeout(parent, connectTimeout)
-	a := &attempt{peerID: peerID, cancel: cancel}
+	a := &attempt{peerID: peerID, sess: p.sess, cancel: cancel}
 	if initiator {
 		a.answer = make(chan signal.ConnectOffer, 1)
 	}
@@ -385,71 +387,97 @@ func (p *Peer) settleAttemptsLocked(peerID string) {
 	}
 }
 
-// connectTo runs the initiator side: offer → answer → ICE → punch →
-// DTLS client (or a TURN-relayed flow when configured).
-func (p *Peer) connectTo(ctx context.Context, info signal.PeerInfo) {
-	cctx, att := p.beginAttempt(ctx, info.ID, true)
+// connect runs one connection attempt with a peer, in either role and
+// over either transport: build the local offer, exchange it through the
+// signaling server, obtain the raw connection, handshake and register
+// (DESIGN.md §2h). An initiator passes the fetch's context and, as
+// remote, the fingerprint and static key the match delivered; a
+// responder passes the Run context, the offer it received and the offer
+// relay's TraceContext ("" from an untraced initiator), which its
+// p2p_answer span continues so this peer's handshake work lands in the
+// initiator's connection-setup trace.
+func (p *Peer) connect(ctx context.Context, peerID string, remote signal.ConnectOffer, initiator bool, trace string) {
+	if !initiator {
+		// An offer that beats the end of our own join must wait for it,
+		// not be dropped: the initiator would sit out connectTimeout.
+		select {
+		case <-p.admitted:
+		case <-p.closed:
+			return
+		}
+	}
+	ctx, att := p.beginAttempt(ctx, peerID, initiator)
 	if att == nil {
-		return
+		return // moot: an offer from a connected peer goes unanswered
 	}
 	defer p.endAttempt(att)
+	if !initiator {
+		aspan := p.cfg.Tracer.StartSpanRemote(trace, "p2p_answer", obs.A("from", peerID))
+		defer aspan.End()
+		ctx = obs.ContextWithSpan(ctx, aspan)
+	}
+	s, turn := att.sess, p.cfg.TURNAddr.IsValid()
 
-	if p.cfg.TURNAddr.IsValid() {
-		p.connectViaTURN(cctx, info.ID, info.Fingerprint, info.StaticKey, att.answer)
-		return
+	// Over TURN nothing is gathered: nothing to advertise, nothing to leak.
+	local := signal.ConnectOffer{Fingerprint: p.identity.Fingerprint(), StaticKey: p.StaticKeyHex()}
+	var agent *ice.Agent
+	var err error
+	if !turn {
+		if agent, err = ice.NewAgent(p.cfg.Host, s.peerID); err != nil {
+			return
+		}
+		defer agent.Close()
+		if local.Candidates, err = agent.Gather(ctx, p.cfg.STUNAddr); err != nil {
+			return
+		}
 	}
 
-	agent, err := ice.NewAgent(p.cfg.Host, p.ID())
+	kind := signal.RelayAnswer
+	if initiator {
+		kind = signal.RelayOffer
+	}
+	if err = s.sig.RelayCtx(ctx, peerID, kind, local); err != nil {
+		return
+	}
+	if initiator {
+		select {
+		case answer := <-att.answer:
+			// Pin the server-delivered static key when the match carried
+			// one; otherwise pin the answer's claim (the voucher check
+			// still binds it to the swarm).
+			if remote.StaticKey != "" {
+				answer.StaticKey = remote.StaticKey
+			}
+			remote = answer
+		case <-ctx.Done():
+			return // timed out, or settled: no answer is coming
+		}
+	}
+
+	var raw net.Conn
+	if turn {
+		// Both peers dial the relay's room for this pair; no addresses
+		// are exchanged.
+		room := s.peerID + "|" + peerID
+		if peerID < s.peerID {
+			room = peerID + "|" + s.peerID
+		}
+		raw, err = defense.DialRelay(ctx, p.cfg.Host, p.cfg.TURNAddr, room)
+	} else {
+		var nom ice.Candidate
+		if nom, err = agent.Check(ctx, remote.Candidates); err != nil {
+			return
+		}
+		raw, err = p.cfg.Network.Punch(ctx, p.cfg.Host, agent.LocalCandidateFor().Addr, nom.Addr)
+	}
 	if err != nil {
 		return
 	}
-	defer agent.Close()
-	cands, err := agent.Gather(cctx, p.cfg.STUNAddr)
+	conn, err := p.transportHandshake(ctx, s, raw, remote.Fingerprint, remote.StaticKey, initiator)
 	if err != nil {
 		return
 	}
-
-	p.mu.Lock()
-	sig := p.sig
-	p.mu.Unlock()
-	if sig == nil {
-		return
-	}
-	if err := sig.RelayCtx(cctx, info.ID, signal.RelayOffer, signal.ConnectOffer{
-		Fingerprint: p.identity.Fingerprint(),
-		Candidates:  cands,
-		StaticKey:   p.StaticKeyHex(),
-	}); err != nil {
-		return
-	}
-
-	var answer signal.ConnectOffer
-	select {
-	case answer = <-att.answer:
-	case <-cctx.Done():
-		return // timed out, or settled: no answer is coming
-	}
-
-	nom, err := agent.Check(cctx, answer.Candidates)
-	if err != nil {
-		return
-	}
-	raw, err := p.cfg.Network.Punch(cctx, p.cfg.Host, agent.LocalCandidateFor().Addr, nom.Addr)
-	if err != nil {
-		return
-	}
-	// Pin the server-delivered static key when the match carried one;
-	// otherwise pin the answer's claim (the voucher check still binds it
-	// to the swarm).
-	theirKey := info.StaticKey
-	if theirKey == "" {
-		theirKey = answer.StaticKey
-	}
-	dconn, err := p.transportHandshake(cctx, raw, answer.Fingerprint, theirKey, true)
-	if err != nil {
-		return
-	}
-	p.addNeighbor(info.ID, dconn)
+	p.addNeighbor(peerID, conn)
 }
 
 // transportHandshake establishes the P2P message transport over a raw
@@ -458,12 +486,12 @@ func (p *Peer) connectTo(ctx context.Context, info signal.PeerInfo) {
 // anonymous DTLS otherwise. It runs under a dtls_handshake or
 // secure_handshake span, so stitched traces break out crypto setup cost
 // from the transfer itself, and closes raw on any failure.
-func (p *Peer) transportHandshake(ctx context.Context, raw net.Conn, theirFP, theirKey string, client bool) (p2pConn, error) {
+func (p *Peer) transportHandshake(ctx context.Context, s *session, raw net.Conn, theirFP, theirKey string, client bool) (p2pConn, error) {
 	role := "server"
 	if client {
 		role = "client"
 	}
-	secured := p.Policy().SecureTransport
+	secured := s.policy.SecureTransport
 	var span obs.Span
 	if secured {
 		_, span = p.cfg.Tracer.StartSpan(ctx, "secure_handshake", obs.A("role", role))
@@ -481,9 +509,9 @@ func (p *Peer) transportHandshake(ctx context.Context, raw net.Conn, theirFP, th
 	var err error
 	switch {
 	case secured && client:
-		conn, err = secure.Client(raw, p.secureConfig(theirKey))
+		conn, err = secure.Client(raw, p.secureConfig(s, theirKey))
 	case secured:
-		conn, err = secure.Server(raw, p.secureConfig(theirKey))
+		conn, err = secure.Server(raw, p.secureConfig(s, theirKey))
 	case client:
 		conn, err = dtls.Client(raw, p.dtlsConfig(theirFP))
 	default:
@@ -507,31 +535,29 @@ func (p *Peer) transportHandshake(ctx context.Context, raw net.Conn, theirFP, th
 		// key; the matcher's distinct-reporter count quarantines leaked
 		// keys.
 		var bke *secure.BadKeyError
-		if errors.As(err, &bke) {
-			p.mu.Lock()
-			sig := p.sig
-			p.mu.Unlock()
-			if sig != nil {
-				sig.ReportBadKey(bke.ClaimedKey)
-			}
+		if errors.As(err, &bke) && s.sig != nil {
+			s.sig.ReportBadKey(bke.ClaimedKey)
 		}
 	}
 	return nil, err
 }
 
-// handleRelay processes offers and answers arriving via signaling.
+// handleRelay processes offers and answers arriving via signaling; both
+// carry a ConnectOffer.
 func (p *Peer) handleRelay(rel signal.Relay) {
+	var offer signal.ConnectOffer
+	if err := json.Unmarshal(rel.Payload, &offer); err != nil {
+		return
+	}
 	switch rel.Kind {
 	case signal.RelayOffer:
-		var offer signal.ConnectOffer
-		if err := json.Unmarshal(rel.Payload, &offer); err != nil {
-			return
-		}
 		// The dispatcher can deliver a queued offer after teardown has
 		// begun; taking the WaitGroup slot under the draining check keeps
-		// this Add ordered before teardown's final Wait.
+		// this Add ordered before teardown's final Wait. The answer runs
+		// under the Run context, not the dispatcher's.
 		p.mu.Lock()
-		if p.draining {
+		runCtx := p.runCtx
+		if p.draining || runCtx == nil {
 			p.mu.Unlock()
 			return
 		}
@@ -539,13 +565,9 @@ func (p *Peer) handleRelay(rel signal.Relay) {
 		p.mu.Unlock()
 		go func() {
 			defer p.wg.Done()
-			p.answerOffer(rel.From, offer, rel.Trace)
+			p.connect(runCtx, rel.From, offer, false, rel.Trace)
 		}()
 	case signal.RelayAnswer:
-		var answer signal.ConnectOffer
-		if err := json.Unmarshal(rel.Payload, &answer); err != nil {
-			return
-		}
 		var ch chan signal.ConnectOffer
 		p.mu.Lock()
 		for a := range p.attempts {
@@ -556,7 +578,7 @@ func (p *Peer) handleRelay(rel signal.Relay) {
 		p.mu.Unlock()
 		if ch != nil {
 			select {
-			case ch <- answer:
+			case ch <- offer:
 			default:
 			}
 		}
@@ -578,123 +600,6 @@ func (p *Peer) onPeerGone(peerID string) {
 	}
 }
 
-// connectViaTURN establishes the P2P transport through the TURN relay:
-// both peers dial the relay with a room derived from their IDs, then
-// run the transport handshake over the bridged stream. No addresses
-// are exchanged. The initiator passes the channel its attempt receives
-// the answer on; the responder passes nil.
-func (p *Peer) connectViaTURN(ctx context.Context, peerID, theirFP, theirKey string, answerCh chan signal.ConnectOffer) {
-	p.mu.Lock()
-	sig := p.sig
-	myID := p.peerID
-	p.mu.Unlock()
-	if sig == nil {
-		return
-	}
-	initiator := answerCh != nil
-	if initiator {
-		if err := sig.RelayCtx(ctx, peerID, signal.RelayOffer, signal.ConnectOffer{
-			Fingerprint: p.identity.Fingerprint(),
-			StaticKey:   p.StaticKeyHex(),
-		}); err != nil {
-			return
-		}
-		select {
-		case answer := <-answerCh:
-			theirFP = answer.Fingerprint
-			if theirKey == "" {
-				theirKey = answer.StaticKey
-			}
-		case <-ctx.Done():
-			return
-		}
-	}
-	room := myID + "|" + peerID
-	if peerID < myID {
-		room = peerID + "|" + myID
-	}
-	raw, err := defense.DialRelay(ctx, p.cfg.Host, p.cfg.TURNAddr, room)
-	if err != nil {
-		return
-	}
-	dconn, err := p.transportHandshake(ctx, raw, theirFP, theirKey, initiator)
-	if err != nil {
-		return
-	}
-	p.addNeighbor(peerID, dconn)
-}
-
-// answerOffer runs the responder side: answer → ICE → punch → DTLS
-// server. trace is the offer relay's propagated TraceContext (""
-// when the initiator ran untraced); the responder's p2p_answer span
-// continues it, landing this peer's handshake work in the initiator's
-// connection-setup trace.
-func (p *Peer) answerOffer(from string, offer signal.ConnectOffer, trace string) {
-	// An offer that beats the end of our own join must wait for it, not
-	// be dropped: the initiator would sit out connectTimeout.
-	select {
-	case <-p.admitted:
-	case <-p.closed:
-		return
-	}
-	p.mu.Lock()
-	sig := p.sig
-	runCtx := p.runCtx
-	p.mu.Unlock()
-	if sig == nil || runCtx == nil {
-		return
-	}
-	cctx, att := p.beginAttempt(runCtx, from, false)
-	if att == nil {
-		return // already connected: the offer goes unanswered
-	}
-	defer p.endAttempt(att)
-	aspan := p.cfg.Tracer.StartSpanRemote(trace, "p2p_answer", obs.A("from", from))
-	defer aspan.End()
-	cctx = obs.ContextWithSpan(cctx, aspan)
-
-	if p.cfg.TURNAddr.IsValid() {
-		if err := sig.RelayCtx(cctx, from, signal.RelayAnswer, signal.ConnectOffer{
-			Fingerprint: p.identity.Fingerprint(),
-			StaticKey:   p.StaticKeyHex(),
-		}); err != nil {
-			return
-		}
-		p.connectViaTURN(cctx, from, offer.Fingerprint, offer.StaticKey, nil)
-		return
-	}
-
-	agent, err := ice.NewAgent(p.cfg.Host, p.ID())
-	if err != nil {
-		return
-	}
-	defer agent.Close()
-	cands, err := agent.Gather(cctx, p.cfg.STUNAddr)
-	if err != nil {
-		return
-	}
-	if err := sig.RelayCtx(cctx, from, signal.RelayAnswer, signal.ConnectOffer{
-		Fingerprint: p.identity.Fingerprint(),
-		Candidates:  cands,
-		StaticKey:   p.StaticKeyHex(),
-	}); err != nil {
-		return
-	}
-	nom, err := agent.Check(cctx, offer.Candidates)
-	if err != nil {
-		return
-	}
-	raw, err := p.cfg.Network.Punch(cctx, p.cfg.Host, agent.LocalCandidateFor().Addr, nom.Addr)
-	if err != nil {
-		return
-	}
-	dconn, err := p.transportHandshake(cctx, raw, offer.Fingerprint, offer.StaticKey, false)
-	if err != nil {
-		return
-	}
-	p.addNeighbor(from, dconn)
-}
-
 // meterHooks returns the resource monitor's per-direction crypto
 // hooks, nil when the peer runs unmetered.
 func (p *Peer) meterHooks() (onEncrypt, onDecrypt func(int)) {
@@ -712,16 +617,16 @@ func (p *Peer) dtlsConfig(expectedFP string) dtls.Config {
 }
 
 // secureConfig builds the authenticated transport's config.
-func (p *Peer) secureConfig(expectedKey string) secure.ChannelConfig {
+func (p *Peer) secureConfig(s *session, expectedKey string) secure.ChannelConfig {
 	cfg := secure.ChannelConfig{
 		Identity:        p.identity,
-		SwarmID:         p.cfg.Video + "/" + p.cfg.Rendition,
+		PeerID:          s.peerID,
+		SwarmID:         s.swarmID,
+		Voucher:         s.voucher,
+		AuthorityKey:    s.policy.TransportPubKey,
 		ExpectedPeerKey: expectedKey,
 		ClaimKey:        p.cfg.SecureImpersonate,
 	}
-	p.mu.Lock()
-	cfg.PeerID, cfg.Voucher, cfg.AuthorityKey = p.peerID, p.voucher, p.policy.TransportPubKey
-	p.mu.Unlock()
 	cfg.OnEncrypt, cfg.OnDecrypt = p.meterHooks()
 	return cfg
 }
@@ -752,9 +657,7 @@ func (p *Peer) addNeighbor(id string, conn p2pConn) {
 	p.settleAttemptsLocked(id)
 	p.wg.Add(1)
 	p.mu.Unlock()
-	if p.cfg.Meter != nil {
-		p.cfg.Meter.SetNeighbors(n)
-	}
+	p.cfg.Meter.SetNeighbors(n)
 	go func() {
 		defer p.wg.Done()
 		nb.readLoop()
@@ -767,9 +670,7 @@ func (p *Peer) removeNeighbor(id string) {
 	delete(p.neighbors, id)
 	n := len(p.neighbors)
 	p.mu.Unlock()
-	if p.cfg.Meter != nil {
-		p.cfg.Meter.SetNeighbors(n)
-	}
+	p.cfg.Meter.SetNeighbors(n)
 }
 
 // NeighborCount reports current P2P connections.

@@ -21,6 +21,8 @@ package pdnclient
 
 import (
 	"context"
+	"crypto/ed25519"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -136,10 +138,6 @@ type Config struct {
 	// viewer pays the extra CDN bytes (compare the peer-assisted IM
 	// defense, which costs the CDN nothing absent an attack).
 	VerifyHashManifest bool
-	// ServeKnownOnly, when set, makes this peer respond to segment
-	// requests only from its cache without CDN fallback for others
-	// (default behaviour; reserved for future strategies).
-	ServeKnownOnly bool
 	// RequireSecureTransport makes the peer refuse to run against a
 	// provider whose policy does not offer the authenticated secure
 	// transport — the pin that defeats a MITM stripping SecureTransport
@@ -218,15 +216,10 @@ type Peer struct {
 	// resolves through it.
 	store *federation.Peerstore
 
-	sig    *signal.Client
-	peerID string
-	policy signal.Policy
-	// voucher is the matcher's signature over (peerID, swarmID,
-	// staticKey) from the welcome; the peer presents it in every secure
-	// handshake it runs.
-	voucher string
-
-	mu        sync.Mutex
+	mu sync.Mutex
+	// sess is the current signaling session; before the first join (and
+	// for good on a DisableP2P peer) the empty one, whose sig is nil.
+	sess      *session
 	runCtx    context.Context // the active Run's context; answers derive from it
 	neighbors map[string]*neighbor
 	attempts  map[*attempt]struct{} // connection attempts in flight
@@ -259,10 +252,10 @@ type Peer struct {
 	lastStallTrace string
 
 	closed chan struct{}
-	// admitted is closed once the first join has stored its session
-	// (sig, peerID, policy, voucher). The matcher advertises a peer from
-	// the moment it welcomes it, so an offer can arrive while the welcome
-	// is still on its way into these fields; answerOffer waits for it.
+	// admitted is closed once the first join has published its session.
+	// The matcher advertises a peer from the moment it welcomes it, so an
+	// offer can arrive while the welcome is still on its way into sess; a
+	// responding connect waits for it.
 	admitted  chan struct{}
 	admitOnce sync.Once
 	// lingerStop ends the linger phase; its own channel rather than
@@ -275,6 +268,45 @@ type Peer struct {
 	// may have started, so handleRelay checks it before wg.Add.
 	draining bool
 	wg       sync.WaitGroup
+}
+
+// session is what one signaling join yielded. join publishes it whole
+// and nothing edits it, so a reader that holds one sees a single join's
+// client, identity, policy and credentials however many rejoins land.
+type session struct {
+	sig    *signal.Client
+	peerID string
+	policy signal.Policy
+	// voucher is the matcher's signature over (peerID, swarmID,
+	// staticKey) from the welcome; the peer presents it in every secure
+	// handshake it runs.
+	voucher string
+	swarmID string
+	// manifestKey is policy.ManifestPubKey parsed: nil when the provider
+	// signs no manifests, or sent a key that is not one.
+	manifestKey ed25519.PublicKey
+}
+
+// newSession builds the session a welcome admits this peer to.
+func (p *Peer) newSession(sig *signal.Client, w signal.Welcome) *session {
+	s := &session{
+		sig:     sig,
+		peerID:  w.PeerID,
+		policy:  w.Policy,
+		voucher: w.Voucher,
+		swarmID: p.cfg.Video + "/" + p.cfg.Rendition,
+	}
+	if raw, err := hex.DecodeString(w.Policy.ManifestPubKey); err == nil && len(raw) == ed25519.PublicKeySize {
+		s.manifestKey = raw
+	}
+	return s
+}
+
+// session returns the current session; never nil.
+func (p *Peer) session() *session {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.sess
 }
 
 // New constructs a peer (no I/O yet).
@@ -300,6 +332,7 @@ func New(cfg Config) (*Peer, error) {
 			Timeout:   10 * time.Second,
 		},
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		sess:         &session{},
 		neighbors:    make(map[string]*neighbor),
 		attempts:     make(map[*attempt]struct{}),
 		played:       make(map[int]bool),
@@ -332,27 +365,15 @@ func New(cfg Config) (*Peer, error) {
 		secureFails:      reg.Counter("pdn_secure_handshake_fails_total", "secure-transport handshakes rejected (bad signature, voucher, or key pin)"),
 		manifestRejects:  reg.Counter("pdn_manifest_rejects_total", "segments rejected by signed-manifest verification"),
 	}
-	p.cache = newSegmentCache(cfg.CacheSegments, func(total int64) {
-		if cfg.Meter != nil {
-			cfg.Meter.SetCacheBytes(total)
-		}
-	})
+	p.cache = newSegmentCache(cfg.CacheSegments, cfg.Meter.SetCacheBytes)
 	return p, nil
 }
 
 // ID returns the server-assigned peer ID (empty before Run joins).
-func (p *Peer) ID() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peerID
-}
+func (p *Peer) ID() string { return p.session().peerID }
 
 // Policy returns the provider policy received at join.
-func (p *Peer) Policy() signal.Policy {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.policy
-}
+func (p *Peer) Policy() signal.Policy { return p.session().policy }
 
 // Stats returns a snapshot of the peer's counters.
 func (p *Peer) Stats() Stats {
@@ -415,9 +436,7 @@ func (p *Peer) Run(ctx context.Context) (Stats, error) {
 			p.cfg.DisableP2P = true
 		}
 	}
-	if p.cfg.Meter != nil {
-		p.cfg.Meter.SetPDNLoaded(!p.cfg.DisableP2P)
-	}
+	p.cfg.Meter.SetPDNLoaded(!p.cfg.DisableP2P)
 	if !p.cfg.DisableP2P {
 		p.wg.Add(1)
 		go func() {
@@ -526,11 +545,8 @@ func (p *Peer) join(ctx context.Context) error {
 		return ErrPeerClosed
 	default:
 	}
-	old := p.sig
-	p.sig = sig
-	p.peerID = w.PeerID
-	p.policy = w.Policy
-	p.voucher = w.Voucher
+	old := p.sess.sig
+	p.sess = p.newSession(sig, w)
 	p.mu.Unlock()
 	p.admitOnce.Do(func() { close(p.admitted) })
 	if old != nil {
@@ -555,18 +571,13 @@ const (
 
 // reconnectLoop watches the signaling connection and re-establishes it
 // when it drops — the hardening the chaos scenarios exercise by
-// partitioning the signal server mid-session. Runs until the peer
-// closes, ctx ends, or a reconnect round exhausts its attempts.
+// partitioning the signal server mid-session. Run starts it after a
+// join, so there is a client to watch. Runs until the peer closes, ctx
+// ends, or a reconnect round exhausts its attempts.
 func (p *Peer) reconnectLoop(ctx context.Context) {
 	for {
-		p.mu.Lock()
-		sig := p.sig
-		p.mu.Unlock()
-		if sig == nil {
-			return
-		}
 		select {
-		case <-sig.Done():
+		case <-p.session().sig.Done():
 		case <-p.closed:
 			return
 		case <-ctx.Done():
@@ -599,13 +610,8 @@ func (p *Peer) rejoin(ctx context.Context) bool {
 		if err := p.join(ctx); err == nil {
 			p.metrics.sigReconnects.Inc()
 			p.cfg.Tracer.Event("signal_reconnect", obs.A("attempt", attempt))
-			p.mu.Lock()
-			sig := p.sig
-			p.mu.Unlock()
-			if sig != nil {
-				if have := p.cache.indices(); len(have) > 0 {
-					sig.Have(have)
-				}
+			if have := p.cache.indices(); len(have) > 0 {
+				p.session().sig.Have(have)
 			}
 			return true
 		}
@@ -769,9 +775,7 @@ func (p *Peer) loadHashManifest(ctx context.Context) {
 	if err != nil {
 		return // live asset or older CDN: defense unavailable
 	}
-	if p.cfg.Meter != nil {
-		p.cfg.Meter.OnHTTP(len(body))
-	}
+	p.cfg.Meter.OnHTTP(len(body))
 	var hashes map[string]string
 	if err := json.Unmarshal(body, &hashes); err != nil {
 		return
@@ -779,25 +783,6 @@ func (p *Peer) loadHashManifest(ctx context.Context) {
 	p.mu.Lock()
 	p.hashManifest = hashes
 	p.mu.Unlock()
-}
-
-// hashManifestOK verifies a segment against the downloaded hash list;
-// segments absent from the list are rejected.
-func (p *Peer) hashManifestOK(key media.SegmentKey, data []byte) bool {
-	p.mu.Lock()
-	hashes := p.hashManifest
-	p.mu.Unlock()
-	if hashes == nil {
-		return true // defense not active
-	}
-	want, ok := hashes[key.String()]
-	if !ok {
-		return false
-	}
-	if p.cfg.Meter != nil {
-		p.cfg.Meter.OnHash(len(data))
-	}
-	return media.IMHash(key, data) == want
 }
 
 // playSegment fetches (P2P-first after slow start), meters, caches,
@@ -825,9 +810,7 @@ func (p *Peer) playSegment(ctx context.Context, idx int) error {
 	} else {
 		p.metrics.segsP2P.Inc()
 	}
-	if p.cfg.Meter != nil {
-		p.cfg.Meter.OnPlayback(len(data))
-	}
+	p.cfg.Meter.OnPlayback(len(data))
 	if !p.cfg.DisableP2P {
 		// The segment cache exists to serve uploads; a plain CDN viewer
 		// holds only transient playback buffers.
@@ -841,7 +824,7 @@ func (p *Peer) playSegment(ctx context.Context, idx int) error {
 	} else {
 		p.stats.FromP2P++
 	}
-	sig := p.sig
+	sig := p.sess.sig
 	p.mu.Unlock()
 	if sig != nil {
 		sig.Have([]int{idx})
@@ -853,9 +836,11 @@ func (p *Peer) playSegment(ctx context.Context, idx int) error {
 }
 
 // fetchSegment applies the hybrid scheduler: CDN during slow start or
-// when P2P is unavailable, otherwise P2P with CDN fallback.
+// when P2P is unavailable, otherwise P2P with CDN fallback. One session
+// decides the whole fetch.
 func (p *Peer) fetchSegment(ctx context.Context, key media.SegmentKey) ([]byte, string, error) {
-	pol := p.Policy()
+	s := p.session()
+	pol := &s.policy
 	p2pAllowed := !p.cfg.DisableP2P && pol.P2PEnabled &&
 		key.Index >= pol.SlowStartSegments &&
 		(!p.cfg.Cellular || pol.CellularDownload)
@@ -876,16 +861,9 @@ func (p *Peer) fetchSegment(ctx context.Context, key media.SegmentKey) ([]byte, 
 			p.metrics.slowStartExits.Inc()
 			sp.Event("slow_start_exit", obs.A("video", key.Video), obs.A("idx", key.Index))
 		}
-		p.maintainNeighbors(ctx)
-		if data, ok := p.fetchFromPeers(ctx, key); ok {
-			if !p.cfg.VerifyHashManifest || p.hashManifestOK(key, data) {
-				return data, SourceP2P, nil
-			}
-			p.mu.Lock()
-			p.stats.IMRejected++
-			p.mu.Unlock()
-			p.metrics.imRejects.Inc()
-			sp.Event("im_reject", obs.A("video", key.Video), obs.A("idx", key.Index))
+		p.maintainNeighbors(ctx, s)
+		if data, ok := p.fetchFromPeers(ctx, s, key); ok {
+			return data, SourceP2P, nil
 		}
 		p.metrics.cdnFallbacks.Inc()
 		sp.Event("cdn_fallback", obs.A("video", key.Video), obs.A("idx", key.Index))
@@ -894,24 +872,25 @@ func (p *Peer) fetchSegment(ctx context.Context, key media.SegmentKey) ([]byte, 
 	if err != nil {
 		return nil, "", err
 	}
-	if pol.ManifestPubKey != "" && !p.cfg.InsecureNoVerify && !p.verifySIM(ctx, key, data) {
+	if reason := p.verifySegment(ctx, s, key, data, SourceCDN); reason != "" {
 		// The CDN path is verified too when the provider signs manifests:
 		// a hijacked or spoofed CDN origin must not get bytes into the
 		// cache or the playback buffer either.
 		p.metrics.manifestRejects.Inc()
-		sp.Event("manifest_reject", obs.A("video", key.Video), obs.A("idx", key.Index))
+		sp.Event("manifest_reject", obs.A("video", key.Video), obs.A("idx", key.Index), obs.A("reason", reason))
 		return nil, "", fmt.Errorf("pdnclient: CDN segment %v failed signed-manifest verification", key)
 	}
-	if !p.cfg.DisableP2P && pol.RequireIMChecking && !p.cfg.InsecureNoVerify {
-		p.reportIM(key, data)
+	if s.sig != nil && pol.RequireIMChecking && !p.cfg.InsecureNoVerify {
+		// The client half of the §V-B peer-assisted IM defense: a peer
+		// reports only segments it downloaded directly from the CDN.
+		s.sig.ReportIM(signal.IMReport{Key: key, Hash: p.imHash(key, data)})
 	}
 	return data, SourceCDN, nil
 }
 
-// fetchFromPeers asks connected neighbors for the segment, verifying
-// signed integrity metadata when the policy demands it.
-func (p *Peer) fetchFromPeers(ctx context.Context, key media.SegmentKey) ([]byte, bool) {
-	pol := p.Policy()
+// fetchFromPeers asks connected neighbors for the segment and keeps the
+// first answer that passes the checks its source calls for.
+func (p *Peer) fetchFromPeers(ctx context.Context, s *session, key media.SegmentKey) ([]byte, bool) {
 	sp, _ := obs.SpanFromContext(ctx)
 	for _, nb := range p.shuffledNeighbors() {
 		data, ok := nb.request(ctx, key)
@@ -925,12 +904,12 @@ func (p *Peer) fetchFromPeers(ctx context.Context, key media.SegmentKey) ([]byte
 			nb.close()
 			continue
 		}
-		if pol.RequireIMChecking && !p.cfg.InsecureNoVerify && !p.verifySIM(ctx, key, data) {
+		if reason := p.verifySegment(ctx, s, key, data, SourceP2P); reason != "" {
 			p.mu.Lock()
 			p.stats.IMRejected++
 			p.mu.Unlock()
 			p.metrics.imRejects.Inc()
-			sp.Event("im_reject", obs.A("video", key.Video), obs.A("idx", key.Index))
+			sp.Event("im_reject", obs.A("video", key.Video), obs.A("idx", key.Index), obs.A("reason", reason))
 			continue
 		}
 		p.mu.Lock()
@@ -958,9 +937,7 @@ func (p *Peer) fetchFromCDN(ctx context.Context, key media.SegmentKey) ([]byte, 
 	p.stats.CDNBytes += int64(len(data))
 	p.mu.Unlock()
 	p.metrics.cdnBytes.Add(int64(len(data)))
-	if p.cfg.Meter != nil {
-		p.cfg.Meter.OnHTTP(len(data))
-	}
+	p.cfg.Meter.OnHTTP(len(data))
 	return data, nil
 }
 
@@ -971,9 +948,7 @@ func (p *Peer) fetchPlaylist(ctx context.Context) (*hls.MediaPlaylist, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cfg.Meter != nil {
-		p.cfg.Meter.OnHTTP(len(body))
-	}
+	p.cfg.Meter.OnHTTP(len(body))
 	return hls.ParseMediaPlaylist(body)
 }
 
@@ -1016,7 +991,7 @@ func (p *Peer) httpGet(ctx context.Context, url string) ([]byte, error) {
 // meters.
 func (p *Peer) reportStats() {
 	p.mu.Lock()
-	sig := p.sig
+	sig := p.sess.sig
 	cur := signal.Stats{
 		P2PDownBytes: p.stats.P2PDownBytes,
 		P2PUpBytes:   p.stats.P2PUpBytes,
@@ -1043,7 +1018,7 @@ func (p *Peer) teardown() {
 	}
 	p.mu.Lock()
 	p.draining = true
-	sig := p.sig
+	sig := p.sess.sig
 	nbs := make([]*neighbor, 0, len(p.neighbors))
 	for _, nb := range p.neighbors {
 		nbs = append(nbs, nb)

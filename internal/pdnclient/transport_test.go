@@ -15,6 +15,7 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/secure"
+	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
 // barePeers builds two peers on one simulated network without running
@@ -33,6 +34,13 @@ func barePeers(t *testing.T) (a, b *Peer) {
 	return mk("66.24.9.1"), mk("66.24.9.2")
 }
 
+// admit publishes the session a welcome would admit p to, as join does.
+func admit(p *Peer, sig *signal.Client, w signal.Welcome) {
+	p.mu.Lock()
+	p.sess = p.newSession(sig, w)
+	p.mu.Unlock()
+}
+
 // admitSecure gives a bare peer what a secure-profile join would have:
 // the policy, a session ID and the matcher's voucher for its key.
 func admitSecure(t *testing.T, ta *secure.TransportAuthority, p *Peer, id string) {
@@ -41,15 +49,16 @@ func admitSecure(t *testing.T, ta *secure.TransportAuthority, p *Peer, id string
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.policy.SecureTransport = true
-	p.policy.TransportPubKey = ta.PublicKeyHex()
-	p.peerID, p.voucher = id, v
+	admit(p, nil, signal.Welcome{PeerID: id, Voucher: v, Policy: signal.Policy{
+		SecureTransport: true,
+		TransportPubKey: ta.PublicKeyHex(),
+	}})
 }
 
 // TestHandshakeWatchdogSparesLiveConn: callers cancel the connect
-// context the moment the handshake returns (connectTo's deferred
-// cancel). The deadline watchdog must not fire on that cancel — a conn
-// with a burned deadline fails its first request, which costs the
+// context the moment the handshake returns (connect's deferred
+// endAttempt). The deadline watchdog must not fire on that cancel — a
+// conn with a burned deadline fails its first request, which costs the
 // viewer a CDN fallback and a second connect.
 func TestHandshakeWatchdogSparesLiveConn(t *testing.T) {
 	for _, profile := range []string{"dtls", "secure"} {
@@ -72,7 +81,7 @@ func TestHandshakeWatchdogSparesLiveConn(t *testing.T) {
 			handshake := func(p *Peer, raw net.Conn, theirKey string, client bool) (p2pConn, error) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				return p.transportHandshake(ctx, raw, "", theirKey, client)
+				return p.transportHandshake(ctx, p.session(), raw, "", theirKey, client)
 			}
 			for i := 0; i < 200; i++ {
 				type res struct {
@@ -347,7 +356,7 @@ func TestStaleSegmentFrameDoesNotShiftResponses(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, _ := barePeers(t)
-			p.policy.P2PEnabled = true
+			admit(p, nil, signal.Welcome{Policy: signal.Policy{P2PEnabled: true}})
 			conn := newAnsweringConn(segment)
 			p.addNeighbor("seeder", conn)
 			defer p.teardown()
