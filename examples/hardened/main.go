@@ -16,7 +16,6 @@ import (
 	"github.com/stealthy-peers/pdnsec"
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/attack"
-	"github.com/stealthy-peers/pdnsec/internal/defense"
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
@@ -35,19 +34,10 @@ func run() error {
 	defer cancel()
 
 	video := analyzer.SmallVideo("premium-stream", 6, 64<<10)
-	checker, err := defense.NewIMChecker(defense.IMConfig{
-		Reporters: 2,
-		FetchCDN: func(key media.SegmentKey) ([]byte, error) {
-			return video.SegmentData(key.Rendition, key.Index)
-		},
-	})
-	if err != nil {
-		return err
-	}
 	tb, err := pdnsec.NewTestbed(ctx, pdnsec.TestbedConfig{
 		Profile: provider.Hardened(),
 		Video:   video,
-		Options: provider.Options{IM: checker, Seed: 7},
+		Options: provider.Options{Seed: 7},
 	})
 	if err != nil {
 		return err
@@ -158,7 +148,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	conflicts, fetches, banned := checker.Stats()
+	conflicts, fetches, banned := tb.IM.Stats()
 	fmt.Printf("pollution attack: victim played %d polluted segments (%d rejected by IM checks)\n",
 		polluted, stV.IMRejected)
 	fmt.Printf("IM checker: %d conflicts arbitrated via %d CDN fetches, %d peers blacklisted\n",

@@ -16,11 +16,8 @@ import (
 	"github.com/stealthy-peers/pdnsec"
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/attack"
-	"github.com/stealthy-peers/pdnsec/internal/defense"
-	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
-	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
 func main() {
@@ -59,19 +56,8 @@ func round(ctx context.Context, defended bool) (int, error) {
 
 	opts := provider.Options{Seed: 7}
 	if defended {
-		checker, err := defense.NewIMChecker(defense.IMConfig{
-			Reporters: 2,
-			FetchCDN: func(key media.SegmentKey) ([]byte, error) {
-				return video.SegmentData(key.Rendition, key.Index)
-			},
-		})
-		if err != nil {
-			return 0, err
-		}
-		opts.IM = checker
-		pol := signal.DefaultPolicy()
-		pol.RequireIMChecking = true
-		opts.PolicyOverride = &pol
+		// The testbed deploys the §V-B checker a policy like this requires.
+		opts.PolicyOverride = analyzer.DefaultPolicyWithIM()
 	}
 	tb, err := pdnsec.NewTestbed(ctx, pdnsec.TestbedConfig{
 		Profile: pdnsec.Peer5(),

@@ -13,16 +13,19 @@ package analyzer
 import (
 	"fmt"
 	"net/netip"
+	"sync"
 	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/capture"
 	"github.com/stealthy-peers/pdnsec/internal/cdn"
+	"github.com/stealthy-peers/pdnsec/internal/defense"
 	"github.com/stealthy-peers/pdnsec/internal/geoip"
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/monitor"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
+	"github.com/stealthy-peers/pdnsec/internal/population"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
 	"github.com/stealthy-peers/pdnsec/internal/secure"
 	"github.com/stealthy-peers/pdnsec/internal/signal"
@@ -47,8 +50,9 @@ type TestbedConfig struct {
 	CustomerDomain string
 	// GeoDB geolocates peers; nil uses the default plan.
 	GeoDB *geoip.DB
-	// Options forwards provider deployment options (IM, policy
-	// override, seed).
+	// Options forwards provider deployment options (policy override,
+	// seed). Options.IM left nil deploys the integrity service the
+	// effective policy calls for.
 	Options provider.Options
 	// Latency configures per-host access latency for timing-sensitive
 	// experiments.
@@ -83,6 +87,9 @@ type Testbed struct {
 	Obs     *obs.Registry
 	Tracer  *obs.Tracer
 	Traces  *obs.TraceSet
+	// IM is the integrity service NewTestbed deployed because the policy
+	// called for one; nil when it called for none or Options.IM was set.
+	IM *defense.IMChecker
 	// CDNHost and SignalHost expose the infrastructure machines so chaos
 	// scenarios can impair or crash them. SignalHost is the first
 	// signaling server's host; SignalHosts lists every federated
@@ -94,6 +101,11 @@ type Testbed struct {
 	customerDomain string
 	latency        time.Duration
 	closers        []func()
+
+	// bandHosts holds the one machine each single-host adversarial band
+	// (Sybil mill, leech farm) runs all its identities from.
+	bandMu    sync.Mutex
+	bandHosts map[population.Behavior]*netsim.Host
 }
 
 // SmallVideo builds a test asset whose declared bandwidth matches its
@@ -145,21 +157,22 @@ func NewTestbed(ctx ctxT, cfg TestbedConfig) (*Testbed, error) {
 	if cfg.Options.Traces == nil {
 		cfg.Options.Traces = cfg.Traces
 	}
-	if cfg.Profile.Policy.SecureTransport && cfg.Options.IM == nil {
-		// A secure-profile deployment signs per-segment manifests from the
-		// ground-truth video; Deploy stamps the verification key into the
-		// policy so viewers check every byte against it.
-		ms, err := secure.NewManifestService(cfg.Video)
-		if err != nil {
+	var im *defense.IMChecker
+	if cfg.Options.IM == nil {
+		var err error
+		if im, err = integrityService(cfg); err != nil {
 			return nil, err
 		}
-		cfg.Options.IM = ms
+		if im != nil {
+			cfg.Options.IM = im
+		}
 	}
 
 	n := netsim.New(netsim.Config{})
 	tb := &Testbed{
 		Net:            n,
 		Video:          cfg.Video,
+		IM:             im,
 		GeoDB:          db,
 		Alloc:          geoip.NewAllocator(db, cfg.Options.Seed+1),
 		Obs:            cfg.Obs,
@@ -167,6 +180,7 @@ func NewTestbed(ctx ctxT, cfg TestbedConfig) (*Testbed, error) {
 		Traces:         cfg.Traces,
 		customerDomain: cfg.CustomerDomain,
 		latency:        cfg.Latency,
+		bandHosts:      make(map[population.Behavior]*netsim.Host),
 	}
 
 	cdnHost, err := n.NewHost(cdnIP)
@@ -219,6 +233,32 @@ func NewTestbed(ctx ctxT, cfg TestbedConfig) (*Testbed, error) {
 		tb.Key = dep.IssueKey(cfg.CustomerDomain)
 	}
 	return tb, nil
+}
+
+// integrityService builds what the deployment's effective policy calls
+// for, nil when that is nothing. Secure transport gets the provider as
+// authority, signing per-segment manifests from the ground-truth video
+// (Deploy stamps the key into the policy so viewers check every byte
+// against it); IM checking alone gets the §V-B panel, two reporters
+// arbitrated against the same video standing in for the CDN fetch.
+func integrityService(cfg TestbedConfig) (*defense.IMChecker, error) {
+	policy := cfg.Profile.Policy
+	if cfg.Options.PolicyOverride != nil {
+		policy = *cfg.Options.PolicyOverride
+	}
+	switch {
+	case policy.SecureTransport:
+		return secure.NewManifestService(cfg.Video)
+	case policy.RequireIMChecking:
+		video := cfg.Video
+		return defense.NewIMChecker(defense.IMConfig{
+			Reporters: 2,
+			FetchCDN: func(key media.SegmentKey) ([]byte, error) {
+				return video.SegmentData(key.Rendition, key.Index)
+			},
+		})
+	}
+	return nil, nil
 }
 
 // Close tears the testbed down.

@@ -6,8 +6,6 @@ import (
 
 	"github.com/stealthy-peers/pdnsec/internal/attack"
 	"github.com/stealthy-peers/pdnsec/internal/capture"
-	"github.com/stealthy-peers/pdnsec/internal/defense"
-	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
@@ -214,8 +212,8 @@ func DomainSpoofTest(ctx context.Context, prof provider.Profile) (Verdict, error
 
 // PollutionTest runs the content-integrity battery (§IV-C): the direct
 // variant (foreign video, wholesale) or the refined same-size segment
-// pollution. A non-nil policy override deploys the provider with the
-// IM-checking defense for §V-B evaluation.
+// pollution. A policy override that requires IM checking deploys the
+// provider with the defense for §V-B evaluation (NewTestbed's rule).
 func PollutionTest(ctx context.Context, prof provider.Profile, sameSize bool, policyOverride *signal.Policy) (Verdict, error) {
 	risk := RiskDirectPollution
 	if sameSize {
@@ -224,30 +222,15 @@ func PollutionTest(ctx context.Context, prof provider.Profile, sameSize bool, po
 	v := Verdict{Provider: prof.Name, Risk: risk, Applicable: true}
 
 	video := SmallVideo("bbb", 6, 16<<10)
-	opts := provider.Options{Seed: 11}
-	if policyOverride != nil {
-		opts.PolicyOverride = policyOverride
-	}
-	tb, err := NewTestbed(ctx, TestbedConfig{Profile: prof, Video: video, Options: opts})
+	tb, err := NewTestbed(ctx, TestbedConfig{
+		Profile: prof,
+		Video:   video,
+		Options: provider.Options{Seed: 11, PolicyOverride: policyOverride},
+	})
 	if err != nil {
 		return v, err
 	}
 	defer tb.Close()
-
-	// Install the IM checker when the policy demands verification.
-	if policyOverride != nil && policyOverride.RequireIMChecking {
-		tb.Close()
-		checker, err := newTestbedIMChecker(video)
-		if err != nil {
-			return v, err
-		}
-		opts.IM = checker
-		tb, err = NewTestbed(ctx, TestbedConfig{Profile: prof, Video: video, Options: opts})
-		if err != nil {
-			return v, err
-		}
-		defer tb.Close()
-	}
 
 	var pollute mitm.PolluteFunc
 	if sameSize {
@@ -419,15 +402,4 @@ func avgRatio(base float64, vals ...float64) float64 {
 		sum += x / base
 	}
 	return sum / float64(len(vals))
-}
-
-// newTestbedIMChecker builds an IM checker resolving conflicts against
-// the ground-truth video (standing in for the provider's CDN fetch).
-func newTestbedIMChecker(video *media.Video) (signal.IMService, error) {
-	return defense.NewIMChecker(defense.IMConfig{
-		Reporters: 2,
-		FetchCDN: func(key media.SegmentKey) ([]byte, error) {
-			return video.SegmentData(key.Rendition, key.Index)
-		},
-	})
 }

@@ -3,15 +3,12 @@ package chaos
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
-	"github.com/stealthy-peers/pdnsec/internal/defense"
 	"github.com/stealthy-peers/pdnsec/internal/media"
-	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
 	"github.com/stealthy-peers/pdnsec/internal/population"
@@ -36,8 +33,6 @@ type SwarmConfig struct {
 	// Pace is each viewer's inter-segment delay (default 2ms) — it is
 	// what gives mid-playback faults a playback to land in.
 	Pace time.Duration
-	// IM deploys the §V-B integrity-checking defense.
-	IM bool
 	// HashManifest makes viewers verify every segment against the
 	// CDN-served hash list.
 	HashManifest bool
@@ -136,19 +131,13 @@ func (r *Result) Survivors() []*ViewerResult {
 }
 
 // JainFairness computes Jain's index over the P2P upload bytes of the
-// run's participants — viewers that exchanged at least one P2P byte in
-// either direction. Non-participants are excluded: a quarantined leech
-// farm that never got a match is a defense success, not unfairness.
-// Free-riders that did download count with zero upload, which is
-// exactly the asymmetry the index punishes.
+// run's participants (analyzer.UploadFairness).
 func (r *Result) JainFairness() float64 {
-	var xs []float64
-	for _, v := range r.Viewers {
-		if v.Stats.P2PUpBytes+v.Stats.P2PDownBytes > 0 {
-			xs = append(xs, float64(v.Stats.P2PUpBytes))
-		}
+	stats := make([]pdnclient.Stats, len(r.Viewers))
+	for i, v := range r.Viewers {
+		stats[i] = v.Stats
 	}
-	return population.Jain(xs)
+	return analyzer.UploadFairness(stats)
 }
 
 // SybilSlotShare reports the share of all match grants that went to
@@ -161,25 +150,10 @@ func (r *Result) SybilSlotShare() (share float64, peak int) {
 // LiveLagP99 is the 99th-percentile live-edge lag in segments (0 when
 // the run collected no samples).
 func (r *Result) LiveLagP99() float64 {
-	return percentile(r.LiveLag, 0.99)
-}
-
-// percentile returns the nearest-rank q-quantile of xs (q in (0,1]).
-func percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
+	s := append([]float64(nil), r.LiveLag...)
 	sort.Float64s(s)
-	idx := int(math.Ceil(q*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s[idx]
+	return obs.Quantile(s, 0.99)
 }
-
-// viewerCountries spreads the swarm across the default geo plan.
-var viewerCountries = []string{"US", "DE", "FR", "GB", "JP", "BR", "IN", "CA"}
 
 // resolveProfile maps a SwarmConfig profile name to the provider model.
 func resolveProfile(name string) (provider.Profile, error) {
@@ -227,35 +201,12 @@ func RunScenario(ctx context.Context, cfg SwarmConfig, sc Scenario) (*Result, er
 		video = analyzer.SmallLiveVideo(cfg.VideoID, cfg.SegBytes, liveSegDur)
 	}
 	reg := obs.NewRegistry()
-	opts := provider.Options{Seed: cfg.Seed, Shards: cfg.Shards, Servers: cfg.Servers}
-	if cfg.IM {
-		pol := signal.DefaultPolicy()
-		pol.RequireIMChecking = true
-		opts.PolicyOverride = &pol
-	}
-	// The IM arbiter is deployed whenever something makes peers check —
-	// the explicit IM flag or a profile shipping RequireIMChecking.
-	// Secure-transport profiles are excluded: the testbed wires them a
-	// signed secure.ManifestService instead, so every segment carries an
-	// ed25519 manifest signature rather than a quorum-established hash.
-	if (cfg.IM || prof.Policy.RequireIMChecking) && !prof.Policy.SecureTransport {
-		checker, err := defense.NewIMChecker(defense.IMConfig{
-			Reporters: 2,
-			FetchCDN: func(key media.SegmentKey) ([]byte, error) {
-				return video.SegmentData(key.Rendition, key.Index)
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		opts.IM = checker
-	}
 	tb, err := analyzer.NewTestbed(rctx, analyzer.TestbedConfig{
 		Profile: prof,
 		Video:   video,
 		Obs:     reg,
 		Traces:  cfg.Traces,
-		Options: opts,
+		Options: provider.Options{Seed: cfg.Seed, Shards: cfg.Shards, Servers: cfg.Servers},
 	})
 	if err != nil {
 		return nil, err
@@ -305,7 +256,7 @@ func RunScenario(ctx context.Context, cfg SwarmConfig, sc Scenario) (*Result, er
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Viewers; i++ {
 		name := fmt.Sprintf("viewer-%02d", i)
-		host, err := tb.NewViewerHost(viewerCountries[i%len(viewerCountries)])
+		host, err := tb.NewViewerHost(analyzer.ViewerCountry(i))
 		if err != nil {
 			cancel()
 			wg.Wait()
@@ -397,15 +348,6 @@ func RunScenario(ctx context.Context, cfg SwarmConfig, sc Scenario) (*Result, er
 	}
 	sort.Strings(colluders)
 
-	var hostStats []signal.HostStat
-	for i := 0; ; i++ {
-		srv := tb.Dep.Plane.Server(i)
-		if srv == nil {
-			break
-		}
-		hostStats = append(hostStats, srv.HostStats()...)
-	}
-
 	res := &Result{
 		Scenario:  sc.Name,
 		Seed:      cfg.Seed,
@@ -418,7 +360,7 @@ func RunScenario(ctx context.Context, cfg SwarmConfig, sc Scenario) (*Result, er
 		Viewers:   viewers,
 		Colluders: colluders,
 		LiveLag:   liveLag,
-		HostStats: hostStats,
+		HostStats: tb.HostStats(),
 	}
 	reg.GaugeFunc("chaos_jain_fairness", "Jain upload-fairness index over the run's P2P participants", res.JainFairness)
 	return res, nil
@@ -446,29 +388,6 @@ type spawner struct {
 	mu      sync.Mutex
 	extra   []*ViewerResult
 	spawned map[population.Behavior]int
-	// shared hosts: the Sybil mill and the leech farm each run all
-	// their identities from one machine — that single-host concentration
-	// is what the per-host ledger is built to see.
-	shared map[population.Behavior]*netsim.Host
-}
-
-// sharedHost lazily allocates the one machine a single-host behavior
-// (Sybil mill, leech farm) runs all its identities from.
-func (sp *spawner) sharedHost(b population.Behavior) (*netsim.Host, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.shared == nil {
-		sp.shared = make(map[population.Behavior]*netsim.Host)
-	}
-	if h, ok := sp.shared[b]; ok {
-		return h, nil
-	}
-	h, err := sp.tb.NewViewerHost("US")
-	if err != nil {
-		return nil, err
-	}
-	sp.shared[b] = h
-	return h, nil
 }
 
 // nextIndex reserves a per-behavior sequence number.
@@ -532,46 +451,25 @@ func (sp *spawner) drive(b population.Behavior, count int, _ time.Duration) erro
 	return sp.spawnViewers(b, count)
 }
 
-// spawnViewers starts count pdnclient peers of the given behavior.
-// Honest members (the flash crowd) behave like the core swarm — own
-// hosts, full protocol, live-edge tune-in on live runs. Free-riders
-// play the whole stream from ONE shared host (a leech farm billing the
-// customer, §IV-B) and refuse every upload. Sybil identities share one
-// host too, but each plays a single segment and lingers: the mill's
-// job is to be advertised and squat neighbor slots while serving
-// nothing. Eclipse colluders do the same from their own hosts, which
-// is what lets them slip past per-host accounting. Impersonators also
-// take their own hosts — spread across countries so geo-matching
-// profiles advertise them to honest peers — and register the leaked
-// key instead of their own.
+// spawnViewers starts count pdnclient peers of the given behavior,
+// placed and configured by the testbed's band rule. Honest members (the
+// flash crowd) also tune in at the live edge on live runs, and
+// impersonators register the leaked key instead of their own.
 func (sp *spawner) spawnViewers(b population.Behavior, count int) error {
 	for i := 0; i < count; i++ {
 		n := sp.nextIndex(b)
 		name := fmt.Sprintf("%s-%03d", b, n)
-		var host *netsim.Host
-		var err error
-		if b == population.BehaviorFreeRider || b == population.BehaviorSybil {
-			host, err = sp.sharedHost(b)
-		} else {
-			host, err = sp.tb.NewViewerHost(viewerCountries[n%len(viewerCountries)])
-		}
+		vcfg, err := sp.tb.BandViewer(b, n, sp.cfg.Seed+1000+int64(n), sp.cfg.Segments)
 		if err != nil {
 			return err
 		}
-		vcfg := sp.tb.ViewerConfig(host, sp.cfg.Seed+1000+int64(n))
 		vcfg.Pace = sp.cfg.Pace
-		vcfg.GracefulDegrade = true
-		vcfg.MaxSegments = sp.cfg.Segments
 		switch b {
 		case population.BehaviorHonest:
 			if sp.cfg.Live {
 				vcfg.LiveEdgeSegments = 3
 				vcfg.OnSegment = sp.onSegment
 			}
-		case population.BehaviorEclipse, population.BehaviorSybil:
-			vcfg.UploadPolicy = func(media.SegmentKey) bool { return false }
-			vcfg.MaxSegments = 1
-			vcfg.Linger = 5 * time.Minute
 		case population.BehaviorImpersonator:
 			// The impersonator holds the victim's *public* key only; its
 			// handshakes sign with its own private key, so every possession
@@ -579,11 +477,6 @@ func (sp *spawner) spawnViewers(b population.Behavior, count int) error {
 			if sp.leakedKey != nil {
 				vcfg.SecureImpersonate = sp.leakedKey()
 			}
-			vcfg.UploadPolicy = func(media.SegmentKey) bool { return false }
-			vcfg.MaxSegments = 1
-			vcfg.Linger = 5 * time.Minute
-		default: // free_rider
-			vcfg.UploadPolicy = func(media.SegmentKey) bool { return false }
 		}
 		peer, err := pdnclient.New(vcfg)
 		if err != nil {

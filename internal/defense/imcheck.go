@@ -3,6 +3,7 @@ package defense
 import (
 	"crypto/ed25519"
 	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -14,9 +15,10 @@ import (
 // ErrPeerBlacklisted is returned to peers that reported falsified IMs.
 var ErrPeerBlacklisted = errors.New("defense: peer blacklisted")
 
-// FetchFunc downloads the authentic segment from the CDN; the IM
-// checker calls it only to resolve conflicting reports, keeping the
-// defense's extra CDN cost proportional to attacker activity.
+// FetchFunc returns the authentic segment. A panel calls it only to
+// resolve conflicting reports, keeping the defense's extra CDN cost
+// proportional to attacker activity; an authority calls it once per
+// segment, as the origin reading its own ground truth.
 type FetchFunc func(key media.SegmentKey) ([]byte, error)
 
 // IMConfig parameterizes the checker.
@@ -30,11 +32,17 @@ type IMConfig struct {
 }
 
 // IMChecker implements signal.IMService: the server side of the §V-B
-// peer-assisted integrity-checking defense.
+// integrity-checking defense. Its constructor fixes where an established
+// SIM comes from: NewIMChecker's panel takes the first k agreeing peer
+// reports, arbitrating conflicts through the CDN; NewIMAuthority's
+// provider signs its own ground truth the first time a segment is asked
+// about, so the first k reporters have no bootstrap window to collude
+// in. After establishment the two are the same code.
 type IMChecker struct {
-	cfg     IMConfig
-	signPub ed25519.PublicKey
-	signKey ed25519.PrivateKey
+	cfg       IMConfig
+	authority bool // signs cfg.FetchCDN's ground truth on demand; no panel
+	signPub   ed25519.PublicKey
+	signKey   ed25519.PrivateKey
 
 	mu          sync.Mutex
 	pending     map[media.SegmentKey]map[string]string // key -> peerID -> hash
@@ -47,13 +55,25 @@ type IMChecker struct {
 
 var _ signal.IMService = (*IMChecker)(nil)
 
-// NewIMChecker constructs the checker with a fresh signing key.
+// NewIMChecker constructs the k-reporter panel checker with a fresh
+// signing key.
 func NewIMChecker(cfg IMConfig) (*IMChecker, error) {
-	if cfg.FetchCDN == nil {
-		return nil, errors.New("defense: IMConfig.FetchCDN is required")
-	}
 	if cfg.Reporters <= 0 {
 		cfg.Reporters = 3
+	}
+	return newIMChecker(cfg, false)
+}
+
+// NewIMAuthority constructs the provider-signed service with a fresh
+// signing key: truth returns the authentic bytes of every segment the
+// provider originates and an error for anything else.
+func NewIMAuthority(truth FetchFunc) (*IMChecker, error) {
+	return newIMChecker(IMConfig{FetchCDN: truth}, true)
+}
+
+func newIMChecker(cfg IMConfig, authority bool) (*IMChecker, error) {
+	if cfg.FetchCDN == nil {
+		return nil, errors.New("defense: IMConfig.FetchCDN is required")
 	}
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
@@ -61,6 +81,7 @@ func NewIMChecker(cfg IMConfig) (*IMChecker, error) {
 	}
 	return &IMChecker{
 		cfg:         cfg,
+		authority:   authority,
 		signPub:     pub,
 		signKey:     priv,
 		pending:     make(map[media.SegmentKey]map[string]string),
@@ -73,16 +94,32 @@ func NewIMChecker(cfg IMConfig) (*IMChecker, error) {
 // the SDK in a real deployment).
 func (c *IMChecker) PublicKey() ed25519.PublicKey { return c.signPub }
 
+// ManifestPublicKeyHex is the verification key in the hex form policy
+// delivers it to peers, and empty for a panel: in Policy.ManifestPubKey
+// it makes viewers demand a SIM for every segment source, CDN included,
+// which only an authority can serve.
+func (c *IMChecker) ManifestPublicKeyHex() string {
+	if !c.authority {
+		return ""
+	}
+	return hex.EncodeToString(c.signPub)
+}
+
 // VerifySIM checks a SIM signature against the checker's public key.
 func VerifySIM(pub ed25519.PublicKey, key media.SegmentKey, hash, sig string) bool {
 	return media.VerifySIM(pub, key, hash, sig)
 }
 
-// Report records a peer's IM for a CDN-fetched segment (§V-B): the
-// first k distinct reporters form the segment's panel. Agreement
-// establishes the SIM; disagreement triggers CDN arbitration and
-// blacklists every peer that lied.
+// Report records a peer's IM for a CDN-fetched segment (§V-B). Against
+// an established SIM — which an authority establishes here if it has
+// not yet — a contradicting reporter is blacklisted on the spot.
+// Otherwise the first k distinct reporters form the segment's panel:
+// agreement establishes the SIM; disagreement triggers CDN arbitration
+// and blacklists every peer that lied.
 func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) error {
+	if c.authority {
+		c.SIM(key)
+	}
 	c.mu.Lock()
 	if c.blacklist[peerID] {
 		c.mu.Unlock()
@@ -96,6 +133,11 @@ func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) err
 			c.mu.Unlock()
 			return ErrPeerBlacklisted
 		}
+		c.mu.Unlock()
+		return nil
+	}
+	if c.authority {
+		// A segment the provider does not originate: nothing to contradict.
 		c.mu.Unlock()
 		return nil
 	}
@@ -156,17 +198,32 @@ func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) err
 	return nil
 }
 
-func (c *IMChecker) establishLocked(key media.SegmentKey, hash string) {
-	c.established[key] = media.SignSIM(c.signKey, key, hash)
+func (c *IMChecker) establishLocked(key media.SegmentKey, hash string) media.SIM {
+	e := media.SignSIM(c.signKey, key, hash)
+	c.established[key] = e
+	return e
 }
 
-// SIM returns the signed integrity metadata for a segment.
+// SIM returns the signed integrity metadata for a segment: whatever a
+// panel has established so far, or, from an authority, the ground truth
+// of any segment it originates — hashed and signed once per key, with
+// the fetch outside the lock.
 func (c *IMChecker) SIM(key media.SegmentKey) (hash, sig string, ok bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	e, found := c.established[key]
-	if !found {
+	c.mu.Unlock()
+	if found || !c.authority {
+		return e.Hash, e.Sig, found
+	}
+	data, err := c.cfg.FetchCDN(key)
+	if err != nil {
 		return "", "", false
+	}
+	truth := media.IMHash(key, data)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, found = c.established[key]; !found {
+		e = c.establishLocked(key, truth)
 	}
 	return e.Hash, e.Sig, true
 }

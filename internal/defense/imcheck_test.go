@@ -1,30 +1,20 @@
-package defense
+package defense_test
 
 import (
+	"crypto/ed25519"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
+	"github.com/stealthy-peers/pdnsec/internal/defense"
 	"github.com/stealthy-peers/pdnsec/internal/media"
+	"github.com/stealthy-peers/pdnsec/internal/secure"
 )
 
 func testKey(i int) media.SegmentKey {
 	return media.SegmentKey{Video: "bbb", Rendition: "360p", Index: i}
-}
-
-// newChecker returns a checker whose CDN fetch serves the given video.
-func newChecker(t *testing.T, v *media.Video, k int) *IMChecker {
-	t.Helper()
-	c, err := NewIMChecker(IMConfig{
-		Reporters: k,
-		FetchCDN: func(key media.SegmentKey) ([]byte, error) {
-			return v.SegmentData(key.Rendition, key.Index)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 func vid() *media.Video {
@@ -36,74 +26,239 @@ func vid() *media.Video {
 	}
 }
 
-func TestAgreementEstablishesSIM(t *testing.T) {
-	v := vid()
-	c := newChecker(t, v, 3)
-	key := testKey(0)
-	data, _ := v.SegmentData("360p", 0)
-	h := media.IMHash(key, data)
-
-	if _, _, ok := c.SIM(key); ok {
-		t.Fatal("SIM should not exist before reports")
+// authentic is the ground-truth IM hash of one of vid()'s segments.
+func authentic(t *testing.T, v *media.Video, key media.SegmentKey) string {
+	t.Helper()
+	data, err := v.SegmentData(key.Rendition, key.Index)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := c.Report(fmt.Sprintf("p%d", i), key, h); err != nil {
+	return media.IMHash(key, data)
+}
+
+// newPanel returns a k-reporter checker whose CDN fetch serves v.
+func newPanel(t *testing.T, v *media.Video, k int) *defense.IMChecker {
+	t.Helper()
+	c, err := defense.NewIMChecker(defense.IMConfig{
+		Reporters: k,
+		FetchCDN: func(key media.SegmentKey) ([]byte, error) {
+			return v.SegmentData(key.Rendition, key.Index)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// trustSources are the two ways the one integrity service is built. The
+// tests ranging over it pin what both must do; what differs is data:
+// how many agreeing reports a SIM waits for, whether a contradiction can
+// need arbitrating, and whether a manifest key is advertised.
+var trustSources = []struct {
+	name string
+	// reporters is how many agreeing reports establish a SIM.
+	reporters int
+	// conflicts is what Stats counts after one in-panel liar: a panel
+	// arbitrates it through the CDN, an authority already knows.
+	conflicts int
+	build     func(t *testing.T, v *media.Video) *defense.IMChecker
+}{
+	{"panel", 2, 1, func(t *testing.T, v *media.Video) *defense.IMChecker { return newPanel(t, v, 2) }},
+	{"authority", 0, 0, func(t *testing.T, v *media.Video) *defense.IMChecker {
+		c, err := secure.NewManifestService(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}},
+}
+
+// establish files the agreeing reports a SIM for key still waits for.
+func establish(t *testing.T, c *defense.IMChecker, reporters int, key media.SegmentKey, hash string) {
+	t.Helper()
+	for i := 0; i < reporters; i++ {
+		if err := c.Report(fmt.Sprintf("honest%d", i), key, hash); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hash, sig, ok := c.SIM(key)
-	if !ok || hash != h {
-		t.Fatalf("SIM = %q %v", hash, ok)
+	if got, _, ok := c.SIM(key); !ok || got != hash {
+		t.Fatalf("SIM after %d agreeing reports = %q %v, want %q", reporters, got, ok, hash)
 	}
-	if !VerifySIM(c.PublicKey(), key, hash, sig) {
-		t.Fatal("SIM signature invalid")
-	}
-	if VerifySIM(c.PublicKey(), testKey(1), hash, sig) {
-		t.Fatal("SIM signature must bind the segment key (replay defense)")
-	}
-	conflicts, fetches, banned := c.Stats()
-	if conflicts != 0 || fetches != 0 || banned != 0 {
-		t.Fatalf("stats %d %d %d", conflicts, fetches, banned)
+}
+
+func TestSIMAvailability(t *testing.T) {
+	for _, src := range trustSources {
+		t.Run(src.name, func(t *testing.T) {
+			v := vid()
+			c := src.build(t, v)
+			key := testKey(0)
+			h := authentic(t, v, key)
+
+			for i := 0; i < src.reporters; i++ {
+				if _, _, ok := c.SIM(key); ok {
+					t.Fatalf("SIM exists after %d of %d reports", i, src.reporters)
+				}
+				if err := c.Report(fmt.Sprintf("p%d", i), key, h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hash, sig, ok := c.SIM(key)
+			if !ok || hash != h {
+				t.Fatalf("SIM = %q %v, want the ground-truth IM hash", hash, ok)
+			}
+			for _, absent := range []media.SegmentKey{
+				{Video: "bbb", Rendition: "360p", Index: 99},
+				{Video: "other", Rendition: "360p", Index: 0},
+			} {
+				if _, _, ok := c.SIM(absent); ok {
+					t.Errorf("SIM produced for %v, which nobody vouched for", absent)
+				}
+			}
+
+			if !defense.VerifySIM(c.PublicKey(), key, hash, sig) {
+				t.Fatal("SIM signature invalid")
+			}
+			if defense.VerifySIM(c.PublicKey(), testKey(1), hash, sig) {
+				t.Fatal("SIM signature must bind the segment key (replay defense)")
+			}
+			if defense.VerifySIM(c.PublicKey(), key, hash, sig[:len(sig)-2]) {
+				t.Error("truncated signature verified")
+			}
+
+			// Only an authority advertises a manifest key: stamped into the
+			// policy it makes viewers demand a SIM for CDN segments too.
+			advertised := c.ManifestPublicKeyHex()
+			if src.reporters > 0 {
+				if advertised != "" {
+					t.Fatalf("panel advertises manifest key %q", advertised)
+				}
+			} else {
+				raw, err := hex.DecodeString(advertised)
+				if err != nil || len(raw) != ed25519.PublicKeySize {
+					t.Fatalf("advertised manifest key %q: %v", advertised, err)
+				}
+				if !secure.VerifyManifest(ed25519.PublicKey(raw), key, hash, sig) {
+					t.Error("manifest signature does not verify under the advertised key")
+				}
+			}
+
+			if conflicts, fetches, banned := c.Stats(); conflicts != 0 || fetches != 0 || banned != 0 {
+				t.Fatalf("stats %d %d %d after honest reports only", conflicts, fetches, banned)
+			}
+		})
 	}
 }
 
 func TestConflictArbitrationBlacklistsLiar(t *testing.T) {
-	v := vid()
-	c := newChecker(t, v, 3)
-	key := testKey(2)
-	data, _ := v.SegmentData("360p", 2)
-	authentic := media.IMHash(key, data)
+	for _, src := range trustSources {
+		t.Run(src.name, func(t *testing.T) {
+			v := vid()
+			c := src.build(t, v)
+			key := testKey(2)
+			h := authentic(t, v, key)
 
-	if err := c.Report("honest1", key, authentic); err != nil {
+			if err := c.Report("honest", key, h); err != nil {
+				t.Fatal(err)
+			}
+			// A panel's liar completes it with a fake IM → conflict → CDN
+			// arbitration → liar banned. An authority needs no arbitration.
+			if err := c.Report("liar", key, "deadbeef"); !errors.Is(err, defense.ErrPeerBlacklisted) {
+				t.Fatalf("liar's report: err = %v", err)
+			}
+			if hash, _, ok := c.SIM(key); !ok || hash != h {
+				t.Fatal("the authentic IM should be established")
+			}
+			if !c.Blacklisted("liar") || c.Blacklisted("honest") {
+				t.Fatal("exactly the liar should be banned")
+			}
+			conflicts, fetches, banned := c.Stats()
+			if conflicts != src.conflicts || fetches != src.conflicts || banned != 1 {
+				t.Fatalf("stats %d %d %d, want %d %d 1", conflicts, fetches, banned, src.conflicts, src.conflicts)
+			}
+		})
+	}
+}
+
+func TestLateContradictionBanned(t *testing.T) {
+	for _, src := range trustSources {
+		t.Run(src.name, func(t *testing.T) {
+			v := vid()
+			c := src.build(t, v)
+			key := testKey(4)
+			h := authentic(t, v, key)
+			establish(t, c, src.reporters, key, h)
+			// Established; a later contradicting report is an immediate ban.
+			if err := c.Report("late-liar", key, "bogus"); !errors.Is(err, defense.ErrPeerBlacklisted) {
+				t.Fatalf("err = %v", err)
+			}
+			// A later agreeing report is fine.
+			if err := c.Report("late-honest", key, h); err != nil {
+				t.Fatal(err)
+			}
+			if !c.Blacklisted("late-liar") || c.Blacklisted("late-honest") {
+				t.Error("blacklist state wrong after conflicting late reports")
+			}
+		})
+	}
+}
+
+func TestBlacklistedPeerRejected(t *testing.T) {
+	for _, src := range trustSources {
+		t.Run(src.name, func(t *testing.T) {
+			v := vid()
+			c := src.build(t, v)
+			key := testKey(5)
+			establish(t, c, src.reporters, key, authentic(t, v, key))
+			if err := c.Report("liar", key, "bogus"); !errors.Is(err, defense.ErrPeerBlacklisted) {
+				t.Fatalf("err = %v", err)
+			}
+			// The banned peer can no longer report anything.
+			other := testKey(6)
+			if err := c.Report("liar", other, authentic(t, v, other)); !errors.Is(err, defense.ErrPeerBlacklisted) {
+				t.Fatalf("err = %v", err)
+			}
+		})
+	}
+}
+
+// TestAuthoritySignsOncePerKey: the authority fetches and hashes outside
+// its lock, so concurrent first askers race to establish; every one of
+// them must still be handed the same SIM.
+func TestAuthoritySignsOncePerKey(t *testing.T) {
+	v := vid()
+	c, err := secure.NewManifestService(v)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Report("honest2", key, authentic); err != nil {
-		t.Fatal(err)
+	key := testKey(1)
+	h := authentic(t, v, key)
+	const askers = 8
+	sigs := make([]string, askers)
+	var wg sync.WaitGroup
+	for i := 0; i < askers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := c.Report(fmt.Sprintf("p%d", i), key, h); err != nil {
+				t.Error(err)
+			}
+			_, sigs[i], _ = c.SIM(key)
+		}(i)
 	}
-	// The liar completes the panel with a fake IM → conflict → CDN
-	// arbitration → liar banned.
-	err := c.Report("liar", key, "deadbeef")
-	if !errors.Is(err, ErrPeerBlacklisted) {
-		t.Fatalf("liar's report: err = %v", err)
-	}
-	hash, _, ok := c.SIM(key)
-	if !ok || hash != authentic {
-		t.Fatal("arbitration should establish the authentic IM")
-	}
-	if !c.Blacklisted("liar") || c.Blacklisted("honest1") || c.Blacklisted("honest2") {
-		t.Fatal("exactly the liar should be banned")
-	}
-	conflicts, fetches, banned := c.Stats()
-	if conflicts != 1 || fetches != 1 || banned != 1 {
-		t.Fatalf("stats %d %d %d", conflicts, fetches, banned)
+	wg.Wait()
+	for i, sig := range sigs {
+		if sig == "" || sig != sigs[0] {
+			t.Fatalf("asker %d got signature %q, asker 0 %q", i, sig, sigs[0])
+		}
 	}
 }
 
 func TestAllMaliciousPanelWins(t *testing.T) {
 	// The paper is explicit: the attack succeeds only when all randomly
 	// selected peers are malicious — unanimous lies establish a fake SIM.
-	v := vid()
-	c := newChecker(t, v, 3)
+	// (An authority has no panel to stuff.)
+	c := newPanel(t, vid(), 3)
 	key := testKey(3)
 	fake := "0000deadbeef"
 	for i := 0; i < 3; i++ {
@@ -117,46 +272,11 @@ func TestAllMaliciousPanelWins(t *testing.T) {
 	}
 }
 
-func TestLateContradictionBanned(t *testing.T) {
-	v := vid()
-	c := newChecker(t, v, 2)
-	key := testKey(4)
-	data, _ := v.SegmentData("360p", 4)
-	authentic := media.IMHash(key, data)
-	c.Report("a", key, authentic)
-	c.Report("b", key, authentic)
-	// Established; a later contradicting report is an immediate ban.
-	if err := c.Report("late-liar", key, "bogus"); !errors.Is(err, ErrPeerBlacklisted) {
-		t.Fatalf("err = %v", err)
-	}
-	// A later agreeing report is fine.
-	if err := c.Report("late-honest", key, authentic); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlacklistedPeerRejected(t *testing.T) {
-	v := vid()
-	c := newChecker(t, v, 2)
-	key := testKey(5)
-	data, _ := v.SegmentData("360p", 5)
-	authentic := media.IMHash(key, data)
-	c.Report("honest", key, authentic)
-	if err := c.Report("liar", key, "bogus"); !errors.Is(err, ErrPeerBlacklisted) {
-		t.Fatalf("err = %v", err)
-	}
-	// The banned peer can no longer report anything.
-	if err := c.Report("liar", testKey(6), authentic); !errors.Is(err, ErrPeerBlacklisted) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestDuplicateReporterDoesNotFillPanel(t *testing.T) {
 	v := vid()
-	c := newChecker(t, v, 3)
+	c := newPanel(t, v, 3)
 	key := testKey(7)
-	data, _ := v.SegmentData("360p", 7)
-	h := media.IMHash(key, data)
+	h := authentic(t, v, key)
 	for i := 0; i < 5; i++ {
 		c.Report("same-peer", key, h)
 	}
@@ -166,14 +286,25 @@ func TestDuplicateReporterDoesNotFillPanel(t *testing.T) {
 }
 
 func TestIMConfigValidation(t *testing.T) {
-	if _, err := NewIMChecker(IMConfig{}); err == nil {
+	if _, err := defense.NewIMChecker(defense.IMConfig{}); err == nil {
 		t.Fatal("missing FetchCDN should fail")
 	}
-	c, err := NewIMChecker(IMConfig{FetchCDN: func(media.SegmentKey) ([]byte, error) { return nil, nil }})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := defense.NewIMAuthority(nil); err == nil {
+		t.Fatal("missing ground truth should fail")
 	}
-	if c.cfg.Reporters != 3 {
-		t.Fatalf("default reporters = %d", c.cfg.Reporters)
+	if _, err := secure.NewManifestService(nil); err == nil {
+		t.Fatal("missing video should fail")
+	}
+	// The default panel is three reporters.
+	c := newPanel(t, vid(), 0)
+	key := testKey(0)
+	for i := 0; i < 3; i++ {
+		if _, _, ok := c.SIM(key); ok {
+			t.Fatalf("default panel established a SIM after %d reports", i)
+		}
+		c.Report(fmt.Sprintf("p%d", i), key, "h")
+	}
+	if _, _, ok := c.SIM(key); !ok {
+		t.Fatal("default panel did not establish a SIM after 3 reports")
 	}
 }

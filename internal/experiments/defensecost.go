@@ -7,11 +7,9 @@ import (
 
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/attack"
-	"github.com/stealthy-peers/pdnsec/internal/defense"
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
-	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
 // DefenseStrategy names an integrity-defense deployment option.
@@ -63,22 +61,8 @@ func defenseCostRow(ctx context.Context, strategy DefenseStrategy) (DefenseCostR
 	video := analyzer.SmallVideo("bbb", 6, 16<<10)
 
 	opts := provider.Options{Seed: 13}
-	var checker *defense.IMChecker
 	if strategy == DefensePeerIM {
-		var err error
-		checker, err = defense.NewIMChecker(defense.IMConfig{
-			Reporters: 2,
-			FetchCDN: func(key media.SegmentKey) ([]byte, error) {
-				return video.SegmentData(key.Rendition, key.Index)
-			},
-		})
-		if err != nil {
-			return row, err
-		}
-		opts.IM = checker
-		pol := signal.DefaultPolicy()
-		pol.RequireIMChecking = true
-		opts.PolicyOverride = &pol
+		opts.PolicyOverride = analyzer.DefaultPolicyWithIM()
 	}
 	tb, err := analyzer.NewTestbed(ctx, analyzer.TestbedConfig{Profile: provider.Peer5(), Video: video, Options: opts})
 	if err != nil {
@@ -147,10 +131,8 @@ func defenseCostRow(ctx context.Context, strategy DefenseStrategy) (DefenseCostR
 		perSeg := int64(64 + 24) // hex hash + key per entry, JSON framing
 		row.DefenseCDNBytes = int64(video.Segments) * perSeg
 	case DefensePeerIM:
-		if checker != nil {
-			_, fetches, _ := checker.Stats()
-			row.DefenseCDNBytes = int64(fetches) * int64(16<<10)
-		}
+		_, fetches, _ := tb.IM.Stats()
+		row.DefenseCDNBytes = int64(fetches) * int64(16<<10)
 	}
 	return row, nil
 }

@@ -212,9 +212,9 @@ func IMHash(key SegmentKey, data []byte) string {
 
 // SIM is signed integrity metadata: a segment's IM hash and the hex
 // ed25519 signature over "video/rendition/index|hash". The paper's
-// peer-established SIMs (defense.IMChecker) and the provider-signed
-// manifests (secure.ManifestService) are this one format, so a client
-// verifies either with VerifySIM.
+// peer-established SIMs and the provider-signed manifests are this one
+// format from one service (defense.IMChecker, built as a panel or as an
+// authority), so a client verifies either with VerifySIM.
 type SIM struct {
 	Hash string
 	Sig  string

@@ -190,3 +190,25 @@ func TestBucketRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantileNearestRank pins the one rank rule exact percentiles use:
+// index ceil(q·n)−1 of the ascending samples.
+func TestQuantileNearestRank(t *testing.T) {
+	ten := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, tc := range []struct {
+		q    float64
+		want int
+	}{
+		{0.5, 5}, {0.9, 9}, {0.91, 10}, {0.99, 10}, {1, 10}, {0.01, 1}, {0, 1},
+	} {
+		if got := Quantile(ten, tc.q); got != tc.want {
+			t.Errorf("Quantile(1..10, %v) = %d, want %d", tc.q, got, tc.want)
+		}
+	}
+	if got := Quantile([]float64{7}, 0.99); got != 7 {
+		t.Errorf("single sample: %v", got)
+	}
+	if got := Quantile([]int64(nil), 0.5); got != 0 {
+		t.Errorf("no samples: %v", got)
+	}
+}

@@ -286,6 +286,16 @@ func (nb *neighbor) request(ctx context.Context, key media.SegmentKey) (data []b
 		case <-ctx.Done():
 			return nil, false
 		case <-nb.closedC:
+			// The read loop parks an answer before it can see the hang-up
+			// behind it, so both arms can be ready at once: a seeder that
+			// answered and then left has still answered.
+			select {
+			case resp := <-nb.respCh:
+				if resp.hdr.Key == key && resp.hdr.Found {
+					return resp.payload, true
+				}
+			default:
+			}
 			return nil, false
 		}
 	}

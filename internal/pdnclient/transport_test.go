@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -328,6 +329,48 @@ func (c *answeringConn) Recv() ([]byte, error) {
 		return f, nil
 	case <-c.broken:
 		return nil, errors.New("conn broken")
+	}
+}
+
+// hangUpConn answers a want and then dies on the wire, and does not let
+// the want's Send return until the neighbor's read loop has parked the
+// answer and closed the neighbor behind it.
+type hangUpConn struct {
+	*answeringConn
+	nb *neighbor
+}
+
+func (c *hangUpConn) Send(msg []byte) error {
+	err := c.answeringConn.Send(msg)
+	for len(c.nb.respCh) == 0 {
+		runtime.Gosched()
+	}
+	c.breakNow()
+	<-c.nb.closedC
+	return err
+}
+
+// TestAnswerThenHangUpStillAnswers: a seeder that serves a segment and
+// leaves has still served it. The request's wait used to choose at
+// random between the parked answer and the closed connection, and the
+// wrong pick cost a CDN fallback.
+func TestAnswerThenHangUpStillAnswers(t *testing.T) {
+	segment := func(k media.SegmentKey) []byte { return []byte{byte(k.Index), 1, 2, 3} }
+	key := media.SegmentKey{Video: "bbb", Rendition: "360p", Index: 7}
+	// Each round the unfixed wait gave up with probability 1/2.
+	for round := 0; round < 64; round++ {
+		p, _ := barePeers(t)
+		admit(p, nil, signal.Welcome{Policy: signal.Policy{P2PEnabled: true}})
+		conn := &hangUpConn{answeringConn: newAnsweringConn(segment)}
+		p.addNeighbor("seeder", conn)
+		p.mu.Lock()
+		conn.nb = p.neighbors["seeder"]
+		p.mu.Unlock()
+		data, found := conn.nb.request(context.Background(), key)
+		p.teardown()
+		if !found || !bytes.Equal(data, segment(key)) {
+			t.Fatalf("round %d: request = %v, %v; want the answer sent before the hang-up", round, data, found)
+		}
 	}
 }
 

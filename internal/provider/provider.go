@@ -192,8 +192,9 @@ func ECDN() Profile {
 // Hardened models a §V-hardened deployment: disposable video-binding
 // JWT authentication, IM checking required, geo-constrained matching,
 // and a per-session upload budget — every mitigation the paper
-// proposes, composed. Deploy it with Options.IM set to an IMChecker to
-// activate the pollution defense.
+// proposes, composed. Its policy demands a SIM for every P2P segment,
+// so it needs Options.IM set to a defense.IMChecker to stream over P2P
+// at all (analyzer.NewTestbed deploys one).
 func Hardened() Profile {
 	pol := signal.DefaultPolicy()
 	pol.RequireIMChecking = true
@@ -222,8 +223,8 @@ func Hardened() Profile {
 // static keys, a Noise-IK-style handshake, AEAD records, and signed
 // per-segment manifests verified before any byte is cached or played.
 // Deploy stamps the policy with the transport authority's key; pair it
-// with Options.IM set to a secure.ManifestService so peers get signed
-// manifests for the CDN path too.
+// with Options.IM set to secure.NewManifestService's authority so peers
+// get signed manifests for the CDN path too (analyzer.NewTestbed does).
 func Secure() Profile {
 	p := Hardened()
 	p.Name = "secure"
@@ -318,19 +319,22 @@ func Deploy(ctx context.Context, p Profile, host *netsim.Host, opts Options) (*D
 	if p.Public {
 		keys = auth.NewRegistry(p.Plan)
 	}
+	// TokenTTL and JWTAuth are disjoint across profiles: at most one of
+	// the two issuers exists, and it is the server's token validator.
+	var validator signal.TokenValidator
 	var tokens *auth.TokenStore
 	if p.TokenTTL > 0 {
 		tokens = auth.NewTokenStore(p.TokenBindsVideo, p.TokenTTL)
+		validator = tokens
 	}
 	var jwtAuthority *defense.TokenAuthority
-	var jwtValidator signal.TokenValidator
 	if p.JWTAuth {
 		var secret [32]byte
 		if _, err := rand.Read(secret[:]); err != nil {
 			return nil, fmt.Errorf("provider %s: jwt secret: %w", p.Name, err)
 		}
 		jwtAuthority = defense.NewTokenAuthority(secret[:])
-		jwtValidator = jwtAuthority
+		validator = jwtAuthority
 	}
 	policy := p.Policy
 	if opts.PolicyOverride != nil {
@@ -347,11 +351,12 @@ func Deploy(ctx context.Context, p Profile, host *netsim.Host, opts Options) (*D
 		secureSvc = ta
 		policy.TransportPubKey = ta.PublicKeyHex()
 	}
-	// An IM service that exposes a manifest verification key (i.e. a
-	// secure.ManifestService) gets it stamped into the policy, turning on
-	// client-side signature verification for every segment source.
-	if mp, ok := opts.IM.(interface{ ManifestPublicKeyHex() string }); ok && policy.ManifestPubKey == "" {
-		policy.ManifestPubKey = mp.ManifestPublicKeyHex()
+	// An authority-built IM service advertises a manifest verification
+	// key; stamped into the policy it turns on client-side signature
+	// verification for every segment source. A panel-built one advertises
+	// none, and CDN segments stay exempt.
+	if im, ok := opts.IM.(*defense.IMChecker); ok && policy.ManifestPubKey == "" {
+		policy.ManifestPubKey = im.ManifestPublicKeyHex()
 	}
 	servers := opts.Servers
 	if servers <= 0 {
@@ -364,8 +369,7 @@ func Deploy(ctx context.Context, p Profile, host *netsim.Host, opts Options) (*D
 		Servers: servers,
 		Base: signal.Config{
 			Keys:        keys,
-			Tokens:      tokens,
-			JWT:         jwtValidator,
+			Tokens:      validator,
 			RequireAuth: p.RequireAuth || p.Public,
 			Policy:      policy,
 			GeoDB:       opts.GeoDB,

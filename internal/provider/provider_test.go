@@ -8,7 +8,10 @@ import (
 	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/auth"
+	"github.com/stealthy-peers/pdnsec/internal/defense"
+	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
+	"github.com/stealthy-peers/pdnsec/internal/secure"
 	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
@@ -224,5 +227,57 @@ func TestIssueJWTWithoutAuthority(t *testing.T) {
 	_, d := deploy(t, Peer5())
 	if _, err := d.IssueJWT("p1", "v"); err == nil {
 		t.Fatal("non-JWT profile should refuse to issue")
+	}
+}
+
+// TestManifestKeyStampedForAuthorityOnly: an authority-built integrity
+// service advertises a manifest key and Deploy delivers it in the
+// policy, which makes viewers demand a SIM for every segment source. A
+// panel-built one must leave it empty, or CDN segments — which are how
+// a panel learns its hashes in the first place — start demanding SIMs.
+func TestManifestKeyStampedForAuthorityOnly(t *testing.T) {
+	video := media.NewVOD("bbb", 4)
+	authority, err := secure.NewManifestService(video)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if authority.ManifestPublicKeyHex() == "" {
+		t.Fatal("authority advertises no manifest key")
+	}
+	panel, err := defense.NewIMChecker(defense.IMConfig{
+		Reporters: 2,
+		FetchCDN:  func(k media.SegmentKey) ([]byte, error) { return video.SegmentData(k.Rendition, k.Index) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		im   *defense.IMChecker
+		want string
+	}{
+		{"authority", authority, authority.ManifestPublicKeyHex()},
+		{"panel", panel, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := netsim.New(netsim.Config{})
+			d, err := Deploy(context.Background(), MangoPrivate(), n.MustHost(netip.MustParseAddr("44.1.1.1")), Options{IM: tc.im, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			c, err := signal.Dial(context.Background(), n.MustHost(netip.MustParseAddr("66.24.0.1")), d.SignalAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			w, err := c.Join(context.Background(), signal.JoinRequest{Video: "bbb", Rendition: "360p"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.Policy.ManifestPubKey != tc.want {
+				t.Fatalf("Policy.ManifestPubKey = %q, want %q", w.Policy.ManifestPubKey, tc.want)
+			}
+		})
 	}
 }

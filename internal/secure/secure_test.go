@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/record"
 )
 
@@ -244,61 +243,6 @@ func TestTransportAuthorityQuarantineThreshold(t *testing.T) {
 	}
 	if ta.ReportBadKey("r4", key) {
 		t.Fatal("quarantine must trip exactly once")
-	}
-}
-
-func TestManifestServiceSignsGroundTruth(t *testing.T) {
-	video := media.NewVOD("bbb", 4)
-	ms, err := NewManifestService(video)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := media.SegmentKey{Video: "bbb", Rendition: "360p", Index: 2}
-	hash, sig, ok := ms.SIM(key)
-	if !ok {
-		t.Fatal("no SIM for an in-range segment")
-	}
-	data, err := video.SegmentData("360p", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hash != media.IMHash(key, data) {
-		t.Error("SIM hash is not the ground-truth IM hash")
-	}
-	raw, err := hex.DecodeString(ms.ManifestPublicKeyHex())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VerifyManifest(ed25519.PublicKey(raw), key, hash, sig) {
-		t.Error("manifest signature does not verify")
-	}
-	if VerifyManifest(ed25519.PublicKey(raw), key, hash, sig[:len(sig)-2]) {
-		t.Error("truncated signature verified")
-	}
-	if _, _, ok := ms.SIM(media.SegmentKey{Video: "bbb", Rendition: "360p", Index: 99}); ok {
-		t.Error("SIM produced for an out-of-range segment")
-	}
-	if _, _, ok := ms.SIM(media.SegmentKey{Video: "other", Rendition: "360p", Index: 0}); ok {
-		t.Error("SIM produced for a foreign video")
-	}
-}
-
-func TestManifestServiceBlacklistsLiars(t *testing.T) {
-	video := media.NewVOD("bbb", 4)
-	ms, err := NewManifestService(video)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := media.SegmentKey{Video: "bbb", Rendition: "360p", Index: 0}
-	truth, _, _ := ms.SIM(key)
-	if err := ms.Report("honest", key, truth); err != nil {
-		t.Fatalf("truthful report rejected: %v", err)
-	}
-	if err := ms.Report("liar", key, "deadbeef"); !errors.Is(err, ErrBadReport) {
-		t.Fatalf("lying report error = %v, want ErrBadReport", err)
-	}
-	if !ms.Blacklisted("liar") || ms.Blacklisted("honest") {
-		t.Error("blacklist state wrong after conflicting reports")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/netip"
 	"strings"
 	"sync"
@@ -83,6 +84,12 @@ func Dial(ctx context.Context, host *netsim.Host, server netip.AddrPort) (*Clien
 	if err != nil {
 		return nil, fmt.Errorf("signal: dial %v: %w", server, err)
 	}
+	return newClient(conn), nil
+}
+
+// newClient starts the read and dispatch loops over an established
+// connection.
+func newClient(conn net.Conn) *Client {
 	c := &Client{
 		codec:    wire.NewCodecSize(conn, sessionBufSize),
 		respCh:   make(chan wire.Envelope, 1),
@@ -91,7 +98,7 @@ func Dial(ctx context.Context, host *netsim.Host, server netip.AddrPort) (*Clien
 	}
 	go c.readLoop()
 	go c.dispatchLoop()
-	return c, nil
+	return c
 }
 
 // OnRelay installs the handler invoked for each relayed peer message
@@ -253,22 +260,31 @@ func (c *Client) roundTrip(ctx context.Context, typ string, payload any) (wire.E
 	if err := c.codec.Send(typ, payload); err != nil {
 		return wire.Envelope{}, err
 	}
+	var env wire.Envelope
 	//lint:ignore pdnlint/mutexspan reqMu is the request slot: holding it across the response wait is what pairs responses with requests, and readLoop (the sender on respCh) never takes it
 	select {
-	case env := <-c.respCh:
-		if env.Type == MsgError {
-			var info ErrorInfo
-			if err := env.Decode(&info); err != nil {
-				return wire.Envelope{}, err
-			}
-			return wire.Envelope{}, &ServerError{Info: info}
-		}
-		return env, nil
+	case env = <-c.respCh:
 	case <-c.done:
-		return wire.Envelope{}, c.closeErr
+		// A server that replies and then hangs up — every redirect, every
+		// auth rejection — can have both arms ready by the time the caller
+		// gets here. The read loop queues a reply before it can see the
+		// close behind it, so a delivered reply is the answer.
+		select {
+		case env = <-c.respCh:
+		default:
+			return wire.Envelope{}, c.closeErr
+		}
 	case <-ctx.Done():
 		return wire.Envelope{}, ctx.Err()
 	}
+	if env.Type == MsgError {
+		var info ErrorInfo
+		if err := env.Decode(&info); err != nil {
+			return wire.Envelope{}, err
+		}
+		return wire.Envelope{}, &ServerError{Info: info}
+	}
+	return env, nil
 }
 
 // Join authenticates with the server and returns the welcome. When the

@@ -1,8 +1,12 @@
 package signal
 
 import (
+	"errors"
+	"net"
 	"testing"
 	"time"
+
+	"github.com/stealthy-peers/pdnsec/internal/wire"
 )
 
 // TestPeerDisconnect pins what the server does when a peer drops in the
@@ -85,6 +89,67 @@ func TestPeerDisconnect(t *testing.T) {
 			cB.Close()
 
 			tc.check(t, cA, wB.PeerID, gone)
+		})
+	}
+}
+
+// holdUntilServed is the client half of a pipe whose Write does not
+// return until the client's read loop has seen the server hang up. It
+// puts a round trip at its wait with the reply already queued *and* the
+// connection already closed — the state a reply-then-close server
+// produces whenever it outruns the caller.
+type holdUntilServed struct {
+	net.Conn
+	served <-chan struct{}
+}
+
+func (c *holdUntilServed) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	<-c.served
+	return n, err
+}
+
+// TestReplyThenCloseDeliversTheReply: a server that answers a join and
+// hangs up — every redirect, every auth rejection — must be heard as its
+// answer, not as the io.EOF behind it. With both ready the wait used to
+// pick at random, so a redirected federation.Join failed "bootstrap
+// failed: EOF" about once in 25 000.
+func TestReplyThenCloseDeliversTheReply(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		typ     string
+		payload any
+		check   func(err error) bool
+	}{
+		{"redirect", MsgRedirect, Redirect{Owner: "s1", Addr: "44.1.1.2:443"}, func(err error) bool {
+			var rd *RedirectError
+			return errors.As(err, &rd) && rd.Redirect.Owner == "s1"
+		}},
+		{"auth_error", MsgError, ErrorInfo{Code: CodeAuthFailed, Message: "no valid credential presented"}, func(err error) bool {
+			var se *ServerError
+			return errors.As(err, &se) && se.Info.Code == CodeAuthFailed
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Each round the unfixed wait returned EOF with probability 1/2.
+			for round := 0; round < 64; round++ {
+				clientEnd, serverEnd := net.Pipe()
+				go func() {
+					codec := wire.NewCodec(serverEnd)
+					defer codec.Close()
+					if _, err := codec.Read(); err == nil {
+						codec.Send(tc.typ, tc.payload)
+					}
+				}()
+				conn := &holdUntilServed{Conn: clientEnd}
+				c := newClient(conn)
+				conn.served = c.Done()
+				_, err := c.Join(testCtx, JoinRequest{Video: "v", Rendition: "360p"})
+				c.Close()
+				if !tc.check(err) {
+					t.Fatalf("round %d: Join error = %v, want the server's %s", round, err, tc.typ)
+				}
+			}
 		})
 	}
 }

@@ -35,9 +35,9 @@ type IMService interface {
 	Blacklisted(peerID string) bool
 }
 
-// TokenValidator validates a presented token for a video source — the
-// §V-A disposable video-binding JWT defense plugs in here
-// (defense.TokenAuthority satisfies it).
+// TokenValidator validates a presented token for a video source: a
+// private provider's session token (auth.TokenStore) or the §V-A
+// disposable video-binding JWT (defense.TokenAuthority).
 type TokenValidator interface {
 	Validate(token, videoID string) error
 }
@@ -85,12 +85,9 @@ type Config struct {
 	// Keys authenticates public-provider joins (API key + origin).
 	// Nil disables key authentication.
 	Keys *auth.Registry
-	// Tokens authenticates private-provider joins (session token).
-	// Nil disables token authentication.
-	Tokens *auth.TokenStore
-	// JWT, when set, validates joins carrying a signed video-binding
-	// token (§V-A). It takes precedence over Tokens.
-	JWT TokenValidator
+	// Tokens authenticates joins that carry a token. Nil disables token
+	// authentication.
+	Tokens TokenValidator
 	// RequireAuth rejects joins that present no credential. The
 	// extracted Mango TV SDK imposed no constraint, modelled by false.
 	RequireAuth bool
@@ -112,14 +109,6 @@ type Config struct {
 	// locks (keyed by swarm ID). Zero or one keeps the single-stripe
 	// layout; 10k-peer deployments want 16.
 	Shards int
-	// DeliveryWorkers bounds the pool that writes queued outbound
-	// messages (match responses, relays, peer-gone notices). Zero picks
-	// a default proportional to Shards.
-	DeliveryWorkers int
-	// QueueDepth caps each shard's outbound queue; producers block when
-	// their shard's queue is full (backpressure, never message loss).
-	// Zero defaults to 4096.
-	QueueDepth int
 	// ServerName names this server inside a federated plane. It prefixes
 	// peer IDs ("s1p42") so IDs stay globally unique across servers, and
 	// labels the per-server metrics. Empty keeps the seed "pN" format
@@ -232,14 +221,11 @@ func NewServer(cfg Config) *Server {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4096
-	}
-	if cfg.DeliveryWorkers <= 0 {
-		cfg.DeliveryWorkers = 2 * cfg.Shards
-		if cfg.DeliveryWorkers > 32 {
-			cfg.DeliveryWorkers = 32
-		}
+	// The pool that writes queued outbound messages (match responses,
+	// relays, peer-gone notices) is sized to the stripes feeding it.
+	deliveryWorkers := 2 * cfg.Shards
+	if deliveryWorkers > 32 {
+		deliveryWorkers = 32
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -251,7 +237,7 @@ func NewServer(cfg Config) *Server {
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			swarms: make(map[string]*swarm),
-			q:      newOutQueue(cfg.QueueDepth),
+			q:      newOutQueue(),
 		}
 	}
 	reg := cfg.Obs
@@ -289,8 +275,8 @@ func NewServer(cfg Config) *Server {
 	for _, sh := range s.shards {
 		go s.flushLoop(sh)
 	}
-	s.workerWg.Add(cfg.DeliveryWorkers)
-	for i := 0; i < cfg.DeliveryWorkers; i++ {
+	s.workerWg.Add(deliveryWorkers)
+	for i := 0; i < deliveryWorkers; i++ {
 		go s.deliverLoop()
 	}
 	return s
@@ -445,16 +431,8 @@ func (s *Server) authenticate(join JoinRequest) (string, error) {
 			origin = join.Referer
 		}
 		return s.cfg.Keys.Authenticate(join.APIKey, origin)
-	case join.Token != "" && s.cfg.JWT != nil:
-		if err := s.cfg.JWT.Validate(join.Token, join.VideoURL); err != nil {
-			return "", err
-		}
-		return "", nil
 	case join.Token != "" && s.cfg.Tokens != nil:
-		if err := s.cfg.Tokens.Validate(join.Token, join.VideoURL); err != nil {
-			return "", err
-		}
-		return "", nil
+		return "", s.cfg.Tokens.Validate(join.Token, join.VideoURL)
 	case !s.cfg.RequireAuth:
 		return "", nil
 	default:

@@ -97,9 +97,13 @@ type outQueue struct {
 	depth atomic.Int64
 }
 
-func newOutQueue(capacity int) *outQueue {
+// queueDepth caps each shard's outbound queue; producers block while
+// their shard's queue is full.
+const queueDepth = 4096
+
+func newOutQueue() *outQueue {
 	return &outQueue{
-		slots:  make(chan struct{}, capacity),
+		slots:  make(chan struct{}, queueDepth),
 		notify: make(chan struct{}, 1),
 	}
 }

@@ -1,8 +1,11 @@
 package swarmload
 
 import (
+	"sort"
 	"sync"
 	"time"
+
+	"github.com/stealthy-peers/pdnsec/internal/obs"
 )
 
 // sample.go is the deterministic latency sampler that replaced the
@@ -139,7 +142,9 @@ func (s *sampler) kept() []time.Duration {
 // quantileMs estimates the q-th quantile of the offered population in
 // milliseconds from the kept sample.
 func (s *sampler) quantileMs(q float64) float64 {
-	return quantileMs(s.kept(), q)
+	lats := s.kept()
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return float64(obs.Quantile(lats, q)) / float64(time.Millisecond)
 }
 
 func (st *sampleStripe) push(e sampleEntry) {

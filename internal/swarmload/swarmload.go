@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -32,8 +31,6 @@ import (
 
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/federation"
-	"github.com/stealthy-peers/pdnsec/internal/media"
-	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
 	"github.com/stealthy-peers/pdnsec/internal/population"
@@ -230,9 +227,6 @@ func (v *vpeer) received() int {
 	return len(v.got)
 }
 
-// viewerCountries spreads hosts across the default geo plan.
-var viewerCountries = []string{"US", "DE", "FR", "GB", "JP", "BR", "IN", "CA"}
-
 // Run executes one load run: deploy, ramp the virtual-peer tier with
 // seeded arrivals, churn a seeded fraction out, then — concurrently
 // with the full viewers' playback — run a match-latency wave and the
@@ -273,12 +267,35 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	peers := make([]*vpeer, total)
 	seeds := tb.Dep.SignalAddrs
 	joins := newSampler(cfg.Seed, cfg.Sample)
+
+	// settle waits out the full viewers (the honest band finishing is
+	// what ends the adversaries' linger), then stops the adversaries and
+	// the seeder. The passing run calls it before reading the settled
+	// accounting; every return runs it and closes the virtual peers.
+	var vwg, awg sync.WaitGroup
+	advCtx, advCancel := context.WithCancel(ctx)
+	var stopSeeder func() pdnclient.Stats
+	var settleOnce sync.Once
+	settle := func() {
+		settleOnce.Do(func() {
+			vwg.Wait()
+			advCancel()
+			awg.Wait()
+			if stopSeeder != nil {
+				stopSeeder()
+			}
+		})
+	}
+	defer func() {
+		settle()
+		closePeers(peers)
+	}()
 	cfg.Logf("swarmload: ramping %d virtual peers across %d swarms (servers=%d shards=%d)",
 		total, cfg.Swarms, cfg.Servers, cfg.Shards)
 	err = forEach(ctx, cfg.Workers, total, func(k int) error {
 		i := order[k]
 		swarm := i % cfg.Swarms
-		host, err := tb.NewViewerHost(viewerCountries[i%len(viewerCountries)])
+		host, err := tb.NewViewerHost(analyzer.ViewerCountry(i))
 		if err != nil {
 			return err
 		}
@@ -313,7 +330,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		return nil
 	})
 	if err != nil {
-		closePeers(peers)
 		return nil, fmt.Errorf("swarmload: ramp: %w", err)
 	}
 	rep.JoinP99Ms = joins.quantileMs(0.99)
@@ -333,7 +349,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		// across the ring, so no single server's count converges to it.
 		return tb.Dep.PeerCount() == want
 	}); err != nil {
-		closePeers(peers)
 		return nil, fmt.Errorf("swarmload: churn never converged to %d peers: %w", want, err)
 	}
 	cfg.Logf("swarmload: churned %d peers, %d remain", churned, want)
@@ -343,32 +358,23 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// seeder goes first so the band has a peer that actually holds the
 	// segments — without one, a synchronized band is all at the same
 	// playhead and every post-slow-start fetch is a CDN fallback.
-	var stopSeeder func() pdnclient.Stats
 	if cfg.FullViewers > 0 {
-		host, err := tb.NewViewerHost(viewerCountries[0])
+		host, err := tb.NewViewerHost(analyzer.ViewerCountry(0))
 		if err != nil {
-			closePeers(peers)
 			return nil, fmt.Errorf("swarmload: seeder host: %w", err)
 		}
-		_, stop, err := tb.Seeder(ctx, tb.ViewerConfig(host, cfg.Seed+1000), cfg.Segments)
-		if err != nil {
-			closePeers(peers)
+		if _, stopSeeder, err = tb.Seeder(ctx, tb.ViewerConfig(host, cfg.Seed+1000), cfg.Segments); err != nil {
 			return nil, fmt.Errorf("swarmload: seeder: %w", err)
 		}
-		stopSeeder = stop
 	}
 	type viewerOut struct {
 		stats pdnclient.Stats
 		err   error
 	}
 	vouts := make([]viewerOut, cfg.FullViewers)
-	var vwg sync.WaitGroup
 	for i := 0; i < cfg.FullViewers; i++ {
-		host, err := tb.NewViewerHost(viewerCountries[i%len(viewerCountries)])
+		host, err := tb.NewViewerHost(analyzer.ViewerCountry(i))
 		if err != nil {
-			vwg.Wait()
-			stopSeeder()
-			closePeers(peers)
 			return nil, fmt.Errorf("swarmload: viewer host: %w", err)
 		}
 		vcfg := tb.ViewerConfig(host, cfg.Seed+int64(i)+1)
@@ -377,9 +383,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		vcfg.GracefulDegrade = true
 		peer, err := pdnclient.New(vcfg)
 		if err != nil {
-			vwg.Wait()
-			stopSeeder()
-			closePeers(peers)
 			return nil, fmt.Errorf("swarmload: viewer %d: %w", i, err)
 		}
 		vwg.Add(1)
@@ -389,70 +392,33 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}(i)
 	}
 
-	// Adversarial band: behavioral members join the full viewers' swarm.
-	// Sybil identities and eclipse colluders play one segment and linger
-	// (advertised, squatting neighbor slots, serving nothing) until the
-	// honest band finishes; free-riders play the whole VOD refusing every
-	// upload; extra honest members just watch. Their stats feed the
-	// fairness index, the plane's host ledger feeds the slot-share cap.
+	// Adversarial band: behavioral members join the full viewers' swarm,
+	// placed and configured by the testbed's band rule, and linger or
+	// leech until the honest band finishes. Their stats feed the fairness
+	// index, the plane's host ledger feeds the slot-share cap.
 	advTotal := cfg.Adversaries.Total()
 	aouts := make([]pdnclient.Stats, advTotal)
-	var awg sync.WaitGroup
-	advCtx, advCancel := context.WithCancel(ctx)
-	defer advCancel()
-	stopAdversaries := func() {
-		advCancel()
-		awg.Wait()
-	}
 	if advTotal > 0 {
 		rep.AdversaryCounts = make(map[string]int, len(cfg.Adversaries))
 		for _, e := range cfg.Adversaries {
 			rep.AdversaryCounts[string(e.Behavior)] += e.Count
 		}
 		cfg.Logf("swarmload: spawning adversarial band %s into the viewer swarm", cfg.Adversaries)
-		shared := make(map[population.Behavior]*netsim.Host)
 		for n, b := range cfg.Adversaries.Roster(cfg.Seed) {
-			var host *netsim.Host
-			var err error
-			if b == population.BehaviorFreeRider || b == population.BehaviorSybil {
-				if host = shared[b]; host == nil {
-					host, err = tb.NewViewerHost("US")
-					shared[b] = host
-				}
-			} else {
-				host, err = tb.NewViewerHost(viewerCountries[n%len(viewerCountries)])
-			}
-			if err == nil {
-				vcfg := tb.ViewerConfig(host, cfg.Seed+5000+int64(n))
-				vcfg.MaxSegments = cfg.Segments
-				vcfg.Pace = 2 * time.Millisecond
-				vcfg.GracefulDegrade = true
-				switch b {
-				case population.BehaviorSybil, population.BehaviorEclipse:
-					vcfg.UploadPolicy = func(media.SegmentKey) bool { return false }
-					vcfg.MaxSegments = 1
-					vcfg.Linger = 5 * time.Minute
-				case population.BehaviorFreeRider:
-					vcfg.UploadPolicy = func(media.SegmentKey) bool { return false }
-				}
-				var peer *pdnclient.Peer
-				if peer, err = pdnclient.New(vcfg); err == nil {
-					awg.Add(1)
-					go func(n int) {
-						defer awg.Done()
-						aouts[n], _ = peer.Run(advCtx)
-					}(n)
-				}
-			}
+			vcfg, err := tb.BandViewer(b, n, cfg.Seed+5000+int64(n), cfg.Segments)
 			if err != nil {
-				vwg.Wait()
-				stopAdversaries()
-				if stopSeeder != nil {
-					stopSeeder()
-				}
-				closePeers(peers)
 				return nil, fmt.Errorf("swarmload: adversary %d (%s): %w", n, b, err)
 			}
+			vcfg.Pace = 2 * time.Millisecond
+			peer, err := pdnclient.New(vcfg)
+			if err != nil {
+				return nil, fmt.Errorf("swarmload: adversary %d (%s): %w", n, b, err)
+			}
+			awg.Add(1)
+			go func(n int) {
+				defer awg.Done()
+				aouts[n], _ = peer.Run(advCtx)
+			}(n)
 		}
 	}
 
@@ -483,12 +449,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		return nil
 	})
 	if err != nil {
-		vwg.Wait()
-		stopAdversaries()
-		if stopSeeder != nil {
-			stopSeeder()
-		}
-		closePeers(peers)
 		return nil, fmt.Errorf("swarmload: match wave: %w", err)
 	}
 	rep.MatchP50Ms = matches.quantileMs(0.50)
@@ -517,12 +477,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			return nil
 		})
 		if err != nil {
-			vwg.Wait()
-			stopAdversaries()
-			if stopSeeder != nil {
-				stopSeeder()
-			}
-			closePeers(peers)
 			return nil, fmt.Errorf("swarmload: relay round %d: %w", round, err)
 		}
 	}
@@ -548,24 +502,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	rep.RelaysReceived = got
 	if quiesceErr != nil && ctx.Err() != nil {
-		vwg.Wait()
-		stopAdversaries()
-		if stopSeeder != nil {
-			stopSeeder()
-		}
-		closePeers(peers)
 		return nil, fmt.Errorf("swarmload: relay quiesce: %w", ctx.Err())
 	}
 
 	// Wait out the viewers, then read the settled server-side accounting
 	// (accepted relays must equal delivered + dropped once nothing is in
-	// flight). The honest band finishing is what ends the adversaries'
-	// linger.
-	vwg.Wait()
-	stopAdversaries()
-	if stopSeeder != nil {
-		stopSeeder()
-	}
+	// flight).
+	settle()
 	snapErr := waitUntil(ctx, clock, 10*time.Second, func() bool {
 		acc := cfg.Obs.Counter("signal_relays_total", "").Value()
 		del := cfg.Obs.Counter("signal_relays_delivered_total", "").Value()
@@ -575,7 +518,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	rep.ServerRelaysAccepted = cfg.Obs.Counter("signal_relays_total", "").Value()
 	rep.ServerRelaysDelivered = cfg.Obs.Counter("signal_relays_delivered_total", "").Value()
 	rep.ServerRelayDrops = cfg.Obs.Counter("signal_relay_drops_total", "").Value()
-	closePeers(peers)
 
 	// Score the invariants.
 	if rep.MatchP99Ms > float64(cfg.MatchP99Max)/float64(time.Millisecond) {
@@ -617,30 +559,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			fmt.Sprintf("CDN fallback ratio %.2f exceeds %.2f", rep.CDNFallbackRatio, cfg.MaxFallbackRatio))
 	}
 	if advTotal > 0 {
-		var xs []float64
-		add := func(s pdnclient.Stats) {
-			if s.P2PUpBytes+s.P2PDownBytes > 0 {
-				xs = append(xs, float64(s.P2PUpBytes))
-			}
-		}
+		band := make([]pdnclient.Stats, 0, len(vouts)+len(aouts))
 		for _, vo := range vouts {
-			add(vo.stats)
+			band = append(band, vo.stats)
 		}
-		for _, s := range aouts {
-			add(s)
-		}
-		rep.JainFairness = population.Jain(xs)
-		// The host ledger retains peaks and grant counts for departed
-		// identities, so reading it after teardown still sees the mill.
-		var stats []signal.HostStat
-		for i := 0; ; i++ {
-			srv := tb.Dep.Plane.Server(i)
-			if srv == nil {
-				break
-			}
-			stats = append(stats, srv.HostStats()...)
-		}
-		rep.SybilSlotShare, rep.SybilPeakIdentities = signal.MaxHostShare(stats)
+		band = append(band, aouts...)
+		rep.JainFairness = analyzer.UploadFairness(band)
+		rep.SybilSlotShare, rep.SybilPeakIdentities = signal.MaxHostShare(tb.HostStats())
 		cfg.Obs.GaugeFunc("swarmload_jain_fairness",
 			"Jain upload-fairness index over the full-viewer band's P2P participants",
 			func() float64 { return rep.JainFairness })
@@ -742,15 +667,4 @@ func waitUntil(ctx context.Context, clock func() time.Time, d time.Duration, con
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-}
-
-// quantileMs returns the q-th quantile of a latency set in milliseconds.
-func quantileMs(lats []time.Duration, q float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q * float64(len(sorted)-1))
-	return float64(sorted[idx]) / float64(time.Millisecond)
 }

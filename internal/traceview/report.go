@@ -6,6 +6,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"github.com/stealthy-peers/pdnsec/internal/obs"
 )
 
 // Hop types pdntrace decomposes latency into. Classification keys on
@@ -173,29 +175,13 @@ func latencyTable(m map[string][]int64) []LatencyStats {
 		out = append(out, LatencyStats{
 			Key:   k,
 			Count: len(durs),
-			P50:   percentile(durs, 0.50),
-			P90:   percentile(durs, 0.90),
-			P99:   percentile(durs, 0.99),
+			P50:   obs.Quantile(durs, 0.50),
+			P90:   obs.Quantile(durs, 0.90),
+			P99:   obs.Quantile(durs, 0.99),
 			Max:   durs[len(durs)-1],
 		})
 	}
 	return out
-}
-
-// percentile reads the q-quantile from sorted durations (nearest-rank
-// on len-1 so p100 is the max and a single sample answers everything).
-func percentile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted)-1) + 0.5)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // WriteJSON emits the summary as indented JSON.
