@@ -228,6 +228,39 @@ func (c *IMChecker) SIM(key media.SegmentKey) (hash, sig string, ok bool) {
 	return e.Hash, e.Sig, true
 }
 
+// MaxSIMWindow caps how many hashes one SIMWindow answer signs, whatever
+// the request asks for: the reply stays a few kilobytes.
+const MaxSIMWindow = 64
+
+// SIMWindow returns the run of established hashes that begins at key —
+// key's own, then those of the segments after it up to the first one
+// not established yet — capped at count and MaxSIMWindow, under one
+// window signature (media.SignSIMWindow). Only key itself is ever
+// established on demand, exactly as SIM does it; a short run is a
+// complete answer, and the caller asks again from the first key it
+// lacks. The signature is made outside the lock.
+func (c *IMChecker) SIMWindow(key media.SegmentKey, count int) (hashes []string, sig string, ok bool) {
+	first, _, ok := c.SIM(key)
+	if !ok {
+		return nil, "", false
+	}
+	if count > MaxSIMWindow {
+		count = MaxSIMWindow
+	}
+	hashes = append(make([]string, 0, max(count, 1)), first)
+	c.mu.Lock()
+	for next := key; len(hashes) < count; {
+		next.Index++
+		e, found := c.established[next]
+		if !found {
+			break
+		}
+		hashes = append(hashes, e.Hash)
+	}
+	c.mu.Unlock()
+	return hashes, media.SignSIMWindow(c.signKey, key, hashes), true
+}
+
 // Blacklisted reports whether a peer has been banned.
 func (c *IMChecker) Blacklisted(peerID string) bool {
 	c.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -251,6 +252,85 @@ func TestAuthoritySignsOncePerKey(t *testing.T) {
 		if sig == "" || sig != sigs[0] {
 			t.Fatalf("asker %d got signature %q, asker 0 %q", i, sig, sigs[0])
 		}
+	}
+}
+
+// TestSIMWindow pins what a window answer covers, from either trust
+// source: the asked key established as SIM would establish it, then only
+// what is established already, contiguously, under one signature that
+// binds the start key and the list.
+func TestSIMWindow(t *testing.T) {
+	for _, src := range trustSources {
+		t.Run(src.name, func(t *testing.T) {
+			v := vid()
+			c := src.build(t, v)
+			want := make([]string, v.Segments)
+			for i := range want {
+				want[i] = authentic(t, v, testKey(i))
+			}
+			// Segments 0, 1, 2 and 4 are established; 3 is the gap.
+			for _, i := range []int{0, 1, 2, 4} {
+				establish(t, c, src.reporters, testKey(i), want[i])
+			}
+
+			hashes, sig, ok := c.SIMWindow(testKey(0), 16)
+			if !ok || !slices.Equal(hashes, want[:3]) {
+				t.Fatalf("window at 0 = %v %v, want the run %v that stops at the first unestablished key", hashes, ok, want[:3])
+			}
+			if !media.VerifySIMWindow(c.PublicKey(), testKey(0), hashes, sig) {
+				t.Fatal("window signature does not verify over (start, list)")
+			}
+			if media.VerifySIMWindow(c.PublicKey(), testKey(1), hashes, sig) ||
+				media.VerifySIMWindow(c.PublicKey(), testKey(0), hashes[:2], sig) ||
+				defense.VerifySIM(c.PublicKey(), testKey(0), hashes[0], sig) {
+				t.Fatal("window signature verifies for a shifted start, a truncated list or as a single SIM")
+			}
+			if hashes, _, ok := c.SIMWindow(testKey(1), 2); !ok || !slices.Equal(hashes, want[1:3]) {
+				t.Fatalf("window at 1, count 2 = %v %v, want %v", hashes, ok, want[1:3])
+			}
+			if hashes, _, ok := c.SIMWindow(testKey(4), 0); !ok || len(hashes) != 1 || hashes[0] != want[4] {
+				t.Fatalf("window at 4, count 0 = %v %v, want the asked key alone", hashes, ok)
+			}
+
+			// The asked key is the only one ever established on demand: an
+			// authority signs its ground truth for 3 and the run then joins
+			// up with 4 but does not reach on into 5; a panel has no SIM
+			// for 3 to give.
+			hashes, sig, ok = c.SIMWindow(testKey(3), 16)
+			if src.reporters > 0 {
+				if ok || hashes != nil {
+					t.Fatalf("panel produced window %v for a key nobody reported", hashes)
+				}
+			} else {
+				if !ok || !slices.Equal(hashes, want[3:5]) {
+					t.Fatalf("window at 3 = %v %v, want %v: the asked key on demand, then the established run", hashes, ok, want[3:5])
+				}
+				if !media.VerifySIMWindow(c.PublicKey(), testKey(3), hashes, sig) {
+					t.Fatal("on-demand window signature does not verify")
+				}
+				if _, _, ok := c.SIMWindow(testKey(5), 16); !ok {
+					t.Fatal("authority refused a segment it originates")
+				}
+			}
+			for _, absent := range []media.SegmentKey{
+				{Video: "bbb", Rendition: "360p", Index: 99},
+				{Video: "other", Rendition: "360p", Index: 0},
+			} {
+				if hashes, _, ok := c.SIMWindow(absent, 16); ok || hashes != nil {
+					t.Errorf("window %v produced for %v, which nobody vouched for", hashes, absent)
+				}
+			}
+
+			// The server-side cap holds whatever is asked for.
+			long := &media.Video{ID: "bbb", Renditions: v.Renditions, Segments: 2 * defense.MaxSIMWindow, SegmentDuration: 10}
+			lc := src.build(t, long)
+			for i := 0; i < long.Segments; i++ {
+				establish(t, lc, src.reporters, testKey(i), authentic(t, long, testKey(i)))
+			}
+			if hashes, _, ok := lc.SIMWindow(testKey(0), 1<<30); !ok || len(hashes) != defense.MaxSIMWindow {
+				t.Fatalf("window of %d hashes for an unbounded ask, want the cap %d", len(hashes), defense.MaxSIMWindow)
+			}
+		})
 	}
 }
 

@@ -116,18 +116,13 @@ func generate(videoID, rendition string, index, size int) []byte {
 
 	// Keystream: chained SHA-256 over the segment identity. ~32 bytes per
 	// round; cheap enough for multi-MB segments in tests and benches.
-	seed := sha256.Sum256([]byte(header))
-	block := seed[:]
-	var ctr [8]byte
-	var n uint64
-	for len(out) < size {
-		binary.BigEndian.PutUint64(ctr[:], n)
-		h := sha256.New()
-		h.Write(block)
-		h.Write(ctr[:])
-		block = h.Sum(nil)
-		out = append(out, block...)
-		n++
+	block := sha256.Sum256([]byte(header))
+	var in [sha256.Size + 8]byte // previous block, then the counter
+	for n := uint64(0); len(out) < size; n++ {
+		copy(in[:], block[:])
+		binary.BigEndian.PutUint64(in[sha256.Size:], n)
+		block = sha256.Sum256(in[:])
+		out = append(out, block[:]...)
 	}
 	return out[:size]
 }
@@ -236,6 +231,50 @@ func VerifySIM(pub ed25519.PublicKey, key SegmentKey, hash, sig string) bool {
 		return false
 	}
 	return ed25519.Verify(pub, simMessage(key, hash), raw)
+}
+
+// simWindowTag opens every signed window message. No single-SIM message
+// begins with it — those begin with a video identifier, and a NUL byte
+// is in none a playlist can carry — so a signature made for one format
+// never verifies as the other.
+const simWindowTag = "\x00pdnsec-sim-window\x00"
+
+// simWindowMessage is what a window signature covers: the tag, the key
+// of the first segment, and the hashes in order, each length-prefixed so
+// no two (start, list) pairs share an encoding — a panel's hashes are
+// strings peers reported, not necessarily hex.
+func simWindowMessage(start SegmentKey, hashes []string) []byte {
+	k := start.String()
+	n := len(simWindowTag) + len(k) + 2*binary.MaxVarintLen64
+	for _, h := range hashes {
+		n += len(h) + binary.MaxVarintLen64
+	}
+	msg := make([]byte, 0, n)
+	msg = append(msg, simWindowTag...)
+	msg = binary.AppendUvarint(msg, uint64(len(k)))
+	msg = append(msg, k...)
+	msg = binary.AppendUvarint(msg, uint64(len(hashes)))
+	for _, h := range hashes {
+		msg = binary.AppendUvarint(msg, uint64(len(h)))
+		msg = append(msg, h...)
+	}
+	return msg
+}
+
+// SignSIMWindow signs a run of IM hashes — of the segment at start and
+// the ones that follow it, in order — with one hex ed25519 signature.
+func SignSIMWindow(priv ed25519.PrivateKey, start SegmentKey, hashes []string) string {
+	return hex.EncodeToString(ed25519.Sign(priv, simWindowMessage(start, hashes)))
+}
+
+// VerifySIMWindow checks a hex window signature: it holds only for the
+// same start key and the same hashes in the same order.
+func VerifySIMWindow(pub ed25519.PublicKey, start SegmentKey, hashes []string, sig string) bool {
+	raw, err := hex.DecodeString(sig)
+	if err != nil {
+		return false
+	}
+	return ed25519.Verify(pub, simWindowMessage(start, hashes), raw)
 }
 
 // SegmentKey names a segment uniquely across videos and renditions.

@@ -180,6 +180,62 @@ func TestSIMSignVerify(t *testing.T) {
 	}
 }
 
+// TestSIMWindowSignVerify: a window signature binds the start key and
+// the ordered hash list, and is no use as a single-SIM signature (nor
+// the reverse) under the same key.
+func TestSIMWindowSignVerify(t *testing.T) {
+	pub, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := SegmentKey{Video: "v", Rendition: "720p", Index: 7}
+	next := SegmentKey{Video: "v", Rendition: "720p", Index: 8}
+	hashes := []string{"aa", "bb", "cc"}
+	sig := SignSIMWindow(priv, key, hashes)
+	single := SignSIM(priv, key, "aa")
+	for name, ok := range map[string]bool{
+		"genuine":           VerifySIMWindow(pub, key, hashes, sig),
+		"shifted start":     !VerifySIMWindow(pub, next, hashes, sig),
+		"truncated list":    !VerifySIMWindow(pub, key, hashes[:2], sig),
+		"reordered list":    !VerifySIMWindow(pub, key, []string{"bb", "aa", "cc"}, sig),
+		"flipped hash":      !VerifySIMWindow(pub, key, []string{"aa", "bb", "cd"}, sig),
+		"moved boundary":    !VerifySIMWindow(pub, key, []string{"aab", "b", "cc"}, sig),
+		"non-hex sig":       !VerifySIMWindow(pub, key, hashes, "zz"),
+		"window as single":  !VerifySIM(pub, key, "aa", SignSIMWindow(priv, key, []string{"aa"})),
+		"single as window":  !VerifySIMWindow(pub, key, []string{"aa"}, single.Sig),
+		"single still good": VerifySIM(pub, key, "aa", single.Sig),
+	} {
+		if !ok {
+			t.Errorf("%s: wrong verdict", name)
+		}
+	}
+}
+
+// TestGenerateGoldenDigests pins the generated bytes themselves: every
+// oracle downstream (Tables I–IV, the defense matrix, chaos logs)
+// assumes a segment's content is a fixed function of its identity. The
+// digests were taken from the hash.Hash-per-block generator before it
+// became one Sum256 per block.
+func TestGenerateGoldenDigests(t *testing.T) {
+	for _, tc := range []struct {
+		video, rendition string
+		index, size, n   int
+		digest           string
+	}{
+		{"bbb", "360p", 0, 256 << 10, 256 << 10, "aa4cf4e02989692ed1c5f835863f7d629e2487411e8d00cc8198b73e563bde1e"},
+		// Not a multiple of the 32-byte block: the last block is cut.
+		{"live/main", "720p", 41, 1000, 1000, "6f6938c40959f2f5fc80a6db55b3ae420b480282613f6d36445a4e3bb7bb33aa"},
+		// Below the floor: clamped to 64 bytes.
+		{"tiny", "t", 3, 1, 64, "0d43e96d1917b234cc5758431044789e282d88daaee8ad3fd92e1c9a1b063b84"},
+	} {
+		data := generate(tc.video, tc.rendition, tc.index, tc.size)
+		if len(data) != tc.n || Hash(data) != tc.digest {
+			t.Errorf("generate(%q, %q, %d, %d): %d bytes, sha256 %s; want %d bytes, %s",
+				tc.video, tc.rendition, tc.index, tc.size, len(data), Hash(data), tc.n, tc.digest)
+		}
+	}
+}
+
 func TestMinimumSegmentSize(t *testing.T) {
 	v := &Video{ID: "tiny", Renditions: []Rendition{{Name: "t", SegmentBytes: 1}}, Segments: 1, SegmentDuration: 1}
 	data, err := v.SegmentData("t", 0)

@@ -319,10 +319,28 @@ func (p *Peer) gatherCandidates(ctx context.Context) ([]ice.Candidate, error) {
 	return agent.Gather(gctx, p.cfg.STUNAddr)
 }
 
-// maintainNeighbors tops up P2P connections from the server's matches.
+// matchBackoffMax caps how many P2P-eligible segments a peer under
+// MaxNeighbors lets pass between two asks of the matcher.
+const matchBackoffMax = 32
+
+// maintainNeighbors tops up P2P connections from the server's matches,
+// once per P2P-eligible segment while the peer is under MaxNeighbors —
+// unless asking has stopped paying: an ask that left the peer with no
+// more neighbors than before makes it sit out 1, then 3, 7, … up to
+// matchBackoffMax segments before the next. The swarm has nobody new,
+// and whoever joins it asks at once and connects to this peer. An ask
+// that gained a neighbor, the loss of one, or a rejoin puts the peer
+// back to asking every segment.
 func (p *Peer) maintainNeighbors(ctx context.Context, s *session) {
 	limit := s.policy.MaxNeighbors
-	if s.sig == nil || p.NeighborCount() >= limit {
+	p.mu.Lock()
+	before := len(p.neighbors)
+	wait := before < limit && p.matchWait > 0
+	if wait {
+		p.matchWait--
+	}
+	p.mu.Unlock()
+	if s.sig == nil || before >= limit || wait {
 		return
 	}
 	peers, err := s.sig.GetPeers(ctx, limit)
@@ -335,6 +353,20 @@ func (p *Peer) maintainNeighbors(ctx context.Context, s *session) {
 			p.connect(ctx, info.ID, signal.ConnectOffer{Fingerprint: info.Fingerprint, StaticKey: info.StaticKey}, true, "")
 		}
 	}
+	p.mu.Lock()
+	if len(p.neighbors) > before {
+		p.resetMatchBackoffLocked()
+	} else {
+		p.matchBackoff = min(2*p.matchBackoff+1, matchBackoffMax)
+		p.matchWait = p.matchBackoff
+	}
+	p.mu.Unlock()
+}
+
+// resetMatchBackoffLocked makes the next P2P-eligible segment ask the
+// matcher. Caller holds p.mu.
+func (p *Peer) resetMatchBackoffLocked() {
+	p.matchWait, p.matchBackoff = 0, 0
 }
 
 // attempt is one connection attempt in flight with a peer, in either
@@ -679,6 +711,7 @@ func (p *Peer) removeNeighbor(id string) {
 	p.mu.Lock()
 	delete(p.neighbors, id)
 	n := len(p.neighbors)
+	p.resetMatchBackoffLocked()
 	p.mu.Unlock()
 	p.cfg.Meter.SetNeighbors(n)
 }

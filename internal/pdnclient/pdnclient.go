@@ -202,6 +202,7 @@ type peerMetrics struct {
 	sigReconnectFail *obs.Counter
 	secureFails      *obs.Counter
 	manifestRejects  *obs.Counter
+	simFetches       *obs.Counter
 }
 
 // Peer is a running PDN SDK instance.
@@ -223,10 +224,15 @@ type Peer struct {
 	runCtx    context.Context // the active Run's context; answers derive from it
 	neighbors map[string]*neighbor
 	attempts  map[*attempt]struct{} // connection attempts in flight
-	cache     *segmentCache
-	stats     Stats
-	reported  signal.Stats // last usage values already sent upstream
-	played    map[int]bool
+	// matchWait counts down the P2P-eligible segments still to pass before
+	// maintainNeighbors asks the matcher again; matchBackoff is the wait
+	// the last futile ask set.
+	matchWait    int
+	matchBackoff int
+	cache        *segmentCache
+	stats        Stats
+	reported     signal.Stats // last usage values already sent upstream
+	played       map[int]bool
 	// expectedSegBytes is derived from the master playlist's declared
 	// bandwidth × the media playlist's target duration. P2P segments
 	// deviating wildly from it are rejected as inconsistent — the
@@ -271,8 +277,10 @@ type Peer struct {
 }
 
 // session is what one signaling join yielded. join publishes it whole
-// and nothing edits it, so a reader that holds one sees a single join's
-// client, identity, policy and credentials however many rejoins land.
+// and nothing edits its fields, so a reader that holds one sees a single
+// join's client, identity, policy and credentials however many rejoins
+// land. What the session's server vouched for since — sims — lives and
+// dies with it.
 type session struct {
 	sig    *signal.Client
 	peerID string
@@ -285,6 +293,8 @@ type session struct {
 	// manifestKey is policy.ManifestPubKey parsed: nil when the provider
 	// signs no manifests, or sent a key that is not one.
 	manifestKey ed25519.PublicKey
+	// sims caches the run of SIM hashes last verified under manifestKey.
+	sims simCache
 }
 
 // newSession builds the session a welcome admits this peer to.
@@ -364,6 +374,7 @@ func New(cfg Config) (*Peer, error) {
 		sigReconnectFail: reg.Counter("pdn_signal_reconnect_failures_total", "failed signaling reconnect attempts"),
 		secureFails:      reg.Counter("pdn_secure_handshake_fails_total", "secure-transport handshakes rejected (bad signature, voucher, or key pin)"),
 		manifestRejects:  reg.Counter("pdn_manifest_rejects_total", "segments rejected by signed-manifest verification"),
+		simFetches:       reg.Counter("pdn_sim_window_fetches_total", "signaling round trips made for a window of signed integrity metadata"),
 	}
 	p.cache = newSegmentCache(cfg.CacheSegments, cfg.Meter.SetCacheBytes)
 	return p, nil
@@ -547,6 +558,7 @@ func (p *Peer) join(ctx context.Context) error {
 	}
 	old := p.sess.sig
 	p.sess = p.newSession(sig, w)
+	p.resetMatchBackoffLocked() // another server, or the same one with its swarm re-formed
 	p.mu.Unlock()
 	p.admitOnce.Do(func() { close(p.admitted) })
 	if old != nil {
@@ -872,7 +884,8 @@ func (p *Peer) fetchSegment(ctx context.Context, key media.SegmentKey) ([]byte, 
 	if err != nil {
 		return nil, "", err
 	}
-	if reason := p.verifySegment(ctx, s, key, data, SourceCDN); reason != "" {
+	reason, hash := p.verifySegment(ctx, s, key, data, SourceCDN)
+	if reason != "" {
 		// The CDN path is verified too when the provider signs manifests:
 		// a hijacked or spoofed CDN origin must not get bytes into the
 		// cache or the playback buffer either.
@@ -882,8 +895,12 @@ func (p *Peer) fetchSegment(ctx context.Context, key media.SegmentKey) ([]byte, 
 	}
 	if s.sig != nil && pol.RequireIMChecking && !p.cfg.InsecureNoVerify {
 		// The client half of the §V-B peer-assisted IM defense: a peer
-		// reports only segments it downloaded directly from the CDN.
-		s.sig.ReportIM(signal.IMReport{Key: key, Hash: p.imHash(key, data)})
+		// reports only segments it downloaded directly from the CDN. The
+		// hash is the one verification made, when it made one.
+		if hash == "" {
+			hash = p.imHash(key, data)
+		}
+		s.sig.ReportIM(signal.IMReport{Key: key, Hash: hash})
 	}
 	return data, SourceCDN, nil
 }
@@ -904,7 +921,7 @@ func (p *Peer) fetchFromPeers(ctx context.Context, s *session, key media.Segment
 			nb.close()
 			continue
 		}
-		if reason := p.verifySegment(ctx, s, key, data, SourceP2P); reason != "" {
+		if reason, _ := p.verifySegment(ctx, s, key, data, SourceP2P); reason != "" {
 			p.mu.Lock()
 			p.stats.IMRejected++
 			p.mu.Unlock()

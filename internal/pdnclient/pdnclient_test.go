@@ -11,6 +11,7 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/monitor"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
+	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
 )
 
@@ -24,6 +25,8 @@ type testbed struct {
 	video   *media.Video
 	nextIP  byte
 	mu      sync.Mutex
+	// reg holds the signaling server's counters.
+	reg *obs.Registry
 }
 
 func smallVideo(id string, segments int) *media.Video {
@@ -52,13 +55,15 @@ func newTestbed(t *testing.T, prof provider.Profile, video *media.Video) *testbe
 	t.Cleanup(func() { cdnSrv.Close() })
 
 	sigHost := n.MustHost(netip.MustParseAddr("44.1.1.1"))
-	dep, err := provider.Deploy(context.Background(), prof, sigHost, provider.Options{Seed: 42})
+	reg := obs.NewRegistry()
+	dep, err := provider.Deploy(context.Background(), prof, sigHost, provider.Options{Seed: 42, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dep.Close() })
 
 	tb := &testbed{
+		reg:     reg,
 		net:     n,
 		cdnSrv:  cdnSrv,
 		cdnBase: "http://93.184.216.34:80",

@@ -279,9 +279,12 @@ type IMReport struct {
 	Hash string           `json:"hash"`
 }
 
-// GetSIM requests the signed integrity metadata for a segment.
+// GetSIM requests the signed integrity metadata for a segment. With a
+// Count it asks for that segment's and up to Count-1 following ones'
+// under one signature (SIM.Window).
 type GetSIM struct {
-	Key media.SegmentKey `json:"key"`
+	Key   media.SegmentKey `json:"key"`
+	Count int              `json:"count,omitempty"`
 }
 
 // BadKeyReport names a static key whose possession proof failed in a
@@ -293,9 +296,15 @@ type BadKeyReport struct {
 
 // SIM is signed integrity metadata: the server-authenticated hash a
 // peer must verify before accepting a P2P-delivered segment.
+//
+// The answer to a GetSIM with a Count carries Window in place of Hash:
+// the hashes of Key's segment and the ones after it, as many as are
+// established, and Sig is then the window signature over Key and that
+// list (media.VerifySIMWindow), which no single-SIM check accepts.
 type SIM struct {
-	Key   media.SegmentKey `json:"key"`
-	Hash  string           `json:"hash"`
-	Sig   string           `json:"sig"`
-	Found bool             `json:"found"`
+	Key    media.SegmentKey `json:"key"`
+	Hash   string           `json:"hash"`
+	Sig    string           `json:"sig"`
+	Found  bool             `json:"found"`
+	Window []string         `json:"window,omitempty"`
 }

@@ -35,6 +35,16 @@ type IMService interface {
 	Blacklisted(peerID string) bool
 }
 
+// SIMWindower is what an IMService adds to answer a GetSIM that carries
+// a Count with a run of hashes under one signature (defense.IMChecker
+// does). A service without it answers every GetSIM with the one SIM.
+type SIMWindower interface {
+	// SIMWindow returns the established hashes of key and the segments
+	// that follow it, at most count, and one signature over the run
+	// (media.VerifySIMWindow checks it).
+	SIMWindow(key media.SegmentKey, count int) (hashes []string, sig string, ok bool)
+}
+
 // TokenValidator validates a presented token for a video source: a
 // private provider's session token (auth.TokenStore) or the §V-A
 // disposable video-binding JWT (defense.TokenAuthority).
@@ -608,7 +618,11 @@ func (s *Server) dispatch(sess *session, env wire.Envelope) bool {
 			return false
 		}
 		resp := SIM{Key: req.Key}
-		if s.cfg.IM != nil {
+		if w, windowed := s.cfg.IM.(SIMWindower); windowed && req.Count > 0 {
+			if hashes, sig, ok := w.SIMWindow(req.Key, req.Count); ok {
+				resp.Window, resp.Sig, resp.Found = hashes, sig, true
+			}
+		} else if s.cfg.IM != nil {
 			if hash, sig, ok := s.cfg.IM.SIM(req.Key); ok {
 				resp.Hash, resp.Sig, resp.Found = hash, sig, true
 			}

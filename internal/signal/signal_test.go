@@ -3,6 +3,7 @@ package signal
 import (
 	"context"
 	"net/netip"
+	"strconv"
 	"testing"
 	"time"
 
@@ -406,6 +407,58 @@ func TestGetSIMAndBlacklistFiltering(t *testing.T) {
 	}
 	if len(peers) != 0 {
 		t.Fatalf("blacklisted peer still matched: %+v", peers)
+	}
+}
+
+// windowIM is a fakeIM that also signs windows: every hash "h", the
+// count it was asked for echoed in the signature.
+type windowIM struct{ fakeIM }
+
+func (f *windowIM) SIMWindow(key media.SegmentKey, count int) ([]string, string, bool) {
+	if key.Video != "bbb" {
+		return nil, "", false
+	}
+	hashes := make([]string, count)
+	for i := range hashes {
+		hashes[i] = "h"
+	}
+	return hashes, "w" + strconv.Itoa(count), true
+}
+
+// TestGetSIMWindow: a Count turns the answer into a window only when the
+// integrity service signs windows; with no Count, or a service that
+// signs none, the reply is the single SIM it always was.
+func TestGetSIMWindow(t *testing.T) {
+	bbb := media.SegmentKey{Video: "bbb", Rendition: "720p", Index: 3}
+	for _, tc := range []struct {
+		name   string
+		im     IMService
+		req    GetSIM
+		found  bool
+		hash   string
+		sig    string
+		window int
+	}{
+		{"windowed service, count", &windowIM{}, GetSIM{Key: bbb, Count: 4}, true, "", "w4", 4},
+		{"windowed service, no count", &windowIM{}, GetSIM{Key: bbb}, true, "h", "s", 0},
+		{"windowed service, unknown key", &windowIM{}, GetSIM{Key: media.SegmentKey{Video: "other"}, Count: 4}, false, "", "", 0},
+		{"plain service, count", &fakeIM{}, GetSIM{Key: bbb, Count: 4}, true, "h", "s", 0},
+		{"no service, count", nil, GetSIM{Key: bbb, Count: 4}, false, "", "", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, func(c *Config) { c.IM = tc.im })
+			c := e.dial(t, e.newPeerHost(t, "66.24.0.1"))
+			if _, err := c.Join(testCtx, basicJoin(e.keys.Issue("customer.com", nil))); err != nil {
+				t.Fatal(err)
+			}
+			sim, err := c.GetSIM(testCtx, tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sim.Key != tc.req.Key || sim.Found != tc.found || sim.Hash != tc.hash || sim.Sig != tc.sig || len(sim.Window) != tc.window {
+				t.Fatalf("reply %+v, want found=%v hash=%q sig=%q and %d window entries for the asked key", sim, tc.found, tc.hash, tc.sig, tc.window)
+			}
+		})
 	}
 }
 
