@@ -12,7 +12,6 @@ import (
 
 	"github.com/stealthy-peers/pdnsec"
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
-	"github.com/stealthy-peers/pdnsec/internal/attack"
 	"github.com/stealthy-peers/pdnsec/internal/corpus"
 	"github.com/stealthy-peers/pdnsec/internal/defense"
 	"github.com/stealthy-peers/pdnsec/internal/detector"
@@ -233,40 +232,7 @@ func pollutedHeadSegments(ctx context.Context, slowStart int) (int, error) {
 	}
 	defer tb.Close()
 
-	fakeHost, err := tb.Net.NewHost(analyzer.FakeCDNIP())
-	if err != nil {
-		return 0, err
-	}
-	malHost, err := tb.NewViewerHost("US")
-	if err != nil {
-		return 0, err
-	}
-	atk, err := attack.LaunchPollution(ctx, attack.PollutionParams{
-		Network:       tb.Net,
-		SignalAddr:    tb.Dep.SignalAddr,
-		STUNAddr:      tb.Dep.STUNAddr,
-		RealCDNBase:   tb.CDNBase,
-		FakeCDNHost:   fakeHost,
-		MaliciousHost: malHost,
-		APIKey:        tb.Key,
-		Origin:        "https://customer.com",
-		Video:         video.ID,
-		Rendition:     "360p",
-		Pollute:       mitm.SameSizePollution([]int{0, 1}),
-		Segments:      video.Segments,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer atk.Close()
-
-	victimHost, err := tb.NewViewerHost("GB")
-	if err != nil {
-		return 0, err
-	}
-	cfg := tb.ViewerConfig(victimHost, 9)
-	obs, err := attack.RunVictim(ctx, tb.Net, victimHost, tb.Dep.SignalAddr, tb.Dep.STUNAddr,
-		cfg.CDNBase, cfg.APIKey, cfg.Origin, video, "360p", video.Segments, 9)
+	obs, err := tb.Pollution(ctx, mitm.SameSizePollution([]int{0, 1}))
 	if err != nil {
 		return 0, err
 	}

@@ -45,7 +45,8 @@ func run() error {
 			tb.Close()
 			return err
 		}
-		cross, err := attack.CrossDomain(ctx, attacker, tb.Dep.SignalAddr, tb.Key)
+		stolen := tb.StolenConfig(attacker, 1)
+		cross, err := attack.CrossDomain(ctx, stolen)
 		if err != nil {
 			tb.Close()
 			return err
@@ -55,7 +56,7 @@ func run() error {
 			tb.Close()
 			return err
 		}
-		spoof, err := attack.DomainSpoof(ctx, attacker, proxy, tb.Dep.SignalAddr, tb.Key, "victim.com")
+		spoof, err := attack.DomainSpoof(ctx, stolen, proxy, "victim.com")
 		if err != nil {
 			tb.Close()
 			return err
@@ -85,18 +86,10 @@ func run() error {
 		hosts[i] = h
 	}
 	before := tb.Dep.Keys.Cost("victim.com")
-	res, err := attack.GenerateTraffic(ctx, attack.TrafficParams{
-		Network:         tb.Net,
-		SignalAddr:      tb.Dep.SignalAddr,
-		STUNAddr:        tb.Dep.STUNAddr,
-		CDNBase:         tb.CDNBase,
-		StolenKey:       tb.Key,
-		Origin:          "https://freerider.evil",
-		Video:           video.ID,
-		Rendition:       "360p",
-		Hosts:           hosts,
-		SegmentsPerPeer: video.Segments,
-	})
+	peer := tb.StolenConfig(hosts[0], 1)
+	peer.Origin = "https://freerider.evil"
+	peer.MaxSegments = video.Segments
+	res, err := attack.GenerateTraffic(ctx, peer, hosts)
 	if err != nil {
 		return err
 	}

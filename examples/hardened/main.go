@@ -19,7 +19,6 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
-	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
 func main() {
@@ -83,18 +82,11 @@ func run() error {
 	// 2. Free riding: a stolen viewer JWT is useless for the attacker's
 	// own stream (video binding) and dies quickly anyway (TTL + usage
 	// limit).
-	stolen, err := tb.Dep.IssueJWT("victim-viewer", tb.CDNBase+"/v/premium-stream/master.m3u8")
-	if err != nil {
-		return err
-	}
 	atkHost, err := tb.NewViewerHost("US")
 	if err != nil {
 		return err
 	}
-	ok, err := attack.JoinProbe(ctx, atkHost, tb.Dep.SignalAddr, signal.JoinRequest{
-		Token: stolen, VideoURL: "https://attacker/own.m3u8",
-		Video: "attacker-stream", Rendition: "360p",
-	})
+	ok, err := attack.CrossDomain(ctx, tb.StolenConfig(atkHost, 8))
 	if err != nil {
 		return err
 	}
@@ -110,24 +102,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	malJWT, err := tb.Dep.IssueJWT("malicious", tb.CDNBase+"/v/premium-stream/master.m3u8")
-	if err != nil {
-		return err
-	}
-	atk, err := attack.LaunchPollution(ctx, attack.PollutionParams{
-		Network:       tb.Net,
-		SignalAddr:    tb.Dep.SignalAddr,
-		STUNAddr:      tb.Dep.STUNAddr,
-		RealCDNBase:   tb.CDNBase,
-		FakeCDNHost:   fakeHost,
-		MaliciousHost: malHost,
-		Token:         malJWT,
-		VideoURL:      tb.CDNBase + "/v/premium-stream/master.m3u8",
-		Video:         video.ID,
-		Rendition:     "360p",
-		Pollute:       mitm.SameSizePollution([]int{3, 4}),
-		Segments:      video.Segments,
-	})
+	mal := tb.ViewerConfig(malHost, 666)
+	mal.MaxSegments = video.Segments
+	atk, err := attack.LaunchPollution(ctx, mal, fakeHost, mitm.SameSizePollution([]int{3, 4}))
 	if err != nil {
 		return err
 	}

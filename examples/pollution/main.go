@@ -80,20 +80,9 @@ func round(ctx context.Context, defended bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	atk, err := attack.LaunchPollution(ctx, attack.PollutionParams{
-		Network:       tb.Net,
-		SignalAddr:    tb.Dep.SignalAddr,
-		STUNAddr:      tb.Dep.STUNAddr,
-		RealCDNBase:   tb.CDNBase,
-		FakeCDNHost:   fakeHost,
-		MaliciousHost: malHost,
-		APIKey:        tb.Key,
-		Origin:        "https://customer.com",
-		Video:         video.ID,
-		Rendition:     "360p",
-		Pollute:       mitm.SameSizePollution([]int{3, 4}),
-		Segments:      video.Segments,
-	})
+	mal := tb.ViewerConfig(malHost, 666)
+	mal.MaxSegments = video.Segments
+	atk, err := attack.LaunchPollution(ctx, mal, fakeHost, mitm.SameSizePollution([]int{3, 4}))
 	if err != nil {
 		return 0, err
 	}
@@ -106,8 +95,8 @@ func round(ctx context.Context, defended bool) (int, error) {
 		return 0, err
 	}
 	cfg := tb.ViewerConfig(victimHost, 99)
-	obs, err := attack.RunVictim(ctx, tb.Net, victimHost, tb.Dep.SignalAddr, tb.Dep.STUNAddr,
-		cfg.CDNBase, cfg.APIKey, cfg.Origin, video, "360p", video.Segments, 99)
+	cfg.MaxSegments = video.Segments
+	obs, err := attack.RunVictim(ctx, cfg, video)
 	if err != nil {
 		return 0, err
 	}

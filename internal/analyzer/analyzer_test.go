@@ -2,6 +2,9 @@ package analyzer
 
 import (
 	"context"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,6 +94,67 @@ func TestPollutionVerdictsPeer5(t *testing.T) {
 	if !seg.Vulnerable {
 		t.Errorf("segment pollution should succeed: %s", seg.Detail)
 	}
+}
+
+// TestPollutionVerdictsMatchMatrix: the analyzer and the replay matrix
+// share one pollution run, so both pollution risks run on every profile
+// — whatever style its viewers' credential takes — and each
+// segment-pollution verdict is the committed matrix's pollution cell.
+// Direct pollution falls to the slow-start consistency check everywhere.
+func TestPollutionVerdictsMatchMatrix(t *testing.T) {
+	exposed := matrixColumn(t, "pollution")
+	for _, prof := range provider.AllProfiles() {
+		t.Run(prof.Name, func(t *testing.T) {
+			want, ok := exposed[prof.Name]
+			if !ok {
+				t.Fatalf("docs/defense_matrix.md has no %s row", prof.Name)
+			}
+			ctx := testCtx(t)
+			direct, err := PollutionTest(ctx, prof, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if direct.Vulnerable {
+				t.Errorf("direct pollution should fail: %s", direct.Detail)
+			}
+			seg, err := PollutionTest(ctx, prof, true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seg.Vulnerable != want {
+				t.Errorf("segment pollution vulnerable=%v, matrix exposed=%v (%s)", seg.Vulnerable, want, seg.Detail)
+			}
+		})
+	}
+}
+
+// matrixColumn reads one attack column of the committed defense matrix
+// as profile → exposed.
+func matrixColumn(t *testing.T, attack string) map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile("../../docs/defense_matrix.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := -1
+	out := make(map[string]bool)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if !strings.HasPrefix(line, "| ") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "| "), " | ")
+		if cells[0] == "profile" {
+			col = slices.Index(cells, attack)
+			continue
+		}
+		if col > 0 && col < len(cells) {
+			out[cells[0]] = cells[col] == "exposed"
+		}
+	}
+	if col < 0 {
+		t.Fatalf("docs/defense_matrix.md has no %q column", attack)
+	}
+	return out
 }
 
 func TestSegmentPollutionBlockedByIMDefense(t *testing.T) {

@@ -334,16 +334,24 @@ func (tb *Testbed) ViewerConfig(host *netsim.Host, seed int64) pdnclient.Config 
 	case tb.Key != "":
 		cfg.APIKey = tb.Key
 		cfg.Origin = "https://" + tb.customerDomain
-	case tb.Dep.JWT != nil:
-		videoURL := cdn.MasterURL(tb.CDNBase, tb.Video.ID)
-		if jwt, err := tb.Dep.IssueJWT(fmt.Sprintf("viewer-%d", seed), videoURL); err == nil {
-			cfg.Token = jwt
-			cfg.VideoURL = videoURL
-		}
 	case tb.Dep.Tokens != nil:
 		videoURL := cdn.MasterURL(tb.CDNBase, tb.Video.ID)
-		cfg.Token = tb.Dep.Tokens.Issue(videoURL)
-		cfg.VideoURL = videoURL
+		if tok, err := tb.Dep.IssueToken(fmt.Sprintf("viewer-%d", seed), videoURL); err == nil {
+			cfg.Token = tok
+			cfg.VideoURL = videoURL
+		}
+	}
+	return cfg
+}
+
+// StolenConfig is what a page-scraping attacker holds for the testbed's
+// stream, on its own host: a viewer's config, credential included —
+// except that a credential the customer never publishes (eCDN's tenant
+// ID) can only be guessed.
+func (tb *Testbed) StolenConfig(host *netsim.Host, seed int64) pdnclient.Config {
+	cfg := tb.ViewerConfig(host, seed)
+	if tb.Dep.Profile.SecretKey {
+		cfg.APIKey = "guessed-tenant"
 	}
 	return cfg
 }

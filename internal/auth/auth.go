@@ -1,9 +1,9 @@
 // Package auth implements PDN customer authentication and usage
 // metering: static API keys with optional domain allowlists (the
-// mechanism all three public providers in the paper use), temporary
-// session tokens (the mechanism private providers use), and the billing
-// meters that make the paper's free-riding attack economically
-// meaningful.
+// mechanism all three public providers in the paper use) and the
+// billing meters that make the paper's free-riding attack economically
+// meaningful. Token-style credentials — private providers' session
+// tokens and the §V-A JWT — are defense.TokenAuthority's.
 //
 // The paper's core finding in §IV-B is that a *persistent, publicly
 // visible* API key is the only credential gating PDN use, and that the
@@ -25,12 +25,9 @@ import (
 
 // Errors returned by authentication.
 var (
-	ErrUnknownKey    = errors.New("auth: unknown API key")
-	ErrExpiredKey    = errors.New("auth: expired API key")
-	ErrOriginDenied  = errors.New("auth: origin not in domain allowlist")
-	ErrUnknownToken  = errors.New("auth: unknown session token")
-	ErrTokenExpired  = errors.New("auth: session token expired")
-	ErrVideoMismatch = errors.New("auth: token not valid for this video")
+	ErrUnknownKey   = errors.New("auth: unknown API key")
+	ErrExpiredKey   = errors.New("auth: expired API key")
+	ErrOriginDenied = errors.New("auth: origin not in domain allowlist")
 )
 
 // Plan is a provider's pricing model.
@@ -263,72 +260,4 @@ func (r *Registry) Cost(customer string) float64 {
 	default:
 		return 0
 	}
-}
-
-// TokenStore issues and validates the temporary session tokens private
-// PDN services use. Binding controls whether a token is tied to the
-// video source URL: the paper found Mango TV's extracted SDK imposed no
-// constraint at all, and Tencent Video's token was not bound to the
-// video URL — both free-ridable.
-type TokenStore struct {
-	// BindVideo requires the token's video to match at validation.
-	BindVideo bool
-	// TTL is each token's lifetime.
-	TTL time.Duration
-
-	mu     sync.Mutex
-	tokens map[string]sessionToken
-	now    func() time.Time
-}
-
-type sessionToken struct {
-	video   string
-	expires time.Time
-}
-
-// NewTokenStore constructs a token store.
-func NewTokenStore(bindVideo bool, ttl time.Duration) *TokenStore {
-	return &TokenStore{
-		BindVideo: bindVideo,
-		TTL:       ttl,
-		tokens:    make(map[string]sessionToken),
-		now:       time.Now,
-	}
-}
-
-// Issue creates a session token for the given video source.
-func (s *TokenStore) Issue(video string) string {
-	var raw [16]byte
-	if _, err := rand.Read(raw[:]); err != nil {
-		panic(fmt.Sprintf("auth: rand: %v", err))
-	}
-	tok := hex.EncodeToString(raw[:])
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tokens[tok] = sessionToken{video: video, expires: s.now().Add(s.TTL)}
-	return tok
-}
-
-// Validate checks a session token, optionally enforcing video binding.
-func (s *TokenStore) Validate(token, video string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.tokens[token]
-	if !ok {
-		return ErrUnknownToken
-	}
-	if s.now().After(st.expires) {
-		return ErrTokenExpired
-	}
-	if s.BindVideo && st.video != video {
-		return ErrVideoMismatch
-	}
-	return nil
-}
-
-// SetClock overrides the store's time source (tests).
-func (s *TokenStore) SetClock(now func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.now = now
 }

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -101,23 +102,38 @@ func VerifyJWT(token string, secret []byte, out any) error {
 	return nil
 }
 
-// TokenAuthority issues and validates video-binding tokens, enforcing
-// TTL and usage limits server-side. It is the §V-A replacement for the
-// static API key: a stolen token is useless for the attacker's own
-// streams (video binding) and goes stale fast (TTL + usage limit).
+// TokenAuthority issues and validates signed session tokens, enforcing
+// TTL and usage limits server-side. It is every token-style credential
+// in the reproduction: the §V-A replacement for the static API key — a
+// stolen token is useless for the attacker's own streams (video binding)
+// and goes stale fast (TTL + usage limit) — and the private providers'
+// session tokens, whose flaws it writes into the signed claims: a token
+// with no VideoIDs is unbound and validates for any stream, as Tencent
+// Video's did. Only the secret holder can mint one.
 type TokenAuthority struct {
 	secret []byte
 
 	mu   sync.Mutex
-	uses map[string]int
-	now  func() time.Time
+	uses map[string]tokenUses
+	// sweepAt is the uses size past which the next sweep of expired
+	// entries runs: twice the size the last sweep left, so the map stays
+	// within about twice its live set at amortised O(1) per validation.
+	sweepAt int
+	now     func() time.Time
+}
+
+// tokenUses counts one usage-limited token's validations until it
+// expires, after which Validate rejects it before counting.
+type tokenUses struct {
+	n       int
+	expires int64 // Unix seconds
 }
 
 // NewTokenAuthority creates an authority with the given HMAC secret.
 func NewTokenAuthority(secret []byte) *TokenAuthority {
 	return &TokenAuthority{
 		secret: append([]byte(nil), secret...),
-		uses:   make(map[string]int),
+		uses:   make(map[string]tokenUses),
 		now:    time.Now,
 	}
 }
@@ -140,6 +156,7 @@ func (a *TokenAuthority) Issue(tok PDNToken) (string, error) {
 }
 
 // Validate checks a presented JWT for a given video, consuming one use.
+// A token with no VideoIDs is unbound: it validates for any video.
 func (a *TokenAuthority) Validate(jwt, videoID string) error {
 	var tok PDNToken
 	if err := VerifyJWT(jwt, a.secret, &tok); err != nil {
@@ -147,24 +164,34 @@ func (a *TokenAuthority) Validate(jwt, videoID string) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.now().Unix() > tok.Timestamp+tok.TTL {
+	now := a.now().Unix()
+	expires := tok.Timestamp + tok.TTL
+	if now > expires {
 		return ErrTokenExpired
 	}
-	bound := false
-	for _, v := range tok.VideoIDs {
-		if v == videoID {
-			bound = true
-			break
-		}
-	}
-	if !bound {
+	if len(tok.VideoIDs) > 0 && !slices.Contains(tok.VideoIDs, videoID) {
 		return ErrTokenVideo
 	}
 	if tok.UsageLimit > 0 {
-		if a.uses[jwt] >= tok.UsageLimit {
+		u := a.uses[jwt]
+		if u.n >= tok.UsageLimit {
 			return ErrTokenConsumed
 		}
-		a.uses[jwt]++
+		a.uses[jwt] = tokenUses{n: u.n + 1, expires: expires}
+		if len(a.uses) > a.sweepAt {
+			a.sweepLocked(now)
+		}
 	}
 	return nil
+}
+
+// sweepLocked drops the use counts of expired tokens, which Validate
+// rejects before it reads them, and sets the next sweep threshold.
+func (a *TokenAuthority) sweepLocked(now int64) {
+	for jwt, u := range a.uses {
+		if now > u.expires {
+			delete(a.uses, jwt)
+		}
+	}
+	a.sweepAt = 2 * len(a.uses)
 }

@@ -78,20 +78,12 @@ func defenseCostRow(ctx context.Context, strategy DefenseStrategy) (DefenseCostR
 	if err != nil {
 		return row, err
 	}
-	atk, err := attack.LaunchPollution(ctx, attack.PollutionParams{
-		Network:       tb.Net,
-		SignalAddr:    tb.Dep.SignalAddr,
-		STUNAddr:      tb.Dep.STUNAddr,
-		RealCDNBase:   tb.CDNBase,
-		FakeCDNHost:   fakeHost,
-		MaliciousHost: malHost,
-		APIKey:        tb.Key,
-		Origin:        "https://customer.com",
-		Video:         video.ID,
-		Rendition:     "360p",
-		Pollute:       mitm.SameSizePollution([]int{3, 4}),
-		Segments:      video.Segments,
-	})
+	// An unmodified SDK: the malicious peer files IM reports for what the
+	// fake CDN served it, and the conflicts it causes are the peer-assisted
+	// defense's arbitration cost.
+	mal := tb.ViewerConfig(malHost, 666)
+	mal.MaxSegments = video.Segments
+	atk, err := attack.LaunchPollution(ctx, mal, fakeHost, mitm.SameSizePollution([]int{3, 4}))
 	if err != nil {
 		return row, err
 	}

@@ -57,20 +57,9 @@ func RunPollutionPropagation(ctx context.Context, viewers int) (*PropagationResu
 		return nil, err
 	}
 	polluted := []int{3, 4}
-	atk, err := attack.LaunchPollution(ctx, attack.PollutionParams{
-		Network:       tb.Net,
-		SignalAddr:    tb.Dep.SignalAddr,
-		STUNAddr:      tb.Dep.STUNAddr,
-		RealCDNBase:   tb.CDNBase,
-		FakeCDNHost:   fakeHost,
-		MaliciousHost: malHost,
-		APIKey:        tb.Key,
-		Origin:        "https://customer.com",
-		Video:         video.ID,
-		Rendition:     "360p",
-		Pollute:       mitm.SameSizePollution(polluted),
-		Segments:      video.Segments,
-	})
+	mal := tb.ViewerConfig(malHost, 666)
+	mal.MaxSegments = video.Segments
+	atk, err := attack.LaunchPollution(ctx, mal, fakeHost, mitm.SameSizePollution(polluted))
 	if err != nil {
 		return nil, err
 	}

@@ -100,6 +100,7 @@ func probeExtractedKeys(ctx context.Context, prof provider.Profile, det *Detecti
 	if err != nil {
 		return res, err
 	}
+	stolen := tb.StolenConfig(attackerHost, 1)
 	for _, ek := range det.Report.ExtractedKeys {
 		if ek.Provider != prof.Name {
 			continue
@@ -123,7 +124,8 @@ func probeExtractedKeys(ctx context.Context, prof provider.Profile, det *Detecti
 			continue
 		}
 		res.Valid++
-		vulnerable, err := attack.CrossDomain(ctx, attackerHost, tb.Dep.SignalAddr, ek.Key)
+		stolen.APIKey = ek.Key
+		vulnerable, err := attack.CrossDomain(ctx, stolen)
 		if err != nil {
 			return res, err
 		}

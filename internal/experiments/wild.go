@@ -195,18 +195,10 @@ func RunFreeRideBilling(ctx context.Context, attackerPeers int) (*FreeRideBillin
 		}
 		hosts[i] = h
 	}
-	res, err := attack.GenerateTraffic(ctx, attack.TrafficParams{
-		Network:         tb.Net,
-		SignalAddr:      tb.Dep.SignalAddr,
-		STUNAddr:        tb.Dep.STUNAddr,
-		CDNBase:         tb.CDNBase,
-		StolenKey:       tb.Key,
-		Origin:          "https://freerider.evil",
-		Video:           video.ID,
-		Rendition:       "360p",
-		Hosts:           hosts,
-		SegmentsPerPeer: video.Segments,
-	})
+	peer := tb.StolenConfig(hosts[0], 1)
+	peer.Origin = "https://freerider.evil"
+	peer.MaxSegments = video.Segments
+	res, err := attack.GenerateTraffic(ctx, peer, hosts)
 	if err != nil {
 		return nil, err
 	}

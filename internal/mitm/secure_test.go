@@ -232,24 +232,10 @@ func TestSubstitutionBeforeAfter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		malCfg := tb.ViewerConfig(malHost, 7)
-		atk, err := attack.LaunchPollution(ctx, attack.PollutionParams{
-			Network:       tb.Net,
-			SignalAddr:    tb.Dep.SignalAddr,
-			STUNAddr:      tb.Dep.STUNAddr,
-			RealCDNBase:   tb.CDNBase,
-			FakeCDNHost:   fakeHost,
-			MaliciousHost: malHost,
-			APIKey:        malCfg.APIKey,
-			Origin:        malCfg.Origin,
-			Token:         malCfg.Token,
-			VideoURL:      malCfg.VideoURL,
-			Video:         video.ID,
-			Rendition:     "360p",
-			Pollute:       mitm.SameSizePollution([]int{3, 4}),
-			Segments:      6,
-			Insecure:      true,
-		})
+		mal := tb.ViewerConfig(malHost, 666)
+		mal.MaxSegments = 6
+		mal.InsecureNoVerify = true
+		atk, err := attack.LaunchPollution(ctx, mal, fakeHost, mitm.SameSizePollution([]int{3, 4}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -607,8 +607,7 @@ func (p *Peer) reconnectLoop(ctx context.Context) {
 }
 
 // rejoin re-dials and re-joins the signaling server with capped
-// backoff, then re-announces the cache so the swarm can match against
-// this peer again. Reports whether the session was restored.
+// backoff. Reports whether the session was restored.
 func (p *Peer) rejoin(ctx context.Context) bool {
 	backoff := reconnectBaseBackoff
 	for attempt := 1; ; attempt++ {
@@ -622,9 +621,6 @@ func (p *Peer) rejoin(ctx context.Context) bool {
 		if err := p.join(ctx); err == nil {
 			p.metrics.sigReconnects.Inc()
 			p.cfg.Tracer.Event("signal_reconnect", obs.A("attempt", attempt))
-			if have := p.cache.indices(); len(have) > 0 {
-				p.session().sig.Have(have)
-			}
 			return true
 		}
 		p.metrics.sigReconnectFail.Inc()
@@ -797,8 +793,8 @@ func (p *Peer) loadHashManifest(ctx context.Context) {
 	p.mu.Unlock()
 }
 
-// playSegment fetches (P2P-first after slow start), meters, caches,
-// announces, and observes one segment.
+// playSegment fetches (P2P-first after slow start), meters, caches and
+// observes one segment.
 func (p *Peer) playSegment(ctx context.Context, idx int) error {
 	key := media.SegmentKey{Video: p.cfg.Video, Rendition: p.cfg.Rendition, Index: idx}
 	// The segment span is the root of the fetch's distributed trace: its
@@ -836,11 +832,7 @@ func (p *Peer) playSegment(ctx context.Context, idx int) error {
 	} else {
 		p.stats.FromP2P++
 	}
-	sig := p.sess.sig
 	p.mu.Unlock()
-	if sig != nil {
-		sig.Have([]int{idx})
-	}
 	if p.cfg.OnSegment != nil {
 		p.cfg.OnSegment(key, data, source)
 	}

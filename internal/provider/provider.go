@@ -55,10 +55,15 @@ type Profile struct {
 	// AllowlistByDefault reports whether new keys get a domain
 	// allowlist out of the box. Only Viblast required one.
 	AllowlistByDefault bool
-	// TokenTTL and TokenBindsVideo configure private-provider session
-	// tokens. Tencent's tokens did not bind to the video URL.
+	// TokenTTL, when positive, makes viewers authenticate with signed
+	// session tokens the customer's server issues (Deployment.IssueToken)
+	// — the private providers' credential, and with TokenBindsVideo and
+	// TokenUsageLimit the §V-A disposable video-binding JWT. TokenBindsVideo
+	// ties a token to its video source URL (Tencent's tokens did not);
+	// TokenUsageLimit caps how many joins one token admits (0: unlimited).
 	TokenTTL        time.Duration
 	TokenBindsVideo bool
+	TokenUsageLimit int
 	// RequireAuth is false for services that accept unauthenticated
 	// peers (the extracted Mango TV SDK imposed no constraint).
 	RequireAuth bool
@@ -66,13 +71,6 @@ type Profile struct {
 	// embedded (Microsoft eCDN uses the enterprise tenant ID), which
 	// defeats key theft.
 	SecretKey bool
-	// JWTAuth deploys the §V-A defense: the customer's server issues
-	// disposable, video-binding JWTs and the PDN validates them instead
-	// of a static key.
-	JWTAuth bool
-	// JWTTTLSeconds and JWTUsageLimit parameterize issued tokens.
-	JWTTTLSeconds int64
-	JWTUsageLimit int
 	// Policy is the SDK policy delivered to peers.
 	Policy signal.Policy
 	// Signatures fingerprint the provider's SDK for the detector.
@@ -205,12 +203,12 @@ func Hardened() Profile {
 	// the per-identity matcher the deployed services ship cannot see.
 	pol.MaxPeersPerHost = 2
 	return Profile{
-		Name:          "hardened",
-		RequireAuth:   true,
-		JWTAuth:       true,
-		JWTTTLSeconds: 60,
-		JWTUsageLimit: 3,
-		Policy:        pol,
+		Name:            "hardened",
+		RequireAuth:     true,
+		TokenTTL:        time.Minute,
+		TokenBindsVideo: true,
+		TokenUsageLimit: 3,
+		Policy:          pol,
 		Signatures: Signatures{
 			URLPatterns: []string{"hardened-pdn-sim.test/sdk.js"},
 		},
@@ -250,10 +248,10 @@ func AllProfiles() []Profile {
 type Deployment struct {
 	Profile Profile
 	Keys    *auth.Registry
-	Tokens  *auth.TokenStore
-	// JWT is the customer-side token authority for JWTAuth profiles;
-	// IssueJWT mints viewer tokens from it.
-	JWT *defense.TokenAuthority
+	// Tokens is the token authority of a TokenTTL profile (nil
+	// otherwise): the signaling plane validates against it, and IssueToken
+	// mints viewer tokens from it in the customer server's role.
+	Tokens *defense.TokenAuthority
 	// Plane is the federated signaling plane — a ring of
 	// Options.Servers signal.Server instances (one, unless federated).
 	Plane *federation.Plane
@@ -319,22 +317,14 @@ func Deploy(ctx context.Context, p Profile, host *netsim.Host, opts Options) (*D
 	if p.Public {
 		keys = auth.NewRegistry(p.Plan)
 	}
-	// TokenTTL and JWTAuth are disjoint across profiles: at most one of
-	// the two issuers exists, and it is the server's token validator.
 	var validator signal.TokenValidator
-	var tokens *auth.TokenStore
 	if p.TokenTTL > 0 {
-		tokens = auth.NewTokenStore(p.TokenBindsVideo, p.TokenTTL)
-		validator = tokens
-	}
-	var jwtAuthority *defense.TokenAuthority
-	if p.JWTAuth {
 		var secret [32]byte
 		if _, err := rand.Read(secret[:]); err != nil {
-			return nil, fmt.Errorf("provider %s: jwt secret: %w", p.Name, err)
+			return nil, fmt.Errorf("provider %s: token secret: %w", p.Name, err)
 		}
-		jwtAuthority = defense.NewTokenAuthority(secret[:])
-		validator = jwtAuthority
+		d.Tokens = defense.NewTokenAuthority(secret[:])
+		validator = d.Tokens
 	}
 	policy := p.Policy
 	if opts.PolicyOverride != nil {
@@ -397,8 +387,6 @@ func Deploy(ctx context.Context, p Profile, host *netsim.Host, opts Options) (*D
 	go ice.ServeSTUN(stunCtx, pc)
 
 	d.Keys = keys
-	d.Tokens = tokens
-	d.JWT = jwtAuthority
 	d.Transport = transport
 	d.Plane = plane
 	d.Server = plane.Server(0)
@@ -424,19 +412,24 @@ func (d *Deployment) IssueKey(customerDomain string) string {
 	return d.Keys.Issue(customerDomain, allow)
 }
 
-// IssueJWT mints a disposable video-binding token for a viewer of the
-// given video source (the customer server's role in §V-A).
-func (d *Deployment) IssueJWT(peerID string, videoURLs ...string) (string, error) {
-	if d.JWT == nil {
-		return "", fmt.Errorf("provider %s: profile has no JWT authority", d.Profile.Name)
+// IssueToken mints a session token for a viewer of the given video
+// source (the customer server's role in §V-A), with the profile's TTL
+// and usage limit. It binds the token to videoURL only when the profile
+// binds tokens to videos; otherwise the token validates for any stream.
+func (d *Deployment) IssueToken(peerID, videoURL string) (string, error) {
+	if d.Tokens == nil {
+		return "", fmt.Errorf("provider %s: profile issues no tokens", d.Profile.Name)
 	}
-	return d.JWT.Issue(defense.PDNToken{
+	tok := defense.PDNToken{
 		CustomerID: "customer.com",
 		PDNPeerID:  peerID,
-		VideoIDs:   videoURLs,
-		TTL:        d.Profile.JWTTTLSeconds,
-		UsageLimit: d.Profile.JWTUsageLimit,
-	})
+		TTL:        int64(d.Profile.TokenTTL / time.Second),
+		UsageLimit: d.Profile.TokenUsageLimit,
+	}
+	if d.Profile.TokenBindsVideo {
+		tok.VideoIDs = []string{videoURL}
+	}
+	return d.Tokens.Issue(tok)
 }
 
 // Close stops the deployment's services.

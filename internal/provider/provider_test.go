@@ -105,10 +105,13 @@ func TestMangoPrivateNoConstraints(t *testing.T) {
 
 func TestTencentPrivateTokenNotBound(t *testing.T) {
 	n, d := deploy(t, TencentPrivate())
-	tok := d.Tokens.Issue("https://v.qq-sim.test/legit.m3u8")
+	tok, err := d.IssueToken("p1", "https://v.qq-sim.test/legit.m3u8")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Reusing the token for the attacker's own stream passes: no video
 	// binding.
-	_, err := join(t, n, d, "66.24.0.1", signal.JoinRequest{
+	_, err = join(t, n, d, "66.24.0.1", signal.JoinRequest{
 		Token: tok, VideoURL: "https://attacker/own.m3u8", Video: "v", Rendition: "r",
 	})
 	if err != nil {
@@ -118,8 +121,11 @@ func TestTencentPrivateTokenNotBound(t *testing.T) {
 
 func TestStrictPrivateTokenBound(t *testing.T) {
 	n, d := deploy(t, StrictPrivate())
-	tok := d.Tokens.Issue("https://cdn/legit.m3u8")
-	_, err := join(t, n, d, "66.24.0.1", signal.JoinRequest{
+	tok, err := d.IssueToken("p1", "https://cdn/legit.m3u8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = join(t, n, d, "66.24.0.1", signal.JoinRequest{
 		Token: tok, VideoURL: "https://attacker/own.m3u8", Video: "v", Rendition: "r",
 	})
 	if err == nil {
@@ -184,7 +190,7 @@ func TestSignaturesPresent(t *testing.T) {
 
 func TestHardenedJWTBindsVideo(t *testing.T) {
 	n, d := deploy(t, Hardened())
-	jwt, err := d.IssueJWT("p1", "https://cdn/legit.m3u8")
+	jwt, err := d.IssueToken("p1", "https://cdn/legit.m3u8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +229,10 @@ func TestHardenedJWTBindsVideo(t *testing.T) {
 	}
 }
 
-func TestIssueJWTWithoutAuthority(t *testing.T) {
+func TestIssueTokenWithoutAuthority(t *testing.T) {
 	_, d := deploy(t, Peer5())
-	if _, err := d.IssueJWT("p1", "v"); err == nil {
-		t.Fatal("non-JWT profile should refuse to issue")
+	if _, err := d.IssueToken("p1", "v"); err == nil {
+		t.Fatal("an API-key profile should refuse to issue tokens")
 	}
 }
 

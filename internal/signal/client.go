@@ -334,11 +334,6 @@ func (c *Client) GetPeers(ctx context.Context, max int) ([]PeerInfo, error) {
 	return resp.Peers, nil
 }
 
-// Have announces cached segments (one-way).
-func (c *Client) Have(segments []int) error {
-	return c.codec.Send(MsgHave, Have{Segments: segments})
-}
-
 // SendStats reports usage (one-way).
 func (c *Client) SendStats(st Stats) error {
 	return c.codec.Send(MsgStats, st)

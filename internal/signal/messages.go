@@ -26,7 +26,6 @@ const (
 	MsgError    = "error"
 	MsgGetPeers = "get_peers"
 	MsgPeers    = "peers"
-	MsgHave     = "have"
 	MsgStats    = "stats"
 	MsgRelay    = "relay"
 	MsgIMReport = "im_report"
@@ -222,18 +221,12 @@ type PeersResp struct {
 	Peers []PeerInfo `json:"peers"`
 }
 
-// Have announces which segment indices the peer can serve.
-type Have struct {
-	Segments []int `json:"segments"`
-}
-
 // Stats is the SDK's periodic usage report; the server meters the
 // owning customer from it, which is what lets free riders bill victims.
 type Stats struct {
 	P2PDownBytes int64 `json:"p2p_down_bytes"`
 	P2PUpBytes   int64 `json:"p2p_up_bytes"`
 	CDNDownBytes int64 `json:"cdn_down_bytes"`
-	ViewSeconds  int64 `json:"view_seconds"`
 }
 
 // Relay is an opaque peer-to-peer message forwarded through the server

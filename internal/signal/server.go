@@ -45,9 +45,9 @@ type SIMWindower interface {
 	SIMWindow(key media.SegmentKey, count int) (hashes []string, sig string, ok bool)
 }
 
-// TokenValidator validates a presented token for a video source: a
-// private provider's session token (auth.TokenStore) or the §V-A
-// disposable video-binding JWT (defense.TokenAuthority).
+// TokenValidator validates a presented token for a video source — a
+// private provider's session token or the §V-A disposable video-binding
+// JWT, both issued by defense.TokenAuthority.
 type TokenValidator interface {
 	Validate(token, videoID string) error
 }
@@ -192,7 +192,6 @@ type session struct {
 
 	mu    sync.Mutex
 	codec *wire.Codec
-	have  map[int]bool
 	joinT time.Time
 }
 
@@ -476,7 +475,6 @@ func (s *Server) register(codec *wire.Codec, conn net.Conn, join JoinRequest, cu
 		advertisedTo: make(map[string]*session),
 		advertised:   make(map[string]*session),
 		codec:        codec,
-		have:         make(map[int]bool),
 		joinT:        time.Now(),
 	}
 	sh := s.shardFor(sess.swarmID)
@@ -555,16 +553,6 @@ func (s *Server) dispatch(sess *session, env wire.Envelope) bool {
 		mspan.Event("signal_match", obs.A("peer", sess.id), obs.A("matched", len(matched)))
 		s.enqueue(sess.shard, outMsg{sess: sess, typ: MsgPeers, payload: PeersResp{Peers: matched}})
 		mspan.End(obs.A("matched", len(matched)))
-	case MsgHave:
-		var have Have
-		if err := env.Decode(&have); err != nil {
-			return false
-		}
-		sess.mu.Lock()
-		for _, idx := range have.Segments {
-			sess.have[idx] = true
-		}
-		sess.mu.Unlock()
 	case MsgStats:
 		var st Stats
 		if err := env.Decode(&st); err != nil {
