@@ -401,7 +401,7 @@ func TestPeriodicStatsReportDeltas(t *testing.T) {
 // segment is still the CDN's bytes (run under -race: an aliased cache
 // is also a data race between the wire and the next serve).
 func TestSeederCacheSurvivesWireCorruption(t *testing.T) {
-	const segments = 8
+	const segments, viewers = 8, 3
 	video := smallVideo("bbb", segments)
 	tb := newTestbed(t, provider.Peer5(), video)
 
@@ -421,8 +421,8 @@ func TestSeederCacheSurvivesWireCorruption(t *testing.T) {
 	}()
 	waitFor(t, 30*time.Second, func() bool { return seeder.Stats().SegmentsPlayed >= segments })
 
-	results := make(chan Stats, 3)
-	for i := 0; i < 3; i++ {
+	results := make(chan Stats, viewers)
+	for i := 0; i < viewers; i++ {
 		vcfg := tb.peerConfig(t)
 		vcfg.Pace = 20 * time.Millisecond // leaves wants to serve after the wire turns
 		viewer, err := New(vcfg)
@@ -435,8 +435,15 @@ func TestSeederCacheSurvivesWireCorruption(t *testing.T) {
 		}()
 	}
 	// Handshakes do not survive a corrupting wire, so it turns only once
-	// a connection is up and serving.
-	waitFor(t, 30*time.Second, func() bool { return seeder.Stats().P2PUpBytes > 0 })
+	// a connection is up and serving — and only once every viewer is the
+	// seeder's neighbor. The wire also carries the seeder's signaling, so
+	// an answer to a late viewer's offer sent through it is garbage to the
+	// server, which drops the seeder and tells the swarm it is gone before
+	// any viewer asks it for another segment.
+	waitFor(t, 30*time.Second, func() bool {
+		st := seeder.Stats()
+		return st.P2PUpBytes > 0 && st.Neighbors == viewers
+	})
 	tb.net.CorruptStreams(cfg.Host.Addr(), 1, false)
 	clean := seeder.Stats().P2PUpBytes
 	// Until a segment has been served through the corruption; then the
@@ -444,7 +451,7 @@ func TestSeederCacheSurvivesWireCorruption(t *testing.T) {
 	waitFor(t, 30*time.Second, func() bool { return seeder.Stats().P2PUpBytes > clean })
 	tb.net.ClearCorrupt(cfg.Host.Addr())
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < viewers; i++ {
 		if st := <-results; st.SegmentsPlayed != segments {
 			t.Fatalf("viewer played %d/%d: %+v", st.SegmentsPlayed, segments, st)
 		}
