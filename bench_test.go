@@ -123,7 +123,8 @@ func BenchmarkTableV_Analyzer(b *testing.B) {
 }
 
 // BenchmarkTableVI_IMChecking regenerates Table VI: IM-checking
-// overhead (CPU/memory model + live latency measurement).
+// overhead measured on running testbed swarms (metered CPU/memory, mean
+// P2P segment latency with the SIM fetch and verify inside it).
 func BenchmarkTableVI_IMChecking(b *testing.B) {
 	ctx := benchCtx(b)
 	var latency time.Duration

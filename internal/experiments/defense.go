@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,11 +11,11 @@ import (
 
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/defense"
-	"github.com/stealthy-peers/pdnsec/internal/dtls"
-	"github.com/stealthy-peers/pdnsec/internal/media"
-	"github.com/stealthy-peers/pdnsec/internal/monitor"
-	"github.com/stealthy-peers/pdnsec/internal/netsim"
+	"github.com/stealthy-peers/pdnsec/internal/obs"
+	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
+	"github.com/stealthy-peers/pdnsec/internal/signal"
+	"github.com/stealthy-peers/pdnsec/internal/traceview"
 )
 
 // TableVIRow is one control group of the IM-checking evaluation.
@@ -22,7 +24,11 @@ type TableVIRow struct {
 	IMChecking bool          `json:"im_checking"`
 	CPURatio   float64       `json:"cpu_ratio"` // vs the no-PDN group
 	MemRatio   float64       `json:"mem_ratio"`
-	Latency    time.Duration `json:"latency"` // per-segment delivery latency
+	Latency    time.Duration `json:"latency"` // mean P2P segment fetch, SIM fetch and verify included
+	// SIMTrips is signaling round trips for integrity metadata per P2P
+	// segment: the paper's design pays one each, a SIM window one per
+	// window.
+	SIMTrips float64 `json:"sim_trips_per_p2p_segment"`
 }
 
 // TableVIResult backs Table VI: the overhead of peer-assisted
@@ -32,229 +38,113 @@ type TableVIResult struct {
 	SegmentSize int          `json:"segment_size"`
 }
 
-// RunTableVI reproduces the paper's three control groups: plain
-// playback, PDN delivery, and PDN delivery with IM calculation and
-// verification. Resource ratios come from the cost model under each
-// group's workload; latency is measured live on a shaped link as
-// T_recv − T_send for one segment (§V-B measures 3MB segments; the
-// default here uses the same size).
+// tableVISegments is how many segments each Table VI viewer plays: the
+// first SlowStartSegments from the CDN, the rest from the seeders.
+const tableVISegments = 10
+
+// RunTableVI reproduces the paper's three control groups on running
+// peers: a CDN-only viewer, a Peer5 swarm, and the same swarm with the
+// §V-B peer-assisted IM panel deployed — the metered swarm Figure 4
+// runs, with two seeders so the panel's two reporters exist before the
+// leecher asks. The two swarms run on separate testbeds at once. CPU and
+// memory are the leecher's meter against the control's; latency is the
+// mean of the leecher's P2P segment spans on a 10 ms access link — the
+// real fetch path, its first connects, the amortised SIM window fetch
+// and the hash included (§V-B measures 3MB segments; the default here
+// uses the same size).
 func RunTableVI(ctx context.Context, segmentSize int) (*TableVIResult, error) {
 	if segmentSize <= 0 {
 		segmentSize = 3 << 20
 	}
 	res := &TableVIResult{SegmentSize: segmentSize}
-
-	// Resource groups, paper workload shape: each receiver plays X
-	// bytes; PDN groups move half of it over P2P; the IM group
-	// additionally hashes every P2P segment on both ends and the
-	// CDN-fetching senders hash for reporting.
-	model := monitor.DefaultCostModel()
-	x := int64(10 * segmentSize)
-	group := func(pdn, im bool) *monitor.Meter {
-		m := monitor.NewMeter(model, nil)
-		m.OnPlayback(int(x))
-		if !pdn {
-			m.OnHTTP(int(x))
-			return m
-		}
-		m.SetPDNLoaded(true)
-		m.SetNeighbors(3)
-		m.SetCacheBytes(int64(5 * segmentSize)) // SDK cache window
-		m.OnHTTP(int(x / 2))
-		m.OnDecrypt(int(x / 2))
-		m.OnEncrypt(int(x / 2))
-		if im {
-			// Hash P2P-received segments for verification plus
-			// CDN-received segments for reporting.
-			m.OnHash(int(x))
-		}
-		return m
+	policies := []*signal.Policy{nil, analyzer.DefaultPolicyWithIM()}
+	runs := make([]*swarmRun, len(policies))
+	traces := make([]*obs.TraceSet, len(policies))
+	errs := make([]error, len(policies))
+	var wg sync.WaitGroup
+	for i, policy := range policies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			traces[i] = obs.NewTraceSet(nil, 1)
+			tb, err := analyzer.NewTestbed(ctx, analyzer.TestbedConfig{
+				Profile: provider.Peer5(),
+				Video:   analyzer.SmallVideo("bbb", tableVISegments, segmentSize),
+				Options: provider.Options{PolicyOverride: policy},
+				Latency: 10 * time.Millisecond,
+				Traces:  traces[i],
+			})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer tb.Close()
+			runs[i], errs[i] = meteredSwarm(ctx, tb, 2)
+		}()
 	}
-	base := group(false, false).Snapshot()
-	noIM := group(true, false).Snapshot()
-	withIM := group(true, true).Snapshot()
-
-	// Latency groups, measured live over a DTLS transport on a shaped
-	// link (the paper's testbed spans real containers; we give each
-	// host a 15ms access latency so the numbers land in the same tens-
-	// of-milliseconds regime).
-	latNoIM, latIM, err := measureIMLatency(ctx, segmentSize, 10*time.Millisecond)
-	if err != nil {
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 
-	res.Rows = []TableVIRow{
-		{PDN: false, IMChecking: false, CPURatio: 1, MemRatio: 1},
-		{PDN: true, IMChecking: false,
-			CPURatio: noIM.CPUUnits / base.CPUUnits,
-			MemRatio: float64(noIM.MemBytes) / float64(base.MemBytes),
-			Latency:  latNoIM},
-		{PDN: true, IMChecking: true,
-			CPURatio: withIM.CPUUnits / base.CPUUnits,
-			MemRatio: float64(withIM.MemBytes) / float64(base.MemBytes),
-			Latency:  latIM},
+	res.Rows = []TableVIRow{{CPURatio: 1, MemRatio: 1}}
+	base := runs[0].control
+	for i, run := range runs {
+		lat, p2p, err := p2pSegmentMean(traces[i], run.leecherProc)
+		if err != nil {
+			return nil, err
+		}
+		u := ratioed(run.leecher, base)
+		res.Rows = append(res.Rows, TableVIRow{
+			PDN:        true,
+			IMChecking: policies[i] != nil,
+			CPURatio:   u.CPURatio,
+			MemRatio:   u.MemRatio,
+			Latency:    lat,
+			SIMTrips:   float64(run.simFetches) / float64(p2p),
+		})
 	}
 	return res, nil
 }
 
-// wallClock is the latency-measurement clock. The simulated network
-// produces its delays with real sleeps, so measuring them needs wall
-// time; keeping the clock injectable (time.Now is referenced as a
-// value, never called inline) preserves the package's determinism
-// contract for tests that want to fake it.
-var wallClock = time.Now
-
-// measureIMLatency times one segment's P2P delivery (T_recv − T_send)
-// without and with IM checking. With IM, the sender computes the IM
-// before sending and the receiver fetches the SIM from the PDN server
-// (one shaped round trip) and verifies the hash after receiving.
-func measureIMLatency(ctx context.Context, segmentSize int, hostLatency time.Duration) (noIM, withIM time.Duration, err error) {
-	n := netsim.New(netsim.Config{})
-	mk := func(ip string) *netsim.Host {
-		h := n.MustHost(mustAddr(ip))
-		h.SetLatency(hostLatency)
-		return h
+// p2pSegmentMean reads proc's segment spans back out of the trace set
+// and returns the mean duration of those served from peers and their
+// count.
+func p2pSegmentMean(ts *obs.TraceSet, proc string) (time.Duration, int, error) {
+	var buf bytes.Buffer
+	if err := ts.WriteJSONL(&buf); err != nil {
+		return 0, 0, err
 	}
-	sender := mk("66.24.0.1")
-	receiver := mk("36.96.0.1")
-	server := mk("44.1.1.1")
-
-	// A trivial SIM endpoint on the PDN server: one request frame in,
-	// one response frame out (content is irrelevant to timing).
-	l, err := server.Listen(443)
+	recs, _, err := traceview.Parse(&buf)
 	if err != nil {
 		return 0, 0, err
 	}
-	// Teardown order (defers run LIFO): close the client conns first so
-	// the per-conn goroutines unblock, then the listener so the accept
-	// loop exits, then wait for all of them.
-	var srvWG sync.WaitGroup
-	defer srvWG.Wait()
-	defer l.Close()
-	srvWG.Add(1)
-	go func() {
-		defer srvWG.Done()
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			srvWG.Add(1)
-			go func() {
-				defer srvWG.Done()
-				defer c.Close()
-				buf := make([]byte, 256)
-				for {
-					if _, err := c.Read(buf); err != nil {
-						return
-					}
-					if _, err := c.Write([]byte("sim-response")); err != nil {
-						return
-					}
-				}
-			}()
+	var sum int64
+	n := 0
+	for _, r := range recs {
+		if r.Proc == proc && r.Phase == "X" && r.Name == "segment" && r.Args["source"] == pdnclient.SourceP2P {
+			sum += r.Dur
+			n++
 		}
-	}()
-
-	idS, err := dtls.NewIdentity()
-	if err != nil {
-		return 0, 0, err
 	}
-	idR, err := dtls.NewIdentity()
-	if err != nil {
-		return 0, 0, err
+	if n == 0 {
+		return 0, 0, fmt.Errorf("experiments: %s played no P2P segment", proc)
 	}
-	rawS, rawR := netsim.Pair(sender, receiver,
-		mustAP("66.24.0.1:40000"), mustAP("36.96.0.1:40000"))
-	var wg sync.WaitGroup
-	var connR *dtls.Conn
-	var errR error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		connR, errR = dtls.Server(rawR, dtls.Config{Identity: idR})
-	}()
-	connS, err := dtls.Client(rawS, dtls.Config{Identity: idS})
-	if err != nil {
-		return 0, 0, err
-	}
-	wg.Wait()
-	if errR != nil {
-		return 0, 0, errR
-	}
-	defer connS.Close()
-
-	simConn, err := receiver.Dial(ctx, mustAP("44.1.1.1:443"))
-	if err != nil {
-		return 0, 0, err
-	}
-	defer simConn.Close()
-
-	video := analyzer.SmallVideo("lat", 2, segmentSize)
-	segment, err := video.SegmentData("360p", 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	key := media.SegmentKey{Video: "lat", Rendition: "360p", Index: 0}
-
-	transfer := func(im bool) (time.Duration, error) {
-		recvDone := make(chan error, 1)
-		var elapsed time.Duration
-		start := wallClock()
-		go func() {
-			data, err := connR.Recv()
-			if err != nil {
-				recvDone <- err
-				return
-			}
-			if im {
-				// Fetch the SIM from the server, then verify the hash.
-				if _, err := simConn.Write([]byte("get-sim")); err != nil {
-					recvDone <- err
-					return
-				}
-				buf := make([]byte, 256)
-				if _, err := simConn.Read(buf); err != nil {
-					recvDone <- err
-					return
-				}
-				_ = media.IMHash(key, data)
-			}
-			elapsed = wallClock().Sub(start)
-			recvDone <- nil
-		}()
-		if im {
-			_ = media.IMHash(key, segment) // sender-side IM calculation
-		}
-		if err := connS.Send(segment); err != nil {
-			return 0, err
-		}
-		if err := <-recvDone; err != nil {
-			return 0, err
-		}
-		return elapsed, nil
-	}
-
-	if noIM, err = transfer(false); err != nil {
-		return 0, 0, err
-	}
-	if withIM, err = transfer(true); err != nil {
-		return 0, 0, err
-	}
-	return noIM, withIM, nil
+	return time.Duration(sum/int64(n)) * time.Microsecond, n, nil
 }
 
 // Render prints Table VI's rows.
 func (r *TableVIResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table VI: Evaluation for IM checking (%s segments)\n", humanCount(int64(r.SegmentSize)))
-	fmt.Fprintf(&b, "%-6s %-12s %8s %8s %10s\n", "PDN", "IM checking", "CPU", "Memory", "Latency")
+	fmt.Fprintf(&b, "%-6s %-12s %8s %8s %10s %14s\n", "PDN", "IM checking", "CPU", "Memory", "Latency", "SIM trips/seg")
 	for _, row := range r.Rows {
-		lat := "-"
-		if row.Latency > 0 {
+		lat, trips := "-", "-"
+		if row.PDN {
 			lat = row.Latency.Round(time.Millisecond).String()
+			trips = fmt.Sprintf("%.3f", row.SIMTrips)
 		}
-		fmt.Fprintf(&b, "%-6s %-12s %8.2f %8.2f %10s\n", yn(row.PDN), yn(row.IMChecking), row.CPURatio, row.MemRatio, lat)
+		fmt.Fprintf(&b, "%-6s %-12s %8.2f %8.2f %10s %14s\n", yn(row.PDN), yn(row.IMChecking), row.CPURatio, row.MemRatio, lat, trips)
 	}
 	return b.String()
 }

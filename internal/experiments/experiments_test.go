@@ -99,6 +99,7 @@ func TestTableVI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + res.Render())
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows %d", len(res.Rows))
 	}
@@ -123,6 +124,14 @@ func TestTableVI(t *testing.T) {
 	}
 	if withIM.Latency-noIM.Latency > 500*time.Millisecond {
 		t.Errorf("IM latency overhead %v implausibly large", withIM.Latency-noIM.Latency)
+	}
+	// One SIM window covers many segments; the paper's design pays a
+	// round trip for each.
+	if withIM.SIMTrips <= 0 || withIM.SIMTrips > 0.25 {
+		t.Errorf("IM SIM round trips per P2P segment %.3f outside (0, 0.25]", withIM.SIMTrips)
+	}
+	if noIM.SIMTrips != 0 {
+		t.Errorf("no-IM row made %.3f SIM round trips per P2P segment", noIM.SIMTrips)
 	}
 	if !strings.Contains(res.Render(), "Latency") {
 		t.Error("render missing latency column")

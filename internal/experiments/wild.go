@@ -16,7 +16,6 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/provider"
 )
 
-func mustAddr(s string) netip.Addr   { return netip.MustParseAddr(s) }
 func mustAP(s string) netip.AddrPort { return netip.MustParseAddrPort(s) }
 
 // IPLeakLabResult backs the §IV-D lab test: two remote peers exchange

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -186,6 +187,53 @@ func TestLiveStreamPlayback(t *testing.T) {
 	}
 	if st.SegmentsPlayed != 8 {
 		t.Fatalf("live playback played %d/8 segments", st.SegmentsPlayed)
+	}
+}
+
+// TestLivePlayedBounded: a long live session keeps played marks only for
+// the segments its playlist can still list, not one per segment ever
+// played.
+func TestLivePlayedBounded(t *testing.T) {
+	const played = 220
+	video := &media.Video{
+		ID:              "live-long",
+		Renditions:      []media.Rendition{{Name: "360p", Bandwidth: 8 << 10, SegmentBytes: 1 << 10}},
+		Segments:        10 * played,
+		SegmentDuration: 0.001,
+		Live:            true,
+	}
+	tb := newTestbed(t, provider.Peer5(), video)
+	// Each playlist request finds the edge one segment further on.
+	var mu sync.Mutex
+	now := time.Now().Add(cdn.LiveWindow * time.Millisecond)
+	tb.cdnSrv.SetClock(func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		now = now.Add(time.Millisecond)
+		return now
+	})
+
+	cfg := tb.peerConfig(t)
+	cfg.DisableP2P = true
+	cfg.MaxSegments = played
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	st, err := p.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SegmentsPlayed != played {
+		t.Fatalf("played %d/%d segments", st.SegmentsPlayed, played)
+	}
+	p.mu.Lock()
+	marks := len(p.played)
+	p.mu.Unlock()
+	if marks > cdn.LiveWindow+1 {
+		t.Errorf("%d played marks after %d live segments, want ≤ %d", marks, played, cdn.LiveWindow+1)
 	}
 }
 

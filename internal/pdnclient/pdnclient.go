@@ -688,6 +688,7 @@ func (p *Peer) playbackLoop(ctx context.Context) error {
 		}
 		p.learnExpectedSize(ctx, pl)
 		p.syncLiveEdge(pl)
+		p.forgetSlidOut(pl)
 		progressed := false
 		for i, seg := range pl.Segments {
 			idx, ok := hls.ParseSegmentURI(seg.URI)
@@ -768,6 +769,20 @@ func (p *Peer) syncLiveEdge(pl *hls.MediaPlaylist) {
 			idx = pl.MediaSequence + i
 		}
 		p.played[idx] = true
+	}
+}
+
+// forgetSlidOut drops the played marks below pl's media sequence: those
+// segments have slid out of the live window and no later playlist lists
+// them, so a live session's bookkeeping stays window-sized. A VOD
+// playlist starts at 0 and drops nothing.
+func (p *Peer) forgetSlidOut(pl *hls.MediaPlaylist) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for idx := range p.played {
+		if idx < pl.MediaSequence {
+			delete(p.played, idx)
+		}
 	}
 }
 
