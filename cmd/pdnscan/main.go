@@ -11,10 +11,10 @@
 //
 // -sites/-apps size the non-PDN background population; -keys also
 // prints the API keys the §IV-B regex extraction recovered. The scan
-// runs on the internal/dispatch engine: -workers sizes its pool
+// runs on the internal/dispatch worker pool: -workers sizes it
 // (defaults to one per CPU and must be positive; the merged report is
-// identical at any width),
-// -checkpoint makes an interrupted scan resumable, and -stats prints
+// identical at any width), -checkpoint makes an interrupted scan
+// resumable, and -stats prints
 // the engine's job counters, latency quantiles (p50/p90/p99/max), and
 // jobs/sec afterwards. -trace records every dispatch job as a span:
 // ".jsonl" files get one trace event per line, anything else the Chrome

@@ -24,10 +24,6 @@ type Options struct {
 	// Entries are keyed by seed, so a checkpoint from a different run
 	// configuration is ignored rather than mixed in.
 	Checkpoint string
-	// RateLimit bounds per-domain scan pressure (zero Rate disables).
-	// The synthetic corpus doesn't need politeness, but a real Tranco
-	// sweep does.
-	RateLimit dispatch.RateLimit
 	// Metrics, when set, collects the scan's counters and latency
 	// quantiles (shared across the site and app passes).
 	Metrics *dispatch.Metrics
@@ -40,8 +36,8 @@ type Options struct {
 	// live crawl's I/O profile is studied and benchmarked; it does not
 	// change any result.
 	SimulateRTT time.Duration
-	// Tracer, when set, records the scan's dispatch spans (run, per-job,
-	// retries). The detector itself stays clock-free; timestamps come
+	// Tracer, when set, records the scan's dispatch spans (run and
+	// per-job). The detector itself stays clock-free; timestamps come
 	// from the tracer's own injected clock.
 	Tracer *obs.Tracer
 }
@@ -64,15 +60,14 @@ func simulateFetches(ctx context.Context, rtt time.Duration, roundTrips int) err
 
 // ParallelPipeline runs the detection flow with the work-dispatch
 // engine: every site and app becomes one job, executed by a worker
-// pool with optional rate limiting and checkpoint/resume, and the
-// positional results are reduced in corpus order. Output is
-// byte-identical to Pipeline for any Workers value.
+// pool with optional checkpoint/resume, and the positional results are
+// reduced in corpus order. Output is byte-identical to Pipeline for any
+// Workers value.
 func ParallelPipeline(ctx context.Context, c *corpus.Corpus, profiles []provider.Profile, seed int64, opts Options) (*Report, error) {
 	scanner := NewWebScanner(profiles)
 
 	cfg := dispatch.Config{
 		Workers:    opts.Workers,
-		RateLimit:  opts.RateLimit,
 		Metrics:    opts.Metrics,
 		OnProgress: opts.OnProgress,
 		Tracer:     opts.Tracer,
@@ -93,10 +88,8 @@ func ParallelPipeline(ctx context.Context, c *corpus.Corpus, profiles []provider
 
 	siteJobs := make([]dispatch.Job[SiteOutcome], len(c.Sites))
 	for i, site := range c.Sites {
-		site := site
 		siteJobs[i] = dispatch.Job[SiteOutcome]{
-			Key:    fmt.Sprintf("site/%d/%s", seed, site.Domain),
-			Domain: site.Domain,
+			Key: fmt.Sprintf("site/%d/%s", seed, site.Domain),
 			Do: func(ctx context.Context) (SiteOutcome, error) {
 				out := scanner.ScanSiteFull(site, seed)
 				// One round trip for the landing fetch plus one per
@@ -115,10 +108,8 @@ func ParallelPipeline(ctx context.Context, c *corpus.Corpus, profiles []provider
 
 	appJobs := make([]dispatch.Job[AppOutcome], len(c.Apps))
 	for i, app := range c.Apps {
-		app := app
 		appJobs[i] = dispatch.Job[AppOutcome]{
-			Key:    fmt.Sprintf("app/%d/%s", seed, app.Package),
-			Domain: app.Package,
+			Key: fmt.Sprintf("app/%d/%s", seed, app.Package),
 			Do: func(ctx context.Context) (AppOutcome, error) {
 				out := ScanAppFull(app, profiles, seed)
 				if err := simulateFetches(ctx, opts.SimulateRTT, out.VersionsScanned); err != nil {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/corpus"
 	"github.com/stealthy-peers/pdnsec/internal/detector"
@@ -123,34 +122,5 @@ func TestParallelPipelineProgressAndCancellation(t *testing.T) {
 	// Sequential reference honors cancellation too.
 	if _, err := detector.Pipeline(ctx, c, profiles, 3); err == nil {
 		t.Fatal("cancelled sequential pipeline should fail")
-	}
-}
-
-// TestParallelRateLimitedScanStillExact exercises the politeness path:
-// a rate-limited scan is slower but loses nothing.
-func TestParallelRateLimitedScanStillExact(t *testing.T) {
-	ctx := context.Background()
-	profiles := provider.PublicProfiles()
-	c := corpus.Generate(corpus.Params{Seed: 4, FillerSites: 20, FillerApps: 10})
-	seq, err := detector.Pipeline(ctx, c, profiles, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	par, err := detector.ParallelPipeline(ctx, c, profiles, 4, detector.Options{
-		Workers: 8,
-		// Every corpus domain is unique, so a tight per-domain limit
-		// must not slow the sweep down materially — this is the
-		// "polite to each host, fast overall" property.
-		RateLimit: dispatch.RateLimit{Rate: 50, Burst: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("rate-limited run differs from sequential")
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("unique-domain scan should not serialize behind the limiter, took %v", elapsed)
 	}
 }

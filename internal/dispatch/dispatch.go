@@ -1,18 +1,14 @@
 // Package dispatch is the scan-orchestration engine behind the
-// detector's corpus sweeps: a generic, context-aware work dispatcher
-// with a sharded bounded job queue, a configurable worker pool,
-// per-domain token-bucket rate limiting, retry with exponential
-// backoff and deterministic jitter, checkpoint/resume of partial scan
-// state, and progress/metrics hooks (queued / in-flight / done /
-// failed counters plus p50/p99 job latency).
+// detector's corpus sweeps: a context-aware worker pool over a slice of
+// jobs, with checkpoint/resume of partial scan state and progress/metrics
+// hooks (queued / in-flight / done / failed counters plus p50/p99 job
+// latency).
 //
 // The engine is deliberately workload-agnostic — a Job carries an
-// arbitrary closure and a typed result — so the same scheduler that
-// drives the §III-C website/APK scans can later run analyzer risk
-// batteries or wild-measurement sweeps. Results come back positionally
-// (results[i] belongs to jobs[i]) regardless of worker scheduling,
-// which is what lets the detector's parallel pipeline reduce them in
-// corpus order and emit byte-identical tables at any worker count.
+// arbitrary closure and a typed result. Results come back positionally
+// (results[i] belongs to jobs[i]) regardless of worker scheduling, which
+// is what lets the detector's parallel pipeline reduce them in corpus
+// order and emit byte-identical tables at any worker count.
 package dispatch
 
 import (
@@ -22,6 +18,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/obs"
@@ -29,12 +26,9 @@ import (
 
 // Job is one schedulable unit of work producing an R.
 type Job[R any] struct {
-	// Key is the job's stable identity, used for checkpoint lookup and
-	// jitter derivation. It must be unique within a Run.
+	// Key is the job's stable identity, used for checkpoint lookup. It
+	// must be unique within a Run.
 	Key string
-	// Domain groups jobs for rate limiting and queue-shard affinity
-	// (e.g. the crawl target's host). Defaults to Key.
-	Domain string
 	// Do performs the work. It must honor ctx cancellation.
 	Do func(ctx context.Context) (R, error)
 }
@@ -43,16 +37,6 @@ type Job[R any] struct {
 type Config struct {
 	// Workers is the worker-pool size. <=0 → GOMAXPROCS.
 	Workers int
-	// QueueShards is the number of queue shards. <=0 → 8.
-	QueueShards int
-	// ShardDepth bounds each shard's buffer. <=0 → 64.
-	ShardDepth int
-	// MaxAttempts is the per-job attempt budget. <=0 → 1 (no retry).
-	MaxAttempts int
-	// Backoff shapes the retry schedule (zero value = defaults).
-	Backoff Backoff
-	// RateLimit throttles per-domain attempts. Zero Rate disables.
-	RateLimit RateLimit
 	// Checkpoint, when set, records completed jobs and satisfies
 	// already-recorded ones without re-executing. Results must
 	// round-trip through encoding/json.
@@ -64,45 +48,25 @@ type Config struct {
 	// job settles (done, failed, or resumed). It may be called
 	// concurrently from multiple workers.
 	OnProgress func(Snapshot)
-	// Tracer, when set, records the run and each job's lifecycle
-	// (queue→attempt→retry→settle) as spans and events. Nil disables
-	// tracing at the cost of one branch per operation.
+	// Tracer, when set, records the run and each job as spans. Nil
+	// disables tracing at the cost of one branch per operation.
 	Tracer *obs.Tracer
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueShards <= 0 {
-		c.QueueShards = 8
-	}
-	if c.ShardDepth <= 0 {
-		c.ShardDepth = 64
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 1
-	}
-	c.Backoff = c.Backoff.withDefaults()
-	return c
-}
-
-// Engine schedules batches of jobs over its worker pool.
+// Engine runs batches of jobs over its worker pool.
 type Engine[R any] struct {
 	cfg     Config
 	metrics *Metrics
-	limiter *rateLimiter
 }
 
 // New builds an engine from cfg.
 func New[R any](cfg Config) *Engine[R] {
-	cfg = cfg.withDefaults()
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	e := &Engine[R]{cfg: cfg, metrics: cfg.Metrics}
 	if e.metrics == nil {
 		e.metrics = NewMetrics()
-	}
-	if cfg.RateLimit.Rate > 0 {
-		e.limiter = newRateLimiter(cfg.RateLimit)
 	}
 	return e
 }
@@ -110,64 +74,47 @@ func New[R any](cfg Config) *Engine[R] {
 // Metrics exposes the engine's collector (shared or internal).
 func (e *Engine[R]) Metrics() *Metrics { return e.metrics }
 
-// task is a queued job plus its slot in the result slice.
-type task[R any] struct {
-	idx int
-	job Job[R]
-}
-
 // Run executes jobs and returns their results positionally:
 // results[i] is jobs[i]'s output no matter which worker ran it or
-// when. Jobs already present in the checkpoint are loaded, not re-run.
-// On context cancellation Run returns the context's error; otherwise
-// it returns the join of all per-job failures (nil if none). Partial
-// results are always returned — failed slots hold R's zero value.
+// when. Jobs already present in the checkpoint are loaded, not re-run;
+// every other job runs once, on whichever worker takes it next. On
+// context cancellation workers stop taking jobs and Run returns the
+// context's error; otherwise it returns the join of all per-job
+// failures (nil if none). Partial results are always returned — failed
+// and unstarted slots hold R's zero value.
 func (e *Engine[R]) Run(ctx context.Context, jobs []Job[R]) ([]R, error) {
 	run := e.cfg.Tracer.Begin("dispatch_run", obs.A("jobs", len(jobs)), obs.A("workers", e.cfg.Workers))
 	results := make([]R, len(jobs))
 	errs := make([]error, len(jobs))
-	q := newShardedQueue[task[R]](e.cfg.QueueShards, e.cfg.ShardDepth)
 
-	// Feeder: satisfy checkpointed jobs inline, queue the rest with
-	// backpressure from the bounded shards.
-	feederDone := make(chan struct{})
-	go func() {
-		defer close(feederDone)
-		defer q.close()
-		for i, job := range jobs {
-			if e.cfg.Checkpoint != nil {
-				if raw, ok := e.cfg.Checkpoint.lookup(job.Key); ok {
-					if err := json.Unmarshal(raw, &results[i]); err == nil {
-						e.metrics.addResumed(1)
-						e.progress()
-						continue
-					}
-				}
-			}
-			e.metrics.addQueued(1)
-			if err := q.push(ctx, q.shardOf(e.domainOf(job)), task[R]{idx: i, job: job}); err != nil {
-				return // context done; workers drain and exit
-			}
+	todo := make([]int, 0, len(jobs))
+	for i, job := range jobs {
+		if e.resume(job.Key, &results[i]) {
+			e.metrics.resumed.Add(1)
+			e.progress()
+			continue
 		}
-	}()
+		todo = append(todo, i)
+	}
+	e.metrics.queued.Add(int64(len(todo)))
 
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < e.cfg.Workers; w++ {
+	for range min(e.cfg.Workers, len(todo)) {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			c := q.consumer(w)
-			for {
-				t, ok := c.next(ctx)
-				if !ok {
+			for ctx.Err() == nil {
+				n := int(next.Add(1)) - 1
+				if n >= len(todo) {
 					return
 				}
-				e.execute(ctx, t, results, errs)
+				i := todo[n]
+				errs[i] = e.execute(ctx, jobs[i], &results[i])
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	<-feederDone
 
 	snap := e.metrics.Snapshot()
 	run.End(obs.A("done", snap.Done), obs.A("failed", snap.Failed), obs.A("resumed", snap.Resumed))
@@ -177,64 +124,40 @@ func (e *Engine[R]) Run(ctx context.Context, jobs []Job[R]) ([]R, error) {
 	return results, errors.Join(errs...)
 }
 
-func (e *Engine[R]) domainOf(job Job[R]) string {
-	if job.Domain != "" {
-		return job.Domain
+// resume fills *out from the checkpoint and reports whether key was
+// recorded there. An entry that no longer decodes is re-run.
+func (e *Engine[R]) resume(key string, out *R) bool {
+	if e.cfg.Checkpoint == nil {
+		return false
 	}
-	return job.Key
+	raw, ok := e.cfg.Checkpoint.lookup(key)
+	return ok && json.Unmarshal(raw, out) == nil
 }
 
-// execute runs one job through rate limiting and the retry budget,
-// writing its private slots in results/errs (index-disjoint with every
-// other job, so no locking is needed).
-func (e *Engine[R]) execute(ctx context.Context, t task[R], results []R, errs []error) {
+// execute runs one job, writing its result into the slot private to it
+// (index-disjoint with every other job, so no locking is needed), and
+// returns the job's failure, if any.
+func (e *Engine[R]) execute(ctx context.Context, job Job[R], out *R) error {
 	start := time.Now()
 	e.metrics.jobStart(start.UnixNano())
-	span := e.cfg.Tracer.Begin("dispatch_job", obs.A("key", t.job.Key))
-	var lastErr error
-	attempts := 0
-	for attempt := 1; attempt <= e.cfg.MaxAttempts; attempt++ {
-		attempts = attempt
-		if attempt > 1 {
-			e.metrics.addRetry()
-			e.cfg.Tracer.Event("dispatch_retry", obs.A("key", t.job.Key), obs.A("attempt", attempt))
-			if err := sleep(ctx, e.cfg.Backoff.delay(t.job.Key, attempt-1)); err != nil {
-				lastErr = err
-				break
-			}
+	span := e.cfg.Tracer.Begin("dispatch_job", obs.A("key", job.Key))
+	r, err := job.Do(ctx)
+	ok := err == nil
+	if ok {
+		*out = r
+		if e.cfg.Checkpoint != nil {
+			// The work itself succeeded — keep the result and report
+			// the lost resumability through Run's error.
+			err = e.cfg.Checkpoint.record(job.Key, r)
 		}
-		if e.limiter != nil {
-			if err := e.limiter.wait(ctx, e.domainOf(t.job)); err != nil {
-				lastErr = err
-				break
-			}
-		}
-		r, err := t.job.Do(ctx)
-		if err == nil {
-			results[t.idx] = r
-			if e.cfg.Checkpoint != nil {
-				if cerr := e.cfg.Checkpoint.record(t.job.Key, r); cerr != nil {
-					// The work itself succeeded — keep the result and
-					// report the lost resumability through Run's error.
-					errs[t.idx] = cerr
-				}
-			}
-			end := time.Now()
-			e.metrics.jobEnd(end.Sub(start), true, end.UnixNano())
-			span.End(obs.A("ok", true), obs.A("attempts", attempts))
-			e.progress()
-			return
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
+	} else {
+		err = fmt.Errorf("dispatch: job %q: %w", job.Key, err)
 	}
-	errs[t.idx] = fmt.Errorf("dispatch: job %q: %w", t.job.Key, lastErr)
 	end := time.Now()
-	e.metrics.jobEnd(end.Sub(start), false, end.UnixNano())
-	span.End(obs.A("ok", false), obs.A("attempts", attempts))
+	e.metrics.jobEnd(end.Sub(start), ok, end.UnixNano())
+	span.End(obs.A("ok", ok))
 	e.progress()
+	return err
 }
 
 func (e *Engine[R]) progress() {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,7 +38,7 @@ func squareJobs(n int, ran *atomic.Int64) []Job[int] {
 
 func TestRunReturnsResultsPositionally(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
-		e := New[int](Config{Workers: workers, QueueShards: 4, ShardDepth: 2})
+		e := New[int](Config{Workers: workers})
 		res, err := e.Run(testCtx(t), squareJobs(300, nil))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -62,39 +63,12 @@ func TestRunEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestRetryWithBackoffEventuallySucceeds(t *testing.T) {
-	var attempts atomic.Int64
-	e := New[string](Config{
-		Workers:     2,
-		MaxAttempts: 4,
-		Backoff:     Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-	})
-	job := Job[string]{Key: "flaky", Do: func(context.Context) (string, error) {
-		if attempts.Add(1) < 3 {
-			return "", errors.New("transient")
-		}
-		return "recovered", nil
-	}}
-	res, err := e.Run(testCtx(t), []Job[string]{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0] != "recovered" || attempts.Load() != 3 {
-		t.Fatalf("res=%q attempts=%d", res[0], attempts.Load())
-	}
-	snap := e.Metrics().Snapshot()
-	if snap.Retries != 2 || snap.Done != 1 || snap.Failed != 0 {
-		t.Fatalf("metrics after retries: %+v", snap)
-	}
-}
-
+// TestExhaustedAttemptsReportPerJobError: a job has one attempt. A job
+// that fails it is not re-run, and its error names it without
+// poisoning the rest of the batch.
 func TestExhaustedAttemptsReportPerJobError(t *testing.T) {
 	var attempts atomic.Int64
-	e := New[int](Config{
-		Workers:     3,
-		MaxAttempts: 3,
-		Backoff:     Backoff{Base: time.Microsecond, Max: time.Microsecond},
-	})
+	e := New[int](Config{Workers: 3})
 	jobs := []Job[int]{
 		{Key: "good", Do: func(context.Context) (int, error) { return 7, nil }},
 		{Key: "doomed", Do: func(context.Context) (int, error) {
@@ -109,11 +83,11 @@ func TestExhaustedAttemptsReportPerJobError(t *testing.T) {
 	if res[0] != 7 || res[1] != 0 {
 		t.Fatalf("partial results wrong: %v", res)
 	}
-	if attempts.Load() != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts.Load())
+	if attempts.Load() != 1 {
+		t.Fatalf("attempts = %d, want 1", attempts.Load())
 	}
 	snap := e.Metrics().Snapshot()
-	if snap.Done != 1 || snap.Failed != 1 || snap.Retries != 2 {
+	if snap.Done != 1 || snap.Failed != 1 || snap.Queued != 2 {
 		t.Fatalf("metrics: %+v", snap)
 	}
 }
@@ -136,7 +110,7 @@ func TestCancellationStopsTheRun(t *testing.T) {
 			}
 		}}
 	}
-	e := New[int](Config{Workers: 4, ShardDepth: 1})
+	e := New[int](Config{Workers: 4})
 	done := make(chan struct{})
 	var err error
 	go func() {
@@ -156,40 +130,36 @@ func TestCancellationStopsTheRun(t *testing.T) {
 	}
 }
 
-func TestPerDomainRateLimit(t *testing.T) {
-	// 5 jobs on one domain at 200/s with burst 1: the run must take at
-	// least 4 inter-token gaps of 5ms.
-	e := New[int](Config{
-		Workers:   8,
-		RateLimit: RateLimit{Rate: 200, Burst: 1},
-	})
-	jobs := make([]Job[int], 5)
+// TestRunBoundsConcurrencyByWorkers: the pool runs at most Workers jobs
+// at once and, with enough work, exactly that many.
+func TestRunBoundsConcurrencyByWorkers(t *testing.T) {
+	const workers = 3
+	var running, peak atomic.Int64
+	var full sync.Once
+	release := make(chan struct{})
+	jobs := make([]Job[int], 12)
 	for i := range jobs {
-		jobs[i] = Job[int]{
-			Key:    fmt.Sprintf("hit-%d", i),
-			Domain: "one.example",
-			Do:     func(context.Context) (int, error) { return 1, nil },
-		}
+		jobs[i] = Job[int]{Key: fmt.Sprintf("gate-%d", i), Do: func(ctx context.Context) (int, error) {
+			n := running.Add(1)
+			defer running.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			if n == workers {
+				full.Do(func() { close(release) })
+			}
+			select {
+			case <-release:
+				return 1, nil
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
+		}}
 	}
-	start := time.Now()
-	if _, err := e.Run(testCtx(t), jobs); err != nil {
+	if _, err := New[int](Config{Workers: workers}).Run(testCtx(t), jobs); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < 18*time.Millisecond {
-		t.Fatalf("rate limit not applied: 5 jobs on one domain finished in %v", elapsed)
-	}
-
-	// The same load spread over distinct domains is not throttled.
-	for i := range jobs {
-		jobs[i].Key = fmt.Sprintf("spread-%d", i)
-		jobs[i].Domain = fmt.Sprintf("host-%d.example", i)
-	}
-	start = time.Now()
-	if _, err := e.Run(testCtx(t), jobs); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 15*time.Millisecond {
-		t.Fatalf("distinct domains should not queue behind each other, took %v", elapsed)
+	if p := peak.Load(); p != workers {
+		t.Fatalf("peak concurrency = %d, want %d", p, workers)
 	}
 }
 
@@ -229,37 +199,6 @@ func TestOnProgressSeesEveryJob(t *testing.T) {
 	}
 	if last.Load() != 40 {
 		t.Fatalf("final snapshot saw done=%d, want 40", last.Load())
-	}
-}
-
-func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: 0.5}.withDefaults()
-	for attempt := 1; attempt <= 6; attempt++ {
-		d1 := b.delay("some-job", attempt)
-		d2 := b.delay("some-job", attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: jitter not deterministic (%v vs %v)", attempt, d1, d2)
-		}
-		if d1 <= 0 || d1 > 80*time.Millisecond {
-			t.Fatalf("attempt %d: delay %v out of bounds", attempt, d1)
-		}
-	}
-	if b.delay("job-a", 1) == b.delay("job-b", 1) {
-		t.Fatal("different keys should jitter differently")
-	}
-}
-
-func TestQueueShardAffinity(t *testing.T) {
-	q := newShardedQueue[int](8, 4)
-	if a, b := q.shardOf("cdn.example"), q.shardOf("cdn.example"); a != b {
-		t.Fatal("shardOf not stable")
-	}
-	seen := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		seen[q.shardOf(fmt.Sprintf("host-%d", i))] = true
-	}
-	if len(seen) < 4 {
-		t.Fatalf("64 domains landed on only %d shards", len(seen))
 	}
 }
 

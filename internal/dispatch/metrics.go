@@ -20,7 +20,6 @@ type Metrics struct {
 	inflight atomic.Int64
 	done     atomic.Int64
 	failed   atomic.Int64
-	retries  atomic.Int64
 
 	lat *obs.Histogram
 
@@ -35,12 +34,11 @@ func NewMetrics() *Metrics { return &Metrics{lat: obs.NewHistogram()} }
 
 // Snapshot is a point-in-time view of a run's progress.
 type Snapshot struct {
-	Queued     int64 // jobs accepted into the queue
+	Queued     int64 // jobs handed to the pool (not in the checkpoint)
 	Resumed    int64 // jobs satisfied from the checkpoint
 	InFlight   int64 // jobs currently executing
 	Done       int64 // jobs completed successfully
-	Failed     int64 // jobs that exhausted their attempts
-	Retries    int64 // extra attempts beyond each job's first
+	Failed     int64 // jobs whose Do returned an error
 	P50        time.Duration
 	P90        time.Duration
 	P99        time.Duration
@@ -50,8 +48,8 @@ type Snapshot struct {
 
 // String renders the snapshot as a one-line progress report.
 func (s Snapshot) String() string {
-	return fmt.Sprintf("queued=%d resumed=%d inflight=%d done=%d failed=%d retries=%d p50=%v p90=%v p99=%v max=%v jobs/s=%.1f",
-		s.Queued, s.Resumed, s.InFlight, s.Done, s.Failed, s.Retries, s.P50, s.P90, s.P99, s.Max, s.Throughput)
+	return fmt.Sprintf("queued=%d resumed=%d inflight=%d done=%d failed=%d p50=%v p90=%v p99=%v max=%v jobs/s=%.1f",
+		s.Queued, s.Resumed, s.InFlight, s.Done, s.Failed, s.P50, s.P90, s.P99, s.Max, s.Throughput)
 }
 
 // Snapshot captures the current counters, latency quantiles, and
@@ -63,7 +61,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		InFlight: m.inflight.Load(),
 		Done:     m.done.Load(),
 		Failed:   m.failed.Load(),
-		Retries:  m.retries.Load(),
 		P50:      m.Quantile(0.50),
 		P90:      m.Quantile(0.90),
 		P99:      m.Quantile(0.99),
@@ -84,10 +81,6 @@ func (m *Metrics) Quantile(q float64) time.Duration {
 // Latency exposes the underlying histogram so callers can register it
 // in an obs.Registry without double-recording.
 func (m *Metrics) Latency() *obs.Histogram { return m.lat }
-
-func (m *Metrics) addQueued(n int64)  { m.queued.Add(n) }
-func (m *Metrics) addResumed(n int64) { m.resumed.Add(n) }
-func (m *Metrics) addRetry()          { m.retries.Add(1) }
 
 func (m *Metrics) jobStart(nowNS int64) {
 	m.inflight.Add(1)

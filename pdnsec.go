@@ -90,7 +90,7 @@ func AnalyzeRisk(ctx context.Context, p Provider, risk string) (Verdict, error) 
 type Detection = experiments.DetectionResult
 
 // DetectOptions tunes DetectCustomersParallel: worker-pool size,
-// checkpoint/resume path, per-domain rate limit, and progress hooks.
+// checkpoint/resume path, and progress hooks.
 type DetectOptions = detector.Options
 
 // DetectCustomers runs the detector pipeline over a synthetic corpus
@@ -104,7 +104,7 @@ func DetectCustomers(ctx context.Context, seed int64, fillerSites, fillerApps in
 // DetectCustomersParallel runs the same pipeline on the concurrent
 // scan-orchestration engine (internal/dispatch). Tables I-IV are
 // byte-identical to DetectCustomers' at any worker count; opts adds
-// checkpoint/resume, rate limiting, and progress reporting.
+// checkpoint/resume and progress reporting.
 func DetectCustomersParallel(ctx context.Context, seed int64, fillerSites, fillerApps int, opts DetectOptions) (*Detection, error) {
 	return experiments.RunDetectionOpts(ctx, seed, fillerSites, fillerApps, opts)
 }
