@@ -27,7 +27,6 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
 	"github.com/stealthy-peers/pdnsec/internal/population"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
-	"github.com/stealthy-peers/pdnsec/internal/secure"
 	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
@@ -157,22 +156,10 @@ func NewTestbed(ctx ctxT, cfg TestbedConfig) (*Testbed, error) {
 	if cfg.Options.Traces == nil {
 		cfg.Options.Traces = cfg.Traces
 	}
-	var im *defense.IMChecker
-	if cfg.Options.IM == nil {
-		var err error
-		if im, err = integrityService(cfg); err != nil {
-			return nil, err
-		}
-		if im != nil {
-			cfg.Options.IM = im
-		}
-	}
-
 	n := netsim.New(netsim.Config{})
 	tb := &Testbed{
 		Net:            n,
 		Video:          cfg.Video,
-		IM:             im,
 		GeoDB:          db,
 		Alloc:          geoip.NewAllocator(db, cfg.Options.Seed+1),
 		Obs:            cfg.Obs,
@@ -199,6 +186,16 @@ func NewTestbed(ctx ctxT, cfg TestbedConfig) (*Testbed, error) {
 	}
 	tb.closers = append(tb.closers, func() { tb.CDN.Close() })
 	tb.CDNBase = "http://" + cdnIP.String() + ":80"
+
+	if cfg.Options.IM == nil {
+		if tb.IM, err = integrityService(cfg, tb.CDN); err != nil {
+			tb.Close()
+			return nil, err
+		}
+		if tb.IM != nil {
+			cfg.Options.IM = tb.IM
+		}
+	}
 
 	sigHost, err := n.NewHost(signalIP)
 	if err != nil {
@@ -236,27 +233,22 @@ func NewTestbed(ctx ctxT, cfg TestbedConfig) (*Testbed, error) {
 }
 
 // integrityService builds what the deployment's effective policy calls
-// for, nil when that is nothing. Secure transport gets the provider as
-// authority, signing per-segment manifests from the ground-truth video
-// (Deploy stamps the key into the policy so viewers check every byte
-// against it); IM checking alone gets the §V-B panel, two reporters
-// arbitrated against the same video standing in for the CDN fetch.
-func integrityService(cfg TestbedConfig) (*defense.IMChecker, error) {
+// for, nil when that is nothing. Either trust source reads segment bytes
+// from the testbed's CDN origin, the one ground-truth reader: secure
+// transport gets the provider as authority, signing per-segment
+// manifests of what the origin serves (Deploy stamps the key into the
+// policy so viewers check every byte against it); IM checking alone gets
+// the §V-B panel, two reporters arbitrated against the same origin.
+func integrityService(cfg TestbedConfig, origin *cdn.Server) (*defense.IMChecker, error) {
 	policy := cfg.Profile.Policy
 	if cfg.Options.PolicyOverride != nil {
 		policy = *cfg.Options.PolicyOverride
 	}
 	switch {
 	case policy.SecureTransport:
-		return secure.NewManifestService(cfg.Video)
+		return defense.NewIMAuthority(origin.Segment)
 	case policy.RequireIMChecking:
-		video := cfg.Video
-		return defense.NewIMChecker(defense.IMConfig{
-			Reporters: 2,
-			FetchCDN: func(key media.SegmentKey) ([]byte, error) {
-				return video.SegmentData(key.Rendition, key.Index)
-			},
-		})
+		return defense.NewIMChecker(defense.IMConfig{Reporters: 2, FetchCDN: origin.Segment})
 	}
 	return nil, nil
 }

@@ -70,7 +70,7 @@ func (s *Server) Instrument(reg *obs.Registry) {
 	s.bytesTotal = reg.Counter("cdn_bytes_total", "bytes served by the CDN (billed to the customer)")
 	s.videoBytes = reg.CounterVec("cdn_video_bytes_total", "bytes served per video", "video")
 	s.cacheHits = reg.Counter("cdn_cache_hits_total", "segment responses satisfied from the edge cache")
-	s.cacheMiss = reg.Counter("cdn_cache_misses_total", "segment responses synthesized at the origin")
+	s.cacheMiss = reg.Counter("cdn_cache_misses_total", "segments synthesized at the origin")
 }
 
 // SetTracer installs a tracer for segment serves. A client falling back
@@ -260,35 +260,52 @@ func (s *Server) servePlaylist(w http.ResponseWriter, r *http.Request, videoID, 
 func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request, videoID, rendition, segURI string) {
 	span := s.Tracer().StartSpanRemote(r.Header.Get("traceparent"), "cdn_segment_serve",
 		obs.A("video", videoID), obs.A("idx", segURI))
-	v, ok := s.Video(videoID)
-	if !ok {
-		http.NotFound(w, r)
-		span.End(obs.A("ok", false))
-		return
-	}
 	idx, ok := hls.ParseSegmentURI(segURI)
 	if !ok {
 		http.NotFound(w, r)
 		span.End(obs.A("ok", false))
 		return
 	}
-	key := media.SegmentKey{Video: videoID, Rendition: rendition, Index: idx}
-	data, ok := s.segCache.get(key)
-	if ok {
+	data, hit, err := s.segment(media.SegmentKey{Video: videoID, Rendition: rendition, Index: idx})
+	if err != nil {
+		http.NotFound(w, r)
+		span.End(obs.A("ok", false))
+		return
+	}
+	if hit {
 		s.cacheHits.Inc()
-	} else {
-		s.cacheMiss.Inc()
-		var err error
-		data, err = v.SegmentData(rendition, idx)
-		if err != nil {
-			http.NotFound(w, r)
-			span.End(obs.A("ok", false))
-			return
-		}
-		s.segCache.put(key, data)
 	}
 	s.account(videoID, s.write(w, "video/mp2t", data))
-	span.End(obs.A("ok", true), obs.A("cache", ok), obs.A("bytes", len(data)))
+	span.End(obs.A("ok", true), obs.A("cache", hit), obs.A("bytes", len(data)))
+}
+
+// Segment returns a segment's bytes as the origin holds them: from the
+// edge memo, or synthesized and stored there on a miss. It is the one
+// ground-truth reader of segment bytes — the HTTP handlers serve and hash
+// what it returns, and a provider's integrity service can sign it — so a
+// segment is synthesized once, whoever asks first. The slice is shared:
+// callers only read it. A read is not billed; only HTTP responses are.
+func (s *Server) Segment(key media.SegmentKey) ([]byte, error) {
+	data, _, err := s.segment(key)
+	return data, err
+}
+
+// segment is Segment reporting whether the memo already held the bytes.
+// Two first askers of one key may both synthesize it; the memo keeps one.
+func (s *Server) segment(key media.SegmentKey) (data []byte, hit bool, err error) {
+	if data, ok := s.segCache.get(key); ok {
+		return data, true, nil
+	}
+	v, ok := s.Video(key.Video)
+	if !ok {
+		return nil, false, fmt.Errorf("cdn: no video %q", key.Video)
+	}
+	if data, err = v.SegmentData(key.Rendition, key.Index); err != nil {
+		return nil, false, err
+	}
+	s.cacheMiss.Inc()
+	s.segCache.put(key, data)
+	return data, false, nil
 }
 
 // serveHashes implements the alternative integrity defense the paper's
@@ -311,12 +328,12 @@ func (s *Server) serveHashes(w http.ResponseWriter, r *http.Request, videoID, re
 	}
 	hashes := make(map[string]string, v.Segments)
 	for i := 0; i < v.Segments; i++ {
-		data, err := v.SegmentData(rendition, i)
+		key := media.SegmentKey{Video: videoID, Rendition: rendition, Index: i}
+		data, err := s.Segment(key)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		key := media.SegmentKey{Video: videoID, Rendition: rendition, Index: i}
 		hashes[key.String()] = media.IMHash(key, data)
 	}
 	body, err := json.Marshal(hashes)

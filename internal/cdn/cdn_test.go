@@ -11,12 +11,14 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/hls"
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
+	"github.com/stealthy-peers/pdnsec/internal/obs"
 )
 
 // fixture starts a CDN on a simulated network and returns an HTTP
 // client dialing from a viewer host.
 type fixture struct {
 	srv    *Server
+	reg    *obs.Registry
 	base   string
 	client *http.Client
 }
@@ -28,12 +30,15 @@ func newFixture(t *testing.T) *fixture {
 	viewer := n.MustHost(netip.MustParseAddr("66.24.0.5"))
 
 	s := New()
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
 	if err := s.Serve(cdnHost, 80); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
 	return &fixture{
 		srv:  s,
+		reg:  reg,
 		base: "http://93.184.216.34:80",
 		client: &http.Client{
 			Transport: &http.Transport{DialContext: viewer.Dialer()},
@@ -54,6 +59,11 @@ func (f *fixture) get(t *testing.T, url string) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, body
+}
+
+// misses reads cdn_cache_misses_total: segments synthesized at the origin.
+func (f *fixture) misses() int64 {
+	return f.reg.Counter("cdn_cache_misses_total", "").Value()
 }
 
 func smallVOD(id string, segments int) *media.Video {
@@ -220,5 +230,89 @@ func TestURLHelpers(t *testing.T) {
 	}
 	if got := SegmentURL("http://h:1", "a", "720p", 3); got != "http://h:1/v/a/720p/seg00003.ts" {
 		t.Fatalf("SegmentURL %q", got)
+	}
+}
+
+// TestHashListFromOrigin: hashes.json hashes the bytes the origin holds.
+// Its body is what every hash-manifest viewer downloads (the §V-B cost
+// the defense-cost experiment bills), so it is pinned byte for byte; a
+// list asked for after the segments were served synthesizes none again.
+func TestHashListFromOrigin(t *testing.T) {
+	f := newFixture(t)
+	f.srv.Register(smallVOD("bbb", 3))
+	for i := 0; i < 3; i++ {
+		if code, _ := f.get(t, SegmentURL(f.base, "bbb", "360p", i)); code != 200 {
+			t.Fatalf("segment %d status %d", i, code)
+		}
+	}
+	if got := f.misses(); got != 3 {
+		t.Fatalf("%d misses after serving 3 segments", got)
+	}
+	code, body := f.get(t, HashesURL(f.base, "bbb", "360p"))
+	const want = `{"bbb/360p/0":"b3a730da71883f1b5cbe627b4e002e8c782e59d9ffe4417f263560eef0d7ca84",` +
+		`"bbb/360p/1":"a86bf401b513143ee8594fea4868cafe44bd459be85c469e51591c5bf8112431",` +
+		`"bbb/360p/2":"29e879e0b5a885b5d8254864bd41fa52ead56c54c9605eb7be748fc8ab755c46"}`
+	if code != 200 || string(body) != want {
+		t.Fatalf("hashes.json = %d %s, want %s", code, body, want)
+	}
+	if got := f.misses(); got != 3 {
+		t.Fatalf("hashes.json after the segments were served: %d misses, want 3", got)
+	}
+}
+
+// TestOriginSegmentShared: Segment and the HTTP handler read one memo,
+// concurrently, and both hand out the ground-truth bytes; once a key is
+// held, neither synthesizes it again. What the origin does not hold is
+// an error that synthesizes nothing.
+func TestOriginSegmentShared(t *testing.T) {
+	f := newFixture(t)
+	v := smallVOD("bbb", 8)
+	f.srv.Register(v)
+	errc := make(chan error, 2*v.Segments)
+	for i := 0; i < v.Segments; i++ {
+		go func(i int) {
+			resp, err := f.client.Get(SegmentURL(f.base, "bbb", "360p", i))
+			if err != nil {
+				errc <- err
+				return
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err == nil && !v.Verify("360p", i, body) {
+				err = fmt.Errorf("GET of segment %d corrupt", i)
+			}
+			errc <- err
+		}(i)
+		go func(i int) {
+			data, err := f.srv.Segment(media.SegmentKey{Video: "bbb", Rendition: "360p", Index: i})
+			if err == nil && !v.Verify("360p", i, data) {
+				err = fmt.Errorf("Segment(%d) corrupt", i)
+			}
+			errc <- err
+		}(i)
+	}
+	for i := 0; i < 2*v.Segments; i++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := f.misses()
+	for i := 0; i < v.Segments; i++ {
+		if _, err := f.srv.Segment(media.SegmentKey{Video: "bbb", Rendition: "360p", Index: i}); err != nil {
+			t.Fatal(err)
+		}
+		f.get(t, SegmentURL(f.base, "bbb", "360p", i))
+	}
+	for _, absent := range []media.SegmentKey{
+		{Video: "bbb", Rendition: "360p", Index: 8},
+		{Video: "bbb", Rendition: "999p", Index: 0},
+		{Video: "other", Rendition: "360p", Index: 0},
+	} {
+		if _, err := f.srv.Segment(absent); err == nil {
+			t.Errorf("Segment(%v) served bytes the origin does not hold", absent)
+		}
+	}
+	if got := f.misses(); got != held {
+		t.Fatalf("held segments and absent keys synthesized %d more", got-held)
 	}
 }

@@ -18,7 +18,9 @@ var ErrPeerBlacklisted = errors.New("defense: peer blacklisted")
 // FetchFunc returns the authentic segment. A panel calls it only to
 // resolve conflicting reports, keeping the defense's extra CDN cost
 // proportional to attacker activity; an authority calls it once per
-// segment, as the origin reading its own ground truth.
+// segment key it signs. Deployed over the origin's own store
+// (cdn.Server.Segment), both read the bytes the CDN serves rather than
+// producing them a second time, and must not modify what it returns.
 type FetchFunc func(key media.SegmentKey) ([]byte, error)
 
 // IMConfig parameterizes the checker.
@@ -117,11 +119,16 @@ func VerifySIM(pub ed25519.PublicKey, key media.SegmentKey, hash, sig string) bo
 // agreement establishes the SIM; disagreement triggers CDN arbitration
 // and blacklists every peer that lied.
 func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) error {
+	// A banned peer costs no work: an authority would otherwise read,
+	// hash and sign whatever key it names before refusing it.
+	if c.Blacklisted(peerID) {
+		return ErrPeerBlacklisted
+	}
 	if c.authority {
 		c.SIM(key)
 	}
 	c.mu.Lock()
-	if c.blacklist[peerID] {
+	if c.blacklist[peerID] { // banned while the authority read
 		c.mu.Unlock()
 		return ErrPeerBlacklisted
 	}

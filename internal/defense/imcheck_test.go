@@ -223,6 +223,36 @@ func TestBlacklistedPeerRejected(t *testing.T) {
 	}
 }
 
+// TestBlacklistedReporterCostsNoRead: a banned peer's report is refused
+// before the authority reads anything, so naming a key nobody has asked
+// about makes the origin fetch, hash and sign nothing.
+func TestBlacklistedReporterCostsNoRead(t *testing.T) {
+	v := vid()
+	var mu sync.Mutex
+	reads := make(map[media.SegmentKey]int)
+	c, err := defense.NewIMAuthority(func(key media.SegmentKey) ([]byte, error) {
+		mu.Lock()
+		reads[key]++
+		mu.Unlock()
+		return v.SegmentData(key.Rendition, key.Index)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Report("liar", testKey(0), "bogus"); !errors.Is(err, defense.ErrPeerBlacklisted) {
+		t.Fatalf("contradicting report: err = %v", err)
+	}
+	cold := testKey(6)
+	if err := c.Report("liar", cold, authentic(t, v, cold)); !errors.Is(err, defense.ErrPeerBlacklisted) {
+		t.Fatalf("banned peer's report on a cold key: err = %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if reads[cold] != 0 {
+		t.Fatalf("a banned peer's report made the authority read %v %d times", cold, reads[cold])
+	}
+}
+
 // TestAuthoritySignsOncePerKey: the authority fetches and hashes outside
 // its lock, so concurrent first askers race to establish; every one of
 // them must still be handed the same SIM.

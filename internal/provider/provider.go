@@ -221,8 +221,10 @@ func Hardened() Profile {
 // static keys, a Noise-IK-style handshake, AEAD records, and signed
 // per-segment manifests verified before any byte is cached or played.
 // Deploy stamps the policy with the transport authority's key; pair it
-// with Options.IM set to secure.NewManifestService's authority so peers
-// get signed manifests for the CDN path too (analyzer.NewTestbed does).
+// with Options.IM set to an authority over the CDN origin's segments
+// (defense.NewIMAuthority(origin.Segment)) so peers get signed manifests
+// for the CDN path too, signed over the bytes the origin serves
+// (analyzer.NewTestbed does).
 func Secure() Profile {
 	p := Hardened()
 	p.Name = "secure"

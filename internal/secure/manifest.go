@@ -15,13 +15,15 @@ func VerifyManifest(pub ed25519.PublicKey, key media.SegmentKey, hash, sig strin
 	return media.VerifySIM(pub, key, hash, sig)
 }
 
-// NewManifestService builds the integrity service of a secure-profile
-// deployment: the one defense.IMChecker, with the provider as its trust
-// source. It signs the IM of every segment of video from ground truth,
-// so a SIM exists for any of them immediately, and advertises the
-// verification key provider.Deploy stamps into the policy — a fetching
-// peer checks hash and signature before any byte enters its cache or
-// playback buffer, whichever source served it.
+// NewManifestService builds a secure-profile integrity service for a
+// video with no origin to read from: the one defense.IMChecker, with the
+// provider as its trust source, signing the IM of any segment of video
+// from bytes it synthesizes itself, and advertising the verification key
+// provider.Deploy stamps into the policy. analyzer.NewTestbed no longer
+// uses it: its authority reads the segments its CDN origin already holds
+// (defense.NewIMAuthority over cdn.Server.Segment), so no segment is
+// generated twice. Standalone callers — probes and tests that stand up a
+// signaling server without a CDN — still do.
 func NewManifestService(video *media.Video) (*defense.IMChecker, error) {
 	if video == nil {
 		return nil, errors.New("secure: NewManifestService requires a video")
