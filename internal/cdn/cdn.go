@@ -14,7 +14,9 @@ package cdn
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -230,7 +232,7 @@ func (s *Server) serveMaster(w http.ResponseWriter, r *http.Request, videoID str
 		http.NotFound(w, r)
 		return
 	}
-	s.account(videoID, s.write(w, "application/vnd.apple.mpegurl", hls.ForVideo(v).Encode()))
+	s.write(w, videoID, "application/vnd.apple.mpegurl", hls.ForVideo(v).Encode())
 }
 
 func (s *Server) servePlaylist(w http.ResponseWriter, r *http.Request, videoID, rendition string) {
@@ -254,7 +256,7 @@ func (s *Server) servePlaylist(w http.ResponseWriter, r *http.Request, videoID, 
 	} else {
 		pl = hls.Window(v, 0, v.Segments)
 	}
-	s.account(videoID, s.write(w, "application/vnd.apple.mpegurl", pl.Encode()))
+	s.write(w, videoID, "application/vnd.apple.mpegurl", pl.Encode())
 }
 
 func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request, videoID, rendition, segURI string) {
@@ -275,7 +277,7 @@ func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request, videoID, r
 	if hit {
 		s.cacheHits.Inc()
 	}
-	s.account(videoID, s.write(w, "video/mp2t", data))
+	s.write(w, videoID, "video/mp2t", data)
 	span.End(obs.A("ok", true), obs.A("cache", hit), obs.A("bytes", len(data)))
 }
 
@@ -341,15 +343,19 @@ func (s *Server) serveHashes(w http.ResponseWriter, r *http.Request, videoID, re
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.account(videoID, s.write(w, "application/json", body))
+	s.write(w, videoID, "application/json", body)
 }
 
-// write sends a response body and returns the bytes written.
-func (s *Server) write(w http.ResponseWriter, contentType string, body []byte) int64 {
+// write bills a response body to its video and sends it. The bill comes
+// first: the viewer can hold the whole body before the send returns, and
+// whoever reads BytesServed next must see it. No body is written once
+// built (a memo segment, or a playlist or hash list made for this
+// response), so it crosses the stream uncopied as a Shared.
+func (s *Server) write(w http.ResponseWriter, videoID, contentType string, body []byte) {
+	s.account(videoID, int64(len(body)))
 	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", fmt.Sprint(len(body)))
-	n, _ := w.Write(body)
-	return int64(n)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = io.Copy(w, netsim.NewShared(body)) // an error means the connection is gone
 }
 
 func (s *Server) account(videoID string, n int64) {
@@ -406,7 +412,7 @@ func PlaylistURL(base, videoID, rendition string) string {
 
 // SegmentURL returns a segment URL.
 func SegmentURL(base, videoID, rendition string, index int) string {
-	return fmt.Sprintf("%s/v/%s/%s/%s", base, videoID, rendition, hls.SegmentURI(index))
+	return base + "/v/" + videoID + "/" + rendition + "/" + hls.SegmentURI(index)
 }
 
 // HashesURL returns the per-segment hash list URL (VOD only).

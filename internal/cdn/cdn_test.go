@@ -1,10 +1,13 @@
 package cdn
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -19,14 +22,18 @@ import (
 type fixture struct {
 	srv    *Server
 	reg    *obs.Registry
+	net    *netsim.Network
 	base   string
 	client *http.Client
 }
 
+// cdnAddr is the fixture CDN's host address.
+var cdnAddr = netip.MustParseAddr("93.184.216.34")
+
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	n := netsim.New(netsim.Config{})
-	cdnHost := n.MustHost(netip.MustParseAddr("93.184.216.34"))
+	cdnHost := n.MustHost(cdnAddr)
 	viewer := n.MustHost(netip.MustParseAddr("66.24.0.5"))
 
 	s := New()
@@ -39,6 +46,7 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{
 		srv:  s,
 		reg:  reg,
+		net:  n,
 		base: "http://93.184.216.34:80",
 		client: &http.Client{
 			Transport: &http.Transport{DialContext: viewer.Dialer()},
@@ -314,5 +322,93 @@ func TestOriginSegmentShared(t *testing.T) {
 	}
 	if got := f.misses(); got != held {
 		t.Fatalf("held segments and absent keys synthesized %d more", got-held)
+	}
+}
+
+// TestSegmentGetAllocBudget: a memoized segment crosses the simulated
+// network uncopied (netsim.Shared), so a GET read into a buffer of the
+// declared length costs that buffer and little else. The shared memo
+// slice is never written on the way: a corrupting link flips a copy,
+// and the origin still holds the ground truth afterwards.
+func TestSegmentGetAllocBudget(t *testing.T) {
+	const size = 256 << 10
+	f := newFixture(t)
+	v := &media.Video{
+		ID:              "bbb",
+		Renditions:      []media.Rendition{{Name: "360p", Bandwidth: 800_000, SegmentBytes: size}},
+		Segments:        1,
+		SegmentDuration: 10,
+	}
+	f.srv.Register(v)
+	key := media.SegmentKey{Video: "bbb", Rendition: "360p", Index: 0}
+	held, err := f.srv.Segment(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := SegmentURL(f.base, "bbb", "360p", 0)
+	get := func(ctx context.Context) ([]byte, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := f.client.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.ContentLength < 0 {
+			return nil, fmt.Errorf("GET: status %d, length %d", resp.StatusCode, resp.ContentLength)
+		}
+		body := make([]byte, resp.ContentLength)
+		_, err = io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	if _, err := get(context.Background()); err != nil { // dial outside the count
+		t.Fatal(err)
+	}
+
+	const rounds = 8
+	bodies := make([][]byte, rounds)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range bodies {
+		if bodies[i], err = get(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	limit := 1.1
+	if raceEnabled {
+		limit = 1.5 // a dropped 32 KiB copy buffer is 0.125 B/B; a second body copy is 1
+	}
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / (rounds * size); got >= limit {
+		t.Errorf("a segment GET allocates %.3f B per payload byte, want < %.1f (the reader's buffer)", got, limit)
+	}
+	for i, body := range bodies {
+		if !bytes.Equal(body, held) {
+			t.Fatalf("GET %d: body differs from Segment(key)", i)
+		}
+	}
+
+	// Every chunk the CDN sends now has bytes flipped; a garbled header
+	// may fail the request, which is fine.
+	f.net.CorruptStreams(cdnAddr, 1, false)
+	flipped := false
+	for i := 0; i < rounds; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		body, err := get(ctx)
+		cancel()
+		flipped = flipped || (err == nil && !bytes.Equal(body, held))
+	}
+	f.net.ClearCorrupt(cdnAddr)
+	if !flipped {
+		t.Fatal("the corruption rule flipped no body byte")
+	}
+	want, err := v.SegmentData("360p", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.srv.Segment(key); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Segment(key) after a corrupting link: %v; the origin memo was written", err)
 	}
 }

@@ -221,35 +221,40 @@ func (n *Network) extraLatency(from, to netip.Addr) time.Duration {
 	return d
 }
 
-// mangleStream applies the sender's corruption rule to a chunk the
-// stream owns (Write's copy, or the buffer WriteOwned was given). It
-// returns the possibly-mutated chunk.
-func (n *Network) mangleStream(from netip.Addr, chunk []byte) []byte {
+// mangleStream applies the sender's corruption rule to a chunk on its
+// way onto the stream (Write's copy, the buffer WriteOwned was given, or
+// a Shared source's bytes). It returns the possibly-mutated chunk; a
+// shared chunk is copied before its bytes are flipped.
+func (n *Network) mangleStream(from netip.Addr, ch chunk) chunk {
 	imp := &n.imp
-	if !imp.active.Load() || len(chunk) == 0 {
-		return chunk
+	if !imp.active.Load() || len(ch.b) == 0 {
+		return ch
 	}
 	imp.mu.Lock()
 	defer imp.mu.Unlock()
 	if imp.corrupt == nil {
-		return chunk
+		return ch
 	}
 	rule, ok := imp.corrupt[from]
 	if !ok || imp.rng.Float64() >= rule.prob {
-		return chunk
+		return ch
 	}
 	if rule.truncate {
 		// Keep at least one byte so stream readers never see a spurious
 		// zero-length Read.
-		return chunk[:1+imp.rng.Intn(len(chunk))]
+		ch.b = ch.b[:1+imp.rng.Intn(len(ch.b))]
+		return ch
+	}
+	if ch.shared {
+		ch = chunk{b: append([]byte(nil), ch.b...)}
 	}
 	// Flip a handful of bytes at seeded positions.
 	flips := 1 + imp.rng.Intn(4)
 	for i := 0; i < flips; i++ {
-		pos := imp.rng.Intn(len(chunk))
-		chunk[pos] ^= byte(1 + imp.rng.Intn(255))
+		pos := imp.rng.Intn(len(ch.b))
+		ch.b[pos] ^= byte(1 + imp.rng.Intn(255))
 	}
-	return chunk
+	return ch
 }
 
 // severConns closes every established stream whose two endpoints match

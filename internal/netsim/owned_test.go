@@ -190,16 +190,84 @@ func TestOwnedTapSeesTheWireNotTheReader(t *testing.T) {
 	}
 }
 
+// TestSharedChunkIsNeverHandedOver: a Shared source's bytes cross the
+// stream uncopied, so everything that would write a delivered chunk —
+// ReadExact's hand-over, a corrupting link, the reader — gets a copy,
+// and the source reads the same afterwards.
+func TestSharedChunkIsNeverHandedOver(t *testing.T) {
+	const sender = "10.0.0.1"
+	payload := func() []byte { return bytes.Repeat([]byte("origin-memo-"), 64) }
+
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, n *Network, ca, cb *Conn)
+	}{
+		{"exact_read_gathers", func(t *testing.T, n *Network, ca, cb *Conn) {
+			src := payload()
+			if sent, err := ca.ReadFrom(NewShared(src)); err != nil || sent != int64(len(src)) {
+				t.Fatalf("ReadFrom = %d, %v", sent, err)
+			}
+			got, err := cb.ReadExact(len(src))
+			if err != nil || !bytes.Equal(got, payload()) {
+				t.Fatalf("ReadExact: %d bytes, %v", len(got), err)
+			}
+			if sameBuffer(got, src) {
+				t.Error("ReadExact handed the reader a shared chunk")
+			}
+		}},
+		{"flips_land_in_a_copy", func(t *testing.T, n *Network, ca, cb *Conn) {
+			var wire []byte
+			cb.host.AddTap(func(p Packet) { wire = p.Payload })
+			n.CorruptStreams(mustAddr(sender), 1, false)
+			src := payload()
+			ca.ReadFrom(NewShared(src))
+			got, err := cb.ReadExact(len(src))
+			if err != nil || len(got) != len(src) {
+				t.Fatalf("ReadExact: %d bytes, %v", len(got), err)
+			}
+			if bytes.Equal(got, payload()) {
+				t.Fatal("corruption rule did not mutate the chunk")
+			}
+			if !bytes.Equal(src, payload()) {
+				t.Error("a corrupting link flipped bytes in the shared source")
+			}
+			flipped := append([]byte(nil), got...)
+			copy(got, "rewritten by the reader")
+			if !bytes.Equal(wire, flipped) {
+				t.Error("the receiver's capture is not the flipped chunk as it crossed the wire")
+			}
+		}},
+		{"other_readers_still_copy", func(t *testing.T, n *Network, ca, cb *Conn) {
+			buf := payload()
+			if sent, err := ca.ReadFrom(io.LimitReader(bytes.NewReader(buf), 100)); err != nil || sent != 100 {
+				t.Fatalf("ReadFrom(LimitReader) = %d, %v", sent, err)
+			}
+			buf[0] ^= 0xff // the caller may reuse its buffer once ReadFrom returns
+			got := make([]byte, 100)
+			if _, err := io.ReadFull(cb, got); err != nil || !bytes.Equal(got, payload()[:100]) {
+				t.Fatalf("Read after the caller reused its buffer: %q, %v", got, err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New(Config{Seed: 3})
+			ca, cb := dialPair(t, n, sender, "10.0.0.2")
+			defer ca.Close()
+			tc.run(t, n, ca, cb)
+		})
+	}
+}
+
 // TestOwnedAllocBudget: a 256 KiB chunk crosses the stream through
-// WriteOwned/ReadExact without a payload-sized allocation, and through
-// Write with exactly one.
+// WriteOwned/ReadExact without a payload-sized allocation, through Write
+// with exactly one, and from a Shared source with only the reader's.
 func TestOwnedAllocBudget(t *testing.T) {
 	const size = 256 << 10
 	n := New(Config{})
 	ca, cb := dialPair(t, n, "10.0.0.1", "10.0.0.2")
 	defer ca.Close()
 
-	perByte := func(send func(b []byte) (int, error)) float64 {
+	perByte := func(send func(b []byte) error, recv func() error) float64 {
 		const rounds = 8
 		bufs := make([][]byte, rounds)
 		for i := range bufs {
@@ -208,20 +276,29 @@ func TestOwnedAllocBudget(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, b := range bufs {
-			if _, err := send(b); err != nil {
+			if err := send(b); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cb.ReadExact(size); err != nil {
+			if err := recv(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc-before.TotalAlloc) / (rounds * size)
 	}
-	if got := perByte(ca.WriteOwned); got > 0.01 {
+	owned := func(b []byte) error { _, err := ca.WriteOwned(b); return err }
+	copied := func(b []byte) error { _, err := ca.Write(b); return err }
+	shared := func(b []byte) error { _, err := ca.ReadFrom(NewShared(b)); return err }
+	exact := func() error { _, err := cb.ReadExact(size); return err }
+	read := func() error { _, err := io.ReadFull(cb, make([]byte, size)); return err }
+
+	if got := perByte(owned, exact); got > 0.01 {
 		t.Errorf("WriteOwned+ReadExact allocate %.3f B per payload byte, want < 0.01", got)
 	}
-	if got := perByte(ca.Write); got < 0.99 || got > 1.01 {
+	if got := perByte(copied, exact); got < 0.99 || got > 1.01 {
 		t.Errorf("Write+ReadExact allocate %.3f B per payload byte, want 1 (Write's copy)", got)
+	}
+	if got := perByte(shared, read); got < 0.99 || got > 1.01 {
+		t.Errorf("ReadFrom(Shared)+Read allocate %.3f B per payload byte, want 1 (the reader's buffer)", got)
 	}
 }

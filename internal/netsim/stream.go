@@ -128,7 +128,7 @@ func (h *Host) Dial(ctx context.Context, dst netip.AddrPort) (*Conn, error) {
 		peerHost:   dstHost,
 		localAddr:  netip.AddrPortFrom(h.ip, srcPort),
 		remoteAddr: dst,
-		inbox:      make(chan []byte, 64),
+		inbox:      make(chan chunk, 64),
 		closed:     make(chan struct{}),
 		readDL:     makeDeadline(),
 		writeDL:    makeDeadline(),
@@ -138,7 +138,7 @@ func (h *Host) Dial(ctx context.Context, dst netip.AddrPort) (*Conn, error) {
 		peerHost:   h,
 		localAddr:  netip.AddrPortFrom(dstHost.ip, dstPort),
 		remoteAddr: visibleSrc,
-		inbox:      make(chan []byte, 64),
+		inbox:      make(chan chunk, 64),
 		closed:     make(chan struct{}),
 		readDL:     makeDeadline(),
 		writeDL:    makeDeadline(),
@@ -182,7 +182,7 @@ func Pair(a, b *Host, aVis, bVis netip.AddrPort) (*Conn, *Conn) {
 		peerHost:   b,
 		localAddr:  netip.AddrPortFrom(a.ip, aVis.Port()),
 		remoteAddr: bVis,
-		inbox:      make(chan []byte, 64),
+		inbox:      make(chan chunk, 64),
 		closed:     make(chan struct{}),
 		readDL:     makeDeadline(),
 		writeDL:    makeDeadline(),
@@ -192,7 +192,7 @@ func Pair(a, b *Host, aVis, bVis netip.AddrPort) (*Conn, *Conn) {
 		peerHost:   a,
 		localAddr:  netip.AddrPortFrom(b.ip, bVis.Port()),
 		remoteAddr: aVis,
-		inbox:      make(chan []byte, 64),
+		inbox:      make(chan chunk, 64),
 		closed:     make(chan struct{}),
 		readDL:     makeDeadline(),
 		writeDL:    makeDeadline(),
@@ -213,7 +213,7 @@ type Conn struct {
 	localAddr  netip.AddrPort // this side's own address (private if NATed)
 	remoteAddr netip.AddrPort // peer's visible address
 
-	inbox     chan []byte
+	inbox     chan chunk
 	residual  []byte
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -222,16 +222,50 @@ type Conn struct {
 	writeDL deadline
 }
 
-var _ net.Conn = (*Conn)(nil)
+var (
+	_ net.Conn      = (*Conn)(nil)
+	_ io.ReaderFrom = (*Conn)(nil)
+)
+
+// chunk is one delivery on a stream. A shared chunk's bytes belong to
+// a Shared source: the stream and the reader only read them.
+type chunk struct {
+	b      []byte
+	shared bool
+}
+
+// Shared is a read-only byte source whose bytes nobody writes again,
+// such as a CDN origin's memoized segment. Conn.ReadFrom sends what is
+// left of it as one chunk without copying; Read serves net/http's
+// sniffing prefix. It has no WriteTo, so io.Copy reaches the
+// destination's ReadFrom.
+type Shared struct {
+	b   []byte
+	off int
+}
+
+// NewShared wraps b, which neither the caller nor anyone else may write
+// while the stream can still deliver it.
+func NewShared(b []byte) *Shared { return &Shared{b: b} }
+
+// Read implements io.Reader.
+func (s *Shared) Read(p []byte) (int, error) {
+	if s.off >= len(s.b) {
+		return 0, io.EOF
+	}
+	n := copy(p, s.b[s.off:])
+	s.off += n
+	return n, nil
+}
 
 // Read reads data from the connection.
 func (c *Conn) Read(b []byte) (int, error) {
 	if len(c.residual) == 0 {
-		chunk, err := c.nextChunk()
+		ch, err := c.nextChunk()
 		if err != nil {
 			return 0, err
 		}
-		c.residual = chunk
+		c.residual = ch.b
 	}
 	n := copy(b, c.residual)
 	c.residual = c.residual[n:]
@@ -240,23 +274,24 @@ func (c *Conn) Read(b []byte) (int, error) {
 
 // ReadExact reads exactly n bytes, as io.ReadFull into a fresh buffer
 // does, with one difference: when the next delivered chunk is exactly n
-// bytes long it is returned as is. The stream never touches a delivered
-// chunk again, so either way the caller owns the result. A chunk of any
-// other length (a truncating impairment, a relay's re-chunking, bytes
-// left over from an earlier Read) takes the gathering path.
+// bytes long and not shared it is returned as is. The stream never
+// touches a delivered chunk again, so either way the caller owns the
+// result. A chunk of any other length (a truncating impairment, a
+// relay's re-chunking, bytes left over from an earlier Read), or one
+// still owned by a Shared source, takes the gathering path.
 func (c *Conn) ReadExact(n int) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
 	if len(c.residual) == 0 {
-		chunk, err := c.nextChunk()
+		ch, err := c.nextChunk()
 		if err != nil {
 			return nil, err
 		}
-		if len(chunk) == n {
-			return chunk, nil
+		if len(ch.b) == n && !ch.shared {
+			return ch.b, nil
 		}
-		c.residual = chunk
+		c.residual = ch.b
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(c, buf); err != nil {
@@ -266,28 +301,28 @@ func (c *Conn) ReadExact(n int) ([]byte, error) {
 }
 
 // nextChunk waits for the next chunk the peer delivered.
-func (c *Conn) nextChunk() ([]byte, error) {
+func (c *Conn) nextChunk() (chunk, error) {
 	if isClosedChan(c.readDL.wait()) {
-		return nil, os.ErrDeadlineExceeded
+		return chunk{}, os.ErrDeadlineExceeded
 	}
 	select {
-	case chunk, ok := <-c.inbox:
+	case ch, ok := <-c.inbox:
 		if !ok {
-			return nil, io.EOF
+			return chunk{}, io.EOF
 		}
-		return chunk, nil
+		return ch, nil
 	case <-c.closed:
 		// Drain anything already delivered before reporting EOF.
 		select {
-		case chunk, ok := <-c.inbox:
+		case ch, ok := <-c.inbox:
 			if ok {
-				return chunk, nil
+				return ch, nil
 			}
 		default:
 		}
-		return nil, io.EOF
+		return chunk{}, io.EOF
 	case <-c.readDL.wait():
-		return nil, os.ErrDeadlineExceeded
+		return chunk{}, os.ErrDeadlineExceeded
 	}
 }
 
@@ -301,7 +336,28 @@ func (c *Conn) Write(b []byte) (int, error) { return c.WriteOwned(append([]byte(
 // chunk, so the caller must not read or write it afterwards. The stream
 // may mangle it in place (CorruptStreams) and the peer's reader ends up
 // owning it (ReadExact).
-func (c *Conn) WriteOwned(b []byte) (int, error) {
+func (c *Conn) WriteOwned(b []byte) (int, error) { return c.send(chunk{b: b}) }
+
+// ReadFrom implements io.ReaderFrom. What is left of a *Shared source
+// crosses the stream as one chunk, uncopied: the stream copies it
+// before flipping its bytes and the reader copies out of it, so it is
+// never written. Any other reader is copied through Write.
+func (c *Conn) ReadFrom(r io.Reader) (int64, error) {
+	s, ok := r.(*Shared)
+	if !ok {
+		return io.Copy(struct{ io.Writer }{c}, r) // hides ReadFrom from io.Copy
+	}
+	rest := s.b[s.off:]
+	if len(rest) == 0 { // an empty chunk would be a spurious zero-length Read
+		return 0, nil
+	}
+	n, err := c.send(chunk{b: rest, shared: true})
+	s.off += n
+	return int64(n), err
+}
+
+// send delivers one chunk to the peer.
+func (c *Conn) send(ch chunk) (int, error) {
 	select {
 	case <-c.closed:
 		return 0, ErrClosed
@@ -316,8 +372,9 @@ func (c *Conn) WriteOwned(b []byte) (int, error) {
 		return 0, ErrUnreachable
 	}
 
-	chunk := c.host.net.mangleStream(c.host.ip, b)
-	c.host.shapeUp(len(chunk))
+	sent := len(ch.b)
+	ch = c.host.net.mangleStream(c.host.ip, ch)
+	c.host.shapeUp(len(ch.b))
 	if lat := c.host.pathLatency(c.peerHost); lat > 0 {
 		time.Sleep(lat)
 	}
@@ -327,7 +384,7 @@ func (c *Conn) WriteOwned(b []byte) (int, error) {
 		Proto:   ProtoTCP,
 		Src:     c.peer.remoteAddr, // how the receiver sees us (post-NAT)
 		Dst:     c.remoteAddr,
-		Payload: chunk,
+		Payload: ch.b,
 	}
 	pkt.Dir = DirOut
 	c.host.tap(pkt)
@@ -338,7 +395,7 @@ func (c *Conn) WriteOwned(b []byte) (int, error) {
 	c.peerHost.tap(pkt)
 
 	select {
-	case c.peer.inbox <- chunk:
+	case c.peer.inbox <- ch:
 	case <-c.peer.closed:
 		return 0, ErrClosed
 	case <-c.closed:
@@ -346,8 +403,8 @@ func (c *Conn) WriteOwned(b []byte) (int, error) {
 	case <-c.writeDL.wait():
 		return 0, os.ErrDeadlineExceeded
 	}
-	c.peerHost.shapeDown(len(chunk))
-	return len(b), nil
+	c.peerHost.shapeDown(len(ch.b))
+	return sent, nil
 }
 
 // Close closes both directions of the connection.
