@@ -28,9 +28,9 @@ type JoinResult struct {
 // Join bootstraps a peer into its swarm through any live server. It
 // walks the peerstore's candidates best-first, follows redirects to
 // the swarm's owner (refreshing the store from each redirect's server
-// list), and records reachability so dead servers back off. The
-// request's AcceptRedirect flag is forced on: a federation-aware
-// client always prefers one extra round trip over a spliced session.
+// list), and records reachability so dead servers back off. A server
+// that does not own the swarm always answers with a redirect, so the
+// session that Join returns is held by the owner itself.
 //
 // setup, when non-nil, runs on each freshly dialed client before its
 // join round trip — the place to install OnRelay/OnPeerGone handlers
@@ -41,7 +41,6 @@ type JoinResult struct {
 // marked down, and the next candidate redirects (or admits) the peer
 // under the new ownership — no pinned address, no strand.
 func Join(ctx context.Context, host *netsim.Host, store *Peerstore, req signal.JoinRequest, setup func(*signal.Client)) (*JoinResult, error) {
-	req.AcceptRedirect = true
 	var lastErr error
 	for _, addr := range store.Candidates() {
 		res, err := joinVia(ctx, host, store, addr, req, setup)

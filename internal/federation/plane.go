@@ -43,9 +43,9 @@ type planeMember struct {
 
 // Plane is a set of federated signal.Servers sharing one consistent-
 // hash ring. Each server sees the ring through its own Router view, so
-// a join landing anywhere is redirected or proxied to the swarm's
-// owner. With Servers=1 the ring has one arc and every route is local:
-// the single-server path is this same code, not a bypass.
+// a join landing anywhere is redirected to the swarm's owner. With
+// Servers=1 the ring has one arc and every route is local: the
+// single-server path is this same code, not a bypass.
 type Plane struct {
 	ring *Ring
 

@@ -12,6 +12,7 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/signal"
+	"github.com/stealthy-peers/pdnsec/internal/wire"
 )
 
 var testCtx = context.Background()
@@ -63,21 +64,22 @@ func serverIndex(t *testing.T, name string) int {
 	return i
 }
 
-// TestPlaneRedirectPath pins the opt-in redirect flow: a join for a
-// remote swarm answered with the owner's address plus the full server
-// list, and a federation.Join that follows it to the owner.
+// TestPlaneRedirectPath pins the one routing mode: any join for a
+// remote swarm is answered with the owner's address plus the full
+// server list, and a federation.Join follows it to the owner.
 func TestPlaneRedirectPath(t *testing.T) {
 	p, reg, newHost := testPlane(t, 3, 7)
 	video := swarmOwnedBy(t, p, "s1")
 
 	// Raw client against the wrong server: the redirect surfaces as a
-	// typed error carrying the owner and the bootstrap list.
+	// typed error carrying the owner and the bootstrap list. The join
+	// asks for nothing special; a redirect is the only answer.
 	cli, err := signal.Dial(testCtx, newHost(), p.Addr(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	_, err = cli.Join(testCtx, signal.JoinRequest{Video: video, Rendition: "720p", Fingerprint: "fpA", AcceptRedirect: true})
+	_, err = cli.Join(testCtx, signal.JoinRequest{Video: video, Rendition: "720p", Fingerprint: "fpA"})
 	var rd *signal.RedirectError
 	if !errors.As(err, &rd) {
 		t.Fatalf("join via non-owner returned %v, want RedirectError", err)
@@ -111,70 +113,6 @@ func TestPlaneRedirectPath(t *testing.T) {
 	}
 	if store.Len() != 3 {
 		t.Errorf("peerstore knows %d servers after redirect, want 3", store.Len())
-	}
-}
-
-// TestPlaneProxyPath pins the transparent path for clients that never
-// opted into redirects: the ingress splices the session through to the
-// owner, relays flow end to end, and the forwarded-frames counter
-// proves the link carried them.
-func TestPlaneProxyPath(t *testing.T) {
-	p, reg, newHost := testPlane(t, 3, 7)
-	video := swarmOwnedBy(t, p, "s2")
-
-	join := func(via netip.AddrPort, fp string) (*signal.Client, signal.Welcome) {
-		t.Helper()
-		cli, err := signal.Dial(testCtx, newHost(), via)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cli.Close() })
-		w, err := cli.Join(testCtx, signal.JoinRequest{Video: video, Rendition: "720p", Fingerprint: fp})
-		if err != nil {
-			t.Fatalf("proxied join via %v: %v", via, err)
-		}
-		return cli, w
-	}
-
-	// Both peers enter through the WRONG server with no AcceptRedirect:
-	// a legacy client that only knows one address.
-	c1, w1 := join(p.Addr(0), "fp1")
-	c2, w2 := join(p.Addr(1), "fp2")
-	for _, w := range []signal.Welcome{w1, w2} {
-		if !strings.HasPrefix(w.PeerID, "s2p") {
-			t.Errorf("proxied peer got ID %q, want owner namespace s2p*", w.PeerID)
-		}
-	}
-
-	got := make(chan signal.Relay, 1)
-	c2.OnRelay(func(rel signal.Relay) { got <- rel })
-
-	infos, err := c1.GetPeers(testCtx, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, in := range infos {
-		if in.ID == w2.PeerID {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("proxied peers not matched to each other: %v", infos)
-	}
-	if err := c1.Relay(w2.PeerID, "offer", 1); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case rel := <-got:
-		if rel.From != w1.PeerID {
-			t.Errorf("relay from %q, want %q", rel.From, w1.PeerID)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("relay never crossed the spliced sessions")
-	}
-	if fwd := reg.Counter("signal_forwarded_relays_total", "").Value(); fwd == 0 {
-		t.Error("signal_forwarded_relays_total = 0; the proxy link carried nothing?")
 	}
 }
 
@@ -238,13 +176,67 @@ func TestPlaneSingleServerKeepsSeedBehavior(t *testing.T) {
 	if strings.Contains(res.Welcome.PeerID, "s0") {
 		t.Errorf("N=1 peer ID %q carries a server prefix", res.Welcome.PeerID)
 	}
+	// A raw join, outside federation.Join, is admitted in place too.
+	cli, err := signal.Dial(testCtx, newHost(), p.Addr(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Join(testCtx, signal.JoinRequest{Video: "v", Rendition: "r", Fingerprint: "fp2"}); err != nil {
+		t.Fatalf("raw join on an N=1 plane: %v", err)
+	}
 	if got := reg.Counter("signal_redirects_total", "").Value(); got != 0 {
 		t.Errorf("N=1 plane issued %d redirects", got)
 	}
 	if p.Owner("v/r") != "s0" {
 		t.Errorf("owner = %q, want s0", p.Owner("v/r"))
 	}
-	if p.PeerCount() != 1 {
-		t.Errorf("PeerCount = %d, want 1", p.PeerCount())
+	if p.PeerCount() != 2 {
+		t.Errorf("PeerCount = %d, want 2", p.PeerCount())
+	}
+}
+
+// TestFellowServerCannotStampClientAddr pins that a server files every
+// session under the address it observed. Two joins dialed from a fellow
+// server's own host, each naming a different client address in a
+// "fwd_addr" field, are one host holding two identities to the owner:
+// a federated server cannot spread identities across invented hosts
+// and slip past Policy.MaxPeersPerHost.
+func TestFellowServerCannotStampClientAddr(t *testing.T) {
+	network := netsim.New(netsim.Config{Seed: 7})
+	hosts := []*netsim.Host{
+		network.MustHost(netip.AddrFrom4([4]byte{44, 0, 0, 1})),
+		network.MustHost(netip.AddrFrom4([4]byte{44, 0, 0, 2})),
+	}
+	p := NewPlane(PlaneConfig{Servers: 2, Base: signal.Config{Policy: signal.DefaultPolicy(), Seed: 7}})
+	if err := p.Serve(hosts, 443); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	video := swarmOwnedBy(t, p, "s1")
+
+	for i, fwd := range []string{"66.24.0.1", "66.24.0.2"} {
+		conn, err := hosts[0].Dial(testCtx, p.Addr(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		codec := wire.NewCodec(conn)
+		t.Cleanup(func() { codec.Close() })
+		join := map[string]any{"video": video, "rendition": "720p", "fingerprint": fmt.Sprintf("fp%d", i), "fwd_addr": fwd}
+		if err := codec.Send(signal.MsgJoin, join); err != nil {
+			t.Fatal(err)
+		}
+		env, err := codec.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Type != signal.MsgWelcome {
+			t.Fatalf("join %d answered %q, want welcome", i, env.Type)
+		}
+	}
+
+	stats := p.Server(1).HostStats()
+	if len(stats) != 1 || stats[0].Identities != 2 {
+		t.Fatalf("owner's host ledger = %+v, want one host holding both identities", stats)
 	}
 }

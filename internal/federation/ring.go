@@ -1,9 +1,8 @@
 // Package federation scales the signaling plane past one server: a
 // consistent-hash ring assigns every swarm to exactly one of N
 // signal.Server instances, a bootstrap peerstore lets clients join
-// through *any* live server and be redirected (or transparently
-// proxied) to the swarm's owner, and a Plane ties both to running
-// servers on simulated hosts.
+// through *any* live server and be redirected to the swarm's owner, and
+// a Plane ties both to running servers on simulated hosts.
 //
 // The design models what the paper's measurements imply about
 // commercial PDN back-ends: providers operate fleets of signaling

@@ -20,9 +20,8 @@ import (
 // addresses after passing through internal/privacy.
 //
 // Sources: net.Conn.RemoteAddr() (any zero-arg RemoteAddr method),
-// the forwarded join address signal.JoinRequest.FwdAddr, geoip
-// DB.Lookup records (their coarse Country/City/ISP fields are exempt),
-// and federation.Peerstore entries (Candidates).
+// geoip DB.Lookup records (their coarse Country/City/ISP fields are
+// exempt), and federation.Peerstore entries (Candidates).
 //
 // Sinks: log/fmt printing, obs.A trace-attribute values, obs
 // CounterVec/GaugeVec label values, wire Codec.Send/Write and record
@@ -347,9 +346,6 @@ func (st *ptState) evalSelector(node *FuncNode, info *types.Info, sel *ast.Selec
 		if ptCoarseGeoFields[field.Name()] && owner == "geoip.Record" {
 			return nil
 		}
-		if field.Name() == "FwdAddr" && strings.HasSuffix(owner, ".JoinRequest") {
-			return &taintFact{desc: "JoinRequest.FwdAddr", pos: sel.Pos(), path: []string{node.Name}}
-		}
 		if fact := st.objs[field]; fact != nil {
 			return fact
 		}
@@ -672,8 +668,8 @@ func (st *ptState) checkSinks(node *FuncNode) {
 
 // ptTraceFieldOwner reports whether a named type ("pkgbase.Type") is one
 // of the protocol messages whose Trace field propagates an encoded
-// obs.TraceContext across processes. Matched by type-name suffix, like
-// the JoinRequest.FwdAddr source, so fixtures can model the shape.
+// obs.TraceContext across processes. Matched by type-name suffix, so
+// fixtures can model the shape.
 func ptTraceFieldOwner(owner string) bool {
 	return strings.HasSuffix(owner, ".JoinRequest") ||
 		strings.HasSuffix(owner, ".GetPeersReq") ||

@@ -1,9 +1,9 @@
 // Package peertaint exercises the interprocedural peer-identity taint
-// analyzer: sources (RemoteAddr, JoinRequest.FwdAddr, geoip lookups,
-// peerstore entries), sinks (logs, trace attributes, metric labels,
-// wire and data-channel payloads, chaos events), sanitizers
-// (internal/privacy), and the field-granular struct taint that keeps
-// intentional protocol flows quiet.
+// analyzer: sources (RemoteAddr, geoip lookups, peerstore entries),
+// sinks (logs, trace attributes, metric labels, wire and data-channel
+// payloads, chaos events), sanitizers (internal/privacy), and the
+// field-granular struct taint that keeps intentional protocol flows
+// quiet.
 package peertaint
 
 import (
@@ -109,15 +109,6 @@ func traceFieldClean(tc string) Relay {
 }
 
 // ---- declared source fields and types ----
-
-type JoinRequest struct {
-	Video   string
-	FwdAddr string
-}
-
-func forwarded(j JoinRequest) {
-	log.Println("fwd", j.FwdAddr) // want `peer-identifying value from JoinRequest.FwdAddr .* reaches log output`
-}
 
 type Peerstore struct{ entries []string }
 

@@ -415,9 +415,9 @@ func (c *Conn) Close() error {
 }
 
 // closeSide is safe for concurrent use: net.Conn.Close may race itself
-// (a session handler's deferred Close against a proxy splice's), and a
-// select/default guard alone would let two goroutines both reach the
-// close.
+// (a session handler's deferred Close against a server shutdown's, or
+// against the peer end closing both sides), and a select/default guard
+// alone would let two goroutines both reach the close.
 func (c *Conn) closeSide() {
 	c.closeOnce.Do(func() {
 		close(c.closed)

@@ -500,9 +500,9 @@ func (p *Peer) StopLinger() {
 // same resolution, so a crashed owner is routed around instead of
 // retried forever.
 func (p *Peer) join(ctx context.Context) error {
-	// The join is its own trace root: the serving server's join span (and,
-	// on a federated misroute, the ingress splice and the owner's span)
-	// stitch under it via JoinRequest.Trace.
+	// The join is its own trace root: the serving server's join span (on
+	// a federated misroute, the owner's, after the redirect) stitches
+	// under it via JoinRequest.Trace.
 	ctx, jspan := p.cfg.Tracer.StartSpan(ctx, "peer_join",
 		obs.A("video", p.cfg.Video), obs.A("rendition", p.cfg.Rendition))
 	cands, err := p.gatherCandidates(ctx)

@@ -29,9 +29,9 @@ func (e *ServerError) Error() string {
 }
 
 // RedirectError is returned by Join when a federated server does not
-// own the requested swarm and the request opted into redirects. The
-// caller should re-dial the named owner (federation.Join does this,
-// refreshing its peerstore from Servers along the way).
+// own the requested swarm. The caller should re-dial the named owner
+// (federation.Join does this, refreshing its peerstore from Servers
+// along the way).
 type RedirectError struct {
 	Redirect Redirect
 }
@@ -290,7 +290,8 @@ func (c *Client) roundTrip(ctx context.Context, typ string, payload any) (wire.E
 // Join authenticates with the server and returns the welcome. When the
 // context carries an active obs span and the request does not already
 // name a trace, the join is stamped with the span's TraceContext so the
-// serving (and any forwarding) server's spans stitch into it.
+// serving server's spans stitch into it. A join that reaches a
+// federated server which does not own the swarm returns *RedirectError.
 func (c *Client) Join(ctx context.Context, req JoinRequest) (Welcome, error) {
 	if req.Trace == "" {
 		req.Trace = obs.ContextString(ctx)

@@ -40,10 +40,9 @@ const (
 	// It is sent only to peers the departed peer was advertised to, and
 	// the server coalesces simultaneous departures into one frame.
 	MsgPeerGone = "peer_gone"
-	// MsgRedirect answers a join that reached a federated server which
-	// does not own the requested swarm, when the client advertised
-	// AcceptRedirect. Clients without the flag are transparently proxied
-	// instead, so MsgRedirect never reaches an SDK that can't parse it.
+	// MsgRedirect answers every join that reached a federated server
+	// which does not own the requested swarm; the client rejoins at the
+	// owner it names.
 	MsgRedirect = "redirect"
 )
 
@@ -53,9 +52,6 @@ const (
 	CodeBadRequest  = "bad_request"
 	CodeNotFound    = "not_found"
 	CodeBlacklisted = "blacklisted"
-	// CodeUnavailable reports that a federated ingress could not reach
-	// the swarm's owning server; the client should re-bootstrap.
-	CodeUnavailable = "unavailable"
 )
 
 // JoinRequest is the first message a peer sends. APIKey/Origin/Referer
@@ -85,20 +81,10 @@ type JoinRequest struct {
 	// the policy decides whether such peers upload.
 	Cellular bool `json:"cellular,omitempty"`
 
-	// AcceptRedirect advertises that the client understands MsgRedirect,
-	// letting a federated server answer a misrouted join with the owner's
-	// address instead of proxying the whole session through itself.
-	AcceptRedirect bool `json:"accept_redirect,omitempty"`
-	// FwdAddr carries the original client IP when a federated ingress
-	// proxies a join to the swarm's owner. The owner honors it only when
-	// the connection really arrives from a known federated server, so a
-	// direct client cannot spoof its geolocation with it.
-	FwdAddr string `json:"fwd_addr,omitempty"`
-
 	// Trace is the encoded obs.TraceContext of the client's join span,
-	// so the serving (and, via the forward splice, the owning) server's
-	// spans stitch into the client's trace. It carries opaque identifiers
-	// only — never addresses (pdnlint peertaint treats it as a sink).
+	// so the serving server's spans stitch into the client's trace. It
+	// carries opaque identifiers only — never addresses (pdnlint
+	// peertaint treats it as a sink).
 	Trace string `json:"trace,omitempty"`
 }
 

@@ -125,9 +125,8 @@ type Config struct {
 	// and the "s0" metric label — the single-server deployment.
 	ServerName string
 	// Router, when set, makes this server one member of a federated
-	// plane: joins for swarms it does not own are redirected (when the
-	// client opts in) or transparently proxied to the owner. Nil means
-	// this server owns every swarm.
+	// plane: a join for a swarm it does not own is answered with a
+	// redirect to the owner. Nil means this server owns every swarm.
 	Router Router
 	// Obs, when set, registers the server's counters and swarm-size
 	// gauge. Nil disables metrics at the cost of one branch per event.
@@ -152,9 +151,6 @@ type Server struct {
 
 	deliverCh chan deliverJob
 
-	// host is the simulated host Serve bound to; the federated proxy
-	// path dials swarm owners from it.
-	host     *netsim.Host
 	listener *netsim.Listener
 	done     chan struct{}
 	wg       sync.WaitGroup // accept loop + per-connection handlers
@@ -216,7 +212,6 @@ type serverMetrics struct {
 	peerGone        *obs.Counter
 	imReports       *obs.Counter
 	statsReports    *obs.Counter
-	forwarded       *obs.Counter
 	redirects       *obs.Counter
 	hostCapped      *obs.Counter
 	secureReports   *obs.Counter
@@ -261,7 +256,6 @@ func NewServer(cfg Config) *Server {
 		peerGone:        reg.Counter("signal_peer_gone_total", "departure notices queued to watching peers"),
 		imReports:       reg.Counter("signal_im_reports_total", "integrity-metadata reports arbitrated"),
 		statsReports:    reg.Counter("signal_stats_reports_total", "peer usage reports accounted"),
-		forwarded:       reg.Counter("signal_forwarded_relays_total", "signaling frames spliced across the inter-server forwarding link"),
 		redirects:       reg.Counter("signal_redirects_total", "joins redirected to the swarm's owning server"),
 		hostCapped:      reg.Counter("signal_match_host_capped_total", "match candidates or requests refused because their host exceeded the per-host identity budget"),
 		secureReports:   reg.Counter("signal_secure_reports_total", "bad-static-key reports received from peers"),
@@ -297,7 +291,6 @@ func (s *Server) Serve(host *netsim.Host, port uint16) error {
 	if err != nil {
 		return fmt.Errorf("signal: listen: %w", err)
 	}
-	s.host = host
 	s.listener = l
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -340,6 +333,12 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// sessionBufSize sizes the per-session wire buffers. Signaling frames
+// are small (a join with a dozen ICE candidates is ~2 KB), and a
+// federated 100k-peer swarmload holds one codec per peer on each side,
+// so the 64 KiB default would cost tens of GB in bufio alone.
+const sessionBufSize = 8 << 10
+
 // handleConn authenticates one peer and serves its message loop.
 func (s *Server) handleConn(conn net.Conn) {
 	codec := wire.NewCodecSize(conn, sessionBufSize)
@@ -360,28 +359,24 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	// Federated routing happens before authentication: the owner is the
-	// authority for its swarms, so it re-checks credentials on proxied
-	// joins, and a redirect leaks nothing an open join endpoint doesn't.
+	// authority for its swarms and checks the credentials when the
+	// client rejoins there, and a redirect leaks nothing an open join
+	// endpoint doesn't.
 	if r := s.cfg.Router; r != nil {
 		if route := r.Route(join.Video + "/" + join.Rendition); !route.Local {
-			if join.AcceptRedirect {
-				s.metrics.redirects.Inc()
-				s.cfg.Tracer.Event("signal_redirect", obs.A("swarm", join.Video+"/"+join.Rendition), obs.A("owner", route.Server))
-				servers := make([]string, 0, 4)
-				for _, ap := range r.Servers() {
-					servers = append(servers, ap.String())
-				}
-				codec.Send(MsgRedirect, Redirect{Owner: route.Server, Addr: route.Addr.String(), Servers: servers})
-				return
+			s.metrics.redirects.Inc()
+			s.cfg.Tracer.Event("signal_redirect", obs.A("swarm", join.Video+"/"+join.Rendition), obs.A("owner", route.Server))
+			servers := make([]string, 0, 4)
+			for _, ap := range r.Servers() {
+				servers = append(servers, ap.String())
 			}
-			s.forward(conn, codec, join, route)
+			codec.Send(MsgRedirect, Redirect{Owner: route.Server, Addr: route.Addr.String(), Servers: servers})
 			return
 		}
 	}
 
 	// The serve span continues the client's join trace (join.Trace is the
-	// encoded TraceContext the SDK stamped — or, on the proxied path, the
-	// ingress's splice span), so client, ingress, and owner stitch.
+	// encoded TraceContext the SDK stamped), so client and server stitch.
 	jspan := s.cfg.Tracer.StartSpanRemote(join.Trace, "signal_join_serve", obs.A("swarm", join.Video+"/"+join.Rendition))
 	customer, err := s.authenticate(join)
 	if err != nil {
@@ -453,11 +448,6 @@ func (s *Server) authenticate(join JoinRequest) (string, error) {
 // relay directory.
 func (s *Server) register(codec *wire.Codec, conn net.Conn, join JoinRequest, customer string) *session {
 	addr := remoteAddr(conn)
-	if join.FwdAddr != "" && s.trustedIngress(addr) {
-		if fwd, err := netip.ParseAddr(join.FwdAddr); err == nil {
-			addr = fwd
-		}
-	}
 	country := ""
 	if s.cfg.GeoDB != nil && addr.IsValid() {
 		country = s.cfg.GeoDB.Lookup(addr).Country
@@ -732,21 +722,6 @@ func (s *Server) SwarmCount() int {
 		sh.mu.Unlock()
 	}
 	return total
-}
-
-// trustedIngress reports whether addr is a fellow federated server,
-// whose forwarded-address header can be believed.
-func (s *Server) trustedIngress(addr netip.Addr) bool {
-	r := s.cfg.Router
-	if r == nil || !addr.IsValid() {
-		return false
-	}
-	for _, ap := range r.Servers() {
-		if ap.Addr() == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // SwarmSize reports the population of one swarm.
