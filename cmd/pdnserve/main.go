@@ -96,9 +96,6 @@ func run() int {
 		return 1
 	}
 	defer tb.Close()
-	// Swarm events stamp from the simulated network's clock, keeping the
-	// trace aligned with what peers experienced.
-	tb.Tracer = obs.NewTracer(tb.Net.Now)
 
 	// Readiness for the -metrics /healthz endpoint: the signaling ring
 	// must keep at least one live member, and the CDN origin must still

@@ -59,17 +59,12 @@ type TestbedConfig struct {
 	// Obs, when set, registers every testbed component's metrics in one
 	// shared registry (the aggregation cmd/pdnserve exposes live).
 	Obs *obs.Registry
-	// Tracer, when set, records swarm events across the deployment. The
-	// testbed never constructs one itself — the caller decides the clock
-	// domain (cmd/pdnserve builds it on tb.Net.Now, keeping this package
-	// clock-free and deterministic).
-	Tracer *obs.Tracer
 	// Traces, when set, hands every component a process-stamped tracer
 	// from one set sharing a clock and seed: the CDN serves as "cdn",
 	// federated signal servers as "s0", "s1", ..., and each viewer built
-	// through ViewerConfig as "viewer-<seed>". It supersedes Tracer, and
-	// is what makes the written JSONL stitchable by cmd/pdntrace — every
-	// span says which process recorded it.
+	// through ViewerConfig as "viewer-<seed>". It is what makes the
+	// written JSONL stitchable by cmd/pdntrace — every span says which
+	// process recorded it.
 	Traces *obs.TraceSet
 }
 
@@ -84,7 +79,6 @@ type Testbed struct {
 	GeoDB   *geoip.DB
 	Alloc   *geoip.Allocator
 	Obs     *obs.Registry
-	Tracer  *obs.Tracer
 	Traces  *obs.TraceSet
 	// IM is the integrity service NewTestbed deployed because the policy
 	// called for one; nil when it called for none or Options.IM was set.
@@ -150,9 +144,6 @@ func NewTestbed(ctx ctxT, cfg TestbedConfig) (*Testbed, error) {
 	if cfg.Options.Obs == nil {
 		cfg.Options.Obs = cfg.Obs
 	}
-	if cfg.Options.Tracer == nil {
-		cfg.Options.Tracer = cfg.Tracer
-	}
 	if cfg.Options.Traces == nil {
 		cfg.Options.Traces = cfg.Traces
 	}
@@ -163,7 +154,6 @@ func NewTestbed(ctx ctxT, cfg TestbedConfig) (*Testbed, error) {
 		GeoDB:          db,
 		Alloc:          geoip.NewAllocator(db, cfg.Options.Seed+1),
 		Obs:            cfg.Obs,
-		Tracer:         cfg.Tracer,
 		Traces:         cfg.Traces,
 		customerDomain: cfg.CustomerDomain,
 		latency:        cfg.Latency,
@@ -314,7 +304,6 @@ func (tb *Testbed) ViewerConfig(host *netsim.Host, seed int64) pdnclient.Config 
 		Rendition:   tb.Video.Renditions[0].Name,
 		Seed:        seed,
 		Obs:         tb.Obs,
-		Tracer:      tb.Tracer,
 		// An honest viewer of a secure-profile deployment ships the pinned
 		// SDK build: it refuses welcomes a MITM stripped the transport from.
 		RequireSecureTransport: tb.Dep.Profile.Policy.SecureTransport,

@@ -12,27 +12,18 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
-// adversarialScenarios is the table the determinism and green-run
-// suites share: every behavioral scenario the chaos CLI ships, at the
-// CLI's full spawn sizes (the log is schedule-only, so size costs
-// nothing in the determinism runs).
-func adversarialScenarios() []Scenario {
-	return []Scenario{
-		SybilFlood(10*time.Millisecond, 40),
-		EclipseMatcher(15*time.Millisecond, 6),
-		FreeRiderWave(10*time.Millisecond, 8, 60*time.Millisecond, 0.25),
-		FlashCrowdLive(10*time.Millisecond, 30*time.Millisecond, 3, 12),
-	}
-}
-
 // TestAdversarialScenarioLogsDeterministic extends the reproducibility
-// contract to spawn-bearing schedules: five runs of each behavioral
-// scenario at the same seed must produce byte-identical JSONL logs
-// (CI repeats this under -race). Spawn events record only the
-// schedule's parameters, so a no-op driver sees the same bytes the
+// contract to spawn-bearing schedules: five runs of each catalogued
+// behavioral scenario at the same seed must produce byte-identical
+// JSONL logs (CI repeats this under -race). Spawn events record only
+// the schedule's parameters, so a no-op driver sees the same bytes the
 // full harness would.
 func TestAdversarialScenarioLogsDeterministic(t *testing.T) {
-	for _, sc := range adversarialScenarios() {
+	for _, name := range Names() {
+		sc := catalog[name].Scenario
+		if !spawns(sc) {
+			continue
+		}
 		t.Run(sc.Name, func(t *testing.T) {
 			var first []byte
 			for run := 0; run < 5; run++ {
@@ -55,6 +46,16 @@ func TestAdversarialScenarioLogsDeterministic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// spawns reports whether the schedule injects a population band.
+func spawns(sc Scenario) bool {
+	for _, st := range sc.Steps {
+		if st.Fault == FaultSpawn {
+			return true
+		}
+	}
+	return false
 }
 
 // TestFreeRiderWaveSeedDivergence pins that the scenario suite's logs
@@ -90,31 +91,14 @@ func TestSpawnWithoutDriverFails(t *testing.T) {
 }
 
 // TestScenarioSybilFlood runs the identity mill against the Hardened
-// profile: one host joins under 24 identities, and the per-host ledger
-// plus identity budget must keep its match-grant share capped while
-// honest playback completes. Ten viewers give the geo-matching profile
-// enough country overlap for an honest grant baseline.
+// profile: the per-host ledger plus identity budget must keep its
+// match-grant share capped while honest playback completes, and the
+// ledger must see the whole mill.
 func TestScenarioSybilFlood(t *testing.T) {
-	sc := SybilFlood(10*time.Millisecond, 24)
-	res, err := RunScenario(context.Background(), SwarmConfig{
-		Viewers:  10,
-		Segments: 4,
-		Seed:     *chaosSeed,
-		Pace:     sc.PaceToOutlast(4),
-		Profile:  "hardened",
-	}, sc)
-	if err != nil {
-		t.Fatalf("seed=%d: %v", *chaosSeed, err)
-	}
-	requireInvariants(t, Invariants{
-		PlaybackCompletes: true,
-		MaxStalls:         0,
-		NoPollutedCache:   true,
-		NoViewerErrors:    true,
-		MaxSybilSlotShare: 0.5,
-	}, res)
-	if share, peak := res.SybilSlotShare(); peak != 24 {
-		t.Errorf("seed=%d: ledger saw identity peak %d (share %.2f), want the full 24-identity mill", *chaosSeed, peak, share)
+	res := runEntry(t, "sybil_flood")
+	mill := catalog["sybil_flood"].Scenario.Steps[0].Count
+	if share, peak := res.SybilSlotShare(); peak != mill {
+		t.Errorf("seed=%d: ledger saw identity peak %d (share %.2f), want the full %d-identity mill", *chaosSeed, peak, share, mill)
 	}
 }
 
@@ -122,24 +106,7 @@ func TestScenarioSybilFlood(t *testing.T) {
 // accept every connection and serve nothing. Matcher integrity must
 // hold: every honest survivor keeps at least one non-colluder neighbor.
 func TestScenarioEclipseMatcher(t *testing.T) {
-	sc := EclipseMatcher(15*time.Millisecond, 6)
-	res, err := RunScenario(context.Background(), SwarmConfig{
-		Viewers:  4,
-		Segments: 4,
-		Seed:     *chaosSeed,
-		Pace:     sc.PaceToOutlast(4),
-	}, sc)
-	if err != nil {
-		t.Fatalf("seed=%d: %v", *chaosSeed, err)
-	}
-	requireInvariants(t, Invariants{
-		PlaybackCompletes:  true,
-		MaxStalls:          0,
-		NoPollutedCache:    true,
-		NoViewerErrors:     true,
-		MinHonestNeighbors: 1,
-	}, res)
-	if len(res.Colluders) != 6 {
+	if res := runEntry(t, "eclipse_matcher"); len(res.Colluders) != 6 {
 		t.Errorf("seed=%d: recorded %d colluder IDs, want 6", *chaosSeed, len(res.Colluders))
 	}
 }
@@ -149,60 +116,15 @@ func TestScenarioEclipseMatcher(t *testing.T) {
 // must hold — the farm downloads without uploading, but honest peers
 // still share load sanely.
 func TestScenarioFreeRiderWave(t *testing.T) {
-	sc := FreeRiderWave(10*time.Millisecond, 6, 60*time.Millisecond, 0.25)
-	res, err := RunScenario(context.Background(), SwarmConfig{
-		Viewers:  5,
-		Segments: 4,
-		Seed:     *chaosSeed,
-		Pace:     sc.PaceToOutlast(4), // the churn must find the swarm still playing
-	}, sc)
-	if err != nil {
-		t.Fatalf("seed=%d: %v", *chaosSeed, err)
-	}
-	requireInvariants(t, Invariants{
-		MaxStalls:       -1,
-		NoPollutedCache: true,
-		MinJainFairness: 0.05,
-	}, res)
+	runEntry(t, "free_rider_wave")
 }
 
-// TestScenarioFlashCrowdLive points a join storm at a live stream: two
+// TestScenarioFlashCrowdLive points a join storm at a live stream:
 // waves of honest joiners tune in at the live edge while the original
 // viewers chase the sliding window. The p99 live-edge lag must stay
-// bounded. A live session is sized by the window, not the pace: six
-// segments take six slides of liveSegDur, which must outlast the waves.
+// bounded.
 func TestScenarioFlashCrowdLive(t *testing.T) {
-	const segments = 6
-	sc := FlashCrowdLive(10*time.Millisecond, 30*time.Millisecond, 2, 6)
-	if session := time.Duration(segments * liveSegDur * float64(time.Second)); session < outlastFactor*sc.Span() {
-		t.Fatalf("a %v live session does not outlast the %v schedule", session, sc.Span())
-	}
-	res, err := RunScenario(context.Background(), SwarmConfig{
-		Viewers:  4,
-		Segments: segments,
-		Seed:     *chaosSeed,
-		Pace:     5 * time.Millisecond,
-		Live:     true,
-		VideoID:  "chaos-live",
-	}, sc)
-	if err != nil {
-		t.Fatalf("seed=%d: %v", *chaosSeed, err)
-	}
-	// The lag bound is wall-clock-sensitive: the race detector's
-	// slowdown stretches how far viewers trail the sliding window, so
-	// it gets headroom there. The fire-test pins the bound's logic.
-	lagBound := 40.0
-	if raceEnabled {
-		lagBound = 160
-	}
-	requireInvariants(t, Invariants{
-		PlaybackCompletes: true,
-		MaxStalls:         -1,
-		NoPollutedCache:   true,
-		NoViewerErrors:    true,
-		MaxLiveLagP99:     lagBound,
-	}, res)
-	if len(res.LiveLag) == 0 {
+	if res := runEntry(t, "flash_crowd_live"); len(res.LiveLag) == 0 {
 		t.Fatalf("seed=%d: live run collected no lag samples", *chaosSeed)
 	}
 }
@@ -317,7 +239,6 @@ func TestHardenedContainsSybilMill(t *testing.T) {
 			Viewers:  10,
 			Segments: 4,
 			Seed:     profileSeed,
-			Pace:     sc.PaceToOutlast(4),
 			Profile:  profile,
 		}, sc)
 		if err != nil {
@@ -359,7 +280,6 @@ func TestHardenedKeepsLeechFarmFairness(t *testing.T) {
 			Viewers:  10,
 			Segments: 8,
 			Seed:     profileSeed,
-			Pace:     sc.PaceToOutlast(8),
 			Profile:  profile,
 		}, sc)
 		if err != nil {

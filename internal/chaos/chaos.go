@@ -13,6 +13,10 @@
 // wall-clock timestamps or runtime reactions, so the same seed
 // reproduces a byte-identical log — the property the determinism suite
 // pins down and failure messages lean on ("rerun with this seed").
+//
+// Every shipped scenario, with the swarm it runs against and the
+// invariants it must hold, is one entry in the catalogue (Lookup,
+// Names) that cmd/chaos and the scenario tests share.
 package chaos
 
 import (

@@ -6,10 +6,13 @@ import (
 	"flag"
 	"fmt"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/stealthy-peers/pdnsec/internal/golden"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
 )
@@ -20,7 +23,10 @@ func statsPlayed(n int) pdnclient.Stats { return pdnclient.Stats{SegmentsPlayed:
 // the value); a failure message embeds the seed so the exact fault
 // schedule can be replayed locally with
 // go test ./internal/chaos -chaos-seed=<seed>.
-var chaosSeed = flag.Int64("chaos-seed", 20260805, "seed for chaos scenario runs")
+var chaosSeed = flag.Int64("chaos-seed", defaultChaosSeed, "seed for chaos scenario runs")
+
+// defaultChaosSeed is the committed seed the golden fault logs pin.
+const defaultChaosSeed = 20260805
 
 // newRoster builds an engine over a fresh network with n killable
 // nodes named node-00..node-NN plus cdn/signal infrastructure nodes.
@@ -172,25 +178,81 @@ func requireInvariants(t *testing.T, inv Invariants, res *Result) {
 	}
 }
 
-// TestScenarioPeerChurn kills 40%% of the swarm mid-playback. The
-// survivors must evict dead neighbors and finish clean off the CDN.
-func TestScenarioPeerChurn(t *testing.T) {
-	sc := PeerChurn(25*time.Millisecond, 0.4)
-	res, err := RunScenario(context.Background(), SwarmConfig{
-		Viewers:  5,
-		Segments: 5,
-		Seed:     *chaosSeed,
-		Pace:     sc.PaceToOutlast(5),
-	}, sc)
+// runEntry runs the catalogued scenario at -chaos-seed and holds it to
+// the entry's invariants. At the committed default seed its fault log
+// must also match testdata/faultlogs/<name>.jsonl; a rotated seed skips
+// only that comparison.
+func runEntry(t *testing.T, name string) *Result {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no catalogued scenario %q", name)
+	}
+	cfg := e.Swarm
+	cfg.Seed = *chaosSeed
+	res, err := RunScenario(context.Background(), cfg, e.Scenario)
 	if err != nil {
 		t.Fatalf("seed=%d: %v", *chaosSeed, err)
 	}
-	requireInvariants(t, Invariants{
-		PlaybackCompletes: true,
-		MaxStalls:         0,
-		NoPollutedCache:   true,
-		NoViewerErrors:    true,
-	}, res)
+	inv := e.Invariants
+	if raceEnabled {
+		// The lag bound is wall-clock-sensitive: the race detector's
+		// slowdown stretches how far viewers trail the sliding window, so
+		// it gets headroom there. The fire-test pins the bound's logic.
+		inv.MaxLiveLagP99 *= 4
+	}
+	requireInvariants(t, inv, res)
+	if *chaosSeed == defaultChaosSeed {
+		golden.Check(t, faultLogPath(name), res.Log)
+	}
+	return res
+}
+
+// faultLogPath is where a catalogued scenario's golden fault log lives.
+func faultLogPath(name string) string {
+	return filepath.Join("testdata", "faultlogs", name+".jsonl")
+}
+
+// TestCatalog checks every entry before anything runs: it is filed
+// under its scenario's name, its schedule validates, it has a golden
+// fault log, and its session outlasts its schedule, so every fault
+// lands while viewers are still playing. polluted_wire is exempt from
+// the last: stretched across its window, the sick viewer's own CDN
+// responses corrupt mid-read and each waits out the 10 s HTTP timeout
+// (docs/chaos.md, "Sizing the session").
+func TestCatalog(t *testing.T) {
+	for _, name := range Names() {
+		e, _ := Lookup(name)
+		if e.Scenario.Name != name {
+			t.Errorf("%s: catalogued under the wrong name; its scenario is %q", name, e.Scenario.Name)
+		}
+		if err := e.Scenario.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if _, err := os.Stat(faultLogPath(name)); err != nil {
+			t.Errorf("%s: no golden fault log: %v", name, err)
+		}
+		if name == "polluted_wire" {
+			continue
+		}
+		cfg := e.Swarm
+		if cfg.Pace == 0 {
+			cfg.Pace = e.Scenario.PaceToOutlast(cfg.Segments) // as RunScenario sizes it
+		}
+		session := cfg.Pace * time.Duration(cfg.Segments)
+		if cfg.Live {
+			session = time.Duration(float64(cfg.Segments) * liveSegDur * float64(time.Second))
+		}
+		if span := e.Scenario.Span(); session < outlastFactor*span {
+			t.Errorf("%s: a %v session does not outlast %d× its %v schedule", name, session, outlastFactor, span)
+		}
+	}
+}
+
+// TestScenarioPeerChurn kills 40% of the swarm mid-playback. The
+// survivors must evict dead neighbors and finish clean off the CDN.
+func TestScenarioPeerChurn(t *testing.T) {
+	res := runEntry(t, "peer_churn")
 	if killed := len(res.Viewers) - len(res.Survivors()); killed != 2 {
 		t.Fatalf("seed=%d: scenario killed %d viewers, want 2\nlog:\n%s", *chaosSeed, killed, res.Log)
 	}
@@ -201,23 +263,7 @@ func TestScenarioPeerChurn(t *testing.T) {
 // re-join after the heal); late joiners degrade to plain CDN viewers.
 // Playback must complete either way.
 func TestScenarioSignalPartition(t *testing.T) {
-	sc := SignalPartition(20*time.Millisecond, 150*time.Millisecond)
-	res, err := RunScenario(context.Background(), SwarmConfig{
-		Viewers:  4,
-		Segments: 5,
-		Seed:     *chaosSeed,
-		Pace:     sc.PaceToOutlast(5),
-	}, sc)
-	if err != nil {
-		t.Fatalf("seed=%d: %v", *chaosSeed, err)
-	}
-	requireInvariants(t, Invariants{
-		PlaybackCompletes: true,
-		MaxStalls:         0,
-		NoPollutedCache:   true,
-		NoViewerErrors:    true,
-	}, res)
-	if len(res.Events) != 2 {
+	if res := runEntry(t, "signal_partition"); len(res.Events) != 2 {
 		t.Fatalf("want partition+heal events, got %+v", res.Events)
 	}
 }
@@ -226,82 +272,23 @@ func TestScenarioSignalPartition(t *testing.T) {
 // playback leans on swarm caches and the slow origin and must still
 // complete without hard stalls.
 func TestScenarioCDNBrownout(t *testing.T) {
-	sc := CDNBrownout(15*time.Millisecond, 100*time.Millisecond, 10*time.Millisecond, 512<<10)
-	res, err := RunScenario(context.Background(), SwarmConfig{
-		Viewers:  4,
-		Segments: 5,
-		Seed:     *chaosSeed,
-		Pace:     sc.PaceToOutlast(5),
-	}, sc)
-	if err != nil {
-		t.Fatalf("seed=%d: %v", *chaosSeed, err)
-	}
-	requireInvariants(t, Invariants{
-		PlaybackCompletes: true,
-		MaxStalls:         0,
-		NoPollutedCache:   true,
-		NoViewerErrors:    true,
-	}, res)
+	runEntry(t, "cdn_brownout")
 }
 
 // TestScenarioPollutedWire corrupts everything one viewer sends. DTLS
 // authentication turns the corruption into dead connections, so the
 // swarm must evict and fall back — and no corrupt bytes may ever
-// surface in a cache. (Left at the harness's 2ms pace rather than
-// PaceToOutlast: see docs/chaos.md, "Sizing the session".)
+// surface in a cache.
 func TestScenarioPollutedWire(t *testing.T) {
-	res, err := RunScenario(context.Background(), SwarmConfig{
-		Viewers:      4,
-		Segments:     5,
-		Seed:         *chaosSeed,
-		HashManifest: true,
-	}, PollutedWire(20*time.Millisecond, 120*time.Millisecond, "viewer-00"))
-	if err != nil {
-		t.Fatalf("seed=%d: %v", *chaosSeed, err)
-	}
-	// The sick node's own uplink is destroyed for the window — its CDN
-	// requests corrupt too — so it is exempt from completion, and the
-	// stall bound covers its skipped segments. Cache integrity has no
-	// exemptions: nobody may hold polluted bytes.
-	requireInvariants(t, Invariants{
-		PlaybackCompletes: true,
-		MaxStalls:         int64(res.Segments),
-		NoPollutedCache:   true,
-		NoViewerErrors:    true,
-		Exempt:            []string{"viewer-00"},
-	}, res)
+	runEntry(t, "polluted_wire")
 }
 
 // TestScenarioFederatedSignalCrash runs the swarm against a 3-server
-// federated plane and crashes the member that owns the swarm
-// ("chaos-fed" hashes to s2 — the ring is deterministic, so the
-// scenario can name its victim up front). The ring hands the swarm to
-// a survivor, stranded viewers re-bootstrap through their peerstores,
-// and playback must complete without a stall.
+// federated plane and crashes the member that owns the swarm. The ring
+// hands the swarm to a survivor, stranded viewers re-bootstrap through
+// their peerstores, and playback must complete without a stall.
 func TestScenarioFederatedSignalCrash(t *testing.T) {
-	// Playback must outlast the crash recovery: the reconnect loop's
-	// first rejoin lands ~70ms after the kill (50ms base backoff plus
-	// detection), and a rejoin re-dials, re-joins, and re-gathers ICE —
-	// work that stretches under -race on loaded runners while the pace
-	// clock does not. 12 segments at 20ms keep viewers alive well past
-	// the rejoin even when it runs slow.
-	res, err := RunScenario(context.Background(), SwarmConfig{
-		Viewers:  5,
-		Segments: 12,
-		Seed:     *chaosSeed,
-		Pace:     20 * time.Millisecond,
-		Servers:  3,
-		VideoID:  "chaos-fed",
-	}, SignalCrash(20*time.Millisecond, NodeSignal+"-2"))
-	if err != nil {
-		t.Fatalf("seed=%d: %v", *chaosSeed, err)
-	}
-	requireInvariants(t, Invariants{
-		PlaybackCompletes: true,
-		MaxStalls:         0,
-		NoPollutedCache:   true,
-		NoViewerErrors:    true,
-	}, res)
+	res := runEntry(t, "signal_crash")
 	if got := res.Counter("pdn_signal_reconnects_total"); got == 0 {
 		t.Errorf("seed=%d: no viewer re-bootstrapped after the owner crash\nlog:\n%s", *chaosSeed, res.Log)
 	}

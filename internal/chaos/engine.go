@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/netip"
@@ -57,9 +56,8 @@ type Event struct {
 
 // Engine applies scenarios to a registered roster over a network.
 type Engine struct {
-	net  *netsim.Network
-	seed int64
-	rng  *rand.Rand
+	net *netsim.Network
+	rng *rand.Rand
 
 	mu     sync.Mutex
 	nodes  map[string]*Node
@@ -73,15 +71,11 @@ type Engine struct {
 func NewEngine(n *netsim.Network, seed int64) *Engine {
 	return &Engine{
 		net:    n,
-		seed:   seed,
 		rng:    rand.New(rand.NewSource(seed)),
 		nodes:  make(map[string]*Node),
 		killed: make(map[string]bool),
 	}
 }
-
-// Seed returns the engine's seed, for failure messages and reruns.
-func (e *Engine) Seed() int64 { return e.seed }
 
 // Register adds a node to the roster. Registration order does not
 // matter — selections work on the name-sorted roster — but the full
@@ -125,20 +119,6 @@ func (e *Engine) Events() []Event {
 	out := make([]Event, len(e.events))
 	copy(out, e.events)
 	return out
-}
-
-// WriteLog writes the event log as JSONL (one event per line).
-func (e *Engine) WriteLog(w io.Writer) error {
-	for _, ev := range e.Events() {
-		line, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // LogBytes returns the JSONL event log as a byte slice.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/population"
@@ -19,25 +18,7 @@ import (
 // off the CDN (graceful degradation, the paper's availability
 // baseline).
 func TestScenarioKeyCompromise(t *testing.T) {
-	res, err := RunScenario(context.Background(), SwarmConfig{
-		Viewers:  8,
-		Segments: 8,
-		Seed:     *chaosSeed,
-		Pace:     5 * time.Millisecond,
-		Profile:  "secure",
-	}, KeyCompromise(10*time.Millisecond, 6))
-	if err != nil {
-		t.Fatalf("seed=%d: %v", *chaosSeed, err)
-	}
-	requireInvariants(t, Invariants{
-		PlaybackCompletes: true,
-		MaxStalls:         -1,
-		NoPollutedCache:   true,
-		NoViewerErrors:    true,
-		// Containment: the leaked key must actually get quarantined, not
-		// just fail handshakes one at a time forever.
-		MinSecureQuarantines: 1,
-	}, res)
+	res := runEntry(t, "key_compromise")
 	for _, v := range res.Viewers {
 		if v.Behavior != population.BehaviorImpersonator {
 			continue
@@ -81,20 +62,12 @@ func TestSecureQuarantineInvariantFires(t *testing.T) {
 // the same invariant the hash-manifest run pins, now enforced by the
 // provider's signature rather than a CDN-fetched hash list.
 func TestScenarioPollutedWireSecure(t *testing.T) {
-	res, err := RunScenario(context.Background(), SwarmConfig{
-		Viewers:  4,
-		Segments: 5,
-		Seed:     *chaosSeed,
-		Profile:  "secure",
-	}, PollutedWire(20*time.Millisecond, 120*time.Millisecond, "viewer-00"))
+	e, _ := Lookup("polluted_wire")
+	cfg := e.Swarm
+	cfg.Seed, cfg.Profile, cfg.HashManifest = *chaosSeed, "secure", false
+	res, err := RunScenario(context.Background(), cfg, e.Scenario)
 	if err != nil {
 		t.Fatalf("seed=%d: %v", *chaosSeed, err)
 	}
-	requireInvariants(t, Invariants{
-		PlaybackCompletes: true,
-		MaxStalls:         int64(res.Segments),
-		NoPollutedCache:   true,
-		NoViewerErrors:    true,
-		Exempt:            []string{"viewer-00"},
-	}, res)
+	requireInvariants(t, e.Invariants, res)
 }

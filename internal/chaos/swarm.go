@@ -21,23 +21,27 @@ import (
 // window slide many times.
 const liveSegDur = 0.05
 
+// segBytes is the size of every segment a scenario's asset serves.
+const segBytes = 12 << 10
+
 // SwarmConfig sizes the deployment a scenario runs against.
 type SwarmConfig struct {
-	// Viewers is the swarm size (default 4).
+	// Viewers is the swarm size (at least one).
 	Viewers int
-	// Segments is the VOD length each viewer plays (default 6).
+	// Segments is the VOD length each viewer plays (at least one).
 	Segments int
 	// Seed drives everything random: provider matching, viewer neighbor
 	// selection, and the engine's fault targeting.
 	Seed int64
-	// Pace is each viewer's inter-segment delay (default 2ms) — it is
-	// what gives mid-playback faults a playback to land in.
+	// Pace is each viewer's inter-segment delay — it is what gives
+	// mid-playback faults a playback to land in. Zero sizes it by the
+	// schedule (Scenario.PaceToOutlast): a fault that lands after
+	// playback has finished tests nothing, and how long unpaced playback
+	// takes is whatever connects and fetches happen to cost.
 	Pace time.Duration
 	// HashManifest makes viewers verify every segment against the
 	// CDN-served hash list.
 	HashManifest bool
-	// SegBytes is the segment size (default 12 KiB).
-	SegBytes int
 	// Shards stripes the signaling server's swarm state. Zero keeps the
 	// single-stripe layout; large-swarm scenarios (-viewers up to 10k)
 	// want 16.
@@ -174,17 +178,11 @@ func resolveProfile(name string) (provider.Profile, error) {
 // malformed scenario); swarm-level damage is the point and lands in
 // Result for the invariant checker.
 func RunScenario(ctx context.Context, cfg SwarmConfig, sc Scenario) (*Result, error) {
-	if cfg.Viewers <= 0 {
-		cfg.Viewers = 4
-	}
-	if cfg.Segments <= 0 {
-		cfg.Segments = 6
+	if cfg.Viewers < 1 || cfg.Segments < 1 {
+		return nil, fmt.Errorf("chaos: %d viewers × %d segments: both must be at least one", cfg.Viewers, cfg.Segments)
 	}
 	if cfg.Pace <= 0 {
-		cfg.Pace = 2 * time.Millisecond
-	}
-	if cfg.SegBytes <= 0 {
-		cfg.SegBytes = 12 << 10
+		cfg.Pace = sc.PaceToOutlast(cfg.Segments)
 	}
 	if cfg.VideoID == "" {
 		cfg.VideoID = "chaos"
@@ -196,9 +194,9 @@ func RunScenario(ctx context.Context, cfg SwarmConfig, sc Scenario) (*Result, er
 	rctx, cancel := context.WithTimeout(ctx, 90*time.Second)
 	defer cancel()
 
-	video := analyzer.SmallVideo(cfg.VideoID, cfg.Segments, cfg.SegBytes)
+	video := analyzer.SmallVideo(cfg.VideoID, cfg.Segments, segBytes)
 	if cfg.Live {
-		video = analyzer.SmallLiveVideo(cfg.VideoID, cfg.SegBytes, liveSegDur)
+		video = analyzer.SmallLiveVideo(cfg.VideoID, segBytes, liveSegDur)
 	}
 	reg := obs.NewRegistry()
 	tb, err := analyzer.NewTestbed(rctx, analyzer.TestbedConfig{

@@ -124,9 +124,9 @@ func runHandshake(raw net.Conn, cfg Config, isClient bool) (*Conn, error) {
 		if err := record.WriteRecord(raw, framing.Handshake, 0, 0, local); err != nil {
 			return nil, fmt.Errorf("dtls: send hello: %w", err)
 		}
-		_, _, remote, err = record.ReadRecord(raw, framing.Handshake)
+		_, _, remote, err = record.ReadRecord(raw, framing.Handshake, handshakeLen)
 	} else {
-		_, _, remote, err = record.ReadRecord(raw, framing.Handshake)
+		_, _, remote, err = record.ReadRecord(raw, framing.Handshake, handshakeLen)
 		if err == nil {
 			err = record.WriteRecord(raw, framing.Handshake, 0, 0, local)
 		}

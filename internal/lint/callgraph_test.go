@@ -1,17 +1,13 @@
 package lint
 
 import (
-	"flag"
 	"go/types"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// updateGolden regenerates the call-graph fixture:
-// go test ./internal/lint -run TestCallGraphGolden -args -update
-var updateGolden = flag.Bool("update", false, "rewrite golden fixtures")
+	"github.com/stealthy-peers/pdnsec/internal/golden"
+)
 
 // loadTestdataGraph builds the call graph over one testdata package.
 func loadTestdataGraph(t *testing.T, pkgdir string) (*CallGraph, *Package) {
@@ -150,22 +146,8 @@ func TestCallGraphMethodLookup(t *testing.T) {
 
 // TestCallGraphGolden pins the full deterministic rendering, so any
 // resolution change shows up as a reviewable fixture diff. Regenerate
-// with: go test ./internal/lint -run TestCallGraphGolden -args -update
+// with: PDNSEC_UPDATE_GOLDEN=1 go test ./internal/lint -run TestCallGraphGolden
 func TestCallGraphGolden(t *testing.T) {
 	g, _ := loadTestdataGraph(t, "callgraph")
-	got := g.DebugString()
-	golden := filepath.Join(repoRoot(t), "internal", "lint", "testdata", "callgraph.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("call graph drifted from golden fixture:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join(repoRoot(t), "internal", "lint", "testdata", "callgraph.golden"), []byte(g.DebugString()))
 }

@@ -299,13 +299,12 @@ type Options struct {
 	// Servers > 1; it must hold exactly Servers-1 entries. The first
 	// server always lives on Deploy's host argument.
 	SignalHosts []*netsim.Host
-	// Obs and Tracer forward to the signaling server's instrumentation;
-	// nil disables it.
-	Obs    *obs.Registry
-	Tracer *obs.Tracer
+	// Obs forwards to the signaling server's instrumentation; nil
+	// disables it.
+	Obs *obs.Registry
 	// Traces, when set, gives each federated server its own
 	// process-stamped tracer (keyed "s0", "s1", ...) so multi-server
-	// traces stay attributable; it overrides Tracer per server.
+	// traces stay attributable.
 	Traces *obs.TraceSet
 }
 
@@ -370,7 +369,6 @@ func Deploy(ctx context.Context, p Profile, host *netsim.Host, opts Options) (*D
 			Seed:        opts.Seed,
 			Shards:      opts.Shards,
 			Obs:         opts.Obs,
-			Tracer:      opts.Tracer,
 		},
 		Traces: opts.Traces,
 	})

@@ -79,9 +79,9 @@ func WriteRecord(w io.Writer, prefix string, flags byte, seq uint64, payload []b
 }
 
 // readHeader reads one record header, requires it to start with prefix,
-// and checks the length field, so that a caller allocates the payload
-// only after both hold.
-func readHeader(r io.Reader, prefix string) (flags byte, seq uint64, n int, err error) {
+// and checks the length field against limit, so that a caller allocates
+// (or waits for) the payload only after both hold.
+func readHeader(r io.Reader, prefix string, limit int) (flags byte, seq uint64, n int, err error) {
 	hdr := make([]byte, len(prefix)+tailLen)
 	if _, err = io.ReadFull(r, hdr); err != nil {
 		return 0, 0, 0, err
@@ -91,16 +91,19 @@ func readHeader(r io.Reader, prefix string) (flags byte, seq uint64, n int, err 
 	}
 	tail := hdr[len(prefix):]
 	size := binary.BigEndian.Uint32(tail[9:13])
-	if size > maxRecord+64 {
+	if uint64(size) > uint64(limit) {
 		return 0, 0, 0, ErrRecordTooLarge
 	}
 	return tail[8], binary.BigEndian.Uint64(tail[0:8]), int(size), nil
 }
 
-// ReadRecord reads one record and requires its header to start with
-// prefix. The length field is checked before the payload is allocated.
-func ReadRecord(r io.Reader, prefix string) (flags byte, seq uint64, payload []byte, err error) {
-	flags, seq, n, err := readHeader(r, prefix)
+// ReadRecord reads one record of at most limit payload bytes and
+// requires its header to start with prefix. The length field is checked
+// before the payload is read, so a header announcing more than the
+// caller accepts fails at once instead of waiting for bytes the sender
+// never sends.
+func ReadRecord(r io.Reader, prefix string, limit int) (flags byte, seq uint64, payload []byte, err error) {
+	flags, seq, n, err := readHeader(r, prefix, limit)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -264,7 +267,7 @@ func (c *Conn) Recv() ([]byte, error) {
 	defer c.recvMu.Unlock()
 	var out []byte
 	for {
-		flags, seq, n, err := readHeader(c.raw, c.prefix)
+		flags, seq, n, err := readHeader(c.raw, c.prefix, maxRecord+64)
 		if err != nil {
 			return nil, err
 		}

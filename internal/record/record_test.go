@@ -108,7 +108,7 @@ func TestHeaderLayout(t *testing.T) {
 				if got := buf.Len() - 3; got != tc.headerLen {
 					t.Errorf("header is %d bytes, want %d", got, tc.headerLen)
 				}
-				flags, seq, payload, err := ReadRecord(&buf, prefix)
+				flags, seq, payload, err := ReadRecord(&buf, prefix, 3)
 				if err != nil || flags != FlagFinal || seq != 0x0102030405060708 || string(payload) != "abc" {
 					t.Errorf("ReadRecord = %d, %#x, %q, %v", flags, seq, payload, err)
 				}
@@ -116,6 +116,41 @@ func TestHeaderLayout(t *testing.T) {
 			msg := make([]byte, 1000)
 			if got := len(seal(t, tc.f, nil, msg)) - len(msg); got != tc.overhead {
 				t.Errorf("one-record message costs %d wire bytes over its plaintext, want %d", got, tc.overhead)
+			}
+		})
+	}
+}
+
+// TestReadRecordCapsAtHeader pins that ReadRecord checks the caller's
+// cap on the header alone: a header announcing cap+1 bytes, with no
+// body ever sent, fails with ErrRecordTooLarge instead of waiting for
+// the body. A record of exactly cap bytes still reads.
+func TestReadRecordCapsAtHeader(t *testing.T) {
+	const limit = 160
+	for _, tc := range framings {
+		t.Run(tc.name, func(t *testing.T) {
+			prefix := tc.f.Handshake
+			a, b := net.Pipe()
+			defer a.Close()
+			defer b.Close()
+			go func() {
+				hdr := make([]byte, len(prefix)+tailLen)
+				putHeader(hdr, prefix, FlagFinal, 0, limit+1)
+				a.Write(hdr)
+			}()
+			// Were the body awaited, the deadline would end the read with
+			// a timeout rather than ErrRecordTooLarge.
+			b.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, _, _, err := ReadRecord(b, prefix, limit); !errors.Is(err, ErrRecordTooLarge) {
+				t.Fatalf("header announcing %d bytes against cap %d: %v, want ErrRecordTooLarge", limit+1, limit, err)
+			}
+
+			var buf bytes.Buffer
+			if err := WriteRecord(&buf, prefix, FlagFinal, 0, make([]byte, limit)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, payload, err := ReadRecord(&buf, prefix, limit); err != nil || len(payload) != limit {
+				t.Fatalf("record of exactly cap bytes: %d bytes, %v", len(payload), err)
 			}
 		})
 	}
@@ -245,7 +280,7 @@ func TestRecordLayer(t *testing.T) {
 				hdr := make([]byte, len(f.Data)+tailLen)
 				copy(hdr, f.Data)
 				binary.BigEndian.PutUint32(hdr[len(f.Data)+9:], 0xffffffff)
-				if _, _, _, err := ReadRecord(bytes.NewReader(hdr), f.Data); !errors.Is(err, ErrRecordTooLarge) {
+				if _, _, _, err := ReadRecord(bytes.NewReader(hdr), f.Data, maxRecord+64); !errors.Is(err, ErrRecordTooLarge) {
 					t.Fatalf("ReadRecord: %v, want ErrRecordTooLarge", err)
 				}
 				if _, err := receiver(t, f, false, nil, hdr).Recv(); !errors.Is(err, ErrRecordTooLarge) {

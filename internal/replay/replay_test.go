@@ -2,10 +2,10 @@ package replay
 
 import (
 	"context"
-	"os"
 	"testing"
 	"time"
 
+	"github.com/stealthy-peers/pdnsec/internal/golden"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
 )
 
@@ -83,22 +83,7 @@ func TestDefenseMatrix(t *testing.T) {
 		return
 	}
 
-	const goldenPath = "../../docs/defense_matrix.md"
-	got := m.Markdown()
-	if os.Getenv("PDNSEC_UPDATE_GOLDEN") == "1" {
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatalf("write golden: %v", err)
-		}
-		t.Logf("wrote %s", goldenPath)
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with PDNSEC_UPDATE_GOLDEN=1 go test ./internal/replay -run TestDefenseMatrix): %v", err)
-	}
-	if string(want) != got {
-		t.Errorf("docs/defense_matrix.md drifted from the replay outcome; regenerate with PDNSEC_UPDATE_GOLDEN=1\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	golden.Check(t, "../../docs/defense_matrix.md", []byte(m.Markdown()))
 }
 
 // TestMatrixMarkdownPure pins that the rendering is a function of the

@@ -346,8 +346,8 @@ func runHandshake(raw net.Conn, cfg ChannelConfig, isInitiator bool) (*Conn, err
 // readHandshakeRecord reads one record and requires it to be a
 // single-record handshake message.
 func readHandshakeRecord(raw net.Conn) ([]byte, error) {
-	flags, _, payload, err := record.ReadRecord(raw, framing.Handshake)
-	if errors.Is(err, record.ErrBadPrefix) {
+	flags, _, payload, err := record.ReadRecord(raw, framing.Handshake, maxHandshake)
+	if errors.Is(err, record.ErrBadPrefix) || errors.Is(err, record.ErrRecordTooLarge) {
 		return nil, fmt.Errorf("%w: %w", ErrBadHandshake, err)
 	}
 	if err != nil {
@@ -355,9 +355,6 @@ func readHandshakeRecord(raw net.Conn) ([]byte, error) {
 	}
 	if flags&record.FlagFinal == 0 {
 		return nil, fmt.Errorf("%w: handshake record is not final", ErrBadHandshake)
-	}
-	if len(payload) > maxHandshake {
-		return nil, fmt.Errorf("%w: handshake record of %d bytes", ErrBadHandshake, len(payload))
 	}
 	return payload, nil
 }
