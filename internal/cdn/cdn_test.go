@@ -257,9 +257,9 @@ func TestHashListFromOrigin(t *testing.T) {
 		t.Fatalf("%d misses after serving 3 segments", got)
 	}
 	code, body := f.get(t, HashesURL(f.base, "bbb", "360p"))
-	const want = `{"bbb/360p/0":"b3a730da71883f1b5cbe627b4e002e8c782e59d9ffe4417f263560eef0d7ca84",` +
-		`"bbb/360p/1":"a86bf401b513143ee8594fea4868cafe44bd459be85c469e51591c5bf8112431",` +
-		`"bbb/360p/2":"29e879e0b5a885b5d8254864bd41fa52ead56c54c9605eb7be748fc8ab755c46"}`
+	const want = `{"bbb/360p/0":"c82a793764b8c028b90a3c77ecc26226da0d613df50596752d77949d15c60a55",` +
+		`"bbb/360p/1":"c334cb56e70fabf1faec0b379f513d851e0f8f988d427ca7a87aaeed5f27d842",` +
+		`"bbb/360p/2":"3cc61ee20e1679bdbce8464b9981760a37b3223a4339fea28b1720b04a22c878"}`
 	if code != 200 || string(body) != want {
 		t.Fatalf("hashes.json = %d %s, want %s", code, body, want)
 	}

@@ -7,10 +7,15 @@
 // so pollution is detectable automatically (the paper verified pollution
 // visually from screen recordings). Every byte of a segment is a pure
 // function of (video ID, rendition, segment index), so any peer — or any
-// test — can independently recompute what a segment should contain.
+// test — can independently recompute what a segment should contain: a
+// one-line identity header, then an AES-128-CTR keystream keyed by the
+// header's SHA-256.
 package media
 
 import (
+	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
@@ -105,26 +110,26 @@ func (v *Video) SegmentData(rendition string, index int) ([]byte, error) {
 // segmentMagic marks the start of a synthetic segment payload.
 const segmentMagic = "PDNSEG1\x00"
 
-// generate produces size bytes: header + keyed keystream.
+// generate produces size bytes (at least 64): the identity header, cut
+// at size if it is longer, then filler. The filler is the AES-128-CTR
+// keystream whose key and initial counter block are the first and last
+// 16 bytes of sha256(header), so it is a fixed function of the identity
+// that the standard library's AES produces at cipher speed.
 func generate(videoID, rendition string, index, size int) []byte {
 	if size < 64 {
 		size = 64
 	}
-	out := make([]byte, 0, size)
 	header := fmt.Sprintf("%s%s|%s|%d\n", segmentMagic, videoID, rendition, index)
-	out = append(out, header...)
-
-	// Keystream: chained SHA-256 over the segment identity. ~32 bytes per
-	// round; cheap enough for multi-MB segments in tests and benches.
-	block := sha256.Sum256([]byte(header))
-	var in [sha256.Size + 8]byte // previous block, then the counter
-	for n := uint64(0); len(out) < size; n++ {
-		copy(in[:], block[:])
-		binary.BigEndian.PutUint64(in[sha256.Size:], n)
-		block = sha256.Sum256(in[:])
-		out = append(out, block[:]...)
+	out := make([]byte, size)
+	n := copy(out, header)
+	seed := sha256.Sum256([]byte(header))
+	block, err := aes.NewCipher(seed[:16])
+	if err != nil {
+		panic(err) // unreachable: a 16-byte key is always valid
 	}
-	return out[:size]
+	// out is zero after the header, so XOR leaves the bare keystream.
+	cipher.NewCTR(block, seed[16:]).XORKeyStream(out[n:], out[n:])
+	return out
 }
 
 // ParseHeader extracts the (videoID, rendition, index) identity from a
@@ -180,10 +185,7 @@ func (v *Video) Verify(rendition string, index int, data []byte) bool {
 	if err != nil {
 		return false
 	}
-	if len(want) != len(data) {
-		return false
-	}
-	return sha256.Sum256(want) == sha256.Sum256(data)
+	return bytes.Equal(want, data) // a length mismatch is unequal too
 }
 
 // Hash returns the hex SHA-256 of a segment payload — the integrity

@@ -2,8 +2,12 @@ package media
 
 import (
 	"bytes"
+	"crypto/aes"
 	"crypto/ed25519"
+	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -95,22 +99,39 @@ func TestParseHeaderRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestVerify: Verify accepts exactly the segment's own bytes; every
+// other payload of any length is pollution.
 func TestVerify(t *testing.T) {
 	v := NewVOD("bbb", 4)
 	data, _ := v.SegmentData("360p", 0)
 	if !v.Verify("360p", 0, data) {
 		t.Fatal("Verify rejected authentic segment")
 	}
-	polluted := append([]byte(nil), data...)
-	polluted[len(polluted)/2] ^= 0xff
-	if v.Verify("360p", 0, polluted) {
-		t.Fatal("Verify accepted polluted segment")
+	flip := func(i int) []byte {
+		b := append([]byte(nil), data...)
+		b[i] ^= 0x01
+		return b
 	}
-	if v.Verify("360p", 1, data) {
-		t.Fatal("Verify accepted misplaced segment (replay)")
-	}
-	if v.Verify("360p", 0, data[:len(data)-1]) {
-		t.Fatal("Verify accepted truncated segment")
+	header := len("PDNSEG1\x00bbb|360p|0\n")
+	other, _ := v.SegmentData("360p", 1)
+	spliced := append(data[:header:header], other[len("PDNSEG1\x00bbb|360p|1\n"):]...)
+	for _, tc := range []struct {
+		name  string
+		index int
+		data  []byte
+	}{
+		{"first filler byte flipped", 0, flip(header)},
+		{"middle byte flipped", 0, flip(len(data) / 2)},
+		{"last filler byte flipped", 0, flip(len(data) - 1)},
+		{"truncated", 0, data[:len(data)-1]},
+		{"extended", 0, append(append([]byte(nil), data...), 0)},
+		{"empty", 0, nil},
+		{"another identity's filler behind this header", 0, spliced},
+		{"misplaced (replayed) segment", 1, data},
+	} {
+		if v.Verify("360p", tc.index, tc.data) {
+			t.Errorf("%s: Verify accepted it", tc.name)
+		}
 	}
 }
 
@@ -214,25 +235,100 @@ func TestSIMWindowSignVerify(t *testing.T) {
 // TestGenerateGoldenDigests pins the generated bytes themselves: every
 // oracle downstream (Tables I–IV, the defense matrix, chaos logs)
 // assumes a segment's content is a fixed function of its identity. The
-// digests were taken from the hash.Hash-per-block generator before it
-// became one Sum256 per block.
+// digests are of the AES-128-CTR filler; an independent AES-CTR
+// implementation gives the same three.
 func TestGenerateGoldenDigests(t *testing.T) {
 	for _, tc := range []struct {
 		video, rendition string
 		index, size, n   int
 		digest           string
 	}{
-		{"bbb", "360p", 0, 256 << 10, 256 << 10, "aa4cf4e02989692ed1c5f835863f7d629e2487411e8d00cc8198b73e563bde1e"},
-		// Not a multiple of the 32-byte block: the last block is cut.
-		{"live/main", "720p", 41, 1000, 1000, "6f6938c40959f2f5fc80a6db55b3ae420b480282613f6d36445a4e3bb7bb33aa"},
+		{"bbb", "360p", 0, 256 << 10, 256 << 10, "a653707d37c9c90a81cb2648eda12211cd25947c6a27fc8e98ce6edb546cbb44"},
+		// Not a multiple of the 16-byte block: the last block is cut.
+		{"live/main", "720p", 41, 1000, 1000, "cb9658a7e2b13bc544069d6f59b391a3f6034dc3b829dae54d4b1743a547535c"},
 		// Below the floor: clamped to 64 bytes.
-		{"tiny", "t", 3, 1, 64, "0d43e96d1917b234cc5758431044789e282d88daaee8ad3fd92e1c9a1b063b84"},
+		{"tiny", "t", 3, 1, 64, "89f915df8a2db5a2a761dcce6eaedf23436daeee689c21daba9bc5c4434a9d64"},
 	} {
 		data := generate(tc.video, tc.rendition, tc.index, tc.size)
 		if len(data) != tc.n || Hash(data) != tc.digest {
 			t.Errorf("generate(%q, %q, %d, %d): %d bytes, sha256 %s; want %d bytes, %s",
 				tc.video, tc.rendition, tc.index, tc.size, len(data), Hash(data), tc.n, tc.digest)
 		}
+	}
+}
+
+// TestGenerateKnownAnswer rebuilds the filler's definition by hand, from
+// the block cipher alone: key sha256(header)[:16], initial counter block
+// sha256(header)[16:], counter block k (a 128-bit big-endian sum) is
+// encrypted for filler bytes 16k..16k+15. The first 16 filler bytes and
+// the last 16 (whose final block may be cut) must be those encryptions.
+func TestGenerateKnownAnswer(t *testing.T) {
+	for _, tc := range []struct {
+		video, rendition string
+		index, size      int
+	}{
+		{"bbb", "360p", 0, 256 << 10},
+		{"live/main", "720p", 41, 1000},
+	} {
+		header := fmt.Sprintf("PDNSEG1\x00%s|%s|%d\n", tc.video, tc.rendition, tc.index)
+		data := generate(tc.video, tc.rendition, tc.index, tc.size)
+		if !bytes.HasPrefix(data, []byte(header)) {
+			t.Fatalf("%q: segment does not open with its header", header)
+		}
+		filler := data[len(header):]
+		seed := sha256.Sum256([]byte(header))
+		block, err := aes.NewCipher(seed[:16])
+		if err != nil {
+			t.Fatal(err)
+		}
+		keystream := func(k int) []byte {
+			var ctr, out [aes.BlockSize]byte
+			copy(ctr[:], seed[16:])
+			carry := uint64(k)
+			for i := len(ctr) - 1; i >= 0 && carry > 0; i-- {
+				sum := uint64(ctr[i]) + carry&0xff
+				ctr[i] = byte(sum)
+				carry = carry>>8 + sum>>8
+			}
+			block.Encrypt(out[:], ctr[:])
+			return out[:]
+		}
+		if got, want := filler[:16], keystream(0); !bytes.Equal(got, want) {
+			t.Errorf("%q: first filler block %x, want E(IV) = %x", header, got, want)
+		}
+		last := (len(filler) - 1) / aes.BlockSize
+		tail := append(keystream(last-1), keystream(last)...)
+		tail = tail[:len(filler)-(last-1)*aes.BlockSize]
+		if got, want := filler[len(filler)-16:], tail[len(tail)-16:]; !bytes.Equal(got, want) {
+			t.Errorf("%q: last 16 filler bytes %x, want %x from counter blocks %d and %d", header, got, want, last-1, last)
+		}
+	}
+}
+
+// TestSegmentDataAllocBudget: a segment costs its own bytes and little
+// else. The returned slice is exactly as long as its backing array, so
+// the CDN edge memo, which counts len, holds what it counts.
+func TestSegmentDataAllocBudget(t *testing.T) {
+	const size = 256 << 10
+	v := &Video{ID: "bbb", Renditions: []Rendition{{Name: "360p", SegmentBytes: size}}, Segments: 8, SegmentDuration: 10}
+	const rounds = 8
+	held := make([][]byte, rounds)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range held {
+		var err error
+		if held[i], err = v.SegmentData("360p", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	for i, data := range held {
+		if len(data) != size || cap(data) != len(data) {
+			t.Fatalf("segment %d: len %d cap %d, want both %d", i, len(data), cap(data), size)
+		}
+	}
+	if per, limit := (after.TotalAlloc-before.TotalAlloc)/rounds, uint64(size+4<<10); per > limit {
+		t.Errorf("SegmentData allocates %d B per %d-byte segment, want <= %d", per, size, limit)
 	}
 }
 

@@ -2,6 +2,7 @@ package signal
 
 import (
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -151,5 +152,29 @@ func TestReplyThenCloseDeliversTheReply(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestJoinReadBounded: a join frame whose length prefix announces bytes
+// that never come (one corrupted length byte on the uplink) costs the
+// server joinReadTimeout, then the connection; it does not hold the
+// connection until the client gives up.
+func TestJoinReadBounded(t *testing.T) {
+	t.Parallel()
+	e := newEnv(t, nil)
+	conn, err := e.newPeerHost(t, "66.24.0.1").Dial(testCtx, e.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const announced = 3192
+	if _, err := conn.Write([]byte{0, 0, announced >> 8, announced & 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(joinReadTimeout + 5*time.Second))
+	_, err = conn.Read(make([]byte, 1))
+	if elapsed := time.Since(start); !errors.Is(err, io.EOF) || elapsed > joinReadTimeout+time.Second {
+		t.Fatalf("server answered a header-only join with %v after %v, want EOF within %v", err, elapsed, joinReadTimeout)
 	}
 }

@@ -339,11 +339,19 @@ func (s *Server) acceptLoop() {
 // so the 64 KiB default would cost tens of GB in bufio alone.
 const sessionBufSize = 8 << 10
 
+// joinReadTimeout bounds the wait for a connection's join frame. A
+// client sends it as soon as it dials, so only a frame whose length
+// prefix announces bytes that never come (a corrupted uplink) waits
+// this long; after the join, a session may stay idle for as long as it
+// likes.
+const joinReadTimeout = 5 * time.Second
+
 // handleConn authenticates one peer and serves its message loop.
 func (s *Server) handleConn(conn net.Conn) {
 	codec := wire.NewCodecSize(conn, sessionBufSize)
 	defer codec.Close()
 
+	conn.SetReadDeadline(time.Now().Add(joinReadTimeout))
 	env, err := codec.Read()
 	if err != nil {
 		return
@@ -357,6 +365,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		codec.Send(MsgError, ErrorInfo{Code: CodeBadRequest, Message: err.Error()})
 		return
 	}
+	conn.SetReadDeadline(time.Time{})
 
 	// Federated routing happens before authentication: the owner is the
 	// authority for its swarms and checks the credentials when the
