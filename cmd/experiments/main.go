@@ -8,10 +8,10 @@
 //
 //	experiments [-seed N] [-timeout 15m] [-trace FILE]
 //
-// -trace records each experiment section as a span; ".jsonl" files get
-// one trace event per line, anything else the Chrome trace-event JSON
-// array that ui.perfetto.dev loads directly. Tracing never changes the
-// report — the experiments read only their own injected clocks.
+// -trace records each experiment section as a span in a pdnsec-trace/1
+// JSONL file (pdntrace -chrome renders it for ui.perfetto.dev). Tracing
+// never changes the report — the experiments read only their own
+// injected clocks.
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 func run() int {
 	seed := flag.Int64("seed", 42, "experiment seed")
 	timeout := flag.Duration("timeout", 15*time.Minute, "overall timeout")
-	traceFile := flag.String("trace", "", "write a Perfetto-loadable trace of the run to FILE (.jsonl for line-delimited)")
+	traceFile := flag.String("trace", "", "write a pdnsec-trace/1 JSONL trace of the run to FILE (pdntrace -chrome renders it for Perfetto)")
 	flag.Parse()
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

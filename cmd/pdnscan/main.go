@@ -16,10 +16,9 @@
 // identical at any width), -checkpoint makes an interrupted scan
 // resumable, and -stats prints
 // the engine's job counters, latency quantiles (p50/p90/p99/max), and
-// jobs/sec afterwards. -trace records every dispatch job as a span:
-// ".jsonl" files get one trace event per line, anything else the Chrome
-// trace-event JSON array that ui.perfetto.dev loads directly. Ctrl-C
-// cancels the scan cleanly.
+// jobs/sec afterwards. -trace records every dispatch job as a span in a
+// pdnsec-trace/1 JSONL file (pdntrace -chrome renders it for
+// ui.perfetto.dev). Ctrl-C cancels the scan cleanly.
 package main
 
 import (
@@ -52,7 +51,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", runtime.NumCPU(), "scan worker pool size (must be positive)")
 	checkpoint := fs.String("checkpoint", "", "resumable scan state file (empty = no checkpointing)")
 	stats := fs.Bool("stats", false, "print dispatch counters and latency quantiles after the scan")
-	traceFile := fs.String("trace", "", "write a Perfetto-loadable trace of the scan to FILE (.jsonl for line-delimited)")
+	traceFile := fs.String("trace", "", "write a pdnsec-trace/1 JSONL trace of the scan to FILE (pdntrace -chrome renders it for Perfetto)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

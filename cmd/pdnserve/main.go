@@ -123,7 +123,7 @@ func run() int {
 	}
 
 	fmt.Printf("deployed %s: signaling %v, stun %v, cdn %s\n",
-		prof.Name, tb.Dep.SignalAddr, tb.Dep.STUNAddr, tb.CDNBase)
+		prof.Name, tb.Dep.SignalAddrs[0], tb.Dep.STUNAddr, tb.CDNBase)
 
 	countries := []string{"US", "GB", "DE", "FR", "CA", "JP", "BR", "IN"}
 	var wg sync.WaitGroup

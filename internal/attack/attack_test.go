@@ -69,7 +69,7 @@ func (b *bed) viewer(t *testing.T, seed int64) pdnclient.Config {
 	return pdnclient.Config{
 		Host:        b.host(t),
 		Network:     b.net,
-		SignalAddr:  b.dep.SignalAddr,
+		SignalAddrs: b.dep.SignalAddrs,
 		STUNAddr:    b.dep.STUNAddr,
 		CDNBase:     b.cdnBase,
 		APIKey:      b.key,
@@ -104,6 +104,16 @@ func TestCrossDomainProbe(t *testing.T) {
 	ok, err = CrossDomain(ctx, none)
 	if err != nil || ok {
 		t.Fatalf("no credential: ok=%v err=%v", ok, err)
+	}
+	// A config with no signaling address is the caller's error, not a
+	// refused join.
+	unaddressed := b.viewer(t, 4)
+	unaddressed.SignalAddrs = nil
+	if ok, err := CrossDomain(ctx, unaddressed); err == nil || ok {
+		t.Fatalf("no signaling address: ok=%v err=%v", ok, err)
+	}
+	if ok, err := DomainSpoof(ctx, unaddressed, b.host(t), "victim.com"); err == nil || ok {
+		t.Fatalf("no signaling address, via proxy: ok=%v err=%v", ok, err)
 	}
 }
 

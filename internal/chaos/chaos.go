@@ -49,8 +49,6 @@ const (
 	// FaultSlow sets a node's access latency and bandwidth cap
 	// (zero values restore full speed — a "brownout" ends with one).
 	FaultSlow FaultKind = "slow"
-	// FaultLinkLoss installs a directed per-link datagram loss rate.
-	FaultLinkLoss FaultKind = "link_loss"
 	// FaultCorrupt mangles stream chunks sent by a node.
 	FaultCorrupt FaultKind = "corrupt"
 	// FaultClearCorrupt removes a corruption rule.
@@ -72,8 +70,7 @@ type Step struct {
 	// Parameters; which ones apply depends on Fault.
 	Frac     float64       // kill_fraction: fraction of killable nodes
 	Nodes    []string      // kill_nodes / partition / heal / slow / corrupt targets
-	From, To string        // link_loss endpoints (directed)
-	Prob     float64       // link_loss / corrupt probability
+	Prob     float64       // corrupt probability
 	Truncate bool          // corrupt: truncate instead of flipping bytes
 	Latency  time.Duration // slow: access latency to set
 	RateBps  int64         // slow: bandwidth cap in bytes/sec (0 = unlimited)
@@ -112,12 +109,6 @@ func HealNode(at time.Duration, name string) Step {
 // Slow(at, name, 0, 0) restores full speed.
 func Slow(at time.Duration, name string, latency time.Duration, rateBps int64) Step {
 	return Step{At: at, Fault: FaultSlow, Nodes: []string{name}, Latency: latency, RateBps: rateBps}
-}
-
-// LinkLoss schedules a directed per-link datagram loss probability;
-// p=0 restores the link, p=1 blackholes it.
-func LinkLoss(at time.Duration, from, to string, p float64) Step {
-	return Step{At: at, Fault: FaultLinkLoss, From: from, To: to, Prob: p}
 }
 
 // CorruptFrom schedules mangling each stream chunk the named node sends
@@ -304,13 +295,6 @@ func (sc Scenario) Validate() error {
 		case FaultKillNodes, FaultPartition, FaultHeal, FaultSlow, FaultClearCorrupt:
 			if len(st.Nodes) == 0 {
 				return fmt.Errorf("chaos: step %d: %s needs target nodes", i, st.Fault)
-			}
-		case FaultLinkLoss:
-			if st.From == "" || st.To == "" {
-				return fmt.Errorf("chaos: step %d: link_loss needs from and to", i)
-			}
-			if !(st.Prob >= 0 && st.Prob <= 1) {
-				return fmt.Errorf("chaos: step %d: link_loss probability %v outside [0,1]", i, st.Prob)
 			}
 		case FaultCorrupt:
 			if len(st.Nodes) == 0 {

@@ -63,7 +63,6 @@ func fullScenario() Scenario {
 			KillFraction(0, 0.3),
 			PartitionNode(time.Millisecond, NodeSignal),
 			Slow(time.Millisecond, NodeCDN, 5*time.Millisecond, 1<<20),
-			LinkLoss(2*time.Millisecond, "node-01", "node-02", 0.5),
 			CorruptFrom(2*time.Millisecond, "node-03", 0.8, true),
 			HealNode(3*time.Millisecond, NodeSignal),
 			KillFraction(3*time.Millisecond, 0.5),
@@ -154,7 +153,7 @@ func TestScenarioValidate(t *testing.T) {
 		{"negative offset", Scenario{Steps: []Step{KillFraction(-time.Second, 0.5)}}},
 		{"fraction above 1", Scenario{Steps: []Step{KillFraction(0, 1.5)}}},
 		{"partition without target", Scenario{Steps: []Step{{Fault: FaultPartition}}}},
-		{"link loss without endpoints", Scenario{Steps: []Step{{Fault: FaultLinkLoss, Prob: 0.5}}}},
+		{"per-link loss is no fault", Scenario{Steps: []Step{{Fault: "link_loss", Nodes: []string{"x"}, Prob: 0.5}}}},
 		{"corrupt probability", Scenario{Steps: []Step{CorruptFrom(0, "x", 2, false)}}},
 		{"unknown fault", Scenario{Steps: []Step{{Fault: "meteor"}}}},
 	}

@@ -181,8 +181,6 @@ func (e *Engine) apply(st Step) error {
 		return e.partition(st)
 	case FaultSlow:
 		return e.slow(st)
-	case FaultLinkLoss:
-		return e.linkLoss(st)
 	case FaultCorrupt, FaultClearCorrupt:
 		return e.corrupt(st)
 	case FaultSpawn:
@@ -341,23 +339,6 @@ func (e *Engine) slow(st Step) error {
 		h.SetRates(st.RateBps, st.RateBps)
 	}
 	return nil
-}
-
-func (e *Engine) linkLoss(st Step) error {
-	e.mu.Lock()
-	from, err := e.lookupLocked(st.From)
-	if err == nil {
-		var to *Node
-		to, err = e.lookupLocked(st.To)
-		if err == nil {
-			e.mu.Unlock()
-			e.record(st, []string{st.From, st.To}, fmt.Sprintf("p=%.3f", st.Prob))
-			e.net.SetLinkLoss(from.Addr, to.Addr, st.Prob)
-			return nil
-		}
-	}
-	e.mu.Unlock()
-	return err
 }
 
 func (e *Engine) corrupt(st Step) error {

@@ -48,7 +48,7 @@ type IMChecker struct {
 
 	mu          sync.Mutex
 	pending     map[media.SegmentKey]map[string]string // key -> peerID -> hash
-	established map[media.SegmentKey]media.SIM
+	established map[media.SegmentKey]signedIM
 	blacklist   map[string]bool
 
 	conflicts  int
@@ -87,7 +87,7 @@ func newIMChecker(cfg IMConfig, authority bool) (*IMChecker, error) {
 		signPub:     pub,
 		signKey:     priv,
 		pending:     make(map[media.SegmentKey]map[string]string),
-		established: make(map[media.SegmentKey]media.SIM),
+		established: make(map[media.SegmentKey]signedIM),
 		blacklist:   make(map[string]bool),
 	}, nil
 }
@@ -107,9 +107,10 @@ func (c *IMChecker) ManifestPublicKeyHex() string {
 	return hex.EncodeToString(c.signPub)
 }
 
-// VerifySIM checks a SIM signature against the checker's public key.
+// VerifySIM checks the signature of one segment's SIM — a run of one —
+// against the checker's public key.
 func VerifySIM(pub ed25519.PublicKey, key media.SegmentKey, hash, sig string) bool {
-	return media.VerifySIM(pub, key, hash, sig)
+	return media.VerifySIMWindow(pub, key, []string{hash}, sig)
 }
 
 // Report records a peer's IM for a CDN-fetched segment (§V-B). Against
@@ -135,7 +136,7 @@ func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) err
 	if est, ok := c.established[key]; ok {
 		// Late report against an established SIM: liars are caught here
 		// too.
-		if est.Hash != hash {
+		if est.hash != hash {
 			c.blacklist[peerID] = true
 			c.mu.Unlock()
 			return ErrPeerBlacklisted
@@ -205,8 +206,14 @@ func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) err
 	return nil
 }
 
-func (c *IMChecker) establishLocked(key media.SegmentKey, hash string) media.SIM {
-	e := media.SignSIM(c.signKey, key, hash)
+// signedIM is a segment's SIM: its IM hash and the signature over it
+// as a run of one, made once when the SIM is established.
+type signedIM struct {
+	hash, sig string
+}
+
+func (c *IMChecker) establishLocked(key media.SegmentKey, hash string) signedIM {
+	e := signedIM{hash, media.SignSIMWindow(c.signKey, key, []string{hash})}
 	c.established[key] = e
 	return e
 }
@@ -220,7 +227,7 @@ func (c *IMChecker) SIM(key media.SegmentKey) (hash, sig string, ok bool) {
 	e, found := c.established[key]
 	c.mu.Unlock()
 	if found || !c.authority {
-		return e.Hash, e.Sig, found
+		return e.hash, e.sig, found
 	}
 	data, err := c.cfg.FetchCDN(key)
 	if err != nil {
@@ -232,7 +239,7 @@ func (c *IMChecker) SIM(key media.SegmentKey) (hash, sig string, ok bool) {
 	if e, found = c.established[key]; !found {
 		e = c.establishLocked(key, truth)
 	}
-	return e.Hash, e.Sig, true
+	return e.hash, e.sig, true
 }
 
 // MaxSIMWindow caps how many hashes one SIMWindow answer signs, whatever
@@ -241,20 +248,19 @@ const MaxSIMWindow = 64
 
 // SIMWindow returns the run of established hashes that begins at key —
 // key's own, then those of the segments after it up to the first one
-// not established yet — capped at count and MaxSIMWindow, under one
-// window signature (media.SignSIMWindow). Only key itself is ever
+// not established yet — capped at count (at least 1) and MaxSIMWindow,
+// under one signature (media.SignSIMWindow). Only key itself is ever
 // established on demand, exactly as SIM does it; a short run is a
 // complete answer, and the caller asks again from the first key it
-// lacks. The signature is made outside the lock.
+// lacks. A run of one is answered with the signature SIM made when it
+// was established; a longer run is signed outside the lock.
 func (c *IMChecker) SIMWindow(key media.SegmentKey, count int) (hashes []string, sig string, ok bool) {
-	first, _, ok := c.SIM(key)
+	first, sig, ok := c.SIM(key)
 	if !ok {
 		return nil, "", false
 	}
-	if count > MaxSIMWindow {
-		count = MaxSIMWindow
-	}
-	hashes = append(make([]string, 0, max(count, 1)), first)
+	count = min(max(count, 1), MaxSIMWindow)
+	hashes = append(make([]string, 0, count), first)
 	c.mu.Lock()
 	for next := key; len(hashes) < count; {
 		next.Index++
@@ -262,9 +268,12 @@ func (c *IMChecker) SIMWindow(key media.SegmentKey, count int) (hashes []string,
 		if !found {
 			break
 		}
-		hashes = append(hashes, e.Hash)
+		hashes = append(hashes, e.hash)
 	}
 	c.mu.Unlock()
+	if len(hashes) == 1 {
+		return hashes, sig, true
+	}
 	return hashes, media.SignSIMWindow(c.signKey, key, hashes), true
 }
 

@@ -313,13 +313,19 @@ func TestSIMWindow(t *testing.T) {
 			if media.VerifySIMWindow(c.PublicKey(), testKey(1), hashes, sig) ||
 				media.VerifySIMWindow(c.PublicKey(), testKey(0), hashes[:2], sig) ||
 				defense.VerifySIM(c.PublicKey(), testKey(0), hashes[0], sig) {
-				t.Fatal("window signature verifies for a shifted start, a truncated list or as a single SIM")
+				t.Fatal("window signature verifies for a shifted start, a truncated list or as its first segment's SIM alone")
 			}
 			if hashes, _, ok := c.SIMWindow(testKey(1), 2); !ok || !slices.Equal(hashes, want[1:3]) {
 				t.Fatalf("window at 1, count 2 = %v %v, want %v", hashes, ok, want[1:3])
 			}
-			if hashes, _, ok := c.SIMWindow(testKey(4), 0); !ok || len(hashes) != 1 || hashes[0] != want[4] {
+			hashes, sig, ok = c.SIMWindow(testKey(4), 0)
+			if !ok || len(hashes) != 1 || hashes[0] != want[4] {
 				t.Fatalf("window at 4, count 0 = %v %v, want the asked key alone", hashes, ok)
+			}
+			// A run of one is the segment's SIM, under the signature made
+			// when it was established.
+			if hash, single, _ := c.SIM(testKey(4)); sig != single || !defense.VerifySIM(c.PublicKey(), testKey(4), hash, sig) {
+				t.Fatal("a run of one is not the segment's established SIM")
 			}
 
 			// The asked key is the only one ever established on demand: an

@@ -27,9 +27,6 @@ type Options struct {
 	// Metrics, when set, collects the scan's counters and latency
 	// quantiles (shared across the site and app passes).
 	Metrics *dispatch.Metrics
-	// OnProgress is invoked after every settled job; it may be called
-	// concurrently.
-	OnProgress func(dispatch.Snapshot)
 	// SimulateRTT adds one network round-trip's worth of latency per
 	// fetched page (sites) or APK version (apps). The synthetic corpus
 	// lives in memory, so this is how the engine's behavior under a
@@ -67,14 +64,13 @@ func ParallelPipeline(ctx context.Context, c *corpus.Corpus, profiles []provider
 	scanner := NewWebScanner(profiles)
 
 	cfg := dispatch.Config{
-		Workers:    opts.Workers,
-		Metrics:    opts.Metrics,
-		OnProgress: opts.OnProgress,
-		Tracer:     opts.Tracer,
+		Workers: opts.Workers,
+		Metrics: opts.Metrics,
+		Tracer:  opts.Tracer,
 	}
 	if opts.Metrics == nil {
-		// Share one collector across both passes so a progress hook
-		// sees the whole scan as a single job stream.
+		// Share one collector across both passes so the run spans report
+		// the whole scan as a single job stream.
 		cfg.Metrics = dispatch.NewMetrics()
 	}
 	if opts.Checkpoint != "" {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"github.com/stealthy-peers/pdnsec/internal/corpus"
@@ -101,16 +100,16 @@ func TestParallelPipelineProgressAndCancellation(t *testing.T) {
 	profiles := provider.PublicProfiles()
 	c := corpus.Generate(corpus.Params{Seed: 3, FillerSites: 100, FillerApps: 40})
 
-	var calls atomic.Int64
+	m := dispatch.NewMetrics()
 	_, err := detector.ParallelPipeline(context.Background(), c, profiles, 3, detector.Options{
-		Workers:    4,
-		OnProgress: func(dispatch.Snapshot) { calls.Add(1) },
+		Workers: 4,
+		Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(len(c.Sites) + len(c.Apps)); calls.Load() != want {
-		t.Fatalf("progress calls = %d, want %d", calls.Load(), want)
+	if snap, want := m.Snapshot(), int64(len(c.Sites)+len(c.Apps)); snap.Done+snap.Failed != want {
+		t.Fatalf("settled jobs = %d done + %d failed, want %d", snap.Done, snap.Failed, want)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,7 +1,7 @@
 // Package dispatch is the scan-orchestration engine behind the
 // detector's corpus sweeps: a context-aware worker pool over a slice of
-// jobs, with checkpoint/resume of partial scan state and progress/metrics
-// hooks (queued / in-flight / done / failed counters plus p50/p99 job
+// jobs, with checkpoint/resume of partial scan state and metrics
+// (queued / in-flight / done / failed counters plus p50/p99 job
 // latency).
 //
 // The engine is deliberately workload-agnostic — a Job carries an
@@ -44,10 +44,6 @@ type Config struct {
 	// Metrics, when set, is used instead of a fresh collector —
 	// sharing one aggregates multiple engines into a single report.
 	Metrics *Metrics
-	// OnProgress, when set, is called with a fresh snapshot after each
-	// job settles (done, failed, or resumed). It may be called
-	// concurrently from multiple workers.
-	OnProgress func(Snapshot)
 	// Tracer, when set, records the run and each job as spans. Nil
 	// disables tracing at the cost of one branch per operation.
 	Tracer *obs.Tracer
@@ -91,7 +87,6 @@ func (e *Engine[R]) Run(ctx context.Context, jobs []Job[R]) ([]R, error) {
 	for i, job := range jobs {
 		if e.resume(job.Key, &results[i]) {
 			e.metrics.resumed.Add(1)
-			e.progress()
 			continue
 		}
 		todo = append(todo, i)
@@ -156,12 +151,5 @@ func (e *Engine[R]) execute(ctx context.Context, job Job[R], out *R) error {
 	end := time.Now()
 	e.metrics.jobEnd(end.Sub(start), ok, end.UnixNano())
 	span.End(obs.A("ok", ok))
-	e.progress()
 	return err
-}
-
-func (e *Engine[R]) progress() {
-	if e.cfg.OnProgress != nil {
-		e.cfg.OnProgress(e.metrics.Snapshot())
-	}
 }

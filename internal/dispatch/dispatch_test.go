@@ -181,27 +181,6 @@ func TestSharedMetricsAggregateAcrossEngines(t *testing.T) {
 	}
 }
 
-func TestOnProgressSeesEveryJob(t *testing.T) {
-	var calls atomic.Int64
-	var last atomic.Int64
-	e := New[int](Config{
-		Workers: 4,
-		OnProgress: func(s Snapshot) {
-			calls.Add(1)
-			last.Store(s.Done)
-		},
-	})
-	if _, err := e.Run(testCtx(t), squareJobs(40, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 40 {
-		t.Fatalf("progress calls = %d, want 40", calls.Load())
-	}
-	if last.Load() != 40 {
-		t.Fatalf("final snapshot saw done=%d, want 40", last.Load())
-	}
-}
-
 func TestLatencyHistogramQuantiles(t *testing.T) {
 	m := NewMetrics()
 	for i := 0; i < 99; i++ {

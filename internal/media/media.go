@@ -207,52 +207,23 @@ func IMHash(key SegmentKey, data []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// SIM is signed integrity metadata: a segment's IM hash and the hex
-// ed25519 signature over "video/rendition/index|hash". The paper's
-// peer-established SIMs and the provider-signed manifests are this one
-// format from one service (defense.IMChecker, built as a panel or as an
-// authority), so a client verifies either with VerifySIM.
-type SIM struct {
-	Hash string
-	Sig  string
-}
+// simTag opens every signed SIM message: a domain tag, so no signature
+// the provider's key makes for anything else verifies as a SIM.
+const simTag = "\x00pdnsec-sim-window\x00"
 
-func simMessage(key SegmentKey, hash string) []byte {
-	return []byte(key.String() + "|" + hash)
-}
-
-// SignSIM signs a segment's IM hash.
-func SignSIM(priv ed25519.PrivateKey, key SegmentKey, hash string) SIM {
-	return SIM{Hash: hash, Sig: hex.EncodeToString(ed25519.Sign(priv, simMessage(key, hash)))}
-}
-
-// VerifySIM checks a hex SIM signature against a verification key.
-func VerifySIM(pub ed25519.PublicKey, key SegmentKey, hash, sig string) bool {
-	raw, err := hex.DecodeString(sig)
-	if err != nil {
-		return false
-	}
-	return ed25519.Verify(pub, simMessage(key, hash), raw)
-}
-
-// simWindowTag opens every signed window message. No single-SIM message
-// begins with it — those begin with a video identifier, and a NUL byte
-// is in none a playlist can carry — so a signature made for one format
-// never verifies as the other.
-const simWindowTag = "\x00pdnsec-sim-window\x00"
-
-// simWindowMessage is what a window signature covers: the tag, the key
-// of the first segment, and the hashes in order, each length-prefixed so
-// no two (start, list) pairs share an encoding — a panel's hashes are
-// strings peers reported, not necessarily hex.
+// simWindowMessage is what a SIM signature covers: the tag, the key of
+// the first segment, and the hashes in order, each length-prefixed so no
+// two (start, list) pairs share an encoding — a panel's hashes are
+// strings peers reported, not necessarily hex. A single segment's SIM is
+// a run of one.
 func simWindowMessage(start SegmentKey, hashes []string) []byte {
 	k := start.String()
-	n := len(simWindowTag) + len(k) + 2*binary.MaxVarintLen64
+	n := len(simTag) + len(k) + 2*binary.MaxVarintLen64
 	for _, h := range hashes {
 		n += len(h) + binary.MaxVarintLen64
 	}
 	msg := make([]byte, 0, n)
-	msg = append(msg, simWindowTag...)
+	msg = append(msg, simTag...)
 	msg = binary.AppendUvarint(msg, uint64(len(k)))
 	msg = append(msg, k...)
 	msg = binary.AppendUvarint(msg, uint64(len(hashes)))
@@ -264,13 +235,17 @@ func simWindowMessage(start SegmentKey, hashes []string) []byte {
 }
 
 // SignSIMWindow signs a run of IM hashes — of the segment at start and
-// the ones that follow it, in order — with one hex ed25519 signature.
+// the ones that follow it, in order — with one hex ed25519 signature:
+// the signed integrity metadata (SIM) of §V-B. The paper's
+// peer-established SIMs and the provider-signed manifests are this one
+// format from one service (defense.IMChecker, built as a panel or as an
+// authority).
 func SignSIMWindow(priv ed25519.PrivateKey, start SegmentKey, hashes []string) string {
 	return hex.EncodeToString(ed25519.Sign(priv, simWindowMessage(start, hashes)))
 }
 
-// VerifySIMWindow checks a hex window signature: it holds only for the
-// same start key and the same hashes in the same order.
+// VerifySIMWindow checks a hex SIM signature: it holds only for the same
+// start key and the same hashes in the same order.
 func VerifySIMWindow(pub ed25519.PublicKey, start SegmentKey, hashes []string, sig string) bool {
 	raw, err := hex.DecodeString(sig)
 	if err != nil {

@@ -166,7 +166,9 @@ func TestSegmentKeyString(t *testing.T) {
 }
 
 // TestSIMSignVerify pins the one signed-integrity-metadata format both
-// IM services emit: ed25519 over "video/rendition/index|hash", hex.
+// IM services emit, here for a single segment — a run of one: hex
+// ed25519 over the tag, the length-prefixed key and the length-prefixed
+// hash list.
 func TestSIMSignVerify(t *testing.T) {
 	pub, priv, err := ed25519.GenerateKey(nil)
 	if err != nil {
@@ -177,23 +179,24 @@ func TestSIMSignVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := SegmentKey{Video: "v", Rendition: "720p", Index: 7}
-	sim := SignSIM(priv, key, "abc123")
-	if sim.Hash != "abc123" {
-		t.Fatalf("SIM hash = %q", sim.Hash)
-	}
-	raw, err := hex.DecodeString(sim.Sig)
-	if err != nil || !ed25519.Verify(pub, []byte("v/720p/7|abc123"), raw) {
+	sig := SignSIMWindow(priv, key, []string{"abc123"})
+	raw, err := hex.DecodeString(sig)
+	if err != nil || !ed25519.Verify(pub, []byte("\x00pdnsec-sim-window\x00\x08v/720p/7\x01\x06abc123"), raw) {
 		t.Fatalf("signature is not ed25519 over the documented message (%v)", err)
 	}
 	next := SegmentKey{Video: "v", Rendition: "720p", Index: 8}
+	one := []string{"abc123"}
 	for name, ok := range map[string]bool{
-		"genuine":       VerifySIM(pub, key, sim.Hash, sim.Sig),
-		"other key":     !VerifySIM(other, key, sim.Hash, sim.Sig),
-		"other hash":    !VerifySIM(pub, key, "abc124", sim.Sig),
-		"other segment": !VerifySIM(pub, next, sim.Hash, sim.Sig),
-		"truncated sig": !VerifySIM(pub, key, sim.Hash, sim.Sig[:len(sim.Sig)-2]),
-		"non-hex sig":   !VerifySIM(pub, key, sim.Hash, "zz"),
-		"empty sig":     !VerifySIM(pub, key, sim.Hash, ""),
+		"genuine":       VerifySIMWindow(pub, key, one, sig),
+		"other key":     !VerifySIMWindow(other, key, one, sig),
+		"other hash":    !VerifySIMWindow(pub, key, []string{"abc124"}, sig),
+		"other segment": !VerifySIMWindow(pub, next, one, sig),
+		"empty list":    !VerifySIMWindow(pub, key, nil, sig),
+		"truncated sig": !VerifySIMWindow(pub, key, one, sig[:len(sig)-2]),
+		"non-hex sig":   !VerifySIMWindow(pub, key, one, "zz"),
+		"empty sig":     !VerifySIMWindow(pub, key, one, ""),
+		"legacy key|hash message": !VerifySIMWindow(pub, key, one,
+			hex.EncodeToString(ed25519.Sign(priv, []byte("v/720p/7|abc123")))),
 	} {
 		if !ok {
 			t.Errorf("%s: wrong verdict", name)
@@ -202,8 +205,7 @@ func TestSIMSignVerify(t *testing.T) {
 }
 
 // TestSIMWindowSignVerify: a window signature binds the start key and
-// the ordered hash list, and is no use as a single-SIM signature (nor
-// the reverse) under the same key.
+// the ordered hash list.
 func TestSIMWindowSignVerify(t *testing.T) {
 	pub, priv, err := ed25519.GenerateKey(nil)
 	if err != nil {
@@ -213,18 +215,15 @@ func TestSIMWindowSignVerify(t *testing.T) {
 	next := SegmentKey{Video: "v", Rendition: "720p", Index: 8}
 	hashes := []string{"aa", "bb", "cc"}
 	sig := SignSIMWindow(priv, key, hashes)
-	single := SignSIM(priv, key, "aa")
 	for name, ok := range map[string]bool{
-		"genuine":           VerifySIMWindow(pub, key, hashes, sig),
-		"shifted start":     !VerifySIMWindow(pub, next, hashes, sig),
-		"truncated list":    !VerifySIMWindow(pub, key, hashes[:2], sig),
-		"reordered list":    !VerifySIMWindow(pub, key, []string{"bb", "aa", "cc"}, sig),
-		"flipped hash":      !VerifySIMWindow(pub, key, []string{"aa", "bb", "cd"}, sig),
-		"moved boundary":    !VerifySIMWindow(pub, key, []string{"aab", "b", "cc"}, sig),
-		"non-hex sig":       !VerifySIMWindow(pub, key, hashes, "zz"),
-		"window as single":  !VerifySIM(pub, key, "aa", SignSIMWindow(priv, key, []string{"aa"})),
-		"single as window":  !VerifySIMWindow(pub, key, []string{"aa"}, single.Sig),
-		"single still good": VerifySIM(pub, key, "aa", single.Sig),
+		"genuine":               VerifySIMWindow(pub, key, hashes, sig),
+		"shifted start":         !VerifySIMWindow(pub, next, hashes, sig),
+		"truncated list":        !VerifySIMWindow(pub, key, hashes[:2], sig),
+		"first as a run of one": !VerifySIMWindow(pub, key, hashes[:1], sig),
+		"reordered list":        !VerifySIMWindow(pub, key, []string{"bb", "aa", "cc"}, sig),
+		"flipped hash":          !VerifySIMWindow(pub, key, []string{"aa", "bb", "cd"}, sig),
+		"moved boundary":        !VerifySIMWindow(pub, key, []string{"aab", "b", "cc"}, sig),
+		"non-hex sig":           !VerifySIMWindow(pub, key, hashes, "zz"),
 	} {
 		if !ok {
 			t.Errorf("%s: wrong verdict", name)

@@ -174,7 +174,7 @@ func TestDowngradeStripped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := mitm.NewSignalProxy(proxyHost, tb.Dep.SignalAddr, mitm.StripSecure())
+	proxy := mitm.NewSignalProxy(proxyHost, tb.Dep.SignalAddrs[0], mitm.StripSecure())
 	if err := proxy.Serve(ctx, 8444); err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +187,7 @@ func TestDowngradeStripped(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := tb.ViewerConfig(host, seed)
-		cfg.SignalAddr = proxyAddr
-		cfg.SignalAddrs = nil
+		cfg.SignalAddrs = []netip.AddrPort{proxyAddr}
 		cfg.MaxSegments = 4
 		cfg.RequireSecureTransport = pinned
 		return tb.RunViewer(ctx, cfg)

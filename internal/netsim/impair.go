@@ -6,12 +6,12 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// This file implements the programmable impairment engine: per-link and
-// per-host overrides for loss, latency, jitter, partitions, host
-// crashes, and stream-level corruption/truncation. The engine exists so
+// This file implements the programmable impairment engine: per-host
+// isolation, host crashes, and stream-level corruption/truncation
+// (per-host latency and bandwidth are Host.SetLatency and
+// Host.SetRates). The engine exists so
 // chaos scenarios (internal/chaos) can reproduce the failure modes the
 // paper's attacks hinge on — peers vanishing mid-segment, polluted
 // bytes in flight, a browned-out CDN — while the zero state stays an
@@ -19,17 +19,13 @@ import (
 // single atomic load, so the parity gates (Tables I–IV byte-identity)
 // hold with the engine present but disabled.
 //
-// All randomness (per-link loss decisions, jitter draws, corruption
-// positions) comes from one seeded source derived from Config.Seed, so
-// a run is reproducible given the same seed and traffic order.
+// All randomness (corruption decisions and positions) comes from one
+// seeded source derived from Config.Seed, so a run is reproducible
+// given the same seed and traffic order.
 
 // impairSeedMix decorrelates the impairment RNG stream from the global
 // UDP-loss stream that shares Config.Seed.
 const impairSeedMix int64 = 0x5e3779b97f4a7c15
-
-// linkKey identifies a directed host pair (sender → receiver) by the
-// hosts' own addresses (private addresses for NATed hosts).
-type linkKey struct{ from, to netip.Addr }
 
 // corruptRule mangles stream chunks sent by one host.
 type corruptRule struct {
@@ -42,24 +38,16 @@ type corruptRule struct {
 type impairments struct {
 	active atomic.Bool // set once the first override is installed
 
-	mu          sync.Mutex
-	rng         *rand.Rand
-	linkLoss    map[linkKey]float64
-	linkLatency map[linkKey]time.Duration
-	linkJitter  map[linkKey]time.Duration
-	blocked     map[linkKey]bool
-	isolated    map[netip.Addr]bool
-	corrupt     map[netip.Addr]corruptRule
+	mu       sync.Mutex
+	rng      *rand.Rand
+	isolated map[netip.Addr]bool
+	corrupt  map[netip.Addr]corruptRule
 }
 
 // ensureLocked lazily allocates the override maps. Caller holds imp.mu.
 func (imp *impairments) ensureLocked(seed int64) {
 	if imp.rng == nil {
 		imp.rng = rand.New(rand.NewSource(seed ^ impairSeedMix))
-		imp.linkLoss = make(map[linkKey]float64)
-		imp.linkLatency = make(map[linkKey]time.Duration)
-		imp.linkJitter = make(map[linkKey]time.Duration)
-		imp.blocked = make(map[linkKey]bool)
 		imp.isolated = make(map[netip.Addr]bool)
 		imp.corrupt = make(map[netip.Addr]corruptRule)
 	}
@@ -73,67 +61,6 @@ func (n *Network) install(fn func(imp *impairments)) {
 	fn(imp)
 	imp.mu.Unlock()
 	imp.active.Store(true)
-}
-
-// SetLinkLoss installs a loss probability for datagrams sent from one
-// host address to another, overriding the network-wide LossProb for
-// that direction. p must be in [0,1]; p=1 drops everything, p=0
-// restores reliability for the link regardless of the global setting.
-func (n *Network) SetLinkLoss(from, to netip.Addr, p float64) {
-	if !(p >= 0 && p <= 1) { // also rejects NaN
-		panic(fmt.Sprintf("netsim: SetLinkLoss probability %v outside [0,1]", p))
-	}
-	n.install(func(imp *impairments) { imp.linkLoss[linkKey{from, to}] = p })
-}
-
-// SetLinkLatency adds extra one-way latency to traffic sent from one
-// host address to another, on top of the hosts' access latencies.
-func (n *Network) SetLinkLatency(from, to netip.Addr, d time.Duration) {
-	n.install(func(imp *impairments) { imp.linkLatency[linkKey{from, to}] = d })
-}
-
-// SetLinkJitter adds a uniformly-drawn extra delay in [0,max) to each
-// transmission from one host address to another. Draws come from the
-// engine's seeded RNG.
-func (n *Network) SetLinkJitter(from, to netip.Addr, max time.Duration) {
-	if max < 0 {
-		panic(fmt.Sprintf("netsim: SetLinkJitter negative bound %v", max))
-	}
-	n.install(func(imp *impairments) { imp.linkJitter[linkKey{from, to}] = max })
-}
-
-// ClearLink removes all loss/latency/jitter overrides for the directed
-// pair.
-func (n *Network) ClearLink(from, to netip.Addr) {
-	n.install(func(imp *impairments) {
-		key := linkKey{from, to}
-		delete(imp.linkLoss, key)
-		delete(imp.linkLatency, key)
-		delete(imp.linkJitter, key)
-	})
-}
-
-// Partition blocks all traffic between two host addresses, in both
-// directions, and severs established streams between them. New dials
-// fail with ErrUnreachable and datagrams are silently dropped, exactly
-// as a routing blackhole behaves; severing stands in for the
-// keepalive/RST death a real long partition inflicts on TCP.
-func (n *Network) Partition(a, b netip.Addr) {
-	n.install(func(imp *impairments) {
-		imp.blocked[linkKey{a, b}] = true
-		imp.blocked[linkKey{b, a}] = true
-	})
-	n.severConns(func(x, y *Host) bool {
-		return (x.ip == a && y.ip == b) || (x.ip == b && y.ip == a)
-	})
-}
-
-// Heal removes a Partition between two host addresses.
-func (n *Network) Heal(a, b netip.Addr) {
-	n.install(func(imp *impairments) {
-		delete(imp.blocked, linkKey{a, b})
-		delete(imp.blocked, linkKey{b, a})
-	})
 }
 
 // Isolate cuts one host address off from every other host (the "signal
@@ -167,7 +94,7 @@ func (n *Network) ClearCorrupt(from netip.Addr) {
 }
 
 // blockedPath reports whether traffic from one address to the other is
-// cut by a partition or isolation.
+// cut by an isolation.
 func (n *Network) blockedPath(from, to netip.Addr) bool {
 	imp := &n.imp
 	if !imp.active.Load() {
@@ -175,50 +102,7 @@ func (n *Network) blockedPath(from, to netip.Addr) bool {
 	}
 	imp.mu.Lock()
 	defer imp.mu.Unlock()
-	if imp.blocked == nil {
-		return false
-	}
-	return imp.blocked[linkKey{from, to}] || imp.isolated[from] || imp.isolated[to]
-}
-
-// dropImpaired decides link-override loss for a datagram. The second
-// return reports whether an override exists (otherwise the caller falls
-// back to the global LossProb).
-func (n *Network) dropImpaired(from, to netip.Addr) (drop, overridden bool) {
-	imp := &n.imp
-	if !imp.active.Load() {
-		return false, false
-	}
-	imp.mu.Lock()
-	defer imp.mu.Unlock()
-	if imp.linkLoss == nil {
-		return false, false
-	}
-	p, ok := imp.linkLoss[linkKey{from, to}]
-	if !ok {
-		return false, false
-	}
-	return imp.rng.Float64() < p, true
-}
-
-// extraLatency returns the installed fixed-plus-jitter delay for a
-// directed pair.
-func (n *Network) extraLatency(from, to netip.Addr) time.Duration {
-	imp := &n.imp
-	if !imp.active.Load() {
-		return 0
-	}
-	imp.mu.Lock()
-	defer imp.mu.Unlock()
-	if imp.linkLatency == nil {
-		return 0
-	}
-	key := linkKey{from, to}
-	d := imp.linkLatency[key]
-	if j := imp.linkJitter[key]; j > 0 {
-		d += time.Duration(imp.rng.Int63n(int64(j)))
-	}
-	return d
+	return imp.isolated[from] || imp.isolated[to]
 }
 
 // mangleStream applies the sender's corruption rule to a chunk on its
@@ -330,7 +214,7 @@ func (h *Host) Closed() bool {
 	return h.closed
 }
 
-// registerConn tracks an established stream endpoint for crash/partition
+// registerConn tracks an established stream endpoint for crash/isolation
 // severing.
 func (h *Host) registerConn(c *Conn) {
 	h.mu.Lock()

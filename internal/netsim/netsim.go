@@ -322,7 +322,7 @@ type Host struct {
 	mu        sync.Mutex
 	listeners map[uint16]*Listener
 	udpSocks  map[uint16]*packetConn
-	conns     map[*Conn]struct{} // established stream endpoints, for crash/partition severing
+	conns     map[*Conn]struct{} // established stream endpoints, for crash/isolation severing
 	nextPort  uint16
 	taps      []Tap
 	closed    bool
@@ -415,7 +415,7 @@ func (h *Host) pathLatency(other *Host) time.Duration {
 	other.mu.Lock()
 	b := other.latency
 	other.mu.Unlock()
-	return a + b + h.net.extraLatency(h.ip, other.ip)
+	return a + b
 }
 
 // allocPortLocked returns a free ephemeral port. Caller holds h.mu.

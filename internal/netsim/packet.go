@@ -102,13 +102,9 @@ func (pc *packetConn) WriteToAddrPort(b []byte, dst netip.AddrPort) (int, error)
 		return len(b), nil // unreachable: dropped
 	}
 	if pc.host.net.blockedPath(pc.host.ip, dstHost.ip) {
-		return len(b), nil // partitioned: dropped, like a routing blackhole
+		return len(b), nil // isolated: dropped, like a routing blackhole
 	}
-	if drop, overridden := pc.host.net.dropImpaired(pc.host.ip, dstHost.ip); overridden {
-		if drop {
-			return len(b), nil
-		}
-	} else if pc.host.net.dropUDP() {
+	if pc.host.net.dropUDP() {
 		return len(b), nil
 	}
 	dstHost.mu.Lock()

@@ -367,7 +367,7 @@ func (c *Conn) send(ch chunk) (int, error) {
 		return 0, os.ErrDeadlineExceeded
 	}
 	if c.host.net.blockedPath(c.host.ip, c.peerHost.ip) {
-		// A partition installed concurrently with establishment; severing
+		// An isolation installed concurrently with establishment; severing
 		// handles existing conns, this guards the race.
 		return 0, ErrUnreachable
 	}

@@ -385,27 +385,6 @@ func argsJSON(args []Arg) ([]byte, error) {
 	return []byte(b.String()), nil
 }
 
-// chromeLine renders one event as a Chrome trace-event object with
-// microsecond timestamps relative to epoch (the earliest buffered
-// start).
-func chromeLine(ev traceEvent, epoch int64) ([]byte, error) {
-	args, err := argsJSON(ev.args)
-	if err != nil {
-		return nil, err
-	}
-	name, err := json.Marshal(ev.name)
-	if err != nil {
-		return nil, err
-	}
-	ts := (ev.start - epoch) / 1000
-	if ev.phase == 'X' {
-		return []byte(fmt.Sprintf(`{"name":%s,"ph":"X","ts":%d,"dur":%d,"pid":1,"tid":%d,"args":%s}`,
-			name, ts, ev.dur/1000, ev.tid, args)), nil
-	}
-	return []byte(fmt.Sprintf(`{"name":%s,"ph":"i","s":"g","ts":%d,"pid":1,"tid":%d,"args":%s}`,
-		name, ts, ev.tid, args)), nil
-}
-
 // jsonlLine renders one event in the pdnsec-trace/1 form: absolute
 // microsecond timestamps (so files from different processes sharing a
 // clock domain merge without epoch negotiation), the process identity,
@@ -446,38 +425,6 @@ func jsonlLine(ev traceEvent, proc string) ([]byte, error) {
 func writeJSONLHeader(w io.Writer, proc string) error {
 	_, err := fmt.Fprintf(w, `{"ph":"M","name":"pdnsec_trace_schema","pid":1,"tid":0,"args":{"schema":%q,"proc":%q}}`+"\n",
 		TraceSchema, proc)
-	return err
-}
-
-// WriteChrome emits the buffer as a Chrome trace-event JSON array,
-// loadable in Perfetto (ui.perfetto.dev) and chrome://tracing.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	if t == nil {
-		_, err := io.WriteString(w, "[]\n")
-		return err
-	}
-	events := t.drainSorted()
-	var epoch int64
-	if len(events) > 0 {
-		epoch = events[0].start
-	}
-	if _, err := io.WriteString(w, "[\n"); err != nil {
-		return err
-	}
-	for i, ev := range events {
-		line, err := chromeLine(ev, epoch)
-		if err != nil {
-			return err
-		}
-		if i < len(events)-1 {
-			line = append(line, ',')
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "]\n")
 	return err
 }
 
@@ -526,16 +473,11 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// WriteFile flushes the buffer to path atomically (temp file + rename):
-// ".jsonl" selects the pdnsec-trace/1 JSONL form, anything else the
-// Chrome JSON array.
+// WriteFile flushes the buffer to path atomically (temp file + rename)
+// in the pdnsec-trace/1 JSONL form, whatever the file is called;
+// pdntrace -chrome renders it for Perfetto.
 func (t *Tracer) WriteFile(path string) error {
-	return writeFileAtomic(path, func(w io.Writer) error {
-		if strings.HasSuffix(path, ".jsonl") {
-			return t.WriteJSONL(w)
-		}
-		return t.WriteChrome(w)
-	})
+	return writeFileAtomic(path, t.WriteJSONL)
 }
 
 // TraceSet is a family of tracers sharing one clock and base seed, one
@@ -620,10 +562,8 @@ func (ts *TraceSet) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// WriteFile flushes the merged set to path atomically, always in the
-// JSONL form (a multi-process file has no meaningful single-process
-// Chrome rendering; pdntrace's -chrome export produces the stitched
-// one).
+// WriteFile flushes the merged set to path atomically in the JSONL
+// form; pdntrace's -chrome export renders the stitched set.
 func (ts *TraceSet) WriteFile(path string) error {
 	if ts == nil {
 		return nil

@@ -60,53 +60,8 @@ func TestNilTracer(t *testing.T) {
 		t.Fatal("nil tracer buffered events")
 	}
 	var sb strings.Builder
-	if err := tr.WriteChrome(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var arr []any
-	if err := json.Unmarshal([]byte(sb.String()), &arr); err != nil || len(arr) != 0 {
-		t.Fatalf("nil tracer chrome output: %v %q", err, sb.String())
-	}
-}
-
-func TestWriteChromeValidJSON(t *testing.T) {
-	tr := NewTracer(newFakeClock().now)
-	for i := 0; i < 5; i++ {
-		sp := tr.Begin("segment", A("idx", i))
-		sp.End(A("source", "cdn"))
-	}
-	tr.Event("slow_start_exit")
-	var sb strings.Builder
-	if err := tr.WriteChrome(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var arr []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &arr); err != nil {
-		t.Fatalf("chrome output is not valid JSON: %v\n%s", err, sb.String())
-	}
-	if len(arr) != 6 {
-		t.Fatalf("events = %d, want 6", len(arr))
-	}
-	// Earliest event is the epoch: ts 0, relative µs thereafter.
-	if arr[0]["ts"].(float64) != 0 {
-		t.Fatalf("first ts = %v, want 0", arr[0]["ts"])
-	}
-	for _, ev := range arr {
-		switch ev["ph"] {
-		case "X":
-			if ev["dur"].(float64) <= 0 {
-				t.Fatalf("span with non-positive dur: %v", ev)
-			}
-		case "i":
-			if ev["s"] != "g" {
-				t.Fatalf("instant without global scope: %v", ev)
-			}
-		default:
-			t.Fatalf("unexpected phase %v", ev["ph"])
-		}
-		if ev["pid"].(float64) != 1 {
-			t.Fatalf("pid = %v", ev["pid"])
-		}
+	if err := tr.WriteJSONL(&sb); err != nil || sb.Len() != 0 {
+		t.Fatalf("nil tracer wrote %q, %v", sb.String(), err)
 	}
 }
 
@@ -137,36 +92,43 @@ func TestWriteJSONL(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &obj); err != nil {
 			t.Fatalf("line %q: %v", line, err)
 		}
-		if obj["proc"] != "main" {
+		if obj["proc"] != "main" || obj["pid"] != 1.0 {
 			t.Fatalf("line missing proc identity: %q", line)
+		}
+		switch obj["ph"] {
+		case "X":
+			if dur, _ := obj["dur"].(float64); dur <= 0 {
+				t.Fatalf("span with non-positive dur: %q", line)
+			}
+		case "i":
+			if obj["s"] != "g" {
+				t.Fatalf("instant without global scope: %q", line)
+			}
+		default:
+			t.Fatalf("unexpected phase in %q", line)
 		}
 	}
 }
 
+// TestWriteFileDispatch: the file's name selects nothing — every trace
+// file is pdnsec-trace/1 JSONL.
 func TestWriteFileDispatch(t *testing.T) {
 	dir := t.TempDir()
-	tr := NewTracer(newFakeClock().now)
-	tr.Begin("a").End()
-	jsonl := filepath.Join(dir, "out.jsonl")
-	chrome := filepath.Join(dir, "out.json")
-	if err := tr.WriteFile(jsonl); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteFile(chrome); err != nil {
-		t.Fatal(err)
-	}
-	readFirst := func(path string) byte {
-		b, err := os.ReadFile(path)
-		if err != nil || len(b) == 0 {
-			t.Fatalf("read %s: %v", path, err)
+	for _, name := range []string{"out.jsonl", "out.json", "trace"} {
+		tr := NewTracer(newFakeClock().now)
+		tr.Begin("a").End()
+		path := filepath.Join(dir, name)
+		if err := tr.WriteFile(path); err != nil {
+			t.Fatal(err)
 		}
-		return b[0]
-	}
-	if readFirst(jsonl) != '{' {
-		t.Error("jsonl file does not start with an object")
-	}
-	if readFirst(chrome) != '[' {
-		t.Error("chrome file does not start with an array")
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimRight(string(b), "\n"), "\n")
+		if len(lines) != 2 || !strings.Contains(lines[0], TraceSchema) || !strings.HasPrefix(lines[1], `{"name":"a"`) {
+			t.Errorf("%s is not a schema header and one event:\n%s", name, b)
+		}
 	}
 }
 
@@ -188,12 +150,17 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Fatalf("Len = %d, want 800", got)
 	}
 	var sb strings.Builder
-	if err := tr.WriteChrome(&sb); err != nil {
+	if err := tr.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)
 	}
-	var arr []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &arr); err != nil {
-		t.Fatalf("concurrent chrome output invalid: %v", err)
+	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
+	if len(lines) != 801 {
+		t.Fatalf("lines = %d, want the schema header and 800 events", len(lines))
+	}
+	for _, line := range lines {
+		if !json.Valid([]byte(line)) {
+			t.Fatalf("concurrent JSONL line invalid: %q", line)
+		}
 	}
 }
 

@@ -348,7 +348,7 @@ func TestGracefulDegradeWhenPDNBlocked(t *testing.T) {
 	// CDN playback rather than break the video.
 	tb := newTestbed(t, provider.Peer5(), smallVideo("bbb", 4))
 	cfg := tb.peerConfig(t)
-	cfg.SignalAddr = netip.MustParseAddrPort("10.66.66.66:443") // blocked/blackholed
+	cfg.SignalAddrs = []netip.AddrPort{netip.MustParseAddrPort("10.66.66.66:443")} // blocked/blackholed
 	cfg.GracefulDegrade = true
 	p, err := New(cfg)
 	if err != nil {
@@ -363,7 +363,7 @@ func TestGracefulDegradeWhenPDNBlocked(t *testing.T) {
 	if st.SegmentsPlayed != 4 || st.FromCDN != 4 || st.FromP2P != 0 {
 		t.Fatalf("degraded stats %+v", st)
 	}
-	if tb.dep.Server.PeerCount() != 0 {
+	if tb.dep.PeerCount() != 0 {
 		t.Fatal("blocked viewer must not appear in the swarm")
 	}
 }

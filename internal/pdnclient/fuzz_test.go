@@ -3,6 +3,7 @@ package pdnclient
 import (
 	"bytes"
 	"crypto/ed25519"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -62,7 +63,9 @@ func FuzzDecodeMsg(f *testing.F) {
 // manifest key signed as exactly that run, and afterwards answer lookups
 // inside that run and nowhere else. keyed false is a session whose
 // provider signs no manifests (a panel deployment): nothing to verify,
-// every other bound the same.
+// every other bound the same. The seeds include the retired single-SIM
+// forms — a bare "hash" with no window, and a signature over the old
+// "key|hash" message — which no session accepts.
 func FuzzSIMReply(f *testing.F) {
 	priv := ed25519.NewKeyFromSeed(bytes.Repeat([]byte{7}, ed25519.SeedSize))
 	pub := priv.Public().(ed25519.PublicKey)
@@ -73,21 +76,26 @@ func FuzzSIMReply(f *testing.F) {
 		hashes[i] = media.Hash([]byte{byte(i)})
 	}
 	run := hashes[:simWindow]
-	one := media.SignSIM(priv, asked, hashes[0])
+	keyHash := hex.EncodeToString(ed25519.Sign(priv, []byte(asked.String()+"|"+hashes[0])))
 	flipped := append([]string{hashes[0], hashes[5]}, run[2:]...)
-	for _, seed := range []signal.SIM{
-		{Key: asked, Found: true, Window: run, Sig: media.SignSIMWindow(priv, asked, run)},
-		{Key: asked, Found: true, Window: run[:3], Sig: media.SignSIMWindow(priv, asked, run[:3])},
-		{Key: asked, Found: true, Hash: one.Hash, Sig: one.Sig},
-		{Key: asked},
-		{Key: asked, Found: true, Window: flipped, Sig: media.SignSIMWindow(priv, asked, run)},
-		{Key: asked, Found: true, Window: run[:simWindow-1], Sig: media.SignSIMWindow(priv, asked, run)},
-		{Key: asked, Found: true, Window: run, Sig: media.SignSIMWindow(priv, next, run)},
-		{Key: next, Found: true, Window: run, Sig: media.SignSIMWindow(priv, next, run)},
-		{Key: asked, Found: true, Window: hashes, Sig: media.SignSIMWindow(priv, asked, hashes)},
-		{Key: asked, Found: true, Hash: hashes[0], Sig: media.SignSIMWindow(priv, asked, hashes[:1])},
-		{Key: asked, Found: true, Window: hashes[:1], Sig: one.Sig},
-		{Key: asked, Found: true, Window: []string{"", "not hex", "\x00"}, Sig: "zz"},
+	type bareHash struct {
+		signal.SIM
+		Hash string `json:"hash"`
+	}
+	for _, seed := range []any{
+		signal.SIM{Key: asked, Found: true, Window: run, Sig: media.SignSIMWindow(priv, asked, run)},
+		signal.SIM{Key: asked, Found: true, Window: run[:3], Sig: media.SignSIMWindow(priv, asked, run[:3])},
+		signal.SIM{Key: asked, Found: true, Window: hashes[:1], Sig: media.SignSIMWindow(priv, asked, hashes[:1])},
+		bareHash{signal.SIM{Key: asked, Found: true, Sig: keyHash}, hashes[0]},
+		signal.SIM{Key: asked},
+		signal.SIM{Key: asked, Found: true, Window: flipped, Sig: media.SignSIMWindow(priv, asked, run)},
+		signal.SIM{Key: asked, Found: true, Window: run[:simWindow-1], Sig: media.SignSIMWindow(priv, asked, run)},
+		signal.SIM{Key: asked, Found: true, Window: run, Sig: media.SignSIMWindow(priv, next, run)},
+		signal.SIM{Key: next, Found: true, Window: run, Sig: media.SignSIMWindow(priv, next, run)},
+		signal.SIM{Key: asked, Found: true, Window: hashes, Sig: media.SignSIMWindow(priv, asked, hashes)},
+		bareHash{signal.SIM{Key: asked, Found: true, Sig: media.SignSIMWindow(priv, asked, hashes[:1])}, hashes[0]},
+		signal.SIM{Key: asked, Found: true, Window: hashes[:1], Sig: keyHash},
+		signal.SIM{Key: asked, Found: true, Window: []string{"", "not hex", "\x00"}, Sig: "zz"},
 	} {
 		body, err := json.Marshal(seed)
 		if err != nil {
@@ -120,8 +128,7 @@ func FuzzSIMReply(f *testing.F) {
 		if !resp.Found || resp.Key != asked || start != asked || len(cached) == 0 || len(cached) > simWindow || hash != cached[0] {
 			t.Fatalf("accepted %+v for %v: returned %q, cached %d hashes at %v", resp, asked, hash, len(cached), start)
 		}
-		if keyed && !media.VerifySIMWindow(pub, asked, cached, resp.Sig) &&
-			!(len(cached) == 1 && media.VerifySIM(pub, asked, cached[0], resp.Sig)) {
+		if keyed && !media.VerifySIMWindow(pub, asked, cached, resp.Sig) {
 			t.Fatalf("cached %v at %v under a signature the manifest key did not make for it", cached, asked)
 		}
 		for off := -2; off < len(cached)+2; off++ {

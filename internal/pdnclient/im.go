@@ -50,26 +50,18 @@ func (c *simCache) store(start media.SegmentKey, hashes []string) {
 // acceptSIM decides what the reply to a GetSIM for asked is worth under
 // this session, caches the run of hashes it vouches for and returns
 // asked's; or caches nothing and returns why. A reply that names another
-// key or lists more than was asked for is refused before any signature
-// is looked at; when the session carries a manifest verification key the
-// one signature must cover asked and the whole list, so a compromised or
-// impersonated server can forge, reorder, shift or truncate nothing. A
-// reply with a bare Hash and no Window comes from a service that signs
-// no windows: it is a run of one under the single-SIM signature, which
-// the window format's domain tag keeps from standing in for a window's
-// (or a window's for it).
+// key, lists no hash or lists more than was asked for is refused before
+// any signature is looked at; when the session carries a manifest
+// verification key the one signature must cover asked and the whole
+// list, so a compromised or impersonated server can forge, reorder,
+// shift or truncate nothing.
 func (s *session) acceptSIM(asked media.SegmentKey, resp signal.SIM) (hash, reason string) {
 	hashes := resp.Window
 	switch {
 	case !resp.Found:
 		return "", "no_sim"
-	case resp.Key != asked || len(hashes) > simWindow:
+	case resp.Key != asked || len(hashes) == 0 || len(hashes) > simWindow:
 		return "", "bad_sim_reply"
-	case len(hashes) == 0:
-		if s.manifestKey != nil && !media.VerifySIM(s.manifestKey, asked, resp.Hash, resp.Sig) {
-			return "", "bad_sim_signature"
-		}
-		hashes = []string{resp.Hash}
 	case s.manifestKey != nil && !media.VerifySIMWindow(s.manifestKey, asked, hashes, resp.Sig):
 		return "", "bad_sim_signature"
 	}

@@ -59,17 +59,15 @@ type Config struct {
 	// Network is needed to materialize punched P2P flows. Required.
 	Network *netsim.Network
 
-	// SignalAddr and STUNAddr locate the PDN provider's services.
-	SignalAddr netip.AddrPort
-	STUNAddr   netip.AddrPort
-	// SignalAddrs is the bootstrap seed list for federated providers:
-	// every signaling server the SDK shipped with. When set it
-	// supersedes SignalAddr; the peer joins through any live entry and
-	// follows redirects to its swarm's owner. Reconnects re-resolve
-	// this list (plus servers learned from redirects) rather than
-	// pinning the original address, so a crashed owner doesn't strand
-	// the peer.
+	// SignalAddrs and STUNAddr locate the PDN provider's services.
+	// SignalAddrs is the bootstrap seed list: every signaling server the
+	// SDK shipped with (one, unless the provider federates). The peer
+	// joins through any live entry and follows redirects to its swarm's
+	// owner. Reconnects re-resolve this list (plus servers learned from
+	// redirects) rather than pinning the original address, so a crashed
+	// owner doesn't strand the peer.
 	SignalAddrs []netip.AddrPort
+	STUNAddr    netip.AddrPort
 	// TURNAddr, when valid, routes all P2P transport through a TURN
 	// relay (§V-C): the peer gathers no ICE candidates, advertises no
 	// addresses, and never learns its neighbors' addresses.
@@ -351,11 +349,7 @@ func New(cfg Config) (*Peer, error) {
 		admitted:     make(chan struct{}),
 		lingerStop:   make(chan struct{}),
 	}
-	seeds := cfg.SignalAddrs
-	if len(seeds) == 0 && cfg.SignalAddr.IsValid() {
-		seeds = []netip.AddrPort{cfg.SignalAddr}
-	}
-	p.store = federation.NewPeerstore(seeds, time.Now)
+	p.store = federation.NewPeerstore(cfg.SignalAddrs, time.Now)
 	reg := cfg.Obs
 	p.metrics = peerMetrics{
 		segsCDN:          reg.Counter("pdn_segments_cdn_total", "segments played from the CDN"),

@@ -85,16 +85,16 @@ func (tb *testbed) peerConfig(t *testing.T) Config {
 	tb.mu.Unlock()
 	host := tb.net.MustHost(ip)
 	return Config{
-		Host:       host,
-		Network:    tb.net,
-		SignalAddr: tb.dep.SignalAddr,
-		STUNAddr:   tb.dep.STUNAddr,
-		CDNBase:    tb.cdnBase,
-		APIKey:     tb.key,
-		Origin:     "https://customer.com",
-		Video:      tb.video.ID,
-		Rendition:  "360p",
-		Seed:       int64(tb.nextIP),
+		Host:        host,
+		Network:     tb.net,
+		SignalAddrs: tb.dep.SignalAddrs,
+		STUNAddr:    tb.dep.STUNAddr,
+		CDNBase:     tb.cdnBase,
+		APIKey:      tb.key,
+		Origin:      "https://customer.com",
+		Video:       tb.video.ID,
+		Rendition:   "360p",
+		Seed:        int64(tb.nextIP),
 	}
 }
 
@@ -264,7 +264,7 @@ func TestDisableP2PIsPureCDNViewer(t *testing.T) {
 	if st.FromCDN != 3 || st.FromP2P != 0 {
 		t.Fatalf("stats %+v", st)
 	}
-	if tb.dep.Server.PeerCount() != 0 {
+	if tb.dep.PeerCount() != 0 {
 		t.Fatal("no-P2P viewer must not join the PDN")
 	}
 }

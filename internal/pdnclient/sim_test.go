@@ -159,12 +159,6 @@ func window(im *defense.IMChecker, key media.SegmentKey, count int) signal.SIM {
 	return signal.SIM{Key: key, Window: hashes, Sig: sig, Found: ok}
 }
 
-// single is the reply of a server whose service signs no windows.
-func single(im *defense.IMChecker, key media.SegmentKey) signal.SIM {
-	hash, sig, ok := im.SIM(key)
-	return signal.SIM{Key: key, Hash: hash, Sig: sig, Found: ok}
-}
-
 // simViewer is a traced, metered viewer joined to a scriptedSignal, with
 // one neighbor that answers every want. source records where each played
 // segment came from.
@@ -188,15 +182,15 @@ func (b *simBed) viewer(t *testing.T, srv *scriptedSignal, serve func(media.Segm
 		source: make(map[int]string),
 	}
 	p, err := New(Config{
-		Host:       b.net.MustHost(netip.MustParseAddr("66.24.9.1")),
-		Network:    b.net,
-		SignalAddr: srv.addr,
-		CDNBase:    b.cdnBase,
-		Video:      b.video.ID,
-		Rendition:  "360p",
-		Tracer:     v.tracer,
-		Meter:      v.meter,
-		Obs:        v.reg,
+		Host:        b.net.MustHost(netip.MustParseAddr("66.24.9.1")),
+		Network:     b.net,
+		SignalAddrs: []netip.AddrPort{srv.addr},
+		CDNBase:     b.cdnBase,
+		Video:       b.video.ID,
+		Rendition:   "360p",
+		Tracer:      v.tracer,
+		Meter:       v.meter,
+		Obs:         v.reg,
 		OnSegment: func(key media.SegmentKey, data []byte, source string) {
 			if !bytes.Equal(data, b.segment(key)) {
 				t.Errorf("segment %d played from %s is not the authentic one", key.Index, source)
@@ -306,13 +300,14 @@ func TestHostileSIMReplyIsRejected(t *testing.T) {
 			return window(b.im, req.Key, req.Count+1) // genuinely signed, all 17
 		}, "bad_sim_reply"},
 		{"window signature replayed as a single SIM", func(b *simBed, req signal.GetSIM) signal.SIM {
+			// A bare hash beside the signature: no Window to decode.
 			resp := window(b.im, req.Key, 1)
-			resp.Hash, resp.Window = resp.Window[0], nil
+			resp.Window = nil
 			return resp
-		}, "bad_sim_signature"},
+		}, "bad_sim_reply"},
 		{"single SIM signature replayed as a window", func(b *simBed, req signal.GetSIM) signal.SIM {
-			resp := single(b.im, req.Key)
-			resp.Window, resp.Hash = []string{resp.Hash}, ""
+			resp := window(b.im, req.Key, req.Count)
+			resp.Sig = window(b.im, req.Key, 1).Sig
 			return resp
 		}, "bad_sim_signature"},
 		{"not found", func(b *simBed, req signal.GetSIM) signal.SIM {
@@ -411,8 +406,8 @@ func TestSIMCacheDiesWithSession(t *testing.T) {
 // compared — a polluted copy inside a verified window is refused all the
 // same, and the CDN copy that replaces it is hashed once for both its
 // check and its IM report. A service that answers with short runs (a
-// panel, which establishes SIMs as reports arrive) or signs no windows
-// at all costs a round trip per segment and is otherwise no different.
+// panel, which establishes SIMs as reports arrive) costs a round trip
+// per segment and is otherwise no different.
 func TestSIMWindowSpansSixteenSegments(t *testing.T) {
 	const segments, polluted = 40, 21
 	for _, tc := range []struct {
@@ -422,7 +417,6 @@ func TestSIMWindowSpansSixteenSegments(t *testing.T) {
 	}{
 		{"full windows", func(b *simBed, req signal.GetSIM) signal.SIM { return window(b.im, req.Key, req.Count) }, 3},
 		{"runs of one", func(b *simBed, req signal.GetSIM) signal.SIM { return window(b.im, req.Key, 1) }, segments},
-		{"no window method", func(b *simBed, req signal.GetSIM) signal.SIM { return single(b.im, req.Key) }, segments},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := newSIMBed(t, segments)

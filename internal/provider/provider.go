@@ -257,17 +257,13 @@ type Deployment struct {
 	// Plane is the federated signaling plane — a ring of
 	// Options.Servers signal.Server instances (one, unless federated).
 	Plane *federation.Plane
-	// Server is the first plane member, kept for the single-server
-	// callers that predate federation.
-	Server *signal.Server
 	// Transport is the static-key vouching authority for
 	// SecureTransport profiles (nil otherwise).
 	Transport *secure.TransportAuthority
 
-	// SignalAddr and STUNAddr are the service endpoints peers use.
-	// SignalAddr is the first server; SignalAddrs lists every federated
-	// server — the seed list clients bootstrap from.
-	SignalAddr  netip.AddrPort
+	// SignalAddrs and STUNAddr are the service endpoints peers use.
+	// SignalAddrs lists every signaling server, the first on Deploy's
+	// host — the seed list clients bootstrap from.
 	SignalAddrs []netip.AddrPort
 	STUNAddr    netip.AddrPort
 
@@ -389,8 +385,6 @@ func Deploy(ctx context.Context, p Profile, host *netsim.Host, opts Options) (*D
 	d.Keys = keys
 	d.Transport = transport
 	d.Plane = plane
-	d.Server = plane.Server(0)
-	d.SignalAddr = netip.AddrPortFrom(host.VisibleAddr(), 443)
 	d.SignalAddrs = plane.Addrs()
 	d.STUNAddr = netip.AddrPortFrom(host.VisibleAddr(), 3478)
 	d.stunCancel = cancel

@@ -32,7 +32,7 @@ func join(t *testing.T, n *netsim.Network, d *Deployment, ip string, req signal.
 	host := n.MustHost(netip.MustParseAddr(ip))
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	c, err := signal.Dial(ctx, host, d.SignalAddr)
+	c, err := signal.Dial(ctx, host, d.SignalAddrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestManifestKeyStampedForAuthorityOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			c, err := signal.Dial(context.Background(), n.MustHost(netip.MustParseAddr("66.24.0.1")), d.SignalAddr)
+			c, err := signal.Dial(context.Background(), n.MustHost(netip.MustParseAddr("66.24.0.1")), d.SignalAddrs[0])
 			if err != nil {
 				t.Fatal(err)
 			}

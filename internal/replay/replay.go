@@ -233,7 +233,7 @@ func (b *replayBed) joinProbeCell(ctx context.Context) (CellResult, error) {
 		return CellResult{}, err
 	}
 	// An attacker holding no credential at all.
-	ok, err := attack.CrossDomain(ctx, pdnclient.Config{Host: host, SignalAddr: b.tb.Dep.SignalAddr})
+	ok, err := attack.CrossDomain(ctx, pdnclient.Config{Host: host, SignalAddrs: b.tb.Dep.SignalAddrs})
 	if err != nil {
 		return CellResult{}, err
 	}

@@ -9,10 +9,10 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/media"
 )
 
-// VerifyManifest checks a hex manifest signature against a verification
-// key.
+// VerifyManifest checks a hex manifest signature — one segment's SIM —
+// against a verification key.
 func VerifyManifest(pub ed25519.PublicKey, key media.SegmentKey, hash, sig string) bool {
-	return media.VerifySIM(pub, key, hash, sig)
+	return defense.VerifySIM(pub, key, hash, sig)
 }
 
 // NewManifestService builds a secure-profile integrity service for a

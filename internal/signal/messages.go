@@ -258,9 +258,9 @@ type IMReport struct {
 	Hash string           `json:"hash"`
 }
 
-// GetSIM requests the signed integrity metadata for a segment. With a
-// Count it asks for that segment's and up to Count-1 following ones'
-// under one signature (SIM.Window).
+// GetSIM requests the signed integrity metadata for a segment and up to
+// Count-1 following ones under one signature (SIM.Window). A Count below
+// 1 asks for the segment alone.
 type GetSIM struct {
 	Key   media.SegmentKey `json:"key"`
 	Count int              `json:"count,omitempty"`
@@ -273,16 +273,13 @@ type BadKeyReport struct {
 	StaticKey string `json:"static_key"`
 }
 
-// SIM is signed integrity metadata: the server-authenticated hash a
-// peer must verify before accepting a P2P-delivered segment.
-//
-// The answer to a GetSIM with a Count carries Window in place of Hash:
+// SIM is signed integrity metadata: the server-authenticated hashes a
+// peer must verify before accepting a P2P-delivered segment. Window holds
 // the hashes of Key's segment and the ones after it, as many as are
-// established, and Sig is then the window signature over Key and that
-// list (media.VerifySIMWindow), which no single-SIM check accepts.
+// established and were asked for, and Sig is the one signature over Key
+// and that list (media.VerifySIMWindow).
 type SIM struct {
 	Key    media.SegmentKey `json:"key"`
-	Hash   string           `json:"hash"`
 	Sig    string           `json:"sig"`
 	Found  bool             `json:"found"`
 	Window []string         `json:"window,omitempty"`

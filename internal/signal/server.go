@@ -29,20 +29,12 @@ type IMService interface {
 	// Report records a peer's IM for a CDN-fetched segment and returns
 	// an error if the peer is now (or already was) blacklisted.
 	Report(peerID string, key media.SegmentKey, hash string) error
-	// SIM returns the signed IM for a segment if one is established.
-	SIM(key media.SegmentKey) (hash, sig string, ok bool)
-	// Blacklisted reports whether a peer has been banned.
-	Blacklisted(peerID string) bool
-}
-
-// SIMWindower is what an IMService adds to answer a GetSIM that carries
-// a Count with a run of hashes under one signature (defense.IMChecker
-// does). A service without it answers every GetSIM with the one SIM.
-type SIMWindower interface {
 	// SIMWindow returns the established hashes of key and the segments
 	// that follow it, at most count, and one signature over the run
-	// (media.VerifySIMWindow checks it).
+	// (media.VerifySIMWindow checks it); ok is false when key has no SIM.
 	SIMWindow(key media.SegmentKey, count int) (hashes []string, sig string, ok bool)
+	// Blacklisted reports whether a peer has been banned.
+	Blacklisted(peerID string) bool
 }
 
 // TokenValidator validates a presented token for a video source — a
@@ -605,13 +597,9 @@ func (s *Server) dispatch(sess *session, env wire.Envelope) bool {
 			return false
 		}
 		resp := SIM{Key: req.Key}
-		if w, windowed := s.cfg.IM.(SIMWindower); windowed && req.Count > 0 {
-			if hashes, sig, ok := w.SIMWindow(req.Key, req.Count); ok {
+		if s.cfg.IM != nil {
+			if hashes, sig, ok := s.cfg.IM.SIMWindow(req.Key, max(req.Count, 1)); ok {
 				resp.Window, resp.Sig, resp.Found = hashes, sig, true
-			}
-		} else if s.cfg.IM != nil {
-			if hash, sig, ok := s.cfg.IM.SIM(req.Key); ok {
-				resp.Hash, resp.Sig, resp.Found = hash, sig, true
 			}
 		}
 		sess.send(MsgSIM, resp)

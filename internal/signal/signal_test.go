@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -365,10 +366,20 @@ type fakeIM struct {
 }
 
 func (f *fakeIM) Report(peerID string, key media.SegmentKey, hash string) error { return nil }
-func (f *fakeIM) SIM(key media.SegmentKey) (string, string, bool) {
-	return "h", "s", key.Video == "bbb"
+func (f *fakeIM) Blacklisted(id string) bool                                    { return f.blacklisted[id] }
+
+// SIMWindow vouches for every "bbb" segment: each hash "h", the count it
+// was asked for echoed in the signature.
+func (f *fakeIM) SIMWindow(key media.SegmentKey, count int) ([]string, string, bool) {
+	if key.Video != "bbb" {
+		return nil, "", false
+	}
+	hashes := make([]string, count)
+	for i := range hashes {
+		hashes[i] = "h"
+	}
+	return hashes, "w" + strconv.Itoa(count), true
 }
-func (f *fakeIM) Blacklisted(id string) bool { return f.blacklisted[id] }
 
 func TestGetSIMAndBlacklistFiltering(t *testing.T) {
 	im := &fakeIM{blacklisted: map[string]bool{}}
@@ -386,7 +397,7 @@ func TestGetSIMAndBlacklistFiltering(t *testing.T) {
 	}
 
 	sim, err := cA.GetSIM(testCtx, GetSIM{Key: media.SegmentKey{Video: "bbb", Rendition: "720p", Index: 0}})
-	if err != nil || !sim.Found || sim.Hash != "h" {
+	if err != nil || !sim.Found || !slices.Equal(sim.Window, []string{"h"}) {
 		t.Fatalf("GetSIM: %+v %v", sim, err)
 	}
 	sim2, err := cA.GetSIM(testCtx, GetSIM{Key: media.SegmentKey{Video: "other", Rendition: "720p", Index: 0}})
@@ -405,24 +416,8 @@ func TestGetSIMAndBlacklistFiltering(t *testing.T) {
 	}
 }
 
-// windowIM is a fakeIM that also signs windows: every hash "h", the
-// count it was asked for echoed in the signature.
-type windowIM struct{ fakeIM }
-
-func (f *windowIM) SIMWindow(key media.SegmentKey, count int) ([]string, string, bool) {
-	if key.Video != "bbb" {
-		return nil, "", false
-	}
-	hashes := make([]string, count)
-	for i := range hashes {
-		hashes[i] = "h"
-	}
-	return hashes, "w" + strconv.Itoa(count), true
-}
-
-// TestGetSIMWindow: a Count turns the answer into a window only when the
-// integrity service signs windows; with no Count, or a service that
-// signs none, the reply is the single SIM it always was.
+// TestGetSIMWindow: every answer is a window, and a Count below 1 asks
+// for a run of one — the segment's own SIM.
 func TestGetSIMWindow(t *testing.T) {
 	bbb := media.SegmentKey{Video: "bbb", Rendition: "720p", Index: 3}
 	for _, tc := range []struct {
@@ -430,15 +425,14 @@ func TestGetSIMWindow(t *testing.T) {
 		im     IMService
 		req    GetSIM
 		found  bool
-		hash   string
 		sig    string
 		window int
 	}{
-		{"windowed service, count", &windowIM{}, GetSIM{Key: bbb, Count: 4}, true, "", "w4", 4},
-		{"windowed service, no count", &windowIM{}, GetSIM{Key: bbb}, true, "h", "s", 0},
-		{"windowed service, unknown key", &windowIM{}, GetSIM{Key: media.SegmentKey{Video: "other"}, Count: 4}, false, "", "", 0},
-		{"plain service, count", &fakeIM{}, GetSIM{Key: bbb, Count: 4}, true, "h", "s", 0},
-		{"no service, count", nil, GetSIM{Key: bbb, Count: 4}, false, "", "", 0},
+		{"windowed service, count", &fakeIM{}, GetSIM{Key: bbb, Count: 4}, true, "w4", 4},
+		{"windowed service, no count", &fakeIM{}, GetSIM{Key: bbb}, true, "w1", 1},
+		{"windowed service, negative count", &fakeIM{}, GetSIM{Key: bbb, Count: -3}, true, "w1", 1},
+		{"windowed service, unknown key", &fakeIM{}, GetSIM{Key: media.SegmentKey{Video: "other"}, Count: 4}, false, "", 0},
+		{"no service, count", nil, GetSIM{Key: bbb, Count: 4}, false, "", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t, func(c *Config) { c.IM = tc.im })
@@ -450,8 +444,8 @@ func TestGetSIMWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sim.Key != tc.req.Key || sim.Found != tc.found || sim.Hash != tc.hash || sim.Sig != tc.sig || len(sim.Window) != tc.window {
-				t.Fatalf("reply %+v, want found=%v hash=%q sig=%q and %d window entries for the asked key", sim, tc.found, tc.hash, tc.sig, tc.window)
+			if sim.Key != tc.req.Key || sim.Found != tc.found || sim.Sig != tc.sig || len(sim.Window) != tc.window {
+				t.Fatalf("reply %+v, want found=%v sig=%q and %d window entries for the asked key", sim, tc.found, tc.sig, tc.window)
 			}
 		})
 	}
