@@ -9,13 +9,13 @@
 //
 // Usage:
 //
-//	pdnlint [-vet] [-only name,name] [-json] [-baseline FILE] [packages]
+//	pdnlint [-only name,name] [-json] [-baseline FILE] [packages]
 //
-// Packages default to ./... resolved from the current directory. With
-// -vet, `go vet` runs first on the same patterns so one command gates
-// both suites. Findings print as file:line:col: [analyzer] message —
-// or, with -json, as a JSON array (one object per finding, an empty
-// array when clean) suitable as a CI artifact and as -baseline input.
+// Packages default to ./... resolved from the current directory; `go
+// vet` is a separate step. Findings print as file:line:col: [analyzer]
+// message — or, with -json, as a JSON array (one object per finding, an
+// empty array when clean) suitable as a CI artifact and as -baseline
+// input.
 //
 // With -baseline FILE, the findings recorded in FILE (a prior -json
 // report) are tolerated: only findings absent from the baseline print
@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -69,7 +68,6 @@ func (f jsonFinding) key() string {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pdnlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	vet := fs.Bool("vet", false, "also run `go vet` on the same packages first")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	baseline := fs.String("baseline", "", "tolerate findings recorded in this prior -json report")
@@ -101,16 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for _, f := range old {
 			known[f.key()] = true
-		}
-	}
-
-	if *vet {
-		cmd := exec.Command("go", append([]string{"vet"}, patterns...)...)
-		cmd.Stdout = stdout
-		cmd.Stderr = stderr
-		if err := cmd.Run(); err != nil {
-			fmt.Fprintf(stderr, "pdnlint: go vet failed\n")
-			return 1
 		}
 	}
 

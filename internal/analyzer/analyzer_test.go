@@ -179,6 +179,30 @@ func TestIPLeakVerdict(t *testing.T) {
 	}
 }
 
+// TestIPLeakHarvestCountsOnlyPeers: the controlled peer's capture also
+// holds its own server-reflexive query to the provider's STUN server,
+// and the harvest does not count that server as a peer. On peer5 it
+// finds the victim alone; hardened never matches the two, so it finds
+// nobody.
+func TestIPLeakHarvestCountsOnlyPeers(t *testing.T) {
+	ctx := testCtx(t)
+	for _, tc := range []struct {
+		prof provider.Profile
+		want string
+	}{
+		{provider.Peer5(), "harvested 1 peer IPs"},
+		{provider.Hardened(), "harvested 0 peer IPs"},
+	} {
+		v, err := IPLeakTest(ctx, tc.prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(v.Detail, tc.want) {
+			t.Errorf("%s: detail %q, want %q", tc.prof.Name, v.Detail, tc.want)
+		}
+	}
+}
+
 func TestResourceSquattingVerdict(t *testing.T) {
 	ctx := testCtx(t)
 	v, err := ResourceSquattingTest(ctx, provider.Peer5())

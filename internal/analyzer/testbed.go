@@ -152,7 +152,7 @@ func NewTestbed(ctx ctxT, cfg TestbedConfig) (*Testbed, error) {
 		Net:            n,
 		Video:          cfg.Video,
 		GeoDB:          db,
-		Alloc:          geoip.NewAllocator(db, cfg.Options.Seed+1),
+		Alloc:          geoip.NewAllocator(db),
 		Obs:            cfg.Obs,
 		Traces:         cfg.Traces,
 		customerDomain: cfg.CustomerDomain,

@@ -159,8 +159,18 @@ func pairKey(a, b netip.Addr) [2]netip.Addr {
 // HarvestPeerIPs extracts every peer address a capture exposes to the
 // observing host: source addresses of STUN messages it received and any
 // XOR-MAPPED-ADDRESS / candidate addresses carried inside them. self is
-// excluded. This is the paper's IP-leak harvesting script.
+// excluded, and so is the STUN server: a binding request without a
+// USERNAME is a server-reflexive query (ICE checks always carry one), and
+// the answer to it comes from infrastructure and maps the observer's own
+// address. This is the paper's IP-leak harvesting script.
 func HarvestPeerIPs(packets []netsim.Packet, self netip.Addr) []netip.Addr {
+	stuns := FindSTUN(packets)
+	queries := make(map[stun.TxID]bool)
+	for _, obs := range stuns {
+		if obs.Packet.Dir == netsim.DirOut && obs.Msg.Type == stun.TypeBindingRequest && obs.Msg.Username == "" {
+			queries[obs.Msg.Tx] = true
+		}
+	}
 	seen := make(map[netip.Addr]bool)
 	var out []netip.Addr
 	add := func(a netip.Addr) {
@@ -170,8 +180,11 @@ func HarvestPeerIPs(packets []netsim.Packet, self netip.Addr) []netip.Addr {
 		seen[a] = true
 		out = append(out, a)
 	}
-	for _, obs := range FindSTUN(packets) {
+	for _, obs := range stuns {
 		if obs.Packet.Dir == netsim.DirIn {
+			if queries[obs.Msg.Tx] {
+				continue // the STUN server's answer
+			}
 			add(obs.Packet.Src.Addr())
 		}
 		if obs.Msg.XORMappedAddress.IsValid() {
@@ -179,34 +192,4 @@ func HarvestPeerIPs(packets []netsim.Packet, self netip.Addr) []netip.Addr {
 		}
 	}
 	return out
-}
-
-// Stats summarizes a capture.
-type Stats struct {
-	Packets      int   `json:"packets"`
-	UDPBytes     int64 `json:"udp_bytes"`
-	TCPBytes     int64 `json:"tcp_bytes"`
-	STUNMessages int   `json:"stun_messages"`
-	DTLSRecords  int   `json:"dtls_records"`
-}
-
-// Summarize computes aggregate statistics for a capture.
-func Summarize(packets []netsim.Packet) Stats {
-	var s Stats
-	s.Packets = len(packets)
-	for _, p := range packets {
-		switch p.Proto {
-		case netsim.ProtoUDP:
-			s.UDPBytes += int64(len(p.Payload))
-		case netsim.ProtoTCP:
-			s.TCPBytes += int64(len(p.Payload))
-		}
-		if stun.Is(p.Payload) {
-			s.STUNMessages++
-		}
-		if _, ok := IsDTLSRecord(p.Payload); ok {
-			s.DTLSRecords++
-		}
-	}
-	return s
 }

@@ -150,19 +150,22 @@ func TestHarvestPeerIPs(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	req := stun.BindingRequest("a:b", 1).Encode()
+func TestHarvestSkipsSTUNServer(t *testing.T) {
+	self := netip.MustParseAddr("5.5.5.5")
+	query := stun.BindingRequest("", 0)
+	answer := stun.BindingSuccess(query.Tx, ap("5.5.5.5:4001")).Encode()
+	check := stun.BindingRequest("peer", 1).Encode()
+
 	pkts := []netsim.Packet{
-		udpPkt("1.1.1.1:1", "2.2.2.2:2", req, netsim.DirIn),
-		tcpPkt("1.1.1.1:1", "2.2.2.2:2", dtlsHandshakeBytes(), netsim.DirOut),
-		tcpPkt("1.1.1.1:1", "2.2.2.2:2", []byte("plain http"), netsim.DirOut),
+		// The server-reflexive query and the STUN server's answer: infrastructure.
+		udpPkt("5.5.5.5:4001", "44.1.1.1:3478", query.Encode(), netsim.DirOut),
+		udpPkt("44.1.1.1:3478", "5.5.5.5:4001", answer, netsim.DirIn),
+		// A peer's connectivity check: harvested.
+		udpPkt("36.96.0.1:5000", "5.5.5.5:4001", check, netsim.DirIn),
 	}
-	s := Summarize(pkts)
-	if s.Packets != 3 || s.STUNMessages != 1 || s.DTLSRecords != 1 {
-		t.Fatalf("stats %+v", s)
-	}
-	if s.UDPBytes != int64(len(req)) || s.TCPBytes != int64(16+len("plain http")) {
-		t.Fatalf("byte counts %+v", s)
+	got := HarvestPeerIPs(pkts, self)
+	if len(got) != 1 || got[0] != netip.MustParseAddr("36.96.0.1") {
+		t.Fatalf("harvested %v, want only the peer 36.96.0.1", got)
 	}
 }
 

@@ -48,9 +48,8 @@ type Server struct {
 	cacheMiss  *obs.Counter
 	tracer     *obs.Tracer
 
-	httpSrv  *http.Server
-	listener *netsim.Listener
-	srvWG    sync.WaitGroup
+	httpSrv *http.Server
+	srvWG   sync.WaitGroup
 }
 
 // New constructs an empty CDN server.
@@ -375,7 +374,6 @@ func (s *Server) Serve(host *netsim.Host, port uint16) error {
 	if err != nil {
 		return fmt.Errorf("cdn: listen: %w", err)
 	}
-	s.listener = l
 	s.httpSrv = &http.Server{Handler: s.Handler()}
 	s.srvWG.Add(1)
 	go func() {

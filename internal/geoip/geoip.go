@@ -12,7 +12,6 @@ package geoip
 
 import (
 	"fmt"
-	"math/rand"
 	"net/netip"
 	"sort"
 	"sync"
@@ -232,15 +231,14 @@ type Allocator struct {
 	db *DB
 
 	mu   sync.Mutex
-	rng  *rand.Rand
 	next map[string]int // country -> allocation counter
 }
 
-// NewAllocator returns an allocator over db, seeded deterministically.
-func NewAllocator(db *DB, seed int64) *Allocator {
+// NewAllocator returns an allocator over db. Allocation is sequential
+// per country, so it is deterministic without a seed.
+func NewAllocator(db *DB) *Allocator {
 	return &Allocator{
 		db:   db,
-		rng:  rand.New(rand.NewSource(seed)),
 		next: make(map[string]int),
 	}
 }

@@ -58,7 +58,7 @@ func TestIsBogon(t *testing.T) {
 
 func TestAllocatorUniqueAndGeolocated(t *testing.T) {
 	db := NewDB()
-	alloc := NewAllocator(db, 1)
+	alloc := NewAllocator(db)
 	seen := make(map[netip.Addr]bool)
 	for i := 0; i < 5000; i++ {
 		ip, err := alloc.Alloc("CN")
@@ -83,14 +83,14 @@ func TestAllocatorUniqueAndGeolocated(t *testing.T) {
 }
 
 func TestAllocatorUnknownCountry(t *testing.T) {
-	alloc := NewAllocator(NewDB(), 1)
+	alloc := NewAllocator(NewDB())
 	if _, err := alloc.Alloc("XX"); err == nil {
 		t.Fatal("expected error for unknown country")
 	}
 }
 
 func TestAllocPrivateAndSharedNAT(t *testing.T) {
-	alloc := NewAllocator(NewDB(), 7)
+	alloc := NewAllocator(NewDB())
 	seen := make(map[netip.Addr]bool)
 	for i := 0; i < 1000; i++ {
 		p := alloc.AllocPrivate()
@@ -114,7 +114,7 @@ func TestAllocPrivateAndSharedNAT(t *testing.T) {
 
 func TestLookupStable(t *testing.T) {
 	db := NewDB()
-	alloc := NewAllocator(db, 3)
+	alloc := NewAllocator(db)
 	ip, err := alloc.Alloc("US")
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestCountriesSorted(t *testing.T) {
 func TestRegisterCustomCountry(t *testing.T) {
 	db := NewEmptyDB()
 	db.Register(Country{Code: "ZZ", Cities: []string{"Zed"}, ISPs: []string{"ZedNet"}, Prefixes: []string{"203.1.0.0/16"}})
-	alloc := NewAllocator(db, 1)
+	alloc := NewAllocator(db)
 	ip, err := alloc.Alloc("ZZ")
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestRegisterCustomCountry(t *testing.T) {
 // classification round-trips netip parsing.
 func TestQuickAllocatedNeverBogon(t *testing.T) {
 	db := NewDB()
-	alloc := NewAllocator(db, 99)
+	alloc := NewAllocator(db)
 	countries := db.Countries()
 	f := func(n uint16) bool {
 		c := countries[int(n)%len(countries)]

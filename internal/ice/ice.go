@@ -5,9 +5,10 @@
 //
 // This layer is where the paper's IP-leak risk materializes: to connect
 // two viewers, each one's addresses — including the public address
-// discovered via STUN — are shared with the other through the PDN
-// server, and connectivity-check datagrams carrying those addresses
-// cross the network in plaintext. A malicious peer needs nothing more
+// discovered via STUN — cross the PDN server's relay in the connection
+// offer and answer (not in the server's match reply), and
+// connectivity-check datagrams carrying those addresses cross the
+// network in plaintext. A malicious peer needs nothing more
 // than its own capture to harvest every candidate it is offered
 // (§IV-D). The bogon addresses the paper observed (private, shared-NAT,
 // reserved) arise here too: host candidates of NATed viewers are private
@@ -63,8 +64,7 @@ var (
 
 // Agent runs ICE for one peer over a single UDP socket.
 type Agent struct {
-	host *netsim.Host
-	pc   *netsim.PacketConn
+	pc *netsim.PacketConn
 
 	ufrag string
 
@@ -87,7 +87,6 @@ func NewAgent(host *netsim.Host, ufrag string) (*Agent, error) {
 		return nil, fmt.Errorf("ice: bind: %w", err)
 	}
 	return &Agent{
-		host:      host,
 		pc:        pc,
 		ufrag:     ufrag,
 		queries:   make(map[stun.TxID]chan netip.AddrPort),

@@ -17,9 +17,7 @@
 package monitor
 
 import (
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 )
@@ -147,7 +145,7 @@ func (m *Meter) SetPDNLoaded(v bool) {
 // Usage is a snapshot of cumulative work and current footprint.
 type Usage struct {
 	// CPUUnits is cumulative work in model units; rates and ratios are
-	// derived by the sampler/experiments.
+	// derived by the experiments.
 	CPUUnits float64 `json:"cpu_units"`
 	// MemBytes is the modelled resident footprint right now.
 	MemBytes int64 `json:"mem_bytes"`
@@ -186,74 +184,4 @@ func (m *Meter) Snapshot() Usage {
 		u.DownBytes = m.host.BytesDown()
 	}
 	return u
-}
-
-// Sample is one timed observation.
-type Sample struct {
-	T     time.Time `json:"t"`
-	Usage Usage     `json:"usage"`
-}
-
-// Sampler periodically snapshots a meter, reproducing the paper's
-// "per-second container stats" recording.
-type Sampler struct {
-	meter    *Meter
-	interval time.Duration
-
-	mu       sync.Mutex
-	samples  []Sample
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-}
-
-// NewSampler creates a sampler over meter at the given interval.
-func NewSampler(meter *Meter, interval time.Duration) *Sampler {
-	return &Sampler{
-		meter:    meter,
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-}
-
-// Start begins sampling in a goroutine.
-func (s *Sampler) Start() {
-	go func() {
-		defer close(s.done)
-		t := time.NewTicker(s.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				samp := Sample{T: time.Now(), Usage: s.meter.Snapshot()}
-				s.mu.Lock()
-				// Coarse clocks can hand two ticks the same wall time;
-				// keep the series strictly increasing so rate math
-				// downstream never divides by a zero interval.
-				if n := len(s.samples); n == 0 || samp.T.After(s.samples[n-1].T) {
-					s.samples = append(s.samples, samp)
-				}
-				s.mu.Unlock()
-			case <-s.stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts sampling and waits for the sampler goroutine to exit. It
-// is idempotent and safe to call from multiple goroutines.
-func (s *Sampler) Stop() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.done
-}
-
-// Samples returns the collected observations.
-func (s *Sampler) Samples() []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Sample, len(s.samples))
-	copy(out, s.samples)
-	return out
 }

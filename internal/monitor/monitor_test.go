@@ -3,7 +3,6 @@ package monitor
 import (
 	"net/netip"
 	"testing"
-	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 )
@@ -126,26 +125,6 @@ func TestNICCounters(t *testing.T) {
 	u := m.Snapshot()
 	if u.UpBytes != 500 {
 		t.Fatalf("UpBytes = %d", u.UpBytes)
-	}
-}
-
-func TestSampler(t *testing.T) {
-	m := NewMeter(DefaultCostModel(), nil)
-	s := NewSampler(m, 5*time.Millisecond)
-	s.Start()
-	m.OnPlayback(1)
-	time.Sleep(30 * time.Millisecond)
-	s.Stop()
-	samples := s.Samples()
-	if len(samples) < 2 {
-		t.Fatalf("sampler collected %d samples", len(samples))
-	}
-	// Stop is idempotent.
-	s.Stop()
-	// Samples returns a copy.
-	samples[0].Usage.PlayBytes = 999
-	if s.Samples()[0].Usage.PlayBytes == 999 {
-		t.Fatal("Samples must return a copy")
 	}
 }
 

@@ -76,7 +76,6 @@ func (d Direction) String() string {
 // stream chunk. Src and Dst are the addresses visible at the tap point
 // (post-NAT at the receiver).
 type Packet struct {
-	Time    time.Time
 	Proto   Proto
 	Dir     Direction
 	Src     netip.AddrPort

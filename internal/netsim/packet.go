@@ -88,7 +88,6 @@ func (pc *packetConn) WriteToAddrPort(b []byte, dst netip.AddrPort) (int, error)
 	pc.host.shapeUp(len(payload))
 
 	pkt := Packet{
-		Time:    pc.host.net.now(),
 		Proto:   ProtoUDP,
 		Dir:     DirOut,
 		Src:     visibleSrc,

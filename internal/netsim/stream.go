@@ -380,7 +380,6 @@ func (c *Conn) send(ch chunk) (int, error) {
 	}
 
 	pkt := Packet{
-		Time:    c.host.net.now(),
 		Proto:   ProtoTCP,
 		Src:     c.peer.remoteAddr, // how the receiver sees us (post-NAT)
 		Dst:     c.remoteAddr,

@@ -301,24 +301,6 @@ func (nb *neighbor) request(ctx context.Context, key media.SegmentKey) (data []b
 	}
 }
 
-// gatherCandidates collects the addresses advertised in the join
-// request. Real SDKs publish these through the server to every matched
-// peer — which is precisely the IP-leak surface: the set includes the
-// private host candidate and the STUN-discovered public address.
-func (p *Peer) gatherCandidates(ctx context.Context) ([]ice.Candidate, error) {
-	if p.cfg.TURNAddr.IsValid() {
-		return nil, nil // relayed transport: nothing to advertise, nothing to leak
-	}
-	agent, err := ice.NewAgent(p.cfg.Host, "join")
-	if err != nil {
-		return nil, err
-	}
-	defer agent.Close()
-	gctx, cancel := context.WithTimeout(ctx, 3*time.Second)
-	defer cancel()
-	return agent.Gather(gctx, p.cfg.STUNAddr)
-}
-
 // matchBackoffMax caps how many P2P-eligible segments a peer under
 // MaxNeighbors lets pass between two asks of the matcher.
 const matchBackoffMax = 32

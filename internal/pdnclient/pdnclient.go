@@ -12,7 +12,7 @@
 //     policy (RequireIMChecking), which is exactly why the video segment
 //     pollution attack works;
 //   - the peer joins with a static API key and client-controlled
-//     Origin/Referer strings;
+//     Origin string;
 //   - the peer answers every connection offer and serves every cached
 //     segment, exposing its address to any swarm member;
 //   - resource consumption (crypto, playback, cache, upload) is metered
@@ -69,18 +69,17 @@ type Config struct {
 	SignalAddrs []netip.AddrPort
 	STUNAddr    netip.AddrPort
 	// TURNAddr, when valid, routes all P2P transport through a TURN
-	// relay (§V-C): the peer gathers no ICE candidates, advertises no
-	// addresses, and never learns its neighbors' addresses.
+	// relay (§V-C): the peer gathers no ICE candidates, so its offers
+	// and answers carry no address, and it never learns its neighbors'.
 	TURNAddr netip.AddrPort
 	// CDNBase is the CDN origin, e.g. "http://93.184.216.34:80". The
 	// pollution attacker points this at its fake CDN.
 	CDNBase string
 
-	// Credentials: APIKey+Origin(+Referer) for public providers, or
+	// Credentials: APIKey+Origin for public providers, or
 	// Token+VideoURL for private ones. All client-controlled.
 	APIKey   string
 	Origin   string
-	Referer  string
 	Token    string
 	VideoURL string
 
@@ -488,7 +487,7 @@ func (p *Peer) StopLinger() {
 	p.lingerStopOnce.Do(func() { close(p.lingerStop) })
 }
 
-// join performs ICE gathering and the signaling join. The bootstrap
+// join performs the signaling join. The bootstrap
 // layer resolves which server to talk to: any live entry from the
 // peerstore, following redirects to the swarm's owner. Rejoins run the
 // same resolution, so a crashed owner is routed around instead of
@@ -499,23 +498,15 @@ func (p *Peer) join(ctx context.Context) error {
 	// under it via JoinRequest.Trace.
 	ctx, jspan := p.cfg.Tracer.StartSpan(ctx, "peer_join",
 		obs.A("video", p.cfg.Video), obs.A("rendition", p.cfg.Rendition))
-	cands, err := p.gatherCandidates(ctx)
-	if err != nil {
-		jspan.End(obs.A("ok", false))
-		return err
-	}
 	res, err := federation.Join(ctx, p.cfg.Host, p.store, signal.JoinRequest{
 		APIKey:      p.cfg.APIKey,
 		Origin:      p.cfg.Origin,
-		Referer:     p.cfg.Referer,
 		Token:       p.cfg.Token,
 		VideoURL:    p.cfg.VideoURL,
 		Video:       p.cfg.Video,
 		Rendition:   p.cfg.Rendition,
 		Fingerprint: p.identity.Fingerprint(),
 		StaticKey:   p.StaticKeyHex(),
-		Candidates:  cands,
-		Cellular:    p.cfg.Cellular,
 	}, func(c *signal.Client) {
 		c.OnRelay(p.handleRelay)
 		c.OnPeerGone(p.onPeerGone)

@@ -1,12 +1,15 @@
 package pdnclient
 
 import (
+	"bytes"
 	"context"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/stealthy-peers/pdnsec/internal/capture"
 	"github.com/stealthy-peers/pdnsec/internal/cdn"
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/monitor"
@@ -128,6 +131,48 @@ func TestSinglePeerPlaysFromCDN(t *testing.T) {
 	defer mu.Unlock()
 	if len(played) != 4 {
 		t.Fatalf("played %d segments", len(played))
+	}
+}
+
+// TestLoneViewerSendsNoSTUN: a viewer alone in its swarm joins, plays
+// and leaves without ever opening a connection, and its host capture
+// holds no STUN message. Candidates are gathered per connection attempt,
+// and the join carries none.
+func TestLoneViewerSendsNoSTUN(t *testing.T) {
+	tb := newTestbed(t, provider.Peer5(), smallVideo("bbb", 4))
+	cfg := tb.peerConfig(t)
+	rec := capture.NewRecorder(0)
+	cfg.Host.AddTap(rec.Tap)
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	st, err := p.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SegmentsPlayed != 4 || st.Neighbors != 0 || p.session().peerID == "" {
+		t.Fatalf("want a joined viewer that played alone: stats %+v, peer %q", st, p.session().peerID)
+	}
+	pkts := rec.Packets()
+	if stuns := capture.FindSTUN(pkts); len(stuns) != 0 {
+		t.Fatalf("a viewer that never connects sent %d STUN messages, first to %v", len(stuns), stuns[0].Packet.Dst)
+	}
+	var uplink []byte
+	for _, pkt := range pkts {
+		if pkt.Dir == netsim.DirOut && slices.Contains(tb.dep.SignalAddrs, pkt.Dst) {
+			uplink = append(uplink, pkt.Payload...)
+		}
+	}
+	if len(uplink) == 0 {
+		t.Fatal("capture holds no signaling uplink")
+	}
+	for _, key := range []string{`"candidates"`, `"cellular"`} {
+		if bytes.Contains(uplink, []byte(key)) {
+			t.Errorf("signaling uplink carries %s", key)
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ func (s *scriptedSignal) serve(c *wire.Codec) {
 		switch env.Type {
 		case signal.MsgJoin:
 			s.mu.Lock()
-			w := signal.Welcome{PeerID: "viewer", SwarmID: "bbb/360p", Policy: s.policy}
+			w := signal.Welcome{PeerID: "viewer", Policy: s.policy}
 			s.mu.Unlock()
 			err = c.Send(signal.MsgWelcome, w)
 		case signal.MsgGetPeers:

@@ -3,7 +3,6 @@ package population
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -97,18 +96,6 @@ func (m Mix) Total() int {
 	return n
 }
 
-// Count returns the population of one behavior band (bands with the
-// same behavior accumulate).
-func (m Mix) Count(b Behavior) int {
-	n := 0
-	for _, e := range m {
-		if e.Behavior == b {
-			n += e.Count
-		}
-	}
-	return n
-}
-
 // Roster expands the mix into one behavior per member and shuffles it
 // with a generator seeded from seed alone, so arrival order interleaves
 // behaviors deterministically.
@@ -121,20 +108,6 @@ func (m Mix) Roster(seed int64) []Behavior {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
-// Behaviors lists the distinct behaviors present, sorted.
-func (m Mix) Behaviors() []Behavior {
-	seen := map[Behavior]bool{}
-	for _, e := range m {
-		seen[e.Behavior] = true
-	}
-	out := make([]Behavior, 0, len(seen))
-	for b := range seen {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -79,7 +79,7 @@ type Viewer struct {
 // Generate draws the channel's viewer addresses from the geo plan.
 func (m ChannelModel) Generate(db *geoip.DB, seed int64) ([]Viewer, error) {
 	rng := rand.New(rand.NewSource(seed))
-	alloc := geoip.NewAllocator(db, seed)
+	alloc := geoip.NewAllocator(db)
 	countries := db.Countries()
 	if len(countries) == 0 {
 		return nil, fmt.Errorf("population: empty geo plan")

@@ -257,9 +257,6 @@ type Deployment struct {
 	// Plane is the federated signaling plane — a ring of
 	// Options.Servers signal.Server instances (one, unless federated).
 	Plane *federation.Plane
-	// Transport is the static-key vouching authority for
-	// SecureTransport profiles (nil otherwise).
-	Transport *secure.TransportAuthority
 
 	// SignalAddrs and STUNAddr are the service endpoints peers use.
 	// SignalAddrs lists every signaling server, the first on Deploy's
@@ -327,14 +324,12 @@ func Deploy(ctx context.Context, p Profile, host *netsim.Host, opts Options) (*D
 	if opts.PolicyOverride != nil {
 		policy = *opts.PolicyOverride
 	}
-	var transport *secure.TransportAuthority
 	var secureSvc signal.SecureService
 	if policy.SecureTransport {
 		ta, err := secure.NewTransportAuthority()
 		if err != nil {
 			return nil, fmt.Errorf("provider %s: transport authority: %w", p.Name, err)
 		}
-		transport = ta
 		secureSvc = ta
 		policy.TransportPubKey = ta.PublicKeyHex()
 	}
@@ -383,7 +378,6 @@ func Deploy(ctx context.Context, p Profile, host *netsim.Host, opts Options) (*D
 	go ice.ServeSTUN(stunCtx, pc)
 
 	d.Keys = keys
-	d.Transport = transport
 	d.Plane = plane
 	d.SignalAddrs = plane.Addrs()
 	d.STUNAddr = netip.AddrPortFrom(host.VisibleAddr(), 3478)

@@ -53,8 +53,6 @@ type Client struct {
 	respCh     chan wire.Envelope
 	relayFn    func(Relay)
 	peerGoneFn func(string)
-	pending    bool // a roundTrip awaits a response
-	closed     bool
 	closeErr   error
 	done       chan struct{}
 
@@ -140,7 +138,6 @@ func (c *Client) readLoop() {
 		env, err := c.codec.Read()
 		if err != nil {
 			c.mu.Lock()
-			c.closed = true
 			c.closeErr = err
 			c.mu.Unlock()
 			close(c.done)
@@ -249,14 +246,6 @@ func (c *Client) roundTrip(ctx context.Context, typ string, payload any) (wire.E
 	case <-c.respCh:
 	default:
 	}
-	c.mu.Lock()
-	c.pending = true
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.pending = false
-		c.mu.Unlock()
-	}()
 	if err := c.codec.Send(typ, payload); err != nil {
 		return wire.Envelope{}, err
 	}

@@ -157,8 +157,8 @@ func TestReplyThenCloseDeliversTheReply(t *testing.T) {
 
 // TestJoinReadBounded: a join frame whose length prefix announces bytes
 // that never come (one corrupted length byte on the uplink) costs the
-// server joinReadTimeout, then the connection; it does not hold the
-// connection until the client gives up.
+// server at most joinReadTimeout, then the connection; it does not hold
+// the connection until the client gives up.
 func TestJoinReadBounded(t *testing.T) {
 	t.Parallel()
 	e := newEnv(t, nil)
@@ -177,4 +177,35 @@ func TestJoinReadBounded(t *testing.T) {
 	if elapsed := time.Since(start); !errors.Is(err, io.EOF) || elapsed > joinReadTimeout+time.Second {
 		t.Fatalf("server answered a header-only join with %v after %v, want EOF within %v", err, elapsed, joinReadTimeout)
 	}
+}
+
+// TestFrameBodyBounded: mid-session, a frame whose header announces a
+// body that never comes (a corrupted get_peers length) costs the server
+// wire.BodyTimeout, then the session; the client's next round trip sees
+// the close instead of waiting on a reply that cannot be sent.
+func TestFrameBodyBounded(t *testing.T) {
+	e := newEnv(t, nil)
+	conn, err := e.newPeerHost(t, "66.24.0.1").Dial(testCtx, e.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := wire.NewCodec(conn)
+	defer codec.Close()
+	if err := codec.Send(MsgJoin, basicJoin(e.keys.Issue("customer.com", nil))); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := codec.Read(); err != nil || env.Type != MsgWelcome {
+		t.Fatalf("join: %+v, %v", env, err)
+	}
+	const announced = 3192
+	if _, err := conn.Write([]byte{0, 0, announced >> 8, announced & 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(wire.BodyTimeout + 5*time.Second))
+	_, err = conn.Read(make([]byte, 1))
+	if elapsed := time.Since(start); !errors.Is(err, io.EOF) || elapsed > wire.BodyTimeout+time.Second {
+		t.Fatalf("server answered a header-only frame with %v after %v, want EOF within %v", err, elapsed, wire.BodyTimeout)
+	}
+	waitFor(t, 2*time.Second, func() bool { return e.server.PeerCount() == 0 })
 }

@@ -75,11 +75,6 @@ type JoinRequest struct {
 	// voucher in the welcome binds this key to the session the join's
 	// credential admitted.
 	StaticKey string `json:"static_key,omitempty"`
-	// Candidates are the peer's ICE candidates, gathered before joining.
-	Candidates []ice.Candidate `json:"candidates"`
-	// Cellular marks the peer as being on a metered cellular connection;
-	// the policy decides whether such peers upload.
-	Cellular bool `json:"cellular,omitempty"`
 
 	// Trace is the encoded obs.TraceContext of the client's join span,
 	// so the serving server's spans stitch into the client's trace. It
@@ -151,10 +146,9 @@ func DefaultPolicy() Policy {
 
 // Welcome acknowledges a successful join.
 type Welcome struct {
-	PeerID  string `json:"peer_id"`
-	SwarmID string `json:"swarm_id"`
-	Policy  Policy `json:"policy"`
-	// Voucher is the matcher's hex signature over (PeerID, SwarmID,
+	PeerID string `json:"peer_id"`
+	Policy Policy `json:"policy"`
+	// Voucher is the matcher's hex signature over (PeerID, swarm ID,
 	// StaticKey) when the deployment runs the secure transport: the
 	// credential the peer presents in its handshakes, transferring the
 	// join authentication onto the channel.
@@ -186,15 +180,13 @@ type GetPeersReq struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// PeerInfo describes a matched neighbor — including its ICE candidates,
-// i.e. its IP addresses. Handing this to an untrusted peer is the IP
-// leak (§IV-D): the server has no way to know the requester is a
-// harvester.
+// PeerInfo describes a matched neighbor: an identity to send a
+// connection offer to, not an address. The addresses (the IP leak,
+// §IV-D) cross the relay later, in the ConnectOffer and answer of the
+// connection the requester opens, and then in plaintext STUN checks.
 type PeerInfo struct {
-	ID          string          `json:"id"`
-	Fingerprint string          `json:"fingerprint"`
-	Candidates  []ice.Candidate `json:"candidates"`
-	Country     string          `json:"country,omitempty"`
+	ID          string `json:"id"`
+	Fingerprint string `json:"fingerprint"`
 	// StaticKey is the neighbor's registered hex static public key.
 	// Delivering it in the match response is the "IK" of the secure
 	// handshake: the initiator pins the responder's key before the
@@ -235,7 +227,9 @@ const (
 )
 
 // ConnectOffer is the payload of an "offer"/"answer" relay: the sender's
-// nominated transport parameters.
+// nominated transport parameters. Its Candidates are the only addresses
+// the signaling plane carries, which makes this relay the IP-leak
+// channel: any swarm member that offers learns the answerer's addresses.
 type ConnectOffer struct {
 	Fingerprint string          `json:"fingerprint"`
 	Candidates  []ice.Candidate `json:"candidates"`

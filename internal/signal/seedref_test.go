@@ -89,7 +89,7 @@ func (r *seedRef) getPeers(id string, max int) []PeerInfo {
 	}
 	out := make([]PeerInfo, 0, len(cands))
 	for _, c := range cands {
-		out = append(out, PeerInfo{ID: c.id, Fingerprint: c.fingerprint, Country: c.country})
+		out = append(out, PeerInfo{ID: c.id, Fingerprint: c.fingerprint})
 	}
 	return out
 }

@@ -14,7 +14,6 @@ import (
 
 	"github.com/stealthy-peers/pdnsec/internal/auth"
 	"github.com/stealthy-peers/pdnsec/internal/geoip"
-	"github.com/stealthy-peers/pdnsec/internal/ice"
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
@@ -158,10 +157,8 @@ type session struct {
 	swarmID     string
 	fingerprint string
 	staticKey   string
-	candidates  []ice.Candidate
 	country     string
 	addr        netip.Addr
-	cellular    bool
 
 	// shard owns this session's swarm; everything below that isn't
 	// guarded by sess.mu is guarded by shard.mu.
@@ -326,16 +323,16 @@ func (s *Server) acceptLoop() {
 }
 
 // sessionBufSize sizes the per-session wire buffers. Signaling frames
-// are small (a join with a dozen ICE candidates is ~2 KB), and a
+// are small (a relayed offer with a dozen ICE candidates is ~2 KB), and a
 // federated 100k-peer swarmload holds one codec per peer on each side,
 // so the 64 KiB default would cost tens of GB in bufio alone.
 const sessionBufSize = 8 << 10
 
 // joinReadTimeout bounds the wait for a connection's join frame. A
-// client sends it as soon as it dials, so only a frame whose length
-// prefix announces bytes that never come (a corrupted uplink) waits
-// this long; after the join, a session may stay idle for as long as it
-// likes.
+// client sends it as soon as it dials, so only a connection that never
+// delivers a whole header waits this long (a header whose body never
+// comes fails sooner, at wire.BodyTimeout); after the join, a session
+// may stay idle between frames for as long as it likes.
 const joinReadTimeout = 5 * time.Second
 
 // handleConn authenticates one peer and serves its message loop.
@@ -401,7 +398,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	if s.cfg.Keys != nil && customer != "" {
 		s.cfg.Keys.RecordJoin(customer)
 	}
-	welcome := Welcome{PeerID: sess.id, SwarmID: sess.swarmID, Policy: s.cfg.Policy}
+	welcome := Welcome{PeerID: sess.id, Policy: s.cfg.Policy}
 	if s.cfg.Secure != nil && sess.staticKey != "" {
 		// Vouch for the registered static key: the join's credential just
 		// authenticated this session, so the matcher signs (peer, swarm,
@@ -459,10 +456,8 @@ func (s *Server) register(codec *wire.Codec, conn net.Conn, join JoinRequest, cu
 		swarmID:      join.Video + "/" + join.Rendition,
 		fingerprint:  join.Fingerprint,
 		staticKey:    join.StaticKey,
-		candidates:   append([]ice.Candidate(nil), join.Candidates...),
 		country:      country,
 		addr:         addr,
-		cellular:     join.Cellular,
 		advertisedTo: make(map[string]*session),
 		advertised:   make(map[string]*session),
 		codec:        codec,
@@ -685,8 +680,6 @@ func (s *Server) matchPeers(sess *session, max int) []PeerInfo {
 		out = append(out, PeerInfo{
 			ID:          cand.id,
 			Fingerprint: cand.fingerprint,
-			Candidates:  append([]ice.Candidate(nil), cand.candidates...),
-			Country:     cand.country,
 			StaticKey:   cand.staticKey,
 		})
 		cand.advertisedTo[sess.id] = sess

@@ -2,6 +2,7 @@ package signal
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/netip"
 	"slices"
@@ -11,9 +12,9 @@ import (
 
 	"github.com/stealthy-peers/pdnsec/internal/auth"
 	"github.com/stealthy-peers/pdnsec/internal/geoip"
-	"github.com/stealthy-peers/pdnsec/internal/ice"
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
+	"github.com/stealthy-peers/pdnsec/internal/wire"
 )
 
 const serverIP = "44.44.44.44"
@@ -71,7 +72,6 @@ func basicJoin(key string) JoinRequest {
 		Video:       "bbb",
 		Rendition:   "720p",
 		Fingerprint: "fp",
-		Candidates:  []ice.Candidate{{Type: ice.TypeHost, Addr: netip.MustParseAddrPort("66.24.0.1:5000"), Priority: 100}},
 	}
 }
 
@@ -83,7 +83,7 @@ func TestJoinWithValidKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.PeerID == "" || w.SwarmID != "bbb/720p" {
+	if w.PeerID == "" {
 		t.Fatalf("welcome %+v", w)
 	}
 	if !w.Policy.P2PEnabled {
@@ -169,8 +169,71 @@ func TestGetPeersMatchesSwarm(t *testing.T) {
 	if len(peers) != 1 || peers[0].ID != wB.PeerID {
 		t.Fatalf("peers %+v, want only B (%s)", peers, wB.PeerID)
 	}
-	if len(peers[0].Candidates) != 1 {
-		t.Fatal("candidates should be propagated — this is the IP leak")
+}
+
+// jsonKeys returns the sorted top-level keys of a JSON object.
+func jsonKeys(t *testing.T, raw []byte) []string {
+	t.Helper()
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestPeersEntryCarriesOnlyIdentity reads the match reply off the wire:
+// an entry names a peer to send an offer to and carries no address or
+// location. Addresses cross the signaling plane only in the relayed
+// offer and answer of a connection a peer opens.
+func TestPeersEntryCarriesOnlyIdentity(t *testing.T) {
+	e := newEnv(t, nil)
+	key := e.keys.Issue("customer.com", nil)
+	cB := e.dial(t, e.newPeerHost(t, "66.24.0.2"))
+	joinB := basicJoin(key)
+	joinB.StaticKey = "b0b0"
+	if _, err := cB.Join(testCtx, joinB); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := e.newPeerHost(t, "66.24.0.1").Dial(testCtx, e.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := wire.NewCodec(conn)
+	defer codec.Close()
+	read := func(want string) json.RawMessage {
+		t.Helper()
+		env, err := codec.Read()
+		if err != nil || env.Type != want {
+			t.Fatalf("read %q: got %+v, %v", want, env, err)
+		}
+		return env.Data
+	}
+	if err := codec.Send(MsgJoin, basicJoin(key)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := jsonKeys(t, read(MsgWelcome)), []string{"peer_id", "policy"}; !slices.Equal(got, want) {
+		t.Fatalf("welcome keys %v, want %v", got, want)
+	}
+	if err := codec.Send(MsgGetPeers, GetPeersReq{Max: 8}); err != nil {
+		t.Fatal(err)
+	}
+	var resp struct {
+		Peers []json.RawMessage `json:"peers"`
+	}
+	if err := json.Unmarshal(read(MsgPeers), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Peers) != 1 {
+		t.Fatalf("peers %d, want B alone", len(resp.Peers))
+	}
+	if got, want := jsonKeys(t, resp.Peers[0]), []string{"fingerprint", "id", "static_key"}; !slices.Equal(got, want) {
+		t.Fatalf("peers entry keys %v, want %v", got, want)
 	}
 }
 
@@ -223,14 +286,13 @@ func TestGeoMatchFiltersForeignPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = w2
 
 	peers, err := cUS.GetPeers(testCtx, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(peers) != 1 || peers[0].Country != "US" {
-		t.Fatalf("geo matching failed: %+v", peers)
+	if len(peers) != 1 || peers[0].ID != w2.PeerID {
+		t.Fatalf("geo matching failed: %+v, want only the other US peer %s", peers, w2.PeerID)
 	}
 	peersCN, err := cCN.GetPeers(testCtx, 10)
 	if err != nil {

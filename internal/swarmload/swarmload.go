@@ -212,9 +212,8 @@ type Report struct {
 // vpeer is one virtual peer: a real signal.Client on its own simulated
 // host, with just enough state to account for every relay it receives.
 type vpeer struct {
-	c     *signal.Client
-	id    string
-	swarm int
+	c  *signal.Client
+	id string
 
 	mu      sync.Mutex
 	got     []string // "from>to#seq" delivery keys
@@ -304,7 +303,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			rot[j] = seeds[(i+j)%len(seeds)]
 		}
 		store := federation.NewPeerstore(rot, clock)
-		v := &vpeer{swarm: swarm}
+		v := &vpeer{}
 		start := clock()
 		res, err := federation.Join(ctx, host, store, signal.JoinRequest{
 			APIKey:      tb.Key,

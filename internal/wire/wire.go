@@ -16,11 +16,20 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 )
 
 // MaxMessage bounds a single frame to keep a malicious peer from forcing
 // unbounded allocation on the server.
 const MaxMessage = 4 << 20
+
+// BodyTimeout bounds the wait for a frame's body once its header has
+// arrived. A sender writes header and body back to back, so a body that
+// is not already buffered is at most a few link latencies behind; one
+// that takes longer was announced by a corrupted length prefix and will
+// never come. The wait between frames stays unbounded: a session may
+// idle as long as it likes.
+const BodyTimeout = 2 * time.Second
 
 // Envelope is the outer structure of every signaling message.
 type Envelope struct {
@@ -122,7 +131,11 @@ func (c *Codec) Send(typ string, payload any) error {
 	return c.Write(e)
 }
 
-// Read blocks for the next envelope.
+// Read blocks for the next envelope. Once a header has arrived, the body
+// must follow within BodyTimeout or Read fails: while a body is
+// outstanding, Read owns the connection's read deadline, and it clears
+// the deadline when the body is in. A body already buffered costs no
+// deadline.
 func (c *Codec) Read() (Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
@@ -131,6 +144,10 @@ func (c *Codec) Read() (Envelope, error) {
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxMessage {
 		return Envelope{}, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+	}
+	if c.r.Buffered() < int(n) {
+		c.conn.SetReadDeadline(time.Now().Add(BodyTimeout))
+		defer c.conn.SetReadDeadline(time.Time{})
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(c.r, body); err != nil {
