@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/stealthy-peers/pdnsec/internal/golden"
 )
 
 func TestRunRejectsNegativeSitesAndApps(t *testing.T) {
@@ -88,5 +90,20 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "context canceled") {
 		t.Fatalf("stderr should mention cancellation:\n%s", errOut.String())
+	}
+}
+
+// TestRunTablesGolden pins the default-size Tables I–IV at two seeds,
+// and their independence of the worker count: every run must reproduce
+// the committed file byte for byte.
+func TestRunTablesGolden(t *testing.T) {
+	for _, seed := range []string{"1", "42"} {
+		for _, workers := range []string{"1", "16"} {
+			var out, errOut strings.Builder
+			if code := run(context.Background(), []string{"-seed", seed, "-workers", workers}, &out, &errOut); code != 0 {
+				t.Fatalf("run -seed %s -workers %s = %d, stderr:\n%s", seed, workers, code, errOut.String())
+			}
+			golden.Check(t, filepath.Join("testdata", "tables_seed"+seed+".txt"), []byte(out.String()))
+		}
 	}
 }

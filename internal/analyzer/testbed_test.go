@@ -78,6 +78,37 @@ func TestAuthorityReadsTheOrigin(t *testing.T) {
 	}
 }
 
+// TestSeederWarmSynthesizesOncePerSegment: a secure seeder's SIM
+// windows make the authority read up to 16 segments ahead of the
+// seeder's own GETs, and both read the origin's one store, so warming N
+// segments synthesizes each of them exactly once — and costs one SIM
+// round trip per window, not per segment.
+func TestSeederWarmSynthesizesOncePerSegment(t *testing.T) {
+	const segments, window = 40, 16
+	ctx := testCtx(t)
+	reg := obs.NewRegistry()
+	tb, err := NewTestbed(ctx, TestbedConfig{Profile: provider.Secure(), Video: SmallVideo("bbb", segments, 16<<10), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	host, err := tb.NewViewerHost("US")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stop, err := tb.Seeder(ctx, tb.ViewerConfig(host, 1), segments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	if misses := reg.Counter("cdn_cache_misses_total", "").Value(); misses != segments {
+		t.Fatalf("warming %d segments synthesized %d, want each once", segments, misses)
+	}
+	if n, want := reg.Counter("pdn_sim_window_fetches_total", "").Value(), int64((segments+window-1)/window); n != want {
+		t.Fatalf("%d SIM window fetches over %d segments, want %d", n, segments, want)
+	}
+}
+
 // TestPanelArbitratesAgainstTheOrigin: a hardened testbed's panel
 // resolves a conflict with the bytes its CDN origin holds, read from the
 // origin's one store and billed to nobody.

@@ -18,7 +18,7 @@ var ErrPeerBlacklisted = errors.New("defense: peer blacklisted")
 // FetchFunc returns the authentic segment. A panel calls it only to
 // resolve conflicting reports, keeping the defense's extra CDN cost
 // proportional to attacker activity; an authority calls it once per
-// segment key it signs. Deployed over the origin's own store
+// segment key it establishes. Deployed over the origin's own store
 // (cdn.Server.Segment), both read the bytes the CDN serves rather than
 // producing them a second time, and must not modify what it returns.
 type FetchFunc func(key media.SegmentKey) ([]byte, error)
@@ -37,18 +37,20 @@ type IMConfig struct {
 // integrity-checking defense. Its constructor fixes where an established
 // SIM comes from: NewIMChecker's panel takes the first k agreeing peer
 // reports, arbitrating conflicts through the CDN; NewIMAuthority's
-// provider signs its own ground truth the first time a segment is asked
-// about, so the first k reporters have no bootstrap window to collude
-// in. After establishment the two are the same code.
+// provider establishes its own ground truth the first time a segment is
+// asked or reported about, so the first k reporters have no bootstrap
+// window to collude in. After establishment the two are the same code:
+// an established SIM is a hash, signed as part of a run each time one is
+// answered.
 type IMChecker struct {
 	cfg       IMConfig
-	authority bool // signs cfg.FetchCDN's ground truth on demand; no panel
+	authority bool // establishes cfg.FetchCDN's ground truth on demand; no panel
 	signPub   ed25519.PublicKey
 	signKey   ed25519.PrivateKey
 
 	mu          sync.Mutex
 	pending     map[media.SegmentKey]map[string]string // key -> peerID -> hash
-	established map[media.SegmentKey]signedIM
+	established map[media.SegmentKey]string            // key -> IM hash
 	blacklist   map[string]bool
 
 	conflicts  int
@@ -87,7 +89,7 @@ func newIMChecker(cfg IMConfig, authority bool) (*IMChecker, error) {
 		signPub:     pub,
 		signKey:     priv,
 		pending:     make(map[media.SegmentKey]map[string]string),
-		established: make(map[media.SegmentKey]signedIM),
+		established: make(map[media.SegmentKey]string),
 		blacklist:   make(map[string]bool),
 	}, nil
 }
@@ -126,7 +128,7 @@ func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) err
 		return ErrPeerBlacklisted
 	}
 	if c.authority {
-		c.SIM(key)
+		c.run(key, 1)
 	}
 	c.mu.Lock()
 	if c.blacklist[peerID] { // banned while the authority read
@@ -136,7 +138,7 @@ func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) err
 	if est, ok := c.established[key]; ok {
 		// Late report against an established SIM: liars are caught here
 		// too.
-		if est.hash != hash {
+		if est != hash {
 			c.blacklist[peerID] = true
 			c.mu.Unlock()
 			return ErrPeerBlacklisted
@@ -171,7 +173,7 @@ func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) err
 		}
 	}
 	if agreed {
-		c.establishLocked(key, first)
+		c.established[key] = first
 		delete(c.pending, key)
 		c.mu.Unlock()
 		return nil
@@ -189,7 +191,7 @@ func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) err
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.establishLocked(key, authentic)
+	c.established[key] = authentic
 	var callerBanned bool
 	for pid, h := range c.pending[key] {
 		if h != authentic {
@@ -206,40 +208,13 @@ func (c *IMChecker) Report(peerID string, key media.SegmentKey, hash string) err
 	return nil
 }
 
-// signedIM is a segment's SIM: its IM hash and the signature over it
-// as a run of one, made once when the SIM is established.
-type signedIM struct {
-	hash, sig string
-}
-
-func (c *IMChecker) establishLocked(key media.SegmentKey, hash string) signedIM {
-	e := signedIM{hash, media.SignSIMWindow(c.signKey, key, []string{hash})}
-	c.established[key] = e
-	return e
-}
-
-// SIM returns the signed integrity metadata for a segment: whatever a
-// panel has established so far, or, from an authority, the ground truth
-// of any segment it originates — hashed and signed once per key, with
-// the fetch outside the lock.
+// SIM returns one segment's SIM: SIMWindow's run of one.
 func (c *IMChecker) SIM(key media.SegmentKey) (hash, sig string, ok bool) {
-	c.mu.Lock()
-	e, found := c.established[key]
-	c.mu.Unlock()
-	if found || !c.authority {
-		return e.hash, e.sig, found
-	}
-	data, err := c.cfg.FetchCDN(key)
-	if err != nil {
+	hashes, sig, ok := c.SIMWindow(key, 1)
+	if !ok {
 		return "", "", false
 	}
-	truth := media.IMHash(key, data)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, found = c.established[key]; !found {
-		e = c.establishLocked(key, truth)
-	}
-	return e.hash, e.sig, true
+	return hashes[0], sig, true
 }
 
 // MaxSIMWindow caps how many hashes one SIMWindow answer signs, whatever
@@ -247,34 +222,49 @@ func (c *IMChecker) SIM(key media.SegmentKey) (hash, sig string, ok bool) {
 const MaxSIMWindow = 64
 
 // SIMWindow returns the run of established hashes that begins at key —
-// key's own, then those of the segments after it up to the first one
-// not established yet — capped at count (at least 1) and MaxSIMWindow,
-// under one signature (media.SignSIMWindow). Only key itself is ever
-// established on demand, exactly as SIM does it; a short run is a
-// complete answer, and the caller asks again from the first key it
-// lacks. A run of one is answered with the signature SIM made when it
-// was established; a longer run is signed outside the lock.
+// key's own, then those of the segments after it — capped at count (at
+// least 1) and MaxSIMWindow, under one signature (media.SignSIMWindow)
+// made as it is answered. A panel's run stops at the first key its
+// reports have not established yet; an authority first establishes
+// every key of the run it originates and stops at the first one its
+// origin refuses. A short run is a complete answer: the caller asks
+// again from the first key it lacks. Signing is deterministic, so
+// concurrent askers of one run get the same SIM.
 func (c *IMChecker) SIMWindow(key media.SegmentKey, count int) (hashes []string, sig string, ok bool) {
-	first, sig, ok := c.SIM(key)
-	if !ok {
+	hashes = c.run(key, min(max(count, 1), MaxSIMWindow))
+	if len(hashes) == 0 {
 		return nil, "", false
 	}
-	count = min(max(count, 1), MaxSIMWindow)
-	hashes = append(make([]string, 0, count), first)
-	c.mu.Lock()
-	for next := key; len(hashes) < count; {
-		next.Index++
-		e, found := c.established[next]
+	return hashes, media.SignSIMWindow(c.signKey, key, hashes), true
+}
+
+// run returns the established hashes of up to count segments from key
+// on, stopping at the first one not established. An authority
+// establishes a missing key first with one origin read and one hash,
+// both outside mu; concurrent first askers may each hash it, and find
+// the same ground truth.
+func (c *IMChecker) run(key media.SegmentKey, count int) []string {
+	hashes := make([]string, 0, count)
+	for ; len(hashes) < count; key.Index++ {
+		c.mu.Lock()
+		hash, found := c.established[key]
+		c.mu.Unlock()
+		if !found && c.authority {
+			data, err := c.cfg.FetchCDN(key)
+			if err != nil {
+				break
+			}
+			hash, found = media.IMHash(key, data), true
+			c.mu.Lock()
+			c.established[key] = hash
+			c.mu.Unlock()
+		}
 		if !found {
 			break
 		}
-		hashes = append(hashes, e.hash)
+		hashes = append(hashes, hash)
 	}
-	c.mu.Unlock()
-	if len(hashes) == 1 {
-		return hashes, sig, true
-	}
-	return hashes, media.SignSIMWindow(c.signKey, key, hashes), true
+	return hashes
 }
 
 // Blacklisted reports whether a peer has been banned.

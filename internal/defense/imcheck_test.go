@@ -253,10 +253,12 @@ func TestBlacklistedReporterCostsNoRead(t *testing.T) {
 	}
 }
 
-// TestAuthoritySignsOncePerKey: the authority fetches and hashes outside
-// its lock, so concurrent first askers race to establish; every one of
-// them must still be handed the same SIM.
-func TestAuthoritySignsOncePerKey(t *testing.T) {
+// TestSIMWindowConcurrentAskersAgree: the authority reads and hashes
+// outside its lock, so concurrent first askers race to establish — one
+// segment through a report, or a whole cold window — and sign what they
+// found as they answer; every one of them must still be handed the same
+// SIM.
+func TestSIMWindowConcurrentAskersAgree(t *testing.T) {
 	v := vid()
 	c, err := secure.NewManifestService(v)
 	if err != nil {
@@ -266,6 +268,8 @@ func TestAuthoritySignsOncePerKey(t *testing.T) {
 	h := authentic(t, v, key)
 	const askers = 8
 	sigs := make([]string, askers)
+	runs := make([][]string, askers)
+	runSigs := make([]string, askers)
 	var wg sync.WaitGroup
 	for i := 0; i < askers; i++ {
 		wg.Add(1)
@@ -275,19 +279,88 @@ func TestAuthoritySignsOncePerKey(t *testing.T) {
 				t.Error(err)
 			}
 			_, sigs[i], _ = c.SIM(key)
+			runs[i], runSigs[i], _ = c.SIMWindow(testKey(0), 16)
 		}(i)
 	}
 	wg.Wait()
-	for i, sig := range sigs {
-		if sig == "" || sig != sigs[0] {
-			t.Fatalf("asker %d got signature %q, asker 0 %q", i, sig, sigs[0])
+	for i := range sigs {
+		if sigs[i] == "" || sigs[i] != sigs[0] {
+			t.Fatalf("asker %d got signature %q, asker 0 %q", i, sigs[i], sigs[0])
 		}
+		if len(runs[i]) != v.Segments || !slices.Equal(runs[i], runs[0]) || runSigs[i] != runSigs[0] {
+			t.Fatalf("asker %d got window %v %q, asker 0 %v %q", i, runs[i], runSigs[i], runs[0], runSigs[0])
+		}
+	}
+	if !media.VerifySIMWindow(c.PublicKey(), testKey(0), runs[0], runSigs[0]) {
+		t.Fatal("the cold window's signature does not verify")
+	}
+}
+
+// TestSIMWindowReadsEachKeyOnce: an authority establishes the whole
+// window it is asked for, reading each key from its origin once however
+// the windows that cover it overlap, and no further than the cap or the
+// end of the video. Every answer verifies as the run it is, and a run of
+// one as its segment's SIM.
+func TestSIMWindowReadsEachKeyOnce(t *testing.T) {
+	const limit = defense.MaxSIMWindow
+	v := &media.Video{ID: "bbb", Renditions: vid().Renditions, Segments: limit + 8, SegmentDuration: 10}
+	var mu sync.Mutex
+	reads := make(map[media.SegmentKey]int)
+	c, err := defense.NewIMAuthority(func(key media.SegmentKey) ([]byte, error) {
+		mu.Lock()
+		reads[key]++
+		mu.Unlock()
+		return v.SegmentData(key.Rendition, key.Index)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readUpTo := func(end int) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		for k, n := range reads {
+			if n != 1 || k.Index >= end {
+				t.Fatalf("key %d read %d times; want each of keys below %d read exactly once", k.Index, n, end)
+			}
+		}
+		if len(reads) != end {
+			t.Fatalf("%d keys read, want %d", len(reads), end)
+		}
+	}
+	for _, step := range []struct {
+		start, count, want int
+		readEnd            int // keys 0..readEnd-1 have each been read once
+	}{
+		{0, 16, 16, 16},                    // a cold window: every key of it read
+		{8, 16, 16, 24},                    // overlapping: only 16..23 are new
+		{4, 1, 1, 24},                      // inside what is established: no read
+		{0, 1 << 30, limit, limit},         // the cap: key limit is not read
+		{limit - 4, 16, 12, limit + 8 + 1}, // the end of the video: key limit+8 is asked once and refused
+	} {
+		hashes, sig, ok := c.SIMWindow(testKey(step.start), step.count)
+		if !ok || len(hashes) != step.want {
+			t.Fatalf("window at %d, count %d: %d hashes %v, want %d", step.start, step.count, len(hashes), ok, step.want)
+		}
+		for i, h := range hashes {
+			if want := authentic(t, v, testKey(step.start+i)); h != want {
+				t.Fatalf("window at %d: hash %d is %q, want the ground truth %q", step.start, i, h, want)
+			}
+		}
+		if !media.VerifySIMWindow(c.PublicKey(), testKey(step.start), hashes, sig) {
+			t.Fatalf("window at %d does not verify", step.start)
+		}
+		if step.want == 1 && !defense.VerifySIM(c.PublicKey(), testKey(step.start), hashes[0], sig) {
+			t.Fatalf("run of one at %d does not verify as the segment's SIM", step.start)
+		}
+		readUpTo(step.readEnd)
 	}
 }
 
 // TestSIMWindow pins what a window answer covers, from either trust
-// source: the asked key established as SIM would establish it, then only
-// what is established already, contiguously, under one signature that
+// source: the contiguous run of established hashes from the asked key —
+// a panel's as reports established them, an authority's established on
+// demand to the end of what it originates — under one signature that
 // binds the start key and the list.
 func TestSIMWindow(t *testing.T) {
 	for _, src := range trustSources {
@@ -298,14 +371,20 @@ func TestSIMWindow(t *testing.T) {
 			for i := range want {
 				want[i] = authentic(t, v, testKey(i))
 			}
-			// Segments 0, 1, 2 and 4 are established; 3 is the gap.
+			// Segments 0, 1, 2 and 4 are established; 3 is the gap. A
+			// panel's run stops there; an authority establishes 3 on demand
+			// and its run ends with the video.
 			for _, i := range []int{0, 1, 2, 4} {
 				establish(t, c, src.reporters, testKey(i), want[i])
 			}
+			run := want[:3]
+			if src.reporters == 0 {
+				run = want
+			}
 
 			hashes, sig, ok := c.SIMWindow(testKey(0), 16)
-			if !ok || !slices.Equal(hashes, want[:3]) {
-				t.Fatalf("window at 0 = %v %v, want the run %v that stops at the first unestablished key", hashes, ok, want[:3])
+			if !ok || !slices.Equal(hashes, run) {
+				t.Fatalf("window at 0 = %v %v, want the run %v", hashes, ok, run)
 			}
 			if !media.VerifySIMWindow(c.PublicKey(), testKey(0), hashes, sig) {
 				t.Fatal("window signature does not verify over (start, list)")
@@ -322,24 +401,22 @@ func TestSIMWindow(t *testing.T) {
 			if !ok || len(hashes) != 1 || hashes[0] != want[4] {
 				t.Fatalf("window at 4, count 0 = %v %v, want the asked key alone", hashes, ok)
 			}
-			// A run of one is the segment's SIM, under the signature made
-			// when it was established.
+			// A run of one is the segment's SIM, signed the same way each
+			// time it is answered.
 			if hash, single, _ := c.SIM(testKey(4)); sig != single || !defense.VerifySIM(c.PublicKey(), testKey(4), hash, sig) {
 				t.Fatal("a run of one is not the segment's established SIM")
 			}
 
-			// The asked key is the only one ever established on demand: an
-			// authority signs its ground truth for 3 and the run then joins
-			// up with 4 but does not reach on into 5; a panel has no SIM
-			// for 3 to give.
+			// A panel has no SIM for 3 to give; an authority's run from 3
+			// reaches on to the end of the video.
 			hashes, sig, ok = c.SIMWindow(testKey(3), 16)
 			if src.reporters > 0 {
 				if ok || hashes != nil {
 					t.Fatalf("panel produced window %v for a key nobody reported", hashes)
 				}
 			} else {
-				if !ok || !slices.Equal(hashes, want[3:5]) {
-					t.Fatalf("window at 3 = %v %v, want %v: the asked key on demand, then the established run", hashes, ok, want[3:5])
+				if !ok || !slices.Equal(hashes, want[3:]) {
+					t.Fatalf("window at 3 = %v %v, want %v: every key it originates, from the asked one on", hashes, ok, want[3:])
 				}
 				if !media.VerifySIMWindow(c.PublicKey(), testKey(3), hashes, sig) {
 					t.Fatal("on-demand window signature does not verify")

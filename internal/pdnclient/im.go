@@ -9,9 +9,13 @@ import (
 )
 
 // simWindow is how many consecutive segments' SIMs one GetSIM asks for.
-// One signature check and one signaling round trip then cover that many
-// segments; the session's first request sits on the start-up path and a
-// wider window lengthens it, which is why this is not larger.
+// An authority establishes the whole window it is asked for, so one
+// signature check and one signaling round trip cover that many segments,
+// for the first peer to play them as for every later one; a panel
+// answers with what reports have established so far. The session's
+// first request sits on the start-up path, and a cold authority hashes
+// every segment of the window before it answers, so a wider window
+// lengthens it: which is why this is not larger.
 const simWindow = 16
 
 // imHash computes a segment's integrity-metadata hash. Every hash the
