@@ -12,6 +12,7 @@ import (
 
 	"github.com/stealthy-peers/pdnsec"
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
+	"github.com/stealthy-peers/pdnsec/internal/battery"
 	"github.com/stealthy-peers/pdnsec/internal/corpus"
 	"github.com/stealthy-peers/pdnsec/internal/defense"
 	"github.com/stealthy-peers/pdnsec/internal/detector"
@@ -102,13 +103,13 @@ func renderAllTables(det *experiments.DetectionResult) string {
 		det.RenderTableIV() + det.RenderResourceSquattingWild()
 }
 
-// BenchmarkTableV_Analyzer regenerates one Table V column: the full
-// security battery against the Peer5-like profile.
+// BenchmarkTableV_Analyzer runs one defense-matrix row: the full
+// attack battery against the Peer5-like profile.
 func BenchmarkTableV_Analyzer(b *testing.B) {
 	ctx := benchCtx(b)
 	var vulnerable int
 	for i := 0; i < b.N; i++ {
-		verdicts, err := analyzer.RunAll(ctx, provider.Peer5())
+		verdicts, err := battery.RunAll(ctx, provider.Peer5())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,8 @@
-// Command pdnanalyze runs the PDN analyzer's security-test battery
-// (§IV, Table V) against one or all provider profiles: cross-domain and
-// domain-spoofing peer authentication, direct and segment content
-// pollution, IP leak, and resource squatting.
+// Command pdnanalyze runs the attack battery (§IV; Table V reports six of
+// its risks) against one or all provider profiles: unauthenticated join,
+// cross-domain and domain-spoofing peer authentication, direct and
+// segment content pollution, IP leak, resource squatting, and the Sybil
+// and free-rider populations. Its cells are docs/defense_matrix.md's.
 //
 // Usage:
 //
@@ -70,14 +71,7 @@ func run() int {
 			return 1
 		}
 		for _, v := range verdicts {
-			status := "SAFE"
-			switch {
-			case !v.Applicable:
-				status = "N/A"
-			case v.Vulnerable:
-				status = "VULNERABLE"
-			}
-			fmt.Printf("  %-22s %-11s %s\n", v.Risk, status, v.Detail)
+			fmt.Printf("  %-22s %-11s %s\n", v.Risk, strings.ToUpper(v.Status()), v.Detail)
 		}
 	}
 	return 0

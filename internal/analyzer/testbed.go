@@ -16,11 +16,13 @@ import (
 	"sync"
 	"time"
 
+	"github.com/stealthy-peers/pdnsec/internal/attack"
 	"github.com/stealthy-peers/pdnsec/internal/capture"
 	"github.com/stealthy-peers/pdnsec/internal/cdn"
 	"github.com/stealthy-peers/pdnsec/internal/defense"
 	"github.com/stealthy-peers/pdnsec/internal/geoip"
 	"github.com/stealthy-peers/pdnsec/internal/media"
+	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/monitor"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
@@ -403,6 +405,40 @@ func RecorderFor(host *netsim.Host) *capture.Recorder {
 	rec := capture.NewRecorder(0)
 	host.AddTap(rec.Tap)
 	return rec
+}
+
+// Pollution runs the §IV-C attack on the testbed's stream and returns
+// what an honest victim viewer played. The attacker is an insider
+// viewer whose modified SDK verifies nothing (and so files no IM
+// reports that would incriminate it), playing the whole stream through
+// a fake CDN that applies pollute. Attacker and victim sit in one
+// country, so geo-matching profiles cannot dodge the attack by never
+// pairing them.
+func (tb *Testbed) Pollution(ctx ctxT, pollute mitm.PolluteFunc) (attack.VictimObservation, error) {
+	fakeHost, err := tb.Net.NewHost(FakeCDNIP())
+	if err != nil {
+		return attack.VictimObservation{}, err
+	}
+	malHost, err := tb.NewViewerHost("US")
+	if err != nil {
+		return attack.VictimObservation{}, err
+	}
+	mal := tb.ViewerConfig(malHost, 666)
+	mal.MaxSegments = tb.Video.Segments
+	mal.InsecureNoVerify = true
+	atk, err := attack.LaunchPollution(ctx, mal, fakeHost, pollute)
+	if err != nil {
+		return attack.VictimObservation{}, err
+	}
+	defer atk.Close()
+
+	victimHost, err := tb.NewViewerHost("US")
+	if err != nil {
+		return attack.VictimObservation{}, err
+	}
+	victim := tb.ViewerConfig(victimHost, 99)
+	victim.MaxSegments = tb.Video.Segments
+	return attack.RunVictim(ctx, victim, tb.Video)
 }
 
 // FakeCDNIP returns the canonical attacker fake-CDN address.

@@ -1,94 +1,28 @@
-package analyzer
+package battery
 
 import (
 	"context"
 	"fmt"
+	"time"
 
+	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/attack"
 	"github.com/stealthy-peers/pdnsec/internal/capture"
+	"github.com/stealthy-peers/pdnsec/internal/chaos"
+	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
-	"github.com/stealthy-peers/pdnsec/internal/obs"
+	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
+	"github.com/stealthy-peers/pdnsec/internal/population"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
 	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
-
-// Risk identifiers, matching Table V's rows.
-const (
-	RiskCrossDomain       = "cross-domain"
-	RiskDomainSpoofing    = "domain-spoofing"
-	RiskDirectPollution   = "direct-pollution"
-	RiskSegmentPollution  = "segment-pollution"
-	RiskIPLeak            = "ip-leak"
-	RiskResourceSquatting = "resource-squatting"
-)
-
-// AllRisks lists the battery in Table V order.
-func AllRisks() []string {
-	return []string{
-		RiskCrossDomain, RiskDomainSpoofing,
-		RiskDirectPollution, RiskSegmentPollution,
-		RiskIPLeak, RiskResourceSquatting,
-	}
-}
-
-// Verdict is one security test's outcome against one provider.
-type Verdict struct {
-	Provider   string `json:"provider"`
-	Risk       string `json:"risk"`
-	Applicable bool   `json:"applicable"`
-	Vulnerable bool   `json:"vulnerable"`
-	Detail     string `json:"detail"`
-}
-
-// RunRisk executes one named risk test against a provider profile. A
-// tracer carried in ctx (obs.WithTracer) records each test as a span;
-// the package itself never constructs tracers or reads clocks.
-func RunRisk(ctx context.Context, prof provider.Profile, risk string) (Verdict, error) {
-	span := obs.FromContext(ctx).Begin("analyzer_risk", obs.A("provider", prof.Name), obs.A("risk", risk))
-	v, err := runRisk(ctx, prof, risk)
-	span.End(obs.A("applicable", v.Applicable), obs.A("vulnerable", v.Vulnerable))
-	return v, err
-}
-
-func runRisk(ctx context.Context, prof provider.Profile, risk string) (Verdict, error) {
-	switch risk {
-	case RiskCrossDomain:
-		return CrossDomainTest(ctx, prof)
-	case RiskDomainSpoofing:
-		return DomainSpoofTest(ctx, prof)
-	case RiskDirectPollution:
-		return PollutionTest(ctx, prof, false, nil)
-	case RiskSegmentPollution:
-		return PollutionTest(ctx, prof, true, nil)
-	case RiskIPLeak:
-		return IPLeakTest(ctx, prof)
-	case RiskResourceSquatting:
-		return ResourceSquattingTest(ctx, prof)
-	default:
-		return Verdict{}, fmt.Errorf("analyzer: unknown risk %q", risk)
-	}
-}
-
-// RunAll executes the full battery against a provider (one Table V
-// column).
-func RunAll(ctx context.Context, prof provider.Profile) ([]Verdict, error) {
-	out := make([]Verdict, 0, len(AllRisks()))
-	for _, risk := range AllRisks() {
-		v, err := RunRisk(ctx, prof, risk)
-		if err != nil {
-			return out, fmt.Errorf("analyzer: %s/%s: %w", prof.Name, risk, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
 
 // CrossDomainTest probes whether a stolen credential works from an
 // unauthorized context (§IV-B, test 1).
 func CrossDomainTest(ctx context.Context, prof provider.Profile) (Verdict, error) {
 	v := Verdict{Provider: prof.Name, Risk: RiskCrossDomain, Applicable: true}
-	tb, err := NewTestbed(ctx, TestbedConfig{Profile: prof})
+	tb, err := newTestbed(ctx, prof, nil)
 	if err != nil {
 		return v, err
 	}
@@ -126,7 +60,7 @@ func DomainSpoofTest(ctx context.Context, prof provider.Profile) (Verdict, error
 		v.Detail = "no publicly-stealable key to spoof an origin for"
 		return v, nil
 	}
-	tb, err := NewTestbed(ctx, TestbedConfig{Profile: prof})
+	tb, err := newTestbed(ctx, prof, nil)
 	if err != nil {
 		return v, err
 	}
@@ -167,10 +101,10 @@ func PollutionTest(ctx context.Context, prof provider.Profile, sameSize bool, po
 	}
 	v := Verdict{Provider: prof.Name, Risk: risk, Applicable: true}
 
-	tb, err := NewTestbed(ctx, TestbedConfig{
+	tb, err := analyzer.NewTestbed(ctx, analyzer.TestbedConfig{
 		Profile: prof,
-		Video:   SmallVideo("bbb", 6, 16<<10),
-		Options: provider.Options{Seed: 11, PolicyOverride: policyOverride},
+		Video:   analyzer.SmallVideo("bbb", 6, 16<<10),
+		Options: provider.Options{Seed: Seed, PolicyOverride: policyOverride},
 	})
 	if err != nil {
 		return v, err
@@ -179,7 +113,7 @@ func PollutionTest(ctx context.Context, prof provider.Profile, sameSize bool, po
 
 	pollute := mitm.SameSizePollution([]int{3, 4})
 	if !sameSize {
-		pollute = mitm.ForeignVideoPollution(SmallVideo("attacker-movie", 2, 4<<10), "360p")
+		pollute = mitm.ForeignVideoPollution(analyzer.SmallVideo("attacker-movie", 2, 4<<10), "360p")
 	}
 	vic, err := tb.Pollution(ctx, pollute)
 	if err != nil {
@@ -190,46 +124,12 @@ func PollutionTest(ctx context.Context, prof provider.Profile, sameSize bool, po
 	return v, nil
 }
 
-// Pollution runs the §IV-C attack on the testbed's stream and returns
-// what an honest victim viewer played. The attacker is an insider
-// viewer whose modified SDK verifies nothing (and so files no IM
-// reports that would incriminate it), playing the whole stream through
-// a fake CDN that applies pollute. Attacker and victim sit in one
-// country, so geo-matching profiles cannot dodge the attack by never
-// pairing them.
-func (tb *Testbed) Pollution(ctx context.Context, pollute mitm.PolluteFunc) (attack.VictimObservation, error) {
-	fakeHost, err := tb.Net.NewHost(FakeCDNIP())
-	if err != nil {
-		return attack.VictimObservation{}, err
-	}
-	malHost, err := tb.NewViewerHost("US")
-	if err != nil {
-		return attack.VictimObservation{}, err
-	}
-	mal := tb.ViewerConfig(malHost, 666)
-	mal.MaxSegments = tb.Video.Segments
-	mal.InsecureNoVerify = true
-	atk, err := attack.LaunchPollution(ctx, mal, fakeHost, pollute)
-	if err != nil {
-		return attack.VictimObservation{}, err
-	}
-	defer atk.Close()
-
-	victimHost, err := tb.NewViewerHost("US")
-	if err != nil {
-		return attack.VictimObservation{}, err
-	}
-	victim := tb.ViewerConfig(victimHost, 99)
-	victim.MaxSegments = tb.Video.Segments
-	return attack.RunVictim(ctx, victim, tb.Video)
-}
-
 // IPLeakTest checks whether joining a swarm exposes peers' addresses to
 // an arbitrary (attacker-controlled) peer (§IV-D).
 func IPLeakTest(ctx context.Context, prof provider.Profile) (Verdict, error) {
 	v := Verdict{Provider: prof.Name, Risk: RiskIPLeak, Applicable: true}
-	video := SmallVideo("bbb", 6, 16<<10)
-	tb, err := NewTestbed(ctx, TestbedConfig{Profile: prof, Video: video})
+	video := analyzer.SmallVideo("bbb", 6, 16<<10)
+	tb, err := newTestbed(ctx, prof, video)
 	if err != nil {
 		return v, err
 	}
@@ -241,7 +141,7 @@ func IPLeakTest(ctx context.Context, prof provider.Profile) (Verdict, error) {
 	if err != nil {
 		return v, err
 	}
-	rec := RecorderFor(attackerHost)
+	rec := analyzer.RecorderFor(attackerHost)
 
 	acfg := tb.ViewerConfig(attackerHost, 1)
 	_, stopSeeder, err := tb.Seeder(ctx, acfg, video.Segments)
@@ -276,8 +176,8 @@ func IPLeakTest(ctx context.Context, prof provider.Profile) (Verdict, error) {
 // a plain CDN viewer's (§IV-D, Fig. 4). It reports the ratios.
 func ResourceSquattingTest(ctx context.Context, prof provider.Profile) (Verdict, error) {
 	v := Verdict{Provider: prof.Name, Risk: RiskResourceSquatting, Applicable: true}
-	video := SmallVideo("bbb", 6, 32<<10)
-	tb, err := NewTestbed(ctx, TestbedConfig{Profile: prof, Video: video})
+	video := analyzer.SmallVideo("bbb", 6, 32<<10)
+	tb, err := newTestbed(ctx, prof, video)
 	if err != nil {
 		return v, err
 	}
@@ -290,7 +190,7 @@ func ResourceSquattingTest(ctx context.Context, prof provider.Profile) (Verdict,
 	}
 	ctrlCfg := tb.ViewerConfig(ctrlHost, 1)
 	ctrlCfg.DisableP2P = true
-	ctrlMeter := MeterFor(&ctrlCfg, ctrlHost)
+	ctrlMeter := analyzer.MeterFor(&ctrlCfg, ctrlHost)
 	if _, err := tb.RunViewer(ctx, ctrlCfg); err != nil {
 		return v, err
 	}
@@ -301,7 +201,7 @@ func ResourceSquattingTest(ctx context.Context, prof provider.Profile) (Verdict,
 		return v, err
 	}
 	seedCfg := tb.ViewerConfig(seedHost, 2)
-	seedMeter := MeterFor(&seedCfg, seedHost)
+	seedMeter := analyzer.MeterFor(&seedCfg, seedHost)
 	_, stopSeeder, err := tb.Seeder(ctx, seedCfg, video.Segments)
 	if err != nil {
 		return v, err
@@ -311,7 +211,7 @@ func ResourceSquattingTest(ctx context.Context, prof provider.Profile) (Verdict,
 		return v, err
 	}
 	leechCfg := tb.ViewerConfig(leechHost, 3)
-	leechMeter := MeterFor(&leechCfg, leechHost)
+	leechMeter := analyzer.MeterFor(&leechCfg, leechHost)
 	leechStats, err := tb.RunViewer(ctx, leechCfg)
 	if err != nil {
 		return v, err
@@ -335,4 +235,113 @@ func avgRatio(base float64, vals ...float64) float64 {
 		sum += x / base
 	}
 	return sum / float64(len(vals))
+}
+
+// newTestbed deploys prof at the battery's seed; a nil video takes the
+// testbed's default.
+func newTestbed(ctx context.Context, prof provider.Profile, video *media.Video) (*analyzer.Testbed, error) {
+	return analyzer.NewTestbed(ctx, analyzer.TestbedConfig{Profile: prof, Video: video, Options: provider.Options{Seed: Seed}})
+}
+
+// JoinProbeTest probes whether the service accepts a peer that presents
+// no credential at all (§IV-B). Only the extracted-SDK private provider
+// does.
+func JoinProbeTest(ctx context.Context, prof provider.Profile) (Verdict, error) {
+	v := Verdict{Provider: prof.Name, Risk: RiskJoinProbe, Applicable: true}
+	tb, err := newTestbed(ctx, prof, nil)
+	if err != nil {
+		return v, err
+	}
+	defer tb.Close()
+	host, err := tb.NewViewerHost("US")
+	if err != nil {
+		return v, err
+	}
+	ok, err := attack.CrossDomain(ctx, pdnclient.Config{Host: host, SignalAddrs: tb.Dep.SignalAddrs})
+	if err != nil {
+		return v, err
+	}
+	v.Vulnerable = ok
+	v.Detail = fmt.Sprintf("unauthenticated join accepted=%v", ok)
+	return v, nil
+}
+
+// identityBudget is the per-host identity budget the hardened policy
+// ships; the population tests call an attack successful when the
+// adversary got MORE out of the swarm than any budget-respecting host
+// could.
+func identityBudget() int { return provider.Hardened().Policy.MaxPeersPerHost }
+
+// SybilFloodTest runs a 24-identity mill through the chaos harness and
+// counts how many distinct mill identities made it into honest viewers'
+// neighbor sets. More than the per-host budget means the matcher let
+// one machine squat the swarm's upload slots.
+func SybilFloodTest(ctx context.Context, prof provider.Profile) (Verdict, error) {
+	v := Verdict{Provider: prof.Name, Risk: RiskSybilFlood, Applicable: true}
+	res, err := chaos.RunScenario(ctx, chaos.SwarmConfig{
+		Viewers:  10,
+		Segments: 4,
+		Seed:     Seed,
+		Profile:  prof.Name,
+	}, chaos.SybilFlood(10*time.Millisecond, 24))
+	if err != nil {
+		return v, err
+	}
+	advertised := adversaryNeighbors(res, population.BehaviorSybil)
+	share, peak := res.SybilSlotShare()
+	v.Vulnerable = advertised > identityBudget()
+	v.Detail = fmt.Sprintf("%d distinct mill identities became honest neighbors (budget %d; slot share %.2f, peak %d)",
+		advertised, identityBudget(), share, peak)
+	return v, nil
+}
+
+// FreeRiderWaveTest runs a 16-member single-host leech farm and counts
+// farm members that extracted P2P bytes. More than the per-host budget
+// means the swarm served a farm no deployed matcher could see.
+func FreeRiderWaveTest(ctx context.Context, prof provider.Profile) (Verdict, error) {
+	v := Verdict{Provider: prof.Name, Risk: RiskFreeRiderWave, Applicable: true}
+	res, err := chaos.RunScenario(ctx, chaos.SwarmConfig{
+		Viewers:  10,
+		Segments: 8,
+		Seed:     Seed,
+		Profile:  prof.Name,
+	}, chaos.FreeRiderWave(10*time.Millisecond, 16, 0, 0))
+	if err != nil {
+		return v, err
+	}
+	leeching := 0
+	for _, pv := range res.Viewers {
+		if pv.Behavior == population.BehaviorFreeRider && pv.Stats.P2PDownBytes > 0 {
+			leeching++
+		}
+	}
+	v.Vulnerable = leeching > identityBudget()
+	v.Detail = fmt.Sprintf("%d/16 farm members leeched P2P bytes (budget %d; jain %.3f)",
+		leeching, identityBudget(), res.JainFairness())
+	return v, nil
+}
+
+// adversaryNeighbors counts the distinct peers of the given behavior
+// that appear in any honest viewer's neighbor set over the run.
+func adversaryNeighbors(res *chaos.Result, b population.Behavior) int {
+	mill := make(map[string]bool)
+	for _, v := range res.Viewers {
+		if v.Behavior == b && v.Peer != nil {
+			if id := v.Peer.ID(); id != "" {
+				mill[id] = true
+			}
+		}
+	}
+	seen := make(map[string]bool)
+	for _, v := range res.Viewers {
+		if !v.Honest() || v.Peer == nil {
+			continue
+		}
+		for _, id := range v.Peer.NeighborIDs() {
+			if mill[id] {
+				seen[id] = true
+			}
+		}
+	}
+	return len(seen)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
+	"github.com/stealthy-peers/pdnsec/internal/battery"
 	"github.com/stealthy-peers/pdnsec/internal/defense"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
@@ -184,15 +185,18 @@ type IMDefenseResult struct {
 	RejectedByIM           int `json:"rejected_by_im"`
 }
 
-// RunIMDefense runs the segment pollution attack against an undefended
-// and a defended deployment.
-func RunIMDefense(ctx context.Context) (*IMDefenseResult, error) {
+// RunIMDefense runs the segment pollution attack against a defended
+// peer5 deployment and sets it beside Table V's undefended peer5 cell,
+// which already ran the same attack.
+func RunIMDefense(ctx context.Context, tv *TableVResult) (*IMDefenseResult, error) {
 	res := &IMDefenseResult{}
-	undefended, err := analyzer.PollutionTest(ctx, provider.Peer5(), true, nil)
-	if err != nil {
-		return nil, err
+	var undefended battery.Verdict
+	for _, c := range tv.Columns {
+		if c.Provider == provider.Peer5().Name {
+			undefended, _ = c.verdict(battery.RiskSegmentPollution)
+		}
 	}
-	defended, err := analyzer.PollutionTest(ctx, provider.Peer5(), true, analyzer.DefaultPolicyWithIM())
+	defended, err := battery.PollutionTest(ctx, provider.Peer5(), true, analyzer.DefaultPolicyWithIM())
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -21,6 +22,31 @@ func detection(t *testing.T) *DetectionResult {
 		t.Fatal(err)
 	}
 	return det
+}
+
+var (
+	tableVOnce sync.Once
+	tableV     *TableVResult
+	tableVErr  error
+)
+
+// sharedTableV runs Table V once for every test that reads its cells,
+// as Reproduce does.
+func sharedTableV(t *testing.T) *TableVResult {
+	t.Helper()
+	tableVOnce.Do(func() {
+		ctx := testCtx(t)
+		det, err := RunDetection(ctx, 1, 100, 50)
+		if err != nil {
+			tableVErr = err
+			return
+		}
+		tableV, tableVErr = RunTableV(ctx, det)
+	})
+	if tableVErr != nil {
+		t.Fatal(tableVErr)
+	}
+	return tableV
 }
 
 func TestTablesIThroughIVRender(t *testing.T) {
@@ -48,11 +74,7 @@ func TestTablesIThroughIVRender(t *testing.T) {
 }
 
 func TestTableVMatrix(t *testing.T) {
-	det := detection(t)
-	res, err := RunTableV(testCtx(t), det)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sharedTableV(t)
 	if len(res.Columns) != 3 {
 		t.Fatalf("columns %d", len(res.Columns))
 	}
@@ -191,10 +213,7 @@ func TestFigure5UploadScaling(t *testing.T) {
 }
 
 func TestIPLeakLabAllProvidersLeak(t *testing.T) {
-	res, err := RunIPLeakLab(testCtx(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := IPLeakLab(sharedTableV(t))
 	for prov, leaked := range res.PerProvider {
 		if !leaked {
 			t.Errorf("%s should leak peer IPs", prov)
@@ -287,7 +306,7 @@ func TestTokenSize(t *testing.T) {
 }
 
 func TestIMDefense(t *testing.T) {
-	res, err := RunIMDefense(testCtx(t))
+	res, err := RunIMDefense(testCtx(t), sharedTableV(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/attack"
 	"github.com/stealthy-peers/pdnsec/internal/auth"
+	"github.com/stealthy-peers/pdnsec/internal/battery"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
 )
 
@@ -22,9 +23,9 @@ type KeyProbeResult struct {
 
 // ProviderColumn is one provider's Table V column.
 type ProviderColumn struct {
-	Provider string             `json:"provider"`
-	KeyProbe KeyProbeResult     `json:"key_probe"`
-	Verdicts []analyzer.Verdict `json:"verdicts"`
+	Provider string            `json:"provider"`
+	KeyProbe KeyProbeResult    `json:"key_probe"`
+	Verdicts []battery.Verdict `json:"verdicts"`
 }
 
 // TableVResult is the full risk matrix.
@@ -33,8 +34,19 @@ type TableVResult struct {
 	Private ProviderColumn   `json:"private"`
 }
 
+// tableVRows are Table V's rows under their section headings: the
+// battery risks the paper's table reports.
+var tableVRows = []struct{ section, label, risk string }{
+	{"Peer Authentication", "  cross-domain attack", battery.RiskCrossDomain},
+	{"", "  domain-spoofing", battery.RiskDomainSpoofing},
+	{"Content Integrity", "  direct pollution", battery.RiskDirectPollution},
+	{"", "  segment pollution", battery.RiskSegmentPollution},
+	{"Peer Privacy", "  IP leak", battery.RiskIPLeak},
+	{"", "  resource squatting", battery.RiskResourceSquatting},
+}
+
 // RunTableV executes the peer-authentication key probes (against the
-// corpus's extracted keys) and the full analyzer battery per provider,
+// corpus's extracted keys) and Table V's battery cells per provider,
 // plus the private-service column (Mango-like).
 func RunTableV(ctx context.Context, det *DetectionResult) (*TableVResult, error) {
 	res := &TableVResult{}
@@ -62,12 +74,30 @@ func providerColumn(ctx context.Context, prof provider.Profile, det *DetectionRe
 		}
 		col.KeyProbe = probe
 	}
-	verdicts, err := analyzer.RunAll(ctx, prof)
-	if err != nil {
-		return col, err
+	for _, row := range tableVRows {
+		v, err := battery.RunRisk(ctx, prof, row.risk)
+		if err != nil {
+			return col, fmt.Errorf("%s: %w", row.risk, err)
+		}
+		col.Verdicts = append(col.Verdicts, v)
 	}
-	col.Verdicts = verdicts
 	return col, nil
+}
+
+// columns lists every provider column in render order, the private
+// service last.
+func (r *TableVResult) columns() []ProviderColumn {
+	return append(append([]ProviderColumn(nil), r.Columns...), r.Private)
+}
+
+// verdict returns the column's cell for risk.
+func (c ProviderColumn) verdict(risk string) (battery.Verdict, bool) {
+	for _, v := range c.Verdicts {
+		if v.Risk == risk {
+			return v, true
+		}
+	}
+	return battery.Verdict{}, false
 }
 
 // probeExtractedKeys reproduces §IV-B's real-world validation: every
@@ -140,45 +170,29 @@ func probeExtractedKeys(ctx context.Context, prof provider.Profile, det *Detecti
 func (r *TableVResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Table V: Security and privacy risks of PDN services\n")
-	cols := append([]ProviderColumn(nil), r.Columns...)
-	cols = append(cols, r.Private)
+	cols := r.columns()
 	fmt.Fprintf(&b, "%-24s", "Risk")
 	for _, c := range cols {
 		fmt.Fprintf(&b, " %-14s", c.Provider)
 	}
 	b.WriteString("\n")
 
-	row := func(label, risk string) {
-		fmt.Fprintf(&b, "%-24s", label)
+	for _, row := range tableVRows {
+		if row.section != "" {
+			b.WriteString(row.section + "\n")
+		}
+		fmt.Fprintf(&b, "%-24s", row.label)
 		for _, c := range cols {
 			cell := "?"
-			for _, v := range c.Verdicts {
-				if v.Risk != risk {
-					continue
-				}
-				switch {
-				case !v.Applicable:
-					cell = "n/a"
-				case risk == "cross-domain" && c.KeyProbe.Valid > 0:
+			if v, ok := c.verdict(row.risk); ok {
+				cell = v.Status()
+				if row.risk == battery.RiskCrossDomain && v.Applicable && c.KeyProbe.Valid > 0 {
 					cell = fmt.Sprintf("%d/%d", c.KeyProbe.Vulnerable, c.KeyProbe.Valid)
-				case v.Vulnerable:
-					cell = "vulnerable"
-				default:
-					cell = "safe"
 				}
 			}
 			fmt.Fprintf(&b, " %-14s", cell)
 		}
 		b.WriteString("\n")
 	}
-	b.WriteString("Peer Authentication\n")
-	row("  cross-domain attack", analyzer.RiskCrossDomain)
-	row("  domain-spoofing", analyzer.RiskDomainSpoofing)
-	b.WriteString("Content Integrity\n")
-	row("  direct pollution", analyzer.RiskDirectPollution)
-	row("  segment pollution", analyzer.RiskSegmentPollution)
-	b.WriteString("Peer Privacy\n")
-	row("  IP leak", analyzer.RiskIPLeak)
-	row("  resource squatting", analyzer.RiskResourceSquatting)
 	return b.String()
 }

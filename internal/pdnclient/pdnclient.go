@@ -99,10 +99,6 @@ type Config struct {
 	// Pace is the delay between segment plays (0 = as fast as possible;
 	// real playback would use the segment duration).
 	Pace time.Duration
-	// StatsInterval is how often the SDK pushes usage reports to the
-	// provider (0 = only at session end). Real SDKs report
-	// continuously — that is what meters long-lived sessions.
-	StatsInterval time.Duration
 	// CacheSegments caps the in-memory segment cache (default 8).
 	CacheSegments int
 	// OnSegment, when set, observes every played segment — experiments
@@ -228,7 +224,6 @@ type Peer struct {
 	matchBackoff int
 	cache        *segmentCache
 	stats        Stats
-	reported     signal.Stats // last usage values already sent upstream
 	played       map[int]bool
 	// expectedSegBytes is derived from the master playlist's declared
 	// bandwidth × the media playlist's target duration. P2P segments
@@ -448,25 +443,6 @@ func (p *Peer) Run(ctx context.Context) (Stats, error) {
 			p.reconnectLoop(ctx)
 		}()
 	}
-	if p.cfg.StatsInterval > 0 && !p.cfg.DisableP2P {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			t := time.NewTicker(p.cfg.StatsInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					p.reportStats()
-				case <-p.closed:
-					return
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-
 	if err := p.playbackLoop(ctx); err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		return p.Stats(), err
 	}
@@ -995,26 +971,20 @@ func (p *Peer) httpGet(ctx context.Context, url string) ([]byte, error) {
 	return io.ReadAll(io.LimitReader(resp.Body, maxHTTPBody))
 }
 
-// reportStats pushes usage deltas (since the previous report) to the
-// signaling server; the server accumulates them into the customer's
-// meters.
+// reportStats pushes the session's usage totals to the signaling
+// server once, at session end; the server accumulates them into the
+// customer's meters.
 func (p *Peer) reportStats() {
 	p.mu.Lock()
 	sig := p.sess.sig
-	cur := signal.Stats{
+	total := signal.Stats{
 		P2PDownBytes: p.stats.P2PDownBytes,
 		P2PUpBytes:   p.stats.P2PUpBytes,
 		CDNDownBytes: p.stats.CDNBytes,
 	}
-	delta := signal.Stats{
-		P2PDownBytes: cur.P2PDownBytes - p.reported.P2PDownBytes,
-		P2PUpBytes:   cur.P2PUpBytes - p.reported.P2PUpBytes,
-		CDNDownBytes: cur.CDNDownBytes - p.reported.CDNDownBytes,
-	}
-	p.reported = cur
 	p.mu.Unlock()
-	if sig != nil && (delta.P2PDownBytes != 0 || delta.P2PUpBytes != 0 || delta.CDNDownBytes != 0) {
-		sig.SendStats(delta)
+	if sig != nil && (total.P2PDownBytes != 0 || total.P2PUpBytes != 0 || total.CDNDownBytes != 0) {
+		sig.SendStats(total)
 	}
 }
 

@@ -13,8 +13,8 @@
 // every demonstrated attack exploits. This package is the
 // counterfactual: what the attacks would have achieved had the
 // deployed PDNs authenticated peers end-to-end. provider.Secure()
-// deploys it; the attack-replay matrix in internal/attack re-runs the
-// paper's attacks against it (docs/defense_matrix.md).
+// deploys it; the attack battery (internal/battery) runs the paper's
+// attacks against it (docs/defense_matrix.md).
 //
 // Trust structure. The signaling server holds a TransportAuthority
 // keypair. A peer registers its static ed25519 public key in its

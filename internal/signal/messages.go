@@ -199,8 +199,9 @@ type PeersResp struct {
 	Peers []PeerInfo `json:"peers"`
 }
 
-// Stats is the SDK's periodic usage report; the server meters the
-// owning customer from it, which is what lets free riders bill victims.
+// Stats is the SDK's usage report, sent once at session end; the
+// server meters the owning customer from it, which is what lets free
+// riders bill victims.
 type Stats struct {
 	P2PDownBytes int64 `json:"p2p_down_bytes"`
 	P2PUpBytes   int64 `json:"p2p_up_bytes"`

@@ -30,6 +30,7 @@ import (
 	"io"
 
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
+	"github.com/stealthy-peers/pdnsec/internal/battery"
 	"github.com/stealthy-peers/pdnsec/internal/detector"
 	"github.com/stealthy-peers/pdnsec/internal/experiments"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
@@ -71,19 +72,20 @@ func NewTestbed(ctx context.Context, cfg TestbedConfig) (*Testbed, error) {
 }
 
 // Verdict is one security test's outcome.
-type Verdict = analyzer.Verdict
+type Verdict = battery.Verdict
 
 // Risk identifiers accepted by AnalyzeRisk.
-var AllRisks = analyzer.AllRisks
+var AllRisks = battery.AllRisks
 
-// AnalyzeProvider runs the full Table V battery against a provider.
+// AnalyzeProvider runs the full attack battery against a provider (one
+// row of docs/defense_matrix.md; Table V reports six of its cells).
 func AnalyzeProvider(ctx context.Context, p Provider) ([]Verdict, error) {
-	return analyzer.RunAll(ctx, p)
+	return battery.RunAll(ctx, p)
 }
 
 // AnalyzeRisk runs one named risk test against a provider.
 func AnalyzeRisk(ctx context.Context, p Provider, risk string) (Verdict, error) {
-	return analyzer.RunRisk(ctx, p, risk)
+	return battery.RunRisk(ctx, p, risk)
 }
 
 // Detection re-exports the measurement pipeline result.
@@ -131,6 +133,9 @@ func Reproduce(ctx context.Context, w io.Writer, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("pdnsec: detection: %w", err)
 	}
+	// Table V runs its battery cells once; the IP-leak lab and the
+	// undefended half of the IM defense read them from it.
+	var tableV *experiments.TableVResult
 	steps := []struct {
 		name string
 		body func() (string, error)
@@ -141,11 +146,11 @@ func Reproduce(ctx context.Context, w io.Writer, seed int64) error {
 		{"Table IV", func() (string, error) { return det.RenderTableIV(), nil }},
 		{"Resource squatting in the wild (IV-D)", func() (string, error) { return det.RenderResourceSquattingWild(), nil }},
 		{"Table V", func() (string, error) {
-			res, err := experiments.RunTableV(ctx, det)
-			if err != nil {
+			var err error
+			if tableV, err = experiments.RunTableV(ctx, det); err != nil {
 				return "", err
 			}
-			return res.Render(), nil
+			return tableV.Render(), nil
 		}},
 		{"Table VI", func() (string, error) {
 			res, err := experiments.RunTableVI(ctx, 3<<20)
@@ -176,11 +181,7 @@ func Reproduce(ctx context.Context, w io.Writer, seed int64) error {
 			return res.Render(), nil
 		}},
 		{"IP leak lab (IV-D)", func() (string, error) {
-			res, err := experiments.RunIPLeakLab(ctx)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
+			return experiments.IPLeakLab(tableV).Render(), nil
 		}},
 		{"IP leak in the wild (IV-D)", func() (string, error) {
 			res, err := experiments.RunIPLeakWild(seed)
@@ -197,7 +198,7 @@ func Reproduce(ctx context.Context, w io.Writer, seed int64) error {
 			return res.Render(), nil
 		}},
 		{"IM defense (V-B)", func() (string, error) {
-			res, err := experiments.RunIMDefense(ctx)
+			res, err := experiments.RunIMDefense(ctx, tableV)
 			if err != nil {
 				return "", err
 			}

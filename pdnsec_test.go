@@ -19,8 +19,8 @@ func TestFacadeProfiles(t *testing.T) {
 	if pdnsec.Peer5().Name != "peer5" || pdnsec.ECDN().Name != "ecdn" {
 		t.Fatal("profile constructors broken")
 	}
-	if len(pdnsec.AllRisks()) != 6 {
-		t.Fatal("expected six risks")
+	if len(pdnsec.AllRisks()) != 9 {
+		t.Fatal("expected nine risks")
 	}
 }
 
