@@ -102,7 +102,10 @@ type Config struct {
 	// CacheSegments caps the in-memory segment cache (default 8).
 	CacheSegments int
 	// OnSegment, when set, observes every played segment — experiments
-	// use it to detect whether pollution reached this viewer.
+	// use it to detect whether pollution reached this viewer. data is
+	// lent for the duration of the call only: a peer that caches nothing
+	// plays every segment from one buffer, so a callback that needs the
+	// bytes afterwards must copy them.
 	OnSegment func(key media.SegmentKey, data []byte, source string)
 	// UploadPolicy, when set, is consulted before serving each neighbor
 	// request; returning false refuses the upload. Adversarial
@@ -248,6 +251,10 @@ type Peer struct {
 	// that failed outright — chaos invariant violations cite it so a red
 	// run names the exact trace to inspect alongside the replay seed.
 	lastStallTrace string
+	// playBuf is the one CDN body buffer a peer that caches nothing
+	// (DisableP2P) plays every segment from. Only the playback loop's
+	// goroutine touches it; OnSegment borrows it for the call.
+	playBuf []byte
 
 	closed chan struct{}
 	// admitted is closed once the first join has published its session.
@@ -605,7 +612,7 @@ func (p *Peer) learnExpectedSize(ctx context.Context, pl *hls.MediaPlaylist) {
 	if known > 0 || len(pl.Segments) == 0 {
 		return
 	}
-	body, err := p.httpGet(ctx, cdn.MasterURL(p.cfg.CDNBase, p.cfg.Video))
+	body, err := p.httpGet(ctx, cdn.MasterURL(p.cfg.CDNBase, p.cfg.Video), nil)
 	if err != nil {
 		return
 	}
@@ -755,7 +762,7 @@ func (p *Peer) loadHashManifest(ctx context.Context) {
 	if loaded {
 		return
 	}
-	body, err := p.httpGet(ctx, cdn.HashesURL(p.cfg.CDNBase, p.cfg.Video, p.cfg.Rendition))
+	body, err := p.httpGet(ctx, cdn.HashesURL(p.cfg.CDNBase, p.cfg.Video, p.cfg.Rendition), nil)
 	if err != nil {
 		return // live asset or older CDN: defense unavailable
 	}
@@ -795,10 +802,13 @@ func (p *Peer) playSegment(ctx context.Context, idx int) error {
 		p.metrics.segsP2P.Inc()
 	}
 	p.cfg.Meter.OnPlayback(len(data))
+	// The segment cache exists to serve uploads, and a segment it keeps
+	// needs a buffer of its own; a plain CDN viewer keeps none, so it
+	// reads the next segment into the buffer this one played from.
 	if !p.cfg.DisableP2P {
-		// The segment cache exists to serve uploads; a plain CDN viewer
-		// holds only transient playback buffers.
 		p.cache.put(idx, data)
+	} else {
+		p.playBuf = data
 	}
 	p.mu.Lock()
 	p.played[idx] = true
@@ -913,7 +923,7 @@ func (p *Peer) fetchFromPeers(ctx context.Context, s *session, key media.Segment
 func (p *Peer) fetchFromCDN(ctx context.Context, key media.SegmentKey) ([]byte, error) {
 	ctx, span := p.cfg.Tracer.StartSpan(ctx, "cdn_fetch", obs.A("idx", key.Index))
 	url := cdn.SegmentURL(p.cfg.CDNBase, key.Video, key.Rendition, key.Index)
-	data, err := p.httpGet(ctx, url)
+	data, err := p.httpGet(ctx, url, p.playBuf)
 	span.End(obs.A("ok", err == nil))
 	if err != nil {
 		return nil, err
@@ -929,7 +939,7 @@ func (p *Peer) fetchFromCDN(ctx context.Context, key media.SegmentKey) ([]byte, 
 // fetchPlaylist retrieves the rendition playlist.
 func (p *Peer) fetchPlaylist(ctx context.Context) (*hls.MediaPlaylist, error) {
 	url := cdn.PlaylistURL(p.cfg.CDNBase, p.cfg.Video, p.cfg.Rendition)
-	body, err := p.httpGet(ctx, url)
+	body, err := p.httpGet(ctx, url, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -940,7 +950,10 @@ func (p *Peer) fetchPlaylist(ctx context.Context) (*hls.MediaPlaylist, error) {
 // maxHTTPBody bounds one CDN response body.
 const maxHTTPBody = 64 << 20
 
-func (p *Peer) httpGet(ctx context.Context, url string) ([]byte, error) {
+// httpGet fetches url's body. A body of declared length that fits in
+// buf is read into buf[:n] (buf may be nil); otherwise a new buffer is
+// allocated.
+func (p *Peer) httpGet(ctx context.Context, url string, buf []byte) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
@@ -962,7 +975,11 @@ func (p *Peer) httpGet(ctx context.Context, url string) ([]byte, error) {
 	// way, and a declared length is read into a buffer of that size
 	// (io.ReadAll regrows to several times the body).
 	if n := resp.ContentLength; n >= 0 && n <= maxHTTPBody {
-		body := make([]byte, n)
+		body := buf
+		if int64(cap(body)) < n {
+			body = make([]byte, n)
+		}
+		body = body[:n]
 		if _, err := io.ReadFull(resp.Body, body); err != nil {
 			return nil, fmt.Errorf("pdnclient: GET %s: %w", url, err)
 		}
@@ -1015,6 +1032,10 @@ func (p *Peer) teardown() {
 	if sig != nil {
 		sig.Close()
 	}
+	// A finished viewer's keep-alive CDN connection would otherwise hold
+	// its transport's read and write loops, and the server's conn
+	// goroutine, until the CDN itself closes.
+	p.http.CloseIdleConnections()
 	p.wg.Wait()
 }
 

@@ -234,7 +234,8 @@ func TestStopLingerEarlyOnlySkipsLinger(t *testing.T) {
 // TestHTTPGetIsBounded: the CDN is not trusted (the pollution attacker
 // may run it), so a body is read to its declared length or to
 // maxHTTPBody, whichever the response allows, and a response that ends
-// short of its declared length is an error, never a short body.
+// short of its declared length is an error, never a short body. A
+// declared length that fits the buffer handed in is read into it.
 func TestHTTPGetIsBounded(t *testing.T) {
 	pa, pb := barePeers(t)
 	ln, err := pb.cfg.Host.Listen(80)
@@ -243,7 +244,10 @@ func TestHTTPGetIsBounded(t *testing.T) {
 	}
 	body := bytes.Repeat([]byte("segment!"), 8<<10)
 	mux := http.NewServeMux()
-	mux.HandleFunc("/declared", func(w http.ResponseWriter, r *http.Request) { w.Write(body) })
+	mux.HandleFunc("/declared", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+	})
 	mux.HandleFunc("/chunked", func(w http.ResponseWriter, r *http.Request) {
 		w.(http.Flusher).Flush() // headers leave before the length is known
 		w.Write(body)
@@ -266,15 +270,25 @@ func TestHTTPGetIsBounded(t *testing.T) {
 
 	base := "http://" + ln.AddrPort().String()
 	for _, path := range []string{"/declared", "/chunked"} {
-		got, err := pa.httpGet(context.Background(), base+path)
+		got, err := pa.httpGet(context.Background(), base+path, nil)
 		if err != nil || !bytes.Equal(got, body) {
 			t.Errorf("%s: %d bytes, %v; want the %d-byte body", path, len(got), err, len(body))
 		}
 	}
-	if got, err := pa.httpGet(context.Background(), base+"/short"); err == nil {
+	for _, size := range []int{len(body), 2 * len(body), len(body) - 1} {
+		buf := make([]byte, size)
+		got, err := pa.httpGet(context.Background(), base+"/declared", buf)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Errorf("/declared into %d bytes: %d bytes, %v; want the %d-byte body", size, len(got), err, len(body))
+		}
+		if reused := &got[0] == &buf[0]; reused != (size >= len(body)) {
+			t.Errorf("/declared into %d bytes: read into the buffer handed in = %v", size, reused)
+		}
+	}
+	if got, err := pa.httpGet(context.Background(), base+"/short", make([]byte, len(body))); err == nil {
 		t.Errorf("/short: %d bytes and no error; want an error", len(got))
 	}
-	got, err := pa.httpGet(context.Background(), base+"/endless")
+	got, err := pa.httpGet(context.Background(), base+"/endless", nil)
 	if err != nil || len(got) != maxHTTPBody {
 		t.Errorf("/endless: %d bytes, %v; want exactly maxHTTPBody", len(got), err)
 	}
