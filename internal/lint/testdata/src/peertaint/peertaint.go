@@ -70,8 +70,14 @@ func wirePayload(codec *wire.Codec, conn net.Conn) {
 func dataChannelPayload(d *dtls.Conn, s *secure.Conn, conn net.Conn) {
 	d.Send([]byte(clientAddr(conn))) // want `peer-identifying value from RemoteAddr\(\) .* reaches peer data-channel payload`
 	s.Send([]byte(clientAddr(conn))) // want `peer-identifying value from RemoteAddr\(\) .* reaches peer data-channel payload`
-	// Every part of a gathered send is payload.
-	d.SendParts([]byte("hdr"), []byte(clientAddr(conn))) // want `peer-identifying value from RemoteAddr\(\) .* reaches peer data-channel payload`
+}
+
+// p2pConn models pdnclient's neighbor conn, the interface a segment's
+// header and body go out through on either transport.
+type p2pConn interface{ Send(msg []byte) error }
+
+func neighborPayload(c p2pConn, conn net.Conn) {
+	c.Send([]byte(clientAddr(conn))) // want `peer-identifying value from RemoteAddr\(\) .* reaches peer data-channel payload`
 }
 
 func chaosEvent(conn net.Conn) chaos.Event {
@@ -88,7 +94,7 @@ type Relay struct {
 }
 
 type p2pMsg struct {
-	Op    string
+	Op    byte
 	Trace string
 }
 

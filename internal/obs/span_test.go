@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -174,5 +175,49 @@ func TestTraceSetSharedStitching(t *testing.T) {
 	}
 	if err := nilSet.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUntracedSpanAllocBudget: a component that runs untraced pays
+// nothing for its instrumentation. Annotating a span on a nil tracer
+// with the string, int and bool values the data path uses, opening it,
+// adding instants and ending it allocate nothing — the args stay on the
+// caller's stack, copied only by a tracer that records them.
+func TestUntracedSpanAllocBudget(t *testing.T) {
+	var tr *Tracer
+	id, idx, found := strings.Repeat("peer", 4), 4097, true
+	allocs := testing.AllocsPerRun(100, func() {
+		ctx, sp := tr.StartSpan(context.Background(), "p2p_request", A("neighbor", id), A("idx", idx))
+		remote := tr.StartSpanRemote(ContextString(ctx), "p2p_serve", A("neighbor", id), A("idx", idx))
+		sp.Event("cdn_fallback", A("video", id), A("idx", idx))
+		tr.Event("neighbor_evict", A("neighbor", id), A("reason", "request_timeout"))
+		remote.End(A("found", found), A("bytes", idx))
+		sp.End(A("found", found))
+		tr.Begin("segment", A("idx", idx)).End(A("source", id))
+	})
+	if allocs != 0 {
+		t.Fatalf("an untraced span with its args allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestArgValues: A keeps every value as given — the typed ones and a
+// boxed one alike — so the trace file renders them as before.
+func TestArgValues(t *testing.T) {
+	type named string
+	for _, tc := range []struct {
+		arg  Arg
+		want any
+	}{
+		{A("s", "x"), "x"},
+		{A("i", -7), -7},
+		{A("b", true), true},
+		{A("f", false), false},
+		{A("n", named("y")), named("y")},
+		{A("u", uint8(3)), uint8(3)},
+		{A("l", []string{"a"}), []string{"a"}},
+	} {
+		if got := tc.arg.value(); fmt.Sprintf("%T %v", got, got) != fmt.Sprintf("%T %v", tc.want, tc.want) {
+			t.Errorf("A(%q, …).value() = %T %v, want %T %v", tc.arg.Key, got, got, tc.want, tc.want)
+		}
 	}
 }

@@ -15,14 +15,45 @@ import (
 	"time"
 )
 
-// Arg is one key/value annotation on a span or event.
+// Arg is one key/value annotation on a span or event. A string, int or
+// bool value — what the data path annotates with — is held unboxed, so
+// annotating a span that is not recorded allocates nothing.
 type Arg struct {
-	Key   string
-	Value any
+	Key  string
+	kind byte // 's' str, 'i' num, 'b' num != 0; 0: val holds the value
+	str  string
+	num  int64
+	val  any
 }
 
 // A constructs an Arg.
-func A(key string, value any) Arg { return Arg{Key: key, Value: value} }
+func A[T any](key string, value T) Arg {
+	switch v := any(value).(type) {
+	case string:
+		return Arg{Key: key, kind: 's', str: v}
+	case int:
+		return Arg{Key: key, kind: 'i', num: int64(v)}
+	case bool:
+		if v {
+			return Arg{Key: key, kind: 'b', num: 1}
+		}
+		return Arg{Key: key, kind: 'b'}
+	}
+	return Arg{Key: key, val: value}
+}
+
+// value returns the annotation's value as given to A.
+func (a Arg) value() any {
+	switch a.kind {
+	case 's':
+		return a.str
+	case 'i':
+		return int(a.num)
+	case 'b':
+		return a.num != 0
+	}
+	return a.val
+}
 
 // traceShards bounds contention on the record path: spans land in a
 // round-robin shard, each with its own buffer and lock, approximating
@@ -231,7 +262,7 @@ func (t *Tracer) Begin(name string, args ...Arg) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{t: t, name: name, start: t.now(), args: args,
+	return Span{t: t, name: name, start: t.now(), args: recorded(args),
 		tc: TraceContext{TraceID: t.newID(), SpanID: t.newID()}}
 }
 
@@ -243,7 +274,7 @@ func (t *Tracer) StartSpan(ctx context.Context, name string, args ...Arg) (conte
 	if t == nil {
 		return ctx, Span{}
 	}
-	sp := Span{t: t, name: name, start: t.now(), args: args}
+	sp := Span{t: t, name: name, start: t.now(), args: recorded(args)}
 	if parent, ok := SpanFromContext(ctx); ok {
 		sp.tc = TraceContext{TraceID: parent.tc.TraceID, SpanID: t.newID()}
 		sp.parent = parent.tc.SpanID
@@ -262,7 +293,7 @@ func (t *Tracer) StartSpanRemote(enc, name string, args ...Arg) Span {
 	if t == nil {
 		return Span{}
 	}
-	sp := Span{t: t, name: name, start: t.now(), args: args}
+	sp := Span{t: t, name: name, start: t.now(), args: recorded(args)}
 	if tc, ok := ParseTraceContext(enc); ok {
 		sp.tc = TraceContext{TraceID: tc.TraceID, SpanID: t.newID()}
 		sp.parent = tc.SpanID
@@ -284,7 +315,7 @@ func (s Span) End(args ...Arg) {
 	end := s.t.now()
 	all := s.args
 	if len(args) > 0 {
-		all = append(append([]Arg(nil), s.args...), args...)
+		all = append(s.args[:len(s.args):len(s.args)], args...)
 	}
 	s.t.record(traceEvent{
 		name:   s.name,
@@ -311,7 +342,7 @@ func (s Span) Event(name string, args ...Arg) {
 		start:  s.t.now().UnixNano(),
 		trace:  s.tc.TraceID,
 		parent: s.tc.SpanID,
-		args:   args,
+		args:   recorded(args),
 	})
 }
 
@@ -320,8 +351,13 @@ func (t *Tracer) Event(name string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.record(traceEvent{name: name, phase: 'i', start: t.now().UnixNano(), args: args})
+	t.record(traceEvent{name: name, phase: 'i', start: t.now().UnixNano(), args: recorded(args)})
 }
+
+// recorded copies a call's args for a record that keeps them, so that
+// the variadic slice itself never escapes: a call on a nil tracer builds
+// its args on the stack.
+func recorded(args []Arg) []Arg { return append([]Arg(nil), args...) }
 
 func (t *Tracer) record(ev traceEvent) {
 	n := t.next.Add(1) % traceShards
@@ -373,7 +409,7 @@ func argsJSON(args []Arg) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := json.Marshal(a.Value)
+		v, err := json.Marshal(a.value())
 		if err != nil {
 			return nil, err
 		}

@@ -12,45 +12,52 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/wire"
 )
 
-// FuzzDecodeMsg hardens the datachannel frame parser: every byte of a
-// frame is chosen by a neighbor, and any swarm member can become one.
-// decodeMsg must survive any input without panicking, and whatever
-// header and payload it accepts must come back unchanged from an
-// encodeMsg → decodeMsg round trip — a NUL inside the payload included,
-// since only the first one separates.
+// FuzzDecodeMsg hardens the data-channel frame header parser: every
+// byte of a frame is chosen by a neighbor, and any swarm member can
+// become one. decodeMsg must survive any input without panicking; a
+// header it accepts must re-encode to exactly the frame it came from;
+// and no field may run short of the frame's end or leave bytes after
+// it — so every cut of an accepted frame, and the frame with a byte
+// more, is rejected.
 func FuzzDecodeMsg(f *testing.F) {
 	key := media.SegmentKey{Video: "bbb", Rendition: "360p", Index: 7}
-	want, err := encodeMsg(p2pMsg{Op: "want", Key: key, Trace: "00-0af7651916cd43dd-b7ad6b7169203331"}, nil)
-	if err != nil {
-		f.Fatal(err)
+	var frames [][]byte
+	for _, h := range []p2pMsg{
+		{Op: opWant, Key: key, Trace: "00-00000000000000000af7651916cd43dd-b7ad6b7169203331-01"},
+		{Op: opSegment, Key: key, Found: true},
+		{Op: opSegment, Key: key},
+		{Op: 9, Key: media.SegmentKey{Index: 1<<32 - 1}}, // an unknown op, empty strings
+	} {
+		frame, err := appendMsg(nil, h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frames = append(frames, frame)
+		f.Add(frame)
 	}
-	segment, err := encodeMsg(p2pMsg{Op: "segment", Key: key, Found: true}, []byte{1, 0, 2, 0, 0, 3})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(want)
-	f.Add(segment)
-	f.Add([]byte(`{"op":"want","key":{"video":"bbb"}}`)) // header with no separator
-	f.Add([]byte{})                                      // empty frame
-	f.Add([]byte("\x00{\"op\":\"segment\"}"))            // starts with the separator
+	f.Add([]byte{})
+	f.Add(frames[1][:msgFixed])                                     // cut after the fixed fields
+	f.Add(frames[0][:len(frames[0])-1])                             // trace one byte short
+	f.Add(append(frames[1][:len(frames[1]):len(frames[1])], 0))     // a byte after the trace
+	f.Add([]byte{byte(opSegment), 2, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0}) // found neither 0 nor 1
+	f.Add([]byte{byte(opWant), 0, 0, 0, 0, 7, 0xff, 0xff, 'b'})     // video length past the end
+	f.Add([]byte(`{"op":"want","key":{"video":"bbb"}}`))            // the retired JSON header
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		hdr, payload, err := decodeMsg(frame)
+		hdr, err := decodeMsg(frame)
 		if err != nil {
 			return
 		}
-		again, err := encodeMsg(hdr, payload)
-		if err != nil {
-			t.Fatalf("accepted header %+v does not re-encode: %v", hdr, err)
+		again, err := appendMsg(nil, hdr)
+		if err != nil || !bytes.Equal(again, frame) {
+			t.Fatalf("accepted header %+v re-encodes to %v, %v; want the frame %v", hdr, again, err, frame)
 		}
-		hdr2, payload2, err := decodeMsg(again)
-		if err != nil {
-			t.Fatalf("re-encoded frame does not decode: %v", err)
+		for i := range frame {
+			if h, err := decodeMsg(frame[:i]); err == nil {
+				t.Fatalf("the frame cut to %d of %d bytes decodes, as %+v", i, len(frame), h)
+			}
 		}
-		if hdr2 != hdr {
-			t.Fatalf("header changed in the round trip: %+v, then %+v", hdr, hdr2)
-		}
-		if !bytes.Equal(payload2, payload) {
-			t.Fatalf("payload changed in the round trip: %d bytes, then %d", len(payload), len(payload2))
+		if h, err := decodeMsg(append(again, 0)); err == nil {
+			t.Fatalf("the frame with a byte after its last field decodes, as %+v", h)
 		}
 	})
 }

@@ -2,8 +2,10 @@ package pdnclient
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -25,52 +27,84 @@ const connectTimeout = 5 * time.Second
 // requestTimeout bounds one segment request to a neighbor.
 const requestTimeout = 5 * time.Second
 
-// p2pMsg is the datachannel message header. Segment payload bytes
-// follow the header's JSON encoding after a NUL separator.
+// p2pOp is a data-channel frame header's operation.
+type p2pOp byte
+
+const (
+	opWant    p2pOp = 1 // ask for Key
+	opSegment p2pOp = 2 // answer for Key; when Found, the segment follows
+)
+
+// p2pMsg is the data-channel frame header. A found segment goes out as
+// two messages, this header and then the segment itself, so the body is
+// sealed straight from the cache and opened in place into the buffer the
+// viewer keeps.
 type p2pMsg struct {
-	Op    string           `json:"op"` // "want" | "segment"
-	Key   media.SegmentKey `json:"key"`
-	Found bool             `json:"found,omitempty"`
-	// Trace carries the requester's encoded obs.TraceContext on "want"
+	Op    p2pOp
+	Key   media.SegmentKey
+	Found bool
+	// Trace carries the requester's encoded obs.TraceContext on want
 	// frames, so the serving peer's p2p_serve span stitches into the
 	// requester's segment trace. Opaque identifiers only — never
 	// addresses (pdnlint peertaint treats it as a sink).
-	Trace string `json:"trace,omitempty"`
+	Trace string
 }
 
-// nul separates a frame's JSON header from its payload.
-var nul = []byte{0}
+// hasBody reports whether the segment follows the header as the next
+// message.
+func (h p2pMsg) hasBody() bool { return h.Op == opSegment && h.Found }
 
-// encodeMsg frames a header and optional payload.
-func encodeMsg(h p2pMsg, payload []byte) ([]byte, error) {
-	hdr, err := json.Marshal(h)
-	if err != nil {
-		return nil, err
+// A frame header on the wire is fixed fields, then length-prefixed
+// strings, big-endian:
+//
+//	op(1) | found(1) | index(4) | len(2) video | len(2) rendition | len(2) trace
+const msgFixed = 1 + 1 + 4
+
+var errBadMsg = errors.New("pdnclient: malformed frame header")
+
+// appendMsg appends h's encoding to dst.
+func appendMsg(dst []byte, h p2pMsg) ([]byte, error) {
+	k := h.Key // a negative index wraps past MaxUint32
+	if uint64(k.Index) > math.MaxUint32 || max(len(k.Video), len(k.Rendition), len(h.Trace)) > math.MaxUint16 {
+		return dst, errBadMsg
 	}
-	out := make([]byte, 0, len(hdr)+1+len(payload))
-	out = append(out, hdr...)
-	out = append(out, nul...)
-	out = append(out, payload...)
-	return out, nil
+	dst = append(dst, byte(h.Op), 0)
+	if h.Found {
+		dst[len(dst)-1] = 1
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(k.Index))
+	for _, f := range [...]string{k.Video, k.Rendition, h.Trace} {
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(f)))
+		dst = append(dst, f...)
+	}
+	return dst, nil
 }
 
-// decodeMsg splits a frame into header and payload.
-func decodeMsg(frame []byte) (p2pMsg, []byte, error) {
-	var h p2pMsg
-	sep := -1
-	for i, b := range frame {
-		if b == 0 {
-			sep = i
-			break
+// decodeMsg parses a frame header. Every byte is the neighbor's to
+// choose: a found flag other than 0 or 1, a length running past the
+// frame or bytes left after the trace make the frame malformed, so an
+// accepted header re-encodes to exactly the frame it came from.
+func decodeMsg(frame []byte) (p2pMsg, error) {
+	if len(frame) < msgFixed || frame[1] > 1 {
+		return p2pMsg{}, errBadMsg
+	}
+	h := p2pMsg{Op: p2pOp(frame[0]), Found: frame[1] == 1}
+	h.Key.Index = int(binary.BigEndian.Uint32(frame[2:msgFixed]))
+	rest := frame[msgFixed:]
+	for _, f := range [...]*string{&h.Key.Video, &h.Key.Rendition, &h.Trace} {
+		if len(rest) < 2 {
+			return p2pMsg{}, errBadMsg
 		}
+		n := 2 + int(binary.BigEndian.Uint16(rest))
+		if len(rest) < n {
+			return p2pMsg{}, errBadMsg
+		}
+		*f, rest = string(rest[2:n]), rest[n:]
 	}
-	if sep < 0 {
-		return h, nil, json.Unmarshal(frame, &h)
+	if len(rest) != 0 {
+		return p2pMsg{}, errBadMsg
 	}
-	if err := json.Unmarshal(frame[:sep], &h); err != nil {
-		return h, nil, err
-	}
-	return h, frame[sep+1:], nil
+	return h, nil
 }
 
 // p2pConn is the message transport a neighbor runs over: anonymous
@@ -78,7 +112,6 @@ func decodeMsg(frame []byte) (p2pMsg, []byte, error) {
 // when the policy demands it. Both satisfy it.
 type p2pConn interface {
 	Send(msg []byte) error
-	SendParts(parts ...[]byte) error
 	Recv() ([]byte, error)
 	Close() error
 }
@@ -89,11 +122,20 @@ type neighbor struct {
 	conn p2pConn
 	peer *Peer
 
-	reqMu     chan struct{} // capacity-1 semaphore: one outstanding want
+	reqMu chan struct{} // capacity-1 semaphore: one outstanding want
+	// timer bounds the outstanding want's wait; only reqMu's holder
+	// touches it.
+	timer     *time.Timer
 	respCh    chan p2pFrame // segment responses
 	closedC   chan struct{}
 	closeOnce sync.Once   // evict (read loop) and teardown both call close
 	evicting  atomic.Bool // latches the first eviction so it counts once
+
+	// sendMu holds a found header and its body together on the wire, so
+	// a want cannot land between them; it guards hdr, the buffer every
+	// header is encoded into.
+	sendMu sync.Mutex
+	hdr    []byte
 }
 
 type p2pFrame struct {
@@ -107,11 +149,30 @@ func newNeighbor(id string, conn p2pConn, p *Peer) *neighbor {
 		conn:    conn,
 		peer:    p,
 		reqMu:   make(chan struct{}, 1),
+		timer:   time.NewTimer(requestTimeout),
 		respCh:  make(chan p2pFrame, 1),
 		closedC: make(chan struct{}),
 	}
+	nb.timer.Stop()
 	nb.reqMu <- struct{}{}
 	return nb
+}
+
+// send writes a frame header and, when it has one, its body, under one
+// hold of sendMu. The record layer seals the body from the caller's
+// bytes and keeps none of them, so the header buffer is reused and a
+// cached segment is only ever read.
+func (nb *neighbor) send(h p2pMsg, body []byte) error {
+	nb.sendMu.Lock()
+	defer nb.sendMu.Unlock()
+	var err error
+	if nb.hdr, err = appendMsg(nb.hdr[:0], h); err != nil {
+		return err
+	}
+	if err = nb.conn.Send(nb.hdr); err != nil || !h.hasBody() {
+		return err
+	}
+	return nb.conn.Send(body)
 }
 
 // close tears the connection down and removes it from the peer.
@@ -154,15 +215,23 @@ func (nb *neighbor) readLoop() {
 		if err != nil {
 			return
 		}
-		hdr, payload, err := decodeMsg(frame)
+		// Anything that is not a header where one is due — an unknown op,
+		// or a body nobody announced — is ignored.
+		hdr, err := decodeMsg(frame)
 		if err != nil {
 			continue
 		}
 		switch hdr.Op {
-		case "want":
+		case opWant:
 			nb.serve(hdr.Key, hdr.Trace)
-		case "segment":
-			nb.park(p2pFrame{hdr: hdr, payload: payload})
+		case opSegment:
+			var body []byte
+			if hdr.hasBody() {
+				if body, err = nb.conn.Recv(); err != nil {
+					return
+				}
+			}
+			nb.park(p2pFrame{hdr: hdr, payload: body})
 		}
 	}
 }
@@ -194,7 +263,7 @@ func (nb *neighbor) serve(key media.SegmentKey, trace string) {
 	span := p.cfg.Tracer.StartSpanRemote(trace, "p2p_serve",
 		obs.A("neighbor", nb.id), obs.A("idx", key.Index))
 	pol := &p.session().policy
-	resp := p2pMsg{Op: "segment", Key: key}
+	resp := p2pMsg{Op: opSegment, Key: key}
 	var payload []byte
 	uploadAllowed := !p.cfg.Cellular || pol.CellularUpload
 	if pol.MaxUploadBytes > 0 {
@@ -216,15 +285,10 @@ func (nb *neighbor) serve(key media.SegmentKey, trace string) {
 			p.metrics.cacheMiss.Inc()
 		}
 	}
-	hdr, err := json.Marshal(resp)
-	if err != nil {
-		span.End(obs.A("found", false))
-		return
-	}
-	// encodeMsg's frame, sent as its parts: the record layer's copy of
-	// the cached segment into its own buffer is the only one, so neither
-	// the wire nor an in-flight corruption ever aliases the cache.
-	err = nb.conn.SendParts(hdr, nul, payload)
+	// The record layer seals the cached segment into a buffer of its own,
+	// so neither the wire nor an in-flight corruption ever aliases the
+	// cache.
+	err := nb.send(resp, payload)
 	span.End(obs.A("found", resp.Found), obs.A("bytes", len(payload)))
 	if err != nil {
 		return
@@ -260,16 +324,20 @@ func (nb *neighbor) request(ctx context.Context, key media.SegmentKey) (data []b
 	default:
 	}
 
-	frame, err := encodeMsg(p2pMsg{Op: "want", Key: key, Trace: obs.ContextString(ctx)}, nil)
-	if err != nil {
-		return nil, false
-	}
-	if err := nb.conn.Send(frame); err != nil {
+	if err := nb.send(p2pMsg{Op: opWant, Key: key, Trace: obs.ContextString(ctx)}, nil); err != nil {
 		nb.evict("send_failed")
 		return nil, false
 	}
-	timer := time.NewTimer(requestTimeout)
-	defer timer.Stop()
+	// go.mod's Go 1.22 timer semantics: a Reset timer may still hold the
+	// last expiry, so stop and drain it first.
+	if !nb.timer.Stop() {
+		select {
+		case <-nb.timer.C:
+		default:
+		}
+	}
+	nb.timer.Reset(requestTimeout)
+	defer nb.timer.Stop()
 	for {
 		select {
 		case resp := <-nb.respCh:
@@ -280,7 +348,7 @@ func (nb *neighbor) request(ctx context.Context, key media.SegmentKey) (data []b
 				return nil, false
 			}
 			return resp.payload, true
-		case <-timer.C:
+		case <-nb.timer.C:
 			nb.evict("request_timeout")
 			return nil, false
 		case <-ctx.Done():

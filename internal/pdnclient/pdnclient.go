@@ -30,7 +30,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -255,6 +256,9 @@ type Peer struct {
 	// (DisableP2P) plays every segment from. Only the playback loop's
 	// goroutine touches it; OnSegment borrows it for the call.
 	playBuf []byte
+	// nbOrder is the buffer shuffledNeighbors orders the neighbors in;
+	// like playBuf, only the playback loop's goroutine touches it.
+	nbOrder []*neighbor
 
 	closed chan struct{}
 	// admitted is closed once the first join has published its session.
@@ -1039,15 +1043,18 @@ func (p *Peer) teardown() {
 	p.wg.Wait()
 }
 
-// shuffledNeighbors returns the current neighbors in random order.
+// shuffledNeighbors returns the current neighbors in random order, in
+// the peer's one order buffer: the playback loop alone calls it, and
+// the slice is valid until its next call.
 func (p *Peer) shuffledNeighbors() []*neighbor {
 	p.mu.Lock()
-	out := make([]*neighbor, 0, len(p.neighbors))
+	out := p.nbOrder[:0]
 	for _, nb := range p.neighbors {
 		out = append(out, nb)
 	}
 	p.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	p.nbOrder = out
+	slices.SortFunc(out, func(a, b *neighbor) int { return strings.Compare(a.id, b.id) })
 	p.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/netip"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -394,27 +395,38 @@ func TestSegmentCache(t *testing.T) {
 	}
 }
 
+// TestP2PMessageCodec pins the frame header's wire layout and its
+// bounds: what appendMsg cannot encode in the layout it refuses.
 func TestP2PMessageCodec(t *testing.T) {
-	key := media.SegmentKey{Video: "v", Rendition: "r", Index: 3}
-	frame, err := encodeMsg(p2pMsg{Op: "segment", Key: key, Found: true}, []byte{1, 0, 2})
-	if err != nil {
-		t.Fatal(err)
+	key := media.SegmentKey{Video: "v", Rendition: "r", Index: 0x010203}
+	for _, tc := range []struct {
+		h    p2pMsg
+		wire []byte
+	}{
+		{p2pMsg{Op: opSegment, Key: key, Found: true}, []byte{2, 1, 0, 1, 2, 3, 0, 1, 'v', 0, 1, 'r', 0, 0}},
+		{p2pMsg{Op: opSegment, Key: key}, []byte{2, 0, 0, 1, 2, 3, 0, 1, 'v', 0, 1, 'r', 0, 0}},
+		{p2pMsg{Op: opWant, Key: key, Trace: "tc"}, []byte{1, 0, 0, 1, 2, 3, 0, 1, 'v', 0, 1, 'r', 0, 2, 't', 'c'}},
+	} {
+		got, err := appendMsg(nil, tc.h)
+		if err != nil || !bytes.Equal(got, tc.wire) {
+			t.Errorf("appendMsg(%+v) = %v, %v; want %v", tc.h, got, err, tc.wire)
+		}
+		if h, err := decodeMsg(tc.wire); err != nil || h != tc.h {
+			t.Errorf("decodeMsg(%v) = %+v, %v; want %+v", tc.wire, h, err, tc.h)
+		}
 	}
-	hdr, payload, err := decodeMsg(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Op != "segment" || hdr.Key != key || !hdr.Found {
-		t.Fatalf("hdr %+v", hdr)
-	}
-	if len(payload) != 3 || payload[1] != 0 {
-		t.Fatalf("payload %v (NUL bytes in payload must survive)", payload)
-	}
-	// Headers without payload decode too.
-	frame2, _ := encodeMsg(p2pMsg{Op: "want", Key: key}, nil)
-	hdr2, payload2, err := decodeMsg(frame2)
-	if err != nil || hdr2.Op != "want" || len(payload2) != 0 {
-		t.Fatalf("want decode: %v %+v %v", err, hdr2, payload2)
+	long := strings.Repeat("x", 1<<16)
+	for _, h := range []p2pMsg{
+		{Op: opWant, Key: media.SegmentKey{Video: "v", Rendition: "r", Index: -1}},
+		{Op: opWant, Key: media.SegmentKey{Video: "v", Rendition: "r", Index: 1 << 32}},
+		{Op: opWant, Key: media.SegmentKey{Video: long, Rendition: "r"}},
+		{Op: opWant, Key: media.SegmentKey{Video: "v", Rendition: long}},
+		{Op: opWant, Key: key, Trace: long},
+	} {
+		if _, err := appendMsg(nil, h); err == nil {
+			t.Errorf("appendMsg encoded a header outside the layout: index %d, field lengths %d/%d/%d",
+				h.Key.Index, len(h.Key.Video), len(h.Key.Rendition), len(h.Trace))
+		}
 	}
 }
 

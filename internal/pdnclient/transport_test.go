@@ -10,9 +10,11 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/stealthy-peers/pdnsec/internal/dtls"
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/secure"
@@ -146,8 +148,7 @@ type breakableConn struct {
 	once   sync.Once
 }
 
-func (c *breakableConn) Send([]byte) error         { return nil }
-func (c *breakableConn) SendParts(...[]byte) error { return nil }
+func (c *breakableConn) Send([]byte) error { return nil }
 func (c *breakableConn) Recv() ([]byte, error) {
 	<-c.broken
 	return nil, errors.New("conn broken")
@@ -295,49 +296,65 @@ func TestHTTPGetIsBounded(t *testing.T) {
 }
 
 // answeringConn is a p2pConn whose far side answers every want from
-// segment; a test pushes extra frames through inject. onWant, when set,
-// runs before an answer is queued.
+// segment, as a found header and then the body; a test pushes extra
+// messages through in. onWant, when set, runs before an answer is
+// queued; noBody leaves the body out of the answer. recvs counts the
+// read loop's Recv calls.
 type answeringConn struct {
 	breakableConn
 	in      chan []byte
 	segment func(media.SegmentKey) []byte
 	onWant  func()
+	noBody  bool
+	recvs   atomic.Int64
 }
 
 func newAnsweringConn(segment func(media.SegmentKey) []byte) *answeringConn {
 	return &answeringConn{
 		breakableConn: breakableConn{broken: make(chan struct{})},
-		in:            make(chan []byte, 4), // a want's answer plus the frames a test injects around it
+		in:            make(chan []byte, 8), // a want's answer plus the messages a test injects around it
 		segment:       segment,
 	}
 }
 
-func (c *answeringConn) inject(t *testing.T, key media.SegmentKey) {
+// header encodes h as the far side sends it.
+func header(t *testing.T, h p2pMsg) []byte {
 	t.Helper()
-	frame, err := encodeMsg(p2pMsg{Op: "segment", Key: key, Found: true}, c.segment(key))
+	frame, err := appendMsg(nil, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.in <- frame
+	return frame
+}
+
+// inject queues an unprompted found answer for key.
+func (c *answeringConn) inject(t *testing.T, key media.SegmentKey) {
+	t.Helper()
+	c.in <- header(t, p2pMsg{Op: opSegment, Key: key, Found: true})
+	c.in <- c.segment(key)
 }
 
 func (c *answeringConn) Send(msg []byte) error {
-	hdr, _, err := decodeMsg(msg)
-	if err != nil || hdr.Op != "want" {
+	hdr, err := decodeMsg(msg)
+	if err != nil || hdr.Op != opWant {
 		return err
 	}
 	if c.onWant != nil {
 		c.onWant()
 	}
-	frame, err := encodeMsg(p2pMsg{Op: "segment", Key: hdr.Key, Found: true}, c.segment(hdr.Key))
+	frame, err := appendMsg(nil, p2pMsg{Op: opSegment, Key: hdr.Key, Found: true})
 	if err != nil {
 		return err
 	}
 	c.in <- frame
+	if !c.noBody {
+		c.in <- c.segment(hdr.Key)
+	}
 	return nil
 }
 
 func (c *answeringConn) Recv() ([]byte, error) {
+	c.recvs.Add(1)
 	select {
 	case f := <-c.in:
 		return f, nil
@@ -434,4 +451,133 @@ func TestStaleSegmentFrameDoesNotShiftResponses(t *testing.T) {
 			}
 		})
 	}
+}
+
+// neighborOn registers conn as the neighbor "seeder" of a fresh P2P
+// peer, torn down with the test.
+func neighborOn(t *testing.T, conn p2pConn) (*Peer, *neighbor) {
+	t.Helper()
+	p, _ := barePeers(t)
+	admit(p, nil, signal.Welcome{Policy: signal.Policy{P2PEnabled: true}})
+	p.addNeighbor("seeder", conn)
+	t.Cleanup(p.teardown)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p, p.neighbors["seeder"]
+}
+
+// TestFoundHeaderWithoutBodyTimesOut: a neighbor that announces a
+// segment and never sends it holds the read loop in the body's Recv; the
+// request waits out requestTimeout and evicts it, as a silent one.
+func TestFoundHeaderWithoutBodyTimesOut(t *testing.T) {
+	t.Parallel()
+	conn := newAnsweringConn(func(media.SegmentKey) []byte { return []byte("never sent") })
+	conn.noBody = true
+	p, nb := neighborOn(t, conn)
+	start := time.Now()
+	if data, found := nb.request(context.Background(), media.SegmentKey{Video: "bbb", Rendition: "360p", Index: 3}); found {
+		t.Fatalf("request = %q, found; want a timeout", data)
+	}
+	if waited := time.Since(start); waited < requestTimeout {
+		t.Fatalf("request gave up after %v, want requestTimeout (%v)", waited, requestTimeout)
+	}
+	if !nb.evicting.Load() || p.NeighborCount() != 0 {
+		t.Fatalf("after the timeout: evicted %v, %d neighbors; want the neighbor evicted", nb.evicting.Load(), p.NeighborCount())
+	}
+}
+
+// TestReadLoopIgnoresStrayMessages: a header with an op nobody knows,
+// and a body no found header announced, are ignored — neither is parked
+// as an answer, neither costs the neighbor — and the next request gets
+// its own segment.
+func TestReadLoopIgnoresStrayMessages(t *testing.T) {
+	segment := func(k media.SegmentKey) []byte { return bytes.Repeat([]byte{byte(k.Index)}, 64) }
+	key := media.SegmentKey{Video: "bbb", Rendition: "360p", Index: 5}
+	// A body that starts like a found header for the key but is not one.
+	orphan := append(header(t, p2pMsg{Op: opSegment, Key: key, Found: true}), segment(key)...)
+	for _, tc := range []struct {
+		name string
+		msg  []byte
+	}{
+		{"unknown_op", header(t, p2pMsg{Op: 9, Key: key, Found: true})},
+		{"body_without_header", orphan},
+		{"empty_message", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := newAnsweringConn(segment)
+			p, nb := neighborOn(t, conn)
+			waitFor(t, 5*time.Second, func() bool { return conn.recvs.Load() == 1 })
+			conn.in <- tc.msg
+			// The loop is back in Recv only once it has dealt with the message.
+			waitFor(t, 5*time.Second, func() bool { return conn.recvs.Load() == 2 })
+			if len(nb.respCh) != 0 {
+				t.Fatalf("%s was parked as an answer", tc.name)
+			}
+			if data, found := nb.request(context.Background(), key); !found || !bytes.Equal(data, segment(key)) {
+				t.Fatalf("request after %s = %q, %v; want the segment", tc.name, data, found)
+			}
+			if nb.evicting.Load() || p.NeighborCount() != 1 {
+				t.Fatalf("after %s: evicted %v, %d neighbors", tc.name, nb.evicting.Load(), p.NeighborCount())
+			}
+		})
+	}
+}
+
+// TestHeaderAndBodyStayTogether: two neighbors that serve and request
+// each other at once over a real DTLS channel. Each side's read loop
+// serves while its playback asks, so wants and answers share each
+// direction of the wire; every answer's body must follow its header,
+// or the other side reads a want as a segment.
+func TestHeaderAndBodyStayTogether(t *testing.T) {
+	const segs, rounds = 8, 100
+	a, b := barePeers(t)
+	seg := func(owner byte, i int) []byte { return bytes.Repeat([]byte{owner, byte(i)}, 16<<10) }
+	for _, p := range []*Peer{a, b} {
+		admit(p, nil, signal.Welcome{Policy: signal.Policy{P2PEnabled: true}})
+		for i := 0; i < segs; i++ {
+			p.cache.put(i, seg(p.cfg.Host.Addr().As4()[3], i))
+		}
+	}
+	ra, rb := netsim.Pair(a.cfg.Host, b.cfg.Host, netip.MustParseAddrPort("66.24.9.1:5000"), netip.MustParseAddrPort("66.24.9.2:5000"))
+	served := make(chan error, 1)
+	go func() {
+		cb, err := dtls.Server(rb, b.dtlsConfig(a.Fingerprint()))
+		if err == nil {
+			b.addNeighbor("a", cb)
+		}
+		served <- err
+	}()
+	ca, err := dtls.Client(ra, a.dtlsConfig(b.Fingerprint()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.addNeighbor("b", ca)
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	defer a.teardown()
+	defer b.teardown()
+
+	var wg sync.WaitGroup
+	for _, side := range []struct {
+		p, far *Peer
+		farID  string
+	}{{a, b, "b"}, {b, a, "a"}} {
+		side.p.mu.Lock()
+		nb := side.p.neighbors[side.farID]
+		side.p.mu.Unlock()
+		owner := side.far.cfg.Host.Addr().As4()[3]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				key := media.SegmentKey{Video: "bbb", Rendition: "360p", Index: r % segs}
+				if data, found := nb.request(context.Background(), key); !found || !bytes.Equal(data, seg(owner, key.Index)) {
+					t.Errorf("round %d: %v from peer %d: found %v, %d bytes; want its own segment", r, key, owner, found, len(data))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
@@ -48,20 +49,26 @@ func channel(tb testing.TB, f Framing, wrap bool) (ini, rsp *Conn) {
 	return ini, rsp
 }
 
-// allocated returns the bytes fn allocates per payload byte.
-func allocated(payload int, fn func()) float64 {
+// allocs sums what the calls given to add allocate.
+type allocs struct{ count, bytes uint64 }
+
+func (a *allocs) add(fn func()) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(payload)
+	a.count += after.Mallocs - before.Mallocs
+	a.bytes += after.TotalAlloc - before.TotalAlloc
 }
 
 // TestAllocBudget pins what one 256 KiB segment costs a hop: the sender
-// allocates it once (the record buffer it gathers into and seals in
-// place), the stream hands that buffer over, and the receiver opens it
-// in place and returns it. A wrapped conn pays its own copies — Write's
-// on the way in, the read buffer on the way out — and nothing more.
+// allocates it once (the record buffer it seals into from the caller's
+// bytes), the stream hands that buffer over, header and payload, and the
+// receiver reads the header into the Conn's own array, opens the payload
+// in place and returns it. Over the netsim pair that is one allocation
+// per message on the send side and none on the receive side. A wrapped
+// conn pays its own copies — Write's on the way in, the read buffer on
+// the way out — and nothing more.
 func TestAllocBudget(t *testing.T) {
 	const size = 256 << 10
 	const rounds = 8
@@ -69,30 +76,34 @@ func TestAllocBudget(t *testing.T) {
 		for _, path := range ioPaths {
 			t.Run(tc.name+"/"+path.name, func(t *testing.T) {
 				ini, rsp := channel(t, tc.f, path.wrap)
-				hdr, payload := []byte(`{"op":"segment"}`), make([]byte, size)
-				var send, recv float64
+				payload := make([]byte, size)
+				var send, recv allocs
 				for i := 0; i < rounds; i++ {
-					send += allocated(size, func() {
-						if err := ini.SendParts(hdr, []byte{0}, payload); err != nil {
+					send.add(func() {
+						if err := ini.Send(payload); err != nil {
 							t.Fatal(err)
 						}
 					})
-					recv += allocated(size, func() {
-						if got, err := rsp.Recv(); err != nil || len(got) != len(hdr)+1+size {
+					recv.add(func() {
+						if got, err := rsp.Recv(); err != nil || len(got) != size {
 							t.Fatalf("Recv: %d bytes, %v", len(got), err)
 						}
 					})
 				}
-				send, recv = send/rounds, recv/rounds
 				sendMax, recvMax := 1.1, 0.1
 				if path.wrap {
 					sendMax, recvMax = 2.1, 1.1
 				}
-				if send >= sendMax {
-					t.Errorf("Send allocates %.3f B per payload byte, want < %.1f", send, sendMax)
+				if got := float64(send.bytes) / (rounds * size); got >= sendMax {
+					t.Errorf("Send allocates %.3f B per payload byte, want < %.1f", got, sendMax)
 				}
-				if recv >= recvMax {
-					t.Errorf("Recv allocates %.3f B per payload byte, want < %.1f", recv, recvMax)
+				if got := float64(recv.bytes) / (rounds * size); got >= recvMax {
+					t.Errorf("Recv allocates %.3f B per payload byte, want < %.1f", got, recvMax)
+				}
+				// Half an allocation per message of slack for the runtime's own.
+				if !path.wrap && (2*send.count >= 3*rounds || 2*recv.count >= rounds) {
+					t.Errorf("%d messages: Send made %d allocations, Recv %d; want one per message and none",
+						rounds, send.count, recv.count)
 				}
 			})
 		}
@@ -141,50 +152,32 @@ func TestOwnedBuffersAreNotShared(t *testing.T) {
 	}
 }
 
-// TestSendPartsMatchesSend: gathering is invisible on the wire — the
-// records of SendParts(parts...) are byte for byte those of Send on the
-// parts' concatenation, wherever the part boundaries fall (inside a
-// record, on a record boundary, empty parts) — and the caller's parts
-// are left as they were.
-func TestSendPartsMatchesSend(t *testing.T) {
-	big := bytes.Repeat([]byte("0123456789abcdef"), (maxRecord+4096)/16)
+// TestSendNeverWritesTheMessage: Send seals from the caller's bytes
+// into buffers of its own, so the message — and the spare capacity
+// behind it, where a sealing in place would put the tag — reads the same
+// afterwards, at every record boundary, and the records carry it intact.
+func TestSendNeverWritesTheMessage(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), (2*maxRecord+4096)/16)
 	for _, tc := range framings {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, parts := range [][][]byte{
-				{},
-				{nil},
-				{[]byte("hdr"), {0}, []byte("payload")},
-				{nil, []byte("a"), {}, []byte("b"), nil},
-				{[]byte("hdr"), {0}, big},          // a part straddles the record boundary
-				{big[:maxRecord], big[maxRecord:]}, // a boundary on the record boundary
-				{big[:maxRecord-1], {0}, big[maxRecord:], {1, 2}}, // a one-byte part fills the record
-			} {
-				before := make([][]byte, len(parts))
-				copy(before, parts)
-				joined := bytes.Join(parts, nil)
-
-				w := &wireConn{in: bytes.NewReader(nil)}
-				c, err := New(w, tc.f, testSecret, true, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := c.SendParts(parts...); err != nil {
-					t.Fatal(err)
-				}
-				if want := seal(t, tc.f, nil, joined); !bytes.Equal(w.out.Bytes(), want) {
-					t.Fatalf("%d parts, %d bytes: wire image differs from Send of the concatenation", len(parts), len(joined))
-				}
-				for i := range parts {
-					if !bytes.Equal(parts[i], before[i]) || len(parts[i]) != len(before[i]) {
-						t.Fatalf("SendParts changed the caller's part %d", i)
+		for _, path := range ioPaths {
+			t.Run(tc.name+"/"+path.name, func(t *testing.T) {
+				ini, rsp := channel(t, tc.f, path.wrap)
+				for _, n := range []int{0, 1, maxRecord - 1, maxRecord, maxRecord + 1, 2*maxRecord + 7} {
+					backing := append([]byte(nil), big[:n+64]...)
+					msg := backing[:n]
+					if err := ini.Send(msg); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(backing, big[:n+64]) {
+						t.Fatalf("%d-byte message: Send wrote the caller's buffer", n)
+					}
+					got, err := rsp.Recv()
+					if err != nil || !bytes.Equal(got, big[:n]) {
+						t.Fatalf("%d-byte message: Recv: %d bytes, %v", n, len(got), err)
 					}
 				}
-				got, err := receiver(t, tc.f, false, nil, w.out.Bytes()).Recv()
-				if err != nil || !bytes.Equal(got, joined) {
-					t.Fatalf("%d parts: Recv: %d bytes, %v", len(parts), len(got), err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -199,7 +192,7 @@ func TestOwnedMultiRecordRoundTrip(t *testing.T) {
 		for _, path := range ioPaths {
 			t.Run(tc.name+"/"+path.name, func(t *testing.T) {
 				ini, rsp := channel(t, tc.f, path.wrap)
-				if err := ini.SendParts(big[:100], big[100:]); err != nil {
+				if err := ini.Send(big); err != nil {
 					t.Fatal(err)
 				}
 				if err := ini.Send([]byte("next")); err != nil {
@@ -258,6 +251,77 @@ func TestSplitMessageReassembles(t *testing.T) {
 			wire[len(wire)-1] ^= 0xff
 			if got, err := receiver(t, tc.f, false, nil, wire).Recv(); !errors.Is(err, ErrDecrypt) || got != nil {
 				t.Fatalf("tampered final record: %q, %v, want ErrDecrypt and no partial message", got, err)
+			}
+		})
+	}
+}
+
+// recordStream is a wire that seals the initiator's records as the
+// receiver reads them — nonFinal records of maxRecord bytes, then a
+// final one of last bytes — so a test can stream a message past maxMessage
+// without holding its wire image.
+type recordStream struct {
+	wireConn
+	c        *Conn
+	buf      bytes.Buffer
+	chunk    []byte
+	next     int
+	nonFinal int
+	last     int
+}
+
+func (s *recordStream) Read(p []byte) (int, error) {
+	if s.buf.Len() == 0 && s.next <= s.nonFinal {
+		flags, chunk := byte(0), s.chunk
+		if s.next == s.nonFinal {
+			flags, chunk = FlagFinal, chunk[:s.last]
+		}
+		var nonce [12]byte
+		binary.BigEndian.PutUint64(nonce[4:], uint64(s.next))
+		if err := WriteRecord(&s.buf, s.c.prefix, flags, uint64(s.next), s.c.sendAEAD.Seal(nil, nonce[:], chunk, nil)); err != nil {
+			return 0, err
+		}
+		s.next++
+	}
+	return s.buf.Read(p)
+}
+
+// TestRecvBoundsReassembly: a peer that streams non-final records must
+// not grow its neighbor's memory without end. A message of exactly
+// maxMessage bytes still arrives; one byte more fails at the header of
+// the record that would pass the bound, before its payload is read.
+func TestRecvBoundsReassembly(t *testing.T) {
+	// The message under test is 64 MiB: collect the records and the
+	// outgrown reassembly buffers early rather than at twice that.
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	for _, tc := range framings {
+		t.Run(tc.name, func(t *testing.T) {
+			ini, err := New(&wireConn{}, tc.f, testSecret, true, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunk := bytes.Repeat([]byte{0xab}, maxRecord)
+			stream := func(nonFinal, last int) (*recordStream, *Conn) {
+				s := &recordStream{c: ini, chunk: chunk, nonFinal: nonFinal, last: last}
+				rsp, err := New(s, tc.f, testSecret, false, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s, rsp
+			}
+
+			_, rsp := stream(maxMessage/maxRecord-1, maxRecord)
+			if got, err := rsp.Recv(); err != nil || len(got) != maxMessage {
+				t.Fatalf("message under the bound: %d bytes, %v", len(got), err)
+			}
+
+			s, rsp := stream(maxMessage/maxRecord, 1)
+			got, err := rsp.Recv()
+			if !errors.Is(err, ErrMessageTooLarge) || got != nil {
+				t.Fatalf("message of maxMessage+1 bytes: %d bytes, %v; want ErrMessageTooLarge", len(got), err)
+			}
+			if want := 1 + ini.sendAEAD.Overhead(); s.buf.Len() != want {
+				t.Fatalf("%d bytes of the offending record read past its header, want none (%d unread)", want-s.buf.Len(), want)
 			}
 		})
 	}

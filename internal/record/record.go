@@ -31,10 +31,11 @@ import (
 
 // Errors returned by the record layer.
 var (
-	ErrRecordTooLarge = errors.New("record: record exceeds size limit")
-	ErrDecrypt        = errors.New("record: record authentication failed")
-	ErrReplay         = errors.New("record: record sequence replayed or reordered")
-	ErrBadPrefix      = errors.New("record: unexpected record type")
+	ErrRecordTooLarge  = errors.New("record: record exceeds size limit")
+	ErrDecrypt         = errors.New("record: record authentication failed")
+	ErrReplay          = errors.New("record: record sequence replayed or reordered")
+	ErrBadPrefix       = errors.New("record: unexpected record type")
+	ErrMessageTooLarge = errors.New("record: message exceeds size limit")
 )
 
 // Framing is a transport's pair of record-header prefixes. Both have
@@ -50,6 +51,12 @@ const FlagFinal byte = 1
 // maxRecord bounds one record's plaintext; Send splits larger messages
 // and the peer's Recv reassembles them.
 const maxRecord = 1 << 20
+
+// maxMessage bounds one reassembled message's plaintext, as
+// pdnclient's maxHTTPBody bounds a CDN body: without it any connected
+// peer could grow its neighbor's memory with an endless run of
+// non-final records.
+const maxMessage = 64 << 20
 
 // tailLen is the header after the prefix: seq(8) | flags(1) | len(4).
 const tailLen = 8 + 1 + 4
@@ -78,11 +85,11 @@ func WriteRecord(w io.Writer, prefix string, flags byte, seq uint64, payload []b
 	return err
 }
 
-// readHeader reads one record header, requires it to start with prefix,
-// and checks the length field against limit, so that a caller allocates
-// (or waits for) the payload only after both hold.
-func readHeader(r io.Reader, prefix string, limit int) (flags byte, seq uint64, n int, err error) {
-	hdr := make([]byte, len(prefix)+tailLen)
+// readHeader reads one record header into hdr, len(prefix)+tailLen
+// bytes, requires it to start with prefix, and checks the length field
+// against limit, so that a caller allocates (or waits for) the payload
+// only after both hold.
+func readHeader(r io.Reader, hdr []byte, prefix string, limit int) (flags byte, seq uint64, n int, err error) {
 	if _, err = io.ReadFull(r, hdr); err != nil {
 		return 0, 0, 0, err
 	}
@@ -103,7 +110,7 @@ func readHeader(r io.Reader, prefix string, limit int) (flags byte, seq uint64, 
 // caller accepts fails at once instead of waiting for bytes the sender
 // never sends.
 func ReadRecord(r io.Reader, prefix string, limit int) (flags byte, seq uint64, payload []byte, err error) {
-	flags, seq, n, err := readHeader(r, prefix, limit)
+	flags, seq, n, err := readHeader(r, make([]byte, len(prefix)+tailLen), prefix, limit)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -145,10 +152,16 @@ type Conn struct {
 	onEncrypt func(int)
 	onDecrypt func(int)
 
-	sendMu  sync.Mutex
-	sendSeq uint64
-	recvMu  sync.Mutex
-	recvSeq uint64
+	// Each direction's nonce and the header Recv reads live here, under
+	// their direction's lock: a stack array handed to the AEAD interface
+	// or the reader would escape, one allocation per record.
+	sendMu    sync.Mutex
+	sendSeq   uint64
+	sendNonce [12]byte
+	recvMu    sync.Mutex
+	recvSeq   uint64
+	recvNonce [12]byte
+	recvHdr   []byte
 }
 
 // New builds the channel over raw from the handshake's shared secret,
@@ -164,7 +177,8 @@ func New(raw net.Conn, f Framing, secret []byte, initiator bool, onEncrypt, onDe
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{raw: raw, prefix: f.Data, sendAEAD: i2r, recvAEAD: r2i, onEncrypt: onEncrypt, onDecrypt: onDecrypt}
+	c := &Conn{raw: raw, prefix: f.Data, sendAEAD: i2r, recvAEAD: r2i, onEncrypt: onEncrypt, onDecrypt: onDecrypt,
+		recvHdr: make([]byte, len(f.Data)+tailLen)}
 	if !initiator {
 		c.sendAEAD, c.recvAEAD = r2i, i2r
 	}
@@ -187,49 +201,31 @@ func newAEAD(secret []byte, dir string) (cipher.AEAD, error) {
 	return aead, nil
 }
 
-// Send encrypts and transmits one message. It does not retain msg.
-func (c *Conn) Send(msg []byte) error { return c.SendParts(msg) }
-
-// SendParts is Send for a message that is the concatenation of parts,
-// which it gathers straight into the record buffer — a caller framing a
-// header in front of a large payload need not join them first. It does
-// not retain the parts.
+// Send encrypts and transmits one message. It neither retains nor
+// writes msg.
 //
-// Each record is built in one buffer, header | plaintext | tag, and
-// sealed in place; that buffer is the only copy of the payload the send
-// side makes, and over an ownedIO conn it is the buffer the peer's Recv
-// returns.
-func (c *Conn) SendParts(parts ...[]byte) error {
+// Each record is sealed from msg straight into a new buffer of its own,
+// header | ciphertext | tag: that buffer is the only copy of the payload
+// the send side makes, and over an ownedIO conn it is the buffer the
+// peer's Recv opens in place and returns.
+func (c *Conn) Send(msg []byte) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	rest := 0
-	for _, p := range parts {
-		rest += len(p)
-	}
 	hl := len(c.prefix) + tailLen
-	var part []byte // the part being gathered; parts holds those after it
 	for {
-		n, flags := rest, FlagFinal
+		n, flags := len(msg), FlagFinal
 		if n > maxRecord {
 			n, flags = maxRecord, 0
 		}
-		rest -= n
-		buf := make([]byte, hl+n, hl+n+c.sendAEAD.Overhead())
-		for fill := buf[hl:]; len(fill) > 0; {
-			if len(part) == 0 {
-				part, parts = parts[0], parts[1:]
-			}
-			k := copy(fill, part)
-			fill, part = fill[k:], part[k:]
-		}
-		var nonce [12]byte
-		binary.BigEndian.PutUint64(nonce[4:], c.sendSeq)
-		sealed := c.sendAEAD.Seal(buf[hl:hl], nonce[:], buf[hl:], nil)
+		buf := make([]byte, hl, hl+n+c.sendAEAD.Overhead())
+		binary.BigEndian.PutUint64(c.sendNonce[4:], c.sendSeq)
+		sealed := c.sendAEAD.Seal(buf[hl:hl], c.sendNonce[:], msg[:n], nil)
+		msg = msg[n:]
 		if c.onEncrypt != nil {
 			c.onEncrypt(n)
 		}
-		putHeader(buf[:hl], c.prefix, flags, c.sendSeq, len(sealed))
-		if err := c.writeRecord(buf[:hl], sealed); err != nil {
+		putHeader(buf, c.prefix, flags, c.sendSeq, len(sealed))
+		if err := c.writeRecord(buf[:hl:hl], sealed); err != nil {
 			return fmt.Errorf("record: send: %w", err)
 		}
 		c.sendSeq++
@@ -240,16 +236,19 @@ func (c *Conn) SendParts(parts ...[]byte) error {
 }
 
 // writeRecord writes a record Send built, as WriteRecord's two writes.
-// The header is copied by Write; the sealed payload is handed over.
-func (c *Conn) writeRecord(hdr, sealed []byte) error {
-	if _, err := c.raw.Write(hdr); err != nil {
-		return err
-	}
+// Over an ownedIO conn both are handed over: the header as its own chunk
+// of the record's buffer, capped so nothing can grow it into the sealed
+// payload behind it. Over any other conn Write copies them.
+func (c *Conn) writeRecord(hdr, sealed []byte) (err error) {
 	if c.owned != nil {
-		_, err := c.owned.WriteOwned(sealed)
+		if _, err = c.owned.WriteOwned(hdr); err == nil {
+			_, err = c.owned.WriteOwned(sealed)
+		}
 		return err
 	}
-	_, err := c.raw.Write(sealed)
+	if _, err = c.raw.Write(hdr); err == nil {
+		_, err = c.raw.Write(sealed)
+	}
 	return err
 }
 
@@ -261,15 +260,19 @@ func (c *Conn) writeRecord(hdr, sealed []byte) error {
 //
 // Each record is opened in place, and a message of one record is
 // returned as that buffer; only a message Send had to split is
-// reassembled.
+// reassembled, and never past maxMessage: a record that would take it
+// there fails the message before its payload is read.
 func (c *Conn) Recv() ([]byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
 	var out []byte
 	for {
-		flags, seq, n, err := readHeader(c.raw, c.prefix, maxRecord+64)
+		flags, seq, n, err := readHeader(c.raw, c.recvHdr, c.prefix, maxRecord+64)
 		if err != nil {
 			return nil, err
+		}
+		if len(out)+n-c.recvAEAD.Overhead() > maxMessage {
+			return nil, ErrMessageTooLarge
 		}
 		sealed, err := c.readSealed(n)
 		if err != nil {
@@ -278,9 +281,8 @@ func (c *Conn) Recv() ([]byte, error) {
 		if seq != c.recvSeq {
 			return nil, fmt.Errorf("%w: got %d, want %d", ErrReplay, seq, c.recvSeq)
 		}
-		var nonce [12]byte
-		binary.BigEndian.PutUint64(nonce[4:], seq)
-		plain, err := c.recvAEAD.Open(sealed[:0], nonce[:], sealed, nil)
+		binary.BigEndian.PutUint64(c.recvNonce[4:], seq)
+		plain, err := c.recvAEAD.Open(sealed[:0], c.recvNonce[:], sealed, nil)
 		if err != nil {
 			return nil, ErrDecrypt
 		}
