@@ -302,3 +302,141 @@ func TestOwnedAllocBudget(t *testing.T) {
 		t.Errorf("ReadFrom(Shared)+Read allocate %.3f B per payload byte, want 1 (the reader's buffer)", got)
 	}
 }
+
+// TestOwnedHandBack is the hand-back table: a chunk ReadExact handed
+// over as delivered goes back to the writer that sent it exactly once,
+// into a slot of one, whole; nothing else — a shared chunk, a gathered or
+// re-chunked read, a buffer of the reader's own — ever reaches the slot.
+func TestOwnedHandBack(t *testing.T) {
+	const sender = "10.0.0.1"
+	payload := func() []byte { return bytes.Repeat([]byte("sealed-record-"), 64) }
+
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, n *Network, ca, cb *Conn)
+	}{
+		{"comes_back_once_and_whole", func(t *testing.T, n *Network, ca, cb *Conn) {
+			buf := payload()
+			ca.WriteOwned(buf[:100]) // the record's payload; its capacity spans the buffer
+			got, err := cb.ReadExact(100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back := ca.Reclaim(0, len(buf)); back != nil {
+				t.Fatal("a chunk came back before its reader handed it back")
+			}
+			cb.HandBack(got)
+			cb.HandBack(got)
+			back := ca.Reclaim(0, len(buf))
+			if back == nil || !sameBuffer(back, buf) || len(back) != len(buf) {
+				t.Fatalf("Reclaim = %d bytes, want the whole %d-byte buffer the writer sent", len(back), len(buf))
+			}
+			if again := ca.Reclaim(0, len(buf)); again != nil {
+				t.Error("a chunk handed back twice came back twice")
+			}
+			if own := cb.Reclaim(0, len(buf)); own != nil {
+				t.Error("the reader's own side received the chunk it handed back")
+			}
+		}},
+		{"full_slot_drops", func(t *testing.T, n *Network, ca, cb *Conn) {
+			first, second := payload(), payload()
+			ca.WriteOwned(first)
+			ca.WriteOwned(second)
+			for range 2 {
+				got, err := cb.ReadExact(len(first))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cb.HandBack(got)
+			}
+			if back := ca.Reclaim(0, len(first)); back == nil || !sameBuffer(back, first) {
+				t.Fatal("the slot does not hold the first chunk handed back")
+			}
+			if back := ca.Reclaim(0, len(first)); back != nil {
+				t.Error("a hand-back into a full slot was kept")
+			}
+		}},
+		{"reclaim_leaves_a_misfit_parked", func(t *testing.T, n *Network, ca, cb *Conn) {
+			buf := payload()
+			ca.WriteOwned(buf)
+			got, err := cb.ReadExact(len(buf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cb.HandBack(got)
+			if back := ca.Reclaim(len(buf)+1, 2*len(buf)); back != nil {
+				t.Fatal("Reclaim took a buffer smaller than its minimum")
+			}
+			if back := ca.Reclaim(0, len(buf)-1); back != nil {
+				t.Fatal("Reclaim took a buffer larger than its maximum")
+			}
+			if back := ca.Reclaim(len(buf), len(buf)); back == nil || !sameBuffer(back, buf) {
+				t.Fatal("a buffer left parked by a misfit Reclaim was lost")
+			}
+		}},
+		{"shared_chunk_never_comes_back", func(t *testing.T, n *Network, ca, cb *Conn) {
+			src := payload()
+			ca.ReadFrom(NewShared(src))
+			got, err := cb.ReadExact(len(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cb.HandBack(got)
+			cb.HandBack(src)
+			if back := ca.Reclaim(0, 1<<30); back != nil {
+				t.Error("a shared chunk, or the reader's copy of it, was handed back")
+			}
+		}},
+		{"gathered_read_never_comes_back", func(t *testing.T, n *Network, ca, cb *Conn) {
+			buf := payload()
+			ca.WriteOwned(buf[:10:10])
+			ca.WriteOwned(buf[10:])
+			got, err := cb.ReadExact(len(buf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cb.HandBack(got)
+			if back := ca.Reclaim(0, 1<<30); back != nil {
+				t.Error("a gathered read was handed back")
+			}
+		}},
+		{"rechunked_read_never_comes_back", func(t *testing.T, n *Network, ca, cb *Conn) {
+			n.CorruptStreams(mustAddr(sender), 1, true)
+			buf := payload()
+			ca.WriteOwned(buf)
+			n.ClearCorrupt(mustAddr(sender))
+			ca.WriteOwned(payload())
+			got, err := cb.ReadExact(len(buf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cb.HandBack(got)
+			if back := ca.Reclaim(0, 1<<30); back != nil {
+				t.Error("a read gathered across a truncated chunk was handed back")
+			}
+		}},
+		{"stale_chunk_never_comes_back", func(t *testing.T, n *Network, ca, cb *Conn) {
+			first := payload()
+			ca.WriteOwned(first)
+			ca.WriteOwned(payload())
+			got, err := cb.ReadExact(len(first))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cb.ReadExact(len(first)); err != nil {
+				t.Fatal(err)
+			}
+			cb.HandBack(got) // no longer the chunk the last ReadExact lent
+			if back := ca.Reclaim(0, 1<<30); back != nil {
+				t.Error("a chunk handed back after a later ReadExact came back")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New(Config{Seed: 3})
+			ca, cb := dialPair(t, n, sender, "10.0.0.2")
+			defer ca.Close()
+			tc.run(t, n, ca, cb)
+		})
+	}
+}

@@ -218,6 +218,15 @@ type Conn struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 
+	// lent is the chunk ReadExact last handed over as delivered, until
+	// HandBack returns it; only the reader touches it.
+	lent []byte
+	// back is the one slot for a buffer the peer's reader handed back
+	// to this side's writer: the writer's own buffer, read and done
+	// with, like a socket send buffer freed once the peer has read it.
+	backMu sync.Mutex
+	back   []byte
+
 	readDL  deadline
 	writeDL deadline
 }
@@ -274,12 +283,14 @@ func (c *Conn) Read(b []byte) (int, error) {
 
 // ReadExact reads exactly n bytes, as io.ReadFull into a fresh buffer
 // does, with one difference: when the next delivered chunk is exactly n
-// bytes long and not shared it is returned as is. The stream never
-// touches a delivered chunk again, so either way the caller owns the
-// result. A chunk of any other length (a truncating impairment, a
-// relay's re-chunking, bytes left over from an earlier Read), or one
-// still owned by a Shared source, takes the gathering path.
+// bytes long and not shared it is returned as is, and the reader may
+// later HandBack it to its writer. The stream never touches a delivered
+// chunk again, so either way the caller owns the result. A chunk of any
+// other length (a truncating impairment, a relay's re-chunking, bytes
+// left over from an earlier Read), or one still owned by a Shared
+// source, takes the gathering path.
 func (c *Conn) ReadExact(n int) ([]byte, error) {
+	c.lent = nil
 	if n == 0 {
 		return nil, nil
 	}
@@ -289,6 +300,7 @@ func (c *Conn) ReadExact(n int) ([]byte, error) {
 			return nil, err
 		}
 		if len(ch.b) == n && !ch.shared {
+			c.lent = ch.b
 			return ch.b, nil
 		}
 		c.residual = ch.b
@@ -298,6 +310,40 @@ func (c *Conn) ReadExact(n int) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// HandBack returns b, the chunk the last ReadExact handed over as
+// delivered, to the writer that sent it, once the reader is done with
+// it: the writer's next Reclaim may build its next write in it. Any
+// other buffer — a gathered read, a shared chunk's copy, a chunk already
+// handed back — is left to the GC, and so is b when the writer's one
+// slot is still full.
+func (c *Conn) HandBack(b []byte) {
+	if len(b) == 0 || len(c.lent) == 0 || &b[0] != &c.lent[0] {
+		return
+	}
+	b, c.lent = c.lent, nil
+	w := c.peer
+	w.backMu.Lock()
+	if w.back == nil {
+		w.back = b
+	}
+	w.backMu.Unlock()
+}
+
+// Reclaim takes back, at its full capacity, the buffer the peer's
+// reader handed back to this side, when that capacity is within [min,
+// max]; a buffer outside those bounds stays parked for a later call. It
+// returns nil when there is none to take.
+func (c *Conn) Reclaim(min, max int) []byte {
+	c.backMu.Lock()
+	defer c.backMu.Unlock()
+	b := c.back
+	if b == nil || cap(b) < min || cap(b) > max {
+		return nil
+	}
+	c.back = nil
+	return b[:cap(b)]
 }
 
 // nextChunk waits for the next chunk the peer delivered.
@@ -333,9 +379,10 @@ func (c *Conn) nextChunk() (chunk, error) {
 func (c *Conn) Write(b []byte) (int, error) { return c.WriteOwned(append([]byte(nil), b...)) }
 
 // WriteOwned is Write without the copy: b itself becomes the delivered
-// chunk, so the caller must not read or write it afterwards. The stream
-// may mangle it in place (CorruptStreams) and the peer's reader ends up
-// owning it (ReadExact).
+// chunk, so the caller must not read or write it afterwards, unless the
+// peer's reader hands it back (Reclaim). The stream may mangle it in
+// place (CorruptStreams) and the peer's reader ends up owning it
+// (ReadExact).
 func (c *Conn) WriteOwned(b []byte) (int, error) { return c.send(chunk{b: b}) }
 
 // ReadFrom implements io.ReaderFrom. What is left of a *Shared source

@@ -37,8 +37,8 @@ const (
 
 // p2pMsg is the data-channel frame header. A found segment goes out as
 // two messages, this header and then the segment itself, so the body is
-// sealed straight from the cache and opened in place into the buffer the
-// viewer keeps.
+// sealed straight from the cache and opened into the cache's spare, the
+// buffer the viewer keeps.
 type p2pMsg struct {
 	Op    p2pOp
 	Key   media.SegmentKey
@@ -112,7 +112,7 @@ func decodeMsg(frame []byte) (p2pMsg, error) {
 // when the policy demands it. Both satisfy it.
 type p2pConn interface {
 	Send(msg []byte) error
-	Recv() ([]byte, error)
+	RecvInto(dst []byte) ([]byte, error)
 	Close() error
 }
 
@@ -211,7 +211,7 @@ func (nb *neighbor) evict(reason string) {
 func (nb *neighbor) readLoop() {
 	defer nb.evict("conn_broken")
 	for {
-		frame, err := nb.conn.Recv()
+		frame, err := nb.conn.RecvInto(nil)
 		if err != nil {
 			return
 		}
@@ -227,7 +227,9 @@ func (nb *neighbor) readLoop() {
 		case opSegment:
 			var body []byte
 			if hdr.hasBody() {
-				if body, err = nb.conn.Recv(); err != nil {
+				// The body lands in the cache's spare, and the sender gets
+				// its record buffer back.
+				if body, err = nb.conn.RecvInto(nb.peer.cache.takeSpare()); err != nil {
 					return
 				}
 			}
@@ -277,7 +279,7 @@ func (nb *neighbor) serve(key media.SegmentKey, trace string) {
 		uploadAllowed = false // behavioral refusal (free-rider/colluder)
 	}
 	if uploadAllowed && key.Video == p.cfg.Video && key.Rendition == p.cfg.Rendition {
-		if data, ok := p.cache.get(key.Index); ok {
+		if data, ok := p.cache.serveFrom(key.Index); ok {
 			resp.Found = true
 			payload = data
 			p.metrics.cacheHits.Inc()
@@ -287,8 +289,11 @@ func (nb *neighbor) serve(key media.SegmentKey, trace string) {
 	}
 	// The record layer seals the cached segment into a buffer of its own,
 	// so neither the wire nor an in-flight corruption ever aliases the
-	// cache.
+	// cache; until it is done, the entry is never the cache's spare.
 	err := nb.send(resp, payload)
+	if resp.Found {
+		p.cache.doneServing(key.Index, payload)
+	}
 	span.End(obs.A("found", resp.Found), obs.A("bytes", len(payload)))
 	if err != nil {
 		return

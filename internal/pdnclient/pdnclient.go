@@ -252,12 +252,8 @@ type Peer struct {
 	// that failed outright — chaos invariant violations cite it so a red
 	// run names the exact trace to inspect alongside the replay seed.
 	lastStallTrace string
-	// playBuf is the one CDN body buffer a peer that caches nothing
-	// (DisableP2P) plays every segment from. Only the playback loop's
-	// goroutine touches it; OnSegment borrows it for the call.
-	playBuf []byte
 	// nbOrder is the buffer shuffledNeighbors orders the neighbors in;
-	// like playBuf, only the playback loop's goroutine touches it.
+	// only the playback loop's goroutine touches it.
 	nbOrder []*neighbor
 
 	closed chan struct{}
@@ -423,9 +419,9 @@ func (p *Peer) LastStallTrace() string {
 // audit what a peer would serve.
 func (p *Peer) CachedIndices() []int { return p.cache.indices() }
 
-// CachedSegment returns the cached bytes for a segment index, if held.
-// The returned slice is the cache's own backing array; callers must not
-// mutate it.
+// CachedSegment returns a copy of the cached bytes for a segment index,
+// if held: the cache recycles an evicted entry's buffer for a later
+// segment, so an audit must not keep the entry's own.
 func (p *Peer) CachedSegment(idx int) ([]byte, bool) { return p.cache.get(idx) }
 
 // Run plays the configured stream until it finishes, MaxSegments is
@@ -447,7 +443,11 @@ func (p *Peer) Run(ctx context.Context) (Stats, error) {
 		}
 	}
 	p.cfg.Meter.SetPDNLoaded(!p.cfg.DisableP2P)
-	if !p.cfg.DisableP2P {
+	if p.cfg.DisableP2P {
+		// A plain viewer serves nobody: it keeps no segment, and plays
+		// each one from the buffer the one before it played from.
+		p.cache.max = 0
+	} else {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
@@ -806,14 +806,7 @@ func (p *Peer) playSegment(ctx context.Context, idx int) error {
 		p.metrics.segsP2P.Inc()
 	}
 	p.cfg.Meter.OnPlayback(len(data))
-	// The segment cache exists to serve uploads, and a segment it keeps
-	// needs a buffer of its own; a plain CDN viewer keeps none, so it
-	// reads the next segment into the buffer this one played from.
-	if !p.cfg.DisableP2P {
-		p.cache.put(idx, data)
-	} else {
-		p.playBuf = data
-	}
+	freed := p.cache.put(idx, data)
 	p.mu.Lock()
 	p.played[idx] = true
 	p.stats.SegmentsPlayed++
@@ -826,6 +819,9 @@ func (p *Peer) playSegment(ctx context.Context, idx int) error {
 	if p.cfg.OnSegment != nil {
 		p.cfg.OnSegment(key, data, source)
 	}
+	// Only now is the evicted buffer nobody's: in a cache that keeps
+	// nothing, it is data itself.
+	p.cache.recycle(freed)
 	return nil
 }
 
@@ -920,16 +916,19 @@ func (p *Peer) fetchFromPeers(ctx context.Context, s *session, key media.Segment
 	return nil, false
 }
 
-// fetchFromCDN downloads a segment over HTTP. The fetch runs under its
-// own cdn_fetch span; httpGet stamps the request's traceparent header
-// from it, so the CDN's serve span lands in the same trace (the
-// cdn-fallback hop pdntrace breaks out separately).
+// fetchFromCDN downloads a segment over HTTP, into the cache's spare
+// when the body fits. The fetch runs under its own cdn_fetch span;
+// httpGet stamps the request's traceparent header from it, so the CDN's
+// serve span lands in the same trace (the cdn-fallback hop pdntrace
+// breaks out separately).
 func (p *Peer) fetchFromCDN(ctx context.Context, key media.SegmentKey) ([]byte, error) {
 	ctx, span := p.cfg.Tracer.StartSpan(ctx, "cdn_fetch", obs.A("idx", key.Index))
 	url := cdn.SegmentURL(p.cfg.CDNBase, key.Video, key.Rendition, key.Index)
-	data, err := p.httpGet(ctx, url, p.playBuf)
+	spare := p.cache.takeSpare()
+	data, err := p.httpGet(ctx, url, spare)
 	span.End(obs.A("ok", err == nil))
 	if err != nil {
+		p.cache.recycle(spare)
 		return nil, err
 	}
 	p.mu.Lock()

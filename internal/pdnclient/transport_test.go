@@ -116,7 +116,7 @@ func TestHandshakeWatchdogSparesLiveConn(t *testing.T) {
 				cb := r.c
 				echo := make(chan error, 1)
 				go func() {
-					msg, err := cb.Recv()
+					msg, err := cb.RecvInto(nil)
 					if err == nil {
 						err = cb.Send(msg)
 					}
@@ -128,7 +128,7 @@ func TestHandshakeWatchdogSparesLiveConn(t *testing.T) {
 				if err := ca.Send([]byte("want")); err != nil {
 					t.Fatalf("handshake %d: first send: %v", i, err)
 				}
-				if got, err := ca.Recv(); err != nil || string(got) != "want" {
+				if got, err := ca.RecvInto(nil); err != nil || string(got) != "want" {
 					t.Fatalf("handshake %d: first round trip: %q, %v (echo side: %v)", i, got, err, <-echo)
 				}
 				if err := <-echo; err != nil {
@@ -149,7 +149,7 @@ type breakableConn struct {
 }
 
 func (c *breakableConn) Send([]byte) error { return nil }
-func (c *breakableConn) Recv() ([]byte, error) {
+func (c *breakableConn) RecvInto([]byte) ([]byte, error) {
 	<-c.broken
 	return nil, errors.New("conn broken")
 }
@@ -299,7 +299,7 @@ func TestHTTPGetIsBounded(t *testing.T) {
 // segment, as a found header and then the body; a test pushes extra
 // messages through in. onWant, when set, runs before an answer is
 // queued; noBody leaves the body out of the answer. recvs counts the
-// read loop's Recv calls.
+// read loop's RecvInto calls.
 type answeringConn struct {
 	breakableConn
 	in      chan []byte
@@ -353,7 +353,7 @@ func (c *answeringConn) Send(msg []byte) error {
 	return nil
 }
 
-func (c *answeringConn) Recv() ([]byte, error) {
+func (c *answeringConn) RecvInto([]byte) ([]byte, error) {
 	c.recvs.Add(1)
 	select {
 	case f := <-c.in:

@@ -8,8 +8,10 @@ import (
 	"net/netip"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
+	"github.com/stealthy-peers/pdnsec/internal/capture"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 )
 
@@ -23,17 +25,35 @@ var ioPaths = []struct {
 	wrap bool
 }{{"netsim_pair", false}, {"wrapped_conn", true}}
 
+// stream is a fresh two-host network and a netsim.Pair between them.
+type stream struct {
+	net    *netsim.Network
+	a, b   *netsim.Host
+	ra, rb *netsim.Conn
+}
+
+func newStream(tb testing.TB) stream {
+	tb.Helper()
+	s := stream{net: netsim.New(netsim.Config{})}
+	s.a = s.net.MustHost(netip.MustParseAddr("10.0.0.1"))
+	s.b = s.net.MustHost(netip.MustParseAddr("10.0.0.2"))
+	s.ra, s.rb = netsim.Pair(s.a, s.b, netip.MustParseAddrPort("10.0.0.1:9"), netip.MustParseAddrPort("10.0.0.2:9"))
+	tb.Cleanup(func() { s.ra.Close() })
+	return s
+}
+
 // channel returns both ends of a channel over a fresh netsim.Pair.
 func channel(tb testing.TB, f Framing, wrap bool) (ini, rsp *Conn) {
 	tb.Helper()
-	n := netsim.New(netsim.Config{})
-	a := n.MustHost(netip.MustParseAddr("10.0.0.1"))
-	b := n.MustHost(netip.MustParseAddr("10.0.0.2"))
-	ra, rb := netsim.Pair(a, b, netip.MustParseAddrPort("10.0.0.1:9"), netip.MustParseAddrPort("10.0.0.2:9"))
-	tb.Cleanup(func() { ra.Close() })
-	var ca, cb net.Conn = ra, rb
+	return channelOver(tb, newStream(tb), f, wrap)
+}
+
+// channelOver returns both ends of a channel over s.
+func channelOver(tb testing.TB, s stream, f Framing, wrap bool) (ini, rsp *Conn) {
+	tb.Helper()
+	var ca, cb net.Conn = s.ra, s.rb
 	if wrap {
-		ca, cb = wrapped{ra}, wrapped{rb}
+		ca, cb = wrapped{s.ra}, wrapped{s.rb}
 	}
 	ini, err := New(ca, f, testSecret, true, nil, nil)
 	if err != nil {
@@ -68,7 +88,9 @@ func (a *allocs) add(fn func()) {
 // in place and returns it. Over the netsim pair that is one allocation
 // per message on the send side and none on the receive side. A wrapped
 // conn pays its own copies — Write's on the way in, the read buffer on
-// the way out — and nothing more.
+// the way out — and nothing more. A receiver that opens each message
+// into a buffer of its own hands the record buffer back, and past the
+// first message neither side allocates.
 func TestAllocBudget(t *testing.T) {
 	const size = 256 << 10
 	const rounds = 8
@@ -107,6 +129,36 @@ func TestAllocBudget(t *testing.T) {
 				}
 			})
 		}
+		t.Run(tc.name+"/netsim_pair_into_own_buffer", func(t *testing.T) {
+			const rounds = 32
+			ini, rsp := channel(t, tc.f, false)
+			payload, dst := make([]byte, size), make([]byte, size)
+			var send, recv allocs
+			for i := 0; i <= rounds; i++ {
+				if i == 1 {
+					send, recv = allocs{}, allocs{} // the first message's record buffer is the one that goes round
+				}
+				send.add(func() {
+					if err := ini.Send(payload); err != nil {
+						t.Fatal(err)
+					}
+				})
+				recv.add(func() {
+					if got, err := rsp.RecvInto(dst); err != nil || len(got) != size || &got[0] != &dst[0] {
+						t.Fatalf("RecvInto: %d bytes, %v; want the message in dst", len(got), err)
+					}
+				})
+			}
+			// None of them is the code's: the slack, half an allocation
+			// per message and a hundredth of a byte per payload byte, is
+			// for what the runtime allocates behind a GC that lands in the
+			// window (the unique package's sweep of interned netip zones).
+			// A record buffer per message is one allocation and 1 B/B.
+			if 2*send.count >= rounds || 2*recv.count >= rounds || float64(send.bytes+recv.bytes)/(rounds*size) >= 0.01 {
+				t.Errorf("%d messages after the first: Send made %d allocations (%d B), RecvInto %d (%d B); want none",
+					rounds, send.count, send.bytes, recv.count, recv.bytes)
+			}
+		})
 	}
 }
 
@@ -322,6 +374,105 @@ func TestRecvBoundsReassembly(t *testing.T) {
 			}
 			if want := 1 + ini.sendAEAD.Overhead(); s.buf.Len() != want {
 				t.Fatalf("%d bytes of the offending record read past its header, want none (%d unread)", want-s.buf.Len(), want)
+			}
+		})
+	}
+}
+
+// TestOwnedTapsKeepTheWire: a sender that seals each record into the
+// buffer its receiver handed back rewrites bytes both hosts' capture
+// taps saw cross the wire, so the taps keep copies. Each host's capture
+// still holds every record as it was sent — each one opens to its
+// message — and every record starts with its framing's prefix: on the
+// deployed framing, the DTLS application-data header the paper's dynamic
+// detector fingerprints (capture.IsDTLSRecord); on the secure one, not.
+func TestOwnedTapsKeepTheWire(t *testing.T) {
+	const msgs, size = 8, 64 << 10
+	for _, tc := range framings {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStream(t)
+			// The taps keep each payload they are given, as a capture does.
+			var mu sync.Mutex
+			var sent, received [][]byte
+			s.a.AddTap(func(p netsim.Packet) {
+				mu.Lock()
+				defer mu.Unlock()
+				if p.Dir == netsim.DirOut {
+					sent = append(sent, p.Payload)
+				}
+			})
+			s.b.AddTap(func(p netsim.Packet) {
+				mu.Lock()
+				defer mu.Unlock()
+				if p.Dir == netsim.DirIn {
+					received = append(received, p.Payload)
+				}
+			})
+			ini, rsp := channelOver(t, s, tc.f, false)
+			msg := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, size) }
+			dst := make([]byte, size)
+			for i := 0; i < msgs; i++ {
+				if err := ini.Send(msg(i)); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := rsp.RecvInto(dst); err != nil || !bytes.Equal(got, msg(i)) {
+					t.Fatalf("message %d: %.8q…, %v", i, got, err)
+				}
+			}
+			if back := s.ra.Reclaim(0, 1<<30); back == nil {
+				t.Fatal("the last record's buffer did not come back: nothing was reused")
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for host, packets := range map[string][][]byte{"sender": sent, "receiver": received} {
+				wire := bytes.Join(packets, nil)
+				hdrs, _ := records(t, tc.f.Data, wire)
+				if len(hdrs) != msgs {
+					t.Fatalf("%s capture holds %d records, want %d", host, len(hdrs), msgs)
+				}
+				for i, hdr := range hdrs {
+					handshake, ok := capture.IsDTLSRecord(hdr)
+					if want := tc.f == dtlsFraming; ok != want || handshake {
+						t.Errorf("%s capture, record %d: IsDTLSRecord = %v, %v; want %v, false", host, i, handshake, ok, want)
+					}
+				}
+				c := receiver(t, tc.f, false, nil, wire)
+				for i := 0; i < msgs; i++ {
+					if got, err := c.Recv(); err != nil || !bytes.Equal(got, msg(i)) {
+						t.Fatalf("%s capture, record %d: opens to %.8q…, %v; want its message", host, i, got, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOwnedCorruptRecordComesBack: a record whose payload a corrupting
+// link flipped fails to open into the receiver's buffer — a hard
+// ErrDecrypt, as it is in place — and its buffer still goes back to the
+// sender, whole.
+func TestOwnedCorruptRecordComesBack(t *testing.T) {
+	for _, tc := range framings {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStream(t)
+			ini, rsp := channelOver(t, s, tc.f, false)
+			// The header crosses intact (the stream mangles a chunk before
+			// the sender's tap sees it); every chunk after it is flipped.
+			var once sync.Once
+			s.a.AddTap(func(netsim.Packet) {
+				once.Do(func() { s.net.CorruptStreams(netip.MustParseAddr("10.0.0.1"), 1, false) })
+			})
+			msg := bytes.Repeat([]byte{'x'}, 4096)
+			if err := ini.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]byte, len(msg))
+			if got, err := rsp.RecvInto(dst); !errors.Is(err, ErrDecrypt) || got != nil {
+				t.Fatalf("flipped record: %d bytes, %v; want ErrDecrypt and nothing", len(got), err)
+			}
+			want := len(msg) + tc.overhead
+			if back := s.ra.Reclaim(0, 1<<30); len(back) != want {
+				t.Errorf("the sender reclaimed %d bytes, want the whole %d-byte record buffer back", len(back), want)
 			}
 		})
 	}

@@ -129,15 +129,20 @@ func readN(r io.Reader, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// ownedIO is the ownership-transfer pair a *netsim.Conn offers beside
+// ownedIO is the ownership-transfer I/O a *netsim.Conn offers beside
 // Write and Read: WriteOwned delivers the caller's slice itself, and
 // ReadExact hands a delivered chunk of exactly n bytes to the reader as
-// is. Over it a sealed record crosses the stream without being copied;
-// over any other conn (a wrapper such as mitm.TamperConn) the same
-// bytes go through Write and io.ReadFull.
+// is. HandBack returns such a chunk to its writer once the reader is
+// done with it, and Reclaim takes it back on the writer's side. Over it
+// a sealed record crosses the stream without being copied and, opened
+// into a buffer of the receiver's, goes back to be sealed into again;
+// over any other conn (a wrapper such as mitm.TamperConn) the same bytes
+// go through Write and io.ReadFull.
 type ownedIO interface {
 	WriteOwned(b []byte) (int, error)
 	ReadExact(n int) ([]byte, error)
+	HandBack(b []byte)
+	Reclaim(min, max int) []byte
 }
 
 // Conn is an established channel. It is message-oriented: one Send is
@@ -158,6 +163,11 @@ type Conn struct {
 	sendMu    sync.Mutex
 	sendSeq   uint64
 	sendNonce [12]byte
+	// sendBuf is a record buffer the next record may be sealed into:
+	// over a copying conn, the one every record reuses; over an ownedIO
+	// conn, nil, as a record's buffer is the receiver's until it comes
+	// back through Reclaim.
+	sendBuf   []byte
 	recvMu    sync.Mutex
 	recvSeq   uint64
 	recvNonce [12]byte
@@ -204,10 +214,12 @@ func newAEAD(secret []byte, dir string) (cipher.AEAD, error) {
 // Send encrypts and transmits one message. It neither retains nor
 // writes msg.
 //
-// Each record is sealed from msg straight into a new buffer of its own,
-// header | ciphertext | tag: that buffer is the only copy of the payload
-// the send side makes, and over an ownedIO conn it is the buffer the
-// peer's Recv opens in place and returns.
+// Each record is sealed from msg straight into one buffer that holds
+// the whole record, ciphertext | tag | header: that buffer is the only
+// copy of the payload the send side makes. Over an ownedIO conn it is
+// handed over, and it comes back when the peer opens the record into a
+// buffer of its own (RecvInto); over any other conn Write copies it, so
+// the next record reuses it at once.
 func (c *Conn) Send(msg []byte) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -217,15 +229,17 @@ func (c *Conn) Send(msg []byte) error {
 		if n > maxRecord {
 			n, flags = maxRecord, 0
 		}
-		buf := make([]byte, hl, hl+n+c.sendAEAD.Overhead())
+		sl := n + c.sendAEAD.Overhead()
+		buf := c.sealBuf(sl + hl)
 		binary.BigEndian.PutUint64(c.sendNonce[4:], c.sendSeq)
-		sealed := c.sendAEAD.Seal(buf[hl:hl], c.sendNonce[:], msg[:n], nil)
+		sealed := c.sendAEAD.Seal(buf[:0], c.sendNonce[:], msg[:n], nil)
 		msg = msg[n:]
 		if c.onEncrypt != nil {
 			c.onEncrypt(n)
 		}
-		putHeader(buf, c.prefix, flags, c.sendSeq, len(sealed))
-		if err := c.writeRecord(buf[:hl:hl], sealed); err != nil {
+		hdr := buf[sl : sl+hl : sl+hl]
+		putHeader(hdr, c.prefix, flags, c.sendSeq, sl)
+		if err := c.writeRecord(hdr, sealed); err != nil {
 			return fmt.Errorf("record: send: %w", err)
 		}
 		c.sendSeq++
@@ -235,10 +249,28 @@ func (c *Conn) Send(msg []byte) error {
 	}
 }
 
-// writeRecord writes a record Send built, as WriteRecord's two writes.
-// Over an ownedIO conn both are handed over: the header as its own chunk
-// of the record's buffer, capped so nothing can grow it into the sealed
-// payload behind it. Over any other conn Write copies them.
+// sealBuf returns a buffer of n bytes for Send to build a record in.
+// Over an ownedIO conn that is the buffer the peer handed back when the
+// record fills at least half of it, so a frame header never takes the
+// buffer a segment body comes back in, and a new one otherwise.
+func (c *Conn) sealBuf(n int) []byte {
+	if c.owned != nil {
+		if b := c.owned.Reclaim(n, 2*n); b != nil {
+			return b[:n]
+		}
+		return make([]byte, n)
+	}
+	if cap(c.sendBuf) < n {
+		c.sendBuf = make([]byte, n)
+	}
+	return c.sendBuf[:n]
+}
+
+// writeRecord writes a record Send built, as WriteRecord's two writes:
+// the header, then the sealed payload. Over an ownedIO conn both are
+// handed over as chunks of the record's buffer, the header capped at
+// its end; the payload's capacity spans the whole buffer, so the buffer
+// comes back whole. Over any other conn Write copies them.
 func (c *Conn) writeRecord(hdr, sealed []byte) (err error) {
 	if c.owned != nil {
 		if _, err = c.owned.WriteOwned(hdr); err == nil {
@@ -253,25 +285,34 @@ func (c *Conn) writeRecord(hdr, sealed []byte) (err error) {
 }
 
 // Recv reads and decrypts the next message; the caller owns the result.
+// It is RecvInto with no buffer of the caller's.
+func (c *Conn) Recv() ([]byte, error) { return c.RecvInto(nil) }
+
+// RecvInto reads and decrypts the next message; the caller owns the
+// result. A message of one record whose plaintext fits in cap(dst) is
+// opened into dst and returned as dst[:n]; over an ownedIO conn the
+// sealed record then goes back to the sender to seal a later record
+// into, even when it fails to open. Otherwise, and always for a nil
+// dst, each record is opened in place and a message of one record is
+// returned as that buffer; only a message Send had to split is
+// reassembled, and never past maxMessage: a record that would take it
+// there fails the message before its payload is read.
+//
 // The sequence check is strict: a replayed, reordered, or dropped
 // record is a hard error, never silently skipped — the nonce doubles as
 // the sequence number, so accepting a replay would both break the
 // anti-replay property and reuse a nonce.
-//
-// Each record is opened in place, and a message of one record is
-// returned as that buffer; only a message Send had to split is
-// reassembled, and never past maxMessage: a record that would take it
-// there fails the message before its payload is read.
-func (c *Conn) Recv() ([]byte, error) {
+func (c *Conn) RecvInto(dst []byte) ([]byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
 	var out []byte
+	overhead := c.recvAEAD.Overhead()
 	for {
 		flags, seq, n, err := readHeader(c.raw, c.recvHdr, c.prefix, maxRecord+64)
 		if err != nil {
 			return nil, err
 		}
-		if len(out)+n-c.recvAEAD.Overhead() > maxMessage {
+		if len(out)+n-overhead > maxMessage {
 			return nil, ErrMessageTooLarge
 		}
 		sealed, err := c.readSealed(n)
@@ -282,7 +323,16 @@ func (c *Conn) Recv() ([]byte, error) {
 			return nil, fmt.Errorf("%w: got %d, want %d", ErrReplay, seq, c.recvSeq)
 		}
 		binary.BigEndian.PutUint64(c.recvNonce[4:], seq)
-		plain, err := c.recvAEAD.Open(sealed[:0], c.recvNonce[:], sealed, nil)
+		final := flags&FlagFinal != 0
+		into := out == nil && final && dst != nil && n-overhead <= cap(dst)
+		opened := sealed[:0]
+		if into {
+			opened = dst[:0]
+		}
+		plain, err := c.recvAEAD.Open(opened, c.recvNonce[:], sealed, nil)
+		if into && c.owned != nil {
+			c.owned.HandBack(sealed)
+		}
 		if err != nil {
 			return nil, ErrDecrypt
 		}
@@ -290,7 +340,7 @@ func (c *Conn) Recv() ([]byte, error) {
 			c.onDecrypt(len(plain))
 		}
 		c.recvSeq++
-		if flags&FlagFinal != 0 {
+		if final {
 			if out == nil {
 				return plain, nil
 			}
