@@ -400,12 +400,12 @@ func (s *Server) Close() error {
 
 // MasterURL returns the master playlist URL for a video.
 func MasterURL(base, videoID string) string {
-	return fmt.Sprintf("%s/v/%s/master.m3u8", base, videoID)
+	return base + "/v/" + videoID + "/master.m3u8"
 }
 
 // PlaylistURL returns a rendition playlist URL.
 func PlaylistURL(base, videoID, rendition string) string {
-	return fmt.Sprintf("%s/v/%s/%s/playlist.m3u8", base, videoID, rendition)
+	return base + "/v/" + videoID + "/" + rendition + "/playlist.m3u8"
 }
 
 // SegmentURL returns a segment URL.
@@ -415,5 +415,5 @@ func SegmentURL(base, videoID, rendition string, index int) string {
 
 // HashesURL returns the per-segment hash list URL (VOD only).
 func HashesURL(base, videoID, rendition string) string {
-	return fmt.Sprintf("%s/v/%s/%s/hashes.json", base, videoID, rendition)
+	return base + "/v/" + videoID + "/" + rendition + "/hashes.json"
 }

@@ -11,9 +11,10 @@
 package hls
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -37,34 +38,89 @@ type MediaPlaylist struct {
 	Segments       []Segment `json:"segments"`
 }
 
-// Encode renders the playlist as an .m3u8 document.
+// Encode renders the playlist as an .m3u8 document, in one buffer sized
+// up front. A duration is formatted (as %.3f would) only when it differs
+// from the entry before's, so a playlist whose segments share one costs
+// a single formatting however long it is.
 func (p *MediaPlaylist) Encode() []byte {
-	var b bytes.Buffer
-	b.WriteString("#EXTM3U\n")
-	fmt.Fprintf(&b, "#EXT-X-VERSION:%d\n", max(p.Version, 3))
-	fmt.Fprintf(&b, "#EXT-X-TARGETDURATION:%d\n", p.TargetDuration)
-	fmt.Fprintf(&b, "#EXT-X-MEDIA-SEQUENCE:%d\n", p.MediaSequence)
-	for _, s := range p.Segments {
-		fmt.Fprintf(&b, "#EXTINF:%.3f,\n%s\n", s.Duration, s.URI)
+	var num [32]byte
+	var dur []byte
+	n := len("#EXTM3U\n#EXT-X-VERSION:\n#EXT-X-TARGETDURATION:\n#EXT-X-MEDIA-SEQUENCE:\n#EXT-X-ENDLIST\n") + 3*20
+	for i, s := range p.Segments {
+		if i == 0 || math.Float64bits(s.Duration) != math.Float64bits(p.Segments[i-1].Duration) {
+			dur = strconv.AppendFloat(num[:0], s.Duration, 'f', 3, 64)
+		}
+		n += len("#EXTINF:,\n\n") + len(dur) + len(s.URI)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, "#EXTM3U\n#EXT-X-VERSION:"...)
+	b = strconv.AppendInt(b, int64(max(p.Version, 3)), 10)
+	b = append(b, "\n#EXT-X-TARGETDURATION:"...)
+	b = strconv.AppendInt(b, int64(p.TargetDuration), 10)
+	b = append(b, "\n#EXT-X-MEDIA-SEQUENCE:"...)
+	b = strconv.AppendInt(b, int64(p.MediaSequence), 10)
+	b = append(b, '\n')
+	for i, s := range p.Segments {
+		if i == 0 || math.Float64bits(s.Duration) != math.Float64bits(p.Segments[i-1].Duration) {
+			dur = strconv.AppendFloat(num[:0], s.Duration, 'f', 3, 64)
+		}
+		b = append(b, "#EXTINF:"...)
+		b = append(b, dur...)
+		b = append(b, ",\n"...)
+		b = append(b, s.URI...)
+		b = append(b, '\n')
 	}
 	if !p.Live {
-		b.WriteString("#EXT-X-ENDLIST\n")
+		b = append(b, "#EXT-X-ENDLIST\n"...)
 	}
-	return b.Bytes()
+	return b
 }
 
-// ParseMediaPlaylist decodes an .m3u8 media playlist.
-func ParseMediaPlaylist(data []byte) (*MediaPlaylist, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	if !sc.Scan() || strings.TrimSpace(sc.Text()) != "#EXTM3U" {
-		return nil, fmt.Errorf("hls: missing #EXTM3U header")
+// maxLine bounds one playlist line, its line break not counted: a
+// playlist with a line of maxLine bytes or more is refused. No real
+// playlist has one, and the bound keeps the accepted inputs exactly
+// those of a line scanner with a 1 MiB buffer, the tests' reference.
+const maxLine = 1 << 20
+
+var errLineTooLong = errors.New("hls: line of 1 MiB or more")
+
+// nextLine cuts the first line off s and returns it trimmed of space, a
+// substring of s.
+func nextLine(s string) (line, rest string, err error) {
+	line, rest, _ = strings.Cut(s, "\n")
+	if len(line) >= maxLine {
+		return "", "", errLineTooLong
 	}
-	p := &MediaPlaylist{Live: true}
+	return strings.TrimSpace(line), rest, nil
+}
+
+// header checks that data opens with #EXTM3U and returns the text after
+// that first line, as one string every parsed field is a substring of.
+func header(data []byte) (string, error) {
+	first, rest, err := nextLine(string(data))
+	if err != nil || first != "#EXTM3U" {
+		return "", fmt.Errorf("hls: missing #EXTM3U header")
+	}
+	return rest, nil
+}
+
+// ParseMediaPlaylist decodes an .m3u8 media playlist in one pass over
+// one string copy of data: every Segment.URI is a substring of it, and
+// an #EXTINF spec is parsed again only when its text changes.
+func ParseMediaPlaylist(data []byte) (*MediaPlaylist, error) {
+	rest, err := header(data)
+	if err != nil {
+		return nil, err
+	}
+	p := &MediaPlaylist{Live: true, Segments: make([]Segment, 0, strings.Count(rest, "#EXTINF:"))}
+	var spec string
 	var pendingDur float64
-	var havePending bool
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	var haveSpec, havePending bool
+	for rest != "" {
+		var line string
+		if line, rest, err = nextLine(rest); err != nil {
+			return nil, err
+		}
 		switch {
 		case line == "":
 			continue
@@ -87,13 +143,15 @@ func ParseMediaPlaylist(data []byte) (*MediaPlaylist, error) {
 			}
 			p.MediaSequence = v
 		case strings.HasPrefix(line, "#EXTINF:"):
-			spec := strings.TrimPrefix(line, "#EXTINF:")
-			spec = strings.SplitN(spec, ",", 2)[0]
-			d, err := strconv.ParseFloat(spec, 64)
-			if err != nil {
-				return nil, fmt.Errorf("hls: bad EXTINF: %w", err)
+			s, _, _ := strings.Cut(strings.TrimPrefix(line, "#EXTINF:"), ",")
+			if !haveSpec || s != spec {
+				d, err := strconv.ParseFloat(s, 64)
+				if err != nil {
+					return nil, fmt.Errorf("hls: bad EXTINF: %w", err)
+				}
+				spec, pendingDur, haveSpec = s, d, true
 			}
-			pendingDur, havePending = d, true
+			havePending = true
 		case line == "#EXT-X-ENDLIST":
 			p.Live = false
 		case strings.HasPrefix(line, "#"):
@@ -106,8 +164,8 @@ func ParseMediaPlaylist(data []byte) (*MediaPlaylist, error) {
 			havePending = false
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("hls: scan: %w", err)
+	if len(p.Segments) == 0 {
+		p.Segments = nil // as a playlist with no entries always decoded
 	}
 	return p, nil
 }
@@ -136,16 +194,18 @@ func (p *MasterPlaylist) Encode() []byte {
 
 // ParseMasterPlaylist decodes an .m3u8 master playlist.
 func ParseMasterPlaylist(data []byte) (*MasterPlaylist, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	if !sc.Scan() || strings.TrimSpace(sc.Text()) != "#EXTM3U" {
-		return nil, fmt.Errorf("hls: missing #EXTM3U header")
+	rest, err := header(data)
+	if err != nil {
+		return nil, err
 	}
 	p := &MasterPlaylist{}
 	var pending Variant
 	var havePending bool
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	for rest != "" {
+		var line string
+		if line, rest, err = nextLine(rest); err != nil {
+			return nil, err
+		}
 		switch {
 		case line == "":
 			continue
@@ -175,9 +235,6 @@ func ParseMasterPlaylist(data []byte) (*MasterPlaylist, error) {
 			p.Variants = append(p.Variants, pending)
 			havePending = false
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("hls: scan: %w", err)
 	}
 	return p, nil
 }
@@ -209,7 +266,25 @@ func splitAttrs(s string) []string {
 // SegmentURI formats the canonical segment filename used by the testbed
 // CDN layout: seg<index>.ts, zero-padded to five digits.
 func SegmentURI(index int) string {
-	return fmt.Sprintf("seg%05d.ts", index)
+	var b [32]byte
+	return string(appendSegmentURI(b[:0], index))
+}
+
+// appendSegmentURI appends SegmentURI(index) to dst, padded as %05d pads:
+// the sign of a negative index counts toward the five.
+func appendSegmentURI(dst []byte, index int) []byte {
+	var num [24]byte
+	digits := strconv.AppendInt(num[:0], int64(index), 10)
+	dst = append(dst, "seg"...)
+	width := 5
+	if index < 0 {
+		dst, digits, width = append(dst, '-'), digits[1:], 4
+	}
+	for i := len(digits); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	dst = append(dst, digits...)
+	return append(dst, ".ts"...)
 }
 
 // ParseSegmentURI inverts SegmentURI, accepting any digit run.
@@ -263,12 +338,19 @@ func Window(v *media.Video, from, count int) *MediaPlaylist {
 		MediaSequence:  from,
 		Live:           v.Live,
 	}
-	p.Segments = make([]Segment, 0, count)
-	for i := 0; i < count; i++ {
-		p.Segments = append(p.Segments, Segment{
-			URI:      SegmentURI(from + i),
-			Duration: v.SegmentDuration,
-		})
+	p.Segments = make([]Segment, count)
+	if count == 0 {
+		return p
+	}
+	// Every URI is a substring of one string: its bytes are written
+	// once, and a URI is never allocated on its own.
+	var num [32]byte
+	var uris strings.Builder
+	uris.Grow(count * len(appendSegmentURI(num[:0], from+count-1)))
+	for i := range p.Segments {
+		start := uris.Len()
+		uris.Write(appendSegmentURI(num[:0], from+i))
+		p.Segments[i] = Segment{URI: uris.String()[start:], Duration: v.SegmentDuration}
 	}
 	return p
 }

@@ -3,6 +3,7 @@ package hls
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -252,5 +253,111 @@ func TestQuickMediaRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: Encode and SegmentURI render exactly what the fmt reference
+// renders, for fractional, zero, negative-zero and repeated durations,
+// media sequences past 100 000 and URIs of negative and six-digit
+// indices, and so does every Window.
+func TestQuickEncodeMatchesReference(t *testing.T) {
+	durations := []float64{0, math.Copysign(0, -1), 10, 9.5, 0.0005, 0.0015, 1e-9, 123456.789, 1e21, -3.25}
+	f := func(seed int64, n uint8, live bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := &MediaPlaylist{
+			Version:        rng.Intn(8) - 2,
+			TargetDuration: rng.Intn(20),
+			MediaSequence:  rng.Intn(1_000_000) - 1_000,
+			Live:           live,
+		}
+		for i := 0; i < int(n%40); i++ {
+			d := rng.Float64() * 20
+			if rng.Intn(3) == 0 {
+				d = durations[rng.Intn(len(durations))]
+			} else if i > 0 && rng.Intn(2) == 0 {
+				d = p.Segments[i-1].Duration
+			}
+			idx := p.MediaSequence + i
+			if rng.Intn(4) == 0 {
+				idx = rng.Intn(2_000_000) - 1_000_000
+			}
+			if uri, ref := SegmentURI(idx), refSegmentURI(idx); uri != ref {
+				t.Logf("SegmentURI(%d) = %q, want %q", idx, uri, ref)
+				return false
+			}
+			p.Segments = append(p.Segments, Segment{URI: SegmentURI(idx), Duration: d})
+		}
+		if got, want := p.Encode(), refEncode(p); !bytes.Equal(got, want) {
+			t.Logf("Encode:\n%s\nreference:\n%s", got, want)
+			return false
+		}
+		v := media.NewVOD("vod", 1+rng.Intn(300))
+		if live {
+			v = media.NewLive("ch", 6)
+		}
+		v.SegmentDuration = durations[rng.Intn(len(durations))]
+		w := Window(v, rng.Intn(200_000), rng.Intn(20))
+		for i, s := range w.Segments {
+			if s.URI != refSegmentURI(w.MediaSequence+i) {
+				t.Logf("Window segment %d is %q, want %q", i, s.URI, refSegmentURI(w.MediaSequence+i))
+				return false
+			}
+		}
+		if got, want := w.Encode(), refEncode(w); !bytes.Equal(got, want) {
+			t.Logf("Window Encode:\n%s\nreference:\n%s", got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(47))}); err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []int{math.MinInt, -100_000, -1, 0, 99_999, 100_000, math.MaxInt} {
+		if got, want := SegmentURI(idx), refSegmentURI(idx); got != want {
+			t.Errorf("SegmentURI(%d) = %q, want %q", idx, got, want)
+		}
+	}
+}
+
+// TestLineBound: a line one byte short of maxLine parses, with or
+// without a line break after it; a line of maxLine bytes does not.
+func TestLineBound(t *testing.T) {
+	for _, n := range []int{maxLine - 1, maxLine} {
+		uri := strings.Repeat("a", n)
+		for _, tail := range []string{"\n", ""} {
+			p, err := ParseMediaPlaylist([]byte("#EXTM3U\n#EXTINF:10,\n" + uri + tail))
+			if ok := n < maxLine; (err == nil) != ok {
+				t.Errorf("a %d-byte URI line (break %q): err %v, want accepted=%v", n, tail, err, ok)
+			} else if ok && (len(p.Segments) != 1 || len(p.Segments[0].URI) != n) {
+				t.Errorf("a %d-byte URI line (break %q) parsed to %d segments", n, tail, len(p.Segments))
+			}
+		}
+	}
+}
+
+// TestPlaylistAllocBudget: rendering a media playlist and parsing it
+// back each cost a fixed handful of allocations, however many segments
+// it lists — the playlist, its segment slice, one string of URIs and
+// the rendered buffer; the parsed playlist, its segment slice and its
+// one string copy of the body.
+func TestPlaylistAllocBudget(t *testing.T) {
+	const budget = 4
+	var encode, parse [2]float64
+	for i, n := range []int{10, 5000} {
+		v := media.NewVOD("vod", n)
+		data := Window(v, 0, n).Encode()
+		encode[i] = testing.AllocsPerRun(20, func() { _ = Window(v, 0, n).Encode() })
+		parse[i] = testing.AllocsPerRun(20, func() {
+			if p, err := ParseMediaPlaylist(data); err != nil || len(p.Segments) != n {
+				t.Fatalf("ParseMediaPlaylist: %v", err)
+			}
+		})
+		t.Logf("%d segments: Window+Encode %.0f allocations, ParseMediaPlaylist %.0f", n, encode[i], parse[i])
+	}
+	if encode[0] != encode[1] || encode[1] > budget {
+		t.Errorf("Window+Encode: %v allocations at 10 and 5000 segments; want the same, at most %d", encode, budget)
+	}
+	if parse[0] != parse[1] || parse[1] > budget {
+		t.Errorf("ParseMediaPlaylist: %v allocations at 10 and 5000 segments; want the same, at most %d", parse, budget)
 	}
 }

@@ -1,6 +1,9 @@
 package pdnclient
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // segmentCache is the SDK's in-memory segment store — the browser-cache
 // analogue the paper notes is same-origin protected and short-lived.
@@ -127,14 +130,15 @@ func (c *segmentCache) get(idx int) ([]byte, bool) {
 	return append([]byte(nil), e.data...), true
 }
 
-// indices returns the cached segment indices.
+// indices returns the cached segment indices, ascending.
 func (c *segmentCache) indices() []int {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]int, 0, len(c.segments))
 	for i := range c.segments {
 		out = append(out, i)
 	}
+	c.mu.Unlock()
+	slices.Sort(out)
 	return out
 }
 

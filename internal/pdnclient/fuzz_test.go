@@ -18,12 +18,15 @@ import (
 // header it accepts must re-encode to exactly the frame it came from;
 // and no field may run short of the frame's end or leave bytes after
 // it — so every cut of an accepted frame, and the frame with a byte
-// more, is rejected.
+// more, is rejected. The header decoded before it, whose strings
+// decodeMsg reuses where they are equal, changes nothing: decoding
+// after any prev is decoding after none.
 func FuzzDecodeMsg(f *testing.F) {
 	key := media.SegmentKey{Video: "bbb", Rendition: "360p", Index: 7}
+	const trace = "00-00000000000000000af7651916cd43dd-b7ad6b7169203331-01"
 	var frames [][]byte
 	for _, h := range []p2pMsg{
-		{Op: opWant, Key: key, Trace: "00-00000000000000000af7651916cd43dd-b7ad6b7169203331-01"},
+		{Op: opWant, Key: key, Trace: trace},
 		{Op: opSegment, Key: key, Found: true},
 		{Op: opSegment, Key: key},
 		{Op: 9, Key: media.SegmentKey{Index: 1<<32 - 1}}, // an unknown op, empty strings
@@ -33,17 +36,24 @@ func FuzzDecodeMsg(f *testing.F) {
 			f.Fatal(err)
 		}
 		frames = append(frames, frame)
-		f.Add(frame)
+		f.Add(frame, "", "", "")
+		f.Add(frame, key.Video, key.Rendition, trace) // the strings a neighbor repeats
 	}
-	f.Add([]byte{})
-	f.Add(frames[1][:msgFixed])                                     // cut after the fixed fields
-	f.Add(frames[0][:len(frames[0])-1])                             // trace one byte short
-	f.Add(append(frames[1][:len(frames[1]):len(frames[1])], 0))     // a byte after the trace
-	f.Add([]byte{byte(opSegment), 2, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0}) // found neither 0 nor 1
-	f.Add([]byte{byte(opWant), 0, 0, 0, 0, 7, 0xff, 0xff, 'b'})     // video length past the end
-	f.Add([]byte(`{"op":"want","key":{"video":"bbb"}}`))            // the retired JSON header
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		hdr, err := decodeMsg(frame)
+	f.Add(frames[1], key.Video, "720p", "")                                        // the rendition changed
+	f.Add(frames[0], "bb", key.Rendition, trace[1:])                               // prev strings a prefix short
+	f.Add([]byte{}, "", "", "")                                                    // an empty frame
+	f.Add(frames[1][:msgFixed], "", "", "")                                        // cut after the fixed fields
+	f.Add(frames[0][:len(frames[0])-1], key.Video, key.Rendition, trace)           // trace one byte short
+	f.Add(append(frames[1][:len(frames[1]):len(frames[1])], 0), key.Video, "", "") // a byte after the trace
+	f.Add([]byte{byte(opSegment), 2, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0}, "", "", "")    // found neither 0 nor 1
+	f.Add([]byte{byte(opWant), 0, 0, 0, 0, 7, 0xff, 0xff, 'b'}, "b", "", "")       // video length past the end
+	f.Add([]byte(`{"op":"want","key":{"video":"bbb"}}`), "", "", "")               // the retired JSON header
+	f.Fuzz(func(t *testing.T, frame []byte, video, rendition, trace string) {
+		hdr, err := decodeMsg(frame, p2pMsg{})
+		prev := p2pMsg{Op: opSegment, Key: media.SegmentKey{Video: video, Rendition: rendition, Index: 3}, Trace: trace}
+		if after, errAfter := decodeMsg(frame, prev); after != hdr || (errAfter == nil) != (err == nil) {
+			t.Fatalf("after %+v the frame decodes as %+v, %v; after none as %+v, %v", prev, after, errAfter, hdr, err)
+		}
 		if err != nil {
 			return
 		}
@@ -52,11 +62,11 @@ func FuzzDecodeMsg(f *testing.F) {
 			t.Fatalf("accepted header %+v re-encodes to %v, %v; want the frame %v", hdr, again, err, frame)
 		}
 		for i := range frame {
-			if h, err := decodeMsg(frame[:i]); err == nil {
+			if h, err := decodeMsg(frame[:i], hdr); err == nil {
 				t.Fatalf("the frame cut to %d of %d bytes decodes, as %+v", i, len(frame), h)
 			}
 		}
-		if h, err := decodeMsg(append(again, 0)); err == nil {
+		if h, err := decodeMsg(append(again, 0), hdr); err == nil {
 			t.Fatalf("the frame with a byte after its last field decodes, as %+v", h)
 		}
 	})

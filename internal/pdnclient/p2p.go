@@ -83,15 +83,19 @@ func appendMsg(dst []byte, h p2pMsg) ([]byte, error) {
 // decodeMsg parses a frame header. Every byte is the neighbor's to
 // choose: a found flag other than 0 or 1, a length running past the
 // frame or bytes left after the trace make the frame malformed, so an
-// accepted header re-encodes to exactly the frame it came from.
-func decodeMsg(frame []byte) (p2pMsg, error) {
+// accepted header re-encodes to exactly the frame it came from. A
+// string equal to prev's is prev's, not a copy: a neighbor names the
+// same video and rendition in every header, so a read loop that passes
+// the header it decoded last decodes those strings once.
+func decodeMsg(frame []byte, prev p2pMsg) (p2pMsg, error) {
 	if len(frame) < msgFixed || frame[1] > 1 {
 		return p2pMsg{}, errBadMsg
 	}
 	h := p2pMsg{Op: p2pOp(frame[0]), Found: frame[1] == 1}
 	h.Key.Index = int(binary.BigEndian.Uint32(frame[2:msgFixed]))
 	rest := frame[msgFixed:]
-	for _, f := range [...]*string{&h.Key.Video, &h.Key.Rendition, &h.Trace} {
+	prevs := [...]string{prev.Key.Video, prev.Key.Rendition, prev.Trace}
+	for i, f := range [...]*string{&h.Key.Video, &h.Key.Rendition, &h.Trace} {
 		if len(rest) < 2 {
 			return p2pMsg{}, errBadMsg
 		}
@@ -99,7 +103,10 @@ func decodeMsg(frame []byte) (p2pMsg, error) {
 		if len(rest) < n {
 			return p2pMsg{}, errBadMsg
 		}
-		*f, rest = string(rest[2:n]), rest[n:]
+		if *f = prevs[i]; string(rest[2:n]) != prevs[i] {
+			*f = string(rest[2:n])
+		}
+		rest = rest[n:]
 	}
 	if len(rest) != 0 {
 		return p2pMsg{}, errBadMsg
@@ -210,6 +217,7 @@ func (nb *neighbor) evict(reason string) {
 // readLoop serves inbound requests and routes responses.
 func (nb *neighbor) readLoop() {
 	defer nb.evict("conn_broken")
+	var prev p2pMsg
 	for {
 		frame, err := nb.conn.RecvInto(nil)
 		if err != nil {
@@ -217,10 +225,11 @@ func (nb *neighbor) readLoop() {
 		}
 		// Anything that is not a header where one is due — an unknown op,
 		// or a body nobody announced — is ignored.
-		hdr, err := decodeMsg(frame)
+		hdr, err := decodeMsg(frame, prev)
 		if err != nil {
 			continue
 		}
+		prev = hdr
 		switch hdr.Op {
 		case opWant:
 			nb.serve(hdr.Key, hdr.Trace)

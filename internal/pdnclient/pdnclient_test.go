@@ -395,6 +395,24 @@ func TestSegmentCache(t *testing.T) {
 	}
 }
 
+// TestCachedIndicesAscending: Peer.CachedIndices lists the cache in
+// ascending order, whatever order its map iterates in, so the audits
+// and fault lines that print it read the same on every run.
+func TestCachedIndicesAscending(t *testing.T) {
+	const n = 40
+	c := newSegmentCache(n, nil)
+	want := make([]int, n)
+	for i := range want {
+		want[i] = i
+		c.put(i, make([]byte, 1))
+	}
+	for round := 0; round < 5; round++ {
+		if got := c.indices(); !slices.Equal(got, want) {
+			t.Fatalf("indices() = %v, want %v", got, want)
+		}
+	}
+}
+
 // TestP2PMessageCodec pins the frame header's wire layout and its
 // bounds: what appendMsg cannot encode in the layout it refuses.
 func TestP2PMessageCodec(t *testing.T) {
@@ -411,7 +429,7 @@ func TestP2PMessageCodec(t *testing.T) {
 		if err != nil || !bytes.Equal(got, tc.wire) {
 			t.Errorf("appendMsg(%+v) = %v, %v; want %v", tc.h, got, err, tc.wire)
 		}
-		if h, err := decodeMsg(tc.wire); err != nil || h != tc.h {
+		if h, err := decodeMsg(tc.wire, p2pMsg{}); err != nil || h != tc.h {
 			t.Errorf("decodeMsg(%v) = %+v, %v; want %+v", tc.wire, h, err, tc.h)
 		}
 	}

@@ -10,12 +10,14 @@ import (
 
 // p2pSegmentAllocBudget is what one P2P segment may allocate, the
 // seeder's serve and the viewer's fetch together, on an untraced swarm:
-// one record buffer per frame header (the want, the answer), the decoded
-// headers' strings, and what the simulated network and the scheduler
-// add — 11 on 2 vCPUs with go1.24, against 54 with a JSON frame header,
-// a gathered body and boxed span arguments. Any one of those back puts
-// it over.
-const p2pSegmentAllocBudget = 16
+// one record buffer per frame header (the want, the answer), and what
+// the simulated network and the scheduler add — 7 on 2 vCPUs with
+// go1.24 (7.2 now and then at -cpu 4), against 11 when each side copied
+// the video and rendition strings out of every frame header, and 54 with
+// a JSON frame header, a gathered body and boxed span arguments. The
+// three above the count are slack for the runtime; any one of those
+// back puts it over.
+const p2pSegmentAllocBudget = 10
 
 // p2pSegmentByteBudget bounds the bytes one P2P segment allocates, as a
 // share of the segment: the body lands in the buffer the viewer's cache

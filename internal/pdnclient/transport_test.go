@@ -335,7 +335,7 @@ func (c *answeringConn) inject(t *testing.T, key media.SegmentKey) {
 }
 
 func (c *answeringConn) Send(msg []byte) error {
-	hdr, err := decodeMsg(msg)
+	hdr, err := decodeMsg(msg, p2pMsg{})
 	if err != nil || hdr.Op != opWant {
 		return err
 	}
