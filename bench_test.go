@@ -37,7 +37,8 @@ func benchCtx(b *testing.B) context.Context {
 }
 
 // BenchmarkTableI_Detector regenerates Table I: the signature scan +
-// dynamic confirmation over the full synthetic corpus.
+// dynamic confirmation over the full synthetic corpus, on the
+// production fan-out (`-cpu 1,4` shows how it scales).
 func BenchmarkTableI_Detector(b *testing.B) {
 	ctx := benchCtx(b)
 	c := corpus.Generate(corpus.Params{Seed: 1})
@@ -45,62 +46,13 @@ func BenchmarkTableI_Detector(b *testing.B) {
 	b.ResetTimer()
 	var confirmed int
 	for i := 0; i < b.N; i++ {
-		rep, err := detector.Pipeline(ctx, c, profiles, 1)
+		rep, err := detector.ParallelPipeline(ctx, c, profiles, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		confirmed = rep.ConfirmedSites["peer5"] + rep.ConfirmedSites["streamroot"] + rep.ConfirmedSites["viblast"]
 	}
 	b.ReportMetric(float64(confirmed), "confirmed-sites")
-}
-
-// BenchmarkParallelScan runs the detection scan (sites + APKs) through
-// the internal/dispatch engine at increasing worker counts, verifying
-// on every iteration that the parallel report renders Tables I-IV
-// byte-identically to the sequential reference. The headline workers-N
-// series models a live crawl's I/O profile (100µs of simulated network
-// round-trip per page/APK fetch — the workload the engine exists for),
-// so the workers-1 vs workers-4 ratio holds even on a single core;
-// the cpubound-workers-N series measures the pure in-memory scan,
-// which only scales with physical parallelism.
-func BenchmarkParallelScan(b *testing.B) {
-	ctx := benchCtx(b)
-	c := corpus.Generate(corpus.Params{Seed: 1, FillerSites: 300, FillerApps: 120})
-	profiles := provider.PublicProfiles()
-	seqRep, err := detector.Pipeline(ctx, c, profiles, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	golden := renderAllTables(&experiments.DetectionResult{Report: seqRep, Corpus: c})
-	scan := func(b *testing.B, opts detector.Options) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			rep, err := detector.ParallelPipeline(ctx, c, profiles, 1, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got := renderAllTables(&experiments.DetectionResult{Report: rep, Corpus: c}); got != golden {
-				b.Fatal("parallel tables diverge from sequential output")
-			}
-		}
-	}
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			scan(b, detector.Options{Workers: workers, SimulateRTT: 100 * time.Microsecond})
-		})
-	}
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("cpubound-workers-%d", workers), func(b *testing.B) {
-			scan(b, detector.Options{Workers: workers})
-		})
-	}
-}
-
-// renderAllTables concatenates every detection artifact the scan
-// produces, so byte equality covers Tables I-IV and §IV-D.
-func renderAllTables(det *experiments.DetectionResult) string {
-	return det.RenderTableI() + det.RenderTableII() + det.RenderTableIII() +
-		det.RenderTableIV() + det.RenderResourceSquattingWild()
 }
 
 // BenchmarkTableV_Analyzer runs one defense-matrix row: the full

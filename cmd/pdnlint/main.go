@@ -9,22 +9,14 @@
 //
 // Usage:
 //
-//	pdnlint [-only name,name] [-json] [-baseline FILE] [packages]
+//	pdnlint [-only name,name] [-json] [packages]
 //
 // Packages default to ./... resolved from the current directory; `go
 // vet` is a separate step. Findings print as file:line:col: [analyzer]
 // message — or, with -json, as a JSON array (one object per finding, an
-// empty array when clean) suitable as a CI artifact and as -baseline
-// input.
+// empty array when clean) suitable as a CI artifact.
 //
-// With -baseline FILE, the findings recorded in FILE (a prior -json
-// report) are tolerated: only findings absent from the baseline print
-// and fail the run. Baseline entries match on analyzer, file, and
-// message — not line numbers — so unrelated edits above a tolerated
-// finding don't resurrect it.
-//
-// Exit status: 0 clean (or every finding baselined), 1 findings,
-// 2 usage or load error.
+// Exit status: 0 clean, 1 findings, 2 usage or load error.
 //
 // Suppress an intentional finding with a mandatory reason:
 //
@@ -49,7 +41,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonFinding is one finding in the -json report and -baseline format.
+// jsonFinding is one finding in the -json report.
 type jsonFinding struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`
@@ -58,19 +50,11 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// key is the baseline identity of a finding. Line and column are
-// deliberately excluded so edits above a baselined finding don't
-// resurrect it.
-func (f jsonFinding) key() string {
-	return f.Analyzer + "|" + f.File + "|" + f.Message
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pdnlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	baseline := fs.String("baseline", "", "tolerate findings recorded in this prior -json report")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -83,23 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "pdnlint: %v\n", err)
 		return 2
-	}
-
-	known := make(map[string]bool)
-	if *baseline != "" {
-		raw, err := os.ReadFile(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "pdnlint: baseline: %v\n", err)
-			return 2
-		}
-		var old []jsonFinding
-		if err := json.Unmarshal(raw, &old); err != nil {
-			fmt.Fprintf(stderr, "pdnlint: baseline %s: %v\n", *baseline, err)
-			return 2
-		}
-		for _, f := range old {
-			known[f.key()] = true
-		}
 	}
 
 	pkgs, err := lint.Load(".", patterns...)
@@ -115,20 +82,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cwd, _ := os.Getwd()
 	findings := make([]jsonFinding, 0, len(diags))
-	baselined := 0
 	for _, d := range diags {
-		f := jsonFinding{
+		findings = append(findings, jsonFinding{
 			Analyzer: d.Analyzer,
 			File:     relTo(cwd, d.Pos.Filename),
 			Line:     d.Pos.Line,
 			Col:      d.Pos.Column,
 			Message:  d.Message,
-		}
-		if known[f.key()] {
-			baselined++
-			continue
-		}
-		findings = append(findings, f)
+		})
 	}
 
 	if *asJSON {
@@ -145,21 +106,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if len(findings) > 0 {
-		fmt.Fprintf(stderr, "pdnlint: %d finding(s) across %d package(s)", len(findings), len(pkgs))
-		if baselined > 0 {
-			fmt.Fprintf(stderr, " (%d baselined)", baselined)
-		}
-		fmt.Fprintln(stderr)
+		fmt.Fprintf(stderr, "pdnlint: %d finding(s) across %d package(s)\n", len(findings), len(pkgs))
 		return 1
-	}
-	if baselined > 0 {
-		fmt.Fprintf(stderr, "pdnlint: clean (%d baselined finding(s) remain)\n", baselined)
 	}
 	return 0
 }
 
 // relTo renders path relative to dir when it lies underneath it, which
-// keeps -json reports and baseline files stable across checkouts.
+// keeps -json reports stable across checkouts.
 func relTo(dir, path string) string {
 	if dir == "" {
 		return path

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -54,7 +52,6 @@ func TestExitUsageErrorIsTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},
 		{"-only", "nonesuch", lockorderFixture},
-		{"-baseline", filepath.Join(t.TempDir(), "absent.json"), lockorderFixture},
 	} {
 		if code, _, _ := runLint(t, args...); code != 2 {
 			t.Errorf("run(%v) exit = %d, want 2", args, code)
@@ -107,66 +104,5 @@ func TestJSONCleanIsEmptyArray(t *testing.T) {
 	}
 	if strings.TrimSpace(stdout) != "[]" {
 		t.Errorf("clean -json output = %q, want empty array", stdout)
-	}
-}
-
-func TestBaselineTolerates(t *testing.T) {
-	// A full -json report fed back as the baseline must turn the same
-	// run clean.
-	_, report, _ := runLint(t, "-json", "-only", "lockorder", lockorderFixture)
-	base := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(base, []byte(report), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := runLint(t, "-baseline", base, "-only", "lockorder", lockorderFixture)
-	if code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if stdout != "" {
-		t.Errorf("baselined findings still printed:\n%s", stdout)
-	}
-	if !strings.Contains(stderr, "baselined") {
-		t.Errorf("summary does not mention baselined findings:\n%s", stderr)
-	}
-}
-
-func TestBaselineFailsOnNewFindings(t *testing.T) {
-	// Dropping one entry from the baseline makes exactly that finding
-	// "new" again: the run must fail and print only the new one.
-	_, report, _ := runLint(t, "-json", "-only", "lockorder", lockorderFixture)
-	var findings []jsonFinding
-	if err := json.Unmarshal([]byte(report), &findings); err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) < 2 {
-		t.Fatalf("fixture yields %d findings, need at least 2", len(findings))
-	}
-	partial, err := json.Marshal(findings[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := filepath.Join(t.TempDir(), "partial.json")
-	if err := os.WriteFile(base, partial, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, _ := runLint(t, "-baseline", base, "-only", "lockorder", lockorderFixture)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 for a non-baselined finding", code)
-	}
-	if got := strings.Count(stdout, "[lockorder]"); got != 1 {
-		t.Errorf("printed %d findings, want exactly the 1 new one:\n%s", got, stdout)
-	}
-	if !strings.Contains(stdout, findings[0].Message) {
-		t.Errorf("new finding's message missing from output:\n%s", stdout)
-	}
-}
-
-func TestBaselineRejectsMalformedFile(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(base, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := runLint(t, "-baseline", base, lockorderFixture); code != 2 {
-		t.Errorf("malformed baseline exit = %d, want 2", code)
 	}
 }

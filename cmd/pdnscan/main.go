@@ -6,17 +6,12 @@
 //
 // Usage:
 //
-//	pdnscan [-seed N] [-sites N] [-apps N] [-keys]
-//	        [-workers N] [-checkpoint FILE] [-stats] [-trace FILE]
+//	pdnscan [-seed N] [-sites N] [-apps N] [-keys] [-trace FILE]
 //
 // -sites/-apps size the non-PDN background population; -keys also
 // prints the API keys the §IV-B regex extraction recovered. The scan
-// runs on the internal/dispatch worker pool: -workers sizes it
-// (defaults to one per CPU and must be positive; the merged report is
-// identical at any width), -checkpoint makes an interrupted scan
-// resumable, and -stats prints
-// the engine's job counters, latency quantiles (p50/p90/p99/max), and
-// jobs/sec afterwards. -trace records every dispatch job as a span in a
+// fans out over GOMAXPROCS goroutines and prints the same tables at
+// any width. -trace records one detector_scan span per scan pass in a
 // pdnsec-trace/1 JSONL file (pdntrace -chrome renders it for
 // ui.perfetto.dev). Ctrl-C cancels the scan cleanly.
 package main
@@ -28,10 +23,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 
 	"github.com/stealthy-peers/pdnsec"
-	"github.com/stealthy-peers/pdnsec/internal/dispatch"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 )
 
@@ -48,9 +41,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	sites := fs.Int("sites", 0, "filler (non-PDN) sites to scan (0 = default 1500)")
 	apps := fs.Int("apps", 0, "filler (non-PDN) apps to scan (0 = default 800)")
 	keys := fs.Bool("keys", false, "print extracted API keys")
-	workers := fs.Int("workers", runtime.NumCPU(), "scan worker pool size (must be positive)")
-	checkpoint := fs.String("checkpoint", "", "resumable scan state file (empty = no checkpointing)")
-	stats := fs.Bool("stats", false, "print dispatch counters and latency quantiles after the scan")
 	traceFile := fs.String("trace", "", "write a pdnsec-trace/1 JSONL trace of the scan to FILE (pdntrace -chrome renders it for Perfetto)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -60,23 +50,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *workers <= 0 {
-		fmt.Fprintf(stderr, "pdnscan: -workers must be positive (got -workers=%d)\n", *workers)
-		fs.Usage()
-		return 2
-	}
 
-	metrics := dispatch.NewMetrics()
 	var tracer *obs.Tracer
 	if *traceFile != "" {
-		tracer = obs.NewTracer(nil) // scan jobs run in process time
+		tracer = obs.NewTracer(nil) // the scan runs in process time
+		ctx = obs.WithTracer(ctx, tracer)
 	}
-	det, err := pdnsec.DetectCustomersParallel(ctx, *seed, *sites, *apps, pdnsec.DetectOptions{
-		Workers:    *workers,
-		Checkpoint: *checkpoint,
-		Metrics:    metrics,
-		Tracer:     tracer,
-	})
+	det, err := pdnsec.DetectCustomers(ctx, *seed, *sites, *apps)
 	if err != nil {
 		fmt.Fprintf(stderr, "pdnscan: %v\n", err)
 		return 1
@@ -93,9 +73,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		for _, k := range det.Report.ExtractedKeys {
 			fmt.Fprintf(stdout, "  %-12s %-28s %s\n", k.Provider, k.Domain, k.Key)
 		}
-	}
-	if *stats {
-		fmt.Fprintf(stdout, "dispatch: %s\n", metrics.Snapshot())
 	}
 	if tracer != nil {
 		if err := tracer.WriteFile(*traceFile); err != nil {

@@ -276,13 +276,12 @@ const (
 
 // SiteOutcome is everything the pipeline learns about one site: the
 // static scan, any extracted keys, and the dynamic-analysis verdicts.
-// It is the unit of work the dispatch engine schedules and checkpoints,
-// so all fields round-trip through JSON.
+// It is the unit of work ParallelPipeline scans into one result slot.
 type SiteOutcome struct {
-	Scan      ScanResult     `json:"scan"`
-	Keys      []ExtractedKey `json:"keys,omitempty"`
-	Confirmed bool           `json:"confirmed,omitempty"`
-	WebRTC    WebRTCVerdict  `json:"webrtc,omitempty"`
+	Scan      ScanResult
+	Keys      []ExtractedKey
+	Confirmed bool
+	WebRTC    WebRTCVerdict
 }
 
 // ScanSiteFull runs one site through the whole per-site flow: static
@@ -311,14 +310,13 @@ func (s *WebScanner) ScanSiteFull(site *corpus.Site, seed int64) SiteOutcome {
 }
 
 // AppOutcome is one app's scan product (static APK scan over every
-// version, config recovery, dynamic confirmation), JSON-stable for
-// checkpointing.
+// version, config recovery, dynamic confirmation).
 type AppOutcome struct {
-	Provider        string     `json:"provider,omitempty"`
-	SignedVersions  int        `json:"signed_versions,omitempty"`
-	VersionsScanned int        `json:"versions_scanned"`
-	Config          *AppConfig `json:"config,omitempty"`
-	Confirmed       bool       `json:"confirmed,omitempty"`
+	Provider        string
+	SignedVersions  int
+	VersionsScanned int
+	Config          *AppConfig
+	Confirmed       bool
 }
 
 // ScanAppFull runs one app through the per-app flow.
@@ -415,8 +413,8 @@ func Reduce(c *corpus.Corpus, sites []SiteOutcome, apps []AppOutcome) *Report {
 
 // Pipeline runs the full detection flow over a corpus sequentially,
 // checking ctx between items so a scan can be cancelled mid-corpus.
-// It is the single-threaded reference the dispatch-backed
-// ParallelPipeline must match byte for byte.
+// It is the single-threaded reference ParallelPipeline must match
+// byte for byte.
 func Pipeline(ctx context.Context, c *corpus.Corpus, profiles []provider.Profile, seed int64) (*Report, error) {
 	scanner := NewWebScanner(profiles)
 	siteOut := make([]SiteOutcome, len(c.Sites))

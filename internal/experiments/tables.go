@@ -22,24 +22,13 @@ type DetectionResult struct {
 	Corpus *corpus.Corpus
 }
 
-// RunDetection executes the sequential reference detector pipeline
+// RunDetection executes the detector pipeline (detector.ParallelPipeline)
 // over a generated corpus. fillerSites/fillerApps size the non-PDN
-// background population (0 for defaults).
+// background population (0 for defaults). The context's tracer, if any,
+// records the scan passes.
 func RunDetection(ctx context.Context, seed int64, fillerSites, fillerApps int) (*DetectionResult, error) {
 	c := corpus.Generate(corpus.Params{Seed: seed, FillerSites: fillerSites, FillerApps: fillerApps})
-	rep, err := detector.Pipeline(ctx, c, provider.PublicProfiles(), seed)
-	if err != nil {
-		return nil, err
-	}
-	return &DetectionResult{Report: rep, Corpus: c}, nil
-}
-
-// RunDetectionOpts executes the detection pipeline on the dispatch
-// engine — worker pool, optional rate limit and checkpoint/resume per
-// opts — with output identical to RunDetection's.
-func RunDetectionOpts(ctx context.Context, seed int64, fillerSites, fillerApps int, opts detector.Options) (*DetectionResult, error) {
-	c := corpus.Generate(corpus.Params{Seed: seed, FillerSites: fillerSites, FillerApps: fillerApps})
-	rep, err := detector.ParallelPipeline(ctx, c, provider.PublicProfiles(), seed, opts)
+	rep, err := detector.ParallelPipeline(ctx, c, provider.PublicProfiles(), seed)
 	if err != nil {
 		return nil, err
 	}

@@ -7,11 +7,10 @@ import (
 )
 
 // ctxPkgs are the packages whose exported surfaces must accept a
-// context.Context whenever they can block: the scan engine, the
-// detector, and the signaling/interception layers whose handlers the
-// paper's experiments cancel and time-bound.
+// context.Context whenever they can block: the detector, and the
+// signaling/interception layers whose handlers the paper's experiments
+// cancel and time-bound.
 var ctxPkgs = map[string]bool{
-	"dispatch": true,
 	"detector": true,
 	"signal":   true,
 	"mitm":     true,

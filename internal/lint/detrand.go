@@ -7,7 +7,7 @@ import (
 
 // deterministicPkgs are the packages whose outputs (Tables I–IV, figure
 // data, experiment reports) must be byte-identical run-to-run and at any
-// dispatch worker count. Scoping is by package base name so the same
+// scan width. Scoping is by package base name so the same
 // rules apply to testdata packages in this suite's own tests.
 var deterministicPkgs = map[string]bool{
 	"netsim":      true,

@@ -1,61 +1,52 @@
 package obs_test
 
 import (
-	"context"
-	"strconv"
 	"testing"
 
-	"github.com/stealthy-peers/pdnsec/internal/dispatch"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 )
 
-// BenchmarkObsOverhead measures what instrumentation costs the dispatch
-// hot path. The acceptance bar is that the metrics-instrumented engine
-// stays within 5% of the bare one; the tracer sub-benchmark is recorded
-// for reference (it buffers one span per job, so it is expected to cost
-// more than counters alone).
+// BenchmarkObsOverhead measures what instrumentation adds to a run of
+// cheap jobs: bare; one Histogram.Observe per job; and the histogram
+// plus one Begin/End span per job on a fresh tracer each iteration (a
+// tracer buffers every span, so reusing one would grow its buffers
+// without bound and measure append cost at sizes no real run reaches).
 func BenchmarkObsOverhead(b *testing.B) {
 	const jobs = 512
+	job := func(i int) int { return i * 2 }
 
-	// cfg is built per iteration: a tracer buffers one span per job, so
-	// reusing it across iterations would grow the buffers without bound
-	// and measure append cost at sizes no real run reaches.
-	run := func(b *testing.B, mkcfg func() dispatch.Config) {
+	// iteration returns the per-job instrumentation for one pass over
+	// the jobs.
+	run := func(b *testing.B, iteration func() func(i int)) {
 		b.Helper()
-		work := make([]dispatch.Job[int], jobs)
-		for i := range work {
-			i := i
-			work[i] = dispatch.Job[int]{
-				Key: "job/" + strconv.Itoa(i),
-				Do:  func(context.Context) (int, error) { return i * 2, nil },
+		sum := 0
+		for n := 0; n < b.N; n++ {
+			observe := iteration()
+			for i := range jobs {
+				observe(i)
+				sum += job(i)
 			}
 		}
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			out, err := dispatch.New[int](mkcfg()).Run(context.Background(), work)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(out) != jobs {
-				b.Fatalf("got %d results, want %d", len(out), jobs)
-			}
+		if sum != b.N*jobs*(jobs-1) {
+			b.Fatalf("sum = %d, want %d", sum, b.N*jobs*(jobs-1))
 		}
 	}
 
 	b.Run("bare", func(b *testing.B) {
-		run(b, func() dispatch.Config { return dispatch.Config{Workers: 4} })
+		run(b, func() func(int) { return func(int) {} })
 	})
-	b.Run("metrics", func(b *testing.B) {
-		run(b, func() dispatch.Config {
-			return dispatch.Config{Workers: 4, Metrics: dispatch.NewMetrics()}
-		})
+	b.Run("histogram", func(b *testing.B) {
+		h := obs.NewHistogram()
+		run(b, func() func(int) { return func(i int) { h.Observe(int64(i)) } })
 	})
-	b.Run("metrics+tracer", func(b *testing.B) {
-		run(b, func() dispatch.Config {
-			return dispatch.Config{
-				Workers: 4,
-				Metrics: dispatch.NewMetrics(),
-				Tracer:  obs.NewTracer(nil),
+	b.Run("histogram+tracer", func(b *testing.B) {
+		h := obs.NewHistogram()
+		run(b, func() func(int) {
+			tr := obs.NewTracer(nil)
+			return func(i int) {
+				sp := tr.Begin("bench_job", obs.A("i", i))
+				h.Observe(int64(i))
+				sp.End()
 			}
 		})
 	})

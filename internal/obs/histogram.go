@@ -7,9 +7,7 @@ import (
 
 // histSubBits gives each power-of-two octave 2^histSubBits sub-buckets,
 // bounding the quantile error at ~1/2^histSubBits without any locking
-// on the record path. This is the log-scale layout dispatch's latency
-// histogram shipped with, generalized here so every subsystem shares
-// one implementation.
+// on the record path. Every subsystem shares this one implementation.
 const histSubBits = 3
 
 // histBuckets covers values from 1 to beyond 2^63/2 — for nanosecond
@@ -27,8 +25,7 @@ type Histogram struct {
 	max     atomic.Int64
 }
 
-// NewHistogram returns an empty histogram, for use outside a Registry
-// (dispatch embeds one directly in its Metrics).
+// NewHistogram returns an empty histogram, for use outside a Registry.
 func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one value. Negative values clamp to zero.

@@ -30,14 +30,14 @@ func (c *fakeClock) now() time.Time {
 
 func TestTracerSpansAndEvents(t *testing.T) {
 	tr := NewTracer(newFakeClock().now)
-	sp := tr.Begin("dispatch_job", A("key", "k1"))
+	sp := tr.Begin("detector_scan", A("pass", "sites"))
 	sp.End(A("ok", true))
 	tr.Event("stall", A("idx", 3))
 	if got := tr.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
 	events := tr.drainSorted()
-	if events[0].name != "dispatch_job" || events[0].phase != 'X' {
+	if events[0].name != "detector_scan" || events[0].phase != 'X' {
 		t.Fatalf("first event = %+v", events[0])
 	}
 	if events[0].dur != int64(time.Millisecond) {

@@ -31,7 +31,6 @@ import (
 
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/battery"
-	"github.com/stealthy-peers/pdnsec/internal/detector"
 	"github.com/stealthy-peers/pdnsec/internal/experiments"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
@@ -91,24 +90,14 @@ func AnalyzeRisk(ctx context.Context, p Provider, risk string) (Verdict, error) 
 // Detection re-exports the measurement pipeline result.
 type Detection = experiments.DetectionResult
 
-// DetectOptions tunes DetectCustomersParallel: worker-pool size,
-// checkpoint/resume path, and a shared metrics collector.
-type DetectOptions = detector.Options
-
 // DetectCustomers runs the detector pipeline over a synthetic corpus
 // seeded with the paper's landscape, cancellable through ctx.
 // fillerSites/fillerApps size the non-PDN background population (0 for
-// defaults).
+// defaults). The scan fans out over GOMAXPROCS goroutines; Tables I-IV
+// are identical at any width. A tracer set with obs.WithTracer records
+// the scan passes.
 func DetectCustomers(ctx context.Context, seed int64, fillerSites, fillerApps int) (*Detection, error) {
 	return experiments.RunDetection(ctx, seed, fillerSites, fillerApps)
-}
-
-// DetectCustomersParallel runs the same pipeline on the concurrent
-// scan-orchestration engine (internal/dispatch). Tables I-IV are
-// byte-identical to DetectCustomers' at any worker count; opts adds
-// checkpoint/resume and job metrics.
-func DetectCustomersParallel(ctx context.Context, seed int64, fillerSites, fillerApps int, opts DetectOptions) (*Detection, error) {
-	return experiments.RunDetectionOpts(ctx, seed, fillerSites, fillerApps, opts)
 }
 
 // Reproduce regenerates every table and figure and writes a combined
@@ -126,10 +115,7 @@ func Reproduce(ctx context.Context, w io.Writer, seed int64) error {
 		return nil
 	}
 
-	// The detection scan runs on the dispatch engine at full width —
-	// its reduce is deterministic, so the report is identical to a
-	// sequential run, just faster.
-	det, err := experiments.RunDetectionOpts(ctx, seed, 0, 0, detector.Options{})
+	det, err := experiments.RunDetection(ctx, seed, 0, 0)
 	if err != nil {
 		return fmt.Errorf("pdnsec: detection: %w", err)
 	}

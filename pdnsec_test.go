@@ -47,15 +47,6 @@ func TestFacadeDetectCustomers(t *testing.T) {
 	if !strings.Contains(det.RenderTableI(), "17/134") {
 		t.Fatal("Table I render broken through the facade")
 	}
-
-	// The parallel facade must reproduce the sequential tables.
-	par, err := pdnsec.DetectCustomersParallel(context.Background(), 1, 50, 20, pdnsec.DetectOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.RenderTableI() != det.RenderTableI() {
-		t.Fatal("parallel facade diverges from sequential Table I")
-	}
 }
 
 func TestFacadeTestbedLifecycle(t *testing.T) {
