@@ -10,6 +10,27 @@ import (
 	"time"
 )
 
+// TestScanAllReturnsResultsPositionally: result i is scan(i), whatever
+// the fan-out width and the order in which the workers finish.
+func TestScanAllReturnsResultsPositionally(t *testing.T) {
+	for _, procs := range []int{1, 4, 16} {
+		prev := runtime.GOMAXPROCS(procs)
+		res, err := scanAll(context.Background(), "test", 300, func(i int) int { return i * i })
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if len(res) != 300 {
+			t.Fatalf("GOMAXPROCS=%d: len(res) = %d, want 300", procs, len(res))
+		}
+		for i, r := range res {
+			if r != i*i {
+				t.Fatalf("GOMAXPROCS=%d: res[%d] = %d, want %d", procs, i, r, i*i)
+			}
+		}
+	}
+}
+
 func TestScanAllEmptyAndSingle(t *testing.T) {
 	res, err := scanAll(context.Background(), "test", 0, func(int) string { return "never" })
 	if err != nil || len(res) != 0 {
