@@ -8,10 +8,9 @@ package detector
 import (
 	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/stealthy-peers/pdnsec/internal/corpus"
+	"github.com/stealthy-peers/pdnsec/internal/fanout"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
 )
@@ -38,33 +37,21 @@ func ParallelPipeline(ctx context.Context, c *corpus.Corpus, profiles []provider
 	return Reduce(c, siteOut, appOut), nil
 }
 
-// scanAll runs scan(i) for every i in [0, n) and returns the results
-// in index order. Each goroutine takes the next index from one shared
-// counter and writes only its own slot, so no locking is needed and
-// scheduling cannot reorder the output. Workers stop taking indices
-// once ctx is done, and scanAll then returns ctx's error. The pass is
-// one detector_scan span on the context's tracer.
+// scanAll runs scan(i) for every i in [0, n) on a GOMAXPROCS-wide
+// fanout.Each and returns the results in index order: each scan writes
+// only its own slot, so no locking is needed and scheduling cannot
+// reorder the output. Workers stop taking indices once ctx is done,
+// and scanAll then returns ctx's error. The pass is one detector_scan
+// span on the context's tracer.
 func scanAll[R any](ctx context.Context, pass string, n int, scan func(int) R) ([]R, error) {
 	span := obs.FromContext(ctx).Begin("detector_scan", obs.A("pass", pass), obs.A("items", n))
 	defer span.End()
 	out := make([]R, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = scan(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	err := fanout.Each(ctx, runtime.GOMAXPROCS(0), n, func(i int) error {
+		out[i] = scan(i)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

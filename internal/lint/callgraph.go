@@ -77,9 +77,6 @@ type CallGraph struct {
 // NodeFor returns the node of a declared function, or nil.
 func (g *CallGraph) NodeFor(obj *types.Func) *FuncNode { return g.byObj[obj] }
 
-// LitNode returns the node of a function literal, or nil.
-func (g *CallGraph) LitNode(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
-
 // cgBuilder carries the intermediate state of one construction.
 type cgBuilder struct {
 	graph *CallGraph

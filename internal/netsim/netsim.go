@@ -497,17 +497,3 @@ func (h *Host) Dialer() func(ctx context.Context, network, address string) (net.
 		return h.Dial(ctx, ap)
 	}
 }
-
-// HTTPClient returns an *http.Client whose transport dials over the
-// simulated network from this host.
-func (h *Host) HTTPClient() *HTTPClientShim { return &HTTPClientShim{host: h} }
-
-// HTTPClientShim is a tiny indirection so that packages needing an
-// http.Client construct it themselves from Dialer(); keeping net/http out
-// of netsim's API avoids an import cycle with capture helpers.
-type HTTPClientShim struct{ host *Host }
-
-// DialContext implements the single method http.Transport needs.
-func (s *HTTPClientShim) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
-	return s.host.Dialer()(ctx, network, address)
-}

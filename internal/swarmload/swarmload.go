@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
+	"github.com/stealthy-peers/pdnsec/internal/fanout"
 	"github.com/stealthy-peers/pdnsec/internal/federation"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
@@ -291,7 +292,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}()
 	cfg.Logf("swarmload: ramping %d virtual peers across %d swarms (servers=%d shards=%d)",
 		total, cfg.Swarms, cfg.Servers, cfg.Shards)
-	err = forEach(ctx, cfg.Workers, total, func(k int) error {
+	err = fanout.Each(ctx, cfg.Workers, total, func(k int) error {
 		i := order[k]
 		swarm := i % cfg.Swarms
 		host, err := tb.NewViewerHost(analyzer.ViewerCountry(i))
@@ -430,7 +431,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 	matches := newSampler(cfg.Seed+1, cfg.Sample)
-	err = forEach(ctx, cfg.Workers, len(survivors), func(k int) error {
+	err = fanout.Each(ctx, cfg.Workers, len(survivors), func(k int) error {
 		v := survivors[k]
 		start := clock()
 		infos, err := v.c.GetPeers(ctx, 8)
@@ -462,7 +463,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	var seq atomic.Int64
 	var sent atomic.Int64
 	for round := 0; round < cfg.Rounds; round++ {
-		err = forEach(ctx, cfg.Workers, len(survivors), func(k int) error {
+		err = fanout.Each(ctx, cfg.Workers, len(survivors), func(k int) error {
 			v := survivors[k]
 			v.mu.Lock()
 			targets := v.matches
@@ -591,62 +592,6 @@ func closePeers(peers []*vpeer) {
 			v.c.Close()
 		}
 	}
-}
-
-// forEach runs fn(0..n-1) over a bounded worker pool, stopping at the
-// first error or context cancellation.
-func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Workers drain the feed even after a failure (skipping the
-			// work) so the feeder can never block on a dead pool.
-			for i := range idx {
-				errMu.Lock()
-				failed := firstErr != nil
-				errMu.Unlock()
-				if failed {
-					continue
-				}
-				if err := fn(i); err != nil {
-					fail(err)
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		errMu.Lock()
-		failed := firstErr != nil
-		errMu.Unlock()
-		if failed {
-			break
-		}
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	return firstErr
 }
 
 // waitUntil polls cond (5ms cadence on the injected clock's timeline)
