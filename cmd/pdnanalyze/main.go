@@ -55,22 +55,29 @@ func run() int {
 		}
 	}
 
-	for _, p := range profiles {
-		fmt.Printf("=== %s ===\n", p.Name)
-		var verdicts []pdnsec.Verdict
-		var err error
-		if *risk != "" {
-			var v pdnsec.Verdict
-			v, err = pdnsec.AnalyzeRisk(ctx, p, *risk)
-			verdicts = []pdnsec.Verdict{v}
-		} else {
-			verdicts, err = pdnsec.AnalyzeProvider(ctx, p)
-		}
+	// The full battery is one matrix, its rows run concurrently; a single
+	// risk is one cell per profile.
+	var rows [][]pdnsec.Verdict
+	if *risk == "" {
+		m, err := pdnsec.AnalyzeMatrix(ctx, profiles)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "analyze %s: %v\n", p.Name, err)
+			fmt.Fprintf(os.Stderr, "analyze: %v\n", err)
 			return 1
 		}
-		for _, v := range verdicts {
+		rows = m
+	} else {
+		for _, p := range profiles {
+			v, err := pdnsec.AnalyzeRisk(ctx, p, *risk)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "analyze %s: %v\n", p.Name, err)
+				return 1
+			}
+			rows = append(rows, []pdnsec.Verdict{v})
+		}
+	}
+	for i, row := range rows {
+		fmt.Printf("=== %s ===\n", profiles[i].Name)
+		for _, v := range row {
 			fmt.Printf("  %-22s %-11s %s\n", v.Risk, strings.ToUpper(v.Status()), v.Detail)
 		}
 	}

@@ -120,16 +120,17 @@ func RunAll(ctx context.Context, prof provider.Profile) ([]Verdict, error) {
 	return out, nil
 }
 
-// Matrix is the battery run against every profile: one row per profile,
-// each row RunAll's verdicts in AllRisks order.
+// Matrix is the battery run against a list of profiles: one row per
+// profile, in the list's order, each row RunAll's verdicts in AllRisks
+// order.
 type Matrix [][]Verdict
 
-// BuildMatrix runs the battery against every profile. Rows run
+// BuildMatrix runs the battery against profiles; over
+// provider.AllProfiles it is the committed defense matrix. Rows run
 // concurrently, each cell on its own simulated network; the error
 // covers harness failures only — attack outcomes, including expected
 // failures, land in the verdicts.
-func BuildMatrix(ctx context.Context) (Matrix, error) {
-	profiles := provider.AllProfiles()
+func BuildMatrix(ctx context.Context, profiles []provider.Profile) (Matrix, error) {
 	m := make(Matrix, len(profiles))
 	errs := make([]error, len(profiles))
 	var wg sync.WaitGroup

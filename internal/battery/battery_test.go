@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/golden"
+	"github.com/stealthy-peers/pdnsec/internal/provider"
 )
 
 // TestDefenseMatrix is the battery's one golden: every risk against
@@ -19,7 +20,7 @@ func TestDefenseMatrix(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Minute)
 	defer cancel()
 
-	m, err := BuildMatrix(ctx)
+	m, err := BuildMatrix(ctx, provider.AllProfiles())
 	if err != nil {
 		t.Fatalf("seed=%d: BuildMatrix: %v", Seed, err)
 	}

@@ -217,21 +217,25 @@ func (c *IMChecker) SIM(key media.SegmentKey) (hash, sig string, ok bool) {
 	return hashes[0], sig, true
 }
 
-// MaxSIMWindow caps how many hashes one SIMWindow answer signs, whatever
-// the request asks for: the reply stays a few kilobytes.
-const MaxSIMWindow = 64
+// onDemandSIMs bounds how many keys an authority establishes on demand
+// for one answer: a cold run waits for at most this many origin reads
+// and hashes before it is signed. Past them the run goes on only over
+// keys already established, up to signal.MaxSIMWindow.
+const onDemandSIMs = 16
 
 // SIMWindow returns the run of established hashes that begins at key —
 // key's own, then those of the segments after it — capped at count (at
-// least 1) and MaxSIMWindow, under one signature (media.SignSIMWindow)
-// made as it is answered. A panel's run stops at the first key its
-// reports have not established yet; an authority first establishes
-// every key of the run it originates and stops at the first one its
-// origin refuses. A short run is a complete answer: the caller asks
-// again from the first key it lacks. Signing is deterministic, so
-// concurrent askers of one run get the same SIM.
+// least 1) and signal.MaxSIMWindow, under one signature
+// (media.SignSIMWindow) made as it is answered. A panel's run stops at
+// the first key its reports have not established yet. An authority
+// first establishes up to onDemandSIMs missing keys of the run it
+// originates, stopping at the first one its origin refuses, and past
+// those stops at the first key not yet established. A short run is a
+// complete answer: the caller asks again from the first key it lacks.
+// Signing is deterministic, so concurrent askers of one run get the
+// same SIM.
 func (c *IMChecker) SIMWindow(key media.SegmentKey, count int) (hashes []string, sig string, ok bool) {
-	hashes = c.run(key, min(max(count, 1), MaxSIMWindow))
+	hashes = c.run(key, min(max(count, 1), signal.MaxSIMWindow))
 	if len(hashes) == 0 {
 		return nil, "", false
 	}
@@ -240,16 +244,18 @@ func (c *IMChecker) SIMWindow(key media.SegmentKey, count int) (hashes []string,
 
 // run returns the established hashes of up to count segments from key
 // on, stopping at the first one not established. An authority
-// establishes a missing key first with one origin read and one hash,
-// both outside mu; concurrent first askers may each hash it, and find
-// the same ground truth.
+// establishes each missing key on the way, up to onDemandSIMs of them,
+// with one origin read and one hash, both outside mu; concurrent first
+// askers may each hash a key, and find the same ground truth.
 func (c *IMChecker) run(key media.SegmentKey, count int) []string {
 	hashes := make([]string, 0, count)
+	fresh := 0
 	for ; len(hashes) < count; key.Index++ {
 		c.mu.Lock()
 		hash, found := c.established[key]
 		c.mu.Unlock()
-		if !found && c.authority {
+		if !found && c.authority && fresh < onDemandSIMs {
+			fresh++
 			data, err := c.cfg.FetchCDN(key)
 			if err != nil {
 				break

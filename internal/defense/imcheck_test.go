@@ -12,6 +12,7 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/defense"
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/secure"
+	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
 func testKey(i int) media.SegmentKey {
@@ -296,13 +297,14 @@ func TestSIMWindowConcurrentAskersAgree(t *testing.T) {
 	}
 }
 
-// TestSIMWindowReadsEachKeyOnce: an authority establishes the whole
-// window it is asked for, reading each key from its origin once however
-// the windows that cover it overlap, and no further than the cap or the
+// TestSIMWindowReadsEachKeyOnce: an authority establishes up to 16 keys
+// of the window it is asked for on demand, reading each key from its
+// origin once however the windows that cover it overlap, and carries the
+// run on over keys already established, no further than the cap or the
 // end of the video. Every answer verifies as the run it is, and a run of
 // one as its segment's SIM.
 func TestSIMWindowReadsEachKeyOnce(t *testing.T) {
-	const limit = defense.MaxSIMWindow
+	const limit = signal.MaxSIMWindow
 	v := &media.Video{ID: "bbb", Renditions: vid().Renditions, Segments: limit + 8, SegmentDuration: 10}
 	var mu sync.Mutex
 	reads := make(map[media.SegmentKey]int)
@@ -332,9 +334,11 @@ func TestSIMWindowReadsEachKeyOnce(t *testing.T) {
 		start, count, want int
 		readEnd            int // keys 0..readEnd-1 have each been read once
 	}{
-		{0, 16, 16, 16},                    // a cold window: every key of it read
+		{0, 1 << 30, 16, 16},               // a cold window: 16 keys read and hashed before the reply, no more
 		{8, 16, 16, 24},                    // overlapping: only 16..23 are new
 		{4, 1, 1, 24},                      // inside what is established: no read
+		{0, 1 << 30, 40, 40},               // 0..23 established, 16 more on demand
+		{0, 1 << 30, 56, 56},               // and 16 more
 		{0, 1 << 30, limit, limit},         // the cap: key limit is not read
 		{limit - 4, 16, 12, limit + 8 + 1}, // the end of the video: key limit+8 is asked once and refused
 	} {
@@ -360,8 +364,8 @@ func TestSIMWindowReadsEachKeyOnce(t *testing.T) {
 // TestSIMWindow pins what a window answer covers, from either trust
 // source: the contiguous run of established hashes from the asked key —
 // a panel's as reports established them, an authority's established on
-// demand to the end of what it originates — under one signature that
-// binds the start key and the list.
+// demand, 16 keys at most, to the end of what it originates — under one
+// signature that binds the start key and the list.
 func TestSIMWindow(t *testing.T) {
 	for _, src := range trustSources {
 		t.Run(src.name, func(t *testing.T) {
@@ -434,14 +438,22 @@ func TestSIMWindow(t *testing.T) {
 				}
 			}
 
-			// The server-side cap holds whatever is asked for.
-			long := &media.Video{ID: "bbb", Renditions: v.Renditions, Segments: 2 * defense.MaxSIMWindow, SegmentDuration: 10}
+			// The server-side cap holds whatever is asked for. Cold, a panel
+			// has nothing to answer and an authority establishes 16 keys.
+			long := &media.Video{ID: "bbb", Renditions: v.Renditions, Segments: 2 * signal.MaxSIMWindow, SegmentDuration: 10}
 			lc := src.build(t, long)
+			cold := 16
+			if src.reporters > 0 {
+				cold = 0
+			}
+			if hashes, _, _ := lc.SIMWindow(testKey(0), 1<<30); len(hashes) != cold {
+				t.Fatalf("cold window of %d hashes for an unbounded ask, want %d", len(hashes), cold)
+			}
 			for i := 0; i < long.Segments; i++ {
 				establish(t, lc, src.reporters, testKey(i), authentic(t, long, testKey(i)))
 			}
-			if hashes, _, ok := lc.SIMWindow(testKey(0), 1<<30); !ok || len(hashes) != defense.MaxSIMWindow {
-				t.Fatalf("window of %d hashes for an unbounded ask, want the cap %d", len(hashes), defense.MaxSIMWindow)
+			if hashes, _, ok := lc.SIMWindow(testKey(0), 1<<30); !ok || len(hashes) != signal.MaxSIMWindow {
+				t.Fatalf("window of %d hashes for an unbounded ask, want the cap %d", len(hashes), signal.MaxSIMWindow)
 			}
 		})
 	}

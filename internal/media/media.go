@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"strconv"
 )
 
@@ -198,14 +199,46 @@ func Hash(data []byte) string {
 // IMHash computes the integrity metadata for a segment: the hash of the
 // tuple (content, video identifier, rendition, position), as §V-B
 // specifies — binding position and identity defeats cross-segment and
-// cross-video replay of a recorded (segment, SIM) pair.
+// cross-video replay of a recorded (segment, SIM) pair. It is the
+// lowercase hex of IMDigest's sum.
 func IMHash(key SegmentKey, data []byte) string {
-	h := sha256.New()
-	h.Write(data)
-	h.Write([]byte{0})
-	h.Write([]byte(key.String()))
-	return hex.EncodeToString(h.Sum(nil))
+	var d IMDigest
+	d.Sum(key, data)
+	return d.String()
 }
+
+// IMDigest computes IMHash's digest in state it keeps: the SHA-256, the
+// bytes hashed after the payload, and the sum in hex. A caller that
+// checks one segment after another through the same IMDigest allocates
+// nothing per segment, whatever the compiler's escape analysis: every
+// buffer handed to the hash is one of the digest's own. The zero value
+// is ready to use; an IMDigest is not safe for concurrent use.
+type IMDigest struct {
+	h    hash.Hash
+	tail []byte // a 0 byte, then the key as SegmentKey.String spells it
+	sum  [sha256.Size]byte
+	hex  [2 * sha256.Size]byte
+}
+
+// Sum computes the integrity metadata of data as the segment key.
+func (d *IMDigest) Sum(key SegmentKey, data []byte) {
+	if d.h == nil {
+		d.h = sha256.New()
+	}
+	d.h.Reset()
+	d.h.Write(data)
+	d.tail = key.AppendTo(append(d.tail[:0], 0))
+	d.h.Write(d.tail)
+	hex.Encode(d.hex[:], d.h.Sum(d.sum[:0]))
+}
+
+// Matches reports whether want is the last Sum as IMHash returns it:
+// the same lowercase hex, so a hash of another length or case does not
+// match.
+func (d *IMDigest) Matches(want string) bool { return string(d.hex[:]) == want }
+
+// String returns the last Sum as IMHash returns it.
+func (d *IMDigest) String() string { return string(d.hex[:]) }
 
 // simTag opens every signed SIM message: a domain tag, so no signature
 // the provider's key makes for anything else verifies as a SIM.
@@ -264,4 +297,10 @@ type SegmentKey struct {
 // String formats the key as video/rendition/index.
 func (k SegmentKey) String() string {
 	return k.Video + "/" + k.Rendition + "/" + strconv.Itoa(k.Index)
+}
+
+// AppendTo appends k.String() to b.
+func (k SegmentKey) AppendTo(b []byte) []byte {
+	b = append(append(append(append(b, k.Video...), '/'), k.Rendition...), '/')
+	return strconv.AppendInt(b, int64(k.Index), 10)
 }

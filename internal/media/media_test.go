@@ -163,6 +163,103 @@ func TestSegmentKeyString(t *testing.T) {
 	if k.String() != "v/720p/7" {
 		t.Fatalf("got %q", k.String())
 	}
+	for _, k := range []SegmentKey{k, {Video: "", Rendition: "a/b", Index: -12}, {Video: "v", Index: 1 << 30}} {
+		if got := string(k.AppendTo([]byte("x"))); got != "x"+k.String() {
+			t.Errorf("AppendTo = %q, want %q", got, "x"+k.String())
+		}
+	}
+}
+
+// TestIMDigestAgreesWithIMHash: comparing a want string with the
+// digest's hex in place says exactly what comparing it with IMHash's
+// string says, for the genuine segment and for every way a copy or a
+// want can differ from it, and one digest reused across the rows
+// carries nothing from one sum into the next.
+func TestIMDigestAgreesWithIMHash(t *testing.T) {
+	v := &Video{ID: "bbb", Renditions: []Rendition{{Name: "360p", SegmentBytes: 4096}, {Name: "720p", SegmentBytes: 4096}}, Segments: 8, SegmentDuration: 10}
+	segment := func(k SegmentKey) []byte {
+		data, err := v.SegmentData(k.Rendition, k.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	key := SegmentKey{Video: "bbb", Rendition: "360p", Index: 3}
+	next := SegmentKey{Video: "bbb", Rendition: "360p", Index: 4}
+	other := SegmentKey{Video: "bbb", Rendition: "720p", Index: 3}
+	data := segment(key)
+	want := IMHash(key, data)
+	flip := func(i int) []byte {
+		c := bytes.Clone(data)
+		c[i] ^= 1
+		return c
+	}
+	var reused IMDigest
+	for _, tc := range []struct {
+		name  string
+		key   SegmentKey
+		data  []byte
+		want  string
+		match bool
+	}{
+		{"genuine", key, data, want, true},
+		{"first byte flipped", key, flip(0), want, false},
+		{"middle byte flipped", key, flip(len(data) / 2), want, false},
+		{"last byte flipped", key, flip(len(data) - 1), want, false},
+		{"checked as the neighbouring index", next, data, want, false},
+		{"the neighbouring segment's bytes", key, segment(next), want, false},
+		{"checked as another rendition", other, data, want, false},
+		{"another rendition's bytes", key, segment(other), want, false},
+		{"want one short", key, data, want[:len(want)-1], false},
+		{"want one long", key, data, want + "0", false},
+		{"want empty", key, data, "", false},
+		{"want in upper case", key, data, strings.ToUpper(want), false},
+		{"want as raw bytes", key, data, want[:sha256.Size], false},
+		{"genuine again", key, data, want, true},
+	} {
+		ref := IMHash(tc.key, tc.data)
+		if (ref == tc.want) != tc.match {
+			t.Fatalf("%s: IMHash = %q against want %q, expected match %v", tc.name, ref, tc.want, tc.match)
+		}
+		var fresh IMDigest
+		for _, d := range []*IMDigest{&fresh, &reused} {
+			d.Sum(tc.key, tc.data)
+			if got := d.Matches(tc.want); got != tc.match || d.String() != ref {
+				t.Errorf("%s: Matches = %v, String = %q; IMHash = %q, match %v", tc.name, got, d.String(), ref, tc.match)
+			}
+		}
+	}
+}
+
+// TestIMMatchAllocBudget: summing segment after segment into one
+// IMDigest and comparing each with its want allocates nothing once the
+// digest has summed its first, whatever the toolchain makes of
+// sha256.New: the digest keeps its state, the bytes hashed after the
+// payload and its hex.
+func TestIMMatchAllocBudget(t *testing.T) {
+	v := &Video{ID: "bbb", Renditions: []Rendition{{Name: "360p", SegmentBytes: 4096}}, Segments: 128, SegmentDuration: 10}
+	data := make([][]byte, v.Segments)
+	want := make([]string, v.Segments)
+	for i := range data {
+		var err error
+		if data[i], err = v.SegmentData("360p", i); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = IMHash(SegmentKey{Video: "bbb", Rendition: "360p", Index: i}, data[i])
+	}
+	var d IMDigest
+	d.Sum(SegmentKey{Video: "bbb", Rendition: "360p", Index: v.Segments - 1}, data[0]) // the longest key
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		d.Sum(SegmentKey{Video: "bbb", Rendition: "360p", Index: i}, data[i])
+		if !d.Matches(want[i]) {
+			t.Fatalf("segment %d does not match its own IMHash", i)
+		}
+		i = (i + 1) % len(data)
+	})
+	if allocs != 0 {
+		t.Errorf("summing and comparing a segment allocates %.1f times, want 0", allocs)
+	}
 }
 
 // TestSIMSignVerify pins the one signed-integrity-metadata format both

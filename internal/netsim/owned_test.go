@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -354,6 +355,34 @@ func TestOwnedHandBack(t *testing.T) {
 			}
 			if back := ca.Reclaim(0, len(first)); back != nil {
 				t.Error("a hand-back into a full slot was kept")
+			}
+		}},
+		{"header_never_displaces_body", func(t *testing.T, n *Network, ca, cb *Conn) {
+			// A segment is a frame header's small record, then the body's
+			// large one: in either order both are parked, and a third
+			// header-sized hand-back displaces neither.
+			for _, order := range [][]int{{100, 900}, {900, 100}, {100, 900, 120}} {
+				sent := make([][]byte, len(order))
+				for i, size := range order {
+					sent[i] = make([]byte, size)
+					ca.WriteOwned(sent[i])
+				}
+				for _, b := range sent {
+					got, err := cb.ReadExact(len(b))
+					if err != nil {
+						t.Fatal(err)
+					}
+					cb.HandBack(got)
+				}
+				if back := ca.Reclaim(900, 1800); back == nil || !sameBuffer(back, sent[slices.Index(order, 900)]) {
+					t.Fatalf("order %v: the body's buffer was not kept", order)
+				}
+				if back := ca.Reclaim(100, 200); back == nil || !sameBuffer(back, sent[slices.Index(order, 100)]) {
+					t.Fatalf("order %v: the header's buffer was not kept beside it", order)
+				}
+				if back := ca.Reclaim(0, 1<<30); back != nil {
+					t.Fatalf("order %v: a third buffer was parked", order)
+				}
 			}
 		}},
 		{"reclaim_leaves_a_misfit_parked", func(t *testing.T, n *Network, ca, cb *Conn) {

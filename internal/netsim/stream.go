@@ -221,11 +221,14 @@ type Conn struct {
 	// lent is the chunk ReadExact last handed over as delivered, until
 	// HandBack returns it; only the reader touches it.
 	lent []byte
-	// back is the one slot for a buffer the peer's reader handed back
-	// to this side's writer: the writer's own buffer, read and done
-	// with, like a socket send buffer freed once the peer has read it.
+	// big and small park the buffers the peer's reader handed back to
+	// this side's writer: the writer's own, read and done with, like a
+	// socket send buffer freed once the peer has read it. big is the
+	// larger and small, when big is held too, a smaller one, so a frame
+	// header's record never displaces a segment body's.
 	backMu sync.Mutex
-	back   []byte
+	big    []byte
+	small  []byte
 
 	readDL  deadline
 	writeDL deadline
@@ -314,10 +317,12 @@ func (c *Conn) ReadExact(n int) ([]byte, error) {
 
 // HandBack returns b, the chunk the last ReadExact handed over as
 // delivered, to the writer that sent it, once the reader is done with
-// it: the writer's next Reclaim may build its next write in it. Any
-// other buffer — a gathered read, a shared chunk's copy, a chunk already
-// handed back — is left to the GC, and so is b when the writer's one
-// slot is still full.
+// it: the writer's next Reclaim may build its next write in it. The
+// writer parks at most two such buffers, the largest handed back and
+// one smaller: b displaces a smaller big buffer (which becomes the small
+// one), fills an empty slot below a bigger one, and is otherwise left to
+// the GC, as is any other buffer — a gathered read, a shared chunk's
+// copy, a chunk already handed back.
 func (c *Conn) HandBack(b []byte) {
 	if len(b) == 0 || len(c.lent) == 0 || &b[0] != &c.lent[0] {
 		return
@@ -325,25 +330,34 @@ func (c *Conn) HandBack(b []byte) {
 	b, c.lent = c.lent, nil
 	w := c.peer
 	w.backMu.Lock()
-	if w.back == nil {
-		w.back = b
+	switch {
+	case w.big == nil:
+		w.big = b
+	case cap(b) > cap(w.big):
+		w.big, w.small = b, w.big
+	case cap(b) < cap(w.big) && w.small == nil:
+		w.small = b
 	}
 	w.backMu.Unlock()
 }
 
-// Reclaim takes back, at its full capacity, the buffer the peer's
-// reader handed back to this side, when that capacity is within [min,
-// max]; a buffer outside those bounds stays parked for a later call. It
-// returns nil when there is none to take.
+// Reclaim takes back, at its full capacity, a buffer the peer's reader
+// handed back to this side whose capacity is within [min, max]; a
+// buffer outside those bounds stays parked for a later call. It returns
+// nil when there is none to take.
 func (c *Conn) Reclaim(min, max int) []byte {
 	c.backMu.Lock()
 	defer c.backMu.Unlock()
-	b := c.back
-	if b == nil || cap(b) < min || cap(b) > max {
-		return nil
+	for _, slot := range [...]*[]byte{&c.big, &c.small} {
+		if b := *slot; b != nil && cap(b) >= min && cap(b) <= max {
+			*slot = nil
+			if c.big == nil {
+				c.big, c.small = c.small, nil
+			}
+			return b[:cap(b)]
+		}
 	}
-	c.back = nil
-	return b[:cap(b)]
+	return nil
 }
 
 // nextChunk waits for the next chunk the peer delivered.

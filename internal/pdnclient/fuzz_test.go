@@ -73,26 +73,27 @@ func FuzzDecodeMsg(f *testing.F) {
 }
 
 // FuzzSIMReply hardens the one place a signaling server's word becomes
-// something the viewer trusts for sixteen segments: the body of a "sim"
-// reply is the server's to choose — or a man in the middle's — and
-// acceptSIM must survive any of it without panicking, cache nothing it
-// rejected, cache only a run for the asked key that the session's
-// manifest key signed as exactly that run, and afterwards answer lookups
-// inside that run and nowhere else. keyed false is a session whose
+// something the viewer trusts for up to signal.MaxSIMWindow segments:
+// the body of a "sim" reply is the server's to choose — or a man in the
+// middle's — and acceptSIM must survive any of it without panicking,
+// cache nothing it rejected, cache only a run for the asked key that the
+// session's manifest key signed as exactly that run, and afterwards
+// answer lookups inside that run and nowhere else. keyed false is a session whose
 // provider signs no manifests (a panel deployment): nothing to verify,
 // every other bound the same. The seeds include the retired single-SIM
 // forms — a bare "hash" with no window, and a signature over the old
-// "key|hash" message — which no session accepts.
+// "key|hash" message — which no session accepts, and a genuinely signed
+// window one hash past the cap, which none accepts either.
 func FuzzSIMReply(f *testing.F) {
 	priv := ed25519.NewKeyFromSeed(bytes.Repeat([]byte{7}, ed25519.SeedSize))
 	pub := priv.Public().(ed25519.PublicKey)
 	asked := media.SegmentKey{Video: "bbb", Rendition: "360p", Index: 7}
 	next := media.SegmentKey{Video: "bbb", Rendition: "360p", Index: 8}
-	hashes := make([]string, simWindow+1)
+	hashes := make([]string, signal.MaxSIMWindow+1)
 	for i := range hashes {
 		hashes[i] = media.Hash([]byte{byte(i)})
 	}
-	run := hashes[:simWindow]
+	run := hashes[:16]
 	keyHash := hex.EncodeToString(ed25519.Sign(priv, []byte(asked.String()+"|"+hashes[0])))
 	flipped := append([]string{hashes[0], hashes[5]}, run[2:]...)
 	type bareHash struct {
@@ -106,10 +107,12 @@ func FuzzSIMReply(f *testing.F) {
 		bareHash{signal.SIM{Key: asked, Found: true, Sig: keyHash}, hashes[0]},
 		signal.SIM{Key: asked},
 		signal.SIM{Key: asked, Found: true, Window: flipped, Sig: media.SignSIMWindow(priv, asked, run)},
-		signal.SIM{Key: asked, Found: true, Window: run[:simWindow-1], Sig: media.SignSIMWindow(priv, asked, run)},
+		signal.SIM{Key: asked, Found: true, Window: run[:len(run)-1], Sig: media.SignSIMWindow(priv, asked, run)},
 		signal.SIM{Key: asked, Found: true, Window: run, Sig: media.SignSIMWindow(priv, next, run)},
 		signal.SIM{Key: next, Found: true, Window: run, Sig: media.SignSIMWindow(priv, next, run)},
-		signal.SIM{Key: asked, Found: true, Window: hashes, Sig: media.SignSIMWindow(priv, asked, hashes)},
+		signal.SIM{Key: asked, Found: true, Window: hashes[:len(run)+1], Sig: media.SignSIMWindow(priv, asked, hashes[:len(run)+1])},
+		signal.SIM{Key: asked, Found: true, Window: hashes[:signal.MaxSIMWindow], Sig: media.SignSIMWindow(priv, asked, hashes[:signal.MaxSIMWindow])},
+		signal.SIM{Key: asked, Found: true, Window: hashes, Sig: media.SignSIMWindow(priv, asked, hashes)}, // past the cap: refused
 		bareHash{signal.SIM{Key: asked, Found: true, Sig: media.SignSIMWindow(priv, asked, hashes[:1])}, hashes[0]},
 		signal.SIM{Key: asked, Found: true, Window: hashes[:1], Sig: keyHash},
 		signal.SIM{Key: asked, Found: true, Window: []string{"", "not hex", "\x00"}, Sig: "zz"},
@@ -142,7 +145,7 @@ func FuzzSIMReply(f *testing.F) {
 			}
 			return
 		}
-		if !resp.Found || resp.Key != asked || start != asked || len(cached) == 0 || len(cached) > simWindow || hash != cached[0] {
+		if !resp.Found || resp.Key != asked || start != asked || len(cached) == 0 || len(cached) > signal.MaxSIMWindow || hash != cached[0] {
 			t.Fatalf("accepted %+v for %v: returned %q, cached %d hashes at %v", resp, asked, hash, len(cached), start)
 		}
 		if keyed && !media.VerifySIMWindow(pub, asked, cached, resp.Sig) {

@@ -8,21 +8,12 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
-// simWindow is how many consecutive segments' SIMs one GetSIM asks for.
-// An authority establishes the whole window it is asked for, so one
-// signature check and one signaling round trip cover that many segments,
-// for the first peer to play them as for every later one; a panel
-// answers with what reports have established so far. The session's
-// first request sits on the start-up path, and a cold authority hashes
-// every segment of the window before it answers, so a wider window
-// lengthens it: which is why this is not larger.
-const simWindow = 16
-
-// imHash computes a segment's integrity-metadata hash. Every hash the
-// peer computes goes through here, so the meter is charged once each.
-func (p *Peer) imHash(key media.SegmentKey, data []byte) string {
+// sumIM sums a segment's integrity-metadata hash into p.im. Every hash
+// the peer computes goes through here, so the meter is charged once
+// each. Only the playback loop's goroutine calls it.
+func (p *Peer) sumIM(key media.SegmentKey, data []byte) {
 	p.cfg.Meter.OnHash(len(data))
-	return media.IMHash(key, data)
+	p.im.Sum(key, data)
 }
 
 // simCache is the verified run of SIM hashes a session last fetched:
@@ -64,7 +55,7 @@ func (s *session) acceptSIM(asked media.SegmentKey, resp signal.SIM) (hash, reas
 	switch {
 	case !resp.Found:
 		return "", "no_sim"
-	case resp.Key != asked || len(hashes) == 0 || len(hashes) > simWindow:
+	case resp.Key != asked || len(hashes) == 0 || len(hashes) > signal.MaxSIMWindow:
 		return "", "bad_sim_reply"
 	case s.manifestKey != nil && !media.VerifySIMWindow(s.manifestKey, asked, hashes, resp.Sig):
 		return "", "bad_sim_signature"
@@ -74,9 +65,11 @@ func (s *session) acceptSIM(asked media.SegmentKey, resp signal.SIM) (hash, reas
 }
 
 // sim returns the verified SIM hash for key: from the session's cached
-// run, else by fetching the run that begins at key. A run shorter than
-// asked for is what a panel that has established no further yet sends;
-// the first key past it simply asks again.
+// run, else by fetching the run of up to signal.MaxSIMWindow hashes that
+// begins at key. A run shorter than asked for is what a panel that has
+// established no further yet sends, or an authority that establishes
+// only so many keys on demand; the first key past it simply asks again,
+// for a window as wide.
 func (p *Peer) sim(ctx context.Context, s *session, key media.SegmentKey) (hash, reason string) {
 	if hash, ok := s.sims.lookup(key); ok {
 		return hash, ""
@@ -85,7 +78,7 @@ func (p *Peer) sim(ctx context.Context, s *session, key media.SegmentKey) (hash,
 		return "", "no_sim"
 	}
 	p.metrics.simFetches.Inc()
-	resp, err := s.sig.GetSIM(ctx, signal.GetSIM{Key: key, Count: simWindow})
+	resp, err := s.sig.GetSIM(ctx, signal.GetSIM{Key: key, Count: signal.MaxSIMWindow})
 	if err != nil {
 		return "", "no_sim"
 	}
@@ -94,21 +87,24 @@ func (p *Peer) sim(ctx context.Context, s *session, key media.SegmentKey) (hash,
 
 // verifySegment runs the integrity checks the segment's source and the
 // session's policy call for. It returns "" when the segment passes them
-// (or none applies), otherwise why it was rejected; and the segment's IM
-// hash when a check computed it, "" when none had to.
+// (or none applies), otherwise why it was rejected; and whether a check
+// summed the segment's IM hash into p.im. Only the playback loop's
+// goroutine calls it.
 //
 // A P2P segment is checked against the server-signed integrity metadata
 // when the policy requires IM checking, then against the CDN-served hash
 // list when VerifyHashManifest loaded one; a CDN segment against the SIM
 // when the provider signs manifests. A segment with no SIM established
 // yet is rejected, forcing the CDN fallback whose IM report establishes
-// it. Every segment is hashed and compared, however its SIM was come by.
-func (p *Peer) verifySegment(ctx context.Context, s *session, key media.SegmentKey, data []byte, source string) (reason, hash string) {
-	imHash := func() string {
-		if hash == "" {
-			hash = p.imHash(key, data)
+// it. Every segment is hashed and compared, however its SIM was come by;
+// the comparisons read the digest's hex in place and allocate nothing.
+func (p *Peer) verifySegment(ctx context.Context, s *session, key media.SegmentKey, data []byte, source string) (reason string, summed bool) {
+	digest := func() *media.IMDigest {
+		if !summed {
+			p.sumIM(key, data)
+			summed = true
 		}
-		return hash
+		return &p.im
 	}
 	checkSIM := s.policy.RequireIMChecking
 	if source == SourceCDN {
@@ -117,10 +113,10 @@ func (p *Peer) verifySegment(ctx context.Context, s *session, key media.SegmentK
 	if checkSIM && !p.cfg.InsecureNoVerify {
 		want, reason := p.sim(ctx, s, key)
 		if reason != "" {
-			return reason, hash
+			return reason, summed
 		}
-		if imHash() != want {
-			return "sim_mismatch", hash
+		if !digest().Matches(want) {
+			return "sim_mismatch", summed
 		}
 	}
 	if source == SourceP2P && p.cfg.VerifyHashManifest {
@@ -128,9 +124,12 @@ func (p *Peer) verifySegment(ctx context.Context, s *session, key media.SegmentK
 		hashes := p.hashManifest
 		p.mu.Unlock()
 		// No list: the CDN serves none (a live asset, an older CDN).
-		if want, listed := hashes[key.String()]; hashes != nil && (!listed || imHash() != want) {
-			return "hash_list_mismatch", hash
+		if hashes != nil {
+			p.imKey = key.AppendTo(p.imKey[:0])
+			if want, listed := hashes[string(p.imKey)]; !listed || !digest().Matches(want) {
+				return "hash_list_mismatch", summed
+			}
 		}
 	}
-	return "", hash
+	return "", summed
 }

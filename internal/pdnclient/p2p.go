@@ -214,12 +214,18 @@ func (nb *neighbor) evict(reason string) {
 	nb.close()
 }
 
-// readLoop serves inbound requests and routes responses.
+// readLoop serves inbound requests and routes responses. A frame
+// header is opened into the buffer the last one was read into, so the
+// sender gets the header's record buffer back as it gets a body's:
+// decodeMsg keeps no byte of the frame.
 func (nb *neighbor) readLoop() {
 	defer nb.evict("conn_broken")
-	var prev p2pMsg
+	var (
+		prev p2pMsg
+		last []byte
+	)
 	for {
-		frame, err := nb.conn.RecvInto(nil)
+		frame, err := nb.conn.RecvInto(last)
 		if err != nil {
 			return
 		}
@@ -229,7 +235,7 @@ func (nb *neighbor) readLoop() {
 		if err != nil {
 			continue
 		}
-		prev = hdr
+		prev, last = hdr, frame[:0]
 		switch hdr.Op {
 		case opWant:
 			nb.serve(hdr.Key, hdr.Trace)

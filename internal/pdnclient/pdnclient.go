@@ -253,8 +253,12 @@ type Peer struct {
 	// run names the exact trace to inspect alongside the replay seed.
 	lastStallTrace string
 	// nbOrder is the buffer shuffledNeighbors orders the neighbors in;
-	// only the playback loop's goroutine touches it.
+	// im is the digest every segment's IM hash is summed into, and imKey
+	// the buffer a hash-list key is spelled in. Only the playback loop's
+	// goroutine touches them.
 	nbOrder []*neighbor
+	im      media.IMDigest
+	imKey   []byte
 
 	closed chan struct{}
 	// admitted is closed once the first join has published its session.
@@ -862,7 +866,7 @@ func (p *Peer) fetchSegment(ctx context.Context, key media.SegmentKey) ([]byte, 
 	if err != nil {
 		return nil, "", err
 	}
-	reason, hash := p.verifySegment(ctx, s, key, data, SourceCDN)
+	reason, summed := p.verifySegment(ctx, s, key, data, SourceCDN)
 	if reason != "" {
 		// The CDN path is verified too when the provider signs manifests:
 		// a hijacked or spoofed CDN origin must not get bytes into the
@@ -875,10 +879,10 @@ func (p *Peer) fetchSegment(ctx context.Context, key media.SegmentKey) ([]byte, 
 		// The client half of the §V-B peer-assisted IM defense: a peer
 		// reports only segments it downloaded directly from the CDN. The
 		// hash is the one verification made, when it made one.
-		if hash == "" {
-			hash = p.imHash(key, data)
+		if !summed {
+			p.sumIM(key, data)
 		}
-		s.sig.ReportIM(signal.IMReport{Key: key, Hash: hash})
+		s.sig.ReportIM(signal.IMReport{Key: key, Hash: p.im.String()})
 	}
 	return data, SourceCDN, nil
 }

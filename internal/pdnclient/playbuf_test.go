@@ -104,7 +104,7 @@ func TestPlainViewerPlaysFromOneBuffer(t *testing.T) {
 				t.Errorf("a plain viewer cached segments %v", cached)
 			}
 			limit := 0.1
-			if raceEnabled {
+			if RaceEnabled {
 				limit = 0.5 // net/http's pooled buffers are dropped at random under -race
 			}
 			played := float64((playBufSegments - 1) * playBufSegBytes)

@@ -2,5 +2,6 @@
 
 package pdnclient
 
-// raceEnabled reports whether the race detector is compiled in.
-const raceEnabled = false
+// RaceEnabled reports whether the race detector is compiled in; it is
+// exported for the external test package.
+const RaceEnabled = false

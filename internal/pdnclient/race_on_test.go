@@ -2,7 +2,8 @@
 
 package pdnclient
 
-// raceEnabled reports whether the race detector is compiled in. Under
-// it sync.Pool drops a share of what is put back, so net/http's pooled
-// copy and bufio buffers are allocated again at random.
-const raceEnabled = true
+// RaceEnabled reports whether the race detector is compiled in; it is
+// exported for the external test package. Under it sync.Pool drops a
+// share of what is put back, so net/http's pooled copy and bufio
+// buffers are allocated again at random.
+const RaceEnabled = true

@@ -297,7 +297,12 @@ func TestHostileSIMReplyIsRejected(t *testing.T) {
 			return window(b.im, next, req.Count)
 		}, "bad_sim_reply"},
 		{"over-long list", func(b *simBed, req signal.GetSIM) signal.SIM {
-			return window(b.im, req.Key, req.Count+1) // genuinely signed, all 17
+			// A genuine full window, and the true hash of the segment after it.
+			resp := window(b.im, req.Key, req.Count)
+			next := req.Key
+			next.Index += len(resp.Window)
+			resp.Window = append(resp.Window, media.IMHash(next, b.segment(next)))
+			return resp
 		}, "bad_sim_reply"},
 		{"window signature replayed as a single SIM", func(b *simBed, req signal.GetSIM) signal.SIM {
 			// A bare hash beside the signature: no Window to decode.
@@ -315,7 +320,7 @@ func TestHostileSIMReplyIsRejected(t *testing.T) {
 		}, "no_sim"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := newSIMBed(t, 24)
+			b := newSIMBed(t, 4+signal.MaxSIMWindow+1) // a full window at segment 4, and one more
 			srv := serveScriptedSignal(t, b.net.MustHost(netip.MustParseAddr("44.1.1.1")), b.policy(b.im),
 				func(n int, req signal.GetSIM) signal.SIM {
 					if n == 0 {
@@ -331,8 +336,8 @@ func TestHostileSIMReplyIsRejected(t *testing.T) {
 			if got := v.rejectReasons(t); len(got) != 1 || got[0] != tc.reason {
 				t.Fatalf("im_reject reasons %v, want [%s]", got, tc.reason)
 			}
-			want := window(b.im, b.key(4), simWindow)
-			if asks := srv.asks(); len(asks) != 2 || asks[0] != (signal.GetSIM{Key: b.key(4), Count: simWindow}) || asks[1] != asks[0] {
+			want := window(b.im, b.key(4), signal.MaxSIMWindow)
+			if asks := srv.asks(); len(asks) != 2 || asks[0] != (signal.GetSIM{Key: b.key(4), Count: signal.MaxSIMWindow}) || asks[1] != asks[0] {
 				t.Fatalf("get_sim requests %+v, want the same window asked twice: the rejected reply left nothing behind", asks)
 			}
 			if start, hashes := v.cached(); start != b.key(4) || !slices.Equal(hashes, want.Window) {
@@ -396,26 +401,27 @@ func TestSIMCacheDiesWithSession(t *testing.T) {
 	if asks := srv.asks(); len(asks) != 3 || asks[1].Key != b.key(5) || asks[2].Key != b.key(5) {
 		t.Fatalf("get_sim requests %+v, want segment 4 once, then segment 5 for the P2P copy and again for the CDN's", asks)
 	}
-	if start, hashes := v.cached(); start != b.key(5) || !slices.Equal(hashes, window(b.im, b.key(5), simWindow).Window) {
+	if start, hashes := v.cached(); start != b.key(5) || !slices.Equal(hashes, window(b.im, b.key(5), signal.MaxSIMWindow).Window) {
 		t.Fatalf("cached run at %v: %v; want the new authority's at segment 5", start, hashes)
 	}
 }
 
-// TestSIMWindowSpansSixteenSegments: one round trip and one signature
-// cover simWindow segments, and every one of them is still hashed and
-// compared — a polluted copy inside a verified window is refused all the
-// same, and the CDN copy that replaces it is hashed once for both its
-// check and its IM report. A service that answers with short runs (a
-// panel, which establishes SIMs as reports arrive) costs a round trip
-// per segment and is otherwise no different.
-func TestSIMWindowSpansSixteenSegments(t *testing.T) {
+// TestSIMWindowSpansManySegments: one round trip and one signature
+// cover up to signal.MaxSIMWindow segments — here all 40 — and every one
+// of them is still hashed and compared: a polluted copy inside a
+// verified window is refused all the same, and the CDN copy that
+// replaces it is hashed once for both its check and its IM report. A
+// service that answers with short runs (a panel, which establishes SIMs
+// as reports arrive) costs a round trip per segment and is otherwise no
+// different.
+func TestSIMWindowSpansManySegments(t *testing.T) {
 	const segments, polluted = 40, 21
 	for _, tc := range []struct {
 		name  string
 		reply func(b *simBed, req signal.GetSIM) signal.SIM
 		asks  int
 	}{
-		{"full windows", func(b *simBed, req signal.GetSIM) signal.SIM { return window(b.im, req.Key, req.Count) }, 3},
+		{"full windows", func(b *simBed, req signal.GetSIM) signal.SIM { return window(b.im, req.Key, req.Count) }, 1},
 		{"runs of one", func(b *simBed, req signal.GetSIM) signal.SIM { return window(b.im, req.Key, 1) }, segments},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

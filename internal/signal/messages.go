@@ -255,11 +255,22 @@ type IMReport struct {
 
 // GetSIM requests the signed integrity metadata for a segment and up to
 // Count-1 following ones under one signature (SIM.Window). A Count below
-// 1 asks for the segment alone.
+// 1 asks for the segment alone, and one above MaxSIMWindow for
+// MaxSIMWindow.
 type GetSIM struct {
 	Key   media.SegmentKey `json:"key"`
 	Count int              `json:"count,omitempty"`
 }
+
+// MaxSIMWindow is the protocol's cap on one SIM answer, read by both
+// sides: the service signs at most this many hashes into one reply,
+// whatever Count asks for, so a reply stays a few kilobytes; a client
+// asks for exactly this many and refuses a reply that lists more. A
+// viewer behind warm seeders thus makes one GetSIM round trip per
+// MaxSIMWindow segments. What a cold start-up waits for is not this
+// cap but the authority's own, smaller bound on the keys it establishes
+// on demand for one answer (16 hashes).
+const MaxSIMWindow = 64
 
 // BadKeyReport names a static key whose possession proof failed in a
 // handshake with the reporting peer. The server counts distinct

@@ -17,8 +17,9 @@
 //
 //   - NewTestbed deploys a provider profile and lets you place viewers,
 //     attackers, and monitors on it (see examples/quickstart);
-//   - AnalyzeProvider runs the paper's full security-test battery
-//     against one provider (Table V);
+//   - AnalyzeMatrix runs the paper's full security-test battery
+//     against a list of providers, AnalyzeProvider against one
+//     (Table V);
 //   - Reproduce regenerates every table and figure in the evaluation
 //     and writes a report (cmd/experiments uses it to produce
 //     EXPERIMENTS.md's measured numbers).
@@ -80,6 +81,17 @@ var AllRisks = battery.AllRisks
 // row of docs/defense_matrix.md; Table V reports six of its cells).
 func AnalyzeProvider(ctx context.Context, p Provider) ([]Verdict, error) {
 	return battery.RunAll(ctx, p)
+}
+
+// Matrix is the battery's verdicts over a list of providers: one row
+// per provider, each in AllRisks order.
+type Matrix = battery.Matrix
+
+// AnalyzeMatrix runs the full attack battery against every provider in
+// profiles, the rows concurrently; over AllProfiles it is
+// docs/defense_matrix.md. cmd/pdnanalyze prints it.
+func AnalyzeMatrix(ctx context.Context, profiles []Provider) (Matrix, error) {
+	return battery.BuildMatrix(ctx, profiles)
 }
 
 // AnalyzeRisk runs one named risk test against a provider.

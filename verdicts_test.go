@@ -13,21 +13,22 @@ import (
 )
 
 // TestAnalyzeVerdictTable checks the battery as cmd/pdnanalyze runs it —
-// every risk against every profile through the facade, one "profile
-// risk STATUS" line per cell — against the one verdict golden,
+// every risk against every profile through the facade's matrix, one
+// "profile risk STATUS" line per cell — against the one verdict golden,
 // docs/defense_matrix.md. Details are left out: they carry measured
 // counts.
 func TestAnalyzeVerdictTable(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
+	profiles := pdnsec.AllProfiles()
+	m, err := pdnsec.AnalyzeMatrix(ctx, profiles)
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
 	var got strings.Builder
-	for _, p := range pdnsec.AllProfiles() {
-		verdicts, err := pdnsec.AnalyzeProvider(ctx, p)
-		if err != nil {
-			t.Fatalf("analyze %s: %v", p.Name, err)
-		}
-		for _, v := range verdicts {
-			fmt.Fprintf(&got, "%s %s %s\n", p.Name, v.Risk, strings.ToUpper(v.Status()))
+	for i, row := range m {
+		for _, v := range row {
+			fmt.Fprintf(&got, "%s %s %s\n", profiles[i].Name, v.Risk, strings.ToUpper(v.Status()))
 		}
 	}
 	if d := golden.Diff(matrixVerdictLines(t), got.String()); d != "" {
