@@ -69,7 +69,12 @@ func RunPollutionPropagation(ctx context.Context, viewers int) (*PropagationResu
 	var mu sync.Mutex
 	affected := make([]bool, viewers)
 
-	var wg sync.WaitGroup
+	// A viewer is done once it has played every segment, or once its Run
+	// returns early. When every viewer is done the swarm has played out:
+	// a linger would serve nobody, so all of them end.
+	var wg, playedOut sync.WaitGroup
+	playedOut.Add(viewers)
+	peers := make([]*pdnclient.Peer, 0, viewers)
 	errs := make(chan error, viewers)
 	for i := 0; i < viewers; i++ {
 		host, err := tb.NewViewerHost(countries[i%len(countries)])
@@ -80,6 +85,9 @@ func RunPollutionPropagation(ctx context.Context, viewers int) (*PropagationResu
 		cfg.MaxSegments = video.Segments
 		cfg.Linger = 5 * time.Second // stay online to re-serve (and re-spread)
 		idx := i
+		plays := 0
+		var doneOnce sync.Once
+		done := func() { doneOnce.Do(playedOut.Done) }
 		cfg.OnSegment = func(key media.SegmentKey, data []byte, source string) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -90,18 +98,22 @@ func RunPollutionPropagation(ctx context.Context, viewers int) (*PropagationResu
 				res.PollutedPlays++
 				affected[idx] = true
 			}
+			if plays++; plays == video.Segments {
+				done()
+			}
 		}
 		peer, err := pdnclient.New(cfg)
 		if err != nil {
 			return nil, err
 		}
+		peers = append(peers, peer)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer done()
 			if _, err := peer.Run(ctx); err != nil {
 				errs <- err
 			}
-			peer.StopLinger()
 		}()
 		// Staggered arrivals, as a live audience joins.
 		select {
@@ -109,6 +121,10 @@ func RunPollutionPropagation(ctx context.Context, viewers int) (*PropagationResu
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+	}
+	playedOut.Wait()
+	for _, peer := range peers {
+		peer.StopLinger()
 	}
 	wg.Wait()
 	close(errs)

@@ -37,8 +37,8 @@ import (
 // into code outside the module pass taint through from receiver or
 // arguments to results, except results of error, bool, or numeric
 // type, which are declared identity-free. Packages that exist to
-// *measure* the leak (attack, capture, experiments, detector,
-// examples/*) are exempt as sinks — exposing addresses is their job.
+// *measure* the leak (attack, capture, experiments, detector) are
+// exempt as sinks — exposing addresses is their job.
 var Peertaint = &Analyzer{
 	Name:      "peertaint",
 	Doc:       "forbid peer-identifying values (addresses, geo records) from reaching logs, traces, metric labels, chaos events, or ad-hoc wire payloads without passing internal/privacy sanitizers",
@@ -600,7 +600,7 @@ func pkgBaseOfFunc(f *types.Func) string {
 // checkSinks walks a fully propagated function and reports tainted
 // values reaching declared sinks.
 func (st *ptState) checkSinks(node *FuncNode) {
-	if ptSinkExempt[pkgBase(node.Pkg)] || strings.Contains(node.Pkg.ImportPath, "/examples/") {
+	if ptSinkExempt[pkgBase(node.Pkg)] {
 		return
 	}
 	info := node.Pkg.Info

@@ -18,8 +18,8 @@
 //   - NewTestbed deploys a provider profile and lets you place viewers,
 //     attackers, and monitors on it (see examples/quickstart);
 //   - AnalyzeMatrix runs the paper's full security-test battery
-//     against a list of providers, AnalyzeProvider against one
-//     (Table V);
+//     against a list of providers, AnalyzeRisk one test against one
+//     (Table V; see ExampleAnalyzeMatrix);
 //   - Reproduce regenerates every table and figure in the evaluation
 //     and writes a report (cmd/experiments uses it to produce
 //     EXPERIMENTS.md's measured numbers).
@@ -76,12 +76,6 @@ type Verdict = battery.Verdict
 
 // Risk identifiers accepted by AnalyzeRisk.
 var AllRisks = battery.AllRisks
-
-// AnalyzeProvider runs the full attack battery against a provider (one
-// row of docs/defense_matrix.md; Table V reports six of its cells).
-func AnalyzeProvider(ctx context.Context, p Provider) ([]Verdict, error) {
-	return battery.RunAll(ctx, p)
-}
 
 // Matrix is the battery's verdicts over a list of providers: one row
 // per provider, each in AllRisks order.
