@@ -17,10 +17,8 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/defense"
 	"github.com/stealthy-peers/pdnsec/internal/detector"
 	"github.com/stealthy-peers/pdnsec/internal/media"
-	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/netsim"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
-	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
 // BenchmarkTableI_Detector times Table I's scan, the signature scan
@@ -41,51 +39,6 @@ func BenchmarkTableI_Detector(b *testing.B) {
 		confirmed = rep.ConfirmedSites["peer5"] + rep.ConfirmedSites["streamroot"] + rep.ConfirmedSites["viblast"]
 	}
 	b.ReportMetric(float64(confirmed), "confirmed-sites")
-}
-
-// BenchmarkAblationSlowStart varies the slow-start depth and measures
-// how many early polluted segments reach a victim when a malicious
-// seeder poisons the head of the stream: depth 0 lets the poison in,
-// the deployed depth (2) keeps it out. Kept until the count is a
-// report section.
-func BenchmarkAblationSlowStart(b *testing.B) {
-	for _, depth := range []int{0, 2} {
-		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
-			var polluted int
-			for i := 0; i < b.N; i++ {
-				n, err := pollutedHeadSegments(context.Background(), depth)
-				if err != nil {
-					b.Fatal(err)
-				}
-				polluted = n
-			}
-			b.ReportMetric(float64(polluted), "polluted-head-segments")
-		})
-	}
-}
-
-// pollutedHeadSegments runs a same-size pollution attack on segments
-// 0 and 1 with the given slow-start depth and reports how many reached
-// the victim.
-func pollutedHeadSegments(ctx context.Context, slowStart int) (int, error) {
-	video := analyzer.SmallVideo("bbb", 4, 16<<10)
-	pol := signal.DefaultPolicy()
-	pol.SlowStartSegments = slowStart
-	tb, err := analyzer.NewTestbed(ctx, analyzer.TestbedConfig{
-		Profile: provider.Peer5(),
-		Video:   video,
-		Options: provider.Options{Seed: 5, PolicyOverride: &pol},
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer tb.Close()
-
-	obs, err := tb.Pollution(ctx, mitm.SameSizePollution([]int{0, 1}))
-	if err != nil {
-		return 0, err
-	}
-	return len(obs.PollutedSegments), nil
 }
 
 // BenchmarkAblationIMReporters varies the IM panel size k and measures

@@ -155,7 +155,7 @@ func BuildMatrix(ctx context.Context, profiles []provider.Profile) (Matrix, erro
 func (m Matrix) Markdown() string {
 	var b strings.Builder
 	b.WriteString("# Defense matrix: the attack battery against every profile\n\n")
-	b.WriteString("Generated by `TestDefenseMatrix` (`go test ./internal/battery -run TestDefenseMatrix`,\n")
+	b.WriteString("Generated by `TestReproduceReport` (`go test . -run TestReproduceReport`,\n")
 	fmt.Fprintf(&b, "seed %d; regenerate with `PDNSEC_UPDATE_GOLDEN=1`). Every risk the\n", Seed)
 	b.WriteString("reproduction tests is run against every provider profile, once per cell;\n")
 	b.WriteString("`pdnanalyze` prints the same cells with their details, and Table V renders\n")

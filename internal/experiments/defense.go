@@ -12,6 +12,7 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/battery"
 	"github.com/stealthy-peers/pdnsec/internal/defense"
+	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
@@ -186,15 +187,13 @@ type IMDefenseResult struct {
 }
 
 // RunIMDefense runs the segment pollution attack against a defended
-// peer5 deployment and sets it beside Table V's undefended peer5 cell,
-// which already ran the same attack.
-func RunIMDefense(ctx context.Context, tv *TableVResult) (*IMDefenseResult, error) {
+// peer5 deployment and sets it beside the battery's undefended peer5
+// cell in m, which already ran the same attack.
+func RunIMDefense(ctx context.Context, m battery.Matrix) (*IMDefenseResult, error) {
 	res := &IMDefenseResult{}
-	var undefended battery.Verdict
-	for _, c := range tv.Columns {
-		if c.Provider == provider.Peer5().Name {
-			undefended, _ = c.verdict(battery.RiskSegmentPollution)
-		}
+	undefended, err := cell(m, provider.Peer5().Name, battery.RiskSegmentPollution)
+	if err != nil {
+		return nil, err
 	}
 	defended, err := battery.PollutionTest(ctx, provider.Peer5(), true, analyzer.DefaultPolicyWithIM())
 	if err != nil {
@@ -213,4 +212,58 @@ func RunIMDefense(ctx context.Context, tv *TableVResult) (*IMDefenseResult, erro
 func (r *IMDefenseResult) Render() string {
 	return fmt.Sprintf("§V-B peer-assisted IM checking: pollution without defense = %v, with defense = %v\n",
 		r.PollutedWithoutDefense == 1, r.PollutedWithDefense == 1)
+}
+
+// SlowStartRow is one slow-start depth of the ablation.
+type SlowStartRow struct {
+	Depth        int `json:"depth"`
+	PollutedHead int `json:"polluted_head_segments"`
+}
+
+// SlowStartResult backs the slow-start ablation: how much of a
+// same-size pollution of the stream's head reaches a victim at each
+// depth of leading segments forced to the CDN.
+type SlowStartResult struct {
+	Rows []SlowStartRow `json:"rows"`
+}
+
+// slowStartHead is the stream head the ablation pollutes: segments 0
+// and 1, the deployed depth's worth.
+var slowStartHead = []int{0, 1}
+
+// RunSlowStartAblation runs a same-size pollution attack on segments
+// 0 and 1 of a peer5 stream at slow-start depth 0 and at the deployed
+// depth 2, and counts the polluted segments the victim played: depth 0
+// lets the poison in, depth 2 keeps it out.
+func RunSlowStartAblation(ctx context.Context) (*SlowStartResult, error) {
+	res := &SlowStartResult{}
+	for _, depth := range []int{0, signal.DefaultPolicy().SlowStartSegments} {
+		pol := signal.DefaultPolicy()
+		pol.SlowStartSegments = depth
+		tb, err := analyzer.NewTestbed(ctx, analyzer.TestbedConfig{
+			Profile: provider.Peer5(),
+			Video:   analyzer.SmallVideo("bbb", 4, 16<<10),
+			Options: provider.Options{Seed: 5, PolicyOverride: &pol},
+		})
+		if err != nil {
+			return nil, err
+		}
+		vic, err := tb.Pollution(ctx, mitm.SameSizePollution(slowStartHead))
+		tb.Close()
+		if err != nil {
+			return nil, fmt.Errorf("experiments: slow start %d: %w", depth, err)
+		}
+		res.Rows = append(res.Rows, SlowStartRow{Depth: depth, PollutedHead: len(vic.PollutedSegments)})
+	}
+	return res, nil
+}
+
+// Render prints the ablation.
+func (r *SlowStartResult) Render() string {
+	var b strings.Builder
+	b.WriteString("§IV-C slow-start depth vs same-size pollution of the stream head (peer5):\n")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "  depth %d: polluted head segments played = %d of %d attacked\n", row.Depth, row.PollutedHead, len(slowStartHead))
+	}
+	return b.String()
 }

@@ -46,18 +46,19 @@ var tableVRows = []struct{ section, label, risk string }{
 }
 
 // RunTableV executes the peer-authentication key probes (against the
-// corpus's extracted keys) and Table V's battery cells per provider,
-// plus the private-service column (Mango-like).
-func RunTableV(ctx context.Context, det *DetectionResult) (*TableVResult, error) {
+// corpus's extracted keys) and reads Table V's battery cells per
+// provider, plus the private-service column (Mango-like), from m, the
+// battery already run over those profiles.
+func RunTableV(ctx context.Context, det *DetectionResult, m battery.Matrix) (*TableVResult, error) {
 	res := &TableVResult{}
 	for _, prof := range provider.PublicProfiles() {
-		col, err := providerColumn(ctx, prof, det)
+		col, err := providerColumn(ctx, prof, det, m)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table V %s: %w", prof.Name, err)
 		}
 		res.Columns = append(res.Columns, col)
 	}
-	priv, err := providerColumn(ctx, provider.MangoPrivate(), det)
+	priv, err := providerColumn(ctx, provider.MangoPrivate(), det, m)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: table V private: %w", err)
 	}
@@ -65,8 +66,15 @@ func RunTableV(ctx context.Context, det *DetectionResult) (*TableVResult, error)
 	return res, nil
 }
 
-func providerColumn(ctx context.Context, prof provider.Profile, det *DetectionResult) (ProviderColumn, error) {
+func providerColumn(ctx context.Context, prof provider.Profile, det *DetectionResult, m battery.Matrix) (ProviderColumn, error) {
 	col := ProviderColumn{Provider: prof.Name}
+	for _, row := range tableVRows {
+		v, err := cell(m, prof.Name, row.risk)
+		if err != nil {
+			return col, err
+		}
+		col.Verdicts = append(col.Verdicts, v)
+	}
 	if det != nil && prof.Public {
 		probe, err := probeExtractedKeys(ctx, prof, det)
 		if err != nil {
@@ -74,14 +82,20 @@ func providerColumn(ctx context.Context, prof provider.Profile, det *DetectionRe
 		}
 		col.KeyProbe = probe
 	}
-	for _, row := range tableVRows {
-		v, err := battery.RunRisk(ctx, prof, row.risk)
-		if err != nil {
-			return col, fmt.Errorf("%s: %w", row.risk, err)
-		}
-		col.Verdicts = append(col.Verdicts, v)
-	}
 	return col, nil
+}
+
+// cell returns m's verdict for prov and risk, an error when the
+// battery was not run over that pair.
+func cell(m battery.Matrix, prov, risk string) (battery.Verdict, error) {
+	for _, row := range m {
+		for _, v := range row {
+			if v.Provider == prov && v.Risk == risk {
+				return v, nil
+			}
+		}
+	}
+	return battery.Verdict{}, fmt.Errorf("experiments: the battery matrix has no %s/%s cell", prov, risk)
 }
 
 // columns lists every provider column in render order, the private

@@ -19,38 +19,6 @@ import (
 
 func mustAP(s string) netip.AddrPort { return netip.MustParseAddrPort(s) }
 
-// IPLeakLabResult backs the §IV-D lab test: two remote peers exchange
-// real addresses via STUN on every provider.
-type IPLeakLabResult struct {
-	PerProvider map[string]bool `json:"per_provider"` // provider -> leaked
-}
-
-// IPLeakLab reads the two-peer IP-leak outcome for each public provider
-// plus the private profile off Table V's ip-leak row, which already ran
-// the test.
-func IPLeakLab(tv *TableVResult) *IPLeakLabResult {
-	res := &IPLeakLabResult{PerProvider: map[string]bool{}}
-	for _, c := range tv.columns() {
-		v, _ := c.verdict(battery.RiskIPLeak)
-		res.PerProvider[c.Provider] = v.Vulnerable
-	}
-	return res
-}
-
-// Render prints the lab outcome.
-func (r *IPLeakLabResult) Render() string {
-	var b strings.Builder
-	b.WriteString("§IV-D IP leak (lab, two remote peers):\n")
-	for _, prov := range []string{"peer5", "streamroot", "viblast", "mango-private"} {
-		leaked, ok := r.PerProvider[prov]
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(&b, "  %-14s leaked=%v\n", prov, leaked)
-	}
-	return b.String()
-}
-
 // IPLeakWildResult backs the in-the-wild harvest: one controlled peer
 // in a live channel for a simulated week.
 type IPLeakWildResult struct {
@@ -235,15 +203,16 @@ type ECDNResult struct {
 	SegmentPollution bool `json:"segment_pollution"`
 }
 
-// RunECDN checks the eCDN profile: free riding prevented (tenant ID not
-// public), segment pollution still effective.
-func RunECDN(ctx context.Context) (*ECDNResult, error) {
-	prof := provider.ECDN()
-	cd, err := battery.RunRisk(ctx, prof, battery.RiskCrossDomain)
+// ECDN reads the eCDN profile's cells off m, the battery already run
+// over it: free riding prevented (tenant ID not public), segment
+// pollution still effective.
+func ECDN(m battery.Matrix) (*ECDNResult, error) {
+	name := provider.ECDN().Name
+	cd, err := cell(m, name, battery.RiskCrossDomain)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := battery.RunRisk(ctx, prof, battery.RiskSegmentPollution)
+	sp, err := cell(m, name, battery.RiskSegmentPollution)
 	if err != nil {
 		return nil, err
 	}

@@ -223,14 +223,6 @@ func NewTracerSeeded(now func() time.Time, proc string, seed int64) *Tracer {
 	return &Tracer{now: now, proc: proc, idSeed: mix64(uint64(seed) ^ fnv64(proc))}
 }
 
-// Proc returns the process identity stamped on this tracer's records.
-func (t *Tracer) Proc() string {
-	if t == nil {
-		return ""
-	}
-	return t.proc
-}
-
 // newID mints the next identifier. mix64 is a bijection, so exactly
 // one counter value maps to the reserved 0 — skip it and continue.
 func (t *Tracer) newID() uint64 {

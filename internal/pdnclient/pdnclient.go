@@ -382,9 +382,6 @@ func New(cfg Config) (*Peer, error) {
 // ID returns the server-assigned peer ID (empty before Run joins).
 func (p *Peer) ID() string { return p.session().peerID }
 
-// Policy returns the provider policy received at join.
-func (p *Peer) Policy() signal.Policy { return p.session().policy }
-
 // Stats returns a snapshot of the peer's counters.
 func (p *Peer) Stats() Stats {
 	p.mu.Lock()

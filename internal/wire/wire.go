@@ -94,9 +94,6 @@ func NewCodecSize(conn net.Conn, bufSize int) *Codec {
 	}
 }
 
-// Conn returns the underlying connection.
-func (c *Codec) Conn() net.Conn { return c.conn }
-
 // Write frames and sends one envelope.
 func (c *Codec) Write(e Envelope) error {
 	body, err := json.Marshal(e)

@@ -106,9 +106,26 @@ func DetectCustomers(ctx context.Context, seed int64, fillerSites, fillerApps in
 	return experiments.RunDetection(ctx, seed, fillerSites, fillerApps)
 }
 
+// rendered is a report section's text: res rendered, or err.
+func rendered[R interface{ Render() string }](res R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return res.Render(), nil
+}
+
 // Reproduce regenerates every table and figure and writes a combined
 // report to w. It is the engine behind cmd/experiments.
 func Reproduce(ctx context.Context, w io.Writer, seed int64) error {
+	_, err := reproduce(ctx, w, seed)
+	return err
+}
+
+// reproduce is Reproduce, returning the attack battery it ran once
+// over AllProfiles: every section that reports a verdict (Table V, the
+// undefended half of the IM defense, eCDN) reads its cells from that
+// one matrix, which is also docs/defense_matrix.md.
+func reproduce(ctx context.Context, w io.Writer, seed int64) (battery.Matrix, error) {
 	tracer := obs.FromContext(ctx) // nil when the caller passed none
 	section := func(name string, body func() (string, error)) error {
 		span := tracer.Begin("experiment_section", obs.A("section", name))
@@ -123,11 +140,12 @@ func Reproduce(ctx context.Context, w io.Writer, seed int64) error {
 
 	det, err := experiments.RunDetection(ctx, seed, 0, 0)
 	if err != nil {
-		return fmt.Errorf("pdnsec: detection: %w", err)
+		return nil, fmt.Errorf("pdnsec: detection: %w", err)
 	}
-	// Table V runs its battery cells once; the IP-leak lab and the
-	// undefended half of the IM defense read them from it.
-	var tableV *experiments.TableVResult
+	m, err := battery.BuildMatrix(ctx, provider.AllProfiles())
+	if err != nil {
+		return nil, fmt.Errorf("pdnsec: battery: %w", err)
+	}
 	steps := []struct {
 		name string
 		body func() (string, error)
@@ -137,79 +155,17 @@ func Reproduce(ctx context.Context, w io.Writer, seed int64) error {
 		{"Table III", func() (string, error) { return det.RenderTableIII(), nil }},
 		{"Table IV", func() (string, error) { return det.RenderTableIV(), nil }},
 		{"Resource squatting in the wild (IV-D)", func() (string, error) { return det.RenderResourceSquattingWild(), nil }},
-		{"Table V", func() (string, error) {
-			var err error
-			if tableV, err = experiments.RunTableV(ctx, det); err != nil {
-				return "", err
-			}
-			return tableV.Render(), nil
-		}},
-		{"Table VI", func() (string, error) {
-			res, err := experiments.RunTableVI(ctx, 3<<20)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"Figure 4", func() (string, error) {
-			res, err := experiments.RunFigure4(ctx)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"Figure 5", func() (string, error) {
-			res, err := experiments.RunFigure5(ctx, 3)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"Free riding billing (IV-B)", func() (string, error) {
-			res, err := experiments.RunFreeRideBilling(ctx, 3)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"IP leak lab (IV-D)", func() (string, error) {
-			return experiments.IPLeakLab(tableV).Render(), nil
-		}},
-		{"IP leak in the wild (IV-D)", func() (string, error) {
-			res, err := experiments.RunIPLeakWild(seed)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"Token size (V-A)", func() (string, error) {
-			res, err := experiments.RunTokenSize()
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"IM defense (V-B)", func() (string, error) {
-			res, err := experiments.RunIMDefense(ctx, tableV)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"Pollution propagation (IV-C)", func() (string, error) {
-			res, err := experiments.RunPollutionPropagation(ctx, 10)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"Defense cost comparison (V-B)", func() (string, error) {
-			res, err := experiments.RunDefenseCost(ctx)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
+		{"Table V", func() (string, error) { return rendered(experiments.RunTableV(ctx, det, m)) }},
+		{"Table VI", func() (string, error) { return rendered(experiments.RunTableVI(ctx, 3<<20)) }},
+		{"Figure 4", func() (string, error) { return rendered(experiments.RunFigure4(ctx)) }},
+		{"Figure 5", func() (string, error) { return rendered(experiments.RunFigure5(ctx, 3)) }},
+		{"Free riding billing (IV-B)", func() (string, error) { return rendered(experiments.RunFreeRideBilling(ctx, 3)) }},
+		{"IP leak in the wild (IV-D)", func() (string, error) { return rendered(experiments.RunIPLeakWild(seed)) }},
+		{"Token size (V-A)", func() (string, error) { return rendered(experiments.RunTokenSize()) }},
+		{"IM defense (V-B)", func() (string, error) { return rendered(experiments.RunIMDefense(ctx, m)) }},
+		{"Pollution propagation (IV-C)", func() (string, error) { return rendered(experiments.RunPollutionPropagation(ctx, 10)) }},
+		{"Slow-start ablation (IV-C)", func() (string, error) { return rendered(experiments.RunSlowStartAblation(ctx)) }},
+		{"Defense cost comparison (V-B)", func() (string, error) { return rendered(experiments.RunDefenseCost(ctx)) }},
 		{"Geo matching (V-C)", func() (string, error) {
 			res, err := experiments.RunGeoMatchMitigation(seed)
 			if err != nil {
@@ -217,18 +173,12 @@ func Reproduce(ctx context.Context, w io.Writer, seed int64) error {
 			}
 			return experiments.RenderGeoMatch(res), nil
 		}},
-		{"Microsoft eCDN (VI)", func() (string, error) {
-			res, err := experiments.RunECDN(ctx)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
+		{"Microsoft eCDN (VI)", func() (string, error) { return rendered(experiments.ECDN(m)) }},
 	}
 	for _, s := range steps {
 		if err := section(s.name, s.body); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return m, nil
 }

@@ -3,6 +3,7 @@ package pdnsec_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"regexp"
 	"strings"
@@ -11,25 +12,43 @@ import (
 
 	"github.com/stealthy-peers/pdnsec"
 	"github.com/stealthy-peers/pdnsec/internal/golden"
+	"github.com/stealthy-peers/pdnsec/internal/obs"
+	"github.com/stealthy-peers/pdnsec/internal/traceview"
 )
 
 // reportPath is the released seed-42 report: every table, figure and
 // result section of the evaluation, as cmd/experiments prints it.
 const reportPath = "docs/experiments-report.txt"
 
+// matrixPath is the verdict golden: the attack battery over every
+// profile, the matrix the report's verdict sections read.
+const matrixPath = "docs/defense_matrix.md"
+
 // TestReproduceReport runs the whole evaluation at seed 42, as
-// `go run ./cmd/experiments -seed 42` does, and compares it with the
-// released report. Only Table VI's two latency cells are masked (see
-// maskLatency). Regenerate the file with
+// `go run ./cmd/experiments -seed 42` does, and compares both goldens
+// with that one run: the report, with only Table VI's two latency
+// cells masked (see maskLatency), and the defense matrix its verdict
+// sections read, whose cells' details are logged, not pinned — they
+// carry measured counts. Regenerate the files with
 //
 //	PDNSEC_UPDATE_GOLDEN=1 go test -run TestReproduceReport .
 func TestReproduceReport(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
+	tracer := obs.NewTracer(nil)
 	var got bytes.Buffer
-	if err := pdnsec.Reproduce(ctx, &got, 42); err != nil {
+	m, err := pdnsec.ReproduceMatrix(obs.WithTracer(ctx, tracer), &got, 42)
+	if err != nil {
 		t.Fatal(err)
 	}
+	checkEachCellRanOnce(t, tracer)
+	for _, row := range m {
+		for _, v := range row {
+			t.Logf("%s %s %s: %s", v.Provider, v.Risk, v.Status(), v.Detail)
+		}
+	}
+	golden.Check(t, matrixPath, []byte(m.Markdown()))
+
 	if os.Getenv(golden.UpdateEnv) == "1" {
 		golden.Check(t, reportPath, got.Bytes())
 		return
@@ -41,6 +60,39 @@ func TestReproduceReport(t *testing.T) {
 	if d := golden.Diff(maskLatency(string(want)), maskLatency(got.String())); d != "" {
 		t.Errorf("the seed-42 report differs from %s (Table VI latency masked); if the change is meant, regenerate with %s=1 and commit the diff:\n%s",
 			reportPath, golden.UpdateEnv, d)
+	}
+}
+
+// checkEachCellRanOnce fails t unless the tracer recorded exactly one
+// analyzer_risk span for every profile × risk pair: one battery run
+// feeds every section of the report.
+func checkEachCellRanOnce(t *testing.T, tracer *obs.Tracer) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tracer.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := traceview.Parse(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]int{}
+	total := 0
+	for _, r := range recs {
+		if r.Phase == "X" && r.Name == "analyzer_risk" {
+			runs[fmt.Sprintf("%v/%v", r.Args["provider"], r.Args["risk"])]++
+			total++
+		}
+	}
+	for _, p := range pdnsec.AllProfiles() {
+		for _, risk := range pdnsec.AllRisks() {
+			if n := runs[p.Name+"/"+risk]; n != 1 {
+				t.Errorf("%s/%s ran %d times, want once", p.Name, risk, n)
+			}
+		}
+	}
+	if want := len(pdnsec.AllProfiles()) * len(pdnsec.AllRisks()); total != want {
+		t.Errorf("%d analyzer_risk spans, want %d: one per cell", total, want)
 	}
 }
 
