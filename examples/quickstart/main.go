@@ -37,7 +37,7 @@ func run() error {
 		tb.Dep.SignalAddrs[0], tb.Dep.STUNAddr, tb.CDNBase)
 
 	// 2. Alice watches first; everything comes from the CDN. She keeps
-	// the tab open (Linger), so she can serve later viewers.
+	// the tab open until she is stopped, so she can serve later viewers.
 	aliceHost, err := tb.NewViewerHost("US")
 	if err != nil {
 		return err

@@ -11,6 +11,7 @@
 package analyzer
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -350,47 +351,112 @@ func (tb *Testbed) RunViewer(ctx ctxT, cfg pdnclient.Config) (pdnclient.Stats, e
 	return p.Run(rctx)
 }
 
-// Seeder starts a lingering viewer that plays everything and then
-// serves the swarm. It returns the peer and a stop function that ends
+// Seeder starts a viewer that plays segments segments and then lingers,
+// serving the swarm, under a testbed-scoped timeout derived from ctx
+// (pdnclient.Seed). It returns the peer and a stop function that ends
 // the linger and waits for completion.
 func (tb *Testbed) Seeder(ctx ctxT, cfg pdnclient.Config, segments int) (*pdnclient.Peer, func() pdnclient.Stats, error) {
 	cfg.MaxSegments = segments
-	cfg.Linger = 5 * time.Minute
-	p, err := pdnclient.New(cfg)
+	rctx, cancel := timeoutCtx(ctx)
+	p, stop, err := pdnclient.Seed(rctx, cfg)
 	if err != nil {
+		cancel()
 		return nil, nil, err
 	}
-	rctx, cancel := timeoutCtx(ctx)
-	done := make(chan pdnclient.Stats, 1)
-	go func() {
-		st, _ := p.Run(rctx)
-		done <- st
-	}()
-	timeout := time.NewTimer(30 * time.Second)
-	defer timeout.Stop()
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for waiting := true; waiting; {
-		if st := p.Stats(); st.SegmentsPlayed >= segments {
-			stop := func() pdnclient.Stats {
-				p.StopLinger()
-				st := <-done
-				cancel()
-				return st
-			}
-			return p, stop, nil
+	return p, func() pdnclient.Stats {
+		defer cancel()
+		return stop()
+	}, nil
+}
+
+// SwarmUsage is what one metered swarm reports: every role's resource
+// use, and what the leecher played.
+type SwarmUsage struct {
+	Control, Leecher monitor.Usage
+	Seeders          []monitor.Usage
+	LeecherStats     pdnclient.Stats
+	// LeecherProc names the leecher's tracer in the testbed's TraceSet.
+	LeecherProc string
+	// SIMFetches counts the leecher's signaling round trips for signed
+	// integrity metadata (pdn_sim_window_fetches_total).
+	SIMFetches int64
+}
+
+// MeteredSwarm plays the testbed's stream on a CDN-only control viewer
+// (seed 1, US), then on n seeders (seeds 2..n+1, US) that each play it
+// through and linger, then on one PDN leecher (seed n+2, GB) that
+// fetches from them. Every peer is metered; the seeders are stopped
+// before they are read, so their final usage report is counted.
+func (tb *Testbed) MeteredSwarm(ctx ctxT, n int) (*SwarmUsage, error) {
+	ctrlHost, err := tb.NewViewerHost("US")
+	if err != nil {
+		return nil, err
+	}
+	ctrlCfg := tb.ViewerConfig(ctrlHost, 1)
+	ctrlCfg.DisableP2P = true
+	ctrlMeter := MeterFor(&ctrlCfg, ctrlHost)
+	if _, err := tb.RunViewer(ctx, ctrlCfg); err != nil {
+		return nil, err
+	}
+
+	// The seeders start together, so each fetches from the CDN what the
+	// others cannot yet offer.
+	seedMeters := make([]*monitor.Meter, n)
+	stops := make([]func() pdnclient.Stats, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range seedMeters {
+		host, err := tb.NewViewerHost("US")
+		if err != nil {
+			errs[i] = err
+			break
 		}
-		select {
-		case <-timeout.C:
-			waiting = false
-		case <-rctx.Done():
-			waiting = false
-		case <-tick.C:
+		cfg := tb.ViewerConfig(host, int64(2+i))
+		seedMeters[i] = MeterFor(&cfg, host)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, stops[i], errs[i] = tb.Seeder(ctx, cfg, tb.Video.Segments)
+		}()
+	}
+	wg.Wait()
+	stopAll := func() {
+		for _, stop := range stops {
+			if stop != nil {
+				stop()
+			}
 		}
 	}
-	cancel()
-	<-done
-	return nil, nil, fmt.Errorf("analyzer: seeder failed to finish (played %d/%d)", p.Stats().SegmentsPlayed, segments)
+	if err := errors.Join(errs...); err != nil {
+		stopAll()
+		return nil, err
+	}
+
+	leechHost, err := tb.NewViewerHost("GB")
+	if err != nil {
+		stopAll()
+		return nil, err
+	}
+	leechCfg := tb.ViewerConfig(leechHost, int64(2+n))
+	leechMeter := MeterFor(&leechCfg, leechHost)
+	leechCfg.Obs = obs.NewRegistry() // the leecher's own counters
+	leechStats, err := tb.RunViewer(ctx, leechCfg)
+	stopAll()
+	if err != nil {
+		return nil, err
+	}
+
+	sw := &SwarmUsage{
+		Control:      ctrlMeter.Snapshot(),
+		Leecher:      leechMeter.Snapshot(),
+		LeecherStats: leechStats,
+		LeecherProc:  fmt.Sprintf("viewer-%d", 2+n),
+		SIMFetches:   leechCfg.Obs.Counter("pdn_sim_window_fetches_total", "").Value(),
+	}
+	for _, m := range seedMeters {
+		sw.Seeders = append(sw.Seeders, m.Snapshot())
+	}
+	return sw, nil
 }
 
 // MeterFor attaches a fresh meter to a config and returns it.

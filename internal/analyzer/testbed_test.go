@@ -136,3 +136,28 @@ func TestPanelArbitratesAgainstTheOrigin(t *testing.T) {
 		t.Fatalf("arbitration: %d origin syntheses and %d billed bytes, want 1 and 0", misses, tb.CDN.BytesServed(""))
 	}
 }
+
+// TestSeederRefusedJoinFailsAtOnce: a seeder whose join the provider
+// refuses is reported as soon as its Run gives up, not after a wait.
+func TestSeederRefusedJoinFailsAtOnce(t *testing.T) {
+	ctx := testCtx(t)
+	tb, err := NewTestbed(ctx, TestbedConfig{Profile: provider.Peer5(), Video: SmallVideo("bbb", 4, 16<<10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	host, err := tb.NewViewerHost("US")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tb.ViewerConfig(host, 1)
+	cfg.APIKey = "not-a-key"
+	start := time.Now()
+	if _, stop, err := tb.Seeder(ctx, cfg, 4); err == nil {
+		stop()
+		t.Fatal("a seeder with an unknown key was accepted")
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("refused seeder took %v to fail, want under 2s", elapsed)
+	}
+}

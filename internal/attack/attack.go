@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/mitm"
@@ -121,45 +120,29 @@ type TrafficResult struct {
 // peer's stream — the attacker's own video on the attacker's CDN —
 // under the credential and origin peer carries, generating P2P traffic
 // that the provider meters against the credential's owner. The first
-// host seeds from the CDN and lingers; the rest leech over P2P. The
-// peer on hosts[i] runs with seed peer.Seed+i.
+// host seeds peer.MaxSegments segments from the CDN and lingers; the
+// rest leech over P2P. The peer on hosts[i] runs with seed peer.Seed+i.
 func GenerateTraffic(ctx context.Context, peer pdnclient.Config, hosts []*netsim.Host) (TrafficResult, error) {
 	var res TrafficResult
 	if len(hosts) < 2 {
 		return res, fmt.Errorf("attack: need at least 2 hosts, got %d", len(hosts))
 	}
-	mk := func(i int, linger time.Duration) (*pdnclient.Peer, error) {
+	mk := func(i int) pdnclient.Config {
 		cfg := peer
 		cfg.Host = hosts[i]
 		cfg.Seed = peer.Seed + int64(i)
-		cfg.Linger = linger
-		return pdnclient.New(cfg)
+		return cfg
 	}
 
-	seeder, err := mk(0, time.Minute)
+	seeder, stopSeeder, err := pdnclient.Seed(ctx, mk(0))
 	if err != nil {
 		return res, err
 	}
-	seedDone := make(chan pdnclient.Stats, 1)
-	go func() {
-		st, _ := seeder.Run(ctx)
-		seedDone <- st
-	}()
-	// Wait for the seeder to be ready to serve.
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := seeder.Stats(); st.SegmentsPlayed >= peer.MaxSegments && peer.MaxSegments > 0 {
-			break
-		}
-		if ctx.Err() != nil {
-			return res, ctx.Err()
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	defer stopSeeder()
 	res.JoinAccepted = seeder.ID() != ""
 
 	for i := 1; i < len(hosts); i++ {
-		leech, err := mk(i, 0)
+		leech, err := pdnclient.New(mk(i))
 		if err != nil {
 			return res, err
 		}
@@ -172,8 +155,7 @@ func GenerateTraffic(ctx context.Context, peer pdnclient.Config, hosts []*netsim
 		res.P2PSegments += st.FromP2P
 		res.CDNSegments += st.FromCDN
 	}
-	seeder.StopLinger()
-	res.SeederStats = <-seedDone
+	res.SeederStats = stopSeeder()
 	res.P2PBytes += res.SeederStats.P2PUpBytes
 	return res, nil
 }
@@ -183,19 +165,21 @@ type Pollution struct {
 	FakeCDN   *mitm.FakeCDN
 	Malicious *pdnclient.Peer
 
-	done chan pdnclient.Stats
+	stop func() pdnclient.Stats
 }
 
 // LaunchPollution stands up the fake CDN on fakeCDNHost, shadowing
-// malicious.CDNBase with pollute's substitutions, and runs the
+// malicious.CDNBase with pollute's substitutions, and seeds the
 // malicious peer: an ordinary viewer config whose CDN is the fake one.
 // It plays the stream *through the fake CDN*, caching polluted segments
 // it then serves to any victim that asks — it needs no knowledge of the
-// PDN protocol at all. Only CDNBase and Linger are the attack's; the
-// rest of malicious is the caller's, including InsecureNoVerify, which
-// an attacker sets against providers that sign manifests (an unmodified
-// SDK would reject the fake CDN's bytes before caching them) and to
-// file no IM reports that would get it blacklisted.
+// PDN protocol at all. LaunchPollution returns once it has played
+// malicious.MaxSegments segments, which must be set. Only CDNBase and
+// the linger are the attack's; the rest of malicious is the caller's,
+// including InsecureNoVerify, which an attacker sets against providers
+// that sign manifests (an unmodified SDK would reject the fake CDN's
+// bytes before caching them) and to file no IM reports that would get
+// it blacklisted.
 func LaunchPollution(ctx context.Context, malicious pdnclient.Config, fakeCDNHost *netsim.Host, pollute mitm.PolluteFunc) (*Pollution, error) {
 	fake := mitm.NewFakeCDN(fakeCDNHost, malicious.CDNBase, pollute)
 	fake.Instrument(malicious.Obs, malicious.Tracer)
@@ -203,44 +187,19 @@ func LaunchPollution(ctx context.Context, malicious pdnclient.Config, fakeCDNHos
 		return nil, err
 	}
 	malicious.CDNBase = "http://" + fakeCDNHost.VisibleAddr().String() + ":80"
-	malicious.Linger = 5 * time.Minute
-	mal, err := pdnclient.New(malicious)
+	mal, stop, err := pdnclient.Seed(ctx, malicious)
 	if err != nil {
 		fake.Close()
-		return nil, err
+		return nil, fmt.Errorf("attack: malicious peer: %w", err)
 	}
-	atk := &Pollution{FakeCDN: fake, Malicious: mal, done: make(chan pdnclient.Stats, 1)}
-	go func() {
-		st, _ := mal.Run(ctx)
-		atk.done <- st
-	}()
-	// Wait until the malicious peer has cached its polluted segments.
-	segments := malicious.MaxSegments
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := mal.Stats(); segments > 0 && st.SegmentsPlayed >= segments {
-			return atk, nil
-		}
-		if ctx.Err() != nil {
-			atk.Close()
-			return nil, ctx.Err()
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	atk.Close()
-	return nil, fmt.Errorf("attack: malicious peer failed to seed (played %d)", mal.Stats().SegmentsPlayed)
+	return &Pollution{FakeCDN: fake, Malicious: mal, stop: stop}, nil
 }
 
 // Close tears the attack down and returns the malicious peer's stats.
 func (a *Pollution) Close() pdnclient.Stats {
-	a.Malicious.StopLinger()
+	st := a.stop()
 	a.FakeCDN.Close()
-	select {
-	case st := <-a.done:
-		return st
-	case <-time.After(10 * time.Second):
-		return a.Malicious.Stats()
-	}
+	return st
 }
 
 // VictimObservation is what a victim peer experienced during an attack.

@@ -3,6 +3,7 @@ package attack
 import (
 	"context"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -241,6 +242,43 @@ func TestGenerateTrafficValidation(t *testing.T) {
 	_, err := GenerateTraffic(ctx, b.viewer(t, 1), []*netsim.Host{b.host(t)})
 	if err == nil {
 		t.Fatal("single-host traffic generation should fail")
+	}
+}
+
+// TestGenerateTrafficRefusedJoinFailsAtOnce: free riders whose seeder is
+// refused a join learn it as soon as the seeder's Run gives up.
+func TestGenerateTrafficRefusedJoinFailsAtOnce(t *testing.T) {
+	b := newBed(t, provider.Peer5(), 4)
+	peer := b.viewer(t, 1)
+	peer.APIKey = "not-a-key"
+	start := time.Now()
+	if _, err := GenerateTraffic(context.Background(), peer, []*netsim.Host{b.host(t), b.host(t)}); err == nil {
+		t.Fatal("traffic generated under an unknown key")
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("refused free riders took %v to fail, want under 2s", elapsed)
+	}
+}
+
+// TestLaunchPollutionNeedsMaxSegments: the malicious seeder must know
+// how much it caches; without MaxSegments the launch fails at once and
+// says so, instead of waiting on a count it never set.
+func TestLaunchPollutionNeedsMaxSegments(t *testing.T) {
+	b := newBed(t, provider.Peer5(), 4)
+	mal := b.viewer(t, 666)
+	mal.MaxSegments = 0
+	start := time.Now()
+	atk, err := LaunchPollution(context.Background(), mal, b.net.MustHost(netip.MustParseAddr("13.13.13.13")),
+		mitm.SameSizePollution([]int{2}))
+	if err == nil {
+		atk.Close()
+		t.Fatal("pollution launched without MaxSegments")
+	}
+	if !strings.Contains(err.Error(), "MaxSegments") {
+		t.Fatalf("error %q does not name MaxSegments", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("launch took %v to fail, want under 2s", elapsed)
 	}
 }
 

@@ -183,45 +183,16 @@ func ResourceSquattingTest(ctx context.Context, prof provider.Profile) (Verdict,
 	}
 	defer tb.Close()
 
-	// Control: plain CDN viewer.
-	ctrlHost, err := tb.NewViewerHost("US")
+	// A plain CDN viewer, a seeder and a later viewer who leeches then
+	// serves.
+	sw, err := tb.MeteredSwarm(ctx, 1)
 	if err != nil {
 		return v, err
 	}
-	ctrlCfg := tb.ViewerConfig(ctrlHost, 1)
-	ctrlCfg.DisableP2P = true
-	ctrlMeter := analyzer.MeterFor(&ctrlCfg, ctrlHost)
-	if _, err := tb.RunViewer(ctx, ctrlCfg); err != nil {
-		return v, err
-	}
-
-	// PDN pair: a seeder and a later viewer who leeches then serves.
-	seedHost, err := tb.NewViewerHost("US")
-	if err != nil {
-		return v, err
-	}
-	seedCfg := tb.ViewerConfig(seedHost, 2)
-	seedMeter := analyzer.MeterFor(&seedCfg, seedHost)
-	_, stopSeeder, err := tb.Seeder(ctx, seedCfg, video.Segments)
-	if err != nil {
-		return v, err
-	}
-	leechHost, err := tb.NewViewerHost("GB")
-	if err != nil {
-		return v, err
-	}
-	leechCfg := tb.ViewerConfig(leechHost, 3)
-	leechMeter := analyzer.MeterFor(&leechCfg, leechHost)
-	leechStats, err := tb.RunViewer(ctx, leechCfg)
-	if err != nil {
-		return v, err
-	}
-	stopSeeder()
-
-	ctrl := ctrlMeter.Snapshot()
-	cpuRatio := avgRatio(ctrl.CPUUnits, leechMeter.Snapshot().CPUUnits, seedMeter.Snapshot().CPUUnits)
-	memRatio := avgRatio(float64(ctrl.MemBytes), float64(leechMeter.Snapshot().MemBytes), float64(seedMeter.Snapshot().MemBytes))
-	v.Vulnerable = leechStats.FromP2P > 0 && (cpuRatio > 1.02 || memRatio > 1.02)
+	ctrl, leech, seed := sw.Control, sw.Leecher, sw.Seeders[0]
+	cpuRatio := avgRatio(ctrl.CPUUnits, leech.CPUUnits, seed.CPUUnits)
+	memRatio := avgRatio(float64(ctrl.MemBytes), float64(leech.MemBytes), float64(seed.MemBytes))
+	v.Vulnerable = sw.LeecherStats.FromP2P > 0 && (cpuRatio > 1.02 || memRatio > 1.02)
 	v.Detail = fmt.Sprintf("CPU ratio %.2f, memory ratio %.2f vs no-peer control (no consent requested)", cpuRatio, memRatio)
 	return v, nil
 }

@@ -314,3 +314,39 @@ func TestHardenedKeepsLeechFarmFairness(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedLingerersDoNotHoldTheRun: Sybil identities spawned while
+// the signaling server is partitioned never join; they degrade to plain
+// viewers, play their one segment and linger. The run ends them once that
+// segment is played instead of waiting for a join that never comes.
+func TestRefusedLingerersDoNotHoldTheRun(t *testing.T) {
+	sc := Scenario{Name: "partitioned_mill", Steps: []Step{
+		PartitionNode(0, NodeSignal),
+		Spawn(10*time.Millisecond, population.BehaviorSybil, 3),
+	}}
+	start := time.Now()
+	res, err := RunScenario(context.Background(), SwarmConfig{Viewers: 2, Segments: 3, Seed: *chaosSeed}, sc)
+	if err != nil {
+		t.Fatalf("seed=%d: %v", *chaosSeed, err)
+	}
+	elapsed := time.Since(start)
+	sybils := 0
+	for _, v := range res.Viewers {
+		if v.Behavior != population.BehaviorSybil {
+			continue
+		}
+		sybils++
+		if v.Peer.ID() != "" {
+			t.Fatalf("%s joined through the partition", v.Name)
+		}
+		if v.Stats.SegmentsPlayed != 1 {
+			t.Fatalf("%s played %d segments, want its one", v.Name, v.Stats.SegmentsPlayed)
+		}
+	}
+	if sybils != 3 {
+		t.Fatalf("%d Sybil identities in the result, want 3", sybils)
+	}
+	if elapsed > 3*time.Second {
+		t.Fatalf("run took %v: refused lingerers held it", elapsed)
+	}
+}

@@ -315,15 +315,17 @@ func RunScenario(ctx context.Context, cfg SwarmConfig, sc Scenario) (*Result, er
 	// to finish their own playback, with the core swarm still online to
 	// serve them; only then are lingering colluders and Sybil identities
 	// torn down. A fast honest swarm can finish while the mill's later
-	// identities are still mid-join, so give lingerers a bounded window
-	// to reach the signaling plane first — the host ledger's identity
-	// peak must reflect the whole mill, not a teardown race.
+	// identities are still mid-join, so each lingerer first plays its one
+	// segment, which settles its join — the host ledger's identity peak
+	// must reflect the whole mill, not a teardown race.
 	sp.wgFull.Wait()
 	for _, v := range viewers {
 		v.Peer.StopLinger()
 	}
 	wg.Wait()
-	sp.waitForLingerJoins(5 * time.Second)
+	for _, vr := range sp.results() {
+		<-vr.Peer.Played()
+	}
 	spawnCancel()
 	sp.wg.Wait()
 
@@ -405,39 +407,6 @@ func (sp *spawner) results() []*ViewerResult {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	return append([]*ViewerResult(nil), sp.extra...)
-}
-
-// waitForLingerJoins blocks until every lingering spawned identity
-// (Sybil mill, eclipse colluder) has registered with the signaling
-// plane, or the deadline passes. Peer.ID() turns non-empty exactly
-// when the join completes; a peer whose Run already failed never will,
-// which is what the deadline is for.
-func (sp *spawner) waitForLingerJoins(deadline time.Duration) {
-	expire := time.NewTimer(deadline)
-	defer expire.Stop()
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		pending := 0
-		sp.mu.Lock()
-		for _, vr := range sp.extra {
-			switch vr.Behavior {
-			case population.BehaviorSybil, population.BehaviorEclipse, population.BehaviorImpersonator:
-				if vr.Peer != nil && vr.Peer.ID() == "" {
-					pending++
-				}
-			}
-		}
-		sp.mu.Unlock()
-		if pending == 0 {
-			return
-		}
-		select {
-		case <-expire.C:
-			return
-		case <-tick.C:
-		}
-	}
 }
 
 // drive is the engine's SpawnDriver: it materializes one band and

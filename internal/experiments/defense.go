@@ -60,7 +60,7 @@ func RunTableVI(ctx context.Context, segmentSize int) (*TableVIResult, error) {
 	}
 	res := &TableVIResult{SegmentSize: segmentSize}
 	policies := []*signal.Policy{nil, analyzer.DefaultPolicyWithIM()}
-	runs := make([]*swarmRun, len(policies))
+	runs := make([]*analyzer.SwarmUsage, len(policies))
 	traces := make([]*obs.TraceSet, len(policies))
 	errs := make([]error, len(policies))
 	var wg sync.WaitGroup
@@ -81,7 +81,7 @@ func RunTableVI(ctx context.Context, segmentSize int) (*TableVIResult, error) {
 				return
 			}
 			defer tb.Close()
-			runs[i], errs[i] = meteredSwarm(ctx, tb, 2)
+			runs[i], errs[i] = tb.MeteredSwarm(ctx, 2)
 		}()
 	}
 	wg.Wait()
@@ -90,20 +90,20 @@ func RunTableVI(ctx context.Context, segmentSize int) (*TableVIResult, error) {
 	}
 
 	res.Rows = []TableVIRow{{CPURatio: 1, MemRatio: 1}}
-	base := runs[0].control
+	base := usageOf("no-peer", runs[0].Control)
 	for i, run := range runs {
-		lat, p2p, err := p2pSegmentMean(traces[i], run.leecherProc)
+		lat, p2p, err := p2pSegmentMean(traces[i], run.LeecherProc)
 		if err != nil {
 			return nil, err
 		}
-		u := ratioed(run.leecher, base)
+		u := ratioed(usageOf("peer-c", run.Leecher), base)
 		res.Rows = append(res.Rows, TableVIRow{
 			PDN:        true,
 			IMChecking: policies[i] != nil,
 			CPURatio:   u.CPURatio,
 			MemRatio:   u.MemRatio,
 			Latency:    lat,
-			SIMTrips:   float64(run.simFetches) / float64(p2p),
+			SIMTrips:   float64(run.SIMFetches) / float64(p2p),
 		})
 	}
 	return res, nil

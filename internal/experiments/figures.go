@@ -2,15 +2,11 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/monitor"
-	"github.com/stealthy-peers/pdnsec/internal/obs"
-	"github.com/stealthy-peers/pdnsec/internal/pdnclient"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
 )
 
@@ -45,108 +41,21 @@ func RunFigure4(ctx context.Context) (*Figure4Result, error) {
 		return nil, err
 	}
 	defer tb.Close()
-	sw, err := meteredSwarm(ctx, tb, 1)
+	sw, err := tb.MeteredSwarm(ctx, 1)
 	if err != nil {
 		return nil, err
 	}
+	control := usageOf("no-peer", sw.Control)
 	res := &Figure4Result{
-		NoPeer: sw.control,
-		PeerA:  ratioed(sw.seeders[0], sw.control),
-		PeerB:  ratioed(sw.leecher, sw.control),
+		NoPeer: control,
+		PeerA:  ratioed(usageOf("peer-a", sw.Seeders[0]), control),
+		PeerB:  ratioed(usageOf("peer-b", sw.Leecher), control),
 	}
 	res.NoPeer.CPURatio, res.NoPeer.MemRatio = 1, 1
 	return res, nil
 }
 
-// swarmRun is what one metered swarm reports.
-type swarmRun struct {
-	control, leecher RoleUsage
-	seeders          []RoleUsage
-	// leecherProc names the leecher's tracer in the testbed's TraceSet.
-	leecherProc string
-	// simFetches counts the leecher's signaling round trips for signed
-	// integrity metadata (pdn_sim_window_fetches_total).
-	simFetches int64
-}
-
-// meteredSwarm plays tb's stream on a CDN-only control viewer (seed 1,
-// US), then on n seeding PDN peers (seeds 2..n+1, US) that each play it
-// through and linger, then on one PDN leecher (seed n+2, GB) that
-// fetches from them. Every peer is metered; the seeders are stopped
-// before they are read, so their final usage report is counted.
-func meteredSwarm(ctx context.Context, tb *analyzer.Testbed, n int) (*swarmRun, error) {
-	ctrlHost, err := tb.NewViewerHost("US")
-	if err != nil {
-		return nil, err
-	}
-	ctrlCfg := tb.ViewerConfig(ctrlHost, 1)
-	ctrlCfg.DisableP2P = true
-	ctrlMeter := analyzer.MeterFor(&ctrlCfg, ctrlHost)
-	if _, err := tb.RunViewer(ctx, ctrlCfg); err != nil {
-		return nil, err
-	}
-
-	// The seeders start together, so each fetches from the CDN what the
-	// others cannot yet offer.
-	seedMeters := make([]*monitor.Meter, n)
-	stops := make([]func() pdnclient.Stats, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range seedMeters {
-		host, err := tb.NewViewerHost("US")
-		if err != nil {
-			errs[i] = err
-			break
-		}
-		cfg := tb.ViewerConfig(host, int64(2+i))
-		seedMeters[i] = analyzer.MeterFor(&cfg, host)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, stops[i], errs[i] = tb.Seeder(ctx, cfg, tb.Video.Segments)
-		}()
-	}
-	wg.Wait()
-	stopAll := func() {
-		for _, stop := range stops {
-			if stop != nil {
-				stop()
-			}
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
-		stopAll()
-		return nil, err
-	}
-
-	leechHost, err := tb.NewViewerHost("GB")
-	if err != nil {
-		stopAll()
-		return nil, err
-	}
-	leechCfg := tb.ViewerConfig(leechHost, int64(2+n))
-	leechMeter := analyzer.MeterFor(&leechCfg, leechHost)
-	leechCfg.Obs = obs.NewRegistry() // the leecher's own counters
-	_, err = tb.RunViewer(ctx, leechCfg)
-	stopAll()
-	if err != nil {
-		return nil, err
-	}
-
-	run := &swarmRun{
-		control:     usageOf("no-peer", ctrlMeter),
-		leecher:     usageOf(fmt.Sprintf("peer-%c", 'a'+n), leechMeter),
-		leecherProc: fmt.Sprintf("viewer-%d", 2+n),
-		simFetches:  leechCfg.Obs.Counter("pdn_sim_window_fetches_total", "").Value(),
-	}
-	for i, m := range seedMeters {
-		run.seeders = append(run.seeders, usageOf(fmt.Sprintf("peer-%c", 'a'+i), m))
-	}
-	return run, nil
-}
-
-func usageOf(role string, m *monitor.Meter) RoleUsage {
-	u := m.Snapshot()
+func usageOf(role string, u monitor.Usage) RoleUsage {
 	return RoleUsage{
 		Role:      role,
 		CPUUnits:  u.CPUUnits,

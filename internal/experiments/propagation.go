@@ -69,11 +69,9 @@ func RunPollutionPropagation(ctx context.Context, viewers int) (*PropagationResu
 	var mu sync.Mutex
 	affected := make([]bool, viewers)
 
-	// A viewer is done once it has played every segment, or once its Run
-	// returns early. When every viewer is done the swarm has played out:
-	// a linger would serve nobody, so all of them end.
-	var wg, playedOut sync.WaitGroup
-	playedOut.Add(viewers)
+	// Once every viewer's playback is over the swarm has played out: a
+	// linger would serve nobody, so all of them end.
+	var wg sync.WaitGroup
 	peers := make([]*pdnclient.Peer, 0, viewers)
 	errs := make(chan error, viewers)
 	for i := 0; i < viewers; i++ {
@@ -84,10 +82,6 @@ func RunPollutionPropagation(ctx context.Context, viewers int) (*PropagationResu
 		cfg := tb.ViewerConfig(host, int64(100+i))
 		cfg.MaxSegments = video.Segments
 		cfg.Linger = 5 * time.Second // stay online to re-serve (and re-spread)
-		idx := i
-		plays := 0
-		var doneOnce sync.Once
-		done := func() { doneOnce.Do(playedOut.Done) }
 		cfg.OnSegment = func(key media.SegmentKey, data []byte, source string) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -96,10 +90,7 @@ func RunPollutionPropagation(ctx context.Context, viewers int) (*PropagationResu
 			}
 			if !video.Verify(key.Rendition, key.Index, data) {
 				res.PollutedPlays++
-				affected[idx] = true
-			}
-			if plays++; plays == video.Segments {
-				done()
+				affected[i] = true
 			}
 		}
 		peer, err := pdnclient.New(cfg)
@@ -110,7 +101,6 @@ func RunPollutionPropagation(ctx context.Context, viewers int) (*PropagationResu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer done()
 			if _, err := peer.Run(ctx); err != nil {
 				errs <- err
 			}
@@ -122,7 +112,9 @@ func RunPollutionPropagation(ctx context.Context, viewers int) (*PropagationResu
 			return nil, ctx.Err()
 		}
 	}
-	playedOut.Wait()
+	for _, peer := range peers {
+		<-peer.Played()
+	}
 	for _, peer := range peers {
 		peer.StopLinger()
 	}

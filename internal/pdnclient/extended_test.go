@@ -17,29 +17,19 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
-// runSeeder starts a lingering seeder and waits until it has played all
-// segments; the returned stop function ends it and yields final stats.
+// runSeeder starts a seeder of segments segments (Seed) and returns
+// once it has played them; the returned stop function ends it and
+// yields final stats.
 func runSeeder(t *testing.T, cfg Config, segments int) func() Stats {
 	t.Helper()
 	cfg.MaxSegments = segments
-	cfg.Linger = time.Minute
-	p, err := New(cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	t.Cleanup(cancel)
+	_, stop, err := Seed(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	done := make(chan Stats, 1)
-	go func() {
-		st, _ := p.Run(ctx)
-		done <- st
-	}()
-	waitFor(t, 30*time.Second, func() bool { return p.Stats().SegmentsPlayed >= segments })
-	return func() Stats {
-		p.StopLinger()
-		st := <-done
-		cancel()
-		return st
-	}
+	return stop
 }
 
 func TestTURNModeLeaksNothing(t *testing.T) {
@@ -451,19 +441,12 @@ func TestSeederCacheSurvivesWireCorruption(t *testing.T) {
 
 	cfg := tb.peerConfig(t)
 	cfg.MaxSegments = segments
-	cfg.Linger = time.Minute
-	seeder, err := New(cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	seeder, stop, err := Seed(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	seederDone := make(chan struct{})
-	go func() {
-		defer close(seederDone)
-		seeder.Run(ctx)
-	}()
-	waitFor(t, 30*time.Second, func() bool { return seeder.Stats().SegmentsPlayed >= segments })
 
 	results := make(chan Stats, viewers)
 	for i := 0; i < viewers; i++ {
@@ -509,6 +492,5 @@ func TestSeederCacheSurvivesWireCorruption(t *testing.T) {
 			t.Errorf("seeder's cached segment %d is not the CDN's bytes (held=%v)", i, ok)
 		}
 	}
-	seeder.StopLinger()
-	<-seederDone
+	stop()
 }

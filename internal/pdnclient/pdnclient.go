@@ -20,6 +20,7 @@
 package pdnclient
 
 import (
+	"cmp"
 	"context"
 	"crypto/ed25519"
 	"encoding/hex"
@@ -27,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/netip"
@@ -267,6 +269,9 @@ type Peer struct {
 	// responding connect waits for it.
 	admitted  chan struct{}
 	admitOnce sync.Once
+	// playedOut is closed when Run's playback phase ends, before any
+	// linger.
+	playedOut chan struct{}
 	// lingerStop ends the linger phase; its own channel rather than
 	// closed, so StopLinger before playback finishes only skips the
 	// linger instead of shutting the reconnect loop down mid-stream.
@@ -352,6 +357,7 @@ func New(cfg Config) (*Peer, error) {
 		allNeighbors: make(map[string]bool),
 		closed:       make(chan struct{}),
 		admitted:     make(chan struct{}),
+		playedOut:    make(chan struct{}),
 		lingerStop:   make(chan struct{}),
 	}
 	p.store = federation.NewPeerstore(cfg.SignalAddrs, time.Now)
@@ -429,7 +435,71 @@ func (p *Peer) CachedSegment(idx int) ([]byte, bool) { return p.cache.get(idx) }
 // reached, or ctx is cancelled. It returns the final stats.
 func (p *Peer) Run(ctx context.Context) (Stats, error) {
 	defer p.teardown()
+	err := p.play(ctx)
+	close(p.playedOut)
+	if err != nil {
+		return p.Stats(), err
+	}
+	if p.cfg.Linger > 0 && ctx.Err() == nil {
+		select {
+		case <-time.After(p.cfg.Linger):
+		case <-ctx.Done():
+		case <-p.lingerStop:
+		}
+	}
+	p.reportStats()
+	return p.Stats(), nil
+}
 
+// Played is closed once Run's playback phase is over, whatever ended it
+// (MaxSegments reached, the VOD done, an error, ctx, or a refused join),
+// and before any linger: SegmentsPlayed read after it is final.
+func (p *Peer) Played() <-chan struct{} { return p.playedOut }
+
+// untilStopped is a seeder's linger: only StopLinger or ctx ends it.
+const untilStopped = time.Duration(math.MaxInt64)
+
+// Seed runs a seeder: a peer that plays cfg.MaxSegments segments and
+// then lingers, serving them, until the returned stop function is
+// called or ctx ends. It returns once Played closes; a seeder that
+// played fewer segments is stopped and reported as an error. stop ends
+// the linger and returns Run's final stats.
+func Seed(ctx context.Context, cfg Config) (*Peer, func() Stats, error) {
+	if cfg.MaxSegments <= 0 {
+		return nil, nil, errors.New("pdnclient: a seeder needs MaxSegments > 0")
+	}
+	cfg.Linger = untilStopped
+	p, err := New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	type result struct {
+		st  Stats
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		st, err := p.Run(ctx)
+		done <- result{st, err}
+	}()
+	<-p.playedOut
+	if played := p.Stats().SegmentsPlayed; played < cfg.MaxSegments {
+		p.StopLinger()
+		err := fmt.Errorf("pdnclient: seeder played %d/%d segments", played, cfg.MaxSegments)
+		if cause := cmp.Or((<-done).err, ctx.Err()); cause != nil {
+			err = fmt.Errorf("%w: %w", err, cause)
+		}
+		return nil, nil, err
+	}
+	return p, sync.OnceValue(func() Stats {
+		p.StopLinger()
+		return (<-done).st
+	}), nil
+}
+
+// play joins the swarm (unless the peer is a plain viewer) and plays
+// the stream.
+func (p *Peer) play(ctx context.Context) error {
 	p.mu.Lock()
 	p.runCtx = ctx
 	p.mu.Unlock()
@@ -437,7 +507,7 @@ func (p *Peer) Run(ctx context.Context) (Stats, error) {
 	if !p.cfg.DisableP2P {
 		if err := p.join(ctx); err != nil {
 			if !p.cfg.GracefulDegrade {
-				return p.Stats(), fmt.Errorf("pdnclient: join: %w", err)
+				return fmt.Errorf("pdnclient: join: %w", err)
 			}
 			// PDN unreachable or rejected: degrade to a plain viewer.
 			p.cfg.DisableP2P = true
@@ -456,17 +526,9 @@ func (p *Peer) Run(ctx context.Context) (Stats, error) {
 		}()
 	}
 	if err := p.playbackLoop(ctx); err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		return p.Stats(), err
+		return err
 	}
-	if p.cfg.Linger > 0 && ctx.Err() == nil {
-		select {
-		case <-time.After(p.cfg.Linger):
-		case <-ctx.Done():
-		case <-p.lingerStop:
-		}
-	}
-	p.reportStats()
-	return p.Stats(), nil
+	return nil
 }
 
 // StopLinger ends the linger phase early; called before playback

@@ -181,20 +181,7 @@ func TestTwoPeersShareSegmentsP2P(t *testing.T) {
 	tb := newTestbed(t, provider.Peer5(), smallVideo("bbb", 6))
 
 	// Peer A plays everything from the CDN and lingers to serve.
-	cfgA := tb.peerConfig(t)
-	cfgA.Linger = 30 * time.Second
-	pa, err := New(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxA, cancelA := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancelA()
-	doneA := make(chan Stats, 1)
-	go func() {
-		st, _ := pa.Run(ctxA)
-		doneA <- st
-	}()
-	waitFor(t, 20*time.Second, func() bool { return pa.Stats().SegmentsPlayed == 6 })
+	stopA := runSeeder(t, tb.peerConfig(t), 6)
 
 	// Peer B arrives later: slow-start from CDN, then P2P from A.
 	cfgB := tb.peerConfig(t)
@@ -228,8 +215,7 @@ func TestTwoPeersShareSegmentsP2P(t *testing.T) {
 	}
 
 	// A's upload accounting matches B's P2P download.
-	pa.StopLinger()
-	stA := <-doneA
+	stA := stopA()
 	if stA.P2PUpBytes != stB.P2PDownBytes {
 		t.Fatalf("upload %d != download %d", stA.P2PUpBytes, stB.P2PDownBytes)
 	}
@@ -240,13 +226,9 @@ func TestTwoPeersShareSegmentsP2P(t *testing.T) {
 
 func TestStatsBillCustomer(t *testing.T) {
 	tb := newTestbed(t, provider.Peer5(), smallVideo("bbb", 6))
-	cfgA := tb.peerConfig(t)
-	cfgA.Linger = 30 * time.Second
-	pa, _ := New(cfgA)
+	stopA := runSeeder(t, tb.peerConfig(t), 6)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	go pa.Run(ctx)
-	waitFor(t, 20*time.Second, func() bool { return pa.Stats().SegmentsPlayed == 6 })
 
 	cfgB := tb.peerConfig(t)
 	pb, _ := New(cfgB)
@@ -257,7 +239,7 @@ func TestStatsBillCustomer(t *testing.T) {
 	if stB.FromP2P == 0 {
 		t.Skip("no P2P traffic this run")
 	}
-	pa.StopLinger()
+	stopA()
 	waitFor(t, 10*time.Second, func() bool {
 		return tb.dep.Keys.Usage("customer.com").P2PBytes > 0
 	})
@@ -270,12 +252,9 @@ func TestCellularLeechModeRefusesUpload(t *testing.T) {
 	// upload — A must refuse to serve B.
 	cfgA := tb.peerConfig(t)
 	cfgA.Cellular = true
-	cfgA.Linger = 20 * time.Second
-	pa, _ := New(cfgA)
+	stopA := runSeeder(t, cfgA, 6)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	go pa.Run(ctx)
-	waitFor(t, 20*time.Second, func() bool { return pa.Stats().SegmentsPlayed == 6 })
 
 	cfgB := tb.peerConfig(t)
 	pb, _ := New(cfgB)
@@ -283,11 +262,11 @@ func TestCellularLeechModeRefusesUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa.StopLinger()
+	stA := stopA()
 	if stB.FromP2P != 0 {
 		t.Fatalf("leech-mode peer served %d segments", stB.FromP2P)
 	}
-	if pa.Stats().P2PUpBytes != 0 {
+	if stA.P2PUpBytes != 0 {
 		t.Fatal("cellular peer uploaded despite leech policy")
 	}
 	if stB.SegmentsPlayed != 6 {
@@ -317,13 +296,9 @@ func TestDisableP2PIsPureCDNViewer(t *testing.T) {
 
 func TestMeterSeesCryptoAndCache(t *testing.T) {
 	tb := newTestbed(t, provider.Peer5(), smallVideo("bbb", 6))
-	cfgA := tb.peerConfig(t)
-	cfgA.Linger = 20 * time.Second
-	pa, _ := New(cfgA)
+	stopA := runSeeder(t, tb.peerConfig(t), 6)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	go pa.Run(ctx)
-	waitFor(t, 20*time.Second, func() bool { return pa.Stats().SegmentsPlayed == 6 })
 
 	meter := monitor.NewMeter(monitor.DefaultCostModel(), nil)
 	cfgB := tb.peerConfig(t)
@@ -333,7 +308,7 @@ func TestMeterSeesCryptoAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa.StopLinger()
+	stopA()
 	u := meter.Snapshot()
 	if u.PlayBytes == 0 {
 		t.Fatal("meter saw no playback")
