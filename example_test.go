@@ -8,18 +8,18 @@ import (
 	"github.com/stealthy-peers/pdnsec"
 )
 
-// ExampleAnalyzeMatrix runs the attack battery against the paper's three
-// public services and the profile that composes every §V defense, and
-// prints the cells of the paper's headline attacks: §IV-B key theft
-// (cross-domain) and origin spoofing (domain-spoofing), §IV-C segment
-// pollution and §IV-D address harvesting (ip-leak). Each status is the
-// cell of docs/defense_matrix.md. The population cells (sybil-flood,
-// free-rider-wave) are left out: their verdicts depend on scheduling
-// under a loaded race-detector run.
+// ExampleAnalyzeMatrix runs the attack battery against a deployed
+// public service (Peer5) and the profile that composes every §V
+// defense, and prints the cells of the paper's headline attacks: §IV-B
+// key theft (cross-domain) and origin spoofing (domain-spoofing), §IV-C
+// segment pollution and §IV-D address harvesting (ip-leak). Each status
+// is the cell of docs/defense_matrix.md. The population cells
+// (sybil-flood, free-rider-wave) are left out: their verdicts depend on
+// scheduling under a loaded race-detector run.
 func ExampleAnalyzeMatrix() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	profiles := []pdnsec.Provider{pdnsec.Peer5(), pdnsec.Streamroot(), pdnsec.Viblast(), pdnsec.Hardened()}
+	profiles := []pdnsec.Provider{pdnsec.Peer5(), pdnsec.Hardened()}
 	m, err := pdnsec.AnalyzeMatrix(ctx, profiles)
 	if err != nil {
 		fmt.Println(err)
@@ -38,14 +38,6 @@ func ExampleAnalyzeMatrix() {
 	// peer5 domain-spoofing vulnerable
 	// peer5 segment-pollution vulnerable
 	// peer5 ip-leak vulnerable
-	// streamroot cross-domain vulnerable
-	// streamroot domain-spoofing vulnerable
-	// streamroot segment-pollution vulnerable
-	// streamroot ip-leak vulnerable
-	// viblast cross-domain safe
-	// viblast domain-spoofing vulnerable
-	// viblast segment-pollution vulnerable
-	// viblast ip-leak vulnerable
 	// hardened cross-domain safe
 	// hardened domain-spoofing n/a
 	// hardened segment-pollution safe

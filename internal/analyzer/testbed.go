@@ -38,7 +38,6 @@ var (
 	cdnIP    = netip.MustParseAddr("93.184.216.34")
 	signalIP = netip.MustParseAddr("44.1.1.1")
 	fakeIP   = netip.MustParseAddr("13.13.13.13")
-	turnIP   = netip.MustParseAddr("50.50.50.50")
 )
 
 // TestbedConfig parameterizes a deployment.
@@ -509,9 +508,6 @@ func (tb *Testbed) Pollution(ctx ctxT, pollute mitm.PolluteFunc) (attack.VictimO
 
 // FakeCDNIP returns the canonical attacker fake-CDN address.
 func FakeCDNIP() netip.Addr { return fakeIP }
-
-// TURNIP returns the canonical TURN relay address.
-func TURNIP() netip.Addr { return turnIP }
 
 // DefaultPolicyWithIM returns the default policy with integrity
 // checking required (for defense-enabled deployments).

@@ -3,10 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 
 	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/attack"
+	"github.com/stealthy-peers/pdnsec/internal/cdn"
 	"github.com/stealthy-peers/pdnsec/internal/media"
 	"github.com/stealthy-peers/pdnsec/internal/mitm"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
@@ -116,15 +119,17 @@ func defenseCostRow(ctx context.Context, strategy DefenseStrategy) (DefenseCostR
 	// Defense-attributable CDN bytes: the hash list for hash-manifest;
 	// the arbitration fetches for peer-assisted IM (here resolved from
 	// ground truth, so count them explicitly).
+	rendition := video.Renditions[0]
 	switch strategy {
 	case DefenseHashManifest:
-		// One hashes.json fetch per viewer session; approximate by the
-		// size of the list.
-		perSeg := int64(64 + 24) // hex hash + key per entry, JSON framing
-		row.DefenseCDNBytes = int64(video.Segments) * perSeg
+		// One hashes.json fetch per viewer session, as the CDN bills it.
+		before := tb.CDN.BytesServed(video.ID)
+		req := httptest.NewRequest(http.MethodGet, cdn.HashesURL("", video.ID, rendition.Name), nil)
+		tb.CDN.Handler().ServeHTTP(httptest.NewRecorder(), req)
+		row.DefenseCDNBytes = tb.CDN.BytesServed(video.ID) - before
 	case DefensePeerIM:
 		_, fetches, _ := tb.IM.Stats()
-		row.DefenseCDNBytes = int64(fetches) * int64(16<<10)
+		row.DefenseCDNBytes = int64(fetches) * int64(rendition.SegmentBytes)
 	}
 	return row, nil
 }

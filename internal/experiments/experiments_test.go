@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/stealthy-peers/pdnsec/internal/analyzer"
 	"github.com/stealthy-peers/pdnsec/internal/battery"
+	"github.com/stealthy-peers/pdnsec/internal/cdn"
 )
 
 func testCtx(t *testing.T) context.Context {
@@ -350,6 +354,15 @@ func TestDefenseCostComparison(t *testing.T) {
 	// segments (2), not by the viewer count.
 	if hash.DefenseCDNBytes == 0 {
 		t.Error("hash manifest should carry a CDN cost")
+	}
+	// Its cost is the hashes.json body the CDN serves for the video.
+	origin := cdn.New()
+	video := analyzer.SmallVideo("bbb", 6, 16<<10)
+	origin.Register(video)
+	rec := httptest.NewRecorder()
+	origin.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, cdn.HashesURL("", video.ID, "360p"), nil))
+	if rec.Code != http.StatusOK || hash.DefenseCDNBytes != int64(rec.Body.Len()) {
+		t.Errorf("hash manifest cost %d B, want the %d B hashes.json body (status %d)", hash.DefenseCDNBytes, rec.Body.Len(), rec.Code)
 	}
 	if im.DefenseCDNBytes > 2*int64(16<<10) {
 		t.Errorf("peer-assisted IM arbitration cost %d exceeds the attacked segments", im.DefenseCDNBytes)

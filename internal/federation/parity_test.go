@@ -227,7 +227,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 func TestFederationParity(t *testing.T) {
 	// Pick two swarms with provably distinct owners on the 4-server
 	// ring — the ring is deterministic, so the scan is too.
-	ring := NewRing(0)
+	ring := NewRing()
 	for i := 0; i < 4; i++ {
 		ring.Add(fmt.Sprintf("s%d", i), testAddr(i))
 	}

@@ -15,9 +15,6 @@ type PlaneConfig struct {
 	// Servers is the number of signal.Server instances (default 1 — the
 	// single-server deployment every earlier PR ran).
 	Servers int
-	// Vnodes is the ring's virtual-node count per server
-	// (DefaultVnodes when zero).
-	Vnodes int
 	// Base is the per-server configuration template. ServerName and
 	// Router are owned by the plane and overwritten; everything else
 	// (auth, policy, seed, shards, obs, tracer) is shared verbatim, so
@@ -80,7 +77,7 @@ func NewPlane(cfg PlaneConfig) *Plane {
 	if n <= 0 {
 		n = 1
 	}
-	p := &Plane{ring: NewRing(cfg.Vnodes)}
+	p := &Plane{ring: NewRing()}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("s%d", i)
 		sc := cfg.Base

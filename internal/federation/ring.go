@@ -20,10 +20,10 @@ import (
 	"sync"
 )
 
-// DefaultVnodes is the virtual-node count per server. 64 keeps the
+// Vnodes is the virtual-node count per server. 64 keeps the
 // max/min ownership skew under 1.3 for realistic swarm populations
 // (pinned by TestRingSkew) at a memory cost of 64 points per server.
-const DefaultVnodes = 64
+const Vnodes = 64
 
 // Member is one server on the ring.
 type Member struct {
@@ -46,18 +46,13 @@ type point struct {
 // use; lookups take a read lock only.
 type Ring struct {
 	mu     sync.RWMutex
-	vnodes int
 	points []point
 	nodes  map[string]netip.AddrPort
 }
 
-// NewRing returns an empty ring with the given virtual-node count per
-// server (DefaultVnodes when <= 0).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
-	return &Ring{vnodes: vnodes, nodes: make(map[string]netip.AddrPort)}
+// NewRing returns an empty ring of Vnodes points per server.
+func NewRing() *Ring {
+	return &Ring{nodes: make(map[string]netip.AddrPort)}
 }
 
 // mix64 is a murmur3-style finalizer. Raw FNV-1a has weak avalanche in
@@ -111,7 +106,7 @@ func (r *Ring) Add(name string, addr netip.AddrPort) {
 		return
 	}
 	r.nodes[name] = addr
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < Vnodes; i++ {
 		r.points = append(r.points, point{h: vnodeHash(name, i), node: name})
 	}
 	sort.Slice(r.points, func(i, j int) bool {

@@ -12,14 +12,14 @@ func testAddr(i int) netip.AddrPort {
 }
 
 func ringOf(n int) *Ring {
-	r := NewRing(DefaultVnodes)
+	r := NewRing()
 	for i := 0; i < n; i++ {
 		r.Add(fmt.Sprintf("s%d", i), testAddr(i))
 	}
 	return r
 }
 
-// TestRingSkew pins the load-balance property DefaultVnodes buys: over
+// TestRingSkew pins the load-balance property Vnodes buys: over
 // a realistic swarm population the busiest server owns less than 1.3x
 // the quietest server's share.
 func TestRingSkew(t *testing.T) {
@@ -151,7 +151,7 @@ func TestRingMinimalMovement(t *testing.T) {
 // TestRingEdgeCases covers the empty ring, address updates, and
 // idempotent removal.
 func TestRingEdgeCases(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if _, _, ok := r.Owner("anything"); ok {
 		t.Error("empty ring claimed an owner")
 	}

@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -14,28 +15,51 @@ import (
 var wantComment = regexp.MustCompile("//\\s*want((?:\\s+(?:\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`))+)")
 var wantPattern = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
 
-// runAnalysisTest loads internal/lint/testdata/src/<pkgdir>, runs the
-// analyzer (with suppression handling, so //lint:ignore directives can
-// be exercised in testdata too), and verifies the findings against the
-// want comments: every finding must be expected and every expectation
-// must fire.
-func runAnalysisTest(t *testing.T, a *Analyzer, pkgdir string) {
+// testdataDirs are the loadable packages under internal/lint/testdata/src
+// (brokenimport, which must fail to load, is TestLoadBrokenPackage's).
+var testdataDirs = []string{"callgraph", "errwrap", "goleak", "lockorder", "mutexspan", "netsim", "obsnames", "peertaint", "signal"}
+
+// testdata is the one Load of every testdataDirs package, shared by the
+// analyzer and call-graph tests: each Load type-checks the standard
+// library from source again.
+var testdata struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+// testdataPackage returns internal/lint/testdata/src/<pkgdir> from the
+// shared load.
+func testdataPackage(t *testing.T, pkgdir string) *Package {
 	t.Helper()
-	pkgs, err := Load(repoRoot(t), "./internal/lint/testdata/src/"+pkgdir)
-	if err != nil {
-		t.Fatal(err)
+	testdata.once.Do(func() {
+		patterns := make([]string, len(testdataDirs))
+		for i, dir := range testdataDirs {
+			patterns[i] = "./internal/lint/testdata/src/" + dir
+		}
+		testdata.pkgs, testdata.err = Load(repoRoot(t), patterns...)
+	})
+	if testdata.err != nil {
+		t.Fatal(testdata.err)
 	}
 	// Testdata may import real repo packages (obsnames imports obs), in
 	// which case the module deps come back too; analyze only the target.
-	var pkg *Package
-	for _, p := range pkgs {
+	for _, p := range testdata.pkgs {
 		if strings.HasSuffix(p.ImportPath, "testdata/src/"+pkgdir) {
-			pkg = p
+			return p
 		}
 	}
-	if pkg == nil {
-		t.Fatalf("testdata package %s not among %d loaded packages", pkgdir, len(pkgs))
-	}
+	t.Fatalf("testdata package %s not among %d loaded packages", pkgdir, len(testdata.pkgs))
+	return nil
+}
+
+// runAnalysisTest runs the analyzer over testdata/src/<pkgdir> (with
+// suppression handling, so //lint:ignore directives can be exercised in
+// testdata too), and verifies the findings against the want comments:
+// every finding must be expected and every expectation must fire.
+func runAnalysisTest(t *testing.T, a *Analyzer, pkgdir string) {
+	t.Helper()
+	pkg := testdataPackage(t, pkgdir)
 
 	type want struct {
 		re      *regexp.Regexp

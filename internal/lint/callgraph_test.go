@@ -3,7 +3,6 @@ package lint
 import (
 	"go/types"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"github.com/stealthy-peers/pdnsec/internal/golden"
@@ -12,19 +11,7 @@ import (
 // loadTestdataGraph builds the call graph over one testdata package.
 func loadTestdataGraph(t *testing.T, pkgdir string) (*CallGraph, *Package) {
 	t.Helper()
-	pkgs, err := Load(repoRoot(t), "./internal/lint/testdata/src/"+pkgdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkg *Package
-	for _, p := range pkgs {
-		if strings.HasSuffix(p.ImportPath, "testdata/src/"+pkgdir) {
-			pkg = p
-		}
-	}
-	if pkg == nil {
-		t.Fatalf("testdata package %s not loaded", pkgdir)
-	}
+	pkg := testdataPackage(t, pkgdir)
 	return BuildCallGraph([]*Package{pkg}), pkg
 }
 

@@ -87,13 +87,10 @@ type Packet struct {
 // Taps must not block for long; they run on the sender's goroutine.
 type Tap func(Packet)
 
-// Config holds network-wide defaults. The zero value means an ideal
-// network: no latency, unlimited bandwidth, no loss.
+// Config holds network-wide settings. The zero value means an ideal
+// network: no loss (per-host latency and bandwidth are set with
+// Host.SetLatency and Host.SetRates).
 type Config struct {
-	// DefaultLatency is the one-way access latency added at each host;
-	// the path latency between two hosts is the sum of their access
-	// latencies.
-	DefaultLatency time.Duration
 	// LossProb is the probability in [0,1) that a UDP datagram is
 	// silently dropped in transit. Streams are never lossy.
 	LossProb float64
@@ -313,7 +310,7 @@ type Host struct {
 	ip  netip.Addr
 	nat *NAT // nil for public hosts
 
-	// Shaping. Zero values inherit network defaults / mean unlimited.
+	// Shaping. Zero values mean none / unlimited.
 	latency  time.Duration
 	upRate   int64 // bytes/sec, 0 = unlimited
 	downRate int64
@@ -338,7 +335,6 @@ func newHost(n *Network, ip netip.Addr, nat *NAT) *Host {
 		net:       n,
 		ip:        ip,
 		nat:       nat,
-		latency:   n.cfg.DefaultLatency,
 		listeners: make(map[uint16]*Listener),
 		udpSocks:  make(map[uint16]*packetConn),
 		nextPort:  32768,

@@ -32,6 +32,17 @@ func runSeeder(t *testing.T, cfg Config, segments int) func() Stats {
 	return stop
 }
 
+// stopLingers waits until every peer's playback is over and then ends
+// their lingers: once the swarm has played out, a linger serves nobody.
+func stopLingers(peers []*Peer) {
+	for _, p := range peers {
+		<-p.Played()
+	}
+	for _, p := range peers {
+		p.StopLinger()
+	}
+}
+
 func TestTURNModeLeaksNothing(t *testing.T) {
 	tb := newTestbed(t, provider.Peer5(), smallVideo("bbb", 6))
 
@@ -159,9 +170,16 @@ func TestLiveStreamPlayback(t *testing.T) {
 		Live:            true,
 	}
 	tb := newTestbed(t, provider.Peer5(), video)
-	// Advance the live clock so a window exists, then keep it moving.
-	base := time.Now().Add(-60 * time.Second) // edge at segment 6
-	tb.cdnSrv.SetClock(func() time.Time { return time.Now().Add(time.Now().Sub(base) * 4) })
+	// The first playlist request finds the edge at segment 6, and each
+	// later one finds it a segment further on.
+	var mu sync.Mutex
+	now := time.Now().Add(50 * time.Second)
+	tb.cdnSrv.SetClock(func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		now = now.Add(10 * time.Second)
+		return now
+	})
 
 	cfg := tb.peerConfig(t)
 	cfg.MaxSegments = 8
@@ -275,8 +293,10 @@ func TestThreePeerSwarmConvergence(t *testing.T) {
 	stopA := runSeeder(t, cfgA, 8)
 
 	// Two later viewers join concurrently; both should finish and at
-	// least one should pull from P2P.
+	// least one should pull from P2P. The first to finish lingers to
+	// serve the other until both have played.
 	results := make(chan Stats, 2)
+	var peers []*Peer
 	for i := 0; i < 2; i++ {
 		cfg := tb.peerConfig(t)
 		cfg.Linger = 2 * time.Second
@@ -284,6 +304,7 @@ func TestThreePeerSwarmConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		peers = append(peers, p)
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
@@ -291,6 +312,7 @@ func TestThreePeerSwarmConvergence(t *testing.T) {
 			results <- st
 		}()
 	}
+	stopLingers(peers)
 	totalP2P := 0
 	for i := 0; i < 2; i++ {
 		st := <-results
@@ -370,6 +392,7 @@ func TestSwarmScale(t *testing.T) {
 
 	const viewers = 12
 	results := make(chan Stats, viewers)
+	var peers []*Peer
 	for i := 0; i < viewers; i++ {
 		cfg := tb.peerConfig(t)
 		cfg.Linger = 3 * time.Second
@@ -377,15 +400,16 @@ func TestSwarmScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		peers = append(peers, p)
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 			defer cancel()
 			st, _ := p.Run(ctx)
 			results <- st
-			p.StopLinger()
 		}()
 		time.Sleep(50 * time.Millisecond)
 	}
+	stopLingers(peers)
 	totalP2P, totalCDN := 0, 0
 	for i := 0; i < viewers; i++ {
 		st := <-results

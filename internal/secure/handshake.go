@@ -86,7 +86,7 @@ type ChannelConfig struct {
 	// key), delivered in the join welcome.
 	Voucher string
 	// AuthorityKey is the matcher's hex verification key, delivered in
-	// policy. Required unless SkipVerify.
+	// policy. Required.
 	AuthorityKey string
 	// ExpectedPeerKey, when non-empty, pins the peer's hex static key —
 	// the initiator sets it to the key the matcher delivered in the
@@ -99,10 +99,6 @@ type ChannelConfig struct {
 	// registration replay of a leaked/scraped public key by a peer that
 	// does not hold the private half.
 	ClaimKey string
-	// SkipVerify accepts any well-formed peer handshake without
-	// signature, voucher, or pin checks — the attacker's modified SDK.
-	// Honest configurations never set it.
-	SkipVerify bool
 	// OnEncrypt and OnDecrypt, when set, are called with plaintext byte
 	// counts so the resource monitor can attribute crypto cost.
 	OnEncrypt func(n int)
@@ -223,9 +219,6 @@ func parseHandshake(msg []byte) (*handshakeMsg, error) {
 // key pin. Failures that implicate the claimed key return *BadKeyError
 // so the caller can report the key for quarantine.
 func verifyHandshake(cfg *ChannelConfig, m *handshakeMsg, transcript [32]byte) error {
-	if cfg.SkipVerify {
-		return nil
-	}
 	claimed := hex.EncodeToString(m.staticPub)
 	if !ed25519.Verify(m.staticPub, signMessage(m.body, transcript), m.sig) {
 		return &BadKeyError{ClaimedKey: claimed, Err: ErrBadSignature}

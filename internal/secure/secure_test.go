@@ -206,20 +206,6 @@ func TestPinnedKeyMismatch(t *testing.T) {
 	}
 }
 
-// TestAttackerSkipVerifyStillPairs: the attacker's modified SDK
-// (SkipVerify) interoperates at the protocol level — the defense is
-// that *honest* verifiers reject bad peers, not that attackers cannot
-// speak the framing.
-func TestAttackerSkipVerifyStillPairs(t *testing.T) {
-	p := newPair(t)
-	p.cfgA.SkipVerify = true
-	p.cfgA.Voucher = "" // no voucher at all
-	p.cfgB.SkipVerify = true
-	if _, _, err := p.connect(t); err != nil {
-		t.Fatalf("skip-verify pair failed: %v", err)
-	}
-}
-
 func TestTransportAuthorityQuarantineThreshold(t *testing.T) {
 	ta, err := NewTransportAuthority()
 	if err != nil {

@@ -39,6 +39,10 @@ import (
 	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
+// maxSybilShare caps the share of match grants taken by the host with
+// the largest identity peak (scored only with Config.Adversaries set).
+const maxSybilShare = 0.5
+
 // Config shapes one load run.
 type Config struct {
 	// Swarms is the number of load swarms (default 4).
@@ -90,10 +94,6 @@ type Config struct {
 	// MinJainFairness floors Jain's index over the full-viewer band's
 	// P2P upload bytes (default 0.05; scored only with Adversaries set).
 	MinJainFairness float64
-	// MaxSybilShare caps the share of match grants taken by the host
-	// with the largest identity peak (default 0.5; scored only with
-	// Adversaries set).
-	MaxSybilShare float64
 	// Obs receives every component's metrics; nil creates a private
 	// registry (the report reads the signaling counters from it).
 	Obs *obs.Registry
@@ -153,9 +153,6 @@ func (cfg *Config) setDefaults() {
 	}
 	if cfg.MinJainFairness <= 0 {
 		cfg.MinJainFairness = 0.05
-	}
-	if cfg.MaxSybilShare <= 0 {
-		cfg.MaxSybilShare = 0.5
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
@@ -576,10 +573,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("jain fairness %.3f below floor %.3f (free-riding)", rep.JainFairness, cfg.MinJainFairness))
 		}
-		if rep.SybilSlotShare > cfg.MaxSybilShare {
+		if rep.SybilSlotShare > maxSybilShare {
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("host with identity peak %d took %.0f%% of match grants, cap %.0f%% (sybil)",
-					rep.SybilPeakIdentities, rep.SybilSlotShare*100, cfg.MaxSybilShare*100))
+					rep.SybilPeakIdentities, rep.SybilSlotShare*100, maxSybilShare*100))
 		}
 	}
 	return rep, nil

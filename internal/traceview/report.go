@@ -95,7 +95,7 @@ func Summarize(a *Analysis, files, topK int) *Summary {
 		topK = 5
 	}
 	s := &Summary{
-		Schema:      Schema,
+		Schema:      obs.TraceSchema,
 		Files:       files,
 		Lines:       a.Parse.Lines,
 		Malformed:   a.Parse.Malformed,

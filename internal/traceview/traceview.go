@@ -21,11 +21,9 @@ import (
 	"io"
 	"os"
 	"strconv"
-)
 
-// Schema is the JSONL schema this engine understands (the value
-// obs.TraceSchema stamps into every file header).
-const Schema = "pdnsec-trace/1"
+	"github.com/stealthy-peers/pdnsec/internal/obs"
+)
 
 // maxLineBytes bounds one JSONL line (a span with large args).
 const maxLineBytes = 1 << 20
@@ -94,7 +92,7 @@ func Parse(r io.Reader) ([]Rec, ParseStats, error) {
 				continue // foreign metadata: ignore
 			}
 			schema, _ := jl.Args["schema"].(string)
-			if schema != Schema {
+			if schema != obs.TraceSchema {
 				st.Malformed++
 				continue
 			}
