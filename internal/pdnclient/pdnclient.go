@@ -27,10 +27,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"net/http"
 	"net/netip"
 	"slices"
 	"strings"
@@ -208,7 +206,7 @@ type peerMetrics struct {
 type Peer struct {
 	cfg      Config
 	identity *record.Identity
-	http     *http.Client
+	cdn      cdnConn
 	rng      *rand.Rand
 	metrics  peerMetrics
 	// store tracks the provider's bootstrap servers (seed list +
@@ -343,12 +341,9 @@ func New(cfg Config) (*Peer, error) {
 		return nil, err
 	}
 	p := &Peer{
-		cfg:      cfg,
-		identity: id,
-		http: &http.Client{
-			Transport: &http.Transport{DialContext: cfg.Host.Dialer()},
-			Timeout:   10 * time.Second,
-		},
+		cfg:          cfg,
+		identity:     id,
+		cdn:          cdnConn{dial: cfg.Host.Dialer()},
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		sess:         &session{},
 		neighbors:    make(map[string]*neighbor),
@@ -436,6 +431,9 @@ func (p *Peer) CachedSegment(idx int) ([]byte, bool) { return p.cache.get(idx) }
 func (p *Peer) Run(ctx context.Context) (Stats, error) {
 	defer p.teardown()
 	err := p.play(ctx)
+	// Playback is the CDN connection's only user: a lingering seeder
+	// holds none, nor the server's conn goroutine, while it serves.
+	p.cdn.close()
 	close(p.playedOut)
 	if err != nil {
 		return p.Stats(), err
@@ -679,7 +677,7 @@ func (p *Peer) learnExpectedSize(ctx context.Context, pl *hls.MediaPlaylist) {
 	if known > 0 || len(pl.Segments) == 0 {
 		return
 	}
-	body, err := p.httpGet(ctx, cdn.MasterURL(p.cfg.CDNBase, p.cfg.Video), nil)
+	body, err := p.cdn.get(ctx, cdn.MasterURL(p.cfg.CDNBase, p.cfg.Video), nil)
 	if err != nil {
 		return
 	}
@@ -829,7 +827,7 @@ func (p *Peer) loadHashManifest(ctx context.Context) {
 	if loaded {
 		return
 	}
-	body, err := p.httpGet(ctx, cdn.HashesURL(p.cfg.CDNBase, p.cfg.Video, p.cfg.Rendition), nil)
+	body, err := p.cdn.get(ctx, cdn.HashesURL(p.cfg.CDNBase, p.cfg.Video, p.cfg.Rendition), nil)
 	if err != nil {
 		return // live asset or older CDN: defense unavailable
 	}
@@ -981,14 +979,14 @@ func (p *Peer) fetchFromPeers(ctx context.Context, s *session, key media.Segment
 
 // fetchFromCDN downloads a segment over HTTP, into the cache's spare
 // when the body fits. The fetch runs under its own cdn_fetch span;
-// httpGet stamps the request's traceparent header from it, so the CDN's
+// the GET stamps the request's traceparent header from it, so the CDN's
 // serve span lands in the same trace (the cdn-fallback hop pdntrace
 // breaks out separately).
 func (p *Peer) fetchFromCDN(ctx context.Context, key media.SegmentKey) ([]byte, error) {
 	ctx, span := p.cfg.Tracer.StartSpan(ctx, "cdn_fetch", obs.A("idx", key.Index))
 	url := cdn.SegmentURL(p.cfg.CDNBase, key.Video, key.Rendition, key.Index)
 	spare := p.cache.takeSpare()
-	data, err := p.httpGet(ctx, url, spare)
+	data, err := p.cdn.get(ctx, url, spare)
 	span.End(obs.A("ok", err == nil))
 	if err != nil {
 		p.cache.recycle(spare)
@@ -1005,53 +1003,12 @@ func (p *Peer) fetchFromCDN(ctx context.Context, key media.SegmentKey) ([]byte, 
 // fetchPlaylist retrieves the rendition playlist.
 func (p *Peer) fetchPlaylist(ctx context.Context) (*hls.MediaPlaylist, error) {
 	url := cdn.PlaylistURL(p.cfg.CDNBase, p.cfg.Video, p.cfg.Rendition)
-	body, err := p.httpGet(ctx, url, nil)
+	body, err := p.cdn.get(ctx, url, nil)
 	if err != nil {
 		return nil, err
 	}
 	p.cfg.Meter.OnHTTP(len(body))
 	return hls.ParseMediaPlaylist(body)
-}
-
-// maxHTTPBody bounds one CDN response body.
-const maxHTTPBody = 64 << 20
-
-// httpGet fetches url's body. A body of declared length that fits in
-// buf is read into buf[:n] (buf may be nil); otherwise a new buffer is
-// allocated.
-func (p *Peer) httpGet(ctx context.Context, url string, buf []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Traced fetches carry the active span across the HTTP hop; playlist
-	// and manifest requests outside any span send no header.
-	if tp := obs.ContextString(ctx); tp != "" {
-		req.Header.Set("traceparent", tp)
-	}
-	resp, err := p.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("pdnclient: GET %s: status %d", url, resp.StatusCode)
-	}
-	// The CDN may be the pollution attacker's: the body is bounded either
-	// way, and a declared length is read into a buffer of that size
-	// (io.ReadAll regrows to several times the body).
-	if n := resp.ContentLength; n >= 0 && n <= maxHTTPBody {
-		body := buf
-		if int64(cap(body)) < n {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(resp.Body, body); err != nil {
-			return nil, fmt.Errorf("pdnclient: GET %s: %w", url, err)
-		}
-		return body, nil
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxHTTPBody))
 }
 
 // reportStats pushes the session's usage totals to the signaling
@@ -1098,10 +1055,6 @@ func (p *Peer) teardown() {
 	if sig != nil {
 		sig.Close()
 	}
-	// A finished viewer's keep-alive CDN connection would otherwise hold
-	// its transport's read and write loops, and the server's conn
-	// goroutine, until the CDN itself closes.
-	p.http.CloseIdleConnections()
 	p.wg.Wait()
 }
 

@@ -151,11 +151,11 @@ func TestCachingViewerOwnsEveryBuffer(t *testing.T) {
 	audit("after the run")
 }
 
-// TestPlainViewersLeaveNothingBehind: a viewer that has left holds no
-// CDN connection, so twenty viewers played one after another leave the
-// goroutine count where it was — not three goroutines each (the
-// transport's read and write loops and the server's conn) until the CDN
-// closes.
+// TestPlainViewersLeaveNothingBehind: a viewer closes its CDN
+// connection when its playback ends, so twenty viewers played one after
+// another leave the goroutine count where it was — not the CDN server's
+// conn goroutine each until the CDN closes. The viewer's own side of the
+// connection runs no goroutine.
 func TestPlainViewersLeaveNothingBehind(t *testing.T) {
 	tb := newTestbed(t, provider.Peer5(), smallVideo("bbb", 4))
 	settle := func(baseline int) bool {

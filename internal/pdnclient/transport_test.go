@@ -239,10 +239,6 @@ func TestStopLingerEarlyOnlySkipsLinger(t *testing.T) {
 // declared length that fits the buffer handed in is read into it.
 func TestHTTPGetIsBounded(t *testing.T) {
 	pa, pb := barePeers(t)
-	ln, err := pb.cfg.Host.Listen(80)
-	if err != nil {
-		t.Fatal(err)
-	}
 	body := bytes.Repeat([]byte("segment!"), 8<<10)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/declared", func(w http.ResponseWriter, r *http.Request) {
@@ -265,20 +261,16 @@ func TestHTTPGetIsBounded(t *testing.T) {
 			}
 		}
 	})
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	base := "http://" + ln.AddrPort().String()
+	base, cl := serveLogged(t, pb.cfg.Host, mux)
 	for _, path := range []string{"/declared", "/chunked"} {
-		got, err := pa.httpGet(context.Background(), base+path, nil)
+		got, err := pa.cdn.get(context.Background(), base+path, nil)
 		if err != nil || !bytes.Equal(got, body) {
 			t.Errorf("%s: %d bytes, %v; want the %d-byte body", path, len(got), err, len(body))
 		}
 	}
 	for _, size := range []int{len(body), 2 * len(body), len(body) - 1} {
 		buf := make([]byte, size)
-		got, err := pa.httpGet(context.Background(), base+"/declared", buf)
+		got, err := pa.cdn.get(context.Background(), base+"/declared", buf)
 		if err != nil || !bytes.Equal(got, body) {
 			t.Errorf("/declared into %d bytes: %d bytes, %v; want the %d-byte body", size, len(got), err, len(body))
 		}
@@ -286,12 +278,20 @@ func TestHTTPGetIsBounded(t *testing.T) {
 			t.Errorf("/declared into %d bytes: read into the buffer handed in = %v", size, reused)
 		}
 	}
-	if got, err := pa.httpGet(context.Background(), base+"/short", make([]byte, len(body))); err == nil {
+	if got, err := pa.cdn.get(context.Background(), base+"/short", make([]byte, len(body))); err == nil {
 		t.Errorf("/short: %d bytes and no error; want an error", len(got))
 	}
-	got, err := pa.httpGet(context.Background(), base+"/endless", nil)
+	got, err := pa.cdn.get(context.Background(), base+"/endless", nil)
 	if err != nil || len(got) != maxHTTPBody {
 		t.Errorf("/endless: %d bytes, %v; want exactly maxHTTPBody", len(got), err)
+	}
+	// The rest of that body is never read: the connection goes with it.
+	before := cl.opened.Load()
+	if got, err := pa.cdn.get(context.Background(), base+"/declared", nil); err != nil || !bytes.Equal(got, body) {
+		t.Errorf("/declared after /endless: %d bytes, %v", len(got), err)
+	}
+	if n := cl.opened.Load(); n != before+1 {
+		t.Errorf("the GET after a body cut off at maxHTTPBody opened %d connections, want 1", n-before)
 	}
 }
 
