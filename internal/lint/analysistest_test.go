@@ -16,12 +16,13 @@ var wantComment = regexp.MustCompile("//\\s*want((?:\\s+(?:\"(?:[^\"\\\\]|\\\\.)
 var wantPattern = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
 
 // testdataDirs are the loadable packages under internal/lint/testdata/src
-// (brokenimport, which must fail to load, is TestLoadBrokenPackage's).
+// (brokenimport and brokentype, which must fail to load, are
+// TestLoadBrokenPackage's).
 var testdataDirs = []string{"callgraph", "errwrap", "goleak", "lockorder", "mutexspan", "netsim", "obsnames", "peertaint", "signal"}
 
 // testdata is the one Load of every testdataDirs package, shared by the
-// analyzer and call-graph tests: each Load type-checks the standard
-// library from source again.
+// analyzer and call-graph tests, so one go list and one type-check of
+// the fixtures (and of the module packages they import) serve them all.
 var testdata struct {
 	once sync.Once
 	pkgs []*Package

@@ -153,10 +153,19 @@ func (s *suppressor) suppressed(d Diagnostic) bool {
 // package; module analyzers run once over the whole load, sharing one
 // call graph.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	return run(pkgs, analyzers, true)
+}
+
+// run is Run with the //lint:ignore directives honoured or, when
+// suppress is false, ignored, which lets a test check that every
+// directive still has a finding to suppress.
+func run(pkgs []*Package, analyzers []*Analyzer, suppress bool) ([]Diagnostic, error) {
 	var out []Diagnostic
-	sups := make([]*suppressor, len(pkgs))
-	for i, pkg := range pkgs {
-		sups[i] = newSuppressor(pkg)
+	var sups []*suppressor
+	if suppress {
+		for _, pkg := range pkgs {
+			sups = append(sups, newSuppressor(pkg))
+		}
 	}
 	suppressed := func(d Diagnostic) bool {
 		for _, s := range sups {
@@ -166,7 +175,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return false
 	}
-	for i, pkg := range pkgs {
+	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			if a.Run == nil {
 				continue
@@ -176,7 +185,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.ImportPath, err)
 			}
 			for _, d := range pass.diags {
-				if !sups[i].suppressed(d) {
+				if !suppressed(d) {
 					out = append(out, d)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -15,10 +16,10 @@ import (
 	"strings"
 )
 
-// Package is one loaded, type-checked package ready for analysis.
+// Package is one loaded, type-checked package of the main module, ready
+// for analysis.
 type Package struct {
-	// ImportPath is the resolved import path (vendored stdlib deps keep
-	// their "vendor/..." prefix, matching `go list`).
+	// ImportPath is the package's import path.
 	ImportPath string
 	// Dir is the directory holding the package sources.
 	Dir string
@@ -28,34 +29,26 @@ type Package struct {
 	Files []*ast.File
 	// Types is the type-checked package.
 	Types *types.Package
-	// Info carries the type-checker's fact tables for Files. It is only
-	// populated for packages of the main module (the ones analyzers run
-	// on); bare dependencies carry a nil Info.
+	// Info carries the type-checker's fact tables for Files.
 	Info *types.Info
-	// Module reports whether the package belongs to the main module.
-	Module bool
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	Dir        string
 	ImportPath string
-	Name       string
-	Standard   bool
-	Goroot     bool
+	Export     string
 	GoFiles    []string
-	Imports    []string
-	ImportMap  map[string]string
-	Module     *struct{ Path string }
+	Module     *struct{ Main bool }
 	Error      *struct{ Err string }
 }
 
 // LoadError aggregates every package go list reported broken: a bad
-// import, a syntax error, a build-constraint dead end. Surfacing all of
-// them at once — instead of failing on the first or, worse, silently
-// analyzing the partial module that did load — is what keeps "pdnlint
-// passed" meaningful: a module that cannot be fully loaded is not
-// verified.
+// import, a syntax or type error, a build-constraint dead end. Surfacing
+// all of them at once — instead of failing on the first or, worse,
+// silently analyzing the partial module that did load — is what keeps
+// "pdnlint passed" meaningful: a module that cannot be fully loaded is
+// not verified.
 type LoadError struct {
 	// Problems holds one "importpath: reason" entry per broken package,
 	// in go-list order.
@@ -67,89 +60,97 @@ func (e *LoadError) Error() string {
 		len(e.Problems), strings.Join(e.Problems, "\n  "))
 }
 
-// Load resolves patterns with `go list -e -json -deps` run in dir and
-// type-checks every listed package from source, dependencies first. It
-// works fully offline: the only inputs are GOROOT sources and the module
-// rooted at dir. Cgo is disabled so the pure-Go stdlib variants are
-// selected, which go/types can check without invoking the C toolchain.
+// Load resolves patterns with `go list -e -export -json -deps` run in
+// dir and type-checks the main module's listed packages from source,
+// dependencies first. Every other import (the standard library, any
+// other module) is read from the export data the go command built for
+// it, through one shared importer, so only the module's own sources are
+// parsed and checked. A module package that another imports resolves to
+// the package Load checked from source, which keeps objects identical
+// across the module for the call graph.
 //
-// Only packages belonging to the module in dir are returned; their
-// dependencies are type-checked internally but not analyzed. If any
+// Only the module's packages are returned, each with its Info. If any
 // listed package carries a go-list Error (the -e flag turns hard
-// failures into per-package diagnostics), Load returns a *LoadError
-// naming every broken package rather than a partial module.
+// failures, type errors included, into per-package diagnostics), Load
+// returns a *LoadError naming every broken package rather than a partial
+// module.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	raw, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
 	var lerr LoadError
+	exports := make(map[string]string, len(raw))
 	for _, lp := range raw {
 		if lp.Error != nil {
 			lerr.Problems = append(lerr.Problems, lp.ImportPath+": "+strings.TrimSpace(lp.Error.Err))
 		}
+		exports[lp.ImportPath] = lp.Export
 	}
 	if len(lerr.Problems) > 0 {
 		return nil, &lerr
 	}
 	fset := token.NewFileSet()
-	universe := make(map[string]*types.Package, len(raw))
+	fromExport := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	checked := make(map[string]*types.Package)
+	cfg := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		return fromExport.Import(path)
+	})}
 	var out []*Package
 	for _, lp := range raw {
-		if lp.ImportPath == "unsafe" {
-			universe["unsafe"] = types.Unsafe
+		if lp.Module == nil || !lp.Module.Main {
 			continue
 		}
-		inModule := lp.Module != nil && !lp.Standard
 		files, err := parseFiles(fset, lp.Dir, lp.GoFiles)
 		if err != nil {
 			return nil, err
 		}
-		var info *types.Info
-		if inModule {
-			info = &types.Info{
-				Types:      make(map[ast.Expr]types.TypeAndValue),
-				Defs:       make(map[*ast.Ident]types.Object),
-				Uses:       make(map[*ast.Ident]types.Object),
-				Selections: make(map[*ast.SelectorExpr]*types.Selection),
-				Implicits:  make(map[ast.Node]types.Object),
-				Scopes:     make(map[ast.Node]*types.Scope),
-			}
-		}
-		cfg := types.Config{
-			Importer:    &mapImporter{universe: universe, importMap: lp.ImportMap},
-			FakeImportC: true,
+		info := &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Implicits:  make(map[ast.Node]types.Object),
+			Scopes:     make(map[ast.Node]*types.Scope),
 		}
 		tpkg, err := cfg.Check(lp.ImportPath, fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("lint: typecheck %s: %w", lp.ImportPath, err)
 		}
-		universe[lp.ImportPath] = tpkg
-		if inModule {
-			out = append(out, &Package{
-				ImportPath: lp.ImportPath,
-				Dir:        lp.Dir,
-				Fset:       fset,
-				Files:      files,
-				Types:      tpkg,
-				Info:       info,
-				Module:     true,
-			})
-		}
+		checked[lp.ImportPath] = tpkg
+		out = append(out, &Package{
+			ImportPath: lp.ImportPath,
+			Dir:        lp.Dir,
+			Fset:       fset,
+			Files:      files,
+			Types:      tpkg,
+			Info:       info,
+		})
 	}
 	return out, nil
 }
 
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // goList invokes the go command and decodes its JSON stream. -deps lists
 // every package in dependency-before-dependent order, which lets the
-// loader type-check in a single forward pass. -e keeps go list from
-// dying on the first broken package: broken entries come back with a
-// non-nil Error field, which Load aggregates into one *LoadError.
+// loader type-check in a single forward pass. -export has the go command
+// build (or find in its cache) the export data of every listed package.
+// -e keeps go list from dying on the first broken package: broken
+// entries come back with a non-nil Error field, which Load aggregates
+// into one *LoadError.
 func goList(dir string, patterns []string) ([]listPkg, error) {
-	args := append([]string{"list", "-e", "-json", "-deps"}, patterns...)
+	args := append([]string{"list", "-e", "-export", "-json", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	stdout, err := cmd.Output()
@@ -180,23 +181,4 @@ func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, e
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// mapImporter resolves imports against the packages checked so far,
-// applying the per-package vendor map go list reports (stdlib files
-// import e.g. "golang.org/x/net/http2/hpack", resolved to a
-// "vendor/..." path).
-type mapImporter struct {
-	universe  map[string]*types.Package
-	importMap map[string]string
-}
-
-func (m *mapImporter) Import(path string) (*types.Package, error) {
-	if mapped, ok := m.importMap[path]; ok {
-		path = mapped
-	}
-	if pkg, ok := m.universe[path]; ok {
-		return pkg, nil
-	}
-	return nil, fmt.Errorf("lint: import %q not in dependency closure", path)
 }

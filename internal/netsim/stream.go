@@ -123,28 +123,9 @@ func (h *Host) Dial(ctx context.Context, dst netip.AddrPort) (*Conn, error) {
 		visibleSrc = h.nat.mapOutbound(netip.AddrPortFrom(h.ip, srcPort), dst, ProtoTCP)
 	}
 
-	local := &Conn{
-		host:       h,
-		peerHost:   dstHost,
-		localAddr:  netip.AddrPortFrom(h.ip, srcPort),
-		remoteAddr: dst,
-		inbox:      make(chan chunk, 64),
-		closed:     make(chan struct{}),
-		readDL:     makeDeadline(),
-		writeDL:    makeDeadline(),
-	}
-	remote := &Conn{
-		host:       dstHost,
-		peerHost:   h,
-		localAddr:  netip.AddrPortFrom(dstHost.ip, dstPort),
-		remoteAddr: visibleSrc,
-		inbox:      make(chan chunk, 64),
-		closed:     make(chan struct{}),
-		readDL:     makeDeadline(),
-		writeDL:    makeDeadline(),
-	}
-	local.peer = remote
-	remote.peer = local
+	local := newConn(h, dstHost, netip.AddrPortFrom(h.ip, srcPort), dst)
+	remote := newConn(dstHost, h, netip.AddrPortFrom(dstHost.ip, dstPort), visibleSrc)
+	local.peer, remote.peer = remote, local
 
 	// Simulate connection setup latency (one RTT-ish).
 	if lat := h.pathLatency(dstHost); lat > 0 {
@@ -177,28 +158,9 @@ func (h *Host) Dial(ctx context.Context, dst netip.AddrPort) (*Conn, error) {
 // (post-NAT for srflx candidates), so captures and RemoteAddr report the
 // same endpoints the STUN exchange leaked.
 func Pair(a, b *Host, aVis, bVis netip.AddrPort) (*Conn, *Conn) {
-	ca := &Conn{
-		host:       a,
-		peerHost:   b,
-		localAddr:  netip.AddrPortFrom(a.ip, aVis.Port()),
-		remoteAddr: bVis,
-		inbox:      make(chan chunk, 64),
-		closed:     make(chan struct{}),
-		readDL:     makeDeadline(),
-		writeDL:    makeDeadline(),
-	}
-	cb := &Conn{
-		host:       b,
-		peerHost:   a,
-		localAddr:  netip.AddrPortFrom(b.ip, bVis.Port()),
-		remoteAddr: aVis,
-		inbox:      make(chan chunk, 64),
-		closed:     make(chan struct{}),
-		readDL:     makeDeadline(),
-		writeDL:    makeDeadline(),
-	}
-	ca.peer = cb
-	cb.peer = ca
+	ca := newConn(a, b, netip.AddrPortFrom(a.ip, aVis.Port()), bVis)
+	cb := newConn(b, a, netip.AddrPortFrom(b.ip, bVis.Port()), aVis)
+	ca.peer, cb.peer = cb, ca
 	a.registerConn(ca)
 	b.registerConn(cb)
 	return ca, cb
@@ -238,6 +200,21 @@ var (
 	_ net.Conn      = (*Conn)(nil)
 	_ io.ReaderFrom = (*Conn)(nil)
 )
+
+// newConn makes host's side of a stream to peerHost; the caller links
+// it to the other side's peer.
+func newConn(host, peerHost *Host, localAddr, remoteAddr netip.AddrPort) *Conn {
+	return &Conn{
+		host:       host,
+		peerHost:   peerHost,
+		localAddr:  localAddr,
+		remoteAddr: remoteAddr,
+		inbox:      make(chan chunk, 64),
+		closed:     make(chan struct{}),
+		readDL:     makeDeadline(),
+		writeDL:    makeDeadline(),
+	}
+}
 
 // chunk is one delivery on a stream. A shared chunk's bytes belong to
 // a Shared source: the stream and the reader only read them.
@@ -477,10 +454,13 @@ func (c *Conn) Close() error {
 // closeSide is safe for concurrent use: net.Conn.Close may race itself
 // (a session handler's deferred Close against a server shutdown's, or
 // against the peer end closing both sides), and a select/default guard
-// alone would let two goroutines both reach the close.
+// alone would let two goroutines both reach the close. It disarms both
+// deadlines, so a closed side leaves no timer pending.
 func (c *Conn) closeSide() {
 	c.closeOnce.Do(func() {
 		close(c.closed)
+		c.readDL.stop()
+		c.writeDL.stop()
 		c.host.unregisterConn(c)
 	})
 }

@@ -384,7 +384,7 @@ func TestLingeringSeederHoldsNoCDNConn(t *testing.T) {
 // request, response, body into the buffer the segment before it played
 // from, and the CDN's own handling of it over the simulated network —
 // allocates a bounded handful. Counted over 2 vCPUs with go1.24 it is
-// ≈ 47, net/http's server about half of it; 90 meant the client's
+// ≈ 43, net/http's server about half of it; 90 meant the client's
 // Transport (its connection's read and write loops, Client's redirect
 // loop, the per-request timeout context) was back.
 func TestCDNGetAllocBudget(t *testing.T) {

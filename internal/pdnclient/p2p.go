@@ -348,14 +348,6 @@ func (nb *neighbor) request(ctx context.Context, key media.SegmentKey) (data []b
 		nb.evict("send_failed")
 		return nil, false
 	}
-	// go.mod's Go 1.22 timer semantics: a Reset timer may still hold the
-	// last expiry, so stop and drain it first.
-	if !nb.timer.Stop() {
-		select {
-		case <-nb.timer.C:
-		default:
-		}
-	}
 	nb.timer.Reset(requestTimeout)
 	defer nb.timer.Stop()
 	for {
