@@ -18,20 +18,29 @@ func TestDeadlineRearmAllocBudget(t *testing.T) {
 	}
 }
 
-// TestClosedConnHoldsNoTimer: closing either end disarms both deadlines
-// of both sides, so a connection that is gone leaves no timer pending.
+// TestClosedConnHoldsNoTimer: closing either end of a stream disarms
+// both deadlines of both sides, and closing a packet conn disarms both of
+// its own, so a connection that is gone leaves no timer pending.
 func TestClosedConnHoldsNoTimer(t *testing.T) {
-	ca, cb := dialPair(t, New(Config{}), "10.0.0.1", "10.0.0.2")
-	for _, c := range []*Conn{ca, cb} {
+	n := New(Config{})
+	ca, cb := dialPair(t, n, "10.0.0.1", "10.0.0.2")
+	pc, err := n.MustHost(mustAddr("10.0.0.3")).ListenPacket(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []interface{ SetDeadline(time.Time) error }{ca, cb, pc} {
 		c.SetDeadline(time.Now().Add(time.Hour))
 	}
 	ca.Close()
-	for _, c := range []*Conn{ca, cb} {
-		for name, d := range map[string]*deadline{"read": &c.readDL, "write": &c.writeDL} {
-			// Stop reports whether it stopped a pending timer.
-			if d.timer != nil && d.timer.Stop() {
-				t.Errorf("%v: %s deadline still armed after Close", c.localAddr, name)
-			}
+	pc.Close()
+	for name, d := range map[string]*deadline{
+		"stream a read": &ca.readDL, "stream a write": &ca.writeDL,
+		"stream b read": &cb.readDL, "stream b write": &cb.writeDL,
+		"packet read": &pc.readDL, "packet write": &pc.writeDL,
+	} {
+		// Stop reports whether it stopped a pending timer.
+		if d.timer != nil && d.timer.Stop() {
+			t.Errorf("%s deadline still armed after Close", name)
 		}
 	}
 }

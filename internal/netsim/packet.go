@@ -166,7 +166,8 @@ func (pc *packetConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	return pc.WriteToAddrPort(b, ua.AddrPort())
 }
 
-// Close releases the socket and its port.
+// Close releases the socket and its port, and disarms both deadlines,
+// so a closed socket leaves no timer pending.
 func (pc *packetConn) Close() error {
 	pc.host.mu.Lock()
 	if pc.host.udpSocks[pc.port] == pc {
@@ -178,6 +179,8 @@ func (pc *packetConn) Close() error {
 	default:
 		close(pc.done)
 	}
+	pc.readDL.stop()
+	pc.writeDL.stop()
 	return nil
 }
 

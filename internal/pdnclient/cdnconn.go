@@ -2,6 +2,7 @@ package pdnclient
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -30,22 +31,24 @@ const maxHTTPBody = 64 << 20
 // uses it (New sets dial).
 type cdnConn struct {
 	dial func(ctx context.Context, network, address string) (net.Conn, error)
-	conn net.Conn // nil until a GET dials, and again once it is dropped
-	host string   // the URL host conn was dialled for
-	br   *bufio.Reader
-	req  []byte
+	// origin is Config.CDNBase as New parsed it, once for the peer's
+	// life; nil when that is no "http://host[:port]", failing every GET.
+	origin *url.URL
+	conn   net.Conn // nil until a GET dials, and again once it is dropped
+	br     *bufio.Reader
+	req    []byte
 	// stop unhooks the close that ends conn as soon as the context it
 	// was dialled under ends. Every GET on a connection comes from one
 	// Run, so cancelling Run aborts a blocked read at once.
 	stop func() bool
 }
 
-// get fetches rawURL's body. A body of declared length that fits in buf
-// is read into buf[:n] (buf may be nil); otherwise a new buffer is
-// allocated. Any failure drops the connection, so the next GET dials a
-// fresh one.
-func (c *cdnConn) get(ctx context.Context, rawURL string, buf []byte) ([]byte, error) {
-	body, idle, err := c.fetch(ctx, rawURL, buf)
+// get fetches the origin's path (a cdn URL helper's, with an empty
+// base). A body of declared length that fits in buf is read into
+// buf[:n] (buf may be nil); otherwise a new buffer is allocated. Any
+// failure drops the connection, so the next GET dials a fresh one.
+func (c *cdnConn) get(ctx context.Context, path string, buf []byte) ([]byte, error) {
+	body, idle, err := c.fetch(ctx, path, buf)
 	if !idle {
 		c.close()
 	}
@@ -53,25 +56,21 @@ func (c *cdnConn) get(ctx context.Context, rawURL string, buf []byte) ([]byte, e
 		if ctx.Err() != nil {
 			err = ctx.Err()
 		}
-		return nil, fmt.Errorf("pdnclient: GET %s: %w", rawURL, err)
+		return nil, fmt.Errorf("pdnclient: CDN GET %s: %w", path, err)
 	}
 	return body, nil
 }
 
 // fetch runs one GET; idle reports whether the connection was left at a
 // response boundary, ready for the next request.
-func (c *cdnConn) fetch(ctx context.Context, rawURL string, buf []byte) (body []byte, idle bool, err error) {
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return nil, false, err
-	}
-	if u.Scheme != "http" {
-		return nil, false, fmt.Errorf("unsupported scheme %q", u.Scheme)
+func (c *cdnConn) fetch(ctx context.Context, path string, buf []byte) (body []byte, idle bool, err error) {
+	if c.origin == nil {
+		return nil, false, errors.New("CDNBase is no http origin")
 	}
 	// Traced fetches carry the active span across the HTTP hop; playlist
 	// and manifest requests outside any span send no header.
-	c.request(u, obs.ContextString(ctx))
-	resp, err := c.roundTrip(ctx, u)
+	c.request(path, obs.ContextString(ctx))
+	resp, err := c.roundTrip(ctx)
 	if err != nil {
 		return nil, false, err
 	}
@@ -105,16 +104,16 @@ func (c *cdnConn) fetch(ctx context.Context, rawURL string, buf []byte) (body []
 	return body, idle && err == nil && len(body) < maxHTTPBody, err
 }
 
-// request spells the GET for u into c.req: the bytes net/http's client
-// writes for it, in its order (request line, Host, its default
+// request spells the GET for path into c.req: the bytes net/http's
+// client writes for it, in its order (request line, Host, its default
 // User-Agent, the request's own Traceparent, the Accept-Encoding its
 // transport adds). A host's upload counts them, so the report's
 // overhead figures depend on them.
-func (c *cdnConn) request(u *url.URL, traceparent string) {
+func (c *cdnConn) request(path, traceparent string) {
 	b := append(c.req[:0], "GET "...)
-	b = append(b, u.RequestURI()...)
+	b = append(b, path...)
 	b = append(b, " HTTP/1.1\r\nHost: "...)
-	b = append(b, u.Host...)
+	b = append(b, c.origin.Host...)
 	b = append(b, "\r\nUser-Agent: Go-http-client/1.1\r\n"...)
 	if traceparent != "" {
 		b = append(b, "Traceparent: "...)
@@ -124,21 +123,21 @@ func (c *cdnConn) request(u *url.URL, traceparent string) {
 	c.req = append(b, "Accept-Encoding: gzip\r\n\r\n"...)
 }
 
-// roundTrip sends c.req to u's host and reads the response's head. A
+// roundTrip sends c.req to the origin and reads the response's head. A
 // request on a reused connection that fails before any response byte
 // arrives (the CDN closed the idle connection) is sent once more on a
 // fresh one, as net/http retries an idempotent request; nothing else is
 // retried.
-func (c *cdnConn) roundTrip(ctx context.Context, u *url.URL) (*http.Response, error) {
-	reused := c.conn != nil && c.host == u.Host
+func (c *cdnConn) roundTrip(ctx context.Context) (*http.Response, error) {
+	reused := c.conn != nil
 	if !reused {
-		if err := c.redial(ctx, u); err != nil {
+		if err := c.redial(ctx); err != nil {
 			return nil, err
 		}
 	}
 	resp, answered, err := c.exchange()
 	if err != nil && reused && !answered && ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded) {
-		if err = c.redial(ctx, u); err == nil {
+		if err = c.redial(ctx); err == nil {
 			resp, _, err = c.exchange()
 		}
 	}
@@ -161,18 +160,14 @@ func (c *cdnConn) exchange() (resp *http.Response, answered bool, err error) {
 	return resp, true, err
 }
 
-// redial replaces the connection with a fresh one to u's host.
-func (c *cdnConn) redial(ctx context.Context, u *url.URL) error {
+// redial replaces the connection with a fresh one to the origin.
+func (c *cdnConn) redial(ctx context.Context) error {
 	c.close()
-	port := u.Port()
-	if port == "" {
-		port = "80"
-	}
-	conn, err := c.dial(ctx, "tcp", net.JoinHostPort(u.Hostname(), port))
+	conn, err := c.dial(ctx, "tcp", net.JoinHostPort(c.origin.Hostname(), cmp.Or(c.origin.Port(), "80")))
 	if err != nil {
 		return err
 	}
-	c.conn, c.host = conn, u.Host
+	c.conn = conn
 	c.stop = context.AfterFunc(ctx, func() { conn.Close() })
 	if c.br == nil {
 		c.br = bufio.NewReader(conn)

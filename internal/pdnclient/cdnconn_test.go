@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -106,7 +107,9 @@ func TestCDNRequestBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	url := "http://" + ln.AddrPort().String() + "/v/bbb/360p/seg_00007.ts"
+	const path = "/v/bbb/360p/seg_00007.ts"
+	base := "http://" + ln.AddrPort().String()
+	pa.cdn.origin, _ = url.Parse(base)
 	tracer := obs.NewTracer(nil)
 	traced, span := tracer.StartSpan(context.Background(), "cdn_fetch")
 	defer span.End()
@@ -118,14 +121,14 @@ func TestCDNRequestBytes(t *testing.T) {
 	}{{"untraced", context.Background()}, {"traced", traced}} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := readRequest(ln)
-			if _, err := pa.cdn.get(tc.ctx, url, nil); err != nil {
+			if _, err := pa.cdn.get(tc.ctx, path, nil); err != nil {
 				t.Fatal(err)
 			}
 			mine := <-got
 			pa.cdn.close()
 
 			want := readRequest(ln)
-			req, err := http.NewRequestWithContext(tc.ctx, http.MethodGet, url, nil)
+			req, err := http.NewRequestWithContext(tc.ctx, http.MethodGet, base+path, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,8 +213,9 @@ func TestCDNConnLifecycle(t *testing.T) {
 		w.Write(body)
 	})
 	base, cl := serveLogged(t, pb.cfg.Host, mux)
+	pa.cdn.origin, _ = url.Parse(base)
 	ctx := context.Background()
-	get := func(path string) ([]byte, error) { return pa.cdn.get(ctx, base+path, nil) }
+	get := func(path string) ([]byte, error) { return pa.cdn.get(ctx, path, nil) }
 	ok := func(path string) {
 		t.Helper()
 		if got, err := get(path); err != nil || !bytes.Equal(got, body) {
@@ -272,6 +276,40 @@ func TestCDNConnLifecycle(t *testing.T) {
 		handled(tc.path, 1)
 		ok("/declared")
 		dials("after "+tc.path, before+1)
+	}
+}
+
+// TestCDNBaseNotAnOrigin: New parses CDNBase once. One that is no
+// http origin — empty, of another scheme, or carrying a path — fails
+// each GET before any dial, and not New.
+func TestCDNBaseNotAnOrigin(t *testing.T) {
+	pa, pb := barePeers(t)
+	ln, err := pb.cfg.Host.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	origin := ln.AddrPort().String()
+	for _, base := range []string{"http://" + origin, "", "https://" + origin, "http://" + origin + "/cdn", "http://%zz"} {
+		cfg := pa.cfg
+		cfg.CDNBase = base
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New with CDNBase %q: %v", base, err)
+		}
+		valid := base == "http://"+origin
+		for range 2 {
+			if valid {
+				readRequest(ln)
+			}
+			if _, err := p.cdn.get(context.Background(), "/v/bbb/master.m3u8", nil); (err == nil) != valid {
+				t.Errorf("GET on CDNBase %q: %v", base, err)
+			}
+			if !valid && p.cdn.conn != nil {
+				t.Errorf("CDNBase %q dialled a connection", base)
+			}
+			p.cdn.close()
+		}
 	}
 }
 

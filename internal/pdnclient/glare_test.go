@@ -1,21 +1,27 @@
 package pdnclient
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/stealthy-peers/pdnsec/internal/defense"
+	"github.com/stealthy-peers/pdnsec/internal/obs"
 	"github.com/stealthy-peers/pdnsec/internal/provider"
 	"github.com/stealthy-peers/pdnsec/internal/signal"
 )
 
 // joinedPeers admits two peers to one swarm without running playback:
 // each has a signaling session and a run context, so connect works in
-// both roles as it does mid-session. With turn set, both route their
-// P2P transport through a relay; pol, when not nil, replaces the Peer5
-// policy.
+// both roles as it does mid-session, and its own tracer and registry.
+// With turn set, both route their P2P transport through a relay; pol,
+// when not nil, replaces the Peer5 policy.
 func joinedPeers(t *testing.T, turn bool, pol *signal.Policy) (a, b *Peer) {
 	t.Helper()
 	tb := newTestbedWithPolicy(t, provider.Peer5(), smallVideo("bbb", 4), pol)
@@ -32,6 +38,7 @@ func joinedPeers(t *testing.T, turn bool, pol *signal.Policy) (a, b *Peer) {
 	mk := func() *Peer {
 		cfg := tb.peerConfig(t)
 		cfg.TURNAddr = relayAddr
+		cfg.Tracer, cfg.Obs = obs.NewTracer(nil), obs.NewRegistry()
 		p, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -62,14 +69,27 @@ func overTransports(t *testing.T, pol *signal.Policy, run func(t *testing.T, a, 
 	}
 }
 
+// initiate opens from's initiator attempt with to, as a match does; run
+// carries it out, and does nothing when beginAttempt refused it.
+func initiate(from, to *Peer) (run func()) {
+	ctx, att := from.beginAttempt(context.Background(), to.ID(), true)
+	return func() {
+		if att != nil {
+			from.connect(ctx, att, to.ID(), signal.ConnectOffer{Fingerprint: to.Fingerprint()}, "")
+		}
+	}
+}
+
 // connectReturns runs from's initiating connect to to and fails the test
-// unless it returns well inside a second (connectTimeout is five).
+// unless it returns well inside a second (connectTimeout is five). The
+// attempt is registered before meanwhile runs.
 func connectReturns(t *testing.T, from, to *Peer, meanwhile func()) {
 	t.Helper()
+	run := initiate(from, to)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		from.connect(context.Background(), to.ID(), signal.ConnectOffer{Fingerprint: to.Fingerprint()}, true, "")
+		run()
 	}()
 	if meanwhile != nil {
 		meanwhile()
@@ -79,16 +99,6 @@ func connectReturns(t *testing.T, from, to *Peer, meanwhile func()) {
 	case <-time.After(time.Second):
 		t.Fatal("connect is waiting out connectTimeout for an answer that cannot come")
 	}
-}
-
-// awaitAttempt waits until p has a connection attempt in flight.
-func awaitAttempt(t *testing.T, p *Peer) {
-	t.Helper()
-	waitFor(t, 2*time.Second, func() bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return len(p.attempts) > 0
-	})
 }
 
 // unadmit puts p back where join leaves it between the welcome and
@@ -122,16 +132,15 @@ func wantOneNeighbor(t *testing.T, p, other *Peer) {
 }
 
 // TestGlareOfferToConnectedResponder: A's offer to B is in flight when
-// the connection B initiated comes up. B, already connected, drops the
-// offer unanswered; A's own registration of that connection is what
-// must release A's initiator.
+// the connection B initiated comes up on both sides. B, connected,
+// answers all the same, and the connection A's offer brings up replaces
+// the one each side holds.
 func TestGlareOfferToConnectedResponder(t *testing.T) {
 	overTransports(t, nil, func(t *testing.T, a, b *Peer) {
 		// B's side of the B→A connection registers first.
 		b.addNeighbor(a.ID(), &breakableConn{broken: make(chan struct{})})
 		connectReturns(t, a, b, func() {
-			// Once A's attempt is in flight, A's responder side finishes.
-			awaitAttempt(t, a)
+			// With A's attempt in flight, A's responder side finishes.
 			a.addNeighbor(b.ID(), &breakableConn{broken: make(chan struct{})})
 		})
 		wantOneNeighbor(t, a, b)
@@ -140,9 +149,8 @@ func TestGlareOfferToConnectedResponder(t *testing.T) {
 }
 
 // TestGlareNeighborLandsBeforeAnswerWait: the matcher named B, and A's
-// responder side registered B before A's connect began. Nothing is left
-// to end the attempt, so it must not begin — B would drop the offer
-// unanswered.
+// responder side registered B before A's connect began. An initiator
+// never begins beside a connection, so A offers nothing.
 func TestGlareNeighborLandsBeforeAnswerWait(t *testing.T) {
 	overTransports(t, nil, func(t *testing.T, a, b *Peer) {
 		a.addNeighbor(b.ID(), &breakableConn{broken: make(chan struct{})})
@@ -188,10 +196,9 @@ func TestAttemptKeepsItsSessionAcrossRejoin(t *testing.T) {
 		began := a.session()
 		readmit := unadmit(b) // holds B's answer back
 		connectReturns(t, a, b, func() {
-			awaitAttempt(t, a)
 			admit(a, began.sig, signal.Welcome{PeerID: "rejoined", Voucher: "00", Policy: pol})
 			a.mu.Lock()
-			for att := range a.attempts {
+			for _, att := range a.attempts {
 				cfg := a.secureConfig(att.sess, "")
 				if cfg.PeerID != began.peerID || cfg.Voucher != began.voucher || cfg.AuthorityKey != began.policy.TransportPubKey {
 					t.Errorf("attempt would present (%q, %q, %q); it began as (%q, %q, %q)",
@@ -208,4 +215,172 @@ func TestAttemptKeepsItsSessionAcrossRejoin(t *testing.T) {
 		wantOneNeighbor(t, a, b)
 		wantOneNeighbor(t, b, a)
 	})
+}
+
+// handshakeRoles lists the role of every transport handshake in p's
+// trace.
+func handshakeRoles(t *testing.T, p *Peer) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.cfg.Tracer.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var roles []string
+	for sc := bufio.NewScanner(&buf); sc.Scan(); {
+		var ev struct {
+			Name string `json:"name"`
+			Args struct {
+				Role string `json:"role"`
+			} `json:"args"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", sc.Text(), err)
+		}
+		if ev.Name == "dtls_handshake" || ev.Name == "secure_handshake" {
+			roles = append(roles, ev.Args.Role)
+		}
+	}
+	return roles
+}
+
+// TestReOfferToHalfOpenIsAnswered: B still holds a connection to A that
+// A no longer does, and A offers again. B answers, and the new
+// connection replaces the half-open one, which B closes without counting
+// an eviction: A's connect returns well inside a second, not after
+// connectTimeout.
+func TestReOfferToHalfOpenIsAnswered(t *testing.T) {
+	overTransports(t, nil, func(t *testing.T, a, b *Peer) {
+		halfOpen := &breakableConn{broken: make(chan struct{})}
+		b.addNeighbor(a.ID(), halfOpen)
+		connectReturns(t, a, b, nil)
+		wantOneNeighbor(t, a, b)
+		select {
+		case <-halfOpen.broken:
+		case <-time.After(time.Second):
+			t.Fatal("B kept the connection A no longer holds")
+		}
+		wantOneNeighbor(t, b, a)
+		if n := b.metrics.neighborsEvicted.Value(); n != 0 {
+			t.Errorf("replacing the half-open connection counted %d evictions", n)
+		}
+	})
+}
+
+// TestCrossedOffersYieldToLowerID: both peers offer, each while its own
+// offer is in flight. The offer from the lower peer ID goes ahead and
+// the other is ignored, so one connection comes up: each side runs one
+// transport handshake, the lower ID as its client, and evicts nothing.
+func TestCrossedOffersYieldToLowerID(t *testing.T) {
+	overTransports(t, nil, func(t *testing.T, a, b *Peer) {
+		lo, hi := a, b
+		if hi.ID() < lo.ID() {
+			lo, hi = hi, lo
+		}
+		// Both attempts are registered before either offer is relayed.
+		runs := []func(){initiate(lo, hi), initiate(hi, lo)}
+		var wg sync.WaitGroup
+		for _, run := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatal("a crossed connect is waiting out connectTimeout")
+		}
+		wantOneNeighbor(t, lo, hi)
+		wantOneNeighbor(t, hi, lo)
+		for p, want := range map[*Peer]string{lo: "client", hi: "server"} {
+			if roles := handshakeRoles(t, p); len(roles) != 1 || roles[0] != want {
+				t.Errorf("peer %s ran handshakes %v, want one as %s", p.ID(), roles, want)
+			}
+			if n := p.metrics.neighborsEvicted.Value(); n != 0 {
+				t.Errorf("peer %s evicted %d neighbors", p.ID(), n)
+			}
+		}
+	})
+}
+
+// TestBeginAttemptRules walks beginAttempt through every combination of
+// what is in flight with the remote peer, whether it is a neighbor,
+// which way the new attempt goes and how the two peer IDs order. An
+// attempt that goes ahead replaces and cancels the one in flight; one
+// that does not leaves it be. Either way at most one attempt is
+// registered per peer. Between the two begins the peer rejoins under an
+// ID that orders the other way, so a crossing must be judged by the ID
+// the attempt in flight began under, the one the far side knows.
+func TestBeginAttemptRules(t *testing.T) {
+	const me, lower, higher = "m", "a", "z"
+	type row struct {
+		inFlight  string // "", "initiator" or "responder"
+		connected bool
+		initiate  bool // else an offer arrives
+		remote    string
+		starts    bool
+	}
+	var rows []row
+	for _, inFlight := range []string{"", "initiator", "responder"} {
+		for _, connected := range []bool{false, true} {
+			for _, remote := range []string{lower, higher} {
+				rows = append(rows,
+					// An initiator starts beside nothing at all.
+					row{inFlight, connected, true, remote, inFlight == "" && !connected},
+					// An offer is answered unless it crosses ours from
+					// the higher ID.
+					row{inFlight, connected, false, remote, inFlight != "initiator" || remote == lower})
+			}
+		}
+	}
+	for _, r := range rows {
+		name := fmt.Sprintf("inflight=%s/connected=%v/initiate=%v/remote=%s", r.inFlight, r.connected, r.initiate, r.remote)
+		t.Run(name, func(t *testing.T) {
+			p := &Peer{
+				sess:      &session{peerID: me, sig: &signal.Client{}},
+				runCtx:    context.Background(),
+				attempts:  make(map[string]*attempt),
+				neighbors: make(map[string]*neighbor),
+			}
+			var (
+				prevCtx context.Context
+				prev    *attempt
+			)
+			if r.inFlight != "" {
+				prevCtx, prev = p.beginAttempt(context.Background(), r.remote, r.inFlight == "initiator")
+				defer prev.cancel()
+			}
+			rejoined := "zz" // orders above higher
+			if r.remote == lower {
+				rejoined = "0" // orders below lower
+			}
+			p.sess = &session{peerID: rejoined, sig: p.sess.sig}
+			if r.connected {
+				p.neighbors[r.remote] = &neighbor{id: r.remote}
+			}
+			_, att := p.beginAttempt(context.Background(), r.remote, r.initiate)
+			if att != nil {
+				defer att.cancel()
+			}
+			if started := att != nil; started != r.starts {
+				t.Fatalf("attempt started: %v, want %v", started, r.starts)
+			}
+			want := prev
+			if r.starts {
+				want = att
+			}
+			if len(p.attempts) > 1 || p.attempts[r.remote] != want {
+				t.Errorf("registered %v, want only %p under %q", p.attempts, want, r.remote)
+			}
+			if prev != nil && (prevCtx.Err() != nil) != r.starts {
+				t.Errorf("attempt in flight cancelled: %v, want %v", prevCtx.Err() != nil, r.starts)
+			}
+		})
+	}
 }

@@ -182,12 +182,23 @@ func (nb *neighbor) send(h p2pMsg, body []byte) error {
 	return nb.conn.Send(body)
 }
 
-// close tears the connection down and removes it from the peer.
+// close tears the connection down and removes it from the peer, unless
+// a replacement holds its ID; the loss resets the match backoff.
 func (nb *neighbor) close() {
 	nb.closeOnce.Do(func() {
 		close(nb.closedC)
 		nb.conn.Close()
-		nb.peer.removeNeighbor(nb.id)
+		p := nb.peer
+		p.mu.Lock()
+		if p.neighbors[nb.id] != nb {
+			p.mu.Unlock()
+			return
+		}
+		delete(p.neighbors, nb.id)
+		n := len(p.neighbors)
+		p.resetMatchBackoffLocked()
+		p.mu.Unlock()
+		p.cfg.Meter.SetNeighbors(n)
 	})
 }
 
@@ -411,8 +422,9 @@ func (p *Peer) maintainNeighbors(ctx context.Context, s *session) {
 	}
 	for _, info := range peers {
 		if p.NeighborCount() < limit {
-			// A no-op for a peer that is already a neighbor.
-			p.connect(ctx, info.ID, signal.ConnectOffer{Fingerprint: info.Fingerprint, StaticKey: info.StaticKey}, true, "")
+			if actx, att := p.beginAttempt(ctx, info.ID, true); att != nil {
+				p.connect(actx, att, info.ID, signal.ConnectOffer{Fingerprint: info.Fingerprint, StaticKey: info.StaticKey}, "")
+			}
 		}
 	}
 	p.mu.Lock()
@@ -431,13 +443,12 @@ func (p *Peer) resetMatchBackoffLocked() {
 	p.matchWait, p.matchBackoff = 0, 0
 }
 
-// attempt is one connection attempt in flight with a peer, in either
-// role. Peer.attempts holds it from beginAttempt to endAttempt, which is
-// what lets an event elsewhere — the peer became a neighbor, the server
-// reported it gone, this peer is tearing down — end it at once instead
-// of leaving it to run out connectTimeout.
+// attempt is the one connection attempt in flight with a peer, in either
+// role, held in Peer.attempts under the peer's ID from beginAttempt to
+// endAttempt: an event elsewhere — a crossing offer, the peer gone,
+// teardown — ends it at once instead of leaving it to run out
+// connectTimeout. It holds a slot of Peer.wg as long.
 type attempt struct {
-	peerID string
 	// sess is the session the attempt began under: what it relays
 	// through, names itself and presents in the handshake belongs to one
 	// join even when a rejoin lands mid-attempt.
@@ -446,75 +457,77 @@ type attempt struct {
 	// answer receives the peer's answer to our offer; nil on the
 	// responder side.
 	answer chan signal.ConnectOffer
+	ended  chan struct{}   // closed once the attempt has returned
+	after  <-chan struct{} // the replaced attempt's ended, if any
 }
 
-// beginAttempt opens a connection attempt with the peer: it derives the
-// attempt's context, bounded by connectTimeout, and registers it. It
-// returns nil when the attempt is moot — the peer is already a
-// neighbor, there is no signaling session to exchange offers over, or
-// this peer is tearing down. The neighbor check and the registration
-// share one critical section with addNeighbor's settling, so a
-// connection registered at any point either stops the attempt here or
-// cancels it.
+// beginAttempt is the one place an attempt's fate is decided, by the
+// rules of DESIGN.md §2h: it registers the attempt, cancelling the one it
+// replaces, under a context bounded by connectTimeout (a responder's
+// derives from the Run context), or returns nil.
 func (p *Peer) beginAttempt(parent context.Context, peerID string, initiator bool) (context.Context, *attempt) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, connected := p.neighbors[peerID]; connected || p.draining || p.sess.sig == nil {
+	if !initiator {
+		parent = p.runCtx
+	}
+	if p.draining || p.sess.sig == nil || parent == nil {
+		return nil, nil
+	}
+	prev := p.attempts[peerID]
+	if initiator {
+		if _, connected := p.neighbors[peerID]; connected || prev != nil {
+			return nil, nil // never beside an attempt or a connection
+		}
+	} else if prev != nil && prev.answer != nil && peerID > prev.sess.peerID {
+		// A crossing offer from the higher ID, judged against the ID our
+		// attempt began under: the far side answers ours.
 		return nil, nil
 	}
 	ctx, cancel := context.WithTimeout(parent, connectTimeout)
-	a := &attempt{peerID: peerID, sess: p.sess, cancel: cancel}
+	a := &attempt{sess: p.sess, cancel: cancel, ended: make(chan struct{})}
 	if initiator {
 		a.answer = make(chan signal.ConnectOffer, 1)
 	}
-	p.attempts[a] = struct{}{}
+	if prev != nil {
+		prev.cancel()
+		a.after = prev.ended
+	}
+	p.attempts[peerID] = a
+	p.wg.Add(1) // under the draining check: ordered before teardown's Wait
 	return ctx, a
 }
 
-// endAttempt closes an attempt beginAttempt opened.
-func (p *Peer) endAttempt(a *attempt) {
+// endAttempt closes an attempt beginAttempt opened, unregistering it
+// unless a replacement has taken its place.
+func (p *Peer) endAttempt(peerID string, a *attempt) {
 	a.cancel()
 	p.mu.Lock()
-	delete(p.attempts, a)
+	if p.attempts[peerID] == a {
+		delete(p.attempts, peerID)
+	}
 	p.mu.Unlock()
+	close(a.ended)
+	p.wg.Done()
 }
 
-// settleAttemptsLocked cancels every attempt in flight with the peer;
-// each is unregistered by its own endAttempt as it returns. Caller
-// holds p.mu — cancelling runs no code of ours, whoever watches the
-// context wakes on its own goroutine.
-func (p *Peer) settleAttemptsLocked(peerID string) {
-	for a := range p.attempts {
-		if a.peerID == peerID {
-			a.cancel()
-		}
+// connect runs the attempt beginAttempt opened with a peer, in either
+// role and over either transport: build the local offer, exchange it
+// through the signaling server, obtain the raw connection, handshake and
+// register (DESIGN.md §2h). An initiator passes the fetch's context and,
+// as remote, the fingerprint and static key the match delivered; a
+// responder passes the offer it received and the offer relay's
+// TraceContext ("" from an untraced initiator), which its p2p_answer
+// span continues so this peer's handshake work lands in the initiator's
+// connection-setup trace.
+func (p *Peer) connect(ctx context.Context, att *attempt, peerID string, remote signal.ConnectOffer, trace string) {
+	defer p.endAttempt(peerID, att)
+	if att.after != nil {
+		// The replaced attempt, cancelled, returns promptly: waiting keeps
+		// one at work per peer, and an offer it relayed ahead of our answer.
+		<-att.after
 	}
-}
-
-// connect runs one connection attempt with a peer, in either role and
-// over either transport: build the local offer, exchange it through the
-// signaling server, obtain the raw connection, handshake and register
-// (DESIGN.md §2h). An initiator passes the fetch's context and, as
-// remote, the fingerprint and static key the match delivered; a
-// responder passes the Run context, the offer it received and the offer
-// relay's TraceContext ("" from an untraced initiator), which its
-// p2p_answer span continues so this peer's handshake work lands in the
-// initiator's connection-setup trace.
-func (p *Peer) connect(ctx context.Context, peerID string, remote signal.ConnectOffer, initiator bool, trace string) {
-	if !initiator {
-		// An offer that beats the end of our own join must wait for it,
-		// not be dropped: the initiator would sit out connectTimeout.
-		select {
-		case <-p.admitted:
-		case <-p.closed:
-			return
-		}
-	}
-	ctx, att := p.beginAttempt(ctx, peerID, initiator)
-	if att == nil {
-		return // moot: an offer from a connected peer goes unanswered
-	}
-	defer p.endAttempt(att)
+	initiator := att.answer != nil
 	if !initiator {
 		aspan := p.cfg.Tracer.StartSpanRemote(trace, "p2p_answer", obs.A("from", peerID))
 		defer aspan.End()
@@ -540,7 +553,9 @@ func (p *Peer) connect(ctx context.Context, peerID string, remote signal.Connect
 	if initiator {
 		kind = signal.RelayOffer
 	}
-	if err = s.sig.RelayCtx(ctx, peerID, kind, local); err != nil {
+	// An initiator cancelled by now yielded to a crossing offer: it
+	// offers nothing.
+	if ctx.Err() != nil || s.sig.RelayCtx(ctx, peerID, kind, local) != nil {
 		return
 	}
 	if initiator {
@@ -655,34 +670,26 @@ func (p *Peer) handleRelay(rel signal.Relay) {
 	}
 	switch rel.Kind {
 	case signal.RelayOffer:
-		// The dispatcher can deliver a queued offer after teardown has
-		// begun; taking the WaitGroup slot under the draining check keeps
-		// this Add ordered before teardown's final Wait. The answer runs
-		// under the Run context, not the dispatcher's.
-		p.mu.Lock()
-		runCtx := p.runCtx
-		if p.draining || runCtx == nil {
-			p.mu.Unlock()
+		// An offer that beats the end of our own join waits for it, not
+		// dropped: the initiator would sit out connectTimeout. From then
+		// on an offer's fate is decided here, in relay order, so one that
+		// crosses ours is judged while our attempt still waits for the
+		// answer that follows it.
+		select {
+		case <-p.admitted:
+		case <-p.closed:
 			return
 		}
-		p.wg.Add(1)
-		p.mu.Unlock()
-		go func() {
-			defer p.wg.Done()
-			p.connect(runCtx, rel.From, offer, false, rel.Trace)
-		}()
-	case signal.RelayAnswer:
-		var ch chan signal.ConnectOffer
-		p.mu.Lock()
-		for a := range p.attempts {
-			if a.peerID == rel.From && a.answer != nil {
-				ch = a.answer
-			}
+		if ctx, att := p.beginAttempt(nil, rel.From, false); att != nil {
+			go p.connect(ctx, att, rel.From, offer, rel.Trace)
 		}
+	case signal.RelayAnswer:
+		p.mu.Lock()
+		a := p.attempts[rel.From]
 		p.mu.Unlock()
-		if ch != nil {
+		if a != nil && a.answer != nil {
 			select {
-			case ch <- offer:
+			case a.answer <- offer:
 			default:
 			}
 		}
@@ -696,7 +703,9 @@ func (p *Peer) handleRelay(rel signal.Relay) {
 // transport notices on its own.
 func (p *Peer) onPeerGone(peerID string) {
 	p.mu.Lock()
-	p.settleAttemptsLocked(peerID)
+	if a := p.attempts[peerID]; a != nil {
+		a.cancel() // its own endAttempt unregisters it
+	}
 	nb := p.neighbors[peerID]
 	p.mu.Unlock()
 	if nb != nil {
@@ -736,13 +745,9 @@ func (p *Peer) secureConfig(s *session, expectedKey string) secure.ChannelConfig
 }
 
 // addNeighbor registers an established connection and starts its loop.
-//
-// Two peers can offer to each other at once, and each then runs an
-// initiator and a responder attempt with the other. The first
-// connection to register wins, and registering it settles every other
-// attempt with that peer: an initiator still waiting for its answer
-// will not get one (the far side, connected, drops the offer), and a
-// responder waiting in Punch has lost its initiator the same way.
+// A connection already registered under the ID is replaced: the far
+// side offered again because it no longer holds that one, so it is
+// closed as deliberately as teardown would, and counts as no eviction.
 func (p *Peer) addNeighbor(id string, conn p2pConn) {
 	nb := newNeighbor(id, conn, p)
 	p.mu.Lock()
@@ -750,32 +755,25 @@ func (p *Peer) addNeighbor(id string, conn p2pConn) {
 	// neighbor set must not register behind it: nothing would close the
 	// connection, and teardown's Wait would sit on its read loop until
 	// the far side happened to hang up.
-	if _, exists := p.neighbors[id]; exists || p.draining {
+	if p.draining {
 		p.mu.Unlock()
 		conn.Close()
 		return
 	}
+	old := p.neighbors[id]
 	p.neighbors[id] = nb
 	p.allNeighbors[id] = true
 	n := len(p.neighbors)
-	p.settleAttemptsLocked(id)
 	p.wg.Add(1)
 	p.mu.Unlock()
+	if old != nil {
+		old.close()
+	}
 	p.cfg.Meter.SetNeighbors(n)
 	go func() {
 		defer p.wg.Done()
 		nb.readLoop()
 	}()
-}
-
-// removeNeighbor drops a closed connection.
-func (p *Peer) removeNeighbor(id string) {
-	p.mu.Lock()
-	delete(p.neighbors, id)
-	n := len(p.neighbors)
-	p.resetMatchBackoffLocked()
-	p.mu.Unlock()
-	p.cfg.Meter.SetNeighbors(n)
 }
 
 // NeighborCount reports current P2P connections.

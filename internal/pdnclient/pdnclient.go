@@ -30,6 +30,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"net/url"
 	"slices"
 	"strings"
 	"sync"
@@ -73,8 +74,9 @@ type Config struct {
 	// relay (§V-C): the peer gathers no ICE candidates, so its offers
 	// and answers carry no address, and it never learns its neighbors'.
 	TURNAddr netip.AddrPort
-	// CDNBase is the CDN origin, e.g. "http://93.184.216.34:80". The
-	// pollution attacker points this at its fake CDN.
+	// CDNBase is the CDN origin, e.g. "http://93.184.216.34:80"; one
+	// that is no http origin fails every CDN GET. The pollution attacker
+	// points this at its fake CDN.
 	CDNBase string
 
 	// Credentials: APIKey+Origin for public providers, or
@@ -220,7 +222,7 @@ type Peer struct {
 	sess      *session
 	runCtx    context.Context // the active Run's context; answers derive from it
 	neighbors map[string]*neighbor
-	attempts  map[*attempt]struct{} // connection attempts in flight
+	attempts  map[string]*attempt // the connection attempt in flight per peer ID
 	// matchWait counts down the P2P-eligible segments still to pass before
 	// maintainNeighbors asks the matcher again; matchBackoff is the wait
 	// the last futile ask set.
@@ -347,13 +349,16 @@ func New(cfg Config) (*Peer, error) {
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		sess:         &session{},
 		neighbors:    make(map[string]*neighbor),
-		attempts:     make(map[*attempt]struct{}),
+		attempts:     make(map[string]*attempt),
 		played:       make(map[int]bool),
 		allNeighbors: make(map[string]bool),
 		closed:       make(chan struct{}),
 		admitted:     make(chan struct{}),
 		playedOut:    make(chan struct{}),
 		lingerStop:   make(chan struct{}),
+	}
+	if u, err := url.Parse(cfg.CDNBase); err == nil && u.Scheme == "http" && u.Host != "" && u.Path == "" {
+		p.cdn.origin = u
 	}
 	p.store = federation.NewPeerstore(cfg.SignalAddrs, time.Now)
 	reg := cfg.Obs
@@ -677,7 +682,7 @@ func (p *Peer) learnExpectedSize(ctx context.Context, pl *hls.MediaPlaylist) {
 	if known > 0 || len(pl.Segments) == 0 {
 		return
 	}
-	body, err := p.cdn.get(ctx, cdn.MasterURL(p.cfg.CDNBase, p.cfg.Video), nil)
+	body, err := p.cdn.get(ctx, cdn.MasterURL("", p.cfg.Video), nil)
 	if err != nil {
 		return
 	}
@@ -827,7 +832,7 @@ func (p *Peer) loadHashManifest(ctx context.Context) {
 	if loaded {
 		return
 	}
-	body, err := p.cdn.get(ctx, cdn.HashesURL(p.cfg.CDNBase, p.cfg.Video, p.cfg.Rendition), nil)
+	body, err := p.cdn.get(ctx, cdn.HashesURL("", p.cfg.Video, p.cfg.Rendition), nil)
 	if err != nil {
 		return // live asset or older CDN: defense unavailable
 	}
@@ -984,9 +989,8 @@ func (p *Peer) fetchFromPeers(ctx context.Context, s *session, key media.Segment
 // breaks out separately).
 func (p *Peer) fetchFromCDN(ctx context.Context, key media.SegmentKey) ([]byte, error) {
 	ctx, span := p.cfg.Tracer.StartSpan(ctx, "cdn_fetch", obs.A("idx", key.Index))
-	url := cdn.SegmentURL(p.cfg.CDNBase, key.Video, key.Rendition, key.Index)
 	spare := p.cache.takeSpare()
-	data, err := p.cdn.get(ctx, url, spare)
+	data, err := p.cdn.get(ctx, cdn.SegmentURL("", key.Video, key.Rendition, key.Index), spare)
 	span.End(obs.A("ok", err == nil))
 	if err != nil {
 		p.cache.recycle(spare)
@@ -1002,8 +1006,7 @@ func (p *Peer) fetchFromCDN(ctx context.Context, key media.SegmentKey) ([]byte, 
 
 // fetchPlaylist retrieves the rendition playlist.
 func (p *Peer) fetchPlaylist(ctx context.Context) (*hls.MediaPlaylist, error) {
-	url := cdn.PlaylistURL(p.cfg.CDNBase, p.cfg.Video, p.cfg.Rendition)
-	body, err := p.cdn.get(ctx, url, nil)
+	body, err := p.cdn.get(ctx, cdn.PlaylistURL("", p.cfg.Video, p.cfg.Rendition), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1045,7 +1048,7 @@ func (p *Peer) teardown() {
 	// An answer in flight runs under the Run context, which teardown does
 	// not end: cancelled here, it cannot hold Wait below for what is left
 	// of connectTimeout.
-	for a := range p.attempts {
+	for _, a := range p.attempts {
 		a.cancel()
 	}
 	p.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -262,15 +263,16 @@ func TestHTTPGetIsBounded(t *testing.T) {
 		}
 	})
 	base, cl := serveLogged(t, pb.cfg.Host, mux)
+	pa.cdn.origin, _ = url.Parse(base)
 	for _, path := range []string{"/declared", "/chunked"} {
-		got, err := pa.cdn.get(context.Background(), base+path, nil)
+		got, err := pa.cdn.get(context.Background(), path, nil)
 		if err != nil || !bytes.Equal(got, body) {
 			t.Errorf("%s: %d bytes, %v; want the %d-byte body", path, len(got), err, len(body))
 		}
 	}
 	for _, size := range []int{len(body), 2 * len(body), len(body) - 1} {
 		buf := make([]byte, size)
-		got, err := pa.cdn.get(context.Background(), base+"/declared", buf)
+		got, err := pa.cdn.get(context.Background(), "/declared", buf)
 		if err != nil || !bytes.Equal(got, body) {
 			t.Errorf("/declared into %d bytes: %d bytes, %v; want the %d-byte body", size, len(got), err, len(body))
 		}
@@ -278,16 +280,16 @@ func TestHTTPGetIsBounded(t *testing.T) {
 			t.Errorf("/declared into %d bytes: read into the buffer handed in = %v", size, reused)
 		}
 	}
-	if got, err := pa.cdn.get(context.Background(), base+"/short", make([]byte, len(body))); err == nil {
+	if got, err := pa.cdn.get(context.Background(), "/short", make([]byte, len(body))); err == nil {
 		t.Errorf("/short: %d bytes and no error; want an error", len(got))
 	}
-	got, err := pa.cdn.get(context.Background(), base+"/endless", nil)
+	got, err := pa.cdn.get(context.Background(), "/endless", nil)
 	if err != nil || len(got) != maxHTTPBody {
 		t.Errorf("/endless: %d bytes, %v; want exactly maxHTTPBody", len(got), err)
 	}
 	// The rest of that body is never read: the connection goes with it.
 	before := cl.opened.Load()
-	if got, err := pa.cdn.get(context.Background(), base+"/declared", nil); err != nil || !bytes.Equal(got, body) {
+	if got, err := pa.cdn.get(context.Background(), "/declared", nil); err != nil || !bytes.Equal(got, body) {
 		t.Errorf("/declared after /endless: %d bytes, %v", len(got), err)
 	}
 	if n := cl.opened.Load(); n != before+1 {
