@@ -183,7 +183,6 @@ func (r *TokenSizeResult) Render() string {
 type IMDefenseResult struct {
 	PollutedWithoutDefense int `json:"polluted_without_defense"`
 	PollutedWithDefense    int `json:"polluted_with_defense"`
-	RejectedByIM           int `json:"rejected_by_im"`
 }
 
 // RunIMDefense runs the segment pollution attack against a defended

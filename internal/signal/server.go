@@ -107,7 +107,8 @@ type Config struct {
 	// pairing sequence does not depend on the shard count.
 	Seed int64
 	// Shards stripes the swarm/candidate-pool state across this many
-	// locks (keyed by swarm ID). Zero or one keeps the single-stripe
+	// locks (keyed by swarm ID); it stripes locks only, since outbound
+	// delivery is per session. Zero or one keeps the single-stripe
 	// layout; 10k-peer deployments want 16.
 	Shards int
 	// ServerName names this server inside a federated plane. It prefixes
@@ -140,13 +141,12 @@ type Server struct {
 	// address — the per-host visibility Policy.MaxPeersPerHost needs.
 	hosts *hostLedger
 
-	deliverCh chan deliverJob
+	// queued counts outbound messages waiting in session queues (the
+	// signal_shard_depth gauge).
+	queued atomic.Int64
 
 	listener *netsim.Listener
-	done     chan struct{}
-	wg       sync.WaitGroup // accept loop + per-connection handlers
-	flushWg  sync.WaitGroup // per-shard flushers
-	workerWg sync.WaitGroup // delivery workers
+	wg       sync.WaitGroup // accept loop, connection handlers, session writers
 	closed   sync.Once
 }
 
@@ -175,15 +175,21 @@ type session struct {
 	advertisedTo map[string]*session
 	advertised   map[string]*session
 
-	mu    sync.Mutex
+	// mu guards the outbound queue: out is what waits to be written,
+	// and writing is set while the session's writer runs.
+	mu      sync.Mutex
+	out     []outMsg
+	writing bool
+
 	codec *wire.Codec
 	joinT time.Time
 }
 
-// send serializes concurrent writes to the peer.
+// send writes one frame now; the codec serializes concurrent writers.
+// Its callers are the session's writer and the two frames the session's
+// own goroutine writes itself (see their call sites): the welcome and
+// the blacklist error that ends the session.
 func (s *session) send(typ string, payload any) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.codec.Send(typ, payload)
 }
 
@@ -208,30 +214,19 @@ type serverMetrics struct {
 	batchSize       *obs.Histogram
 }
 
-// NewServer constructs a server with the given configuration and starts
-// its delivery pipeline (stopped by Close).
+// NewServer constructs a server with the given configuration. It runs
+// no goroutine until Serve.
 func NewServer(cfg Config) *Server {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	// The pool that writes queued outbound messages (match responses,
-	// relays, peer-gone notices) is sized to the stripes feeding it.
-	deliveryWorkers := 2 * cfg.Shards
-	if deliveryWorkers > 32 {
-		deliveryWorkers = 32
-	}
 	s := &Server{
-		cfg:       cfg,
-		shards:    make([]*shard, cfg.Shards),
-		hosts:     newHostLedger(),
-		deliverCh: make(chan deliverJob, cfg.Shards),
-		done:      make(chan struct{}),
+		cfg:    cfg,
+		shards: make([]*shard, cfg.Shards),
+		hosts:  newHostLedger(),
 	}
 	for i := range s.shards {
-		s.shards[i] = &shard{
-			swarms: make(map[string]*swarm),
-			q:      newOutQueue(),
-		}
+		s.shards[i] = &shard{swarms: make(map[string]*swarm)}
 	}
 	reg := cfg.Obs
 	s.metrics = serverMetrics{
@@ -249,13 +244,13 @@ func NewServer(cfg Config) *Server {
 		hostCapped:      reg.Counter("signal_match_host_capped_total", "match candidates or requests refused because their host exceeded the per-host identity budget"),
 		secureReports:   reg.Counter("signal_secure_reports_total", "bad-static-key reports received from peers"),
 		secureQuarant:   reg.Counter("signal_secure_quarantines_total", "static keys quarantined after distinct bad-signature reports"),
-		batchSize:       reg.Histogram("signal_match_batch_size", "outbound messages drained per delivery tick"),
+		batchSize:       reg.Histogram("signal_match_batch_size", "outbound messages one session writer pass drained"),
 	}
 	reg.GaugeFunc("signal_swarm_peers", "currently connected peers across all swarms", func() float64 {
 		return float64(s.PeerCount())
 	})
-	reg.GaugeFunc("signal_shard_depth", "outbound messages queued across all shards", func() float64 {
-		return float64(s.queueDepth())
+	reg.GaugeFunc("signal_shard_depth", "outbound messages queued across all sessions", func() float64 {
+		return float64(s.queued.Load())
 	})
 	label := cfg.ServerName
 	if label == "" {
@@ -263,14 +258,6 @@ func NewServer(cfg Config) *Server {
 	}
 	reg.GaugeVec("signal_ring_owned_swarms", "swarms resident per federated server", "server").
 		WithFunc(label, func() float64 { return float64(s.SwarmCount()) })
-	s.flushWg.Add(len(s.shards))
-	for _, sh := range s.shards {
-		go s.flushLoop(sh)
-	}
-	s.workerWg.Add(deliveryWorkers)
-	for i := 0; i < deliveryWorkers; i++ {
-		go s.deliverLoop()
-	}
 	return s
 }
 
@@ -286,13 +273,12 @@ func (s *Server) Serve(host *netsim.Host, port uint16) error {
 	return nil
 }
 
-// Close stops the server and disconnects all peers. Shutdown order
-// matters: closing peer codecs unwinds the connection handlers, the
-// flushers then drain and exit on done, and only after the last
-// flusher is gone is the worker channel closed.
+// Close stops the server and disconnects all peers. Closing the peer
+// codecs unwinds the connection handlers and fails the writers' sends
+// fast, so every writer drains its queue (relays into the drop
+// counter) and exits before Wait returns.
 func (s *Server) Close() error {
 	s.closed.Do(func() {
-		close(s.done)
 		if s.listener != nil {
 			s.listener.Close()
 		}
@@ -300,9 +286,6 @@ func (s *Server) Close() error {
 			sess.codec.Close()
 		}
 		s.wg.Wait()
-		s.flushWg.Wait()
-		close(s.deliverCh)
-		s.workerWg.Wait()
 	})
 	return nil
 }
@@ -407,6 +390,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			welcome.Voucher = v
 		}
 	}
+	// The welcome is written here, not queued: the join span records
+	// whether it reached the wire, and a session that cannot take its
+	// welcome ends before its read loop starts.
 	err = sess.send(MsgWelcome, welcome)
 	jspan.End(obs.A("ok", err == nil), obs.A("peer", sess.id))
 	if err != nil {
@@ -512,7 +498,7 @@ func (s *Server) unregister(sess *session) {
 	sess.advertised = nil
 	sh.mu.Unlock()
 	for _, w := range watchers {
-		s.enqueue(sh, outMsg{sess: w, typ: MsgPeerGone, payload: PeerGone{Peers: []string{sess.id}}})
+		s.enqueue(w, MsgPeerGone, PeerGone{Peers: []string{sess.id}})
 		s.metrics.peerGone.Inc()
 	}
 	if s.cfg.Keys != nil && sess.customer != "" {
@@ -526,7 +512,7 @@ func (s *Server) dispatch(sess *session, env wire.Envelope) bool {
 	case MsgGetPeers:
 		var req GetPeersReq
 		if err := env.Decode(&req); err != nil {
-			s.enqueue(sess.shard, outMsg{sess: sess, typ: MsgError, payload: ErrorInfo{Code: CodeBadRequest, Message: err.Error()}})
+			s.enqueue(sess, MsgError, ErrorInfo{Code: CodeBadRequest, Message: err.Error()})
 			return false
 		}
 		// The match span continues the client's trace: a get_peers issued
@@ -537,7 +523,7 @@ func (s *Server) dispatch(sess *session, env wire.Envelope) bool {
 		s.metrics.matchRequests.Inc()
 		s.metrics.peersMatched.Add(int64(len(matched)))
 		mspan.Event("signal_match", obs.A("peer", sess.id), obs.A("matched", len(matched)))
-		s.enqueue(sess.shard, outMsg{sess: sess, typ: MsgPeers, payload: PeersResp{Peers: matched}})
+		s.enqueue(sess, MsgPeers, PeersResp{Peers: matched})
 		mspan.End(obs.A("matched", len(matched)))
 	case MsgStats:
 		var st Stats
@@ -557,7 +543,7 @@ func (s *Server) dispatch(sess *session, env wire.Envelope) bool {
 		rel.From = sess.id
 		target := s.dir.get(rel.To)
 		if target == nil {
-			s.enqueue(sess.shard, outMsg{sess: sess, typ: MsgError, payload: ErrorInfo{Code: CodeNotFound, Message: "peer " + rel.To}})
+			s.enqueue(sess, MsgError, ErrorInfo{Code: CodeNotFound, Message: "peer " + rel.To})
 			return false
 		}
 		s.metrics.relays.Inc()
@@ -570,7 +556,7 @@ func (s *Server) dispatch(sess *session, env wire.Envelope) bool {
 		if rel.Trace != "" {
 			rel.Trace = rspan.TraceContext().String()
 		}
-		s.enqueue(target.shard, outMsg{sess: target, typ: MsgRelay, payload: rel})
+		s.enqueue(target, MsgRelay, rel)
 		rspan.End()
 	case MsgIMReport:
 		var rep IMReport
@@ -581,6 +567,8 @@ func (s *Server) dispatch(sess *session, env wire.Envelope) bool {
 		if s.cfg.IM != nil {
 			if err := s.cfg.IM.Report(sess.id, rep.Key, rep.Hash); err != nil {
 				s.cfg.Tracer.Event("signal_im_report", obs.A("peer", sess.id), obs.A("blacklisted", true))
+				// Written here, not queued: the session ends on return and
+				// its codec closes, which would fail a queued write.
 				sess.send(MsgError, ErrorInfo{Code: CodeBlacklisted, Message: err.Error()})
 				return true
 			}
@@ -597,7 +585,7 @@ func (s *Server) dispatch(sess *session, env wire.Envelope) bool {
 				resp.Window, resp.Sig, resp.Found = hashes, sig, true
 			}
 		}
-		sess.send(MsgSIM, resp)
+		s.enqueue(sess, MsgSIM, resp)
 	case MsgBadKey:
 		var rep BadKeyReport
 		if err := env.Decode(&rep); err != nil {
@@ -613,7 +601,7 @@ func (s *Server) dispatch(sess *session, env wire.Envelope) bool {
 	case MsgBye:
 		return true
 	default:
-		sess.send(MsgError, ErrorInfo{Code: CodeBadRequest, Message: "unknown type " + env.Type})
+		s.enqueue(sess, MsgError, ErrorInfo{Code: CodeBadRequest, Message: "unknown type " + env.Type})
 	}
 	return false
 }
